@@ -66,8 +66,6 @@ pub struct MglConfig {
     pub max_region_cells: usize,
     /// Collect the per-region work trace consumed by the FPGA performance model.
     pub collect_trace: bool,
-    /// Collect per-operator wall-clock statistics (Fig. 2(g) / Fig. 6(g)).
-    pub collect_op_stats: bool,
     /// Density-map bin width in sites (used for region density / ordering).
     pub density_bin_sites: i64,
     /// Density-map bin height in rows.
@@ -87,7 +85,6 @@ impl Default for MglConfig {
             max_insertion_points: 160,
             max_region_cells: 768,
             collect_trace: false,
-            collect_op_stats: true,
             density_bin_sites: 32,
             density_bin_rows: 8,
         }

@@ -321,25 +321,32 @@ fn evaluate_point_with(
         target_height: target.height,
         target_x: point.x_hi,
     };
-    match config.shift {
+    let shifted = match config.shift {
         ShiftAlgorithm::Original => {
-            shift_phase_original_with(&left_problem, Phase::Left, shift, left).ok()?;
-            shift_phase_original_with(&right_problem, Phase::Right, shift, right).ok()?;
-            work.shift_passes += (left.passes + right.passes) as u64;
+            shift_phase_original_with(&left_problem, Phase::Left, shift, left)
+                .and_then(|()| {
+                    shift_phase_original_with(&right_problem, Phase::Right, shift, right)
+                })
+                .map(|()| work.shift_passes += (left.passes + right.passes) as u64)
         }
         ShiftAlgorithm::Sacs => {
-            let ls =
-                shift_phase_sacs_with_stats_into(&left_problem, Phase::Left, shift, left).ok()?;
-            let rs = shift_phase_sacs_with_stats_into(&right_problem, Phase::Right, shift, right)
-                .ok()?;
-            work.shift_passes += 2;
-            work.sorted_cells += ls.sorted_cells + rs.sorted_cells;
-            work.bound_queries += ls.bound_queries + rs.bound_queries;
-            work.tall_bound_queries += ls.tall_bound_queries + rs.tall_bound_queries;
+            shift_phase_sacs_with_stats_into(&left_problem, Phase::Left, shift, left)
+                .and_then(|ls| {
+                    shift_phase_sacs_with_stats_into(&right_problem, Phase::Right, shift, right)
+                        .map(|rs| (ls, rs))
+                })
+                .map(|(ls, rs)| {
+                    work.shift_passes += 2;
+                    work.sorted_cells += ls.sorted_cells + rs.sorted_cells;
+                    work.bound_queries += ls.bound_queries + rs.bound_queries;
+                    work.tall_bound_queries += ls.tall_bound_queries + rs.tall_bound_queries;
+                })
         }
-    }
-    work.subcell_visits += left.subcell_visits + right.subcell_visits;
+    };
+    // timed on both exits: most points of a crowded region turn out infeasible here
     op_stats.add(FopOperator::CellShift, t_shift.elapsed());
+    shifted.ok()?;
+    work.subcell_visits += left.subcell_visits + right.subcell_visits;
 
     // --- displacement curves (pooled; target curve prebuilt per region) --------------------
     let t_curves = Instant::now();

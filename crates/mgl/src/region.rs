@@ -309,6 +309,10 @@ impl LocalRegion {
         )
     }
 
+    /// The shared body of every extractor. Linear in the obstacle candidates plus the
+    /// (obstacle, window row) pairs they span: segments live in a table indexed by window
+    /// row, each row's obstacles are bucketed once in obstacle order, and the local/blocking
+    /// split is a mask, so no step searches a list per cell or per segment.
     fn extract_from(
         num_rows: i64,
         segments: &SegmentMap,
@@ -317,102 +321,85 @@ impl LocalRegion {
         obstacle_candidates: Vec<&flex_placement::cell::Cell>,
     ) -> Self {
         let win_x = window.x_interval();
-        // 1. one candidate segment per row: the widest free interval clipped to the window.
-        let mut segs: Vec<LocalSegment> = Vec::new();
-        for row in window.y_lo.max(0)..window.y_hi.min(num_rows) {
-            if let Some(s) = segments.widest_in_window(row, &win_x) {
-                segs.push(LocalSegment { row, span: s.span });
+        let row_lo = window.y_lo.max(0);
+        let row_hi = window.y_hi.min(num_rows).max(row_lo);
+        // 1. one candidate segment per row: the widest free interval clipped to the window,
+        //    stored at `row - row_lo` (`None` once a row has no usable sites).
+        let mut spans: Vec<Option<Interval>> = (row_lo..row_hi)
+            .map(|row| segments.widest_in_window(row, &win_x).map(|s| s.span))
+            .collect();
+        let span_at = |spans: &[Option<Interval>], row: i64| {
+            if row < row_lo || row >= row_hi {
+                None
+            } else {
+                spans[(row - row_lo) as usize]
+            }
+        };
+
+        // Obstacle candidates: legalized movable cells overlapping the window widened by one
+        // site. Every segment is clipped to the window, so no other cell can touch one.
+        let probe = window.expanded(1, 0);
+        let obstacles: Vec<&flex_placement::cell::Cell> = obstacle_candidates
+            .into_iter()
+            .filter(|c| c.rect().overlaps(&probe))
+            .collect();
+        let mut row_obstacles: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
+        for (i, c) in obstacles.iter().enumerate() {
+            for row in c.y.max(row_lo)..(c.y + c.height).min(row_hi) {
+                row_obstacles[(row - row_lo) as usize].push(i);
             }
         }
 
-        // Obstacle candidates: legalized movable cells near the window.
-        let obstacles: Vec<&flex_placement::cell::Cell> = obstacle_candidates
-            .into_iter()
-            .filter(|c| {
-                c.rect().overlaps(&window.expanded(1, 0)) || {
-                    // cells just outside the window can still overlap a segment that touches the
-                    // window boundary, so consider anything overlapping any candidate segment row
-                    segs.iter()
-                        .any(|s| c.y_interval().contains(s.row) && c.x_interval().overlaps(&s.span))
-                }
-            })
-            .collect();
-
         // 2./3. iterate: classify cells as local (fully inside) or blocking (partially inside);
-        // blocking cells carve the segments, which may demote further cells.
-        let mut local_ids: Vec<usize> = Vec::new();
+        // blocking cells carve the segments, which may demote further cells. The local set is
+        // taken before each carve, so after a fourth carve it describes the previous segments;
+        // regions stay byte-identical to earlier releases only with this order kept.
+        let mut local = vec![false; obstacles.len()];
         for _ in 0..4 {
-            let is_contained = |c: &flex_placement::cell::Cell, segs: &[LocalSegment]| {
-                c.rows().all(|r| {
-                    segs.iter()
-                        .find(|s| s.row == r)
-                        .map(|s| s.span.contains_interval(&c.x_interval()))
-                        .unwrap_or(false)
-                })
-            };
-            local_ids = obstacles
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| is_contained(c, &segs))
-                .map(|(i, _)| i)
-                .collect();
-            // carve segments with every non-local obstacle that still overlaps them
-            let mut changed = false;
-            let mut new_segs = Vec::with_capacity(segs.len());
-            for seg in &segs {
-                let mut pieces = vec![seg.span];
-                for (i, c) in obstacles.iter().enumerate() {
-                    if local_ids.contains(&i) {
-                        continue;
-                    }
-                    if !c.y_interval().contains(seg.row) {
-                        continue;
-                    }
-                    let span = c.x_interval();
-                    let mut next = Vec::with_capacity(pieces.len() + 1);
-                    for p in pieces {
-                        next.extend(p.subtract(&span));
-                    }
-                    pieces = next;
-                }
-                if let Some(best) = pieces.into_iter().max_by_key(|p| p.len()) {
-                    if best != seg.span {
-                        changed = true;
-                    }
-                    if !best.is_empty() {
-                        new_segs.push(LocalSegment {
-                            row: seg.row,
-                            span: best,
-                        });
-                    } else {
-                        changed = true;
-                    }
-                } else {
-                    changed = true;
-                }
+            for (is_local, c) in local.iter_mut().zip(&obstacles) {
+                let x = c.x_interval();
+                *is_local = c
+                    .rows()
+                    .all(|r| span_at(&spans, r).is_some_and(|s| s.contains_interval(&x)));
             }
-            segs = new_segs;
+            // carve each segment with the non-local obstacles on its row, keeping the widest
+            // remaining piece (the last of equally wide ones)
+            let mut changed = false;
+            for (span, ids) in spans.iter_mut().zip(&row_obstacles) {
+                let Some(seg) = *span else { continue };
+                let mut pieces = vec![seg];
+                for &i in ids.iter().filter(|&&i| !local[i]) {
+                    let cut = obstacles[i].x_interval();
+                    pieces = pieces.iter().flat_map(|p| p.subtract(&cut)).collect();
+                }
+                let best = pieces.into_iter().max_by_key(|p| p.len());
+                *span = best.filter(|b| !b.is_empty());
+                changed |= *span != Some(seg);
+            }
             if !changed {
                 break;
             }
         }
 
-        let cells: Vec<LocalCell> = local_ids
+        let cells: Vec<LocalCell> = obstacles
             .iter()
-            .map(|&i| {
-                let c = obstacles[i];
-                LocalCell {
-                    id: c.id,
-                    x: c.x,
-                    y: c.y,
-                    width: c.width,
-                    height: c.height,
-                    gx: c.gx,
-                }
+            .zip(&local)
+            .filter(|(_, &is_local)| is_local)
+            .map(|(c, _)| LocalCell {
+                id: c.id,
+                x: c.x,
+                y: c.y,
+                width: c.width,
+                height: c.height,
+                gx: c.gx,
             })
             .collect();
+        let local_segments: Vec<LocalSegment> = (row_lo..)
+            .zip(spans)
+            .filter_map(|(row, span)| span.map(|span| LocalSegment { row, span }))
+            .collect();
 
-        let free: i64 = segs.iter().map(|s| s.span.len()).sum();
+        let free: i64 = local_segments.iter().map(|s| s.span.len()).sum();
         let used: i64 = cells.iter().map(|c| c.width * c.height).sum();
         let density = if free > 0 {
             used as f64 / free as f64
@@ -420,15 +407,13 @@ impl LocalRegion {
             1.0
         };
 
-        let mut region = Self {
+        Self {
             target,
             window,
-            segments: segs,
+            segments: local_segments,
             cells,
             density,
-        };
-        region.segments.sort_by_key(|s| s.row);
-        region
+        }
     }
 
     /// The localSegment of `row`, if any.

@@ -5,7 +5,7 @@
 //! cells. Both need a cheap "how full is this area of the die" query, which this module provides
 //! via a uniform grid of bins accumulating cell area.
 
-use crate::geom::Rect;
+use crate::geom::{Interval, Rect};
 use crate::layout::Design;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -287,7 +287,8 @@ impl DensityMap {
     /// site·row areas, so sums are exact in `f64` regardless of accumulation order — the
     /// comparison uses a tiny epsilon only as slack against future fractional areas.
     /// `Err` names the first diverging bin — the invariant-scrubber's typed corruption
-    /// evidence.
+    /// evidence. Only rectangles touching the audited bin rows are splatted: one cheap row
+    /// test per cell, so the cost does not grow with the rows outside the slice.
     pub fn audit_rows(&self, design: &Design, row_lo: i64, row_hi: i64) -> Result<(), String> {
         let die = design.die();
         let nx = ((design.num_sites_x + self.bin_w - 1) / self.bin_w).max(1) as usize;
@@ -331,16 +332,19 @@ impl DensityMap {
                 }
             }
         };
-        for c in design.cells.iter().filter(|c| c.fixed) {
-            splat_into(&mut cap, &c.rect(), -1.0);
-        }
-        for b in &design.blockages {
-            splat_into(&mut cap, b, -1.0);
+        // only rectangles touching the audited bin rows contribute to them
+        let band = Interval::new(by0 as i64 * self.bin_h, (by1 as i64 + 1) * self.bin_h);
+        for b in design.blockers_in_rows(band.lo, band.hi) {
+            splat_into(&mut cap, &b, -1.0);
         }
         for c in cap.iter_mut() {
             *c = c.max(0.0);
         }
-        for c in design.cells.iter().filter(|c| !c.fixed) {
+        for c in design
+            .cells
+            .iter()
+            .filter(|c| !c.fixed && c.y_interval().overlaps(&band))
+        {
             splat_into(&mut occ, &c.rect(), 1.0);
         }
         for by in by0..=by1 {
@@ -496,6 +500,49 @@ mod tests {
                 assert!((map.density_at(x, y) - restored.density_at(x, y)).abs() < 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn audit_rows_sees_rects_straddling_the_slice() {
+        // 10×2 bins; the slice [3, 7) audits bin rows 1..=3 (rows 2..8). A macro on rows
+        // 0..3, a blockage on rows 7..10 and a movable cell on rows 1..3 each cross an edge
+        // of that band; a second movable cell lies wholly outside it.
+        let mut d = Design::new("den-audit", 40, 12);
+        d.add_cell(Cell::fixed(CellId(0), 10, 3, 0, 0));
+        d.add_blockage(Rect::new(20, 7, 30, 10));
+        for (x, y) in [(12, 1), (32, 10)] {
+            let mut c = Cell::movable(CellId(0), 6, 2, x as f64, y as f64);
+            c.x = x;
+            c.y = y;
+            d.add_cell(c);
+        }
+        let map = DensityMap::build(&d, 10, 2);
+        let (nx, _) = map.dims();
+        assert_eq!(map.audit_rows(&d, 3, 7), Ok(()));
+
+        let damaged = |bx: usize, by: usize, occupied: f64, capacity: f64| {
+            let mut m = map.clone();
+            m.occupied[by * nx + bx] += occupied;
+            m.capacity[by * nx + bx] += capacity;
+            m
+        };
+        // each straddling rectangle's in-slice share is checked: the macro's row 2, the
+        // blockage's row 7, the movable cell's row 2
+        for (bx, by, occupied, capacity) in
+            [(0, 1, 0.0, 10.0), (2, 3, 0.0, 10.0), (1, 1, -6.0, 0.0)]
+        {
+            let err = damaged(bx, by, occupied, capacity)
+                .audit_rows(&d, 3, 7)
+                .unwrap_err();
+            assert!(err.contains(&format!("bin ({bx},{by})")), "{err}");
+        }
+        // damage outside the slice is left to the slice that covers it
+        let outside = damaged(3, 5, 1.0, 0.0);
+        assert_eq!(outside.audit_rows(&d, 3, 7), Ok(()));
+        assert!(outside
+            .audit_rows(&d, 10, 12)
+            .unwrap_err()
+            .contains("bin (3,5)"));
     }
 
     #[test]

@@ -159,18 +159,21 @@ impl Design {
 
     /// Blocked site intervals in row `row` coming from fixed cells and blockages.
     pub fn blocked_intervals(&self, row: i64) -> Vec<Interval> {
-        let mut blocked: Vec<Interval> = Vec::new();
-        for c in self.cells.iter().filter(|c| c.fixed) {
-            if c.y_interval().contains(row) {
-                blocked.push(c.x_interval());
-            }
-        }
-        for b in &self.blockages {
-            if b.y_interval().contains(row) {
-                blocked.push(b.x_interval());
-            }
-        }
-        blocked
+        blocked_in_row(&self.blockers_in_rows(row, row + 1), row)
+    }
+
+    /// Rectangles of the fixed cells (in design order), then of the blockages, that touch
+    /// rows `[row_lo, row_hi)`: one pass over the design collects everything
+    /// [`Design::blocked_intervals`] reports for any row of the band, in the same order.
+    pub fn blockers_in_rows(&self, row_lo: i64, row_hi: i64) -> Vec<Rect> {
+        let band = Interval::new(row_lo, row_hi);
+        self.cells
+            .iter()
+            .filter(|c| c.fixed)
+            .map(|c| c.rect())
+            .chain(self.blockages.iter().copied())
+            .filter(|r| r.y_interval().overlaps(&band))
+            .collect()
     }
 
     /// Free (unblocked) site intervals in row `row`, sorted left to right.
@@ -178,8 +181,22 @@ impl Design {
     /// Only fixed cells and blockages block a row — movable cells live *inside* the free
     /// intervals and become `localCells` of the MGL algorithm.
     pub fn free_intervals(&self, row: i64) -> Vec<Interval> {
+        self.free_among(self.blocked_intervals(row))
+    }
+
+    /// [`Design::free_intervals`] of every row in `[row_lo, row_hi)`, in row order. The band's
+    /// blockers are collected once, so `k` rows cost one pass over the design plus `k`
+    /// passes over those blockers instead of `k` passes over the design.
+    pub fn free_intervals_in_rows(&self, row_lo: i64, row_hi: i64) -> Vec<Vec<Interval>> {
+        let blockers = self.blockers_in_rows(row_lo, row_hi);
+        (row_lo..row_hi)
+            .map(|row| self.free_among(blocked_in_row(&blockers, row)))
+            .collect()
+    }
+
+    /// The die width minus `blocked` (one row's blocked intervals, in blocker order).
+    fn free_among(&self, mut blocked: Vec<Interval>) -> Vec<Interval> {
         let full = Interval::new(0, self.num_sites_x);
-        let mut blocked = self.blocked_intervals(row);
         blocked.sort_by_key(|iv| iv.lo);
         let mut free = vec![full];
         for b in blocked {
@@ -343,6 +360,15 @@ impl Design {
     }
 }
 
+/// The x spans of the `blockers` that cover `row`, in blocker order.
+fn blocked_in_row(blockers: &[Rect], row: i64) -> Vec<Interval> {
+    blockers
+        .iter()
+        .filter(|b| b.y_interval().contains(row))
+        .map(|b| b.x_interval())
+        .collect()
+}
+
 /// The per-cell body of [`Design::pre_move`] / [`Design::pre_move_cell`].
 fn pre_move_one(c: &mut Cell, num_sites: i64, num_rows: i64) {
     let max_row = (num_rows - c.height).max(0);
@@ -402,6 +428,25 @@ mod tests {
         assert_eq!(d.free_intervals(5), vec![Interval::new(0, 100)]);
         // row 9 is fully covered by the blockage
         assert_eq!(d.free_intervals(9), vec![]);
+    }
+
+    #[test]
+    fn free_intervals_in_rows_matches_per_row_query() {
+        let mut d = small_design();
+        d.add_cell(Cell::fixed(CellId(0), 8, 4, 60, 2));
+        d.add_blockage(Rect::new(55, 1, 58, 6));
+        d.add_cell(Cell::fixed(CellId(0), 5, 2, 57, 4)); // overlaps the blockage
+        for (lo, hi) in [(0, 10), (1, 3), (2, 7), (8, 10), (4, 4)] {
+            let band = d.free_intervals_in_rows(lo, hi);
+            assert_eq!(band.len(), (hi - lo) as usize);
+            for (row, free) in (lo..).zip(band) {
+                assert_eq!(
+                    free,
+                    d.free_intervals(row),
+                    "row {row} of band [{lo}, {hi})"
+                );
+            }
+        }
     }
 
     #[test]

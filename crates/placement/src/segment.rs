@@ -88,16 +88,17 @@ impl SegmentMap {
 
     /// The serial reference implementation of [`SegmentMap::build`].
     pub fn build_serial(design: &Design) -> Self {
-        let mut per_row = Vec::with_capacity(design.num_rows.max(0) as usize);
-        for row in 0..design.num_rows {
-            let segs = design
-                .free_intervals(row)
-                .into_iter()
-                .map(|iv| Segment { row, span: iv })
-                .collect();
-            per_row.push(segs);
+        Self {
+            per_row: Self::rows_of(design, 0, design.num_rows),
         }
-        Self { per_row }
+    }
+
+    /// The segments of rows `[row_lo, row_hi)`, computed from the design.
+    fn rows_of(design: &Design, row_lo: i64, row_hi: i64) -> Vec<Vec<Segment>> {
+        (row_lo..)
+            .zip(design.free_intervals_in_rows(row_lo, row_hi))
+            .map(|(row, free)| free.into_iter().map(|span| Segment { row, span }).collect())
+            .collect()
     }
 
     /// Segments of row `row` (empty slice if the row does not exist).
@@ -140,7 +141,9 @@ impl SegmentMap {
     /// Audit rows `[row_lo, row_hi)` against `design`: the map is a pure function of the
     /// design's fixed cells and blockages (`Design::free_intervals`), so each audited row
     /// is recomputed and compared segment-for-segment. `Err` names the first diverging
-    /// row — the invariant-scrubber's typed corruption evidence.
+    /// row — the invariant-scrubber's typed corruption evidence. The slice's blockers are
+    /// collected once ([`Design::free_intervals_in_rows`]), so the cost is one pass over the
+    /// design plus the slice, not one pass per row.
     pub fn audit_rows(&self, design: &Design, row_lo: i64, row_hi: i64) -> Result<(), String> {
         let num_rows = design.num_rows.max(0);
         if self.per_row.len() as i64 != num_rows {
@@ -149,12 +152,9 @@ impl SegmentMap {
                 self.per_row.len()
             ));
         }
-        for row in row_lo.clamp(0, num_rows)..row_hi.clamp(0, num_rows) {
-            let want: Vec<Segment> = design
-                .free_intervals(row)
-                .into_iter()
-                .map(|iv| Segment { row, span: iv })
-                .collect();
+        let lo = row_lo.clamp(0, num_rows);
+        let hi = row_hi.clamp(0, num_rows);
+        for (row, want) in (lo..).zip(Self::rows_of(design, lo, hi)) {
             let got = &self.per_row[row as usize];
             if *got != want {
                 return Err(format!(
@@ -256,6 +256,33 @@ mod tests {
         assert_eq!(map.widest_in_window(0, &w), Some(Segment::new(0, 10, 40)));
         // window fully blocked
         assert_eq!(map.widest_in_window(1, &Interval::new(20, 30)), None);
+    }
+
+    #[test]
+    fn audit_rows_sees_blockers_straddling_the_slice() {
+        // the slice [4, 8): a macro enters it from below (rows 2..6), a blockage leaves it
+        // at the top (rows 7..10), a small macro sits inside (row 5)
+        let mut d = Design::new("seg-audit", 60, 16);
+        d.add_cell(Cell::fixed(CellId(0), 10, 4, 20, 2));
+        d.add_blockage(Rect::new(40, 7, 50, 10));
+        d.add_cell(Cell::fixed(CellId(0), 5, 1, 5, 5));
+        let map = SegmentMap::build(&d);
+        assert_eq!(map.audit_rows(&d, 4, 8), Ok(()));
+
+        let damaged = |row: i64| {
+            let mut m = map.clone();
+            m.per_row[row as usize] = vec![Segment::new(row, 0, 60)];
+            m
+        };
+        // a row that forgot the macro from below, the inner macro, or the blockage above
+        for row in [4, 5, 7] {
+            let err = damaged(row).audit_rows(&d, 4, 8).unwrap_err();
+            assert!(err.contains(&format!("row {row} ")), "{err}");
+        }
+        // damage outside the slice is left to the slice that covers it
+        let outside = damaged(3);
+        assert_eq!(outside.audit_rows(&d, 4, 8), Ok(()));
+        assert!(outside.audit_rows(&d, 0, 4).unwrap_err().contains("row 3 "));
     }
 
     #[test]
