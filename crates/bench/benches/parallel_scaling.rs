@@ -82,7 +82,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
         // overlap mode: pipelined vs. barrier-per-batch at the largest thread count the
         // doubling sweep actually benched (not max_threads, which it may have skipped)
         let no_pipeline: Box<dyn Legalizer> =
-            Box::new(ParallelMglLegalizer::new(top, cfg(ordering)).with_pipelining(false));
+            Box::new(ParallelMglLegalizer::new(top, cfg(ordering)).with_pipeline_depth(1));
         group.bench_function(format!("{top}-threads-no-pipeline"), |b| {
             b.iter(|| {
                 let mut d = generate(&spec);

@@ -663,8 +663,8 @@ fn eco_json() {
         ));
     }
     println!(
-        "  legal_after={legal_after}  index_rebuilds={}  density_rebuilds={}  store_recaptures={}",
-        stats.index_rebuilds, stats.density_rebuilds, stats.store_recaptures
+        "  legal_after={legal_after}  index_rebuilds={}  density_rebuilds={}",
+        stats.index_rebuilds, stats.density_rebuilds
     );
 
     assert!(legal_after, "design must stay legal after the delta stream");
@@ -679,8 +679,8 @@ fn eco_json() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"eco_latency\",\n  \"unit\": \"microseconds per delta\",\n  \"cells\": {cells},\n  \"deltas\": {deltas},\n  \"bootstrap_seconds\": {warmup_s:.3},\n  \"legal_after\": {legal_after},\n  \"index_rebuilds\": {},\n  \"density_rebuilds\": {},\n  \"store_recaptures\": {},\n  \"kinds\": [\n{kinds_json}  ]\n}}\n",
-        stats.index_rebuilds, stats.density_rebuilds, stats.store_recaptures
+        "{{\n  \"bench\": \"eco_latency\",\n  \"unit\": \"microseconds per delta\",\n  \"cells\": {cells},\n  \"deltas\": {deltas},\n  \"bootstrap_seconds\": {warmup_s:.3},\n  \"legal_after\": {legal_after},\n  \"index_rebuilds\": {},\n  \"density_rebuilds\": {},\n  \"kinds\": [\n{kinds_json}  ]\n}}\n",
+        stats.index_rebuilds, stats.density_rebuilds
     );
     let path = std::env::var("FLEX_BENCH_ECO_OUT").unwrap_or_else(|_| "BENCH_eco.json".to_string());
     std::fs::write(&path, &json).expect("write BENCH_eco.json");

@@ -7,7 +7,9 @@
 //! With `--journal-dir`, the service is crash-safe: if the directory already holds a
 //! snapshot, startup *recovers* the pre-crash engine (snapshot + journal-suffix replay)
 //! instead of re-generating and re-legalizing; otherwise it bootstraps normally and
-//! starts journaling. Deterministic fault injection is armed from `FLEX_FAULTS` /
+//! starts journaling. Without it, the server journals into a private `PATH.journal`
+//! directory next to its socket, used only to rebuild a crashed engine and removed at
+//! shutdown. Deterministic fault injection is armed from `FLEX_FAULTS` /
 //! `FLEX_FAULTS_SEED` (see `flex_eco::fault`) for soak and recovery drills.
 
 use flex_eco::journal::{recover_engine, Journal, JournalConfig};
@@ -23,7 +25,7 @@ fn usage() -> ! {
         "usage: flex-eco-serve --socket PATH [--cells N] [--seed S] [--density D] [--queue N]\n\
          \x20                     [--journal-dir DIR] [--fsync] [--snapshot-every N]\n\
          \x20                     [--idle-timeout-ms MS] [--batch-deadline-ms MS]\n\
-         \x20                     [--no-supervise] [--no-validate] [--no-obs]\n\
+         \x20                     [--no-validate] [--no-obs]\n\
          \n\
          --socket PATH        Unix socket to listen on (required)\n\
          --cells N            movable cells in the generated design (default 50000)\n\
@@ -31,15 +33,15 @@ fn usage() -> ! {
          --density D          target design density (default 0.45)\n\
          --queue N            request queue bound; a full queue sheds Busy (default 1024)\n\
          --journal-dir DIR    write-ahead journal + snapshots here; recover from DIR if it\n\
-         \x20                    already holds a snapshot (crash-safe restarts)\n\
+         \x20                    already holds a snapshot (crash-safe restarts). Without it,\n\
+         \x20                    a private PATH.journal (no fsync, snapshot every 256 batches)\n\
+         \x20                    backs engine rebuilds and is removed at shutdown\n\
          --fsync              fdatasync every journal append (power-loss durability;\n\
          \x20                    queued batches are group-committed: one fsync per group)\n\
          --snapshot-every N   snapshot + rotate the journal every N batches (default 4096)\n\
          --idle-timeout-ms MS disconnect a connection idle past MS (default 30000, 0 = never)\n\
          --batch-deadline-ms MS  supervision watchdog: a batch the engine has not answered\n\
          \x20                    within MS is quarantined and the engine rebuilt (default 5000)\n\
-         --no-supervise       legacy mode: no watchdog/quarantine/scrubber; an engine\n\
-         \x20                    panic takes the whole server down\n\
          --no-validate        skip Design::validate_invariants at the batch boundary\n\
          --no-obs             disable span collection (the `trace` op then returns empty)\n\
          \n\
@@ -61,7 +63,6 @@ fn main() {
     let mut snapshot_every: u64 = 4096;
     let mut idle_timeout_ms: u64 = 30_000;
     let mut batch_deadline_ms: u64 = 5_000;
-    let mut supervise = true;
     let mut validate = true;
     let mut obs = true;
 
@@ -96,7 +97,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| usage())
             }
-            "--no-supervise" => supervise = false,
             "--no-validate" => validate = false,
             "--no-obs" => obs = false,
             "--help" | "-h" => usage(),
@@ -183,10 +183,10 @@ fn main() {
         queue_capacity: queue.max(1),
         idle_timeout: (idle_timeout_ms > 0).then(|| Duration::from_millis(idle_timeout_ms)),
         journal,
-        supervise: supervise.then(|| SuperviseConfig {
+        supervise: SuperviseConfig {
             batch_deadline: Duration::from_millis(batch_deadline_ms.max(1)),
             ..SuperviseConfig::default()
-        }),
+        },
         ..ServerConfig::default()
     };
     let handle = match EcoServer::start_with(engine, &socket, config) {

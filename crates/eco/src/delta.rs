@@ -227,9 +227,6 @@ pub struct EcoReport {
     pub failed: usize,
     /// Wall-clock latency of the whole batch inside the engine.
     pub latency: Duration,
-    /// The epoch the batch sealed in the engine's [`flex_placement::store::EpochCellStore`]
-    /// (0 when the batch forced a store re-capture — structural deltas reset the epochs).
-    pub epoch: u32,
 }
 
 impl EcoReport {
@@ -265,9 +262,6 @@ pub struct EcoStats {
     pub index_rebuilds: u64,
     /// Full `DensityMap` rebuilds the engine performed (stays 0: `apply_move` only).
     pub density_rebuilds: u64,
-    /// Epoch-store re-captures forced by structural deltas (insert/resize/remove change the
-    /// store's frozen statics; moves never do).
-    pub store_recaptures: u64,
 }
 
 impl EcoStats {
@@ -295,6 +289,5 @@ impl EcoStats {
         registry.set_counter("eco_failed_total", self.failed);
         registry.set_counter("eco_index_rebuilds_total", self.index_rebuilds);
         registry.set_counter("eco_density_rebuilds_total", self.density_rebuilds);
-        registry.set_counter("eco_store_recaptures_total", self.store_recaptures);
     }
 }

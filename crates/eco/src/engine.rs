@@ -3,10 +3,10 @@
 //! [`EcoEngine`] takes ownership of a *legalized* [`Design`] together with the warm state a
 //! full legalization run builds once and then throws away: the [`SegmentMap`] (fixed
 //! obstacles — never invalidated by movable-cell deltas), the row-bucketed
-//! [`LegalizedIndex`], the [`DensityMap`] and the epoch-tagged [`EpochCellStore`]. An
-//! [`EcoDelta`] then costs only its *disturbed neighborhood*: the target is re-seeded with
-//! the per-cell pre-move, planned through the existing expanding-window FOP machinery
-//! ([`plan_place_target_with`]), and committed with point updates to the index
+//! [`LegalizedIndex`] and the [`DensityMap`]. An [`EcoDelta`] then costs only its
+//! *disturbed neighborhood*: the target is re-seeded with the per-cell pre-move, planned
+//! through the existing expanding-window FOP machinery ([`plan_place_target_with`]), and
+//! committed with point updates to the index
 //! ([`LegalizedIndex::insert_cell`] / [`LegalizedIndex::remove_cell`]) and density map
 //! ([`DensityMap::apply_move`]) — never a full rebuild ([`EcoStats::index_rebuilds`] and
 //! [`EcoStats::density_rebuilds`] stay 0 by construction).
@@ -30,7 +30,6 @@ use flex_placement::geom::Rect;
 use flex_placement::layout::Design;
 use flex_placement::legality::check_legality_with;
 use flex_placement::segment::SegmentMap;
-use flex_placement::store::{CellState, EpochCellStore};
 use std::time::Instant;
 
 /// A long-lived legalization session answering incremental deltas. See the module docs.
@@ -42,7 +41,6 @@ pub struct EcoEngine {
     segmap: SegmentMap,
     index: LegalizedIndex,
     density: DensityMap,
-    store: EpochCellStore,
     scratch: FopScratch,
     op_stats: FopOpStats,
     stats: EcoStats,
@@ -71,7 +69,6 @@ impl EcoEngine {
         let segmap = SegmentMap::build(&design);
         let index = LegalizedIndex::build(&design);
         let density = DensityMap::build(&design, cfg.density_bin_sites, cfg.density_bin_rows);
-        let store = EpochCellStore::capture(&design);
         Ok(Self {
             design,
             cfg,
@@ -79,7 +76,6 @@ impl EcoEngine {
             segmap,
             index,
             density,
-            store,
             scratch: FopScratch::new(),
             op_stats: FopOpStats::default(),
             stats: EcoStats::default(),
@@ -91,9 +87,9 @@ impl EcoEngine {
     /// Rebuild a resident engine from crash-recovery state: a design as a snapshot stored
     /// it (already legal — snapshots are only ever taken of the live legal design) and the
     /// lifetime counters as of that snapshot. The warm structures (segment map, index,
-    /// density map, epoch store) are rebuilt from the design; replaying the journal suffix
-    /// through [`EcoEngine::apply`] then reproduces the pre-crash state exactly, because
-    /// `apply` is deterministic in the design state and the delta sequence.
+    /// density map) are rebuilt from the design; replaying the journal suffix through
+    /// [`EcoEngine::apply`] then reproduces the pre-crash state exactly, because `apply` is
+    /// deterministic in the design state and the delta sequence.
     pub fn resume(design: Design, cfg: MglConfig, stats: EcoStats) -> Result<Self, EcoError> {
         let mut engine = Self::new(design, cfg)?;
         engine.stats = stats;
@@ -139,11 +135,6 @@ impl EcoEngine {
     /// The warm density map (tests compare it against a full rebuild).
     pub fn density(&self) -> &DensityMap {
         &self.density
-    }
-
-    /// The warm epoch store; each non-structural batch seals one epoch here.
-    pub fn store(&self) -> &EpochCellStore {
-        &self.store
     }
 
     /// Lifetime counters.
@@ -239,8 +230,8 @@ impl EcoEngine {
 
     /// Apply one delta batch. Validation errors reject the batch up front (no state
     /// changes); individual deltas with no feasible position are rolled back and counted in
-    /// [`EcoReport::failed`]. Everything else updates the resident design, index, density
-    /// map and epoch store incrementally.
+    /// [`EcoReport::failed`]. Everything else updates the resident design, index and
+    /// density map incrementally.
     pub fn apply(&mut self, deltas: &[EcoDelta]) -> Result<EcoReport, EcoError> {
         let _span = flex_obs::span!("eco.apply_batch");
         // deterministic stall for the supervisor's watchdog tests: a single relaxed load
@@ -250,8 +241,6 @@ impl EcoEngine {
         self.validate(deltas)?;
 
         let mut outcomes = Vec::with_capacity(deltas.len());
-        let mut recorded: Vec<(CellId, CellState)> = Vec::new();
-        let mut structural = false;
         let mut displacement_delta = 0.0f64;
 
         for delta in deltas {
@@ -260,30 +249,24 @@ impl EcoEngine {
             crate::fault::maybe_panic("eco.engine.panic");
             let delta_start = Instant::now();
             let outcome = match delta {
-                EcoDelta::MoveCell { id, gx, gy } => self.relegalize_target(
-                    *id,
-                    DeltaKind::Move,
-                    &mut recorded,
-                    &mut displacement_delta,
-                    |c| {
+                EcoDelta::MoveCell { id, gx, gy } => {
+                    self.relegalize_target(*id, DeltaKind::Move, &mut displacement_delta, |c| {
                         c.gx = *gx;
                         c.gy = *gy;
-                    },
-                ),
+                    })
+                }
                 EcoDelta::InsertCell {
                     width,
                     height,
                     gx,
                     gy,
                 } => {
-                    structural = true;
                     let id =
                         self.design
                             .add_cell(Cell::movable(CellId(0), *width, *height, *gx, *gy));
                     let outcome = self.relegalize_target(
                         id,
                         DeltaKind::Insert,
-                        &mut recorded,
                         &mut displacement_delta,
                         |_| {},
                     );
@@ -297,25 +280,17 @@ impl EcoEngine {
                     outcome
                 }
                 EcoDelta::ResizeCell { id, width, height } => {
-                    structural = true;
-                    self.relegalize_target(
-                        *id,
-                        DeltaKind::Resize,
-                        &mut recorded,
-                        &mut displacement_delta,
-                        |c| {
-                            c.width = *width;
-                            c.height = *height;
-                            c.row_parity = if height % 2 == 0 {
-                                Some((c.gy.round() as i64).rem_euclid(2) as u8)
-                            } else {
-                                None
-                            };
-                        },
-                    )
+                    self.relegalize_target(*id, DeltaKind::Resize, &mut displacement_delta, |c| {
+                        c.width = *width;
+                        c.height = *height;
+                        c.row_parity = if height % 2 == 0 {
+                            Some((c.gy.round() as i64).rem_euclid(2) as u8)
+                        } else {
+                            None
+                        };
+                    })
                 }
                 EcoDelta::RemoveCell { id } => {
-                    structural = true;
                     let c = self.design.cell(*id);
                     if is_tombstone(c) {
                         // the target is an earlier failed InsertCell of this batch (see
@@ -352,23 +327,6 @@ impl EcoEngine {
             outcomes.push(outcome);
         }
 
-        // keep the epoch store warm: structural deltas change the frozen statics (cell
-        // count, widths, heights, parities), so they force a re-capture; pure move batches
-        // seal one cheap overlay epoch and promote it immediately (the engine hands out no
-        // long-lived snapshots, so histories stay empty)
-        let epoch = if structural {
-            self.store = EpochCellStore::capture(&self.design);
-            self.stats.store_recaptures += 1;
-            0
-        } else {
-            for (id, state) in recorded.drain(..) {
-                self.store.record(id, state);
-            }
-            let epoch = self.store.seal_epoch();
-            self.store.promote_through(epoch);
-            epoch
-        };
-
         if self.validate_boundary {
             self.design
                 .validate_invariants()
@@ -394,7 +352,6 @@ impl EcoEngine {
             fallbacks,
             failed,
             latency: start.elapsed(),
-            epoch,
         })
     }
 
@@ -405,7 +362,6 @@ impl EcoEngine {
         &mut self,
         id: CellId,
         kind: DeltaKind,
-        recorded: &mut Vec<(CellId, CellState)>,
         displacement_delta: &mut f64,
         change: impl FnOnce(&mut Cell),
     ) -> DeltaOutcome {
@@ -473,13 +429,13 @@ impl EcoEngine {
 
         // density + displacement bookkeeping for shifted neighbors needs their pre-commit
         // rects, so collect the moves before applying the plan
-        let mut neighbor_moves: Vec<(CellId, Rect, Rect)> = Vec::new();
+        let mut neighbor_moves: Vec<(Rect, Rect)> = Vec::new();
         let (placed, cells_touched) = match planned.decision {
             PlacementDecision::Region(ref plan) => {
                 for &(mid, new_x) in &plan.moves {
                     let mc = self.design.cell(mid);
                     let to = Rect::new(new_x, mc.y, new_x + mc.width, mc.y + mc.height);
-                    neighbor_moves.push((mid, mc.rect(), to));
+                    neighbor_moves.push((mc.rect(), to));
                     *displacement_delta +=
                         (new_x as f64 - mc.gx).abs() - (mc.x as f64 - mc.gx).abs();
                 }
@@ -508,7 +464,7 @@ impl EcoEngine {
         } else {
             self.density.add_rect(&new_rect);
         }
-        for (_, from, to) in &neighbor_moves {
+        for (from, to) in &neighbor_moves {
             self.density.apply_move(from, to);
         }
 
@@ -519,18 +475,6 @@ impl EcoEngine {
             0.0
         };
         *displacement_delta += t.displacement() - before;
-
-        recorded.push((id, CellState::of(t)));
-        for (mid, _, to) in &neighbor_moves {
-            recorded.push((
-                *mid,
-                CellState {
-                    x: to.x_lo,
-                    y: to.y_lo,
-                    legalized: true,
-                },
-            ));
-        }
 
         self.stats.applied[kind.index()] += 1;
         DeltaOutcome {

@@ -5,9 +5,9 @@
 //! legal, a tool wants to nudge a handful of cells — move, insert, resize, remove — and
 //! wants the answer in microseconds, not a full re-run. This crate keeps a legalized
 //! design **resident**: the [`EcoEngine`] owns the design together with its warm
-//! acceleration structures (segment map, legalized index, density map, epoch cell store)
-//! and re-legalizes only the disturbed neighborhood of each delta, updating the
-//! structures point-wise instead of rebuilding them.
+//! acceleration structures (segment map, legalized index, density map) and re-legalizes
+//! only the disturbed neighborhood of each delta, updating the structures point-wise
+//! instead of rebuilding them.
 //!
 //! The service layer ([`EcoServer`]/[`EcoClient`]) puts that engine behind a
 //! Unix-domain socket with a length-prefixed JSON protocol, so external tools can hold a
@@ -31,7 +31,8 @@
 //! Self-healing: the [`supervise`] module runs the engine on a disposable worker thread
 //! behind a watchdog — a batch that panics or hangs the engine is quarantined (typed
 //! `Poisoned` reply, persisted skip record) and the engine is rebuilt from durable
-//! history without dropping connections, while a background invariant scrubber audits
+//! history without dropping connections (a server started without a journal keeps a
+//! private one for this), while a background invariant scrubber audits
 //! the warm acceleration structures against the design and repairs corruption in place.
 
 pub mod delta;

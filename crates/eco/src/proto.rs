@@ -290,7 +290,6 @@ pub fn encode_report(report: &EcoReport) -> Vec<u8> {
                 ("fallbacks".into(), Json::Num(report.fallbacks as f64)),
                 ("failed".into(), Json::Num(report.failed as f64)),
                 ("latency_us".into(), Json::Num(report.micros())),
-                ("epoch".into(), Json::Num(report.epoch as f64)),
             ]),
         ),
     ])
@@ -326,10 +325,6 @@ pub fn encode_stats(stats: &EcoStats, uptime: std::time::Duration) -> Vec<u8> {
     body.push((
         "density_rebuilds".into(),
         Json::Num(stats.density_rebuilds as f64),
-    ));
-    body.push((
-        "store_recaptures".into(),
-        Json::Num(stats.store_recaptures as f64),
     ));
     fields.push(("stats".into(), Json::Obj(body)));
     Json::Obj(fields).to_string().into_bytes()
@@ -411,7 +406,8 @@ pub fn encode_trace(events: &[flex_obs::SpanEvent], chrome: bool) -> Vec<u8> {
 pub fn encode_health(h: &crate::supervise::HealthSnapshot) -> Vec<u8> {
     let mut body = vec![
         ("state".into(), Json::Str(h.state.name().into())),
-        ("supervised".into(), Json::Bool(h.supervised)),
+        // every server is supervised; the field stays because clients read it
+        ("supervised".into(), Json::Bool(true)),
         ("restarts".into(), Json::Num(h.restarts as f64)),
         ("quarantined".into(), Json::Num(h.quarantined as f64)),
         (

@@ -4,46 +4,49 @@
 //! (design, index, density map, scratch arena) is one mutable session, so the server never
 //! runs two batches concurrently. Instead, each accepted connection gets a reader thread
 //! that decodes frames and pushes jobs onto a bounded [`std::sync::mpsc::sync_channel`];
-//! one engine thread drains the queue in arrival order and sends each response back through
-//! the job's reply channel. Back-pressure is the queue bound (`ServerConfig::
-//! queue_capacity`) — and it *sheds* rather than blocks: when the queue is full the
-//! connection answers a typed `Busy` response with a retry-after hint instead of wedging
-//! its reader thread ([`EcoClient`]'s retry loop backs off and resends).
+//! one supervisor thread ([`crate::supervise`]) drains the queue in arrival order and
+//! sends each response back through the job's reply channel. Back-pressure is the queue
+//! bound (`ServerConfig::queue_capacity`) — and it *sheds* rather than blocks: when the
+//! queue is full the connection answers a typed `Busy` response with a retry-after hint
+//! instead of wedging its reader thread ([`EcoClient`]'s retry loop backs off and resends).
 //!
 //! Deadlines: every connection carries read/write timeouts
 //! ([`ServerConfig::idle_timeout`]), so a client that connects and then sends nothing —
 //! or stops draining its replies — is disconnected and its thread reclaimed instead of
 //! being pinned forever.
 //!
-//! Durability: with a [`Journal`] configured, every `apply` batch is appended to the
-//! write-ahead journal **before** it reaches the engine; a journal failure produces a
-//! typed error and the engine stays untouched. See [`crate::journal`] for the recovery
-//! side.
+//! Durability: every `apply` batch is appended to a write-ahead [`Journal`] **before** it
+//! reaches the engine; a journal failure produces a typed error and the engine stays
+//! untouched. See [`crate::journal`] for the recovery side. A server started without a
+//! journal ([`ServerConfig::journal`] `None`) journals into a private directory next to
+//! its socket (the socket path with `.journal` appended): no fsync, a snapshot every 256
+//! batches, cleared when stale at start and removed by [`ServerHandle::join`]. It exists
+//! only so the supervisor can rebuild a crashed engine.
 //!
 //! Shutdown: a `shutdown` request raises an atomic flag, is acknowledged, and stops the
-//! engine thread; a self-connection unblocks the accept loop, which then hangs up every
+//! supervisor thread; a self-connection unblocks the accept loop, which then hangs up every
 //! client connection (waking loops blocked in a read) and joins every client thread. So
 //! [`ServerHandle::join`] returning means no thread of the server is left running — it
 //! hands the resident [`EcoEngine`] back for post-shutdown inspection. The same wind-down
-//! runs if the engine thread panics (a drop guard raises the flag and pokes the accept
-//! loop during unwinding), so a bug in the engine surfaces as a re-raised panic from
+//! runs if the supervisor thread panics (a drop guard raises the flag and pokes the accept
+//! loop during unwinding), so an unrecoverable engine surfaces as a re-raised panic from
 //! `join`, never a hang.
 
 use crate::delta::{DeltaKind, EcoError};
 use crate::engine::EcoEngine;
 use crate::fault;
-use crate::journal::Journal;
+use crate::journal::{Journal, JournalConfig};
 use crate::json::Json;
 use crate::proto::{
     busy_retry_after, decode_request, encode_error, encode_health, encode_info,
-    encode_metrics_json, encode_metrics_text, encode_report, encode_request, encode_stats,
-    encode_trace, read_frame, recovering_retry_after, write_frame, Request,
+    encode_metrics_json, encode_metrics_text, encode_request, encode_stats, encode_trace,
+    read_frame, recovering_retry_after, write_frame, Request,
 };
 use crate::supervise::{supervisor_loop, SuperviseConfig, SupervisorShared, SupervisorState};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -65,14 +68,14 @@ pub struct ServerConfig {
     /// The retry-after hint carried by `Busy` responses, in milliseconds.
     pub busy_retry_after_ms: u64,
     /// Write-ahead journal; every accepted apply batch is journaled before it is applied.
+    /// `None` journals into a private directory next to the socket instead (see the
+    /// module docs), which is removed again when the server is joined.
     pub journal: Option<Journal>,
-    /// Self-healing supervision (`Some`, the default): the engine runs on a disposable
-    /// worker thread behind a watchdog; a batch that panics or hangs it is quarantined
-    /// with a typed `Poisoned` reply and the engine is rebuilt from snapshot + journal
-    /// without dropping connections (see [`crate::supervise`]). `None` restores the
-    /// legacy contract: an engine panic winds the whole server down and
-    /// [`ServerHandle::join`] re-raises it.
-    pub supervise: Option<SuperviseConfig>,
+    /// Self-healing supervision: the engine runs on a disposable worker thread behind a
+    /// watchdog; a batch that panics or hangs it is quarantined with a typed `Poisoned`
+    /// reply and the engine is rebuilt from snapshot + journal without dropping
+    /// connections (see [`crate::supervise`]).
+    pub supervise: SuperviseConfig,
 }
 
 impl Default for ServerConfig {
@@ -82,10 +85,17 @@ impl Default for ServerConfig {
             idle_timeout: Some(Duration::from_secs(30)),
             busy_retry_after_ms: 2,
             journal: None,
-            supervise: Some(SuperviseConfig::default()),
+            supervise: SuperviseConfig::default(),
         }
     }
 }
+
+/// The private journal of a server started without one snapshots every this many batches,
+/// so a rebuild after an engine crash replays at most this many batches.
+const PRIVATE_SNAPSHOT_EVERY: u64 = 256;
+
+/// Appended to the socket path to name the private journal directory.
+const PRIVATE_JOURNAL_SUFFIX: &str = ".journal";
 
 /// A running ECO server.
 pub struct EcoServer;
@@ -93,12 +103,14 @@ pub struct EcoServer;
 /// Handle to a running server: join it to get the resident engine back.
 pub struct ServerHandle {
     path: PathBuf,
+    /// The private journal directory, when the server was started without a journal.
+    private_journal: Option<PathBuf>,
     accept: JoinHandle<()>,
     engine: JoinHandle<EcoEngine>,
 }
 
 impl EcoServer {
-    /// Bind `path` and serve with default deadlines and no journal (see
+    /// Bind `path` and serve with default deadlines and a private journal (see
     /// [`EcoServer::start_with`]).
     pub fn start(
         engine: EcoEngine,
@@ -116,7 +128,8 @@ impl EcoServer {
     }
 
     /// Bind `path` (any stale socket file is removed first) and serve `engine` until a
-    /// `shutdown` request arrives.
+    /// `shutdown` request arrives. Without a configured journal, a private one is created
+    /// next to the socket (a stale one is cleared first, never recovered from).
     pub fn start_with(
         engine: EcoEngine,
         path: impl AsRef<Path>,
@@ -125,18 +138,30 @@ impl EcoServer {
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
+        let (journal, private_journal) = match config.journal {
+            Some(journal) => (journal, None),
+            None => {
+                let mut dir = path.clone().into_os_string();
+                dir.push(PRIVATE_JOURNAL_SUFFIX);
+                let dir = PathBuf::from(dir);
+                let _ = std::fs::remove_dir_all(&dir);
+                let cfg = JournalConfig {
+                    snapshot_every: PRIVATE_SNAPSHOT_EVERY,
+                    ..JournalConfig::new(&dir)
+                };
+                match Journal::create(cfg, engine.design(), engine.stats(), 0) {
+                    Ok(journal) => (journal, Some(dir)),
+                    Err(e) => {
+                        let _ = std::fs::remove_file(&path);
+                        let _ = std::fs::remove_dir_all(&dir);
+                        return Err(e);
+                    }
+                }
+            }
+        };
         let stopping = Arc::new(AtomicBool::new(false));
         let (job_tx, job_rx) = sync_channel::<Job>(config.queue_capacity.max(1));
-        // the shared health block exists in both modes, so the `health` op (answered by
-        // connection threads, never the engine) works even unsupervised
-        let retry_after_ms = config
-            .supervise
-            .as_ref()
-            .map_or(config.busy_retry_after_ms, |s| s.retry_after_ms);
-        let shared = Arc::new(SupervisorShared::new(
-            config.supervise.is_some(),
-            retry_after_ms,
-        ));
+        let shared = Arc::new(SupervisorShared::new(config.supervise.retry_after_ms));
         let conn = ConnConfig {
             idle_timeout: config.idle_timeout,
             busy_retry_after_ms: config.busy_retry_after_ms,
@@ -146,15 +171,10 @@ impl EcoServer {
         let engine_handle = {
             let stopping = Arc::clone(&stopping);
             let path = path.clone();
-            let journal = config.journal;
-            match config.supervise {
-                Some(sup) => std::thread::spawn(move || {
-                    supervisor_loop(engine, journal, sup, shared, job_rx, stopping, path)
-                }),
-                None => std::thread::spawn(move || {
-                    engine_loop(engine, journal, job_rx, stopping, path, shared)
-                }),
-            }
+            let sup = config.supervise;
+            std::thread::spawn(move || {
+                supervisor_loop(engine, journal, sup, shared, job_rx, stopping, path)
+            })
         };
 
         let accept_handle = {
@@ -164,6 +184,7 @@ impl EcoServer {
 
         Ok(ServerHandle {
             path,
+            private_journal,
             accept: accept_handle,
             engine: engine_handle,
         })
@@ -177,20 +198,18 @@ impl ServerHandle {
     }
 
     /// Block until the server has fully stopped (a client sent `shutdown`) and take the
-    /// resident engine back. The socket file is removed before this returns. If the engine
-    /// thread panicked, the panic is re-raised here (a `StopGuard` guarantees the accept
-    /// loop still winds down first, so this never deadlocks).
+    /// resident engine back. The socket file and any private journal are removed before
+    /// this returns. If the supervisor thread panicked, the panic is re-raised here (a
+    /// `StopGuard` guarantees the accept loop still winds down first, so this never
+    /// deadlocks).
     pub fn join(self) -> EcoEngine {
         let _ = self.accept.join();
-        let engine = match self.engine.join() {
-            Ok(engine) => engine,
-            Err(panic) => {
-                let _ = std::fs::remove_file(&self.path);
-                std::panic::resume_unwind(panic);
-            }
-        };
+        let engine = self.engine.join();
         let _ = std::fs::remove_file(&self.path);
-        engine
+        if let Some(dir) = &self.private_journal {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        engine.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
@@ -204,11 +223,12 @@ struct ConnConfig {
     shared: Arc<SupervisorShared>,
 }
 
-/// Winds the server down no matter how the engine thread exits — including a panic, when
-/// this runs during unwinding: raise the stop flag so `accept_loop` and every `client_loop`
-/// break out, then poke the accept loop with a throwaway self-connection so it is not left
-/// blocked in `accept`. Without this, an engine panic would leave `ServerHandle::join`
-/// deadlocked on the accept thread forever.
+/// Winds the server down no matter how the supervisor thread exits — including a panic
+/// (an engine it cannot rebuild at shutdown), when this runs during unwinding: raise the
+/// stop flag so `accept_loop` and every `client_loop` break out, then poke the accept loop
+/// with a throwaway self-connection so it is not left blocked in `accept`. Without this, a
+/// supervisor panic would leave `ServerHandle::join` deadlocked on the accept thread
+/// forever.
 pub(crate) struct StopGuard {
     pub(crate) stopping: Arc<AtomicBool>,
     pub(crate) path: PathBuf,
@@ -221,75 +241,8 @@ impl Drop for StopGuard {
     }
 }
 
-/// The single engine thread: drains jobs in arrival order until shutdown. With a journal,
-/// apply batches are journaled first — journal-before-ack is what makes an acknowledged
-/// batch durable, and a journal failure leaves the engine untouched by construction.
-fn engine_loop(
-    mut engine: EcoEngine,
-    mut journal: Option<Journal>,
-    jobs: Receiver<Job>,
-    stopping: Arc<AtomicBool>,
-    path: PathBuf,
-    shared: Arc<SupervisorShared>,
-) -> EcoEngine {
-    let _guard = StopGuard {
-        stopping: Arc::clone(&stopping),
-        path,
-    };
-    while let Ok(job) = jobs.recv() {
-        let (response, stop) = match job.request {
-            Request::Apply(ref deltas) => {
-                let journaled = match journal.as_mut() {
-                    Some(j) => j.append(deltas).map(|_| ()),
-                    None => Ok(()),
-                };
-                match journaled {
-                    Err(e) => (encode_error(&EcoError::Journal(e.to_string())), false),
-                    Ok(()) => {
-                        let response = match engine.apply(deltas) {
-                            Ok(report) => encode_report(&report),
-                            Err(e) => encode_error(&e),
-                        };
-                        if let Some(j) = journal.as_mut() {
-                            // rotation failure is survivable — the open wal stays valid,
-                            // the only cost is a longer replay on the next recovery
-                            if let Err(e) = j.maybe_snapshot(engine.design(), engine.stats()) {
-                                eprintln!("eco journal: snapshot failed: {e} (continuing)");
-                            }
-                        }
-                        (response, false)
-                    }
-                }
-            }
-            // normally intercepted by the connection thread; kept correct here anyway
-            Request::Health => (encode_health(&shared.snapshot()), false),
-            Request::Shutdown => (encode_stats(engine.stats(), engine.uptime()), true),
-            ref request => (query_response(&engine, request), false),
-        };
-        if stop {
-            // raise the flag BEFORE acknowledging, so the requester's client loop sees it
-            // right after writing the reply and hangs up instead of reading another frame
-            stopping.store(true, Ordering::SeqCst);
-            // a parting snapshot makes the next start recover instantly; failure only
-            // means recovery replays the wal instead
-            if let Some(j) = journal.as_mut() {
-                if let Err(e) = j.snapshot_now(engine.design(), engine.stats()) {
-                    eprintln!("eco journal: shutdown snapshot failed: {e}");
-                }
-            }
-        }
-        let _ = job.reply.send(response);
-        if stop {
-            // breaking drops the StopGuard, whose throwaway self-connection unblocks the
-            // accept loop
-            break;
-        }
-    }
-    engine
-}
-
-/// Answer a read-only query against the engine (shared by the legacy engine loop and the
-/// supervised worker thread). `Apply`/`Shutdown`/`Health` never reach this.
+/// Answer a read-only query against the engine (on the supervised worker thread).
+/// `Apply`/`Shutdown`/`Health` never reach this.
 pub(crate) fn query_response(engine: &EcoEngine, request: &Request) -> Vec<u8> {
     match request {
         Request::Info => {
@@ -437,7 +390,7 @@ fn client_loop(
                             Err(_) => break,
                         },
                         Err(TrySendError::Full(_)) => busy_response(conn_cfg.busy_retry_after_ms),
-                        Err(TrySendError::Disconnected(_)) => break, // engine stopped
+                        Err(TrySendError::Disconnected(_)) => break, // supervisor stopped
                     }
                 }
             }
@@ -707,7 +660,7 @@ fn is_retryable(e: &std::io::Error) -> bool {
 mod tests {
     use super::*;
 
-    /// Regression: an engine-thread panic used to leave `stopping` unset, so the accept
+    /// Regression: a supervisor-thread panic used to leave `stopping` unset, so the accept
     /// loop never exited and `ServerHandle::join` hung forever. The guard must raise the
     /// flag during unwinding.
     #[test]

@@ -1,15 +1,11 @@
 //! Self-healing supervision for the resident engine: watchdog, poison-batch quarantine,
 //! supervised restarts, and a background invariant scrubber.
 //!
-//! The unsupervised server (PR 7–9) has one engine thread; an engine panic winds the
-//! whole server down and `ServerHandle::join` re-raises it. That is the right contract
-//! for a library embedding, but a *service* should survive a poisoned batch: one bad
-//! delta stream must not take the socket away from every other client.
-//!
-//! Under supervision the engine runs on a disposable **worker thread** and the
-//! long-lived **supervisor thread** owns everything that must survive an engine crash:
-//! the job queue, the journal, the quarantine set, and the health state machine.
-//! Per batch, the supervisor:
+//! A service should survive a poisoned batch: one bad delta stream must not take the
+//! socket away from every other client. So the engine runs on a disposable **worker
+//! thread** and the long-lived **supervisor thread** owns everything that must survive an
+//! engine crash: the job queue, the journal, the quarantine set, and the health state
+//! machine. Per batch, the supervisor:
 //!
 //! 1. journals the batch (journal-before-ack, unchanged; in `--fsync` mode queued
 //!    batches are group-committed so N batches cost one `fdatasync`, not N);
@@ -20,12 +16,12 @@
 //! 3. on either failure **quarantines** the batch — the client gets a typed
 //!    `Poisoned {seq}` reply, and a persisted record in `quarantine.log` makes every
 //!    future replay skip it — then **rebuilds** a fresh engine from snapshot + journal
-//!    (or, journal-less, from an in-memory baseline image + delta log) *without
-//!    dropping a single connection*. Apply requests that arrive during the rebuild
-//!    window are shed with a typed `Recovering {retry_after_ms}` the client retry loop
-//!    absorbs. Group members journaled but not yet dispatched when the rebuild fires
-//!    are applied *by the replay*; the dispatch loop answers them from the captured
-//!    replay outcome rather than applying them a second time.
+//!    *without dropping a single connection* (a server started without a journal owns a
+//!    private one for exactly this, see [`crate::service`]). Apply requests that arrive
+//!    during the rebuild window are shed with a typed `Recovering {retry_after_ms}` the
+//!    client retry loop absorbs. Group members journaled but not yet dispatched when the
+//!    rebuild fires are applied *by the replay*; the dispatch loop answers them from the
+//!    captured replay outcome rather than applying them a second time.
 //!
 //! Because replay runs with fault injection suppressed ([`crate::fault::
 //! with_suppressed`]) and skips quarantined sequence numbers, the rebuilt engine is
@@ -35,7 +31,9 @@
 //! auto-quarantined, and recovery restarts without it instead of crashing on every
 //! boot. A rebuild that *fails* (e.g. transient I/O error reading the journal) keeps
 //! the journal configuration and is retried on the next dispatch and on every idle
-//! tick, so a transient recovery failure never becomes permanent.
+//! tick, so a transient recovery failure never becomes permanent. Only the supervisor
+//! thread itself can still take the server down: if the engine cannot be rebuilt at
+//! shutdown it panics, and `ServerHandle::join` re-raises that after the wind-down.
 //!
 //! **Invariant scrubber.** Idle ticks and post-batch slack run incremental audits of
 //! the engine's acceleration structures (legalized index, density map, segment map)
@@ -60,7 +58,7 @@ use crate::journal::{self, Journal, JournalConfig};
 use crate::proto::{encode_error, encode_health, encode_report, encode_stats, Request};
 use crate::service::{query_response, Job, StopGuard};
 use flex_mgl::config::MglConfig;
-use flex_placement::snapshot::{read_design, write_design, SnapshotError};
+use flex_placement::snapshot::write_design;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -115,9 +113,6 @@ pub struct SuperviseConfig {
     pub retry_after_ms: u64,
     /// Invariant-scrubber tuning.
     pub scrub: ScrubConfig,
-    /// Journal-less servers refresh their in-memory rebuild baseline (design image +
-    /// delta log reset) every this many applied batches (0 = never refresh).
-    pub mem_snapshot_every: u64,
 }
 
 impl Default for SuperviseConfig {
@@ -126,7 +121,6 @@ impl Default for SuperviseConfig {
             batch_deadline: Duration::from_secs(5),
             retry_after_ms: 25,
             scrub: ScrubConfig::default(),
-            mem_snapshot_every: 256,
         }
     }
 }
@@ -166,10 +160,8 @@ impl SupervisorState {
 
 /// The supervisor's externally visible state: connection threads answer `health` from
 /// this (and shed applies during rebuilds), so it must stay readable while the engine
-/// is hung or mid-rebuild. Unsupervised servers carry one too (with `supervised =
-/// false`) so `health` always answers.
+/// is hung or mid-rebuild.
 pub struct SupervisorShared {
-    supervised: bool,
     retry_after_ms: u64,
     state: AtomicU8,
     restarts: AtomicU64,
@@ -185,9 +177,8 @@ pub struct SupervisorShared {
 }
 
 impl SupervisorShared {
-    pub(crate) fn new(supervised: bool, retry_after_ms: u64) -> Self {
+    pub(crate) fn new(retry_after_ms: u64) -> Self {
         Self {
-            supervised,
             retry_after_ms,
             state: AtomicU8::new(SupervisorState::Healthy as u8),
             restarts: AtomicU64::new(0),
@@ -230,7 +221,6 @@ impl SupervisorShared {
         let total = self.scrub_total.load(Ordering::Relaxed).max(1);
         HealthSnapshot {
             state: self.state(),
-            supervised: self.supervised,
             restarts: self.restarts.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             scrub_slices: self.scrub_slices.load(Ordering::Relaxed),
@@ -249,8 +239,6 @@ impl SupervisorShared {
 pub struct HealthSnapshot {
     /// Health state machine position.
     pub state: SupervisorState,
-    /// Whether the supervision layer is active (false = legacy single-thread engine).
-    pub supervised: bool,
     /// Engine rebuilds performed (panic, hang, or query casualty).
     pub restarts: u64,
     /// Batches quarantined so far (persisted; replay skips them forever).
@@ -394,25 +382,16 @@ struct Worker {
 struct Supervisor {
     cfg: SuperviseConfig,
     shared: Arc<SupervisorShared>,
+    /// The open journal; `None` only while a failed rebuild has left the engine down.
     journal: Option<Journal>,
     /// The journal's config, stashed at startup. Survives a failed recovery (which
-    /// consumes `journal`) so every later rebuild attempt can retry journal recovery
-    /// instead of falling into the journal-less branch with no baseline.
-    journal_cfg: Option<JournalConfig>,
+    /// consumes `journal`) so every later rebuild attempt can retry journal recovery.
+    journal_cfg: JournalConfig,
     mgl: MglConfig,
     validate_boundary: bool,
-    /// Journal-less rebuild baseline: a design image + the stats at capture time …
-    base_image: Vec<u8>,
-    base_stats: EcoStats,
-    /// … plus every accepted batch since (rejected ones included: replay re-rejects
-    /// them identically, keeping stats bit-exact).
-    mem_log: Vec<(u64, Vec<EcoDelta>)>,
-    applied_since_refresh: u64,
-    next_seq: u64,
     quarantined: BTreeSet<u64>,
-    /// Sequence numbers journaled (or logged) but not yet answered — in fsync mode a
-    /// whole group is journaled before any member is dispatched, so a mid-group rebuild
-    /// replays these. Recovery captures their replay outcomes so the waiting clients
+    /// Sequence numbers journaled but not yet answered — in fsync mode a whole group is
+    /// journaled before any member is dispatched, so a mid-group rebuild replays these. Recovery captures their replay outcomes so the waiting clients
     /// are answered from replay instead of their batches being applied a second time.
     unanswered: BTreeSet<u64>,
     /// Encoded responses captured from recovery replay, keyed by sequence number;
@@ -430,12 +409,11 @@ struct Supervisor {
     pending: Option<Job>,
 }
 
-/// The supervised replacement for the single engine thread: owns the job queue end, the
-/// journal, the quarantine set and the worker lifecycle. Returns the resident engine at
-/// shutdown, exactly like the legacy loop.
+/// The server's dispatch loop: owns the job queue end, the journal, the quarantine set
+/// and the worker lifecycle. Returns the resident engine at shutdown.
 pub(crate) fn supervisor_loop(
     engine: EcoEngine,
-    journal: Option<Journal>,
+    journal: Journal,
     cfg: SuperviseConfig,
     shared: Arc<SupervisorShared>,
     jobs: Receiver<Job>,
@@ -483,25 +461,15 @@ pub(crate) fn supervisor_loop(
 impl Supervisor {
     fn new(
         engine: EcoEngine,
-        journal: Option<Journal>,
+        journal: Journal,
         cfg: SuperviseConfig,
         shared: Arc<SupervisorShared>,
     ) -> Self {
         let mgl = engine.config().clone();
         let validate_boundary = engine.boundary_validation();
         let num_rows = engine.design().num_rows;
-        let next_seq = journal.as_ref().map_or(0, Journal::seq);
-        let (base_image, base_stats) = if journal.is_none() {
-            let mut image = Vec::new();
-            write_design(&mut image, engine.design()).expect("serialize to memory");
-            (image, engine.stats().clone())
-        } else {
-            (Vec::new(), EcoStats::default())
-        };
         // quarantines from previous incarnations still count as degradation
-        let quarantined = journal
-            .as_ref()
-            .map_or_else(BTreeSet::new, |j| journal::load_quarantine(&j.config().dir));
+        let quarantined = journal::load_quarantine(&journal.config().dir);
         let total_slices = (num_rows.max(1) as u64).div_ceil(cfg.scrub.slice_rows.max(1) as u64);
         let slices_per_batch = total_slices.div_ceil(cfg.scrub.sweep_batches.max(1)).max(1);
         shared
@@ -510,23 +478,19 @@ impl Supervisor {
         shared
             .quarantined
             .store(quarantined.len() as u64, Ordering::Relaxed);
-        let journal_cfg = journal.as_ref().map(|j| j.config().clone());
+        let journal_cfg = journal.config().clone();
+        let replay_floor = journal.seq();
         let mut sup = Self {
             cfg,
             shared,
-            journal,
+            journal: Some(journal),
             journal_cfg,
             mgl,
             validate_boundary,
-            base_image,
-            base_stats,
-            mem_log: Vec::new(),
-            applied_since_refresh: 0,
-            next_seq,
             quarantined,
             unanswered: BTreeSet::new(),
             replay_responses: BTreeMap::new(),
-            replay_floor: next_seq,
+            replay_floor,
             worker: None,
             num_rows,
             cursor: 0,
@@ -615,7 +579,7 @@ impl Supervisor {
         jobs: &Receiver<Job>,
     ) {
         let mut group: Vec<(Vec<EcoDelta>, SyncSender<Vec<u8>>)> = vec![(deltas, reply)];
-        if self.journal.as_ref().is_some_and(|j| j.config().fsync) {
+        if self.journal_cfg.fsync {
             while group.len() < GROUP_MAX {
                 let Ok(job) = jobs.try_recv() else { break };
                 match job.request {
@@ -630,43 +594,35 @@ impl Supervisor {
                 }
             }
         }
-        if self.journal_cfg.is_some() && self.journal.is_none() {
-            // the journal was lost to a failed recovery: retry it now, and if it is
-            // still down shed the whole group — an ack must never outlive durability
-            if self.worker.is_none() {
-                self.rebuild();
+        if self.journal.is_none() {
+            // the journal was lost to a failed recovery (which also left the engine
+            // down): retry it now
+            self.rebuild();
+        }
+        let appended = match self.journal.as_mut() {
+            Some(journal) => {
+                let batches: Vec<&[EcoDelta]> = group.iter().map(|(d, _)| d.as_slice()).collect();
+                journal
+                    .append_group(&batches)
+                    .map_err(|e| EcoError::Journal(e.to_string()))
             }
-            if self.journal.is_none() {
-                let response = encode_error(&EcoError::Recovering {
-                    retry_after_ms: self.cfg.retry_after_ms,
-                });
+            // still down: shed the whole group — an ack must never outlive durability
+            None => Err(EcoError::Recovering {
+                retry_after_ms: self.cfg.retry_after_ms,
+            }),
+        };
+        let seqs = match appended {
+            Ok(seqs) => seqs,
+            Err(e) => {
+                // all-or-nothing: nothing in the group is durable, so nothing in the
+                // group may be applied
+                let response = encode_error(&e);
                 for (_, reply) in group {
                     let _ = reply.send(response.clone());
                 }
                 return;
             }
-        }
-        let seqs: Vec<u64> = match self.journal.as_mut() {
-            Some(journal) => {
-                let batches: Vec<&[EcoDelta]> = group.iter().map(|(d, _)| d.as_slice()).collect();
-                match journal.append_group(&batches) {
-                    Ok(seqs) => seqs,
-                    Err(e) => {
-                        // all-or-nothing: nothing in the group is durable, so nothing
-                        // in the group may be applied
-                        let response = encode_error(&EcoError::Journal(e.to_string()));
-                        for (_, reply) in group {
-                            let _ = reply.send(response.clone());
-                        }
-                        return;
-                    }
-                }
-            }
-            None => (1..=group.len() as u64)
-                .map(|i| self.next_seq + i)
-                .collect(),
         };
-        self.next_seq = *seqs.last().expect("group is never empty");
         self.unanswered.extend(seqs.iter().copied());
         for ((deltas, reply), seq) in group.into_iter().zip(seqs) {
             self.dispatch_batch(seq, deltas, reply);
@@ -679,9 +635,6 @@ impl Supervisor {
     /// ahead of it poisoned the engine) is answered from the captured replay outcome —
     /// dispatching it would apply it a second time.
     fn dispatch_batch(&mut self, seq: u64, deltas: Vec<EcoDelta>, reply: SyncSender<Vec<u8>>) {
-        if self.journal_cfg.is_none() {
-            self.mem_log.push((seq, deltas.clone()));
-        }
         self.ensure_worker();
         if seq <= self.replay_floor {
             let response = self.replay_responses.remove(&seq).unwrap_or_else(|| {
@@ -783,45 +736,40 @@ impl Supervisor {
         self.rebuild();
     }
 
-    /// Build a fresh engine from durable (or in-memory) history, skipping quarantined
-    /// batches, with fault injection suppressed — the result is bit-identical to an
-    /// engine that had rejected the poisoned batches up front. Replay outcomes for
-    /// journaled-but-unanswered batches are captured so the dispatch loop answers them
-    /// instead of re-applying. A failed recovery keeps the stashed [`JournalConfig`],
-    /// so the next attempt (next dispatch or idle tick) retries journal recovery.
+    /// Build a fresh engine from durable history, skipping quarantined batches, with
+    /// fault injection suppressed — the result is bit-identical to an engine that had
+    /// rejected the poisoned batches up front. Replay outcomes for journaled-but-unanswered
+    /// batches are captured so the dispatch loop answers them instead of re-applying. A
+    /// failed recovery keeps the stashed [`JournalConfig`], so the next attempt (next
+    /// dispatch or idle tick) retries journal recovery.
     fn rebuild(&mut self) {
         debug_assert!(self.worker.is_none(), "rebuild with a live worker");
-        let rebuilt: Result<EcoEngine, String> = if let Some(cfg) = self.journal_cfg.clone() {
-            // release the wal handle before recovery re-opens the directory
-            drop(self.journal.take());
-            match journal::recover_engine_supervised(
-                cfg,
-                self.mgl.clone(),
-                self.validate_boundary,
-                &self.unanswered,
-                &self.quarantined,
-            ) {
-                Ok(Some((engine, journal, report))) => {
-                    self.next_seq = journal.seq();
-                    self.replay_floor = journal.seq();
-                    self.journal = Some(journal);
-                    for (seq, reason) in &report.auto_quarantined {
-                        self.note_quarantined(*seq, reason);
-                    }
-                    for (seq, outcome) in report.captured {
-                        let response = match &outcome {
-                            Ok(report) => encode_report(report),
-                            Err(e) => encode_error(e),
-                        };
-                        self.replay_responses.insert(seq, response);
-                    }
-                    Ok(engine)
+        // release the wal handle before recovery re-opens the directory
+        drop(self.journal.take());
+        let rebuilt = match journal::recover_engine_supervised(
+            self.journal_cfg.clone(),
+            self.mgl.clone(),
+            self.validate_boundary,
+            &self.unanswered,
+            &self.quarantined,
+        ) {
+            Ok(Some((engine, journal, report))) => {
+                self.replay_floor = journal.seq();
+                self.journal = Some(journal);
+                for (seq, reason) in &report.auto_quarantined {
+                    self.note_quarantined(*seq, reason);
                 }
-                Ok(None) => Err("journal directory lost its snapshots".to_string()),
-                Err(e) => Err(e.to_string()),
+                for (seq, outcome) in report.captured {
+                    let response = match &outcome {
+                        Ok(report) => encode_report(report),
+                        Err(e) => encode_error(e),
+                    };
+                    self.replay_responses.insert(seq, response);
+                }
+                Ok(engine)
             }
-        } else {
-            self.rebuild_from_baseline()
+            Ok(None) => Err("journal directory lost its snapshots".to_string()),
+            Err(e) => Err(e.to_string()),
         };
         match rebuilt {
             Ok(engine) => {
@@ -838,66 +786,6 @@ impl Supervisor {
         }
     }
 
-    /// Journal-less rebuild: resume from the in-memory baseline image and replay the
-    /// delta log. Panic-guarded like journal recovery: a logged batch that panics
-    /// replay is quarantined on the spot and the replay restarts without it, so the
-    /// loop converges (each restart removes one more batch from contention).
-    fn rebuild_from_baseline(&mut self) -> Result<EcoEngine, String> {
-        loop {
-            let design = read_design(&mut &self.base_image[..]).map_err(|e| match e {
-                SnapshotError::Io(e) => format!("baseline image: {e}"),
-                SnapshotError::Corrupt(msg) => format!("baseline image: {msg}"),
-            })?;
-            let mut engine = EcoEngine::resume(design, self.mgl.clone(), self.base_stats.clone())
-                .map_err(|e| e.to_string())?
-                .with_boundary_validation(self.validate_boundary);
-            let mut captured: Vec<(u64, Vec<u8>)> = Vec::new();
-            let mut replay_panic: Option<(u64, String)> = None;
-            for (seq, deltas) in &self.mem_log {
-                if self.quarantined.contains(seq) {
-                    if self.unanswered.contains(seq) {
-                        captured.push((
-                            *seq,
-                            encode_error(&EcoError::Poisoned {
-                                seq: *seq,
-                                reason: "batch was quarantined".to_string(),
-                            }),
-                        ));
-                    }
-                    continue;
-                }
-                // suppressed replay: a deterministic failpoint schedule must not
-                // re-fire on history that already survived it
-                let applied = catch_unwind(AssertUnwindSafe(|| {
-                    fault::with_suppressed(|| engine.apply(deltas))
-                }));
-                match applied {
-                    Err(panic) => {
-                        replay_panic = Some((*seq, fault::panic_message(&*panic)));
-                        break;
-                    }
-                    Ok(result) => {
-                        if self.unanswered.contains(seq) {
-                            let response = match &result {
-                                Ok(report) => encode_report(report),
-                                Err(e) => encode_error(e),
-                            };
-                            captured.push((*seq, response));
-                        }
-                        // rejected batches re-reject identically; nothing to do
-                    }
-                }
-            }
-            if let Some((seq, reason)) = replay_panic {
-                self.note_quarantined(seq, &reason);
-                continue;
-            }
-            self.replay_responses.extend(captured);
-            self.replay_floor = self.next_seq;
-            return Ok(engine);
-        }
-    }
-
     fn settle_state(&self) {
         let degraded = !self.quarantined.is_empty()
             || self.shared.scrub_corruptions.load(Ordering::Relaxed) > 0;
@@ -910,10 +798,8 @@ impl Supervisor {
 
     /// Post-apply housekeeping: feed the scrubber's dirty queue, rotate the journal
     /// snapshot when due (the engine lives on the worker thread, so its state travels
-    /// as a serialized image), refresh the journal-less rebuild baseline, then spend
-    /// the batch's scrub budget.
+    /// as a serialized image), then spend the batch's scrub budget.
     fn after_apply(&mut self, dirty: Option<(i64, i64)>) {
-        self.applied_since_refresh += 1;
         if let Some(range) = dirty {
             if self.dirty.len() < DIRTY_QUEUE_MAX {
                 self.dirty.push_back(range);
@@ -929,24 +815,6 @@ impl Supervisor {
                             eprintln!("eco journal: snapshot failed: {e} (continuing)");
                         }
                     }
-                }
-                Ok(_) => {}
-                Err(reason) => {
-                    self.recover(&reason);
-                    return;
-                }
-            }
-        }
-        if self.journal.is_none()
-            && self.cfg.mem_snapshot_every != 0
-            && self.applied_since_refresh >= self.cfg.mem_snapshot_every
-        {
-            match self.ask(WorkItem::Image) {
-                Ok(WorkReply::Image { design, stats }) => {
-                    self.base_image = design;
-                    self.base_stats = stats;
-                    self.mem_log.clear();
-                    self.applied_since_refresh = 0;
                 }
                 Ok(_) => {}
                 Err(reason) => {
@@ -1077,14 +945,13 @@ mod tests {
 
     #[test]
     fn shared_snapshot_reports_counters_and_progress() {
-        let shared = SupervisorShared::new(true, 25);
+        let shared = SupervisorShared::new(25);
         shared.scrub_total.store(200, Ordering::Relaxed);
         shared.scrub_pos.store(50, Ordering::Relaxed);
         shared.restarts.store(3, Ordering::Relaxed);
         shared.note_fault("engine panicked: boom");
         shared.set_state(SupervisorState::Degraded);
         let h = shared.snapshot();
-        assert!(h.supervised);
         assert_eq!(h.state, SupervisorState::Degraded);
         assert_eq!(h.restarts, 3);
         assert!((h.scrub_progress - 0.25).abs() < 1e-9);
@@ -1103,7 +970,6 @@ mod tests {
             fallbacks: 0,
             failed: 0,
             latency: Duration::ZERO,
-            epoch: 0,
         };
         assert_eq!(dirty_rows(&report), None);
         report.outcomes.push(DeltaOutcome {

@@ -4,8 +4,8 @@
 //! | injected fault               | promised behavior                                      |
 //! |------------------------------|--------------------------------------------------------|
 //! | journal append fails         | typed `journal error` response, engine untouched       |
-//! | engine panics mid-batch      | clean wind-down: `join` re-raises, no thread deadlock, |
-//! |                              | journal recovers the durable prefix                    |
+//! | engine cannot be rebuilt at  | clean wind-down: `join` re-raises, no thread deadlock, |
+//! | shutdown                     | socket file and private journal removed                |
 //! | job queue full               | typed `Busy` + retry-after; client retry succeeds      |
 //!
 //! The failpoint registry is process-global, so every test here serializes on one mutex
@@ -27,8 +27,8 @@ use std::time::Duration;
 static FAULTS: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    // a panicking test (the engine-panic matrix row panics on purpose, in a server
-    // thread, not here) must not wedge the rest of the suite
+    // a panicking test (the wind-down row panics on purpose, in a server thread, not
+    // here) must not wedge the rest of the suite
     FAULTS
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -130,70 +130,58 @@ fn journal_write_failure_is_a_typed_error_and_the_engine_stays_untouched() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The wind-down guarantee: the supervisor thread itself can still panic — here because
+/// the engine it must hand back at shutdown cannot be rebuilt — and the server must still
+/// wind down. `join` returns promptly, re-raises the panic, and leaves neither the socket
+/// file nor the private journal behind.
 #[test]
-fn engine_panic_mid_batch_winds_down_cleanly_and_recovery_keeps_the_durable_prefix() {
+fn unrecoverable_engine_at_shutdown_winds_down_and_join_reraises_the_panic() {
     let _g = lock();
     fault::reset();
-    // panic inside the 3rd delta the engine processes
-    fault::configure("eco.engine.panic", FaultRule::Nth(3));
+    // the first batch panics the engine and every rebuild fails, so the engine stays
+    // down; `shutdown` then makes the supervisor's `take_engine` panic
+    fault::configure("eco.engine.panic", FaultRule::Nth(1));
+    fault::configure("eco.recover.fail", FaultRule::Always);
 
-    let engine = warm_engine("epanic", 17);
-    let deltas: Vec<EcoDelta> = (0..3).map(|i| move_of(&engine, i)).collect();
-    let dir = temp_dir("epanic");
-    let journal =
-        Journal::create(JournalConfig::new(&dir), engine.design(), engine.stats(), 0).unwrap();
-
-    // `supervise: None` pins the legacy library contract this test is about: an engine
-    // panic winds the whole server down and `join` re-raises it. (The supervised
-    // counterpart — the server survives and quarantines the batch — lives in
-    // eco_supervise.rs.)
-    let socket = temp_socket("epanic");
-    let handle = EcoServer::start_with(
-        engine,
-        &socket,
-        ServerConfig {
-            journal: Some(journal),
-            supervise: None,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let engine = warm_engine("unrecoverable", 17);
+    let delta = move_of(&engine, 0);
+    let socket = temp_socket("unrecoverable");
+    let private_journal = std::path::PathBuf::from(format!("{}.journal", socket.display()));
+    let handle = EcoServer::start_with(engine, &socket, ServerConfig::default()).unwrap();
+    assert!(
+        private_journal.is_dir(),
+        "a journal-less server journals privately"
+    );
 
     let mut client = EcoClient::connect(&socket).unwrap();
-    for delta in &deltas[..2] {
-        client
-            .request_json(&Request::Apply(vec![delta.clone()]))
-            .unwrap()
-            .unwrap();
-    }
-    // the third batch kills the engine thread mid-apply: the reply channel drops and the
-    // server hangs up — the client sees an I/O error, never a hang
+    let msg = client
+        .request_json(&Request::Apply(vec![delta]))
+        .unwrap()
+        .expect_err("the panicking batch must be quarantined");
+    assert!(msg.contains("quarantined"), "got: {msg}");
+    // the supervisor dies before it can acknowledge: the connection drops, never hangs
     client
-        .request(&Request::Apply(vec![deltas[2].clone()]))
-        .expect_err("a dead engine cannot acknowledge");
+        .request(&Request::Shutdown)
+        .expect_err("a dead supervisor cannot acknowledge");
 
-    // join() must terminate (the StopGuard winds down the accept loop during unwinding)
-    // and re-raise the engine panic rather than swallow it
+    let start = std::time::Instant::now();
     let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.join()));
-    assert!(joined.is_err(), "join must re-raise the engine panic");
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "join must not wait on a dead supervisor"
+    );
+    let panic = joined.expect_err("join must re-raise the supervisor panic");
+    let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert!(message.contains("unrecoverable"), "got: {message}");
     assert!(
         !socket.exists(),
         "socket file must be removed even on panic"
     );
-
-    // the batch was journaled before the engine touched it (journal-before-apply), so
-    // recovery replays all 3 — the client's un-acked batch is durable, not half-applied
+    assert!(
+        !private_journal.exists(),
+        "private journal must be removed even on panic"
+    );
     fault::reset();
-    let (recovered, journal, report) =
-        recover_engine(JournalConfig::new(&dir), MglConfig::default(), true)
-            .unwrap()
-            .expect("journal directory must recover");
-    assert_eq!(journal.seq(), 3);
-    assert_eq!(report.replayed, 3);
-    assert!(recovered.check_legal());
-    assert_eq!(recovered.stats().batches, 3);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -321,3 +321,55 @@ fn idle_connections_hit_the_deadline_and_are_disconnected() {
     assert!(engine.check_legal());
     assert_eq!(engine.stats().batches, 1);
 }
+
+#[test]
+fn journal_less_server_keeps_a_private_journal_only_while_it_runs() {
+    use flex_eco::journal::{load_quarantine, Journal, JournalConfig};
+
+    let design = generate(&BenchmarkSpec::tiny("eco-svc-private", 43));
+    let engine = EcoEngine::legalize_and_build(design, MglConfig::default()).unwrap();
+    let movable = engine.design().cells.iter().find(|c| !c.fixed).unwrap().id;
+    let socket = temp_socket("private");
+    let private = std::path::PathBuf::from(format!("{}.journal", socket.display()));
+
+    // a killed server's leftovers: a journal of another design with batch 1 quarantined
+    let _ = std::fs::remove_dir_all(&private);
+    let other = generate(&BenchmarkSpec::tiny("eco-svc-stale", 44));
+    let other = EcoEngine::legalize_and_build(other, MglConfig::default()).unwrap();
+    let mut stale = Journal::create(
+        JournalConfig::new(&private),
+        other.design(),
+        other.stats(),
+        0,
+    )
+    .unwrap();
+    stale.quarantine(1, "stale").unwrap();
+    drop(stale);
+
+    let handle = EcoServer::start(engine, &socket, 8).unwrap();
+    assert!(private.is_dir(), "the private journal exists while serving");
+    assert!(
+        load_quarantine(&private).is_empty(),
+        "the stale journal is cleared at start, not recovered from"
+    );
+    let mut client = EcoClient::connect(&socket).unwrap();
+    let health = client.request_json(&Request::Health).unwrap().unwrap();
+    let health = health.get("health").expect("health body");
+    assert_eq!(health.get("state").and_then(Json::as_str), Some("healthy"));
+    assert_eq!(health.get("quarantined").and_then(Json::as_i64), Some(0));
+    client
+        .request_json(&Request::Apply(vec![EcoDelta::MoveCell {
+            id: movable,
+            gx: 2.0,
+            gy: 1.0,
+        }]))
+        .unwrap()
+        .unwrap();
+    assert!(private.is_dir());
+
+    client.request(&Request::Shutdown).unwrap();
+    let engine = handle.join();
+    assert_eq!(engine.stats().batches, 1);
+    assert!(!private.exists(), "join removes the private journal");
+    assert!(!socket.exists());
+}

@@ -8,17 +8,16 @@
 //! |                                 | post-recovery engine is bit-identical to one that   |
 //! |                                 | rejected the batch up front                         |
 //! | engine hangs past the watchdog  | same: quarantine + rebuild, worker abandoned        |
-//! | panic on a journal-less server  | same, rebuilt from the in-memory baseline + log     |
+//! | panic on a journal-less server  | same, rebuilt from its private journal              |
 //! | structure corruption injected   | scrubber detects it, rebuilds only that structure,  |
 //! |                                 | health degrades; post-shutdown audit is clean       |
 //! | rebuild window held open        | applies shed with typed `Recovering`; the client    |
 //! |                                 | retry loop absorbs them (counted separately)        |
-//! | `health` op                     | machine-readable state machine + counters, answered |
-//! |                                 | even by unsupervised servers (`supervised: false`)  |
+//! | `health` op                     | machine-readable state machine + counters           |
 //! | panic mid-fsync-group           | journaled-but-undispatched members are answered     |
 //! |                                 | from the rebuild's replay, never applied twice      |
 //! | recovery itself fails           | journal config retained; the idle-tick retry heals  |
-//! |                                 | the server instead of livelocking journal-less      |
+//! |                                 | the server instead of livelocking in `Recovering`   |
 //! | quarantine persist fails        | the in-memory quarantine still shields the rebuild  |
 //! |                                 | replay; the client ack stays honest                 |
 //!
@@ -263,10 +262,10 @@ fn watchdog_times_out_a_hung_batch_and_quarantines_it() {
         &socket,
         ServerConfig {
             journal: Some(journal),
-            supervise: Some(SuperviseConfig {
+            supervise: SuperviseConfig {
                 batch_deadline: Duration::from_millis(100),
                 ..SuperviseConfig::default()
-            }),
+            },
             ..ServerConfig::default()
         },
     )
@@ -316,7 +315,7 @@ fn watchdog_times_out_a_hung_batch_and_quarantines_it() {
 }
 
 #[test]
-fn journal_less_server_self_heals_from_its_in_memory_baseline() {
+fn journal_less_server_self_heals_from_its_private_journal() {
     let _g = lock();
     fault::reset();
     fault::configure("eco.engine.panic", FaultRule::Nth(2));
@@ -577,8 +576,8 @@ fn group_members_replayed_by_a_mid_group_rebuild_are_not_applied_twice() {
 
 /// A failed recovery must not eat the journal. The first rebuild attempt dies on an
 /// injected I/O error; the retry — driven by the idle tick, because applies are shed at
-/// the connection layer while `Recovering` — must retry *journal* recovery rather than
-/// fall into a dead journal-less branch with no baseline (the pre-fix livelock).
+/// the connection layer while `Recovering` — must retry journal recovery, or the server
+/// sheds every apply forever.
 #[test]
 fn failed_recovery_keeps_the_journal_and_the_idle_retry_heals_the_server() {
     let _g = lock();
@@ -747,27 +746,6 @@ fn health_op_reports_the_full_machine_readable_shape() {
     }
     let progress = scrub.get("progress").and_then(Json::as_f64).unwrap();
     assert!((0.0..=1.0).contains(&progress));
-    client.request(&Request::Shutdown).unwrap();
-    handle.join();
-
-    // legacy server: health still answers, marked unsupervised
-    let socket = temp_socket("sup-health2");
-    let handle = EcoServer::start_with(
-        warm_engine("sup-health2", 67),
-        &socket,
-        ServerConfig {
-            supervise: None,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let mut client = EcoClient::connect(&socket).unwrap();
-    let health = health_of(&mut client);
-    assert_eq!(health.get("state").and_then(Json::as_str), Some("healthy"));
-    assert_eq!(
-        health.get("supervised").and_then(Json::as_bool),
-        Some(false)
-    );
     client.request(&Request::Shutdown).unwrap();
     handle.join();
 }

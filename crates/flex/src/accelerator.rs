@@ -12,7 +12,7 @@ use crate::timing::{self, FlexTiming, SoftwareBreakdown};
 use flex_fpga::resources::{flex_resources, Resources};
 use flex_mgl::api::{LegalizeReport, Legalizer, RuntimeBreakdown};
 use flex_mgl::legalize::{LegalizeResult, MglLegalizer};
-use flex_mgl::parallel::{ParallelMglLegalizer, ShardStats};
+use flex_mgl::parallel::ShardStats;
 use flex_placement::layout::Design;
 
 /// The FLEX accelerator.
@@ -68,10 +68,7 @@ impl FlexAccelerator {
     pub fn legalize(&self, design: &mut Design) -> FlexOutcome {
         let host_span = flex_obs::span!("flex.host_legalize");
         let (result, shards) = if self.config.host_threads > 1 {
-            let engine =
-                ParallelMglLegalizer::new(self.config.host_threads, self.config.mgl_config())
-                    .with_pipelining(self.config.host_pipelining);
-            let out = engine.legalize(design);
+            let out = self.config.parallel_host_engine().legalize(design);
             (out.result, Some(out.shards))
         } else {
             (

@@ -3,6 +3,7 @@
 use flex_fpga::clock::ClockDomain;
 use flex_fpga::link::LinkModel;
 use flex_mgl::config::{MglConfig, OrderingStrategy, ShiftAlgorithm};
+use flex_mgl::parallel::ParallelMglLegalizer;
 use serde::{Deserialize, Serialize};
 
 /// Which legalization steps run on the FPGA (Sec. 3.1.1 / Fig. 10).
@@ -89,13 +90,9 @@ pub struct FlexConfig {
     /// legalization runs on `flex_mgl::parallel::ParallelMglLegalizer`, overlapping region
     /// extraction and FOP across row shards while producing the exact serial placement.
     pub host_threads: usize,
-    /// Epoch-pipelined batch speculation of the parallel host engine: speculate upcoming
-    /// batches against epoch snapshots while earlier batches commit. Placement-neutral; only
-    /// meaningful when `host_threads > 1`.
-    pub host_pipelining: bool,
     /// Pipeline depth of the parallel host engine: the maximum number of in-flight epochs
-    /// (up to `depth − 1` batches speculating while one commits). Only meaningful with
-    /// `host_pipelining`; values below 2 are raised to 2 there. Placement-neutral.
+    /// (up to `depth − 1` batches speculating against epoch snapshots while one commits).
+    /// Depth 1 is the barrier engine. Placement-neutral.
     pub host_pipeline_depth: usize,
     /// Bound on the ECO service's request queue (`flex-eco-serve`): at most this many decoded
     /// client requests wait for the single resident engine before accept threads block.
@@ -120,7 +117,6 @@ impl Default for FlexConfig {
             link: LinkModel::default(),
             pe_sync_cycles: 6,
             host_threads: 1,
-            host_pipelining: true,
             host_pipeline_depth: 2,
             eco_queue_capacity: 1024,
             eco_validate_boundary: true,
@@ -189,19 +185,10 @@ impl FlexConfig {
         self
     }
 
-    /// Enable or disable the parallel host engine's batch pipelining (builder style).
-    pub fn with_host_pipelining(mut self, pipelined: bool) -> Self {
-        self.host_pipelining = pipelined;
-        self
-    }
-
     /// Set the parallel host engine's pipeline depth — the maximum number of in-flight
-    /// epochs (builder style). Enables pipelining for depths above 1 and disables it for
-    /// depth 1, mirroring the engine's semantics.
+    /// epochs (builder style). Depth 1 is the barrier engine; 0 is raised to 1.
     pub fn with_host_pipeline_depth(mut self, depth: usize) -> Self {
-        let depth = depth.max(1);
-        self.host_pipeline_depth = depth.max(2);
-        self.host_pipelining = depth > 1;
+        self.host_pipeline_depth = depth.max(1);
         self
     }
 
@@ -215,6 +202,14 @@ impl FlexConfig {
     pub fn with_eco_validation(mut self, validate: bool) -> Self {
         self.eco_validate_boundary = validate;
         self
+    }
+
+    /// The parallel host engine this configuration describes: `host_threads` workers at
+    /// `host_pipeline_depth`. It is `EngineKind::MglParallel`, and FLEX runs its host steps
+    /// on it when `host_threads > 1`.
+    pub fn parallel_host_engine(&self) -> ParallelMglLegalizer {
+        ParallelMglLegalizer::new(self.host_threads.max(1), self.mgl_config())
+            .with_pipeline_depth(self.host_pipeline_depth)
     }
 
     /// Derive the `flex-mgl` configuration that matches this accelerator configuration (used to

@@ -27,7 +27,6 @@ use flex_baselines::cpu::CpuLegalizer;
 use flex_baselines::cpu_gpu::CpuGpuLegalizer;
 use flex_mgl::api::{LegalizeReport, Legalizer};
 use flex_mgl::legalize::MglLegalizer;
-use flex_mgl::parallel::ParallelMglLegalizer;
 use flex_placement::layout::Design;
 
 /// Every legalization engine the workspace implements, as a closed enum.
@@ -84,14 +83,7 @@ impl EngineKind {
     pub fn build(self, config: &FlexConfig) -> Box<dyn Legalizer> {
         match self {
             EngineKind::MglSerial => Box::new(MglLegalizer::new(config.mgl_config())),
-            EngineKind::MglParallel => Box::new(
-                ParallelMglLegalizer::new(config.host_threads.max(1), config.mgl_config())
-                    .with_pipeline_depth(if config.host_pipelining {
-                        config.host_pipeline_depth.max(2)
-                    } else {
-                        1
-                    }),
-            ),
+            EngineKind::MglParallel => Box::new(config.parallel_host_engine()),
             EngineKind::CpuMgl => Box::new(CpuLegalizer::new(config.host_threads.max(1))),
             EngineKind::CpuGpu => Box::new(CpuGpuLegalizer::default()),
             EngineKind::Analytical => Box::new(AnalyticalLegalizer::default()),

@@ -159,8 +159,8 @@ impl FopScratch {
 
     /// Run `f` with this thread's scratch. Parallel engines use this to get one arena per
     /// worker; the compatibility wrappers ([`find_optimal_position`],
-    /// [`crate::legalize::plan_commit`]) route through it so that every caller of the old
-    /// allocating signatures benefits without churn. Falls back to a fresh scratch if the
+    /// [`crate::legalize::commit_placement`]) route through it so that every caller of the
+    /// old allocating signatures benefits without churn. Falls back to a fresh scratch if the
     /// thread-local is already borrowed (re-entrant use).
     pub fn with_thread_local<R>(f: impl FnOnce(&mut FopScratch) -> R) -> R {
         TLS_SCRATCH.with(|s| match s.try_borrow_mut() {

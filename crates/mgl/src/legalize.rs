@@ -184,7 +184,7 @@ pub enum PlacedBy {
     None,
 }
 
-/// What [`place_target`] did for one target cell.
+/// What [`place_target_with`] did for one target cell.
 #[derive(Debug, Clone)]
 pub struct PlaceOutcome {
     /// How the cell was placed.
@@ -206,23 +206,6 @@ pub struct PlaceOutcome {
     pub plan: Option<CommitPlan>,
     /// Work counters accumulated over every evaluated expansion.
     pub work: RegionWork,
-}
-
-/// Place one target cell serially: expanding-window FOP first, then the fallback scan.
-///
-/// Compatibility wrapper over [`place_target_with`] using the calling thread's
-/// [`FopScratch`].
-pub fn place_target(
-    design: &mut Design,
-    segmap: &SegmentMap,
-    index: &mut LegalizedIndex,
-    cfg: &MglConfig,
-    target: CellId,
-    op_stats: &mut FopOpStats,
-) -> PlaceOutcome {
-    FopScratch::with_thread_local(|scratch| {
-        place_target_with(design, segmap, index, cfg, target, op_stats, scratch)
-    })
 }
 
 /// Place one target cell serially with an explicit scratch arena: expanding-window FOP
@@ -425,31 +408,14 @@ fn union_rect(a: Rect, b: Rect) -> Rect {
     )
 }
 
-/// Bounding box of every design write applying `plan` would perform: the target's committed
-/// extent plus the old and new extents of every moved localCell. Must be called *before*
-/// [`apply_commit`] (it reads the cells' current positions).
-pub fn plan_writes(design: &Design, plan: &CommitPlan) -> Rect {
-    let t = design.cell(plan.target);
-    let mut writes = Rect::new(plan.x, plan.row, plan.x + t.width, plan.row + t.height);
-    for &(id, new_x) in &plan.moves {
-        let c = design.cell(id);
-        writes = union_rect(writes, c.rect());
-        writes = union_rect(
-            writes,
-            Rect::new(new_x, c.y, new_x + c.width, c.y + c.height),
-        );
-    }
-    writes
-}
-
 /// Append one rectangle per design write applying `plan` would perform: the target's
 /// committed extent, and for each moved localCell the union of its old and new extent
 /// (moves only ever shift x within a row, so that union is the swept span). Must be called
 /// *before* [`apply_commit`] (it reads the cells' current positions).
 ///
-/// Unlike [`plan_writes`], which collapses everything into one bounding box, the per-write
-/// rects let the parallel engine keep a speculation alive when a commit's actual writes
-/// all miss its guard window even though their collective bounding box would hit it.
+/// One rect per write, rather than their bounding box, lets the parallel engine keep a
+/// speculation alive when a commit's actual writes all miss its guard window even though
+/// their collective bounding box would hit it.
 pub fn plan_write_rects(design: &Design, plan: &CommitPlan, out: &mut Vec<Rect>) {
     let t = design.cell(plan.target);
     out.push(Rect::new(
@@ -495,18 +461,6 @@ pub struct CommitPlan {
     pub row: i64,
     /// New x for every localCell the shift actually moved.
     pub moves: Vec<(CellId, i64)>,
-}
-
-/// Plan a placement commit: run both shifting phases and verify the region stays overlap-free.
-///
-/// Compatibility wrapper over [`plan_commit_with`] using the calling thread's [`FopScratch`].
-pub fn plan_commit(
-    region: &LocalRegion,
-    placement: &Placement,
-    spec: &TargetSpec,
-    cfg: &MglConfig,
-) -> Option<CommitPlan> {
-    FopScratch::with_thread_local(|scratch| plan_commit_with(region, placement, spec, cfg, scratch))
 }
 
 /// Plan a placement commit with an explicit scratch arena: run both shifting phases into the
@@ -628,7 +582,9 @@ pub fn commit_placement(
     spec: &TargetSpec,
     cfg: &MglConfig,
 ) -> bool {
-    match plan_commit(region, placement, spec, cfg) {
+    match FopScratch::with_thread_local(|scratch| {
+        plan_commit_with(region, placement, spec, cfg, scratch)
+    }) {
         Some(plan) => {
             apply_commit(design, &plan);
             true

@@ -39,9 +39,9 @@
 //!    member of batch *b* is stale if a write of an earlier **in-flight** batch
 //!    ([`ShardStats::cross_batch_invalidated`]) or an earlier commit of batch *b* itself
 //!    ([`ShardStats::dirty_recomputes`]) intersects its window — per write rect, so a late
-//!    speculation survives earlier non-overlapping commits. Depth 1 disables pipelining:
-//!    speculation and commit of each batch alternate on the same design (no store, no
-//!    cross-batch epochs).
+//!    speculation survives earlier non-overlapping commits. Depth 1 is the barrier
+//!    engine: speculation and commit of each batch alternate on the same design (no
+//!    store, no cross-batch epochs).
 //!
 //! **Dynamic (sliding-window density) ordering.** The FLEX default configuration reorders
 //! its queue by localRegion density as it goes, which previously forced this engine to
@@ -106,7 +106,7 @@ pub const MIN_LOOKAHEAD: usize = 8;
 const BAND_WINDOW_MULTIPLE: i64 = 8;
 
 /// Statistics about how the sharded schedule executed.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Number of row bands (region shards) the die was partitioned into.
     pub bands: usize,
@@ -337,8 +337,8 @@ impl CommitAccum {
 }
 
 impl ParallelMglLegalizer {
-    /// Create an engine with `threads` workers and the given MGL configuration. Pipelining
-    /// is on by default at the classic double-buffered depth of 2.
+    /// Create an engine with `threads` workers and the given MGL configuration, pipelined at
+    /// the classic double-buffered depth of 2.
     pub fn new(threads: usize, config: MglConfig) -> Self {
         let threads = threads.max(1);
         Self {
@@ -357,19 +357,10 @@ impl ParallelMglLegalizer {
         self
     }
 
-    /// Enable or disable batch pipelining. Disabling forces depth 1 (strict batch
-    /// barriers); enabling restores at least the classic double-buffered depth of 2 without
-    /// lowering a deeper [`ParallelMglLegalizer::with_pipeline_depth`] setting. The
-    /// placement is identical either way; pipelining trades the cross-batch invalidations
-    /// for commit/speculation overlap.
-    pub fn with_pipelining(mut self, pipelined: bool) -> Self {
-        self.depth = if pipelined { self.depth.max(2) } else { 1 };
-        self
-    }
-
     /// Set the pipeline depth: the maximum number of in-flight epochs, i.e. up to
     /// `depth − 1` batches speculating against epoch snapshots while one commits. Depth 1
-    /// disables pipelining; depth 2 is the classic double-buffered schedule. The placement
+    /// is the barrier engine (speculation and commit alternate, no epoch store); depth 2
+    /// is the classic double-buffered schedule. The placement
     /// is identical at every depth (see the module docs); deeper pipelines trade staleness
     /// (more invalidated speculation) for more commit/speculation overlap.
     pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
@@ -387,11 +378,6 @@ impl ParallelMglLegalizer {
         self.threads
     }
 
-    /// Whether batch pipelining is enabled (pipeline depth > 1).
-    pub fn pipelined(&self) -> bool {
-        self.depth > 1
-    }
-
     /// The configured pipeline depth (maximum in-flight epochs).
     pub fn pipeline_depth(&self) -> usize {
         self.depth
@@ -407,19 +393,17 @@ impl ParallelMglLegalizer {
             .build()
             .expect("failed to build worker pool");
 
-        // step (a): input & pre-move — identical to the serial flow. The row-sharded builds
-        // run inside the engine's own pool so the configured thread count bounds them too
-        // (they would otherwise fan out on the global pool regardless of `threads`).
+        // step (a): input & pre-move — identical to the serial flow
         let build_span = flex_obs::span!("par.build_structures");
         design.pre_move();
-        let segmap = pool.install(|| SegmentMap::build(design));
-        let mut index = pool.install(|| LegalizedIndex::build(design));
+        let segmap = SegmentMap::build(design);
+        let mut index = LegalizedIndex::build(design);
         drop(build_span);
 
         // step (b): the serial processing order this engine preserves — materialized for the
         // static strategies, resolved incrementally (peek + live pop) for the dynamic one
         let targets = design.movable_ids();
-        let mut order = pool.install(|| OrderSource::new(design, cfg, &targets));
+        let mut order = OrderSource::new(design, cfg, &targets);
 
         // row shards: band height is a fixed multiple of the base window height, so the shard
         // layout (and the schedule) is independent of the thread count
@@ -1083,18 +1067,9 @@ mod tests {
     #[test]
     fn builder_depth_and_pipelining_compose() {
         let eng = ParallelMglLegalizer::new(2, static_cfg());
-        assert!(eng.pipelined());
         assert_eq!(eng.pipeline_depth(), 2);
         let eng = eng.with_pipeline_depth(4);
         assert_eq!(eng.pipeline_depth(), 4);
-        // enabling pipelining never lowers a deeper setting; disabling forces depth 1
-        let eng = eng.with_pipelining(true);
-        assert_eq!(eng.pipeline_depth(), 4);
-        let eng = eng.with_pipelining(false);
-        assert!(!eng.pipelined());
-        assert_eq!(eng.pipeline_depth(), 1);
-        let eng = eng.with_pipelining(true);
-        assert_eq!(eng.pipeline_depth(), 2);
         assert_eq!(eng.with_pipeline_depth(0).pipeline_depth(), 1);
     }
 }

@@ -13,7 +13,6 @@ use flex_placement::geom::{Interval, Rect};
 use flex_placement::layout::Design;
 use flex_placement::segment::SegmentMap;
 use flex_placement::store::StoreSnapshot;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The longest unblocked run of sites of one row inside the window.
@@ -94,64 +93,9 @@ pub struct LegalizedIndex {
     rows: Vec<Vec<CellId>>,
 }
 
-/// Designs with at least this many rows build their [`LegalizedIndex`] row-sharded on the
-/// rayon worker threads (the same threshold `SegmentMap::build` uses).
-const PARALLEL_BUILD_MIN_ROWS: i64 = 512;
-
 impl LegalizedIndex {
     /// Build the index over the design's currently legalized movable cells.
-    ///
-    /// Above the 512-row sharding threshold (`PARALLEL_BUILD_MIN_ROWS`, matching
-    /// `SegmentMap::build`) the cells are bucketed by contiguous row band once, serially, in
-    /// design order; each rayon worker then fills one band's row buckets from that band's own
-    /// cells only (total work stays O(cells), not O(bands × cells)), so every row's bucket
-    /// content — including its order — is identical to [`LegalizedIndex::build_serial`].
     pub fn build(design: &Design) -> Self {
-        if design.num_rows < PARALLEL_BUILD_MIN_ROWS {
-            return Self::build_serial(design);
-        }
-        let num_rows = design.num_rows.max(0);
-        let threads = rayon::current_num_threads().max(1) as i64;
-        let band_rows = (num_rows + threads - 1) / threads;
-        let num_bands = ((num_rows + band_rows - 1) / band_rows).max(1) as usize;
-        let mut band_cells: Vec<Vec<CellId>> = vec![Vec::new(); num_bands];
-        for c in design.cells.iter().filter(|c| !c.fixed && c.legalized) {
-            let row_lo = c.y.max(0);
-            let row_hi = (c.y + c.height).min(num_rows);
-            if row_lo >= row_hi {
-                continue;
-            }
-            let band_lo = (row_lo / band_rows) as usize;
-            let band_hi = ((row_hi - 1) / band_rows) as usize;
-            for bucket in band_cells.iter_mut().take(band_hi + 1).skip(band_lo) {
-                bucket.push(c.id);
-            }
-        }
-        let indexed: Vec<(usize, Vec<CellId>)> = band_cells.into_iter().enumerate().collect();
-        let shards: Vec<Vec<Vec<CellId>>> = indexed
-            .into_par_iter()
-            .map(|(band, ids)| {
-                let lo = band as i64 * band_rows;
-                let hi = ((band as i64 + 1) * band_rows).min(num_rows);
-                let mut rows = vec![Vec::new(); (hi - lo) as usize];
-                for id in ids {
-                    let c = design.cell(id);
-                    for row in c.y.max(lo)..(c.y + c.height).min(hi) {
-                        rows[(row - lo) as usize].push(id);
-                    }
-                }
-                rows
-            })
-            .collect();
-        let mut rows = Vec::with_capacity(num_rows as usize);
-        for shard in shards {
-            rows.extend(shard);
-        }
-        Self { rows }
-    }
-
-    /// The serial reference implementation of [`LegalizedIndex::build`].
-    pub fn build_serial(design: &Design) -> Self {
         let mut index = Self {
             rows: vec![Vec::new(); design.num_rows.max(0) as usize],
         };
@@ -176,10 +120,10 @@ impl LegalizedIndex {
     /// Register a cell spanning rows `[y, y + height)`, keeping each row bucket identical to
     /// what a full rebuild would produce.
     ///
-    /// [`LegalizedIndex::build`] / [`build_serial`](LegalizedIndex::build_serial) visit cells
-    /// in design order, which is ascending-id order, so every bucket is id-sorted; inserting
-    /// at the id's sort position preserves that. O(bucket) per row — the buckets ECO touches
-    /// hold a handful of neighborhood cells, not the design.
+    /// [`LegalizedIndex::build`] visits cells in design order, which is ascending-id order,
+    /// so every bucket is id-sorted; inserting at the id's sort position preserves that.
+    /// O(bucket) per row — the buckets ECO touches hold a handful of neighborhood cells, not
+    /// the design.
     pub fn insert_cell(&mut self, id: CellId, y: i64, height: i64) {
         let num_rows = self.rows.len() as i64;
         for row in y.max(0)..(y + height).min(num_rows) {
@@ -608,28 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_index_build_matches_serial() {
-        // above the 512-row threshold, with multi-row cells crossing band boundaries
-        let mut d = Design::new("idx-par", 64, 1024);
-        for i in 0..400i64 {
-            let mut c = Cell::movable(CellId(0), 4, 1 + (i % 4), 0.0, 0.0);
-            c.x = (i * 7) % 60;
-            c.y = (i * 13) % 1020;
-            c.legalized = i % 5 != 0; // a few cells stay unlegalized
-            d.add_cell(c);
-        }
-        let par = LegalizedIndex::build(&d);
-        let ser = LegalizedIndex::build_serial(&d);
-        for row in 0..d.num_rows {
-            assert_eq!(
-                par.cells_in_row(row),
-                ser.cells_in_row(row),
-                "row {row} bucket diverged (content or order)"
-            );
-        }
-    }
-
-    #[test]
     fn point_mutations_match_full_rebuild() {
         let mut d = Design::new("idx-mut", 64, 32);
         for i in 0..60i64 {
@@ -639,7 +561,7 @@ mod tests {
             c.legalized = true;
             d.add_cell(c);
         }
-        let mut index = LegalizedIndex::build_serial(&d);
+        let mut index = LegalizedIndex::build(&d);
 
         // remove a mid-id multi-row cell, move it to new rows, re-insert
         let id = CellId(17);
@@ -653,7 +575,7 @@ mod tests {
         index.remove_cell(gone, d.cell(gone).y, d.cell(gone).height);
         d.cells[gone.index()].legalized = false;
 
-        let rebuilt = LegalizedIndex::build_serial(&d);
+        let rebuilt = LegalizedIndex::build(&d);
         for row in 0..d.num_rows {
             assert_eq!(
                 index.cells_in_row(row),

@@ -141,13 +141,6 @@ pub fn shift_phase_sacs(
     shift_phase_sacs_with_stats(problem, phase).map(|(o, _)| o)
 }
 
-/// Run both SACS phases.
-pub fn shift_sacs(problem: &ShiftProblem<'_>) -> Result<(ShiftOutcome, ShiftOutcome), Infeasible> {
-    let left = shift_phase_sacs(problem, Phase::Left)?;
-    let right = shift_phase_sacs(problem, Phase::Right)?;
-    Ok((left, right))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,12 +7,7 @@
 
 use crate::geom::{Interval, Rect};
 use crate::layout::Design;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Designs with at least this many rows build their density map on the rayon worker threads
-/// (the same threshold `SegmentMap::build` uses); anything smaller is cheaper serially.
-const PARALLEL_BUILD_MIN_ROWS: i64 = 512;
 
 /// A uniform grid of density bins over the die.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -32,103 +27,7 @@ pub struct DensityMap {
 
 impl DensityMap {
     /// Build a density map with bins of `bin_w × bin_h` sites/rows.
-    ///
-    /// Above the 512-row sharding threshold (`PARALLEL_BUILD_MIN_ROWS`, matching `SegmentMap::build`) the bins are computed one bin-row shard
-    /// at a time on the rayon worker threads; the result is bit-identical to
-    /// [`DensityMap::build_serial`] (each bin accumulates its contributions in design order
-    /// in both variants, and every bin belongs to exactly one shard).
     pub fn build(design: &Design, bin_w: i64, bin_h: i64) -> Self {
-        if design.num_rows < PARALLEL_BUILD_MIN_ROWS {
-            return Self::build_serial(design, bin_w, bin_h);
-        }
-        let bin_w = bin_w.max(1);
-        let bin_h = bin_h.max(1);
-        let nx = ((design.num_sites_x + bin_w - 1) / bin_w).max(1) as usize;
-        let ny = ((design.num_rows + bin_h - 1) / bin_h).max(1) as usize;
-        let mut map = Self {
-            bin_w,
-            bin_h,
-            nx,
-            ny,
-            die: design.die(),
-            occupied: Vec::new(),
-            capacity: Vec::new(),
-        };
-
-        // bucket every contributing rectangle by the bin rows it touches (design order is
-        // preserved per bucket, which keeps the per-bin float accumulation order — and hence
-        // the bits — identical to the serial build); rectangles are clipped to the die the
-        // same way `splat` clips, so a cell hanging past the die edge contributes only its
-        // in-die area
-        let die = map.die;
-        let mut fixed_rects: Vec<Vec<Rect>> = vec![Vec::new(); ny];
-        let mut movable_rects: Vec<Vec<Rect>> = vec![Vec::new(); ny];
-        let bucket = |rects: &mut Vec<Vec<Rect>>, r: Rect| {
-            let r = r.intersect(&die);
-            if r.is_empty() {
-                return;
-            }
-            let (_, by0, _, by1) = map.bin_range(&r);
-            for row_bucket in rects.iter_mut().take(by1 + 1).skip(by0) {
-                row_bucket.push(r);
-            }
-        };
-        for c in design.cells.iter().filter(|c| c.fixed) {
-            bucket(&mut fixed_rects, c.rect());
-        }
-        for b in &design.blockages {
-            bucket(&mut fixed_rects, *b);
-        }
-        for c in design.cells.iter().filter(|c| !c.fixed) {
-            bucket(&mut movable_rects, c.rect());
-        }
-
-        // one shard per bin row: capacity (die minus fixed/blockages, clamped) and occupancy
-        let rows: Vec<usize> = (0..ny).collect();
-        let bands: Vec<(Vec<f64>, Vec<f64>)> = rows
-            .into_par_iter()
-            .map(|by| {
-                let mut occ = vec![0.0f64; nx];
-                let mut cap = vec![0.0f64; nx];
-                for (bx, c) in cap.iter_mut().enumerate() {
-                    *c = map.bin_rect(bx, by).intersect(&die).area().max(0) as f64;
-                }
-                for r in &fixed_rects[by] {
-                    let (bx0, _, bx1, _) = map.bin_range(r);
-                    for (bx, c) in cap.iter_mut().enumerate().take(bx1 + 1).skip(bx0) {
-                        let area = map.bin_rect(bx, by).overlap_area(r) as f64;
-                        if area > 0.0 {
-                            *c -= area;
-                        }
-                    }
-                }
-                for c in &mut cap {
-                    *c = c.max(0.0);
-                }
-                for r in &movable_rects[by] {
-                    let (bx0, _, bx1, _) = map.bin_range(r);
-                    for (bx, o) in occ.iter_mut().enumerate().take(bx1 + 1).skip(bx0) {
-                        let area = map.bin_rect(bx, by).overlap_area(r) as f64;
-                        if area > 0.0 {
-                            *o += area;
-                        }
-                    }
-                }
-                (occ, cap)
-            })
-            .collect();
-
-        map.occupied = Vec::with_capacity(nx * ny);
-        map.capacity = Vec::with_capacity(nx * ny);
-        for (occ, cap) in bands {
-            map.occupied.extend(occ);
-            map.capacity.extend(cap);
-        }
-        map
-    }
-
-    /// The serial reference implementation of [`DensityMap::build`].
-    pub fn build_serial(design: &Design, bin_w: i64, bin_h: i64) -> Self {
         let bin_w = bin_w.max(1);
         let bin_h = bin_h.max(1);
         let nx = ((design.num_sites_x + bin_w - 1) / bin_w).max(1) as usize;
@@ -283,7 +182,7 @@ impl DensityMap {
     /// Audit the bins covering design rows `[row_lo, row_hi)` against `design`: recompute
     /// each covered bin's capacity (geometric area minus fixed cells and blockages,
     /// clamped at zero) and occupancy (every movable cell's in-die overlap) exactly the
-    /// way [`DensityMap::build_serial`] does, and compare. All contributions are integer
+    /// way [`DensityMap::build`] does, and compare. All contributions are integer
     /// site·row areas, so sums are exact in `f64` regardless of accumulation order — the
     /// comparison uses a tiny epsilon only as slack against future fractional areas.
     /// `Err` names the first diverging bin — the invariant-scrubber's typed corruption
@@ -543,34 +442,5 @@ mod tests {
             .audit_rows(&d, 10, 12)
             .unwrap_err()
             .contains("bin (3,5)"));
-    }
-
-    #[test]
-    fn parallel_build_matches_serial_bit_for_bit() {
-        // a tall design above the 512-row sharding threshold, with fixed cells, a blockage
-        // and movable cells spread over many bin rows
-        let mut d = Design::new("den-par", 96, 1024);
-        d.add_blockage(Rect::new(0, 1020, 96, 1024));
-        for i in 0..40 {
-            d.add_cell(Cell::fixed(CellId(0), 12, 8, (i % 7) * 12, (i * 25) % 1000));
-        }
-        for i in 0..300 {
-            d.add_cell(Cell::movable(
-                CellId(0),
-                4 + (i % 5),
-                1 + (i % 3),
-                ((i * 13) % 90) as f64,
-                ((i * 37) % 1000) as f64,
-            ));
-        }
-        d.pre_move();
-        let par = DensityMap::build(&d, 16, 8);
-        let ser = DensityMap::build_serial(&d, 16, 8);
-        assert_eq!(par.dims(), ser.dims());
-        assert_eq!(
-            par.occupied, ser.occupied,
-            "occupancy must be bit-identical"
-        );
-        assert_eq!(par.capacity, ser.capacity, "capacity must be bit-identical");
     }
 }

@@ -7,7 +7,6 @@
 
 use crate::geom::Interval;
 use crate::layout::Design;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A maximal unblocked interval of sites within a single row.
@@ -58,36 +57,10 @@ pub struct SegmentMap {
     per_row: Vec<Vec<Segment>>,
 }
 
-/// Row count below which [`SegmentMap::build`] stays serial: per-row extraction is cheap, so
-/// fanning a tiny design out to worker threads would cost more than it saves.
-const PARALLEL_BUILD_MIN_ROWS: i64 = 512;
-
 impl SegmentMap {
-    /// Build the segment map of a design from its fixed cells and blockages.
-    ///
-    /// Rows are independent, so on large designs the per-row extraction is sharded across
-    /// the rayon worker threads; the result is identical to [`SegmentMap::build_serial`]
-    /// (asserted by tests) because the parallel map preserves row order.
+    /// Build the segment map of a design from its fixed cells and blockages, collecting
+    /// the blockers of all rows in one pass over the design.
     pub fn build(design: &Design) -> Self {
-        if design.num_rows < PARALLEL_BUILD_MIN_ROWS {
-            return Self::build_serial(design);
-        }
-        let rows: Vec<i64> = (0..design.num_rows).collect();
-        let per_row: Vec<Vec<Segment>> = rows
-            .into_par_iter()
-            .map(|row| {
-                design
-                    .free_intervals(row)
-                    .into_iter()
-                    .map(|iv| Segment { row, span: iv })
-                    .collect()
-            })
-            .collect();
-        Self { per_row }
-    }
-
-    /// The serial reference implementation of [`SegmentMap::build`].
-    pub fn build_serial(design: &Design) -> Self {
         Self {
             per_row: Self::rows_of(design, 0, design.num_rows),
         }
@@ -210,22 +183,6 @@ mod tests {
         assert_eq!(map.row(3), &[Segment::new(3, 0, 50)]);
         assert_eq!(map.row(7), &[]);
         assert_eq!(map.row(-1), &[]);
-    }
-
-    #[test]
-    fn parallel_build_matches_serial_exactly() {
-        // small design (serial fast path) …
-        let d = design_with_macro();
-        assert_eq!(SegmentMap::build(&d), SegmentMap::build_serial(&d));
-        // … and one large enough to cross the parallel threshold, with obstacles
-        let mut big = Design::new("seg-par", 200, 700);
-        big.add_cell(Cell::fixed(CellId(0), 40, 350, 80, 100));
-        big.add_blockage(Rect::new(0, 600, 30, 700));
-        big.add_blockage(Rect::new(150, 0, 200, 50));
-        let par = SegmentMap::build(&big);
-        let ser = SegmentMap::build_serial(&big);
-        assert_eq!(par, ser, "row-sharded build must be bit-identical");
-        assert_eq!(par.num_rows(), 700);
     }
 
     #[test]

@@ -141,7 +141,7 @@ fn dynamic_ordering_runs_the_parallel_path_and_matches_serial_through_the_trait(
     for pipelined in [true, false] {
         let cfg = FlexConfig::flex()
             .with_host_threads(4)
-            .with_host_pipelining(pipelined);
+            .with_host_pipeline_depth(if pipelined { 2 } else { 1 });
         let design = generate(&BenchmarkSpec::tiny("contract-dynamic", 82).with_density(0.65));
         let session = FlexSession::new(design).with_config(cfg);
         let serial = session.run_engine(EngineKind::MglSerial);
@@ -174,6 +174,32 @@ fn dynamic_ordering_runs_the_parallel_path_and_matches_serial_through_the_trait(
         if !pipelined {
             assert_eq!(shards.pipelined_batches, 0);
         }
+    }
+}
+
+#[test]
+fn flex_host_engine_runs_at_the_configured_pipeline_depth() {
+    // FLEX's host steps and `EngineKind::MglParallel` are one engine built from one config,
+    // so every schedule counter — cross-batch invalidations included — must agree per depth
+    let design = generate(&BenchmarkSpec::tiny("contract-depth", 83).with_density(0.7));
+    for depth in 1..=3 {
+        let cfg = FlexConfig::flex()
+            .with_host_threads(2)
+            .with_host_pipeline_depth(depth);
+        let session = FlexSession::new(design.clone()).with_config(cfg);
+        let flex = session.run_engine(EngineKind::Flex);
+        let parallel = session.run_engine(EngineKind::MglParallel);
+        let flex_shards = flex
+            .report
+            .details::<flex::core::FlexOutcome>()
+            .and_then(|outcome| outcome.shards.clone())
+            .expect("FLEX ran its host steps on the parallel engine");
+        let parallel_shards = &parallel
+            .report
+            .details::<flex::mgl::ParallelLegalizeResult>()
+            .expect("parallel details")
+            .shards;
+        assert_eq!(&flex_shards, parallel_shards, "depth {depth}");
     }
 }
 

@@ -72,7 +72,7 @@ fn assert_snapshot_matches_clone(snapshot: &StoreSnapshot, clone: &Design, epoch
     }
     // the obstacle query must reproduce the clone-built index's candidates in the same
     // order — that order feeds float summations downstream
-    let index = LegalizedIndex::build_serial(clone);
+    let index = LegalizedIndex::build(clone);
     let windows = [
         (0, clone.num_rows),
         (0, clone.num_rows / 2 + 1),

@@ -61,7 +61,7 @@ fn run_and_compare(cells: usize, cfg: &MglConfig) -> (f64, f64, f64) {
         let mut d_parallel = generate(&spec);
         let t = Instant::now();
         let parallel = ParallelMglLegalizer::new(4, cfg.clone())
-            .with_pipelining(pipelined)
+            .with_pipeline_depth(if pipelined { 2 } else { 1 })
             .legalize(&mut d_parallel);
         times[i] = t.elapsed().as_secs_f64();
 
