@@ -1,14 +1,11 @@
-//! Criterion benchmark: the region-sharded parallel MGL engine vs. the serial legalizer,
-//! including the speculation/commit **overlap** dimension.
+//! Criterion benchmark: the region-sharded parallel MGL engine vs. the serial legalizer.
 //!
 //! Thread counts come from `FLEX_BENCH_THREADS` (default 8): the sweep runs 1, 2, 4, … up to
 //! that bound. The case size scales with `FLEX_BENCH_SCALE` like the other benches. Two
 //! orderings are measured — the static size-descending order and the FLEX default dynamic
-//! sliding-window order (which runs the peeked-prefix speculative path) — and at the top
-//! thread count the pipelined engine is compared against the barrier-per-batch engine, which
-//! isolates the benefit of overlapping batch *k*'s commit with batch *k+1*'s speculation.
-//! The engine produces the exact serial placement in every configuration, so this measures
-//! pure wall-clock scheduling differences (expect ~1× on a single hardware core).
+//! sliding-window order (which runs the peeked-prefix speculative path). The engine produces
+//! the exact serial placement in every configuration, so this measures pure wall-clock
+//! scheduling differences (expect ~1× on a single hardware core).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flex_mgl::api::Legalizer;
@@ -65,7 +62,6 @@ fn bench_parallel_scaling(c: &mut Criterion) {
         });
 
         let mut threads = 1usize;
-        let mut top = 1usize;
         while threads <= max_threads {
             let parallel: Box<dyn Legalizer> =
                 Box::new(ParallelMglLegalizer::new(threads, cfg(ordering)));
@@ -75,20 +71,8 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                     parallel.legalize(&mut d)
                 })
             });
-            top = threads;
             threads *= 2;
         }
-
-        // overlap mode: pipelined vs. barrier-per-batch at the largest thread count the
-        // doubling sweep actually benched (not max_threads, which it may have skipped)
-        let no_pipeline: Box<dyn Legalizer> =
-            Box::new(ParallelMglLegalizer::new(top, cfg(ordering)).with_pipeline_depth(1));
-        group.bench_function(format!("{top}-threads-no-pipeline"), |b| {
-            b.iter(|| {
-                let mut d = generate(&spec);
-                no_pipeline.legalize(&mut d)
-            })
-        });
         group.finish();
     }
 }

@@ -23,14 +23,14 @@
 //! the repository.
 //!
 //! With `--parallel-json` it measures the parallel MGL engine across
-//! threads × ordering × pipelining on the acceptance-scale case (50k cells by default,
+//! threads × ordering on the acceptance-scale case (50k cells by default,
 //! `FLEX_BENCH_PARALLEL_CELLS` to override) — wall-clock, `speculative_fraction` and the
-//! pipelining counters — and writes `BENCH_parallel.json` (path overridable via
+//! invalidation counters — and writes `BENCH_parallel.json` (path overridable via
 //! `FLEX_BENCH_PARALLEL_OUT`), so the parallel path's perf trajectory is tracked like the
 //! FOP kernel's.
 //!
 //! With `--metrics-json` it measures the observability layer itself: enabled-vs-disabled
-//! span overhead on the acceptance-scale pipelined parallel run (gated at
+//! span overhead on the acceptance-scale parallel run (gated at
 //! `FLEX_BENCH_OBS_MAX_OVERHEAD`%, default 3), byte-identical placements, and a Chrome
 //! trace-event export proving speculation/commit overlap — written to `BENCH_obs.json`
 //! and `BENCH_obs_trace.json` (`FLEX_BENCH_OBS_OUT` / `FLEX_BENCH_OBS_TRACE`).
@@ -395,24 +395,14 @@ fn fop_json() {
 /// One measured parallel-engine configuration.
 struct ParallelBenchRow {
     threads: usize,
-    depth: usize,
     seconds: f64,
     speculative_fraction: f64,
-    pipelined_batches: usize,
     cross_batch_invalidated: usize,
     dirty_recomputes: usize,
 }
 
-impl ParallelBenchRow {
-    /// Kept alongside `depth` for readers of the previous schema.
-    fn pipelined(&self) -> bool {
-        self.depth > 1
-    }
-}
-
-/// `--parallel-json`: measure the parallel MGL engine (threads × ordering × pipeline
-/// depth) against the serial legalizer on the acceptance-scale case and write
-/// `BENCH_parallel.json`.
+/// `--parallel-json`: measure the parallel MGL engine (threads × ordering) against the
+/// serial legalizer on the acceptance-scale case and write `BENCH_parallel.json`.
 fn parallel_json() {
     use flex_mgl::parallel::ParallelMglLegalizer;
     use flex_mgl::OrderingStrategy;
@@ -443,7 +433,7 @@ fn parallel_json() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    println!("--- parallel MGL: threads × ordering × pipeline depth ({cells} cells) ---");
+    println!("--- parallel MGL: threads × ordering ({cells} cells) ---");
     let mut cases = String::new();
     let orderings = [
         ("size-desc", OrderingStrategy::SizeDescending),
@@ -461,21 +451,9 @@ fn parallel_json() {
         assert!(serial.legal, "{label}: serial run must be legal");
         println!("  {label:<15} serial                  {serial_s:>8.2} s");
 
-        // depth 2 (the classic double-buffered pipeline) and depth 1 (barrier engine)
-        // across the thread sweep, plus deeper pipelines at the top thread count
-        let mut configs: Vec<(usize, usize)> = Vec::new();
-        for &depth in &[2usize, 1] {
-            for &n in &threads {
-                configs.push((n, depth));
-            }
-        }
-        for depth in [3usize, 4] {
-            configs.push((max_threads, depth));
-        }
-
         let mut rows = Vec::new();
-        for (n, depth) in configs {
-            let engine = ParallelMglLegalizer::new(n, cfg.clone()).with_pipeline_depth(depth);
+        for &n in &threads {
+            let engine = ParallelMglLegalizer::new(n, cfg.clone());
             let mut d = generate(&spec);
             let start = std::time::Instant::now();
             let out = engine.legalize(&mut d);
@@ -487,17 +465,15 @@ fn parallel_json() {
                 "{label}: parallel quality must be byte-identical to serial"
             );
             println!(
-                "  {label:<15} {n}T depth {depth:<2} {seconds:>8.2} s   speedup {:>5.2}x   spec {:>5.1}%   xbatch-inv {}",
+                "  {label:<15} {n}T {seconds:>8.2} s   speedup {:>5.2}x   spec {:>5.1}%   xbatch-inv {}",
                 serial_s / seconds,
                 out.shards.speculative_fraction() * 100.0,
                 out.shards.cross_batch_invalidated,
             );
             rows.push(ParallelBenchRow {
                 threads: n,
-                depth,
                 seconds,
                 speculative_fraction: out.shards.speculative_fraction(),
-                pipelined_batches: out.shards.pipelined_batches,
                 cross_batch_invalidated: out.shards.cross_batch_invalidated,
                 dirty_recomputes: out.shards.dirty_recomputes,
             });
@@ -508,14 +484,11 @@ fn parallel_json() {
         ));
         for (i, r) in rows.iter().enumerate() {
             cases.push_str(&format!(
-                "      {{\"threads\": {}, \"pipelined\": {}, \"depth\": {}, \"seconds\": {:.4}, \"speedup_vs_serial\": {:.3}, \"speculative_fraction\": {:.4}, \"pipelined_batches\": {}, \"cross_batch_invalidated\": {}, \"dirty_recomputes\": {}}}{}\n",
+                "      {{\"threads\": {}, \"seconds\": {:.4}, \"speedup_vs_serial\": {:.3}, \"speculative_fraction\": {:.4}, \"cross_batch_invalidated\": {}, \"dirty_recomputes\": {}}}{}\n",
                 r.threads,
-                r.pipelined(),
-                r.depth,
                 r.seconds,
                 serial_s / r.seconds,
                 r.speculative_fraction,
-                r.pipelined_batches,
                 r.cross_batch_invalidated,
                 r.dirty_recomputes,
                 if i + 1 < rows.len() { "," } else { "" }
@@ -691,7 +664,7 @@ fn eco_json() {
 /// parallel run and write `BENCH_obs.json`. Two figures are recorded and gated:
 ///
 /// * **disabled overhead** — instrumentation compiled in but switched off must be free:
-///   the enabled-vs-disabled wall-clock delta on a 50k-cell pipelined parallel
+///   the enabled-vs-disabled wall-clock delta on a 50k-cell parallel
 ///   legalization must stay under `FLEX_BENCH_OBS_MAX_OVERHEAD` percent (default 3%),
 ///   and the placements must be byte-identical (spans observe, never perturb);
 /// * **pipeline overlap** — the Chrome trace exported from the enabled run must show
@@ -725,11 +698,12 @@ fn obs_json() {
     }
     .with_density(0.45);
 
-    println!("--- observability overhead: enabled vs. disabled spans ({cells} cells, {threads}T, depth 2) ---");
+    println!(
+        "--- observability overhead: enabled vs. disabled spans ({cells} cells, {threads}T) ---"
+    );
     let run = |enabled: bool| -> (f64, u64) {
         flex_obs::set_enabled(enabled);
-        let engine =
-            ParallelMglLegalizer::new(threads, MglConfig::default()).with_pipeline_depth(2);
+        let engine = ParallelMglLegalizer::new(threads, MglConfig::default());
         let mut d = generate(&spec);
         let start = std::time::Instant::now();
         let out = engine.legalize(&mut d);

@@ -111,7 +111,7 @@ impl EcoEngine {
     }
 
     /// Enable or disable the post-batch `Design::validate_invariants` boundary check
-    /// (enabled by default; the service maps `FlexConfig::eco_validate_boundary` here).
+    /// (enabled by default; `flex-eco-serve --no-validate` turns it off).
     pub fn with_boundary_validation(mut self, validate: bool) -> Self {
         self.validate_boundary = validate;
         self

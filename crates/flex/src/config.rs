@@ -90,17 +90,6 @@ pub struct FlexConfig {
     /// legalization runs on `flex_mgl::parallel::ParallelMglLegalizer`, overlapping region
     /// extraction and FOP across row shards while producing the exact serial placement.
     pub host_threads: usize,
-    /// Pipeline depth of the parallel host engine: the maximum number of in-flight epochs
-    /// (up to `depth − 1` batches speculating against epoch snapshots while one commits).
-    /// Depth 1 is the barrier engine. Placement-neutral.
-    pub host_pipeline_depth: usize,
-    /// Bound on the ECO service's request queue (`flex-eco-serve`): at most this many decoded
-    /// client requests wait for the single resident engine before accept threads block.
-    pub eco_queue_capacity: usize,
-    /// Whether the ECO service validates `Design::validate_invariants` after every structural
-    /// delta batch at the request boundary, turning a malformed client delta into a typed
-    /// error instead of corrupted resident state.
-    pub eco_validate_boundary: bool,
 }
 
 impl Default for FlexConfig {
@@ -117,9 +106,6 @@ impl Default for FlexConfig {
             link: LinkModel::default(),
             pe_sync_cycles: 6,
             host_threads: 1,
-            host_pipeline_depth: 2,
-            eco_queue_capacity: 1024,
-            eco_validate_boundary: true,
         }
     }
 }
@@ -185,31 +171,10 @@ impl FlexConfig {
         self
     }
 
-    /// Set the parallel host engine's pipeline depth — the maximum number of in-flight
-    /// epochs (builder style). Depth 1 is the barrier engine; 0 is raised to 1.
-    pub fn with_host_pipeline_depth(mut self, depth: usize) -> Self {
-        self.host_pipeline_depth = depth.max(1);
-        self
-    }
-
-    /// Set the ECO service's request-queue capacity (builder style). Clamped to at least 1.
-    pub fn with_eco_queue_capacity(mut self, capacity: usize) -> Self {
-        self.eco_queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Enable or disable boundary validation in the ECO service (builder style).
-    pub fn with_eco_validation(mut self, validate: bool) -> Self {
-        self.eco_validate_boundary = validate;
-        self
-    }
-
-    /// The parallel host engine this configuration describes: `host_threads` workers at
-    /// `host_pipeline_depth`. It is `EngineKind::MglParallel`, and FLEX runs its host steps
-    /// on it when `host_threads > 1`.
+    /// The parallel host engine this configuration describes: `host_threads` workers. It is
+    /// `EngineKind::MglParallel`, and FLEX runs its host steps on it when `host_threads > 1`.
     pub fn parallel_host_engine(&self) -> ParallelMglLegalizer {
         ParallelMglLegalizer::new(self.host_threads.max(1), self.mgl_config())
-            .with_pipeline_depth(self.host_pipeline_depth)
     }
 
     /// Derive the `flex-mgl` configuration that matches this accelerator configuration (used to
@@ -275,12 +240,5 @@ mod tests {
         assert_eq!(c.assignment, TaskAssignment::FopAndUpdateOnFpga);
         assert!(!c.sacs.pipelined);
         assert_eq!(FlexConfig::default().with_pes(0).num_fop_pes, 1);
-        let e = FlexConfig::default()
-            .with_eco_queue_capacity(0)
-            .with_eco_validation(false);
-        assert_eq!(e.eco_queue_capacity, 1);
-        assert!(!e.eco_validate_boundary);
-        assert_eq!(FlexConfig::default().eco_queue_capacity, 1024);
-        assert!(FlexConfig::default().eco_validate_boundary);
     }
 }

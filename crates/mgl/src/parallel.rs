@@ -17,7 +17,7 @@
 //!    the serial processing order — a *prefix*, never a reordering. Every non-straddler
 //!    member is *speculated* on the rayon pool: region extraction, FOP (which is where the
 //!    per-shard `shift_phase_*` work runs) and the pure [`plan_commit_with`] verification
-//!    all execute against a shared `&Design` snapshot.
+//!    all execute against an epoch snapshot of the cell state (point 4).
 //! 3. **In-order commit with per-write tracking.** Plans are applied strictly in the serial
 //!    order. Every commit records one rectangle per design write it performed
 //!    ([`plan_write_rects`] / [`PlaceOutcome::writes`]) — the target's committed extent and
@@ -27,21 +27,18 @@
 //!    not speculated (straddler, conflict) or whose speculation found no expansion-0
 //!    placement — is handled by the ordinary serial [`place_target_with`] at its slot,
 //!    window expansions and whole-die fallback included.
-//! 4. **Epoch-pipelined speculation** (default depth 2,
-//!    [`ParallelMglLegalizer::with_pipeline_depth`]). Mutable cell state is captured once
-//!    into an [`EpochCellStore`] — epoch-tagged copy-on-write columns shared between the
-//!    commit thread and a speculation runner thread. Committing batch *k* records its
-//!    writes into the store's open overlay and seals it as epoch *k+1*; launching batch *b*
-//!    takes an O(1) [`StoreSnapshot`] pinned to the last sealed epoch instead of cloning
-//!    the `Design` and its obstacle index. With pipeline depth *D*, up to *D−1* batches
-//!    speculate in flight while one commits, each against the newest epoch available at its
-//!    launch; retired epochs are promoted (folded) back into the shared base columns. A
-//!    member of batch *b* is stale if a write of an earlier **in-flight** batch
-//!    ([`ShardStats::cross_batch_invalidated`]) or an earlier commit of batch *b* itself
-//!    ([`ShardStats::dirty_recomputes`]) intersects its window — per write rect, so a late
-//!    speculation survives earlier non-overlapping commits. Depth 1 is the barrier
-//!    engine: speculation and commit of each batch alternate on the same design (no
-//!    store, no cross-batch epochs).
+//! 4. **Epoch-pipelined speculation.** Mutable cell state is captured once into an
+//!    [`EpochCellStore`] — epoch-tagged copy-on-write columns shared between the commit
+//!    thread and a speculation runner thread. Committing batch *k* records its writes into
+//!    the store's open overlay and seals it as epoch *k+1*; launching a batch takes an O(1)
+//!    [`StoreSnapshot`] pinned to the last sealed epoch instead of cloning the `Design` and
+//!    its obstacle index. Batch *k+1* launches before batch *k* commits, so one batch
+//!    speculates while the previous one commits; once batch *k* is sealed, the epochs no
+//!    in-flight snapshot needs are promoted (folded) back into the shared base columns. A
+//!    member of batch *k* is stale if a write of batch *k−1*, which committed after *k*'s
+//!    snapshot ([`ShardStats::cross_batch_invalidated`]), or an earlier commit of batch
+//!    *k* itself ([`ShardStats::dirty_recomputes`]) intersects its window — per write
+//!    rect, so a speculation survives earlier non-overlapping commits.
 //!
 //! **Dynamic (sliding-window density) ordering.** The FLEX default configuration reorders
 //! its queue by localRegion density as it goes, which previously forced this engine to
@@ -65,8 +62,8 @@
 //! result and plan coincide with what the serial legalizer would compute at that slot;
 //! otherwise the cell is recomputed serially at its slot. By induction the final placement,
 //! the displacement stats, the per-cell work trace and the legality verdict are identical to
-//! [`MglLegalizer`] with the same configuration — static or dynamic ordering, pipelined or
-//! not, at any thread count. Wall-clock fields (`runtime`, the `FopOpStats` nanosecond
+//! [`MglLegalizer`] with the same configuration — static or dynamic ordering, at any thread
+//! count and any batch size. Wall-clock fields (`runtime`, the `FopOpStats` nanosecond
 //! counters) are measurements and do differ.
 
 use crate::config::{MglConfig, OrderingStrategy};
@@ -95,10 +92,10 @@ use std::time::Instant;
 use crate::legalize::MglLegalizer;
 
 /// Lower bound on the speculation batch size (targets taken off the queue front per round).
-/// The default batch size adapts to the worker count — staleness within a batch grows
-/// quadratically with its length, so the engine uses the smallest prefix that still keeps
-/// every worker busy. The placement is the serial one for *every* batch size (see the module
-/// docs), so this is purely a throughput knob.
+/// The batch size adapts to the worker count (four targets per worker) — staleness within a
+/// batch grows quadratically with its length, so the engine uses the smallest prefix that
+/// still keeps every worker busy. The placement is the serial one for *every* batch size
+/// (see the module docs), so this is purely a throughput choice.
 pub const MIN_LOOKAHEAD: usize = 8;
 
 /// How many base-window heights one row band spans. Larger bands mean fewer straddlers (which
@@ -116,9 +113,6 @@ pub struct ShardStats {
     pub straddlers: usize,
     /// Prefix batches executed.
     pub batches: usize,
-    /// Batches whose commit phase overlapped at least one in-flight speculation (the epoch
-    /// pipeline was actually active for them).
-    pub pipelined_batches: usize,
     /// Targets speculated in parallel.
     pub speculated: usize,
     /// Targets whose speculative plan was committed as-is.
@@ -129,9 +123,9 @@ pub struct ShardStats {
     /// Speculations discarded because an earlier commit **of the same batch** wrote into
     /// their window.
     pub dirty_recomputes: usize,
-    /// Speculations discarded because a commit of an **earlier in-flight batch** (one of the
-    /// up to depth−1 batches that committed between this batch's snapshot epoch and its own
-    /// commit slot) wrote into their window. Always zero without pipelining (depth 1).
+    /// Speculations discarded because a commit of the **previous batch**, which committed
+    /// after this batch's snapshot epoch was sealed, wrote into their window. Always zero
+    /// for the first batch.
     pub cross_batch_invalidated: usize,
     /// Speculations discarded because the realized dynamic order diverged from the peeked
     /// prefix, so the speculated cell never reached a commit slot in its batch. Zero while
@@ -150,7 +144,6 @@ impl ShardStats {
             ("par_shard_band_rows", self.band_rows.max(0) as u64),
             ("par_shard_straddlers", self.straddlers as u64),
             ("par_shard_batches", self.batches as u64),
-            ("par_shard_pipelined_batches", self.pipelined_batches as u64),
             ("par_shard_speculated", self.speculated as u64),
             (
                 "par_shard_committed_speculatively",
@@ -193,10 +186,6 @@ pub struct ParallelLegalizeResult {
 pub struct ParallelMglLegalizer {
     threads: usize,
     config: MglConfig,
-    lookahead: usize,
-    /// Maximum in-flight epochs: 1 disables pipelining, `D ≥ 2` keeps up to `D − 1` batches
-    /// speculating while one commits.
-    depth: usize,
 }
 
 /// Per-target scheduling metadata for one speculation batch.
@@ -337,35 +326,12 @@ impl CommitAccum {
 }
 
 impl ParallelMglLegalizer {
-    /// Create an engine with `threads` workers and the given MGL configuration, pipelined at
-    /// the classic double-buffered depth of 2.
+    /// Create an engine with `threads` workers and the given MGL configuration.
     pub fn new(threads: usize, config: MglConfig) -> Self {
-        let threads = threads.max(1);
         Self {
-            threads,
+            threads: threads.max(1),
             config,
-            lookahead: (4 * threads).max(MIN_LOOKAHEAD),
-            depth: 2,
         }
-    }
-
-    /// Override the speculation batch size. The schedule (and the placement) is identical to
-    /// the serial legalizer for every value; this only trades parallelism against the amount
-    /// of speculation discarded when a batch's early commits invalidate later members.
-    pub fn with_lookahead(mut self, lookahead: usize) -> Self {
-        self.lookahead = lookahead.max(1);
-        self
-    }
-
-    /// Set the pipeline depth: the maximum number of in-flight epochs, i.e. up to
-    /// `depth − 1` batches speculating against epoch snapshots while one commits. Depth 1
-    /// is the barrier engine (speculation and commit alternate, no epoch store); depth 2
-    /// is the classic double-buffered schedule. The placement
-    /// is identical at every depth (see the module docs); deeper pipelines trade staleness
-    /// (more invalidated speculation) for more commit/speculation overlap.
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.depth = depth.max(1);
-        self
     }
 
     /// Access the configuration.
@@ -376,11 +342,6 @@ impl ParallelMglLegalizer {
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured pipeline depth (maximum in-flight epochs).
-    pub fn pipeline_depth(&self) -> usize {
-        self.depth
     }
 
     /// Legalize every movable cell of the design in place.
@@ -466,134 +427,75 @@ impl ParallelMglLegalizer {
         // `speculate`, so no scratch state is ever shared across threads
         let mut scratch = FopScratch::new();
 
-        // a run that fits in one batch has no later batch to overlap with its commit, so
-        // the epoch store would buy nothing — take the barrier loop (identical output)
-        if self.depth >= 2 && order.remaining() > self.lookahead {
-            let depth = self.depth;
-            let lookahead = self.lookahead;
-            let total = order.remaining();
-            let num_batches = total.div_ceil(lookahead);
-            let batch_count = |b: usize| lookahead.min(total - b * lookahead);
+        let lookahead = (4 * self.threads).max(MIN_LOOKAHEAD);
+        let total = order.remaining();
+        let num_batches = total.div_ceil(lookahead);
+        let batch_count = |b: usize| lookahead.min(total - b * lookahead);
 
-            // the shared epoch-tagged state both threads agree on: the commit thread
-            // records every write and seals one epoch per batch, launches pin snapshots
-            let store = EpochCellStore::capture(design);
-            // per-batch write rects, kept while any in-flight speculation may still need
-            // them for its staleness guard (batch b checks batches [s(b), b))
-            let mut batch_writes: Vec<Vec<Rect>> = Vec::with_capacity(num_batches);
+        // the shared epoch-tagged state both threads agree on: the commit thread records
+        // every write and seals one epoch per batch, launches pin snapshots
+        let store = EpochCellStore::capture(design);
 
-            let (pool_ref, segmap_ref) = (&pool, &segmap);
-            std::thread::scope(|s| {
-                let (launch_tx, launch_rx) = mpsc::channel::<LaunchMsg>();
-                let (result_tx, result_rx) = mpsc::channel::<SpecBatch>();
-                // the runner drains launches FIFO, so results arrive in batch order; it
-                // exits when the launch sender is dropped (normal exit and unwind alike)
-                std::thread::Builder::new()
-                    .name("flex-spec-runner".into())
-                    .spawn_scoped(s, move || {
-                        while let Ok(msg) = launch_rx.recv() {
-                            let spec_span = flex_obs::span!("par.speculate_batch");
-                            let (pending, speculated) = speculate_batch_snapshot(
-                                pool_ref,
-                                msg.metas,
-                                &msg.snapshot,
-                                segmap_ref,
-                                cfg,
-                            );
-                            drop(spec_span);
-                            let out = SpecBatch {
-                                batch: msg.batch,
-                                pending,
-                                speculated,
-                            };
-                            if result_tx.send(out).is_err() {
-                                break;
-                            }
+        let (pool_ref, segmap_ref) = (&pool, &segmap);
+        std::thread::scope(|s| {
+            let (launch_tx, launch_rx) = mpsc::channel::<LaunchMsg>();
+            let (result_tx, result_rx) = mpsc::channel::<SpecBatch>();
+            // the runner drains launches FIFO, so results arrive in batch order; it exits
+            // when the launch sender is dropped (normal exit and unwind alike)
+            std::thread::Builder::new()
+                .name("flex-spec-runner".into())
+                .spawn_scoped(s, move || {
+                    while let Ok(msg) = launch_rx.recv() {
+                        let spec_span = flex_obs::span!("par.speculate_batch");
+                        let (pending, speculated) =
+                            speculate_batch(pool_ref, msg.metas, &msg.snapshot, segmap_ref, cfg);
+                        drop(spec_span);
+                        let out = SpecBatch {
+                            batch: msg.batch,
+                            pending,
+                            speculated,
+                        };
+                        if result_tx.send(out).is_err() {
+                            break;
                         }
-                    })
-                    .expect("failed to spawn speculation runner");
+                    }
+                })
+                .expect("failed to spawn speculation runner");
 
-                let launch = |b: usize, skip: usize, order: &mut OrderSource, design: &Design| {
-                    let ids = order.peek(design, skip, batch_count(b));
-                    let metas = build_metas(design, &ids);
-                    let msg = LaunchMsg {
-                        batch: b,
-                        metas,
-                        snapshot: store.snapshot(),
-                    };
-                    // a send only fails if the runner died; the recv below surfaces that
-                    let _ = launch_tx.send(msg);
+            let launch = |b: usize, skip: usize, order: &mut OrderSource, design: &Design| {
+                let ids = order.peek(design, skip, batch_count(b));
+                let metas = build_metas(design, &ids);
+                let msg = LaunchMsg {
+                    batch: b,
+                    metas,
+                    snapshot: store.snapshot(),
                 };
+                // a send only fails if the runner died; the recv below surfaces that
+                let _ = launch_tx.send(msg);
+            };
 
-                // prime the pipeline: batches 0..depth-1 all speculate against epoch 0
-                for b in 0..(depth - 1).min(num_batches) {
-                    launch(b, b * lookahead, &mut order, design);
+            if num_batches > 0 {
+                launch(0, 0, &mut order, design);
+            }
+            // batch k's snapshot holds every earlier commit except batch k−1's, so its
+            // staleness guard checks the previous batch's write rects alone
+            let mut prev_writes: Vec<Rect> = Vec::new();
+            for k in 0..num_batches {
+                // batch k+1 launches at the current sealed epoch k, one whole batch ahead of
+                // the live order, and speculates while batch k commits
+                if k + 1 < num_batches {
+                    launch(k + 1, lookahead, &mut order, design);
                 }
-
-                for k in 0..num_batches {
-                    // keep the pipeline full: batch k+depth-1 launches at the current
-                    // sealed epoch k, i.e. depth-1 whole batches ahead of the live order
-                    let ahead = k + depth - 1;
-                    if ahead < num_batches {
-                        launch(ahead, (depth - 1) * lookahead, &mut order, design);
-                    }
-                    let spec = result_rx.recv().expect("speculation runner thread died");
-                    debug_assert_eq!(spec.batch, k, "runner must return batches in order");
-                    acc.shards.batches += 1;
-                    acc.shards.speculated += spec.speculated;
-                    if k + 1 < num_batches {
-                        // another batch is speculating while this one commits
-                        acc.shards.pipelined_batches += 1;
-                    }
-
-                    let count = batch_count(k);
-                    let peeked = order.peek(design, 0, count);
-                    // every write committed since this batch's snapshot epoch s(k)
-                    let snap_epoch = k.saturating_sub(depth - 1);
-                    let writes_prev: Vec<Rect> = batch_writes[snap_epoch..k]
-                        .iter()
-                        .flatten()
-                        .copied()
-                        .collect();
-                    let mut pending = spec.pending;
-                    let commit_span = flex_obs::span!("par.commit_batch");
-                    let writes = commit_batch(
-                        design,
-                        &segmap,
-                        &mut index,
-                        &mut order,
-                        cfg,
-                        count,
-                        &peeked,
-                        &mut pending,
-                        &writes_prev,
-                        &mut scratch,
-                        &mut acc,
-                        Some(&store),
-                    );
-                    drop(commit_span);
-                    batch_writes.push(writes);
-                    store.seal_epoch();
-                    // fold retired epochs into the base columns: after this round the
-                    // oldest snapshot still in flight is batch k+1's, pinned to epoch
-                    // max(0, k+2-depth)
-                    store.promote_through((k + 2).saturating_sub(depth) as Epoch);
-                }
-                drop(launch_tx);
-            });
-        } else {
-            while order.remaining() > 0 {
-                let count = self.lookahead.min(order.remaining());
+                let spec = result_rx.recv().expect("speculation runner thread died");
+                debug_assert_eq!(spec.batch, k, "runner must return batches in order");
                 acc.shards.batches += 1;
+                acc.shards.speculated += spec.speculated;
+
+                let count = batch_count(k);
                 let peeked = order.peek(design, 0, count);
-                let metas = build_metas(design, &peeked);
-                let spec_span = flex_obs::span!("par.speculate_batch");
-                let (mut pending, n_spec) =
-                    speculate_batch(&pool, metas, design, &index, &segmap, cfg);
-                drop(spec_span);
-                acc.shards.speculated += n_spec;
-                let _commit_span = flex_obs::span!("par.commit_batch");
-                commit_batch(
+                let mut pending = spec.pending;
+                let commit_span = flex_obs::span!("par.commit_batch");
+                prev_writes = commit_batch(
                     design,
                     &segmap,
                     &mut index,
@@ -602,13 +504,19 @@ impl ParallelMglLegalizer {
                     count,
                     &peeked,
                     &mut pending,
-                    &[],
+                    &prev_writes,
                     &mut scratch,
                     &mut acc,
-                    None,
+                    &store,
                 );
+                drop(commit_span);
+                store.seal_epoch();
+                // fold retired epochs into the base columns: the oldest snapshot still in
+                // flight is batch k+1's, pinned to epoch k
+                store.promote_through(k as Epoch);
             }
-        }
+            drop(launch_tx);
+        });
 
         // step (e) epilogue: verify — identical to the serial flow
         let report = check_legality_with(design, true);
@@ -636,31 +544,10 @@ impl ParallelMglLegalizer {
     }
 }
 
-/// Speculate one batch on the worker pool against a design snapshot (the live design without
-/// pipelining, the lagging shadow with it). Straddlers are skipped — they always take the
-/// serial path at their commit slot. Returns the id-keyed speculations and how many ran.
-fn speculate_batch(
-    pool: &rayon::ThreadPool,
-    metas: Vec<TargetMeta>,
-    design: &Design,
-    index: &LegalizedIndex,
-    segmap: &SegmentMap,
-    cfg: &MglConfig,
-) -> (HashMap<CellId, Speculation>, usize) {
-    let jobs: Vec<TargetMeta> = metas.into_iter().filter(|m| !m.straddler).collect();
-    let specs: Vec<(CellId, Speculation)> = pool.install(|| {
-        jobs.par_iter()
-            .map(|meta| (meta.id, speculate(design, segmap, index, cfg, meta)))
-            .collect()
-    });
-    let n = specs.len();
-    (specs.into_iter().collect(), n)
-}
-
 /// Commit one batch strictly in the live serial order: pop each slot from the orderer, apply
 /// the member's speculative plan if its window is clean since its snapshot, otherwise run the
-/// full serial placement at the slot. Every committed state is recorded into `store` (when
-/// pipelining) so later epoch snapshots see it. Returns the batch's write rects.
+/// full serial placement at the slot. Every committed state is recorded into `store` so
+/// later epoch snapshots see it. Returns the batch's write rects.
 #[allow(clippy::too_many_arguments)]
 fn commit_batch(
     design: &mut Design,
@@ -674,7 +561,7 @@ fn commit_batch(
     writes_prev: &[Rect],
     scratch: &mut FopScratch,
     acc: &mut CommitAccum,
-    store: Option<&EpochCellStore>,
+    store: &EpochCellStore,
 ) -> Vec<Rect> {
     let mut writes_cur: Vec<Rect> = Vec::new();
     for slot in 0..count {
@@ -698,9 +585,7 @@ fn commit_batch(
                 plan_write_rects(design, &plan, &mut writes_cur);
                 apply_commit(design, &plan);
                 index.insert(design, id);
-                if let Some(store) = store {
-                    record_plan(store, design, &plan);
-                }
+                record_plan(store, design, &plan);
                 acc.op_stats.merge(&speculation.stats);
                 acc.placed_in_region += 1;
                 acc.shards.committed_speculatively += 1;
@@ -718,20 +603,16 @@ fn commit_batch(
                     place_target_with(design, segmap, index, cfg, id, &mut acc.op_stats, scratch);
                 acc.shards.serial_inline += 1;
                 writes_cur.extend(out.writes.iter().copied());
-                if let Some(store) = store {
-                    match out.placed {
-                        PlacedBy::Region => record_plan(
-                            store,
-                            design,
-                            out.plan
-                                .as_ref()
-                                .expect("region placements carry their plan"),
-                        ),
-                        PlacedBy::Fallback => {
-                            store.record(id, CellState::of(design.cell(id)));
-                        }
-                        PlacedBy::None => {}
-                    }
+                match out.placed {
+                    PlacedBy::Region => record_plan(
+                        store,
+                        design,
+                        out.plan
+                            .as_ref()
+                            .expect("region placements carry their plan"),
+                    ),
+                    PlacedBy::Fallback => store.record(id, CellState::of(design.cell(id))),
+                    PlacedBy::None => {}
                 }
                 tally(
                     &out,
@@ -761,9 +642,10 @@ fn record_plan(store: &EpochCellStore, design: &Design, plan: &CommitPlan) {
 }
 
 /// Speculate one batch on the worker pool against an epoch-pinned [`StoreSnapshot`] (the
-/// pipelined path: the commit thread may be mutating the live design concurrently).
-/// Straddlers are skipped — they always take the serial path at their commit slot.
-fn speculate_batch_snapshot(
+/// commit thread may be mutating the live design concurrently). Straddlers are skipped —
+/// they always take the serial path at their commit slot. Returns the id-keyed
+/// speculations and how many ran.
+fn speculate_batch(
     pool: &rayon::ThreadPool,
     metas: Vec<TargetMeta>,
     snapshot: &StoreSnapshot,
@@ -773,17 +655,17 @@ fn speculate_batch_snapshot(
     let jobs: Vec<TargetMeta> = metas.into_iter().filter(|m| !m.straddler).collect();
     let specs: Vec<(CellId, Speculation)> = pool.install(|| {
         jobs.par_iter()
-            .map(|meta| (meta.id, speculate_snapshot(snapshot, segmap, cfg, meta)))
+            .map(|meta| (meta.id, speculate(snapshot, segmap, cfg, meta)))
             .collect()
     });
     let n = specs.len();
     (specs.into_iter().collect(), n)
 }
 
-/// Evaluate one target speculatively at expansion level 0 against an epoch snapshot.
-/// Identical to [`speculate`] except that the target cell and the obstacle region come from
-/// the [`StoreSnapshot`] instead of a `&Design`.
-fn speculate_snapshot(
+/// Evaluate one target speculatively at expansion level 0 against an epoch snapshot. Runs on
+/// a worker thread: the FOP arena comes from that worker's thread-local [`FopScratch`], so
+/// buffers are reused across every speculation a worker performs.
+fn speculate(
     snapshot: &StoreSnapshot,
     segmap: &SegmentMap,
     cfg: &MglConfig,
@@ -805,47 +687,6 @@ fn speculate_snapshot(
         ..RegionWork::default()
     };
     let region = LocalRegion::extract_snapshot(snapshot, segmap, meta.id, meta.window);
-    let mut plan = None;
-    if region.cells.len() <= cfg.max_region_cells
-        && region.can_host(spec.width, spec.height, spec.parity)
-    {
-        FopScratch::with_thread_local(|scratch| {
-            let outcome = fop::find_optimal_position_with(&region, &spec, cfg, &mut stats, scratch);
-            accumulate_work(&mut work, &outcome.work);
-            if let Some(best) = outcome.best {
-                plan = plan_commit_with(&region, &best, &spec, cfg, scratch);
-            }
-        });
-    }
-    Speculation { work, stats, plan }
-}
-
-/// Evaluate one target speculatively at expansion level 0 against a shared design snapshot.
-/// Runs on a worker thread: the FOP arena comes from that worker's thread-local
-/// [`FopScratch`], so buffers are reused across every speculation a worker performs.
-fn speculate(
-    design: &Design,
-    segmap: &SegmentMap,
-    index: &LegalizedIndex,
-    cfg: &MglConfig,
-    meta: &TargetMeta,
-) -> Speculation {
-    let c = design.cell(meta.id);
-    let spec = TargetSpec {
-        width: c.width,
-        height: c.height,
-        gx: c.gx,
-        gy: c.gy,
-        parity: c.row_parity,
-    };
-    let mut stats = FopOpStats::default();
-    let mut work = RegionWork {
-        target: meta.id,
-        target_width: spec.width,
-        target_height: spec.height,
-        ..RegionWork::default()
-    };
-    let region = LocalRegion::extract_indexed(design, segmap, meta.id, meta.window, index);
     let mut plan = None;
     if region.cells.len() <= cfg.max_region_cells
         && region.can_host(spec.width, spec.height, spec.parity)
@@ -909,7 +750,6 @@ mod tests {
         );
         assert!(out.shards.bands >= 1);
         assert!(out.shards.batches > 0);
-        assert!(out.shards.pipelined_batches < out.shards.batches);
     }
 
     #[test]
@@ -933,58 +773,45 @@ mod tests {
 
     #[test]
     fn parallel_matches_the_serial_legalizer_exactly() {
-        // equivalence must hold at every density, expansions and fallbacks included, at
-        // every pipeline depth (1 = barriers, 2 = double-buffered, deeper = more epochs)
-        for depth in [1usize, 2, 3, 4] {
-            for (seed, density) in [(7u64, 0.45), (8, 0.65), (9, 0.85)] {
-                let spec = BenchmarkSpec::tiny("par-eq", seed).with_density(density);
-                let mut d_par = generate(&spec);
-                let mut d_ser = generate(&spec);
-                let par = ParallelMglLegalizer::new(4, static_cfg())
-                    .with_pipeline_depth(depth)
-                    .legalize(&mut d_par);
-                let ser = MglLegalizer::new(static_cfg()).legalize(&mut d_ser);
-                assert_eq!(par.result.legal, ser.legal, "density {density}");
-                assert_eq!(
-                    positions(&d_par),
-                    positions(&d_ser),
-                    "density {density} depth {depth}"
-                );
-                assert_eq!(par.result.placed_in_region, ser.placed_in_region);
-                assert_eq!(par.result.fallback_placed, ser.fallback_placed);
-                assert_eq!(par.result.failed, ser.failed);
-                assert!(
-                    (par.result.average_displacement - ser.average_displacement).abs() < 1e-12,
-                    "displacement diverged at density {density}: {} vs {}",
-                    par.result.average_displacement,
-                    ser.average_displacement
-                );
-            }
+        // equivalence must hold at every density, expansions and fallbacks included
+        for (seed, density) in [(7u64, 0.45), (8, 0.65), (9, 0.85)] {
+            let spec = BenchmarkSpec::tiny("par-eq", seed).with_density(density);
+            let mut d_par = generate(&spec);
+            let mut d_ser = generate(&spec);
+            let par = ParallelMglLegalizer::new(4, static_cfg()).legalize(&mut d_par);
+            let ser = MglLegalizer::new(static_cfg()).legalize(&mut d_ser);
+            assert_eq!(par.result.legal, ser.legal, "density {density}");
+            assert_eq!(positions(&d_par), positions(&d_ser), "density {density}");
+            assert_eq!(par.result.placed_in_region, ser.placed_in_region);
+            assert_eq!(par.result.fallback_placed, ser.fallback_placed);
+            assert_eq!(par.result.failed, ser.failed);
+            assert!(
+                (par.result.average_displacement - ser.average_displacement).abs() < 1e-12,
+                "displacement diverged at density {density}: {} vs {}",
+                par.result.average_displacement,
+                ser.average_displacement
+            );
         }
     }
 
     #[test]
     fn trace_matches_the_serial_trace() {
         let spec = BenchmarkSpec::tiny("par-trace", 9);
-        for depth in [1usize, 2, 3] {
-            let cfg = MglConfig {
-                collect_trace: true,
-                ..static_cfg()
-            };
-            let mut d_par = generate(&spec);
-            let mut d_ser = generate(&spec);
-            let par = ParallelMglLegalizer::new(4, cfg.clone())
-                .with_pipeline_depth(depth)
-                .legalize(&mut d_par);
-            let ser = MglLegalizer::new(cfg).legalize(&mut d_ser);
-            let par_trace = par.result.trace.expect("trace requested");
-            let ser_trace = ser.trace.expect("trace requested");
-            assert_eq!(par_trace.len(), d_par.num_movable());
-            assert_eq!(
-                par_trace, ser_trace,
-                "work traces must be identical entry for entry (depth {depth})"
-            );
-        }
+        let cfg = MglConfig {
+            collect_trace: true,
+            ..static_cfg()
+        };
+        let mut d_par = generate(&spec);
+        let mut d_ser = generate(&spec);
+        let par = ParallelMglLegalizer::new(4, cfg.clone()).legalize(&mut d_par);
+        let ser = MglLegalizer::new(cfg).legalize(&mut d_ser);
+        let par_trace = par.result.trace.expect("trace requested");
+        let ser_trace = ser.trace.expect("trace requested");
+        assert_eq!(par_trace.len(), d_par.num_movable());
+        assert_eq!(
+            par_trace, ser_trace,
+            "work traces must be identical entry for entry"
+        );
     }
 
     #[test]
@@ -993,26 +820,22 @@ mod tests {
         // it now speculates through the peeked prefix and must still match the serial
         // engine cell for cell
         let spec = BenchmarkSpec::tiny("par-sliding", 8).with_density(0.6);
-        for depth in [1usize, 2, 3, 4] {
-            let mut d_par = generate(&spec);
-            let mut d_ser = generate(&spec);
-            let cfg = MglConfig::flex();
-            let par = ParallelMglLegalizer::new(4, cfg.clone())
-                .with_pipeline_depth(depth)
-                .legalize(&mut d_par);
-            let ser = MglLegalizer::new(cfg).legalize(&mut d_ser);
-            assert!(par.result.legal && ser.legal);
-            assert_eq!(positions(&d_par), positions(&d_ser), "depth {depth}");
-            assert!(
-                par.shards.speculated > 0,
-                "the dynamic order must be speculated, not serialized"
-            );
-            assert!(par.shards.committed_speculatively > 0);
-            assert_eq!(
-                par.shards.order_invalidated, 0,
-                "the dynamic order is commit-invariant, so no peeked speculation may be orphaned"
-            );
-        }
+        let mut d_par = generate(&spec);
+        let mut d_ser = generate(&spec);
+        let cfg = MglConfig::flex();
+        let par = ParallelMglLegalizer::new(4, cfg.clone()).legalize(&mut d_par);
+        let ser = MglLegalizer::new(cfg).legalize(&mut d_ser);
+        assert!(par.result.legal && ser.legal);
+        assert_eq!(positions(&d_par), positions(&d_ser));
+        assert!(
+            par.shards.speculated > 0,
+            "the dynamic order must be speculated, not serialized"
+        );
+        assert!(par.shards.committed_speculatively > 0);
+        assert_eq!(
+            par.shards.order_invalidated, 0,
+            "the dynamic order is commit-invariant, so no peeked speculation may be orphaned"
+        );
     }
 
     #[test]
@@ -1036,40 +859,47 @@ mod tests {
     #[test]
     fn engine_accounts_every_target_exactly_once() {
         let spec = BenchmarkSpec::tiny("par-account", 10).with_density(0.7);
-        for depth in [1usize, 2, 3] {
-            let mut d = generate(&spec);
-            let n = d.num_movable();
-            let out = ParallelMglLegalizer::new(3, static_cfg())
-                .with_pipeline_depth(depth)
-                .legalize(&mut d);
-            assert_eq!(
-                out.result.placed_in_region + out.result.fallback_placed + out.result.failed.len(),
-                n
-            );
-            assert_eq!(
-                out.shards.committed_speculatively + out.shards.serial_inline,
-                n
-            );
-            assert!(out.shards.speculated >= out.shards.committed_speculatively);
-            assert!(out.shards.speculative_fraction() > 0.0);
-            if depth > 1 {
-                assert!(
-                    out.shards.batches <= 1 || out.shards.pipelined_batches > 0,
-                    "a multi-batch pipelined run must overlap at least one batch"
-                );
-            } else {
-                assert_eq!(out.shards.pipelined_batches, 0);
-                assert_eq!(out.shards.cross_batch_invalidated, 0);
-            }
-        }
+        let mut d = generate(&spec);
+        let n = d.num_movable();
+        let out = ParallelMglLegalizer::new(3, static_cfg()).legalize(&mut d);
+        assert_eq!(
+            out.result.placed_in_region + out.result.fallback_placed + out.result.failed.len(),
+            n
+        );
+        assert_eq!(
+            out.shards.committed_speculatively + out.shards.serial_inline,
+            n
+        );
+        assert!(out.shards.speculated >= out.shards.committed_speculatively);
+        assert!(out.shards.speculative_fraction() > 0.0);
     }
 
     #[test]
-    fn builder_depth_and_pipelining_compose() {
-        let eng = ParallelMglLegalizer::new(2, static_cfg());
-        assert_eq!(eng.pipeline_depth(), 2);
-        let eng = eng.with_pipeline_depth(4);
-        assert_eq!(eng.pipeline_depth(), 4);
-        assert_eq!(eng.with_pipeline_depth(0).pipeline_depth(), 1);
+    fn runs_of_at_most_a_few_batches_match_serial() {
+        // at 1 and 2 threads the batch size is MIN_LOOKAHEAD: no batch, a partial batch,
+        // exactly one, one plus one cell and two plus one cell all take the one schedule
+        let l = MIN_LOOKAHEAD;
+        for n in [0, 1, l, l + 1, 2 * l + 1] {
+            let spec = BenchmarkSpec {
+                num_cells: n,
+                ..BenchmarkSpec::tiny("par-edge", 13)
+            };
+            for cfg in [static_cfg(), MglConfig::flex()] {
+                let mut d_ser = generate(&spec);
+                MglLegalizer::new(cfg.clone()).legalize(&mut d_ser);
+                for threads in [1usize, 2] {
+                    let mut d_par = generate(&spec);
+                    let out = ParallelMglLegalizer::new(threads, cfg.clone()).legalize(&mut d_par);
+                    let at = format!("{n} cells, {threads} threads, {:?}", cfg.ordering);
+                    assert_eq!(positions(&d_par), positions(&d_ser), "{at}");
+                    assert_eq!(out.shards.batches, n.div_ceil(l), "{at}");
+                    assert_eq!(
+                        out.shards.committed_speculatively + out.shards.serial_inline,
+                        n,
+                        "{at}"
+                    );
+                }
+            }
+        }
     }
 }

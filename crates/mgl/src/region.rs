@@ -408,11 +408,6 @@ impl LocalRegion {
         self.cells.iter().filter(|c| c.height > rows).count()
     }
 
-    /// Total free sites of the region's segments.
-    pub fn free_sites(&self) -> i64 {
-        self.segments.iter().map(|s| s.span.len()).sum()
-    }
-
     /// Whether the region could possibly host a cell of `width × height` starting at a row with
     /// the given parity (a cheap necessary condition used before enumerating insertion points).
     pub fn can_host(&self, width: i64, height: i64, parity: Option<u8>) -> bool {

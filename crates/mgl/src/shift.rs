@@ -86,14 +86,6 @@ pub struct ShiftOutcome {
 }
 
 impl ShiftOutcome {
-    /// Final position of a cell, if the phase touched it.
-    pub fn position_of(&self, cell: usize) -> Option<i64> {
-        self.positions
-            .iter()
-            .find(|(c, _)| *c == cell)
-            .map(|(_, x)| *x)
-    }
-
     /// The positions as a map keyed by region cell index.
     pub fn as_map(&self) -> std::collections::BTreeMap<usize, i64> {
         self.positions.iter().copied().collect()

@@ -254,7 +254,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("eco_applied_total{kind=\"move\"}").add(7);
         reg.counter("eco_applied_total{kind=\"resize\"}").add(2);
-        reg.gauge("pipeline_depth").set(3);
+        reg.gauge("queue_depth").set(3);
         let h = reg.histogram("apply_latency_ns");
         for v in [100u64, 200, 400, 120_000] {
             h.record(v);
@@ -288,7 +288,7 @@ mod tests {
     fn snapshot_json_carries_all_instruments() {
         let json = snapshot_json(&sample_snapshot());
         assert!(json.contains("\"eco_applied_total{kind=\\\"move\\\"}\":7"));
-        assert!(json.contains("\"pipeline_depth\":3"));
+        assert!(json.contains("\"queue_depth\":3"));
         assert!(json.contains("\"count\":4"));
         assert!(json.contains("\"p999\":"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -300,7 +300,7 @@ mod tests {
         assert_eq!(text.matches("# TYPE eco_applied_total counter").count(), 1);
         assert!(text.contains("eco_applied_total{kind=\"move\"} 7"));
         assert!(text.contains("eco_applied_total{kind=\"resize\"} 2"));
-        assert!(text.contains("# TYPE pipeline_depth gauge"));
+        assert!(text.contains("# TYPE queue_depth gauge"));
         assert!(text.contains("# TYPE apply_latency_ns histogram"));
         assert!(text.contains("apply_latency_ns_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("apply_latency_ns_sum 120700"));

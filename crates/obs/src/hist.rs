@@ -92,18 +92,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Record a value `n` times.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        let i = bucket_index(v);
-        self.counts[i] = self.counts[i].saturating_add(n);
-        self.count = self.count.saturating_add(n);
-        self.sum = self.sum.saturating_add(v.saturating_mul(n));
-        if n > 0 {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-    }
-
     /// Record a duration as nanoseconds (saturating past ~584 years).
     #[inline]
     pub fn record_duration(&mut self, d: std::time::Duration) {

@@ -11,7 +11,7 @@
 //! vertically adjacent rows, mirroring the ICCAD 2017 multi-deck formulation. Even-height cells
 //! additionally carry a power-rail parity constraint (see [`crate::row::Rail`]).
 
-use crate::geom::{Interval, Point, Rect};
+use crate::geom::{Interval, Rect};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a cell: index into [`crate::layout::Design::cells`].
@@ -135,16 +135,6 @@ impl Cell {
     /// Rows occupied at the current position.
     pub fn rows(&self) -> impl Iterator<Item = i64> {
         self.y..self.y + self.height
-    }
-
-    /// The global-placement position as a [`Point`].
-    pub fn global_pos(&self) -> Point {
-        Point::new(self.gx, self.gy)
-    }
-
-    /// The current position as a [`Point`].
-    pub fn current_pos(&self) -> Point {
-        Point::new(self.x as f64, self.y as f64)
     }
 
     /// Manhattan displacement between current and global-placement positions (Eq. (1)).

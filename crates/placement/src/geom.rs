@@ -7,27 +7,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A point in site/row units (floating point, used for global-placement positions).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Point {
-    /// Horizontal coordinate in site units.
-    pub x: f64,
-    /// Vertical coordinate in row units.
-    pub y: f64,
-}
-
-impl Point {
-    /// Create a new point.
-    pub fn new(x: f64, y: f64) -> Self {
-        Self { x, y }
-    }
-
-    /// Manhattan distance to another point.
-    pub fn manhattan(&self, other: &Point) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-}
-
 /// A half-open integer interval `[lo, hi)` on the site axis.
 ///
 /// Intervals are the work-horse of segment extraction and insertion-point enumeration:
@@ -221,15 +200,6 @@ impl Rect {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn point_manhattan_distance() {
-        let a = Point::new(1.0, 2.0);
-        let b = Point::new(4.0, -2.0);
-        assert_eq!(a.manhattan(&b), 7.0);
-        assert_eq!(b.manhattan(&a), 7.0);
-        assert_eq!(a.manhattan(&a), 0.0);
-    }
 
     #[test]
     fn interval_basic_properties() {

@@ -211,15 +211,6 @@ impl Design {
         free
     }
 
-    /// Ids of movable cells whose current rectangle overlaps `rect`.
-    pub fn movable_in_rect(&self, rect: &Rect) -> Vec<CellId> {
-        self.cells
-            .iter()
-            .filter(|c| !c.fixed && c.rect().overlaps(rect))
-            .map(|c| c.id)
-            .collect()
-    }
-
     /// Total overlapping area between pairs of movable cells plus movable-vs-blocked area.
     ///
     /// This is an O(n log n) sweep over row-bucketed cells, intended for verification and for

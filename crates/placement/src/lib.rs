@@ -45,7 +45,7 @@ pub mod snapshot;
 pub mod store;
 
 pub use cell::{Cell, CellId};
-pub use geom::{Interval, Point, Rect};
+pub use geom::{Interval, Rect};
 pub use layout::Design;
 pub use legality::{check_legality, LegalityReport, Violation};
 pub use metrics::{average_displacement, DisplacementStats};

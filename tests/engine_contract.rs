@@ -136,71 +136,60 @@ fn serial_and_parallel_mgl_agree_cell_for_cell_through_the_trait() {
 fn dynamic_ordering_runs_the_parallel_path_and_matches_serial_through_the_trait() {
     // the FLEX **default** configuration (sliding-window density ordering) previously forced
     // `EngineKind::MglParallel` to degrade to fully-serial execution, so this equivalence was
-    // impossible to state; it now runs the peeked-prefix speculative path — pipelined and not —
-    // and must reproduce the serial dynamic-order engine cell for cell
-    for pipelined in [true, false] {
-        let cfg = FlexConfig::flex()
-            .with_host_threads(4)
-            .with_host_pipeline_depth(if pipelined { 2 } else { 1 });
-        let design = generate(&BenchmarkSpec::tiny("contract-dynamic", 82).with_density(0.65));
-        let session = FlexSession::new(design).with_config(cfg);
-        let serial = session.run_engine(EngineKind::MglSerial);
-        let parallel = session.run_engine(EngineKind::MglParallel);
+    // impossible to state; it now runs the peeked-prefix speculative path and must reproduce
+    // the serial dynamic-order engine cell for cell
+    let cfg = FlexConfig::flex().with_host_threads(4);
+    let design = generate(&BenchmarkSpec::tiny("contract-dynamic", 82).with_density(0.65));
+    let session = FlexSession::new(design).with_config(cfg);
+    let serial = session.run_engine(EngineKind::MglSerial);
+    let parallel = session.run_engine(EngineKind::MglParallel);
 
-        assert_eq!(
-            positions(&serial.design),
-            positions(&parallel.design),
-            "dynamic-order parallel MGL must reproduce the serial placement (pipelined {pipelined})"
-        );
-        assert_eq!(serial.report.legal, parallel.report.legal);
-        assert_eq!(
-            serial.report.displacement.average,
-            parallel.report.displacement.average
-        );
-        assert_eq!(
-            serial.report.displacement.total,
-            parallel.report.displacement.total
-        );
-        let shards = &parallel
-            .report
-            .details::<flex::mgl::ParallelLegalizeResult>()
-            .expect("parallel details")
-            .shards;
-        assert!(
-            shards.speculated > 0,
-            "the dynamic order must be speculated, not serialized"
-        );
-        assert_eq!(shards.order_invalidated, 0, "no orphaned speculations");
-        if !pipelined {
-            assert_eq!(shards.pipelined_batches, 0);
-        }
-    }
+    assert_eq!(
+        positions(&serial.design),
+        positions(&parallel.design),
+        "dynamic-order parallel MGL must reproduce the serial placement"
+    );
+    assert_eq!(serial.report.legal, parallel.report.legal);
+    assert_eq!(
+        serial.report.displacement.average,
+        parallel.report.displacement.average
+    );
+    assert_eq!(
+        serial.report.displacement.total,
+        parallel.report.displacement.total
+    );
+    let shards = &parallel
+        .report
+        .details::<flex::mgl::ParallelLegalizeResult>()
+        .expect("parallel details")
+        .shards;
+    assert!(
+        shards.speculated > 0,
+        "the dynamic order must be speculated, not serialized"
+    );
+    assert_eq!(shards.order_invalidated, 0, "no orphaned speculations");
 }
 
 #[test]
-fn flex_host_engine_runs_at_the_configured_pipeline_depth() {
+fn flex_and_mgl_parallel_report_identical_shards() {
     // FLEX's host steps and `EngineKind::MglParallel` are one engine built from one config,
-    // so every schedule counter — cross-batch invalidations included — must agree per depth
+    // so every schedule counter — cross-batch invalidations included — must agree
     let design = generate(&BenchmarkSpec::tiny("contract-depth", 83).with_density(0.7));
-    for depth in 1..=3 {
-        let cfg = FlexConfig::flex()
-            .with_host_threads(2)
-            .with_host_pipeline_depth(depth);
-        let session = FlexSession::new(design.clone()).with_config(cfg);
-        let flex = session.run_engine(EngineKind::Flex);
-        let parallel = session.run_engine(EngineKind::MglParallel);
-        let flex_shards = flex
-            .report
-            .details::<flex::core::FlexOutcome>()
-            .and_then(|outcome| outcome.shards.clone())
-            .expect("FLEX ran its host steps on the parallel engine");
-        let parallel_shards = &parallel
-            .report
-            .details::<flex::mgl::ParallelLegalizeResult>()
-            .expect("parallel details")
-            .shards;
-        assert_eq!(&flex_shards, parallel_shards, "depth {depth}");
-    }
+    let cfg = FlexConfig::flex().with_host_threads(2);
+    let session = FlexSession::new(design).with_config(cfg);
+    let flex = session.run_engine(EngineKind::Flex);
+    let parallel = session.run_engine(EngineKind::MglParallel);
+    let flex_shards = flex
+        .report
+        .details::<flex::core::FlexOutcome>()
+        .and_then(|outcome| outcome.shards.clone())
+        .expect("FLEX ran its host steps on the parallel engine");
+    let parallel_shards = &parallel
+        .report
+        .details::<flex::mgl::ParallelLegalizeResult>()
+        .expect("parallel details")
+        .shards;
+    assert_eq!(&flex_shards, parallel_shards);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! six engines may panic on such input: the float comparators use `f64::total_cmp`, the
 //! slope-balance debug assertions use a relative tolerance that ignores non-finite sums,
 //! and the pre-move step saturates positions onto the die. These tests drive every
-//! `EngineKind` — including the epoch-pipelined parallel host engine at depth 3 — over
+//! `EngineKind` — including the epoch-pipelined parallel host engine on two threads — over
 //! designs whose movable cells have NaN and ±1e300 / ±1e9 desired coordinates.
 
 use flex::core::config::FlexConfig;
@@ -46,11 +46,9 @@ proptest! {
             d
         };
 
-        // depth-3 pipelining on two host threads exercises the epoch store under the
-        // same hostile input as the serial engines
-        let cfg = FlexConfig::flex()
-            .with_host_threads(2)
-            .with_host_pipeline_depth(3);
+        // two host threads exercise the epoch store under the same hostile input as the
+        // serial engines
+        let cfg = FlexConfig::flex().with_host_threads(2);
 
         for kind in EngineKind::all() {
             let mut d = base.clone();

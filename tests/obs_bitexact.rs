@@ -38,11 +38,9 @@ fn run_serial(spec: &BenchmarkSpec) -> Placement {
     capture(&d, result.average_displacement, result.legal)
 }
 
-fn run_parallel(spec: &BenchmarkSpec, depth: usize) -> Placement {
+fn run_parallel(spec: &BenchmarkSpec) -> Placement {
     let mut d = generate(spec);
-    let out = ParallelMglLegalizer::new(4, MglConfig::default())
-        .with_pipeline_depth(depth)
-        .legalize(&mut d);
+    let out = ParallelMglLegalizer::new(4, MglConfig::default()).legalize(&mut d);
     capture(&d, out.result.average_displacement, out.result.legal)
 }
 
@@ -69,13 +67,7 @@ fn serial_oracle_is_bit_identical_with_spans_enabled() {
 #[test]
 fn parallel_pipelined_is_bit_identical_with_spans_enabled() {
     let spec = BenchmarkSpec::tiny("obs-bitexact-par", 17);
-    assert_observation_free("parallel depth 2", || run_parallel(&spec, 2));
-}
-
-#[test]
-fn parallel_barrier_is_bit_identical_with_spans_enabled() {
-    let spec = BenchmarkSpec::tiny("obs-bitexact-barrier", 19);
-    assert_observation_free("parallel depth 1", || run_parallel(&spec, 1));
+    assert_observation_free("parallel", || run_parallel(&spec));
 }
 
 /// The cross-engine oracle equivalence (serial ≡ parallel, byte for byte) must survive
@@ -87,7 +79,7 @@ fn serial_equals_parallel_with_spans_enabled() {
     flex_obs::set_enabled(true);
     let spec = BenchmarkSpec::tiny("obs-bitexact-cross", 23);
     let serial = run_serial(&spec);
-    let parallel = run_parallel(&spec, 2);
+    let parallel = run_parallel(&spec);
     flex_obs::set_enabled(false);
     assert!(serial.legal);
     assert_eq!(

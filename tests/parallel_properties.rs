@@ -1,9 +1,8 @@
 //! Property-based tests for the parallel region-sharded MGL engine: legality of every
 //! legalizer on random benchmarks, and determinism of serial vs. parallel legalization
-//! across the full {pipeline depth} × {ordering strategy} × {thread count} matrix —
-//! including the FLEX default dynamic (sliding-window density) ordering and pipeline
-//! depths above 2, where several speculation batches are in flight against distinct
-//! epoch snapshots of the copy-on-write cell store.
+//! across the full {ordering strategy} × {thread count} matrix — including the FLEX default
+//! dynamic (sliding-window density) ordering, where each speculation batch runs against an
+//! epoch snapshot of the copy-on-write cell store while the previous batch commits.
 
 use flex::baselines::cpu::CpuLegalizer;
 use flex::mgl::parallel::ParallelMglLegalizer;
@@ -95,15 +94,14 @@ proptest! {
         }
     }
 
-    /// The full engine matrix: {pipeline depth 1–4} × {natural, size-descending,
-    /// sliding-window-density} orderings × thread counts, asserting **cell-for-cell**
-    /// equality with the serial legalizer run under the same configuration. Depth 1 is
-    /// the barrier engine (no speculation across batches); depth 2 is the classic
-    /// double-buffered pipeline; depths 3 and 4 keep several batches speculating against
-    /// distinct epoch snapshots, so these rows prove the per-slot write-rect staleness
-    /// guard and the epoch store's promotion logic preserve serial bit-exactness.
+    /// The full engine matrix: {natural, size-descending, sliding-window-density}
+    /// orderings × thread counts, asserting **cell-for-cell** equality with the serial
+    /// legalizer run under the same configuration. Every batch speculates against an epoch
+    /// snapshot while the previous batch commits, so these rows prove the per-slot
+    /// write-rect staleness guard and the epoch store's promotion logic preserve serial
+    /// bit-exactness.
     #[test]
-    fn pipeline_depth_ordering_thread_matrix_is_serial_identical(
+    fn ordering_thread_matrix_is_serial_identical(
         seed in 0u64..10_000,
         density in 0.35f64..0.75,
         threads in 1usize..6,
@@ -127,39 +125,30 @@ proptest! {
             let serial = MglLegalizer::new(cfg.clone()).legalize(&mut d_serial);
             let serial_pos = positions(&d_serial);
 
-            for depth in [1usize, 2, 3, 4] {
-                let mut d_par = generate(&spec);
-                let par = ParallelMglLegalizer::new(threads, cfg.clone())
-                    .with_pipeline_depth(depth)
-                    .legalize(&mut d_par);
-                prop_assert_eq!(par.result.legal, serial.legal);
-                prop_assert_eq!(
-                    &serial_pos,
-                    &positions(&d_par),
-                    "placements diverged: seed {} ordering {:?} depth {} threads {}",
-                    seed,
-                    ordering,
-                    depth,
-                    threads
-                );
-                prop_assert_eq!(par.result.placed_in_region, serial.placed_in_region);
-                prop_assert_eq!(par.result.fallback_placed, serial.fallback_placed);
-                prop_assert_eq!(&par.result.failed, &serial.failed);
-                prop_assert_eq!(
-                    par.result.average_displacement.to_bits(),
-                    serial.average_displacement.to_bits(),
-                    "S_am must be byte-identical (seed {seed} ordering {ordering:?} depth {depth})"
-                );
-                prop_assert_eq!(
-                    par.shards.order_invalidated,
-                    0,
-                    "dynamic order diverged from the peek (seed {seed} ordering {ordering:?})"
-                );
-                if depth == 1 {
-                    prop_assert_eq!(par.shards.pipelined_batches, 0);
-                    prop_assert_eq!(par.shards.cross_batch_invalidated, 0);
-                }
-            }
+            let mut d_par = generate(&spec);
+            let par = ParallelMglLegalizer::new(threads, cfg.clone()).legalize(&mut d_par);
+            prop_assert_eq!(par.result.legal, serial.legal);
+            prop_assert_eq!(
+                &serial_pos,
+                &positions(&d_par),
+                "placements diverged: seed {} ordering {:?} threads {}",
+                seed,
+                ordering,
+                threads
+            );
+            prop_assert_eq!(par.result.placed_in_region, serial.placed_in_region);
+            prop_assert_eq!(par.result.fallback_placed, serial.fallback_placed);
+            prop_assert_eq!(&par.result.failed, &serial.failed);
+            prop_assert_eq!(
+                par.result.average_displacement.to_bits(),
+                serial.average_displacement.to_bits(),
+                "S_am must be byte-identical (seed {seed} ordering {ordering:?})"
+            );
+            prop_assert_eq!(
+                par.shards.order_invalidated,
+                0,
+                "dynamic order diverged from the peek (seed {seed} ordering {ordering:?})"
+            );
         }
     }
 }

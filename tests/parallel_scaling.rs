@@ -1,9 +1,8 @@
 //! Acceptance tests for the parallel region-sharded MGL engine.
 //!
-//! The headline criteria — on a ≥50k-cell benchmark, 4 threads beat the serial legalizer's
-//! wall-clock, and the double-buffered pipeline beats the non-pipelined engine — need
-//! several minutes of CPU and at least 4 hardware cores, so they are `#[ignore]`d by
-//! default:
+//! The headline criterion — on a ≥50k-cell benchmark, 4 threads beat the serial legalizer's
+//! wall-clock — needs several minutes of CPU and at least 4 hardware cores, so it is
+//! `#[ignore]`d by default:
 //!
 //! ```text
 //! cargo test --release --test parallel_scaling -- --ignored
@@ -35,9 +34,9 @@ fn spec(cells: usize) -> BenchmarkSpec {
     .with_density(0.45)
 }
 
-/// Run serial and two 4-thread parallel variants (pipelined and not) on the same spec and
-/// assert the equivalence contract. Returns (serial, pipelined, non_pipelined) seconds.
-fn run_and_compare(cells: usize, cfg: &MglConfig) -> (f64, f64, f64) {
+/// Run the serial and the 4-thread parallel engine on the same spec and assert the
+/// equivalence contract. Returns (serial, parallel) seconds.
+fn run_and_compare(cells: usize, cfg: &MglConfig) -> (f64, f64) {
     let spec = spec(cells);
 
     let mut d_serial = generate(&spec);
@@ -56,92 +55,69 @@ fn run_and_compare(cells: usize, cfg: &MglConfig) -> (f64, f64, f64) {
         .map(|c| (c.x, c.y))
         .collect();
 
-    let mut times = [0.0f64; 2];
-    for (i, pipelined) in [true, false].into_iter().enumerate() {
-        let mut d_parallel = generate(&spec);
-        let t = Instant::now();
-        let parallel = ParallelMglLegalizer::new(4, cfg.clone())
-            .with_pipeline_depth(if pipelined { 2 } else { 1 })
-            .legalize(&mut d_parallel);
-        times[i] = t.elapsed().as_secs_f64();
+    let mut d_parallel = generate(&spec);
+    let t = Instant::now();
+    let parallel = ParallelMglLegalizer::new(4, cfg.clone()).legalize(&mut d_parallel);
+    let t_parallel = t.elapsed().as_secs_f64();
 
-        // byte-identical legality verdict and displacement stats
-        assert_eq!(serial.legal, parallel.result.legal);
-        assert_eq!(
-            serial.average_displacement.to_bits(),
-            parallel.result.average_displacement.to_bits(),
-            "average displacement must be byte-identical (pipelined {pipelined})"
-        );
-        assert_eq!(
-            serial.max_displacement.to_bits(),
-            parallel.result.max_displacement.to_bits(),
-            "max displacement must be byte-identical (pipelined {pipelined})"
-        );
-        assert_eq!(serial.placed_in_region, parallel.result.placed_in_region);
-        assert_eq!(serial.fallback_placed, parallel.result.fallback_placed);
-        let pp: Vec<(i64, i64)> = d_parallel
-            .cells
-            .iter()
-            .filter(|c| !c.fixed)
-            .map(|c| (c.x, c.y))
-            .collect();
-        assert_eq!(
-            ps, pp,
-            "placements must be identical (pipelined {pipelined})"
-        );
-        assert_eq!(
-            parallel.shards.order_invalidated, 0,
-            "no speculation may be orphaned by an order divergence"
-        );
-    }
+    // byte-identical legality verdict and displacement stats
+    assert_eq!(serial.legal, parallel.result.legal);
+    assert_eq!(
+        serial.average_displacement.to_bits(),
+        parallel.result.average_displacement.to_bits(),
+        "average displacement must be byte-identical"
+    );
+    assert_eq!(
+        serial.max_displacement.to_bits(),
+        parallel.result.max_displacement.to_bits(),
+        "max displacement must be byte-identical"
+    );
+    assert_eq!(serial.placed_in_region, parallel.result.placed_in_region);
+    assert_eq!(serial.fallback_placed, parallel.result.fallback_placed);
+    let pp: Vec<(i64, i64)> = d_parallel
+        .cells
+        .iter()
+        .filter(|c| !c.fixed)
+        .map(|c| (c.x, c.y))
+        .collect();
+    assert_eq!(ps, pp, "placements must be identical");
+    assert_eq!(
+        parallel.shards.order_invalidated, 0,
+        "no speculation may be orphaned by an order divergence"
+    );
 
-    (t_serial, times[0], times[1])
+    (t_serial, t_parallel)
 }
 
 #[test]
 fn parallel_engine_matches_serial_at_moderate_scale() {
-    let (t_serial, t_pipe, t_nopipe) = run_and_compare(2_500, &static_cfg());
-    eprintln!(
-        "2.5k cells static: serial {t_serial:.2}s, pipelined(4) {t_pipe:.2}s, \
-         non-pipelined(4) {t_nopipe:.2}s"
-    );
+    let (t_serial, t_parallel) = run_and_compare(2_500, &static_cfg());
+    eprintln!("2.5k cells static: serial {t_serial:.2}s, parallel(4) {t_parallel:.2}s");
 }
 
 #[test]
 fn parallel_engine_matches_serial_on_the_dynamic_flex_ordering() {
     // the FLEX default configuration — previously the serial-degradation branch, now the
     // peeked-prefix speculative path
-    let (t_serial, t_pipe, t_nopipe) = run_and_compare(2_500, &MglConfig::flex());
-    eprintln!(
-        "2.5k cells dynamic: serial {t_serial:.2}s, pipelined(4) {t_pipe:.2}s, \
-         non-pipelined(4) {t_nopipe:.2}s"
-    );
+    let (t_serial, t_parallel) = run_and_compare(2_500, &MglConfig::flex());
+    eprintln!("2.5k cells dynamic: serial {t_serial:.2}s, parallel(4) {t_parallel:.2}s");
 }
 
-/// The acceptance benchmark: ≥50k cells, 4 threads vs. serial, pipelined vs. not. Requires a
-/// multi-core machine for the wall-clock assertions and several minutes of CPU; run with
-/// `-- --ignored`.
+/// The acceptance benchmark: ≥50k cells, 4 threads vs. serial. Requires a multi-core machine
+/// for the wall-clock assertion and several minutes of CPU; run with `-- --ignored`.
 #[test]
 #[ignore = "needs >= 4 hardware cores and several minutes; run with -- --ignored"]
 fn parallel_beats_serial_wall_clock_on_50k_cells() {
-    let (t_serial, t_pipe, t_nopipe) = run_and_compare(50_000, &static_cfg());
-    eprintln!(
-        "50k cells: serial {t_serial:.2}s, pipelined(4) {t_pipe:.2}s, \
-         non-pipelined(4) {t_nopipe:.2}s"
-    );
+    let (t_serial, t_parallel) = run_and_compare(50_000, &static_cfg());
+    eprintln!("50k cells: serial {t_serial:.2}s, parallel(4) {t_parallel:.2}s");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     if cores >= 4 {
         assert!(
-            t_pipe < t_serial,
-            "4 pipelined threads must beat serial wall-clock on {cores} cores: \
-             {t_pipe:.2}s vs {t_serial:.2}s"
-        );
-        assert!(
-            t_pipe < t_nopipe,
-            "the double-buffered pipeline must beat the barrier-per-batch engine on \
-             {cores} cores: {t_pipe:.2}s vs {t_nopipe:.2}s"
+            t_parallel < t_serial,
+            "4 parallel threads must beat serial wall-clock on {cores} cores: \
+             {t_parallel:.2}s vs {t_serial:.2}s"
         );
     } else {
         eprintln!(
