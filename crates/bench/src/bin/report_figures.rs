@@ -18,7 +18,8 @@
 //!
 //! With `--fop-json` the binary instead runs the FOP-kernel perf comparison (the arena
 //! scratch path vs. the allocating `fop::reference` baseline on the synthetic
-//! crowded/sparse/tall regions) and writes the numbers to `BENCH_fop.json` (path
+//! crowded/sparse/tall regions). It alternates the two sides five times per case and writes
+//! each side's median and min–max range, with the core count, to `BENCH_fop.json` (path
 //! overridable via `FLEX_BENCH_FOP_OUT`), so the kernel's perf trajectory is tracked in
 //! the repository.
 //!
@@ -301,19 +302,43 @@ fn scalability() {
     }
 }
 
-/// One measured FOP-kernel case: reference vs. scratch wall time.
+/// One measured FOP-kernel case: reference vs. scratch wall time, one mean per repeat.
 struct FopBenchRow {
     name: &'static str,
     cells: usize,
     insertion_points: u64,
-    reference_ms: f64,
-    scratch_ms: f64,
+    reference_ms: Vec<f64>,
+    scratch_ms: Vec<f64>,
 }
 
 impl FopBenchRow {
     fn speedup(&self) -> f64 {
-        self.reference_ms / self.scratch_ms.max(1e-9)
+        median(&self.reference_ms) / median(&self.scratch_ms).max(1e-9)
     }
+}
+
+/// Median of a non-empty sample.
+fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len().is_multiple_of(2) {
+        (v[mid - 1] + v[mid]) / 2.0
+    } else {
+        v[mid]
+    }
+}
+
+/// `{"median": …, "min": …, "max": …}` of a non-empty sample.
+fn spread_json(xs: &[f64]) -> String {
+    let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    format!(
+        "{{\"median\": {:.4}, \"min\": {:.4}, \"max\": {:.4}}}",
+        median(xs),
+        min,
+        max
+    )
 }
 
 /// Mean wall-clock milliseconds of `f` over `iters` runs (after one warm-up).
@@ -325,6 +350,10 @@ fn time_ms(iters: u32, mut f: impl FnMut()) -> f64 {
     }
     start.elapsed().as_secs_f64() * 1e3 / iters as f64
 }
+
+/// Repeats per side of every `--fop-json` case; reference and scratch alternate, so a drift
+/// in machine speed lands on both sides.
+const FOP_REPEATS: usize = 5;
 
 /// `--fop-json`: measure the FOP kernel (arena scratch vs. allocating reference) on the
 /// synthetic regions and write `BENCH_fop.json`.
@@ -339,23 +368,31 @@ fn fop_json() {
         let mut points = 0u64;
         // fewer iterations on the heavy crowded case keep the mode quick but stable
         let iters = if case.name == "crowded" { 12 } else { 40 };
-        let reference_ms = time_ms(iters, || {
-            let mut stats = FopOpStats::default();
-            let out =
-                fop::reference::find_optimal_position(&case.region, &case.target, &cfg, &mut stats);
-            points = out.work.insertion_points;
-        });
-        let scratch_ms = time_ms(iters, || {
-            let mut stats = FopOpStats::default();
-            let out = fop::find_optimal_position_with(
-                &case.region,
-                &case.target,
-                &cfg,
-                &mut stats,
-                &mut scratch,
-            );
-            points = out.work.insertion_points;
-        });
+        let mut reference_ms = Vec::with_capacity(FOP_REPEATS);
+        let mut scratch_ms = Vec::with_capacity(FOP_REPEATS);
+        for _ in 0..FOP_REPEATS {
+            reference_ms.push(time_ms(iters, || {
+                let mut stats = FopOpStats::default();
+                let out = fop::reference::find_optimal_position(
+                    &case.region,
+                    &case.target,
+                    &cfg,
+                    &mut stats,
+                );
+                points = out.work.insertion_points;
+            }));
+            scratch_ms.push(time_ms(iters, || {
+                let mut stats = FopOpStats::default();
+                let out = fop::find_optimal_position_with(
+                    &case.region,
+                    &case.target,
+                    &cfg,
+                    &mut stats,
+                    &mut scratch,
+                );
+                points = out.work.insertion_points;
+            }));
+        }
         rows.push(FopBenchRow {
             name: case.name,
             cells: case.region.cells.len(),
@@ -365,15 +402,18 @@ fn fop_json() {
         });
     }
 
-    let mut json = String::from("{\n  \"bench\": \"fop_kernel\",\n  \"unit\": \"ms per find_optimal_position call\",\n  \"cases\": [\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut json = format!(
+        "{{\n  \"bench\": \"fop_kernel\",\n  \"unit\": \"ms per find_optimal_position call\",\n  \"repeats\": {FOP_REPEATS},\n  \"available_parallelism\": {cores},\n  \"cases\": [\n"
+    );
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"case\": \"{}\", \"cells\": {}, \"insertion_points\": {}, \"reference_ms\": {:.4}, \"scratch_ms\": {:.4}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"case\": \"{}\", \"cells\": {}, \"insertion_points\": {}, \"reference_ms\": {}, \"scratch_ms\": {}, \"speedup\": {:.2}}}{}\n",
             r.name,
             r.cells,
             r.insertion_points,
-            r.reference_ms,
-            r.scratch_ms,
+            spread_json(&r.reference_ms),
+            spread_json(&r.scratch_ms),
             r.speedup(),
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -382,11 +422,18 @@ fn fop_json() {
 
     let path = std::env::var("FLEX_BENCH_FOP_OUT").unwrap_or_else(|_| "BENCH_fop.json".to_string());
     std::fs::write(&path, &json).expect("write BENCH_fop.json");
-    println!("--- FOP kernel: arena scratch vs. allocating reference ---");
+    println!(
+        "--- FOP kernel: arena scratch vs. allocating reference (median of {FOP_REPEATS} alternating repeats, {cores} cores) ---"
+    );
     for r in &rows {
         println!(
             "  {:<8} {:>4} cells {:>4} points   reference {:>9.3} ms   scratch {:>9.3} ms   {:>5.2}x",
-            r.name, r.cells, r.insertion_points, r.reference_ms, r.scratch_ms, r.speedup()
+            r.name,
+            r.cells,
+            r.insertion_points,
+            median(&r.reference_ms),
+            median(&r.scratch_ms),
+            r.speedup()
         );
     }
     println!("  wrote {path}");

@@ -21,9 +21,12 @@
 //! The primary entry point, [`find_optimal_position_with`], threads a reusable [`FopScratch`]
 //! through the whole chain: one set of grow-only buffers (shift positions, curves,
 //! breakpoints, merged breakpoints, slope prefix sums) serves every insertion point of every
-//! region, and per-region state (row-membership index, per-cell anchor displacements, the
-//! target's own curve, the SACS presort) is computed once per region instead of once per
-//! point. The allocating implementation it replaced is kept verbatim under [`mod@reference`]: it
+//! region, and per-region state (the localCells sorted once by `(x, index)` — the SACS
+//! Ahead-Sorter — and the per-segment cell lists presorted in that order, per-cell anchor
+//! displacements, the target's own curve) is computed once per region instead of once per
+//! point. Cell shifting builds each point's traversal lists by walking the presorted rows,
+//! and SACS streams its output in the region order, so no phase problem sorts its setup.
+//! The allocating implementation it replaced is kept verbatim under [`mod@reference`]: it
 //! is the differential-testing oracle and the baseline the `fop_kernel` bench compares
 //! against. Placements, costs and work counters are bit-identical between the two.
 
@@ -111,12 +114,13 @@ impl CurvePool {
 /// One instance per engine (serial legalizers) or per worker thread (parallel engines, via
 /// [`FopScratch::with_thread_local`]) serves every insertion point of every target without
 /// touching the allocator after warm-up. Besides buffer reuse it carries the per-region
-/// incremental state: the shift row index, per-cell anchor displacements, the target's own
-/// displacement curve, and the SACS Ahead-Sorter presort — all computed once per region
+/// incremental state: the shift scratch's `(x, index)` order of the localCells (the SACS
+/// Ahead-Sorter) and the per-segment cell lists presorted in that order, per-cell anchor
+/// displacements, and the target's own displacement curve — all computed once per region
 /// where the [`mod@reference`] implementation recomputes them once per insertion point.
 #[derive(Debug, Clone, Default)]
 pub struct FopScratch {
-    /// Shifting buffers + the per-region row-membership index.
+    /// Shifting buffers + the per-region presorted order and row lists.
     pub(crate) shift: ShiftScratch,
     /// Left-phase outcome buffer.
     pub(crate) left: ShiftOutcome,
@@ -128,8 +132,6 @@ pub struct FopScratch {
     target_curve: DisplacementCurve,
     /// Per-cell current displacement `|x − gx|`, computed once per region.
     anchor_disp: Vec<f64>,
-    /// The SACS Ahead-Sorter presort buffer (hoisted to once per region).
-    presort: Vec<i64>,
     /// Gathered breakpoints of one insertion point.
     bps: Vec<Breakpoint>,
     /// Merged breakpoints.
@@ -169,32 +171,50 @@ impl FopScratch {
         })
     }
 
-    /// Prepare the per-region state: the shift row index, the per-cell anchor displacements,
-    /// the target curve, and (for SACS) the hoisted Ahead-Sorter presort.
+    /// Prepare the per-region state: the per-cell anchor displacements, the target curve,
+    /// and the shift scratch's presorted region order and row lists.
     fn begin_region(
         &mut self,
         region: &LocalRegion,
         target: &TargetSpec,
         config: &MglConfig,
-        op_stats: &mut FopOpStats,
+        clock: &mut OpClock<'_>,
     ) {
-        self.shift.begin_region(region);
         self.anchor_disp.clear();
         self.anchor_disp
             .extend(region.cells.iter().map(|c| (c.x as f64 - c.gx).abs()));
         self.target_curve.set_abs(target.gx);
-        if config.shift == ShiftAlgorithm::Sacs {
-            // The Ahead-Sorter presort models the hardware sorter's input stream; the host
-            // only needs it for the Fig. 6(g) timing share. It used to run once per
-            // insertion point (sorting the same localCells over and over); it is a
-            // per-region quantity, so it now runs once per region, still attributed to
-            // `Presort`.
-            let t_sort = Instant::now();
-            self.presort.clear();
-            self.presort.extend(region.cells.iter().map(|c| c.x));
-            self.presort.sort_unstable();
-            op_stats.add(FopOperator::Presort, t_sort.elapsed());
+        clock.lap(FopOperator::Other);
+        self.shift.begin_region(region);
+        // Under SACS this sort is the Ahead-Sorter (the Fig. 6(g) `Presort` share); the
+        // original algorithm has no sorter stage, so there it is part of cell shifting.
+        clock.lap(match config.shift {
+            ShiftAlgorithm::Sacs => FopOperator::Presort,
+            ShiftAlgorithm::Original => FopOperator::CellShift,
+        });
+    }
+}
+
+/// Charges consecutive stretches of FOP wall time to operators. Each [`OpClock::lap`] reads
+/// the clock once and charges everything since the previous lap to one operator, so adjacent
+/// operators share a clock read and no time falls between them.
+struct OpClock<'a> {
+    stats: &'a mut FopOpStats,
+    last: Instant,
+}
+
+impl<'a> OpClock<'a> {
+    fn start(stats: &'a mut FopOpStats) -> Self {
+        Self {
+            stats,
+            last: Instant::now(),
         }
+    }
+
+    fn lap(&mut self, op: FopOperator) {
+        let now = Instant::now();
+        self.stats.add(op, now - self.last);
+        self.last = now;
     }
 }
 
@@ -216,7 +236,7 @@ pub fn find_optimal_position(
 /// Evaluate every insertion point of `region` with the given scratch arena and return the
 /// optimal placement. Bit-identical to [`reference::find_optimal_position`] in placements,
 /// costs and work counters; only wall-clock operator stats differ (they measure the faster
-/// kernel, and the SACS presort is attributed once per region instead of once per point).
+/// kernel, and the per-region sort is attributed once per region instead of once per point).
 pub fn find_optimal_position_with(
     region: &LocalRegion,
     target: &TargetSpec,
@@ -224,6 +244,7 @@ pub fn find_optimal_position_with(
     op_stats: &mut FopOpStats,
     scratch: &mut FopScratch,
 ) -> FopOutcome {
+    let mut clock = OpClock::start(op_stats);
     let mut outcome = FopOutcome::default();
     let work = &mut outcome.work;
     work.target = region.target;
@@ -236,7 +257,6 @@ pub fn find_optimal_position_with(
     // take the enumeration buffers out of the scratch so the per-point evaluation can borrow
     // the rest of it mutably; the allocations go back afterwards
     let mut insertion = std::mem::take(&mut scratch.insertion);
-    let t_enum = Instant::now();
     let n_points = enumerate_insertion_points_into(
         region,
         target.width,
@@ -246,15 +266,15 @@ pub fn find_optimal_position_with(
         config.max_insertion_points,
         &mut insertion,
     );
-    op_stats.add(FopOperator::Other, t_enum.elapsed());
+    clock.lap(FopOperator::Other);
     work.insertion_points = n_points as u64;
 
-    scratch.begin_region(region, target, config, op_stats);
+    scratch.begin_region(region, target, config, &mut clock);
 
     let mut best: Option<(i64, f64, usize)> = None; // (x, cost, point index)
     for (idx, point) in insertion.points().iter().enumerate() {
         if let Some((x, cost)) =
-            evaluate_point_with(region, target, point, config, op_stats, work, scratch)
+            evaluate_point_with(region, target, point, config, &mut clock, work, scratch)
         {
             work.feasible_points += 1;
             let better = match best {
@@ -287,7 +307,7 @@ fn evaluate_point_with(
     target: &TargetSpec,
     point: &InsertionPoint,
     config: &MglConfig,
-    op_stats: &mut FopOpStats,
+    clock: &mut OpClock<'_>,
     work: &mut RegionWork,
     scratch: &mut FopScratch,
 ) -> Option<(i64, f64)> {
@@ -306,7 +326,6 @@ fn evaluate_point_with(
     } = scratch;
 
     // --- cell shifting at both extremes of the feasible range -----------------------------
-    let t_shift = Instant::now();
     let left_problem = ShiftProblem {
         region,
         point,
@@ -344,12 +363,11 @@ fn evaluate_point_with(
         }
     };
     // timed on both exits: most points of a crowded region turn out infeasible here
-    op_stats.add(FopOperator::CellShift, t_shift.elapsed());
+    clock.lap(FopOperator::CellShift);
     shifted.ok()?;
     work.subcell_visits += left.subcell_visits + right.subcell_visits;
 
     // --- displacement curves (pooled; target curve prebuilt per region) --------------------
-    let t_curves = Instant::now();
     curves.clear();
     for &(i, pos) in &left.positions {
         let c = &region.cells[i];
@@ -370,21 +388,8 @@ fn evaluate_point_with(
             curve.anchor.1 -= anchor_disp[i];
         }
     }
-    op_stats.add(FopOperator::Other, t_curves.elapsed());
-
-    // --- breakpoint pipeline ---------------------------------------------------------------
     let lo = point.x_lo as f64;
     let hi = point.x_hi as f64;
-    let t_sort_bp = Instant::now();
-    bps.clear();
-    bps.extend(target_curve.breakpoints.iter().copied());
-    for c in curves.iter() {
-        bps.extend(c.breakpoints.iter().copied());
-    }
-    bps.sort_by(|a, b| a.x.total_cmp(&b.x));
-    op_stats.add(FopOperator::SortBp, t_sort_bp.elapsed());
-    work.breakpoints += bps.len() as u64;
-
     let all_curves = || std::iter::once(&*target_curve).chain(curves.iter());
     let anchor_value: f64 = all_curves().map(|c| c.eval(lo)).sum();
     // total slope left of every breakpoint: the sum of each curve's initial slope
@@ -392,6 +397,18 @@ fn evaluate_point_with(
         .filter_map(|c| c.breakpoints.first())
         .map(|bp| bp.left_slope)
         .sum();
+    clock.lap(FopOperator::Other);
+
+    // --- breakpoint pipeline ---------------------------------------------------------------
+    bps.clear();
+    bps.extend(target_curve.breakpoints.iter().copied());
+    for c in curves.iter() {
+        bps.extend(c.breakpoints.iter().copied());
+    }
+    bps.sort_by(|a, b| a.x.total_cmp(&b.x));
+    clock.lap(FopOperator::SortBp);
+    work.breakpoints += bps.len() as u64;
+
     let (best_x, horiz_cost) = match config.fop {
         FopVariant::Original => original_pipeline_with(
             bps,
@@ -399,7 +416,7 @@ fn evaluate_point_with(
             anchor_value,
             lo,
             hi,
-            op_stats,
+            clock,
             merged,
             slopes_r,
             slopes_l,
@@ -410,7 +427,7 @@ fn evaluate_point_with(
             anchor_value,
             lo,
             hi,
-            op_stats,
+            clock,
             merged,
             slopes_r,
             slopes_l,
@@ -504,12 +521,11 @@ fn original_pipeline_with(
     anchor_value: f64,
     lo: f64,
     hi: f64,
-    op_stats: &mut FopOpStats,
+    clock: &mut OpClock<'_>,
     merged: &mut Vec<MergedBp>,
     slopes_r: &mut Vec<f64>,
     slopes_l: &mut Vec<f64>,
 ) -> (f64, f64) {
-    let t_merge = Instant::now();
     merged.clear();
     for bp in sorted {
         match merged.last_mut() {
@@ -524,21 +540,19 @@ fn original_pipeline_with(
             }),
         }
     }
-    op_stats.add(FopOperator::MergeBp, t_merge.elapsed());
+    clock.lap(FopOperator::MergeBp);
 
     // sum slopesR: forward traversal accumulating Σ (right − left) up to each breakpoint
-    let t_r = Instant::now();
     slopes_r.clear();
     let mut acc = 0.0;
     for m in merged.iter() {
         acc += m.right - m.left;
         slopes_r.push(acc);
     }
-    op_stats.add(FopOperator::SumSlopesR, t_r.elapsed());
+    clock.lap(FopOperator::SumSlopesR);
 
     // sum slopesL: backward traversal accumulating Σ (left − right) from each breakpoint on —
     // the suffix counterpart of slopesR (used by the value computation in its backward form).
-    let t_l = Instant::now();
     slopes_l.clear();
     slopes_l.resize(merged.len(), 0.0);
     let mut suffix = 0.0;
@@ -546,16 +560,15 @@ fn original_pipeline_with(
         suffix += merged[i].left - merged[i].right;
         slopes_l[i] = suffix;
     }
-    op_stats.add(FopOperator::SumSlopesL, t_l.elapsed());
+    clock.lap(FopOperator::SumSlopesL);
 
     // calculate value: integrate the slopes from the domain edge and pick the minimum
-    let t_val = Instant::now();
     debug_assert!(
         merged.is_empty() || slopes_balanced(*slopes_r.last().unwrap(), slopes_l[0]),
         "prefix and suffix slope sums must cancel"
     );
     let result = scan_minimum(merged, slopes_r, base_slope, anchor_value, lo, hi);
-    op_stats.add(FopOperator::CalcValue, t_val.elapsed());
+    clock.lap(FopOperator::CalcValue);
     result
 }
 
@@ -579,13 +592,12 @@ fn reorganized_pipeline_with(
     anchor_value: f64,
     lo: f64,
     hi: f64,
-    op_stats: &mut FopOpStats,
+    clock: &mut OpClock<'_>,
     merged: &mut Vec<MergedBp>,
     slopes_r: &mut Vec<f64>,
     slopes_l: &mut Vec<f64>,
 ) -> (f64, f64) {
     // fwdtraverse: merge on the fly while accumulating the right-slope prefix sums
-    let t_fwd = Instant::now();
     merged.clear();
     slopes_r.clear();
     let mut acc = 0.0;
@@ -608,10 +620,9 @@ fn reorganized_pipeline_with(
             }
         }
     }
-    op_stats.add(FopOperator::FwdTraverse, t_fwd.elapsed());
+    clock.lap(FopOperator::FwdTraverse);
 
     // bwdtraverse: suffix left-slope accumulation fused with the final value scan
-    let t_bwd = Instant::now();
     slopes_l.clear();
     slopes_l.resize(merged.len(), 0.0);
     let mut suffix = 0.0;
@@ -621,7 +632,7 @@ fn reorganized_pipeline_with(
     }
     let _ = &slopes_l;
     let result = scan_minimum(merged, slopes_r, base_slope, anchor_value, lo, hi);
-    op_stats.add(FopOperator::BwdTraverse, t_bwd.elapsed());
+    clock.lap(FopOperator::BwdTraverse);
     result
 }
 
@@ -1168,7 +1179,7 @@ mod tests {
                 anchor,
                 lo,
                 hi,
-                &mut st,
+                &mut OpClock::start(&mut st),
                 &mut merged,
                 &mut sr,
                 &mut sl,
@@ -1180,7 +1191,7 @@ mod tests {
                 anchor,
                 lo,
                 hi,
-                &mut st,
+                &mut OpClock::start(&mut st),
                 &mut merged,
                 &mut sr,
                 &mut sl,

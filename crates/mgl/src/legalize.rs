@@ -490,8 +490,8 @@ pub fn plan_commit_with(
         commit_spans,
         ..
     } = scratch;
-    // commit planning is also entered directly (speculation, baselines), so rebuild the
-    // cheap per-region row index rather than assuming a preceding FOP call prepared it
+    // commit planning is also entered directly (speculation, baselines), so redo the
+    // per-region presort rather than assuming a preceding FOP call prepared it
     shift.begin_region(region);
     match cfg.shift {
         ShiftAlgorithm::Original => {

@@ -20,9 +20,20 @@
 //! consumes. The runtime difference between the two algorithms therefore shows up exactly where
 //! the paper claims it does (hardware pipelining and memory traffic), never in placement
 //! quality.
+//!
+//! The presort is real in the scratch kernel: [`ShiftScratch::begin_region`] sorts the
+//! localCells once per region by `(x, index)`, every phase problem builds its per-row lists from
+//! that order instead of sorting, and [`shift_phase_sacs_with_stats_into`] streams its output in
+//! it. The positions still come from the canonical multi-pass fixpoint, which re-sorts each row
+//! by current position on every pass. Algorithm 4's single pass cannot replace it without
+//! changing placements: it keeps each row in presorted order, so a multi-row cell pushed in one
+//! row can never overtake a neighbour in another. `shift::tests::
+//! a_multi_row_cell_overtakes_its_neighbour_on_the_second_pass` pins a region where the
+//! fixpoint lets that happen on its second pass, and the order-preserving pass would push the
+//! neighbour out of its segment and reject the point.
 
 use crate::shift::{
-    shift_phase_original, shift_phase_original_with, Infeasible, Phase, ShiftOutcome, ShiftProblem,
+    resolve_phase_with, shift_phase_original, Infeasible, Phase, ShiftOutcome, ShiftProblem,
     ShiftScratch,
 };
 
@@ -89,11 +100,12 @@ pub fn shift_phase_sacs_with_stats(
     ))
 }
 
-/// Scratch twin of [`shift_phase_sacs_with_stats`]: resolves the canonical positions through
-/// [`shift_phase_original_with`] into the caller's `out` buffer, computes the SACS work
-/// profile from the scratch's phase bitmaps, and re-sorts the positions into the streaming
-/// order in place. Requires [`ShiftScratch::begin_region`] to have been called for
-/// `problem.region`. Bit-identical to the allocating function.
+/// Scratch twin of [`shift_phase_sacs_with_stats`]: resolves the canonical positions on the
+/// scratch, then streams the non-static cells into the caller's `out` buffer in the
+/// Ahead-Sorter order that [`ShiftScratch::begin_region`] built (reversed for the left-move
+/// phase), accumulating the SACS work profile on the way. Requires `begin_region` to have
+/// been called for `problem.region`. Bit-identical to the allocating function: its sort keys
+/// `(x, index)` are unique, so the streamed sequence is the one it sorts into.
 pub fn shift_phase_sacs_with_stats_into(
     problem: &ShiftProblem<'_>,
     phase: Phase,
@@ -101,35 +113,25 @@ pub fn shift_phase_sacs_with_stats_into(
     out: &mut ShiftOutcome,
 ) -> Result<SacsStats, Infeasible> {
     let region = problem.region;
-    shift_phase_original_with(problem, phase, scratch, out)?;
+    resolve_phase_with(problem, phase, scratch)?;
 
     let mut stats = SacsStats {
         sorted_cells: region.cells.len() as u64,
         ..SacsStats::default()
     };
-    let mut subcell_visits = 0u64;
-    for (i, c) in region.cells.iter().enumerate() {
-        if scratch.is_static(i) {
-            continue;
-        }
+    out.positions.clear();
+    for (i, x) in scratch.streamed(phase) {
+        let c = &region.cells[i];
         let rows = c.height as u64;
         stats.bound_queries += rows;
-        subcell_visits += rows;
         if c.height > 3 {
             stats.tall_bound_queries += rows;
         }
-    }
-
-    match phase {
-        Phase::Left => out
-            .positions
-            .sort_by_key(|&(i, _)| std::cmp::Reverse((region.cells[i].x, i as i64))),
-        Phase::Right => out
-            .positions
-            .sort_by_key(|&(i, _)| (region.cells[i].x, i as i64)),
+        out.positions.push((i, x));
     }
     out.passes = 1;
-    out.subcell_visits = subcell_visits;
+    // the single pass visits each participant subcell once, issuing one bound query there
+    out.subcell_visits = stats.bound_queries;
     Ok(stats)
 }
 
@@ -146,6 +148,7 @@ mod tests {
     use super::*;
     use crate::insertion::{enumerate_insertion_points_into, InsertionPoint, InsertionScratch};
     use crate::region::{LocalCell, LocalRegion, LocalSegment};
+    use crate::shift::shift_phase_original_with;
     use flex_placement::cell::CellId;
     use flex_placement::geom::{Interval, Rect};
     use rand::rngs::StdRng;
@@ -337,11 +340,14 @@ mod tests {
         }
     }
 
-    /// Randomized test: the shared shifting routine must always produce legal phase results, and
-    /// the SACS schedule must report the same positions.
+    /// Randomized test: the shared shifting routine must always produce legal phase results, the
+    /// SACS schedule must report the same positions, and the scratch twins (one scratch for
+    /// every region) must equal the allocating functions exactly, output order included.
     #[test]
     fn shifting_invariants_hold_on_random_regions() {
         let mut rng = StdRng::seed_from_u64(0xACE5);
+        let mut scratch = ShiftScratch::default();
+        let mut out = ShiftOutcome::default();
         for case in 0..60 {
             let rows = rng.random_range(1..=4i64);
             let width = rng.random_range(30..=60i64);
@@ -388,6 +394,7 @@ mod tests {
             let th = rng.random_range(1..=rows);
             let anchor = rng.random_range(0..width) as f64;
             let pts = enumerate(&region, tw, th, anchor, 64);
+            scratch.begin_region(&region);
             for point in &pts {
                 let x = point.clamp(anchor.round() as i64);
                 let problem = ShiftProblem {
@@ -400,6 +407,20 @@ mod tests {
                 for phase in [Phase::Left, Phase::Right] {
                     let a = shift_phase_original(&problem, phase);
                     let b = shift_phase_sacs(&problem, phase);
+                    let a_with = shift_phase_original_with(&problem, phase, &mut scratch, &mut out)
+                        .map(|()| out.clone());
+                    assert_eq!(
+                        a_with, a,
+                        "case {case} phase {phase:?}: original scratch twin"
+                    );
+                    let b_with =
+                        shift_phase_sacs_with_stats_into(&problem, phase, &mut scratch, &mut out)
+                            .map(|stats| (out.clone(), stats));
+                    assert_eq!(
+                        b_with,
+                        shift_phase_sacs_with_stats(&problem, phase),
+                        "case {case} phase {phase:?}: SACS scratch twin"
+                    );
                     match (&a, &b) {
                         (Ok(a_out), Ok(b_out)) => {
                             assert_phase_invariants(

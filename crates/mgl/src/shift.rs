@@ -156,10 +156,14 @@ impl EdgeLists {
 /// Usage contract: call [`ShiftScratch::begin_region`] once per [`LocalRegion`], then any
 /// number of [`shift_phase_original_with`] /
 /// [`shift_phase_sacs_with_stats_into`](crate::sacs::shift_phase_sacs_with_stats_into) calls
-/// against that region. The row-membership index built by `begin_region` replaces the
-/// per-pass `rows().any(..)` scans of the reference implementation; the phase bitmaps
-/// replace its per-problem `BTreeSet`s. Results are bit-identical to the allocating
-/// functions (same traversal orders, same arithmetic).
+/// against that region. `begin_region` sorts the localCells once by `(x, index)` — the
+/// software Ahead-Sorter — and distributes that order into one presorted cell list per
+/// segment row. Every phase problem then builds its traversal and static-edge lists by
+/// walking those rows in phase direction instead of sorting, and SACS streams its output in
+/// the region order. The row lists replace the per-pass `rows().any(..)` scans of the
+/// reference implementation; the phase bitmaps replace its per-problem `BTreeSet`s. Results
+/// are bit-identical to the allocating functions (same per-pass traversal orders, same
+/// arithmetic).
 #[derive(Debug, Clone, Default)]
 pub struct ShiftScratch {
     /// Working x positions, indexed by region cell index.
@@ -168,9 +172,10 @@ pub struct ShiftScratch {
     statics: Vec<bool>,
     /// Membership bitmap of the phase's designated movers (own chain).
     movers: Vec<bool>,
-    /// Non-static cell indices, ascending (the reference's `participants`).
-    participants: Vec<usize>,
-    /// Region-lifetime: per segment, indices of the cells occupying that row (ascending).
+    /// Region-lifetime: every cell index sorted by `(x, index)` (the Ahead-Sorter order).
+    order: Vec<usize>,
+    /// Region-lifetime: per segment, indices of the cells occupying that row, sorted by
+    /// `(x, index)`.
     row_cells: SegLists,
     /// Problem-lifetime: per segment, the movable traversal list (re-sorted by position
     /// every pass, exactly like the reference rebuilds it).
@@ -209,17 +214,20 @@ impl RegionKey {
 }
 
 impl ShiftScratch {
-    /// Build the per-segment row-membership index for `region`. Must be called before the
-    /// scratch shifting functions are used on problems of that region.
+    /// Sort `region`'s localCells by `(x, index)` and distribute that order into the
+    /// per-segment row lists. Must be called before the scratch shifting functions are used
+    /// on problems of that region.
     pub fn begin_region(&mut self, region: &LocalRegion) {
         debug_assert!(
             region.segments.windows(2).all(|w| w[0].row < w[1].row),
             "LocalRegion segments must be sorted by row (see LocalRegion::segments)"
         );
-        let nsegs = region.segments.len();
-        self.row_cells.reset(nsegs);
-        for (i, c) in region.cells.iter().enumerate() {
-            for r in c.rows() {
+        self.order.clear();
+        self.order.extend(0..region.cells.len());
+        self.order.sort_unstable_by_key(|&i| (region.cells[i].x, i));
+        self.row_cells.reset(region.segments.len());
+        for &i in &self.order {
+            for r in region.cells[i].rows() {
                 if let Some(s) = region.segment_index(r) {
                     self.row_cells.get_mut(s).push(i);
                 }
@@ -228,14 +236,23 @@ impl ShiftScratch {
         self.region_key = Some(RegionKey::of(region));
     }
 
-    /// Whether cell `i` was a static obstacle in the most recent phase run.
-    pub(crate) fn is_static(&self, i: usize) -> bool {
-        self.statics[i]
+    /// The non-static cells of the most recent successful phase run with their final
+    /// positions, in the Ahead-Sorter's streaming order: descending `(x, index)` for the
+    /// left-move phase, ascending for the right-move phase.
+    pub(crate) fn streamed(&self, phase: Phase) -> impl Iterator<Item = (usize, i64)> + '_ {
+        let n = self.order.len();
+        (0..n)
+            .map(move |k| match phase {
+                Phase::Left => self.order[n - 1 - k],
+                Phase::Right => self.order[k],
+            })
+            .filter(|&i| !self.statics[i])
+            .map(|i| (i, self.pos[i]))
     }
 }
 
 /// Scratch twin of [`shift_phase_original`]: writes the outcome into `out` (positions vector
-/// reused) instead of allocating, and reads the per-segment membership prepared by
+/// reused) instead of allocating, and reads the presorted rows prepared by
 /// [`ShiftScratch::begin_region`]. Produces bit-identical positions, passes and visit counts.
 pub fn shift_phase_original_with(
     problem: &ShiftProblem<'_>,
@@ -243,6 +260,25 @@ pub fn shift_phase_original_with(
     scratch: &mut ShiftScratch,
     out: &mut ShiftOutcome,
 ) -> Result<(), Infeasible> {
+    let (passes, visits) = resolve_phase_with(problem, phase, scratch)?;
+    out.positions.clear();
+    out.positions.extend(
+        (0..problem.region.cells.len())
+            .filter(|&i| !scratch.statics[i])
+            .map(|i| (i, scratch.pos[i])),
+    );
+    out.passes = passes;
+    out.subcell_visits = visits;
+    Ok(())
+}
+
+/// Run the multi-pass fixpoint of one phase on the scratch, leaving the final positions in
+/// `scratch.pos` and the phase's statics in `scratch.statics`. Returns `(passes, visits)`.
+pub(crate) fn resolve_phase_with(
+    problem: &ShiftProblem<'_>,
+    phase: Phase,
+    scratch: &mut ShiftScratch,
+) -> Result<(u32, u64), Infeasible> {
     let region = problem.region;
     let n = region.cells.len();
     // checked unconditionally: a stale row index would produce silently wrong positions
@@ -256,7 +292,6 @@ pub fn shift_phase_original_with(
         pos,
         statics,
         movers,
-        participants,
         row_cells,
         traverse,
         static_edges,
@@ -281,37 +316,35 @@ pub fn shift_phase_original_with(
 
     pos.clear();
     pos.extend(region.cells.iter().map(|c| c.x));
-    participants.clear();
-    participants.extend((0..n).filter(|&i| !statics[i]));
 
     let target_rows = problem.target_rows();
     let nsegs = region.segments.len();
 
     // Hoisted out of the pass loop: traversal membership and static obstacle positions never
     // change within a phase, so they are computed once per problem (the reference rebuilds
-    // and re-sorts them every pass).
+    // and re-sorts them every pass). Walking the presorted row in phase direction (descending
+    // x for Left, ascending for Right) emits both lists already in traversal order. Equal-x
+    // static edges may come out in another order than the reference's stable sort, but both
+    // folds below consume equal-x edges in the same step, so the bounds are identical.
     traverse.reset(nsegs);
     static_edges.reset(nsegs);
     for (s, seg) in region.segments.iter().enumerate() {
         let is_target_row = target_rows.contains(&seg.row);
         let t = traverse.get_mut(s);
-        for &i in row_cells.get(s) {
-            if !statics[i] && (!is_target_row || movers[i]) {
-                t.push(i);
-            }
-        }
-        if !is_target_row {
-            let e = static_edges.get_mut(s);
-            for &i in row_cells.get(s) {
-                if statics[i] {
+        let e = static_edges.get_mut(s);
+        let mut classify = |i: usize| {
+            if statics[i] {
+                if !is_target_row {
                     let c = &region.cells[i];
                     e.push((c.x, c.width));
                 }
+            } else if !is_target_row || movers[i] {
+                t.push(i);
             }
-            match phase {
-                Phase::Left => e.sort_by_key(|&(x, _)| std::cmp::Reverse(x)),
-                Phase::Right => e.sort_by_key(|&(x, _)| x),
-            }
+        };
+        match phase {
+            Phase::Left => row_cells.get(s).iter().rev().for_each(|&i| classify(i)),
+            Phase::Right => row_cells.get(s).iter().for_each(|&i| classify(i)),
         }
     }
 
@@ -325,6 +358,9 @@ pub fn shift_phase_original_with(
             let t = traverse.get_mut(s);
             let edges = static_edges.get(s);
             let mut cursor = 0usize;
+            // The per-pass re-sort lets a multi-row cell moved in another row overtake a
+            // neighbour here (see `a_multi_row_cell_overtakes_its_neighbour_on_the_second_pass`);
+            // on the presorted first pass it is one comparison per element.
             match phase {
                 Phase::Left => {
                     t.sort_by_key(|&i| std::cmp::Reverse((pos[i], i)));
@@ -394,13 +430,7 @@ pub fn shift_phase_original_with(
             return Err(Infeasible);
         }
     }
-
-    out.positions.clear();
-    out.positions
-        .extend(participants.iter().map(|&i| (i, pos[i])));
-    out.passes = passes;
-    out.subcell_visits = visits;
-    Ok(())
+    Ok((passes, visits))
 }
 
 /// Shifting failed: a cell would have to be pushed outside its localSegment.
@@ -773,6 +803,61 @@ mod tests {
             target_x: 4,
         };
         assert_eq!(shift_phase_original(&problem, Phase::Left), Err(Infeasible));
+    }
+
+    /// E (rows 1–2) is pushed left of C in row 1 by the target in row 2. The per-pass re-sort
+    /// lets E overtake C on the second pass; an order-preserving single pass over the
+    /// presorted cells (the paper's Algorithm 4) would keep C left of E, push C to
+    /// `0 − 2 = −2` and reject the point. So replacing the per-pass re-sort with the
+    /// presorted order changes feasibility, and a single-pass software SACS cannot be
+    /// bit-identical to this fixpoint.
+    #[test]
+    fn a_multi_row_cell_overtakes_its_neighbour_on_the_second_pass() {
+        const C: usize = 0;
+        const E: usize = 1;
+        let cell = |id, x, y, width, height| LocalCell {
+            id: CellId(id),
+            x,
+            y,
+            width,
+            height,
+            gx: x as f64,
+        };
+        let region = LocalRegion {
+            target: CellId(99),
+            window: Rect::new(0, 0, 40, 3),
+            segments: (0..3)
+                .map(|row| LocalSegment {
+                    row,
+                    span: Interval::new(0, 40),
+                })
+                .collect(),
+            cells: vec![cell(0, 8, 1, 2, 1), cell(1, 10, 1, 4, 2)],
+            density: 0.1,
+        };
+        let point = enumerate_insertion_points(&region, 6, 1, None, 4.0, 64)
+            .into_iter()
+            .find(|p| p.bottom_row == 2 && p.x_lo == 4 && p.left_chain == vec![vec![E]])
+            .expect("the point right of E on row 2");
+        let problem = ShiftProblem {
+            region: &region,
+            point: &point,
+            target_width: 6,
+            target_height: 1,
+            target_x: point.x_lo,
+        };
+
+        let reference = shift_phase_original(&problem, Phase::Left).expect("feasible");
+        let mut scratch = ShiftScratch::default();
+        scratch.begin_region(&region);
+        let mut out = ShiftOutcome::default();
+        shift_phase_original_with(&problem, Phase::Left, &mut scratch, &mut out).expect("feasible");
+        for got in [&reference, &out] {
+            let map = got.as_map();
+            assert_eq!(map[&E], 0, "E is pushed to the segment start");
+            assert_eq!(map[&C], 8, "C stays put: E passed it");
+            assert_eq!(got.passes, 2);
+        }
     }
 
     #[test]
