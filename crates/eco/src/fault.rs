@@ -29,7 +29,7 @@
 //! | `eco.snapshot.write` | snapshot write fails with an injected I/O error             |
 //! | `eco.engine.panic`   | engine thread panics mid-batch                              |
 //! | `eco.engine.hang`    | engine stalls mid-batch for [`hang_millis`] ms (watchdog)   |
-//! | `eco.scrub.corrupt`  | scrubber's next audit slice is deliberately corrupted first |
+//! | `eco.scrub.corrupt`  | scrubber's next audited range is deliberately corrupted first |
 //! | `eco.rebuild.hold`   | supervisor rebuild stalls for [`hang_millis`] ms            |
 //! | `eco.quarantine.write` | persisting a quarantine record fails with an injected I/O error |
 //! | `eco.recover.fail`   | an engine recovery attempt fails with an injected I/O error |

@@ -49,4 +49,4 @@ pub use engine::{EcoEngine, ScrubFinding, ScrubStructure};
 pub use journal::{Journal, JournalConfig, RecoveryReport};
 pub use proto::Request;
 pub use service::{EcoClient, EcoServer, ServerConfig, ServerHandle};
-pub use supervise::{HealthSnapshot, ScrubConfig, SuperviseConfig, SupervisorState};
+pub use supervise::{HealthSnapshot, SuperviseConfig, SupervisorState};

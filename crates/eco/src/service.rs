@@ -49,12 +49,25 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// One queued request: the decoded payload plus the channel the response goes back on.
+/// One queued request: the decoded payload, the channel the response goes back on, and
+/// when the connection thread queued it.
 pub(crate) struct Job {
     pub(crate) request: Request,
     pub(crate) reply: SyncSender<Vec<u8>>,
+    enqueued: Instant,
+}
+
+impl Job {
+    /// The supervisor took this job off the queue: record its wait (enqueue on the
+    /// connection thread → dequeue) in the `eco_queue_wait_ns` histogram.
+    pub(crate) fn dequeued(self) -> Self {
+        flex_obs::global()
+            .histogram("eco_queue_wait_ns")
+            .record_duration(self.enqueued.elapsed());
+        self
+    }
 }
 
 /// Server tuning: queue bound, connection deadlines, load-shedding hint, durability.
@@ -376,6 +389,7 @@ fn client_loop(
                 let job = Job {
                     request,
                     reply: reply_tx,
+                    enqueued: Instant::now(),
                 };
                 // shed instead of blocking: a full queue answers Busy so this reader
                 // thread stays responsive (the "eco.queue.full" failpoint forces the shed

@@ -37,13 +37,20 @@
 //!
 //! **Invariant scrubber.** Idle ticks and post-batch slack run incremental audits of
 //! the engine's acceleration structures (legalized index, density map, segment map)
-//! against the design, a slice of rows at a time: recently disturbed row ranges first
-//! (fed by each batch's disturbed rects), then a round-robin sweep sized so a full pass
-//! completes within [`ScrubConfig::sweep_batches`] batches. A detected divergence is a
+//! against the design, a slice of rows at a time: recently disturbed row ranges first,
+//! then a round-robin sweep sized so a full pass completes within 512 (`SWEEP_BATCHES`)
+//! batches. A batch's priority audit covers the union of its outcomes' `disturbed`
+//! rects, and those include the widest window planning may have searched, so on a die of
+//! a few hundred rows (perfbench's eco-stream: 374) it spans most of the die. Each batch
+//! schedules its slices (usually its dirty range plus one sweep slice; an idle tick one
+//! slice), merges them, and hands the sorted union to the worker in one request, so every
+//! scheduled row is audited once per batch, in one hand-off. A detected divergence is a
 //! typed corruption event (counter + health `last_fault`), and the engine degrades
 //! gracefully: only the corrupt structure is rebuilt from the design, in place, on the
 //! worker thread. The `eco.scrub.corrupt` failpoint injects real corruption (rotating
-//! across the three structures) to prove the scrubber finds and repairs it.
+//! across the three structures) into the next audited range to prove the scrubber finds
+//! and repairs it. The `metrics` op exports the worker-side audit time per hand-off
+//! (`eco_scrub_audit_ns`) and each job's queue wait (`eco_queue_wait_ns`).
 //!
 //! **Health.** The `health` protocol op reports the state machine — `healthy` →
 //! `recovering` (rebuild in progress) → `degraded` (sticky once a batch was quarantined
@@ -76,31 +83,19 @@ const GROUP_MAX: usize = 32;
 /// Overflow falls back to the background sweep, which audits everything eventually.
 const DIRTY_QUEUE_MAX: usize = 64;
 
-/// Tuning for the background invariant scrubber.
-#[derive(Debug, Clone)]
-pub struct ScrubConfig {
-    /// Rows audited per slice (granularity of one scrub step).
-    pub slice_rows: i64,
-    /// Size the background sweep so a full pass over all rows completes within this
-    /// many applied batches (0 behaves like 1).
-    pub sweep_batches: u64,
-    /// How long the supervisor idles on an empty job queue before spending the time on
-    /// one scrub slice instead.
-    pub idle_tick: Duration,
-    /// Most dirty (recently disturbed) ranges audited right after one batch.
-    pub max_dirty_per_batch: usize,
-}
+/// Rows per scrub slice, the unit the sweep advances by and `scrub_slices` counts.
+const SLICE_ROWS: i64 = 32;
 
-impl Default for ScrubConfig {
-    fn default() -> Self {
-        Self {
-            slice_rows: 32,
-            sweep_batches: 512,
-            idle_tick: Duration::from_millis(50),
-            max_dirty_per_batch: 2,
-        }
-    }
-}
+/// The background sweep is sized so a full pass over all rows completes within this many
+/// applied batches.
+const SWEEP_BATCHES: u64 = 512;
+
+/// How long the supervisor idles on an empty job queue before spending the time on one
+/// scrub slice instead.
+const IDLE_TICK: Duration = Duration::from_millis(50);
+
+/// Most dirty (recently disturbed) ranges audited right after one batch.
+const MAX_DIRTY_PER_BATCH: usize = 2;
 
 /// Tuning for the supervision layer.
 #[derive(Debug, Clone)]
@@ -111,8 +106,6 @@ pub struct SuperviseConfig {
     pub batch_deadline: Duration,
     /// The retry-after hint carried by `Recovering` sheds, in milliseconds.
     pub retry_after_ms: u64,
-    /// Invariant-scrubber tuning.
-    pub scrub: ScrubConfig,
 }
 
 impl Default for SuperviseConfig {
@@ -120,7 +113,6 @@ impl Default for SuperviseConfig {
         Self {
             batch_deadline: Duration::from_secs(5),
             retry_after_ms: 25,
-            scrub: ScrubConfig::default(),
         }
     }
 }
@@ -264,7 +256,10 @@ pub struct HealthSnapshot {
 enum WorkItem {
     Apply(Vec<EcoDelta>),
     Query(Request),
-    Scrub { row_lo: i64, row_hi: i64 },
+    /// Audit each row range once, in order (the merged slices of one scrub hand-off).
+    Scrub {
+        ranges: Vec<(i64, i64)>,
+    },
     Image,
     TakeEngine,
 }
@@ -286,7 +281,10 @@ enum WorkReply {
     Engine(Box<EcoEngine>),
 }
 
-/// Row range disturbed by a batch (feeds the scrubber's priority queue).
+/// Row range disturbed by a batch (feeds the scrubber's priority queue): the union of
+/// its [`EcoReport::disturbed`] rects. Those include the widest window planning may have
+/// searched (`window_half_rows << max_window_expansions` rows either side of each
+/// target), so on a die of a few hundred rows one batch's range spans most of the die.
 fn dirty_rows(report: &EcoReport) -> Option<(i64, i64)> {
     let mut lo = i64::MAX;
     let mut hi = i64::MIN;
@@ -295,6 +293,71 @@ fn dirty_rows(report: &EcoReport) -> Option<(i64, i64)> {
         hi = hi.max(rect.y_hi);
     }
     (lo < hi).then_some((lo, hi))
+}
+
+/// Sweep slices each batch audits so a full pass over `num_rows` rows completes within
+/// [`SWEEP_BATCHES`] batches (at least one).
+fn sweep_slices_per_batch(num_rows: i64) -> u64 {
+    let total_slices = (num_rows.max(1) as u64).div_ceil(SLICE_ROWS as u64);
+    total_slices.div_ceil(SWEEP_BATCHES).max(1)
+}
+
+/// One scrub hand-off, planned from the supervisor's scrub state.
+struct ScrubPlan {
+    /// The scheduled slices, in schedule order: dirty ranges first, then sweep slices.
+    slices: Vec<(i64, i64)>,
+    /// The sorted union of `slices`: what the worker audits, each row once.
+    ranges: Vec<(i64, i64)>,
+    /// The sweep cursor after the plan's sweep slices.
+    cursor: i64,
+    /// Full sweeps the plan's sweep slices complete.
+    sweeps: u64,
+}
+
+/// Schedule up to `budget` slices over a `num_rows`-row die: pop the oldest dirty ranges
+/// first, then take round-robin sweep slices of [`SLICE_ROWS`] from `cursor`, wrapping to
+/// row 0 (and counting a sweep) at the end of the die. Then sort and merge the slices so
+/// overlapping rows are audited once.
+fn plan_scrub(
+    dirty: &mut VecDeque<(i64, i64)>,
+    mut cursor: i64,
+    budget: u64,
+    num_rows: i64,
+) -> ScrubPlan {
+    let mut slices = Vec::new();
+    let mut sweeps = 0;
+    for _ in 0..budget {
+        let slice = match dirty.pop_front() {
+            Some(range) => range,
+            None => {
+                let lo = cursor;
+                let hi = (lo + SLICE_ROWS).min(num_rows);
+                cursor = if hi >= num_rows {
+                    sweeps += 1;
+                    0
+                } else {
+                    hi
+                };
+                (lo, hi)
+            }
+        };
+        slices.push(slice);
+    }
+    let mut ranges = slices.clone();
+    ranges.sort_unstable();
+    ranges.dedup_by(|next, merged| {
+        let touches = next.0 <= merged.1;
+        if touches {
+            merged.1 = merged.1.max(next.1);
+        }
+        touches
+    });
+    ScrubPlan {
+        slices,
+        ranges,
+        cursor,
+        sweeps,
+    }
 }
 
 /// The disposable engine thread. It answers one [`WorkItem`] at a time; a panic inside
@@ -323,29 +386,35 @@ fn worker_loop(mut engine: EcoEngine, items: Receiver<WorkItem>, replies: SyncSe
                 }
             }
             WorkItem::Query(request) => WorkReply::Response(query_response(&engine, &request)),
-            WorkItem::Scrub { row_lo, row_hi } => {
+            WorkItem::Scrub { ranges } => {
+                let audit = Instant::now();
                 let scrubbed = catch_unwind(AssertUnwindSafe(|| {
-                    // fault injection: deliberately damage one structure (rotating
-                    // across all three) inside the range about to be audited, so the
-                    // scrubber proves it detects and repairs real corruption
-                    if fault::armed() && fault::fires("eco.scrub.corrupt") {
-                        let all = ScrubStructure::ALL;
-                        let structure = all[corrupt_rotation % all.len()];
-                        corrupt_rotation += 1;
-                        engine.corrupt_structure(structure, row_lo);
-                    }
-                    engine
-                        .audit_rows(row_lo, row_hi)
-                        .into_iter()
-                        .map(|finding| {
+                    let mut rebuilt = Vec::new();
+                    for &(row_lo, row_hi) in &ranges {
+                        // fault injection: deliberately damage one structure (rotating
+                        // across all three) inside the range about to be audited, so the
+                        // scrubber proves it detects and repairs real corruption
+                        if fault::armed() && fault::fires("eco.scrub.corrupt") {
+                            let all = ScrubStructure::ALL;
+                            let structure = all[corrupt_rotation % all.len()];
+                            corrupt_rotation += 1;
+                            engine.corrupt_structure(structure, row_lo);
+                        }
+                        for finding in engine.audit_rows(row_lo, row_hi) {
                             // graceful degradation: rebuild only the corrupt structure
                             engine.rebuild_structure(finding.structure);
-                            (finding.structure, finding.detail)
-                        })
-                        .collect::<Vec<_>>()
+                            rebuilt.push((finding.structure, finding.detail));
+                        }
+                    }
+                    rebuilt
                 }));
                 match scrubbed {
-                    Ok(rebuilt) => WorkReply::Scrubbed { rebuilt },
+                    Ok(rebuilt) => {
+                        flex_obs::global()
+                            .histogram("eco_scrub_audit_ns")
+                            .record_duration(audit.elapsed());
+                        WorkReply::Scrubbed { rebuilt }
+                    }
                     Err(panic) => {
                         let _ = replies.send(WorkReply::Panicked(fault::panic_message(&*panic)));
                         return;
@@ -428,8 +497,8 @@ pub(crate) fn supervisor_loop(
     loop {
         let job = match sup.pending.take() {
             Some(job) => job,
-            None => match jobs.recv_timeout(sup.cfg.scrub.idle_tick) {
-                Ok(job) => job,
+            None => match jobs.recv_timeout(IDLE_TICK) {
+                Ok(job) => job.dequeued(),
                 Err(RecvTimeoutError::Timeout) => {
                     // a failed rebuild left the engine down and every apply shed;
                     // retry it from the idle loop so recovery does not depend on
@@ -445,7 +514,7 @@ pub(crate) fn supervisor_loop(
                 Err(RecvTimeoutError::Disconnected) => return sup.take_engine(),
             },
         };
-        let Job { request, reply } = job;
+        let Job { request, reply, .. } = job;
         match request {
             Request::Shutdown => return sup.shutdown(reply, &stopping),
             Request::Apply(deltas) => sup.handle_applies(deltas, reply, &jobs),
@@ -470,8 +539,6 @@ impl Supervisor {
         let num_rows = engine.design().num_rows;
         // quarantines from previous incarnations still count as degradation
         let quarantined = journal::load_quarantine(&journal.config().dir);
-        let total_slices = (num_rows.max(1) as u64).div_ceil(cfg.scrub.slice_rows.max(1) as u64);
-        let slices_per_batch = total_slices.div_ceil(cfg.scrub.sweep_batches.max(1)).max(1);
         shared
             .scrub_total
             .store(num_rows.max(1) as u64, Ordering::Relaxed);
@@ -495,7 +562,7 @@ impl Supervisor {
             num_rows,
             cursor: 0,
             dirty: VecDeque::new(),
-            slices_per_batch,
+            slices_per_batch: sweep_slices_per_batch(num_rows),
             pending: None,
         };
         sup.spawn_worker(engine);
@@ -582,13 +649,11 @@ impl Supervisor {
         if self.journal_cfg.fsync {
             while group.len() < GROUP_MAX {
                 let Ok(job) = jobs.try_recv() else { break };
+                let job = job.dequeued();
                 match job.request {
                     Request::Apply(d) => group.push((d, job.reply)),
-                    request => {
-                        self.pending = Some(Job {
-                            request,
-                            reply: job.reply,
-                        });
+                    _ => {
+                        self.pending = Some(job);
                         break;
                     }
                 }
@@ -823,67 +888,54 @@ impl Supervisor {
                 }
             }
         }
-        let dirty_budget = self.dirty.len().min(self.cfg.scrub.max_dirty_per_batch) as u64;
+        let dirty_budget = self.dirty.len().min(MAX_DIRTY_PER_BATCH) as u64;
         self.scrub_tick(self.slices_per_batch + dirty_budget);
     }
 
-    /// Audit up to `slices` row slices: recently disturbed ranges first, then the
-    /// round-robin background sweep.
-    fn scrub_tick(&mut self, slices: u64) {
+    /// Audit up to `budget` row slices ([`plan_scrub`]: recently disturbed ranges first,
+    /// then the round-robin background sweep) in one worker hand-off that audits each
+    /// scheduled row once.
+    fn scrub_tick(&mut self, budget: u64) {
         if self.worker.is_none() || self.num_rows <= 0 {
             return; // don't force a rebuild just to scrub; the next apply will
         }
-        for _ in 0..slices {
-            let (row_lo, row_hi, from_sweep) = match self.dirty.pop_front() {
-                Some((lo, hi)) => (lo, hi, false),
-                None => {
-                    let lo = self.cursor;
-                    let hi = (lo + self.cfg.scrub.slice_rows.max(1)).min(self.num_rows);
-                    (lo, hi, true)
-                }
-            };
-            match self.ask(WorkItem::Scrub { row_lo, row_hi }) {
-                Ok(WorkReply::Scrubbed { rebuilt }) => {
-                    self.shared.scrub_slices.fetch_add(1, Ordering::Relaxed);
-                    if from_sweep {
-                        self.cursor = if row_hi >= self.num_rows {
-                            self.shared.scrub_sweeps.fetch_add(1, Ordering::Relaxed);
-                            0
-                        } else {
-                            row_hi
-                        };
-                        self.shared
-                            .scrub_pos
-                            .store(self.cursor as u64, Ordering::Relaxed);
-                    }
-                    for (structure, detail) in rebuilt {
-                        self.shared
-                            .scrub_corruptions
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.shared.scrub_rebuilds.fetch_add(1, Ordering::Relaxed);
-                        flex_obs::global()
-                            .counter(&format!(
-                                "eco_scrub_corruptions_total{{structure=\"{}\"}}",
-                                structure.name()
-                            ))
-                            .inc();
-                        eprintln!(
-                            "eco scrub: {} corruption detected and repaired: {detail}",
+        let plan = plan_scrub(&mut self.dirty, self.cursor, budget, self.num_rows);
+        match self.ask(WorkItem::Scrub {
+            ranges: plan.ranges,
+        }) {
+            Ok(WorkReply::Scrubbed { rebuilt }) => {
+                self.shared
+                    .scrub_slices
+                    .fetch_add(plan.slices.len() as u64, Ordering::Relaxed);
+                self.shared
+                    .scrub_sweeps
+                    .fetch_add(plan.sweeps, Ordering::Relaxed);
+                self.cursor = plan.cursor;
+                self.shared
+                    .scrub_pos
+                    .store(self.cursor as u64, Ordering::Relaxed);
+                for (structure, detail) in rebuilt {
+                    self.shared
+                        .scrub_corruptions
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.scrub_rebuilds.fetch_add(1, Ordering::Relaxed);
+                    flex_obs::global()
+                        .counter(&format!(
+                            "eco_scrub_corruptions_total{{structure=\"{}\"}}",
                             structure.name()
-                        );
-                        self.shared.note_fault(&format!(
-                            "scrub: {} corruption: {detail}",
-                            structure.name()
-                        ));
-                        self.shared.set_state(SupervisorState::Degraded);
-                    }
-                }
-                Ok(_) => {}
-                Err(reason) => {
-                    self.recover(&reason);
-                    return;
+                        ))
+                        .inc();
+                    eprintln!(
+                        "eco scrub: {} corruption detected and repaired: {detail}",
+                        structure.name()
+                    );
+                    self.shared
+                        .note_fault(&format!("scrub: {} corruption: {detail}", structure.name()));
+                    self.shared.set_state(SupervisorState::Degraded);
                 }
             }
+            Ok(_) => {}
+            Err(reason) => self.recover(&reason),
         }
     }
 
@@ -956,6 +1008,161 @@ mod tests {
         assert_eq!(h.restarts, 3);
         assert!((h.scrub_progress - 0.25).abs() < 1e-9);
         assert_eq!(h.last_fault.as_deref(), Some("engine panicked: boom"));
+    }
+
+    /// The per-slice scrub loop [`plan_scrub`] replaced, minus the worker round trip per
+    /// slice: the slices it audited, in order, and the cursor and sweep count it left.
+    fn per_slice_schedule(
+        dirty: &mut VecDeque<(i64, i64)>,
+        mut cursor: i64,
+        budget: u64,
+        num_rows: i64,
+    ) -> (Vec<(i64, i64)>, i64, u64) {
+        let (mut slices, mut sweeps) = (Vec::new(), 0);
+        for _ in 0..budget {
+            let (row_lo, row_hi, from_sweep) = match dirty.pop_front() {
+                Some((lo, hi)) => (lo, hi, false),
+                None => {
+                    let lo = cursor;
+                    let hi = (lo + 32).min(num_rows);
+                    (lo, hi, true)
+                }
+            };
+            slices.push((row_lo, row_hi));
+            if from_sweep {
+                cursor = if row_hi >= num_rows {
+                    sweeps += 1;
+                    0
+                } else {
+                    row_hi
+                };
+            }
+        }
+        (slices, cursor, sweeps)
+    }
+
+    /// Rows covered by `ranges`, as a sorted set.
+    fn rows_of(ranges: &[(i64, i64)]) -> BTreeSet<i64> {
+        ranges.iter().flat_map(|&(lo, hi)| lo..hi).collect()
+    }
+
+    /// Plan one scrub hand-off with [`plan_scrub`] and with the per-slice oracle from the
+    /// same state, and require the same slices, cursor and sweeps, and merged ranges that
+    /// are the sorted union of the slices. Returns the plan.
+    fn plan_like_per_slice(
+        dirty: &mut VecDeque<(i64, i64)>,
+        cursor: i64,
+        budget: u64,
+        num_rows: i64,
+    ) -> ScrubPlan {
+        let (slices, oracle_cursor, sweeps) =
+            per_slice_schedule(&mut dirty.clone(), cursor, budget, num_rows);
+        let plan = plan_scrub(dirty, cursor, budget, num_rows);
+        assert_eq!(plan.slices, slices, "cursor {cursor}, budget {budget}");
+        assert_eq!((plan.cursor, plan.sweeps), (oracle_cursor, sweeps));
+        assert_eq!(rows_of(&plan.ranges), rows_of(&plan.slices));
+        for pair in plan.ranges.windows(2) {
+            assert!(
+                pair[0].1 < pair[1].0,
+                "merged ranges sorted, disjoint, apart"
+            );
+        }
+        assert!(plan.ranges.iter().all(|&(lo, hi)| lo < hi));
+        plan
+    }
+
+    /// Drive `batches` batches the way `after_apply` does (queue the batch's dirty range,
+    /// then plan its budget) and return the scrub slices and sweeps counted.
+    fn run_batches(
+        num_rows: i64,
+        batches: u64,
+        dirty_of: impl Fn(u64) -> Option<(i64, i64)>,
+    ) -> (u64, u64) {
+        let (mut dirty, mut cursor) = (VecDeque::new(), 0);
+        let (mut slices, mut sweeps) = (0, 0);
+        for batch in 0..batches {
+            if let Some(range) = dirty_of(batch) {
+                if dirty.len() < DIRTY_QUEUE_MAX {
+                    dirty.push_back(range);
+                }
+            }
+            let budget =
+                sweep_slices_per_batch(num_rows) + dirty.len().min(MAX_DIRTY_PER_BATCH) as u64;
+            let plan = plan_like_per_slice(&mut dirty, cursor, budget, num_rows);
+            cursor = plan.cursor;
+            slices += plan.slices.len() as u64;
+            sweeps += plan.sweeps;
+        }
+        (slices, sweeps)
+    }
+
+    #[test]
+    fn scrub_plan_reproduces_the_per_slice_schedule() {
+        // eco-stream's die: 374 rows in 32-row slices, one sweep slice per batch, and a
+        // dirty range spanning most of the die every batch (partly outside it at times)
+        assert_eq!(sweep_slices_per_batch(374), 1);
+        let wide = |batch: u64| Some((batch as i64 % 90 - 40, 300 + batch as i64 % 120));
+        // 2 slices per batch; a full sweep is 12 slices
+        assert_eq!(run_batches(374, 1_000, wide), (2_000, 1_000 / 12));
+        // bulk-clustered's die: 54 rows, dirty ranges covering nearly all of it
+        assert_eq!(sweep_slices_per_batch(54), 1);
+        assert_eq!(
+            run_batches(54, 1_000, |b| Some((b as i64 % 3, 52))),
+            (2_000, 500)
+        );
+        // batches without a dirty range (rejected deltas) scrub one sweep slice each
+        assert_eq!(run_batches(374, 100, |_| None), (100, 100 / 12));
+        // a taller die needs more than one sweep slice per batch
+        assert_eq!(sweep_slices_per_batch(32 * 512 + 1), 2);
+        assert_eq!(run_batches(32 * 512 + 1, 10, |_| None), (20, 0));
+    }
+
+    #[test]
+    fn scrub_plan_handles_backlogs_wraparound_and_idle_ticks() {
+        // a dirty backlog of 3: the budget (one sweep slice plus two for the backlog)
+        // takes dirty ranges first, oldest first, so all three are audited and the sweep
+        // waits for the next batch
+        let mut dirty: VecDeque<(i64, i64)> = [(10, 20), (200, 260), (15, 40)].into();
+        let budget = sweep_slices_per_batch(374) + dirty.len().min(MAX_DIRTY_PER_BATCH) as u64;
+        let plan = plan_like_per_slice(&mut dirty, 64, budget, 374);
+        assert_eq!(plan.slices, vec![(10, 20), (200, 260), (15, 40)]);
+        assert_eq!(plan.ranges, vec![(10, 40), (200, 260)]);
+        assert_eq!((plan.cursor, plan.sweeps), (64, 0));
+        assert!(dirty.is_empty());
+        // a batch with no dirty range, or an idle tick: one sweep slice from the cursor
+        let plan = plan_like_per_slice(&mut VecDeque::new(), 64, 1, 374);
+        assert_eq!(plan.ranges, vec![(64, 96)]);
+        assert_eq!(plan.cursor, 96);
+        // wrap-around: the last, short slice completes a sweep, the next starts at row 0,
+        // and the two merge with an overlapping dirty range into one
+        let mut dirty: VecDeque<(i64, i64)> = [(300, 360)].into();
+        let plan = plan_like_per_slice(&mut dirty, 352, 3, 374);
+        assert_eq!(plan.slices, vec![(300, 360), (352, 374), (0, 32)]);
+        assert_eq!(plan.ranges, vec![(0, 32), (300, 374)]);
+        assert_eq!((plan.cursor, plan.sweeps), (32, 1));
+        // touching slices merge; dirty ranges hanging off the die stay as scheduled
+        let mut dirty: VecDeque<(i64, i64)> = [(-40, 0), (32, 50)].into();
+        let plan = plan_like_per_slice(&mut dirty, 0, 4, 54);
+        assert_eq!(plan.slices, vec![(-40, 0), (32, 50), (0, 32), (32, 54)]);
+        assert_eq!(plan.ranges, vec![(-40, 54)]);
+        assert_eq!((plan.cursor, plan.sweeps), (0, 1));
+        // randomized states and budgets agree with the oracle too
+        let mut rng = 0x9e37_79b9_u64;
+        let mut next = |bound: u64| {
+            rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (rng >> 33) % bound
+        };
+        for _ in 0..2_000 {
+            let num_rows = 1 + next(400) as i64;
+            let mut dirty: VecDeque<(i64, i64)> = (0..next(5))
+                .map(|_| {
+                    let lo = next(num_rows as u64 + 80) as i64 - 40;
+                    (lo, lo + 1 + next(300) as i64)
+                })
+                .collect();
+            let cursor = next(num_rows as u64) as i64;
+            plan_like_per_slice(&mut dirty, cursor, 1 + next(4), num_rows);
+        }
     }
 
     #[test]

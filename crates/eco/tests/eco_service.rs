@@ -225,6 +225,77 @@ fn metrics_and_trace_ops_expose_the_live_engine() {
 }
 
 #[test]
+fn metrics_break_the_service_overhead_into_queue_wait_and_scrub_audit() {
+    let design = generate(&BenchmarkSpec::tiny("eco-svc-phases", 37));
+    let engine = EcoEngine::legalize_and_build(design, MglConfig::default()).unwrap();
+    let sites = engine.design().num_sites_x;
+    let rows = engine.design().num_rows;
+    let movable: Vec<CellId> = engine
+        .design()
+        .cells
+        .iter()
+        .filter(|c| !c.fixed)
+        .map(|c| c.id)
+        .collect();
+
+    let socket = temp_socket("phases");
+    let handle = EcoServer::start(engine, &socket, 8).unwrap();
+    let mut client = EcoClient::connect(&socket).unwrap();
+
+    const APPLIES: i64 = 25;
+    let mut rng = StdRng::seed_from_u64(9);
+    for _ in 0..APPLIES {
+        let id = movable[rng.next_below(movable.len() as u64) as usize];
+        let delta = EcoDelta::MoveCell {
+            id,
+            gx: rng.random::<f64>() * sites as f64,
+            gy: rng.random::<f64>() * rows as f64,
+        };
+        client
+            .request_json(&Request::Apply(vec![delta]))
+            .unwrap()
+            .expect("move accepted");
+    }
+
+    // every apply waited in the queue once and was followed by one scrub hand-off,
+    // which finishes before the supervisor dequeues the next job (this query)
+    let reply = client
+        .request_json(&Request::Metrics { prometheus: false })
+        .unwrap()
+        .unwrap();
+    let histograms = reply
+        .get("metrics")
+        .and_then(|m| m.get("histograms"))
+        .expect("histograms");
+    for name in ["eco_queue_wait_ns", "eco_scrub_audit_ns"] {
+        let count = histograms
+            .get(name)
+            .and_then(|h| h.get("count"))
+            .and_then(Json::as_i64)
+            .unwrap_or(0);
+        assert!(
+            count >= APPLIES,
+            "{name}: {count} samples after {APPLIES} applies"
+        );
+    }
+
+    let reply = client
+        .request_json(&Request::Metrics { prometheus: true })
+        .unwrap()
+        .unwrap();
+    let text = reply
+        .get("text")
+        .and_then(Json::as_str)
+        .expect("prometheus text");
+    for name in ["eco_queue_wait_ns", "eco_scrub_audit_ns"] {
+        assert!(text.contains(&format!("# TYPE {name} histogram")), "{text}");
+    }
+
+    client.request(&Request::Shutdown).unwrap();
+    handle.join();
+}
+
+#[test]
 fn malformed_and_invalid_requests_get_typed_errors() {
     let design = generate(&BenchmarkSpec::tiny("eco-svc-err", 23));
     let engine = EcoEngine::legalize_and_build(design, MglConfig::default()).unwrap();

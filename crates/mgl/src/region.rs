@@ -166,10 +166,15 @@ impl LegalizedIndex {
         ids
     }
 
-    /// Audit rows `[row_lo, row_hi)` against `design`: recompute what
-    /// [`LegalizedIndex::build`] would put in each bucket (id-sorted, one entry per row a
-    /// legalized movable cell spans) and compare. `Err` names the first diverging row —
-    /// the invariant-scrubber's typed corruption evidence. O(cells + audited buckets).
+    /// Audit rows `[row_lo, row_hi)` against `design`: compare each bucket with what
+    /// [`LegalizedIndex::build`] would put there (id-sorted, one entry per row a legalized
+    /// movable cell spans) without rebuilding it. One pass over the design counts each
+    /// row's expected bucket size (a difference array over the slice); a bucket equals the
+    /// rebuilt one iff its size matches, its ids are strictly ascending, and each id names
+    /// a legalized movable cell that spans the row (ids index `design.cells`, as
+    /// [`Design::validate_invariants`] guarantees). `Err` names the first diverging row —
+    /// the invariant-scrubber's typed corruption evidence. O(cells + audited buckets), with
+    /// one allocation per audit.
     pub fn audit_rows(&self, design: &Design, row_lo: i64, row_hi: i64) -> Result<(), String> {
         let num_rows = design.num_rows.max(0);
         if self.rows.len() as i64 != num_rows {
@@ -180,20 +185,30 @@ impl LegalizedIndex {
         }
         let lo = row_lo.clamp(0, num_rows);
         let hi = row_hi.clamp(lo, num_rows);
-        let mut expected: Vec<Vec<CellId>> = vec![Vec::new(); (hi - lo) as usize];
+        let mut size_delta = vec![0i64; (hi - lo) as usize + 1];
         for c in design.cells.iter().filter(|c| !c.fixed && c.legalized) {
-            for row in c.y.max(lo)..(c.y + c.height).min(hi) {
-                expected[(row - lo) as usize].push(c.id);
+            let (first, end) = (c.y.max(lo), (c.y + c.height).min(hi));
+            if first < end {
+                size_delta[(first - lo) as usize] += 1;
+                size_delta[(end - lo) as usize] -= 1;
             }
         }
-        for (offset, want) in expected.iter().enumerate() {
-            let row = lo + offset as i64;
+        let mut want = 0;
+        for (row, delta) in (lo..hi).zip(size_delta) {
+            want += delta;
             let got = &self.rows[row as usize];
-            if got != want {
+            let spans_row = |id: &CellId| {
+                design.cells.get(id.index()).is_some_and(|c| {
+                    c.id == *id && !c.fixed && c.legalized && c.y <= row && row < c.y + c.height
+                })
+            };
+            if got.len() as i64 != want
+                || !got.windows(2).all(|pair| pair[0].0 < pair[1].0)
+                || !got.iter().all(spans_row)
+            {
                 return Err(format!(
-                    "row {row} bucket diverges from the design: {} ids indexed, {} expected",
-                    got.len(),
-                    want.len()
+                    "row {row} bucket diverges from the design: {} ids indexed, {want} expected",
+                    got.len()
                 ));
             }
         }
@@ -454,6 +469,8 @@ pub fn target_window(design: &Design, target: CellId, half_sites: i64, half_rows
 mod tests {
     use super::*;
     use flex_placement::cell::Cell;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     /// A 60x6 design with a fixed macro and a few legalized cells.
     fn design() -> Design {
@@ -585,6 +602,146 @@ mod tests {
         for row in 0..d.num_rows {
             assert_eq!(index.cells_in_row(row), rebuilt.cells_in_row(row));
         }
+    }
+
+    /// The allocating audit [`LegalizedIndex::audit_rows`] replaced, kept as its oracle:
+    /// rebuild every audited bucket from the design and compare whole vectors.
+    fn audit_rows_by_rebuild(
+        index: &LegalizedIndex,
+        design: &Design,
+        row_lo: i64,
+        row_hi: i64,
+    ) -> Result<(), String> {
+        let num_rows = design.num_rows.max(0);
+        if index.rows.len() as i64 != num_rows {
+            return Err(format!(
+                "index has {} row buckets, design has {num_rows} rows",
+                index.rows.len()
+            ));
+        }
+        let lo = row_lo.clamp(0, num_rows);
+        let hi = row_hi.clamp(lo, num_rows);
+        let mut expected: Vec<Vec<CellId>> = vec![Vec::new(); (hi - lo) as usize];
+        for c in design.cells.iter().filter(|c| !c.fixed && c.legalized) {
+            for row in c.y.max(lo)..(c.y + c.height).min(hi) {
+                expected[(row - lo) as usize].push(c.id);
+            }
+        }
+        for (offset, want) in expected.iter().enumerate() {
+            let row = lo + offset as i64;
+            let got = &index.rows[row as usize];
+            if got != want {
+                return Err(format!(
+                    "row {row} bucket diverges from the design: {} ids indexed, {} expected",
+                    got.len(),
+                    want.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// A seeded random design for the index audit: macros, single- and multi-row movable
+    /// cells (some hanging past the die, some not legalized) and tombstones.
+    fn random_index_design(rng: &mut StdRng) -> Design {
+        let rows = rng.random_range(3..40i64);
+        let mut d = Design::new("idx-audit", 80, rows);
+        for _ in 0..rng.random_range(1..(rows * 4) as u64) {
+            let (w, h) = (rng.random_range(1..8i64), rng.random_range(1..5i64));
+            let mut c = if rng.random::<f64>() < 0.1 {
+                Cell::fixed(CellId(0), w * 3, h, 0, 0)
+            } else {
+                Cell::movable(CellId(0), w, h, 0.0, 0.0)
+            };
+            c.x = rng.random_range(-2..80i64);
+            c.y = rng.random_range(-2..rows + 1);
+            c.legalized = c.fixed || rng.random::<f64>() < 0.8;
+            let id = d.add_cell(c);
+            if rng.random::<f64>() < 0.05 {
+                d.tombstone_cell(id);
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn audit_differential_agrees_with_the_rebuilding_audit() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut diverged = 0;
+        for seed in 0..300 {
+            let d = random_index_design(&mut rng);
+            let clean = LegalizedIndex::build(&d);
+            let num_cells = d.cells.len() as u32;
+            let mut indexes = vec![clean.clone()];
+            let damage = |index: &mut LegalizedIndex, rng: &mut StdRng| {
+                let row = rng.random_range(0..index.rows.len());
+                let bucket = &mut index.rows[row];
+                let n = bucket.len();
+                match rng.random_range(0..6u32) {
+                    // a dropped id
+                    0 if n > 0 => {
+                        bucket.remove(rng.random_range(0..n));
+                    }
+                    // a duplicated id
+                    1 if n > 0 => {
+                        let at = rng.random_range(0..n);
+                        bucket.insert(at, bucket[at]);
+                    }
+                    // an out-of-order pair
+                    2 if n > 1 => bucket.swap(0, rng.random_range(1..n)),
+                    // a foreign id: any cell, spanning the row or not, legalized or not
+                    3 if n > 0 => {
+                        bucket[rng.random_range(0..n)] = CellId(rng.random_range(0..num_cells))
+                    }
+                    // an out-of-range id
+                    4 => bucket.push(CellId(num_cells + rng.random_range(0..3u32))),
+                    // a foreign id in sort position
+                    _ => {
+                        let id = CellId(rng.random_range(0..num_cells));
+                        let at = bucket.partition_point(|other| other.0 < id.0);
+                        bucket.insert(at, id);
+                    }
+                }
+            };
+            for corruptions in [1, 1, 1, 1, 2, 3] {
+                let mut index = clean.clone();
+                for _ in 0..corruptions {
+                    damage(&mut index, &mut rng);
+                }
+                indexes.push(index);
+            }
+            // an index of a die with one row fewer
+            let mut shorter = d.clone();
+            shorter.num_rows -= 1;
+            indexes.push(LegalizedIndex::build(&shorter));
+            let rows = d.num_rows;
+            let mut ranges = vec![
+                (0, 0),
+                (4, 2),
+                (-3, 2),
+                (rows - 1, rows + 4),
+                (-6, -1),
+                (rows + 1, rows + 3),
+                (0, rows),
+                (-1, rows + 1),
+            ];
+            for _ in 0..6 {
+                let lo = rng.random_range(-4..rows + 4);
+                ranges.push((lo, lo + rng.random_range(-2..rows + 2)));
+            }
+            for (i, index) in indexes.iter().enumerate() {
+                for &(lo, hi) in &ranges {
+                    let want = audit_rows_by_rebuild(index, &d, lo, hi);
+                    diverged += usize::from(want.is_err());
+                    assert_eq!(
+                        index.audit_rows(&d, lo, hi),
+                        want,
+                        "seed {seed}, index {i}, rows [{lo}, {hi})"
+                    );
+                }
+            }
+        }
+        assert!(diverged > 3_000, "the corruptions must be seen: {diverged}");
     }
 
     #[test]

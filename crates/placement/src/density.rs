@@ -5,7 +5,7 @@
 //! cells. Both need a cheap "how full is this area of the die" query, which this module provides
 //! via a uniform grid of bins accumulating cell area.
 
-use crate::geom::{Interval, Rect};
+use crate::geom::Rect;
 use crate::layout::Design;
 use serde::{Deserialize, Serialize};
 
@@ -183,11 +183,12 @@ impl DensityMap {
     /// each covered bin's capacity (geometric area minus fixed cells and blockages,
     /// clamped at zero) and occupancy (every movable cell's in-die overlap) exactly the
     /// way [`DensityMap::build`] does, and compare. All contributions are integer
-    /// site·row areas, so sums are exact in `f64` regardless of accumulation order — the
-    /// comparison uses a tiny epsilon only as slack against future fractional areas.
-    /// `Err` names the first diverging bin — the invariant-scrubber's typed corruption
-    /// evidence. Only rectangles touching the audited bin rows are splatted: one cheap row
-    /// test per cell, so the cost does not grow with the rows outside the slice.
+    /// site·row areas, so they are summed as exact integers, which equal the map's `f64`
+    /// sums regardless of accumulation order — the comparison uses a tiny epsilon only as
+    /// slack against future fractional areas. `Err` names the first diverging bin — the
+    /// invariant-scrubber's typed corruption evidence. Every rectangle is clipped to the
+    /// audited band of bin rows (and the die) and located through site → column and
+    /// row → bin-row tables, so a cell costs no division and no per-bin rectangle.
     pub fn audit_rows(&self, design: &Design, row_lo: i64, row_hi: i64) -> Result<(), String> {
         let die = design.die();
         let nx = ((design.num_sites_x + self.bin_w - 1) / self.bin_w).max(1) as usize;
@@ -207,49 +208,26 @@ impl DensityMap {
         if row_lo >= row_hi {
             return Ok(());
         }
+        let band = BandGrid::new(self, by0, by1);
         let bins = nx * (by1 - by0 + 1);
-        let mut occ = vec![0.0f64; bins];
-        let mut cap = vec![0.0f64; bins];
-        for by in by0..=by1 {
-            for bx in 0..nx {
-                cap[(by - by0) * nx + bx] =
-                    self.bin_rect(bx, by).intersect(&die).area().max(0) as f64;
-            }
-        }
-        let splat_into = |bins: &mut [f64], rect: &Rect, sign: f64| {
-            let rect = rect.intersect(&die);
-            if rect.is_empty() {
-                return;
-            }
-            let (bx0, ry0, bx1, ry1) = self.bin_range(&rect);
-            for by in ry0.max(by0)..=ry1.min(by1) {
-                for bx in bx0..=bx1 {
-                    let area = self.bin_rect(bx, by).overlap_area(&rect) as f64;
-                    if area > 0.0 {
-                        bins[(by - by0) * nx + bx] += sign * area;
-                    }
-                }
-            }
-        };
-        // only rectangles touching the audited bin rows contribute to them
-        let band = Interval::new(by0 as i64 * self.bin_h, (by1 as i64 + 1) * self.bin_h);
-        for b in design.blockers_in_rows(band.lo, band.hi) {
-            splat_into(&mut cap, &b, -1.0);
+        let mut cap = vec![0i64; bins];
+        let mut occ = vec![0i64; bins];
+        // capacity starts as the geometric bin area clipped to the die, then fixed cells
+        // and blockages consume it
+        band.splat(&mut cap, &band.rect, 1);
+        for b in design.blockers_in_rows(band.rect.y_lo, band.rect.y_hi) {
+            band.splat(&mut cap, &b, -1);
         }
         for c in cap.iter_mut() {
-            *c = c.max(0.0);
+            *c = (*c).max(0);
         }
-        for c in design
-            .cells
-            .iter()
-            .filter(|c| !c.fixed && c.y_interval().overlaps(&band))
-        {
-            splat_into(&mut occ, &c.rect(), 1.0);
+        for c in design.cells.iter().filter(|c| !c.fixed) {
+            band.splat(&mut occ, &c.rect(), 1);
         }
         for by in by0..=by1 {
             for bx in 0..nx {
-                let want_occ = occ[(by - by0) * nx + bx];
-                let want_cap = cap[(by - by0) * nx + bx];
+                let want_occ = occ[(by - by0) * nx + bx] as f64;
+                let want_cap = cap[(by - by0) * nx + bx] as f64;
                 let idx = by * nx + bx;
                 if (self.occupied[idx] - want_occ).abs() > 1e-6
                     || (self.capacity[idx] - want_cap).abs() > 1e-6
@@ -281,6 +259,75 @@ impl DensityMap {
             max = max.max(d);
         }
         max
+    }
+}
+
+/// The bin rows `by0..=by1` of a [`DensityMap`] as an integer accumulation grid for
+/// [`DensityMap::audit_rows`]: the band's die-clipped rectangle plus lookup tables from
+/// site to bin column and from band row to bin row.
+struct BandGrid {
+    bin_w: i64,
+    bin_h: i64,
+    nx: usize,
+    by0: usize,
+    /// The band's bin rows clipped to the die; every splatted rectangle is clipped to it.
+    rect: Rect,
+    /// Bin column of each site of the die.
+    col_of: Vec<usize>,
+    /// Bin row, relative to `by0`, of each row of `rect`.
+    row_of: Vec<usize>,
+}
+
+impl BandGrid {
+    fn new(map: &DensityMap, by0: usize, by1: usize) -> Self {
+        let rect = Rect::new(
+            0,
+            by0 as i64 * map.bin_h,
+            map.die.x_hi,
+            (by1 as i64 + 1) * map.bin_h,
+        )
+        .intersect(&map.die);
+        let table = |len: i64, bin: i64| -> Vec<usize> {
+            let (len, bin) = (len.max(0) as usize, bin as usize);
+            (0..len.div_ceil(bin))
+                .flat_map(|b| std::iter::repeat_n(b, bin))
+                .take(len)
+                .collect()
+        };
+        Self {
+            bin_w: map.bin_w,
+            bin_h: map.bin_h,
+            nx: map.nx,
+            by0,
+            rect,
+            col_of: table(map.die.x_hi, map.bin_w),
+            row_of: table(rect.height(), map.bin_h),
+        }
+    }
+
+    /// Add `sign` × the overlap of `rect` (clipped to the band) to every bin it touches.
+    fn splat(&self, bins: &mut [i64], rect: &Rect, sign: i64) {
+        let r = rect.intersect(&self.rect);
+        if r.is_empty() {
+            return;
+        }
+        let (bx0, bx1) = (
+            self.col_of[r.x_lo as usize],
+            self.col_of[r.x_hi as usize - 1],
+        );
+        let (q0, q1) = (
+            self.row_of[(r.y_lo - self.rect.y_lo) as usize],
+            self.row_of[(r.y_hi - 1 - self.rect.y_lo) as usize],
+        );
+        for q in q0..=q1 {
+            let bin_y = (self.by0 + q) as i64 * self.bin_h;
+            let rows = r.y_hi.min(bin_y + self.bin_h) - r.y_lo.max(bin_y);
+            for bx in bx0..=bx1 {
+                let bin_x = bx as i64 * self.bin_w;
+                let sites = r.x_hi.min(bin_x + self.bin_w) - r.x_lo.max(bin_x);
+                bins[q * self.nx + bx] += sign * sites * rows;
+            }
+        }
     }
 }
 
@@ -399,6 +446,141 @@ mod tests {
                 assert!((map.density_at(x, y) - restored.density_at(x, y)).abs() < 1e-9);
             }
         }
+    }
+
+    /// The allocating audit [`DensityMap::audit_rows`] replaced, kept as its oracle: a
+    /// `Rect` per bin and `f64` sums, splatting through [`DensityMap::bin_range`].
+    fn audit_rows_by_rect_splat(
+        map: &DensityMap,
+        design: &Design,
+        row_lo: i64,
+        row_hi: i64,
+    ) -> Result<(), String> {
+        use crate::geom::Interval;
+        let die = design.die();
+        let nx = ((design.num_sites_x + map.bin_w - 1) / map.bin_w).max(1) as usize;
+        let ny = ((design.num_rows + map.bin_h - 1) / map.bin_h).max(1) as usize;
+        if (nx, ny) != (map.nx, map.ny) || die != map.die {
+            return Err(format!(
+                "grid shape diverges: {}x{} bins over {:?}, design wants {nx}x{ny} over {die:?}",
+                map.nx, map.ny, map.die
+            ));
+        }
+        let by0 = row_lo
+            .clamp(0, design.num_rows.max(1) - 1)
+            .div_euclid(map.bin_h) as usize;
+        let by1 = (row_hi - 1)
+            .clamp(0, design.num_rows.max(1) - 1)
+            .div_euclid(map.bin_h) as usize;
+        if row_lo >= row_hi {
+            return Ok(());
+        }
+        let bins = nx * (by1 - by0 + 1);
+        let mut occ = vec![0.0f64; bins];
+        let mut cap = vec![0.0f64; bins];
+        for by in by0..=by1 {
+            for bx in 0..nx {
+                cap[(by - by0) * nx + bx] =
+                    map.bin_rect(bx, by).intersect(&die).area().max(0) as f64;
+            }
+        }
+        let splat_into = |bins: &mut [f64], rect: &Rect, sign: f64| {
+            let rect = rect.intersect(&die);
+            if rect.is_empty() {
+                return;
+            }
+            let (bx0, ry0, bx1, ry1) = map.bin_range(&rect);
+            for by in ry0.max(by0)..=ry1.min(by1) {
+                for bx in bx0..=bx1 {
+                    let area = map.bin_rect(bx, by).overlap_area(&rect) as f64;
+                    if area > 0.0 {
+                        bins[(by - by0) * nx + bx] += sign * area;
+                    }
+                }
+            }
+        };
+        let band = Interval::new(by0 as i64 * map.bin_h, (by1 as i64 + 1) * map.bin_h);
+        for b in design.blockers_in_rows(band.lo, band.hi) {
+            splat_into(&mut cap, &b, -1.0);
+        }
+        for c in cap.iter_mut() {
+            *c = c.max(0.0);
+        }
+        for c in design
+            .cells
+            .iter()
+            .filter(|c| !c.fixed && c.y_interval().overlaps(&band))
+        {
+            splat_into(&mut occ, &c.rect(), 1.0);
+        }
+        for by in by0..=by1 {
+            for bx in 0..nx {
+                let want_occ = occ[(by - by0) * nx + bx];
+                let want_cap = cap[(by - by0) * nx + bx];
+                let idx = by * nx + bx;
+                if (map.occupied[idx] - want_occ).abs() > 1e-6
+                    || (map.capacity[idx] - want_cap).abs() > 1e-6
+                {
+                    return Err(format!(
+                        "bin ({bx},{by}) diverges from the design: occupied {} vs {want_occ}, \
+                         capacity {} vs {want_cap}",
+                        map.occupied[idx], map.capacity[idx]
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn audit_differential_agrees_with_the_rect_splat_audit() {
+        use crate::test_support::{audit_ranges, random_design};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut diverged = 0;
+        for seed in 0..150 {
+            let d = random_design(seed);
+            let (bin_w, bin_h) = (rng.random_range(1..40i64), rng.random_range(1..12i64));
+            let clean = DensityMap::build(&d, bin_w, bin_h);
+            let bins = clean.occupied.len();
+            // clean, one perturbed bin (above and below the epsilon, occupancy or
+            // capacity), and several perturbed bins at once
+            let mut maps = vec![clean.clone()];
+            for amount in [1.0, -2.0, 0.5, 1e-9] {
+                let mut m = clean.clone();
+                m.occupied[rng.random_range(0..bins)] += amount;
+                maps.push(m);
+                let mut m = clean.clone();
+                m.capacity[rng.random_range(0..bins)] += amount;
+                maps.push(m);
+            }
+            let mut m = clean.clone();
+            for _ in 0..3 {
+                m.occupied[rng.random_range(0..bins)] += 3.0;
+                m.capacity[rng.random_range(0..bins)] -= 1.0;
+            }
+            maps.push(m);
+            // a map of another grid shape
+            maps.push(DensityMap::build(&d, bin_w + 1, bin_h));
+            let mut ranges = audit_ranges(d.num_rows);
+            for _ in 0..6 {
+                let lo = rng.random_range(-5..d.num_rows + 5);
+                ranges.push((lo, lo + rng.random_range(-3..d.num_rows + 3)));
+            }
+            for (i, map) in maps.iter().enumerate() {
+                for &(lo, hi) in &ranges {
+                    let want = audit_rows_by_rect_splat(map, &d, lo, hi);
+                    diverged += usize::from(want.is_err());
+                    assert_eq!(
+                        map.audit_rows(&d, lo, hi),
+                        want,
+                        "seed {seed}, map {i}, rows [{lo}, {hi})"
+                    );
+                }
+            }
+        }
+        assert!(diverged > 1_000, "the corruptions must be seen: {diverged}");
     }
 
     #[test]

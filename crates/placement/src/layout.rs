@@ -4,6 +4,7 @@ use crate::cell::{Cell, CellId};
 use crate::geom::{Interval, Rect};
 use crate::row::{Rail, Row};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// A complete mixed-cell-height design: a uniform die of rows/sites plus cells and blockages.
 ///
@@ -159,7 +160,7 @@ impl Design {
 
     /// Blocked site intervals in row `row` coming from fixed cells and blockages.
     pub fn blocked_intervals(&self, row: i64) -> Vec<Interval> {
-        blocked_in_row(&self.blockers_in_rows(row, row + 1), row)
+        blocked_in_row(&self.blockers_in_rows(row, row + 1), row).collect()
     }
 
     /// Rectangles of the fixed cells (in design order), then of the blockages, that touch
@@ -181,34 +182,46 @@ impl Design {
     /// Only fixed cells and blockages block a row — movable cells live *inside* the free
     /// intervals and become `localCells` of the MGL algorithm.
     pub fn free_intervals(&self, row: i64) -> Vec<Interval> {
-        self.free_among(self.blocked_intervals(row))
+        let mut free = Vec::new();
+        free_among(
+            self.num_sites_x,
+            &mut self.blocked_intervals(row),
+            &mut free,
+        );
+        free
     }
 
     /// [`Design::free_intervals`] of every row in `[row_lo, row_hi)`, in row order. The band's
     /// blockers are collected once, so `k` rows cost one pass over the design plus `k`
     /// passes over those blockers instead of `k` passes over the design.
     pub fn free_intervals_in_rows(&self, row_lo: i64, row_hi: i64) -> Vec<Vec<Interval>> {
-        let blockers = self.blockers_in_rows(row_lo, row_hi);
-        (row_lo..row_hi)
-            .map(|row| self.free_among(blocked_in_row(&blockers, row)))
-            .collect()
+        let mut rows = Vec::with_capacity((row_hi - row_lo).max(0) as usize);
+        let Ok(()) = self.try_for_each_free_row(row_lo, row_hi, |_, free| {
+            rows.push(free.to_vec());
+            Ok::<(), Infallible>(())
+        });
+        rows
     }
 
-    /// The die width minus `blocked` (one row's blocked intervals, in blocker order).
-    fn free_among(&self, mut blocked: Vec<Interval>) -> Vec<Interval> {
-        let full = Interval::new(0, self.num_sites_x);
-        blocked.sort_by_key(|iv| iv.lo);
-        let mut free = vec![full];
-        for b in blocked {
-            let mut next = Vec::with_capacity(free.len() + 1);
-            for f in free {
-                next.extend(f.subtract(&b));
-            }
-            free = next;
+    /// Visit [`Design::free_intervals`] of every row in `[row_lo, row_hi)`, in row order,
+    /// stopping at the first `Err`. The band's blockers are collected once and the two
+    /// per-row buffers are reused, so `k` rows cost one pass over the design plus `k`
+    /// passes over those blockers, with no allocation per row or per blocker.
+    pub(crate) fn try_for_each_free_row<E>(
+        &self,
+        row_lo: i64,
+        row_hi: i64,
+        mut visit: impl FnMut(i64, &[Interval]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let blockers = self.blockers_in_rows(row_lo, row_hi);
+        let (mut blocked, mut free) = (Vec::new(), Vec::new());
+        for row in row_lo..row_hi {
+            blocked.clear();
+            blocked.extend(blocked_in_row(&blockers, row));
+            free_among(self.num_sites_x, &mut blocked, &mut free);
+            visit(row, &free)?;
         }
-        free.retain(|iv| !iv.is_empty());
-        free.sort_by_key(|iv| iv.lo);
-        free
+        Ok(())
     }
 
     /// Total overlapping area between pairs of movable cells plus movable-vs-blocked area.
@@ -352,12 +365,35 @@ impl Design {
 }
 
 /// The x spans of the `blockers` that cover `row`, in blocker order.
-fn blocked_in_row(blockers: &[Rect], row: i64) -> Vec<Interval> {
+fn blocked_in_row(blockers: &[Rect], row: i64) -> impl Iterator<Item = Interval> + '_ {
     blockers
         .iter()
-        .filter(|b| b.y_interval().contains(row))
+        .filter(move |b| b.y_interval().contains(row))
         .map(|b| b.x_interval())
-        .collect()
+}
+
+/// The sites `[0, num_sites)` minus `blocked` (one row's blocked intervals), written to
+/// `free` as sorted, disjoint, non-empty intervals: one sort and one sweep. Blockers are
+/// clipped to the die, and a zero-width blocker strictly inside a free run splits it, so
+/// the result is exactly what subtracting the blockers one by one with
+/// [`Interval::subtract`] leaves.
+fn free_among(num_sites: i64, blocked: &mut [Interval], free: &mut Vec<Interval>) {
+    blocked.sort_unstable_by_key(|iv| iv.lo);
+    free.clear();
+    // every site from `start` on is clear of the blockers swept so far
+    let mut start = 0;
+    for b in blocked.iter() {
+        if b.lo >= num_sites {
+            break;
+        }
+        if b.lo > start {
+            free.push(Interval::new(start, b.lo));
+        }
+        start = start.max(b.hi);
+    }
+    if start < num_sites {
+        free.push(Interval::new(start, num_sites));
+    }
 }
 
 /// The per-cell body of [`Design::pre_move`] / [`Design::pre_move_cell`].
@@ -437,6 +473,81 @@ mod tests {
                     "row {row} of band [{lo}, {hi})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn free_sweep_differential_matches_subtract_on_degenerate_blockers() {
+        use crate::test_support::free_among_by_subtract;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let sweep = |num_sites: i64, blocked: &[Interval]| {
+            let mut free = Vec::new();
+            free_among(num_sites, &mut blocked.to_vec(), &mut free);
+            free
+        };
+        let iv = |lo, hi| Interval { lo, hi };
+        let cases: Vec<Vec<Interval>> = vec![
+            vec![],
+            // zero-width: strictly inside, at either die edge, beyond either die edge
+            vec![iv(5, 5)],
+            vec![iv(0, 0), iv(20, 20)],
+            vec![iv(-3, -3), iv(25, 25)],
+            vec![iv(5, 5), iv(5, 5), iv(7, 7)],
+            // zero-width at the edge of, inside, and tied with a real blocker
+            vec![iv(4, 9), iv(4, 4), iv(9, 9), iv(6, 6)],
+            vec![iv(4, 4), iv(4, 9)],
+            // overlapping, nested and duplicate blockers
+            vec![iv(2, 8), iv(5, 12), iv(6, 7), iv(2, 8)],
+            vec![iv(3, 6), iv(6, 9)],
+            // beyond either die edge, straddling both, covering everything
+            vec![iv(-5, 2), iv(18, 30)],
+            vec![iv(-5, -1), iv(20, 30), iv(40, 50)],
+            vec![iv(-5, 30)],
+        ];
+        for blocked in &cases {
+            for num_sites in [-3, 0, 1, 6, 20] {
+                assert_eq!(
+                    sweep(num_sites, blocked),
+                    free_among_by_subtract(num_sites, blocked.clone()),
+                    "{num_sites} sites minus {blocked:?}"
+                );
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..5_000 {
+            let num_sites = rng.random_range(0..40i64);
+            let blocked: Vec<Interval> = (0..rng.random_range(0..8u32))
+                .map(|_| {
+                    let lo = rng.random_range(-6..num_sites + 6);
+                    Interval::new(lo, lo + rng.random_range(-2..12i64))
+                })
+                .collect();
+            assert_eq!(
+                sweep(num_sites, &blocked),
+                free_among_by_subtract(num_sites, blocked.clone()),
+                "{num_sites} sites minus {blocked:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn free_sweep_differential_matches_subtract_on_random_designs() {
+        use crate::test_support::{free_among_by_subtract, random_design};
+        for seed in 0..200 {
+            let d = random_design(seed);
+            let want: Vec<Vec<Interval>> = (-2..d.num_rows + 2)
+                .map(|row| free_among_by_subtract(d.num_sites_x, d.blocked_intervals(row)))
+                .collect();
+            let per_row: Vec<Vec<Interval>> = (-2..d.num_rows + 2)
+                .map(|row| d.free_intervals(row))
+                .collect();
+            assert_eq!(per_row, want, "seed {seed}");
+            assert_eq!(
+                d.free_intervals_in_rows(-2, d.num_rows + 2),
+                want,
+                "seed {seed}"
+            );
         }
     }
 

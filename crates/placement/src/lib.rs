@@ -43,6 +43,8 @@ pub mod row;
 pub mod segment;
 pub mod snapshot;
 pub mod store;
+#[cfg(test)]
+mod test_support;
 
 pub use cell::{Cell, CellId};
 pub use geom::{Interval, Rect};

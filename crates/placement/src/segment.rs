@@ -115,8 +115,9 @@ impl SegmentMap {
     /// design's fixed cells and blockages (`Design::free_intervals`), so each audited row
     /// is recomputed and compared segment-for-segment. `Err` names the first diverging
     /// row — the invariant-scrubber's typed corruption evidence. The slice's blockers are
-    /// collected once ([`Design::free_intervals_in_rows`]), so the cost is one pass over the
-    /// design plus the slice, not one pass per row.
+    /// collected once and each row is swept into reused buffers
+    /// (`Design::try_for_each_free_row`), so the cost is one pass over the design plus the
+    /// slice, with no allocation per row.
     pub fn audit_rows(&self, design: &Design, row_lo: i64, row_hi: i64) -> Result<(), String> {
         let num_rows = design.num_rows.max(0);
         if self.per_row.len() as i64 != num_rows {
@@ -127,17 +128,23 @@ impl SegmentMap {
         }
         let lo = row_lo.clamp(0, num_rows);
         let hi = row_hi.clamp(0, num_rows);
-        for (row, want) in (lo..).zip(Self::rows_of(design, lo, hi)) {
+        design.try_for_each_free_row(lo, hi, |row, free| {
             let got = &self.per_row[row as usize];
-            if *got != want {
-                return Err(format!(
+            let same = got.len() == free.len()
+                && got
+                    .iter()
+                    .zip(free)
+                    .all(|(seg, span)| seg.row == row && seg.span == *span);
+            if same {
+                Ok(())
+            } else {
+                Err(format!(
                     "row {row} segments diverge from the design: {} tracked, {} expected",
                     got.len(),
-                    want.len()
-                ));
+                    free.len()
+                ))
             }
-        }
-        Ok(())
+        })
     }
 
     /// Deliberately damage row `row` (drop its first segment) — the fault-injection hook
@@ -240,6 +247,105 @@ mod tests {
         let outside = damaged(3);
         assert_eq!(outside.audit_rows(&d, 4, 8), Ok(()));
         assert!(outside.audit_rows(&d, 0, 4).unwrap_err().contains("row 3 "));
+    }
+
+    /// The allocating audit [`SegmentMap::audit_rows`] replaced, kept as its oracle: each
+    /// row's segments rebuilt through the subtract-based free intervals, then compared
+    /// as whole vectors.
+    fn audit_rows_by_rebuild(
+        map: &SegmentMap,
+        design: &Design,
+        row_lo: i64,
+        row_hi: i64,
+    ) -> Result<(), String> {
+        use crate::test_support::free_among_by_subtract;
+        let num_rows = design.num_rows.max(0);
+        if map.per_row.len() as i64 != num_rows {
+            return Err(format!(
+                "segment map has {} rows, design has {num_rows}",
+                map.per_row.len()
+            ));
+        }
+        let lo = row_lo.clamp(0, num_rows);
+        let hi = row_hi.clamp(0, num_rows);
+        for row in lo..hi {
+            let want: Vec<Segment> =
+                free_among_by_subtract(design.num_sites_x, design.blocked_intervals(row))
+                    .into_iter()
+                    .map(|span| Segment { row, span })
+                    .collect();
+            let got = &map.per_row[row as usize];
+            if *got != want {
+                return Err(format!(
+                    "row {row} segments diverge from the design: {} tracked, {} expected",
+                    got.len(),
+                    want.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn audit_differential_agrees_with_the_rebuilding_audit() {
+        use crate::test_support::{audit_ranges, random_design};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut diverged = 0;
+        for seed in 0..200 {
+            let d = random_design(seed);
+            let clean = SegmentMap::build(&d);
+            let rows = clean.per_row.len();
+            let mut maps = vec![clean.clone()];
+            let damage = |m: &mut SegmentMap, rng: &mut StdRng| {
+                let row = rng.random_range(0..rows);
+                let segs = &mut m.per_row[row];
+                match (rng.random_range(0..5u32), segs.len()) {
+                    // drop a segment
+                    (0, n) if n > 0 => {
+                        segs.remove(rng.random_range(0..n));
+                    }
+                    // shift one end of a segment
+                    (1, n) if n > 0 => segs[rng.random_range(0..n)].span.lo -= 1,
+                    (2, n) if n > 0 => segs[rng.random_range(0..n)].span.hi += 1,
+                    // a segment filed under the wrong row
+                    (3, n) if n > 0 => segs[rng.random_range(0..n)].row += 1,
+                    // an extra segment
+                    _ => segs.push(Segment::new(row as i64, 0, 1)),
+                }
+            };
+            for corruptions in [1, 1, 1, 2, 3] {
+                let mut m = clean.clone();
+                for _ in 0..corruptions {
+                    damage(&mut m, &mut rng);
+                }
+                maps.push(m);
+            }
+            // a map of a die with one row more
+            let mut taller = d.clone();
+            taller.num_rows += 1;
+            maps.push(SegmentMap::build(&taller));
+            let mut ranges = audit_ranges(d.num_rows);
+            for _ in 0..6 {
+                let lo = rng.random_range(-5..d.num_rows + 5);
+                ranges.push((lo, lo + rng.random_range(-3..d.num_rows + 3)));
+            }
+            for (i, map) in maps.iter().enumerate() {
+                for &(lo, hi) in &ranges {
+                    let want = audit_rows_by_rebuild(map, &d, lo, hi);
+                    diverged += usize::from(want.is_err());
+                    assert_eq!(
+                        map.audit_rows(&d, lo, hi),
+                        want,
+                        "seed {seed}, map {i}, rows [{lo}, {hi})"
+                    );
+                }
+            }
+            // the build itself is the oracle's rows
+            assert_eq!(audit_rows_by_rebuild(&clean, &d, 0, d.num_rows), Ok(()));
+        }
+        assert!(diverged > 1_000, "the corruptions must be seen: {diverged}");
     }
 
     #[test]
