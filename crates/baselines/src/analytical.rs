@@ -22,7 +22,8 @@ use crate::abacus::{AbacusCell, AbacusRow};
 use crate::gpu_model::GpuModel;
 use flex_mgl::api::{LegalizeReport, Legalizer, RuntimeBreakdown};
 use flex_mgl::fop::TargetSpec;
-use flex_mgl::legalize::fallback_place;
+use flex_mgl::legalize::fallback_place_indexed;
+use flex_mgl::region::LegalizedIndex;
 use flex_placement::cell::CellId;
 use flex_placement::geom::Interval;
 use flex_placement::layout::Design;
@@ -84,6 +85,7 @@ impl AnalyticalLegalizer {
         let start = Instant::now();
         design.pre_move();
         let segmap = SegmentMap::build(design);
+        let mut index = LegalizedIndex::build(design);
 
         let mut fallback_placed = 0usize;
         let mut failed = Vec::new();
@@ -101,15 +103,7 @@ impl AnalyticalLegalizer {
             (std::cmp::Reverse(c.area()), id)
         });
         for id in multi {
-            let c = design.cell(id);
-            let spec = TargetSpec {
-                width: c.width,
-                height: c.height,
-                gx: c.gx,
-                gy: c.gy,
-                parity: c.row_parity,
-            };
-            if fallback_place(design, id, &spec) {
+            if fallback(design, &mut index, id) {
                 fallback_placed += 1;
             } else {
                 failed.push(id);
@@ -232,7 +226,9 @@ impl AnalyticalLegalizer {
             }
         }
 
-        // 4. anything still illegal gets the fallback treatment
+        // 4. anything still illegal gets the fallback treatment; the sweeps rewrote rows and
+        //    `legalized` flags, so the index is rebuilt once
+        index = LegalizedIndex::build(design);
         let ids: Vec<CellId> = design
             .cells
             .iter()
@@ -240,15 +236,7 @@ impl AnalyticalLegalizer {
             .map(|c| c.id)
             .collect();
         for id in ids {
-            let c = design.cell(id);
-            let spec = TargetSpec {
-                width: c.width,
-                height: c.height,
-                gx: c.gx,
-                gy: c.gy,
-                parity: c.row_parity,
-            };
-            if fallback_place(design, id, &spec) {
+            if fallback(design, &mut index, id) {
                 fallback_placed += 1;
             } else {
                 failed.push(id);
@@ -277,19 +265,14 @@ impl AnalyticalLegalizer {
             offenders.sort();
             offenders.dedup();
             for id in offenders {
-                if design.cell(id).fixed {
+                let c = design.cell_mut(id);
+                if c.fixed {
                     continue;
                 }
-                design.cell_mut(id).legalized = false;
-                let c = design.cell(id);
-                let spec = TargetSpec {
-                    width: c.width,
-                    height: c.height,
-                    gx: c.gx,
-                    gy: c.gy,
-                    parity: c.row_parity,
-                };
-                if fallback_place(design, id, &spec) {
+                c.legalized = false;
+                let (y, height) = (c.y, c.height);
+                index.remove_cell(id, y, height);
+                if fallback(design, &mut index, id) {
                     fallback_placed += 1;
                 } else if !failed.contains(&id) {
                     failed.push(id);
@@ -339,10 +322,21 @@ impl Legalizer for AnalyticalLegalizer {
                     .num_movable()
                     .saturating_sub(result.fallback_placed + result.failed.len()),
                 result.fallback_placed,
-                result.failed.clone(),
+                result.failed,
             )
-            .with_details(result)
     }
+}
+
+/// Place `id` at the nearest free gap between the legalized cells and register it in
+/// `index`, which must hold exactly the design's legalized movable cells. `false` if the die
+/// has no gap for it.
+fn fallback(design: &mut Design, index: &mut LegalizedIndex, id: CellId) -> bool {
+    let spec = TargetSpec::of(design.cell(id));
+    let placed = fallback_place_indexed(design, index, id, &spec);
+    if placed {
+        index.insert(design, id);
+    }
+    placed
 }
 
 /// The free interval of `row` that contains (or is nearest to) `x`, with fixed cells, blockages

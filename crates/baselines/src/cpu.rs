@@ -6,11 +6,24 @@
 //! threads, and the commits are applied under a barrier before the next batch is formed. Batch
 //! formation and committing are inherently serial, and the number of non-overlapping regions
 //! available at any moment is limited, which is why the speedup saturates around eight threads.
+//!
+//! Each member's step is TCAD'22's own: FOP over expanding windows, then one commit attempt
+//! for the first feasible placement. A cell whose commit is rejected goes to the fallback
+//! scan, not to the next window (where the serial [`flex_mgl::MglLegalizer`] would go).
+//!
+//! Batch windows are disjoint only at expansion 0, and every member's region is extracted
+//! before the batch commits. So an earlier member's commit in an expanded window, or its
+//! fallback, can write into a later member's region, and that member's plan is stale. The
+//! commit phase records every write of the batch; a member whose region window, widened by one
+//! site like the parallel MGL engine's guard, meets an earlier write reruns its step serially
+//! against the current design. A one-thread run never reruns a member.
 
 use flex_mgl::api::{LegalizeReport, Legalizer, RuntimeBreakdown};
 use flex_mgl::config::MglConfig;
-use flex_mgl::fop::{self, Placement, TargetSpec};
-use flex_mgl::legalize::{commit_placement, fallback_place_indexed};
+use flex_mgl::fop::{find_optimal_position_with, FopScratch, Placement, TargetSpec};
+use flex_mgl::legalize::{
+    apply_commit, fallback_place_indexed, plan_commit_with, plan_write_rects,
+};
 use flex_mgl::region::{target_window, LegalizedIndex, LocalRegion};
 use flex_mgl::stats::FopOpStats;
 use flex_placement::cell::CellId;
@@ -23,9 +36,8 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// A batch member's FOP outcome: the extracted region, chosen placement and target spec, or
-/// `None` when no window produced a feasible point.
-type BatchOutcome = (CellId, Option<(LocalRegion, Placement, TargetSpec)>);
+/// A batch member's FOP result: the region it was found in and the chosen placement.
+type Found = (LocalRegion, Placement);
 
 /// Result of a CPU-baseline legalization run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -84,13 +96,15 @@ impl CpuLegalizer {
     /// Legalize the design in place.
     pub fn legalize(&self, design: &mut Design) -> CpuLegalizerResult {
         let start = Instant::now();
+        let cfg = &self.config;
         design.pre_move();
         let segmap = SegmentMap::build(design);
         // row-bucketed obstacle index: extraction and fallback only look at the legalized
         // cells actually occupying the window's rows instead of scanning the whole design,
         // which keeps the baseline honest (O(cells-in-window) per region) at 50k cells
         let mut index = LegalizedIndex::build(design);
-        let mut op_stats = FopOpStats::default();
+        // the commit phase's arena; the workers use their thread-local ones
+        let mut scratch = FopScratch::new();
 
         // size-descending processing order (the widely adopted baseline ordering)
         let mut queue: Vec<CellId> = design.movable_ids();
@@ -109,6 +123,7 @@ impl CpuLegalizer {
         let mut failed = Vec::new();
         let mut batches = 0usize;
         let mut batch_total = 0usize;
+        let mut writes: Vec<Rect> = Vec::new();
 
         let mut pending = std::collections::VecDeque::from(queue);
         while !pending.is_empty() {
@@ -120,12 +135,7 @@ impl CpuLegalizer {
             let mut skipped: Vec<CellId> = Vec::new();
             while batch.len() < self.threads && !pending.is_empty() && skipped.len() < lookahead {
                 let id = pending.pop_front().unwrap();
-                let window = target_window(
-                    design,
-                    id,
-                    self.config.window_half_sites,
-                    self.config.window_half_rows,
-                );
+                let window = target_window(design, id, cfg.window_half_sites, cfg.window_half_rows);
                 if batch_windows.iter().any(|w| w.overlaps(&window)) {
                     skipped.push(id);
                 } else {
@@ -148,87 +158,51 @@ impl CpuLegalizer {
             batch_total += batch.len();
 
             // parallel FOP over the batch (read-only view of the design and the index)
-            let cfg = &self.config;
-            let design_ref: &Design = design;
-            let segmap_ref = &segmap;
-            let index_ref = &index;
-            let outcomes: Vec<BatchOutcome> = pool.install(|| {
+            let (design_ref, index_ref): (&Design, &LegalizedIndex) = (design, &index);
+            let outcomes: Vec<(CellId, Option<Found>)> = pool.install(|| {
                 batch
                     .par_iter()
                     .map(|&id| {
-                        let c = design_ref.cell(id);
-                        let spec = TargetSpec {
-                            width: c.width,
-                            height: c.height,
-                            gx: c.gx,
-                            gy: c.gy,
-                            parity: c.row_parity,
-                        };
-                        let mut local_stats = FopOpStats::default();
-                        for expansion in 0..=cfg.max_window_expansions {
-                            let window = target_window(
-                                design_ref,
-                                id,
-                                cfg.window_half_sites << expansion,
-                                cfg.window_half_rows << expansion,
-                            );
-                            let region = LocalRegion::extract_indexed(
-                                design_ref, segmap_ref, id, window, index_ref,
-                            );
-                            if region.cells.len() > cfg.max_region_cells {
-                                // larger windows only grow the region: give up on FOP for
-                                // this cell and let the fallback scan place it
-                                break;
-                            }
-                            if !region.can_host(spec.width, spec.height, spec.parity) {
-                                continue;
-                            }
-                            let out =
-                                fop::find_optimal_position(&region, &spec, cfg, &mut local_stats);
-                            if let Some(best) = out.best {
-                                return (id, Some((region, best, spec)));
-                            }
-                        }
-                        (id, None)
+                        let found = FopScratch::with_thread_local(|scratch| {
+                            find_in_windows(design_ref, &segmap, index_ref, cfg, id, scratch)
+                        });
+                        (id, found)
                     })
                     .collect()
             });
 
             // serial commit phase (the synchronization the paper's Fig. 2(a)/(b) refers to)
-            for (id, outcome) in outcomes {
-                match outcome {
-                    Some((region, placement, spec)) => {
-                        if commit_placement(design, &region, &placement, &spec, cfg) {
-                            placed_in_region += 1;
-                            index.insert(design, id);
-                        } else if fallback_place_indexed(design, &index, id, &spec) {
-                            fallback_placed += 1;
-                            index.insert(design, id);
-                        } else {
-                            failed.push(id);
-                        }
-                    }
-                    None => {
-                        let c = design.cell(id);
-                        let spec = TargetSpec {
-                            width: c.width,
-                            height: c.height,
-                            gx: c.gx,
-                            gy: c.gy,
-                            parity: c.row_parity,
-                        };
-                        if fallback_place_indexed(design, &index, id, &spec) {
-                            fallback_placed += 1;
-                            index.insert(design, id);
-                        } else {
-                            failed.push(id);
-                        }
-                    }
+            writes.clear();
+            for (id, found) in outcomes {
+                let stale = found.as_ref().is_some_and(|(region, _)| {
+                    let guard = region.window.expanded(1, 0);
+                    writes.iter().any(|w| w.overlaps(&guard))
+                });
+                let found = if stale {
+                    find_in_windows(design, &segmap, &index, cfg, id, &mut scratch)
+                } else {
+                    found
+                };
+                // one commit attempt, then the fallback scan
+                let spec = TargetSpec::of(design.cell(id));
+                let plan = found.and_then(|(region, placement)| {
+                    plan_commit_with(&region, &placement, &spec, cfg, &mut scratch)
+                });
+                if let Some(plan) = plan {
+                    plan_write_rects(design, &plan, &mut writes);
+                    apply_commit(design, &plan);
+                    placed_in_region += 1;
+                } else if fallback_place_indexed(design, &index, id, &spec) {
+                    writes.push(design.cell(id).rect());
+                    fallback_placed += 1;
+                } else {
+                    failed.push(id);
+                    continue;
                 }
+                index.insert(design, id);
             }
         }
 
-        let _ = &mut op_stats;
         let disp = displacement_stats(design);
         CpuLegalizerResult {
             legal: check_legality_with(design, true).is_legal(),
@@ -248,6 +222,42 @@ impl CpuLegalizer {
     }
 }
 
+/// TCAD'22's FOP step for one cell: extract the region of each expanding window until FOP
+/// finds a feasible placement. `None` when no window does, or once a region outgrows
+/// `max_region_cells` (larger windows only grow it).
+fn find_in_windows(
+    design: &Design,
+    segmap: &SegmentMap,
+    index: &LegalizedIndex,
+    cfg: &MglConfig,
+    id: CellId,
+    scratch: &mut FopScratch,
+) -> Option<Found> {
+    let spec = TargetSpec::of(design.cell(id));
+    for expansion in 0..=cfg.max_window_expansions {
+        let window = target_window(
+            design,
+            id,
+            cfg.window_half_sites << expansion,
+            cfg.window_half_rows << expansion,
+        );
+        let region = LocalRegion::extract_indexed(design, segmap, id, window, index);
+        if region.cells.len() > cfg.max_region_cells {
+            return None;
+        }
+        if !region.can_host(spec.width, spec.height, spec.parity) {
+            continue;
+        }
+        let mut stats = FopOpStats::default();
+        if let Some(best) =
+            find_optimal_position_with(&region, &spec, cfg, &mut stats, scratch).best
+        {
+            return Some((region, best));
+        }
+    }
+    None
+}
+
 impl Legalizer for CpuLegalizer {
     fn name(&self) -> &'static str {
         "tcad22-cpu"
@@ -260,9 +270,8 @@ impl Legalizer for CpuLegalizer {
             .with_counts(
                 result.placed_in_region,
                 result.fallback_placed,
-                result.failed.clone(),
+                result.failed,
             )
-            .with_details(result)
     }
 }
 
@@ -290,6 +299,17 @@ mod tests {
             res.avg_batch_size > 1.0,
             "8 threads should batch more than one region"
         );
+    }
+
+    /// Batch windows are disjoint only at expansion 0: on these seeds an earlier member's
+    /// commit writes into a later member's region, whose stale plan must not be applied.
+    #[test]
+    fn two_threads_stay_legal_when_batch_regions_overlap() {
+        for seed in [31, 41] {
+            let mut d = generate(&BenchmarkSpec::tiny("cpu2", seed));
+            let res = CpuLegalizer::new(2).legalize(&mut d);
+            assert!(res.legal, "seed {seed}: failed cells {:?}", res.failed);
+        }
     }
 
     #[test]

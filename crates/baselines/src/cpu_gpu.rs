@@ -18,9 +18,9 @@
 use crate::gpu_model::GpuModel;
 use flex_mgl::api::{LegalizeReport, Legalizer, RuntimeBreakdown};
 use flex_mgl::config::MglConfig;
-use flex_mgl::fop::{self, TargetSpec};
-use flex_mgl::legalize::{commit_placement, fallback_place};
-use flex_mgl::region::{target_window, LocalRegion};
+use flex_mgl::fop::FopScratch;
+use flex_mgl::legalize::{place_target_with, PlacedBy};
+use flex_mgl::region::{target_window, LegalizedIndex};
 use flex_mgl::stats::FopOpStats;
 use flex_placement::cell::CellId;
 use flex_placement::geom::Rect;
@@ -78,7 +78,8 @@ pub struct CpuGpuLegalizer {
     pub gpu: GpuModel,
     /// Maximum number of non-overlapping regions per GPU batch.
     pub batch_size: usize,
-    /// Underlying MGL configuration.
+    /// Underlying MGL configuration. The DATE'22 flow places every cell with the shared
+    /// per-cell step ([`place_target_with`]).
     pub config: MglConfig,
     /// Relative speed of the simple host CPU handling the tough-cell queue (the DATE'22 host is
     /// a desktop-class i5; 1.0 means "as fast as this machine").
@@ -90,7 +91,12 @@ impl Default for CpuGpuLegalizer {
         Self {
             gpu: GpuModel::gtx_1660_ti(),
             batch_size: 192,
-            config: MglConfig::original(),
+            config: MglConfig {
+                // the DATE'22 flow has no region cap: every window is evaluated however
+                // many localCells it holds
+                max_region_cells: usize::MAX,
+                ..MglConfig::original()
+            },
             cpu_speed: 0.8,
         }
     }
@@ -102,7 +108,21 @@ impl CpuGpuLegalizer {
         let start = Instant::now();
         design.pre_move();
         let segmap = SegmentMap::build(design);
+        let mut index = LegalizedIndex::build(design);
         let mut op_stats = FopOpStats::default();
+        let mut scratch = FopScratch::new();
+        let mut place = |design: &mut Design, id: CellId| {
+            let outcome = place_target_with(
+                design,
+                &segmap,
+                &mut index,
+                &self.config,
+                id,
+                &mut op_stats,
+                &mut scratch,
+            );
+            outcome.placed != PlacedBy::None
+        };
 
         // size-descending order; multi-row cells are "tough" and land on the CPU queue
         let mut simple: Vec<CellId> = Vec::new();
@@ -177,7 +197,7 @@ impl CpuGpuLegalizer {
 
             // functional evaluation + commit on the host
             for id in batch {
-                if !self.place_one(design, &segmap, id, &mut op_stats) {
+                if !place(design, id) {
                     failed.push(id);
                 }
             }
@@ -186,7 +206,7 @@ impl CpuGpuLegalizer {
         // --- CPU part: the serial tough-cell queue --------------------------------------------
         let tough_start = Instant::now();
         for id in tough {
-            if !self.place_one(design, &segmap, id, &mut op_stats) {
+            if !place(design, id) {
                 failed.push(id);
             }
         }
@@ -207,46 +227,6 @@ impl CpuGpuLegalizer {
             failed,
         }
     }
-
-    /// Place one cell with expanding-window FOP, falling back to the nearest-gap scan.
-    fn place_one(
-        &self,
-        design: &mut Design,
-        segmap: &SegmentMap,
-        id: CellId,
-        op_stats: &mut FopOpStats,
-    ) -> bool {
-        let (width, height, gx, gy, parity) = {
-            let c = design.cell(id);
-            (c.width, c.height, c.gx, c.gy, c.row_parity)
-        };
-        let spec = TargetSpec {
-            width,
-            height,
-            gx,
-            gy,
-            parity,
-        };
-        for expansion in 0..=self.config.max_window_expansions {
-            let window = target_window(
-                design,
-                id,
-                self.config.window_half_sites << expansion,
-                self.config.window_half_rows << expansion,
-            );
-            let region = LocalRegion::extract(design, segmap, id, window);
-            if !region.can_host(width, height, parity) {
-                continue;
-            }
-            let out = fop::find_optimal_position(&region, &spec, &self.config, op_stats);
-            if let Some(best) = out.best {
-                if commit_placement(design, &region, &best, &spec, &self.config) {
-                    return true;
-                }
-            }
-        }
-        fallback_place(design, id, &spec)
-    }
 }
 
 impl Legalizer for CpuGpuLegalizer {
@@ -264,12 +244,7 @@ impl Legalizer for CpuGpuLegalizer {
                 result.host_runtime,
                 result.estimated_runtime,
             ))
-            .with_counts(
-                cells.saturating_sub(result.failed.len()),
-                0,
-                result.failed.clone(),
-            )
-            .with_details(result)
+            .with_counts(cells.saturating_sub(result.failed.len()), 0, result.failed)
     }
 }
 

@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flex_mgl::config::{FopVariant, MglConfig, ShiftAlgorithm};
-use flex_mgl::fop::{find_optimal_position, TargetSpec};
-use flex_mgl::region::{target_window, LocalRegion};
+use flex_mgl::fop::{find_optimal_position_with, FopScratch, TargetSpec};
+use flex_mgl::region::{target_window, LegalizedIndex, LocalRegion};
 use flex_mgl::stats::FopOpStats;
 use flex_placement::benchmark::{generate_premoved, BenchmarkSpec};
 use flex_placement::segment::SegmentMap;
@@ -14,16 +14,10 @@ fn bench_fop(c: &mut Criterion) {
     let design = generate_premoved(&BenchmarkSpec::tiny("fop", 13));
     let segmap = SegmentMap::build(&design);
     let target = design.movable_ids()[0];
-    let cell = design.cell(target);
-    let spec = TargetSpec {
-        width: cell.width,
-        height: cell.height,
-        gx: cell.gx,
-        gy: cell.gy,
-        parity: cell.row_parity,
-    };
+    let spec = TargetSpec::of(design.cell(target));
     let window = target_window(&design, target, 32, 4);
-    let region = LocalRegion::extract(&design, &segmap, target, window);
+    let index = LegalizedIndex::build(&design);
+    let region = LocalRegion::extract_indexed(&design, &segmap, target, window, &index);
 
     let mut group = c.benchmark_group("fop");
     group
@@ -52,10 +46,11 @@ fn bench_fop(c: &mut Criterion) {
             fop,
             ..MglConfig::default()
         };
+        let mut scratch = FopScratch::new();
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut stats = FopOpStats::default();
-                find_optimal_position(&region, &spec, &cfg, &mut stats)
+                find_optimal_position_with(&region, &spec, &cfg, &mut stats, &mut scratch)
             })
         });
     }

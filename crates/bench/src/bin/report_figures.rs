@@ -10,9 +10,9 @@
 //! * Fig. 10  — task-assignment ablation (step (e) on CPU vs. on FPGA),
 //! * Sec. 5.4 — FOP-PE scaling.
 //!
-//! Every legalization run goes through the unified `Legalizer` API (`EngineKind::build` or a
-//! boxed engine); engine-specific figures (GPU sync share, FPGA timings, operator stats) come
-//! out of the reports' typed `details` extension.
+//! Engine sweeps go through the unified `Legalizer` API (`EngineKind::build`); figures that
+//! read an engine's own result (GPU sync share, FPGA timings, operator stats, work traces)
+//! call that concrete engine's inherent `legalize`, which returns its result type.
 //!
 //! Run with `cargo run --release -p flex-bench --bin report_figures`.
 //!
@@ -41,18 +41,17 @@
 //! `FLEX_BENCH_RECOVERY_MAX_OVERHEAD`%, default 25) and recovery time as a function of
 //! journal length — written to `BENCH_recovery.json` (`FLEX_BENCH_RECOVERY_OUT`).
 
-use flex_baselines::cpu_gpu::{CpuGpuLegalizer, CpuGpuResult};
-use flex_core::accelerator::FlexOutcome;
+use flex_baselines::cpu_gpu::CpuGpuLegalizer;
+use flex_core::accelerator::FlexAccelerator;
 use flex_core::config::{FlexConfig, SacsArchConfig, TaskAssignment};
 use flex_core::sacs_arch::SacsPeModel;
 use flex_core::session::EngineKind;
 use flex_core::timing::SoftwareBreakdown;
-use flex_mgl::api::{LegalizeReport, Legalizer};
+use flex_mgl::api::LegalizeReport;
 use flex_mgl::config::MglConfig;
-use flex_mgl::legalize::{LegalizeResult, MglLegalizer};
+use flex_mgl::legalize::MglLegalizer;
 use flex_placement::benchmark::{generate, tall_cell_spec, BenchmarkSpec};
 use flex_placement::iccad2017;
-use flex_placement::layout::Design;
 use flex_placement::metrics::tall_cell_fraction;
 
 fn medium_spec(seed: u64) -> BenchmarkSpec {
@@ -63,13 +62,6 @@ fn medium_spec(seed: u64) -> BenchmarkSpec {
 fn run_kind(kind: EngineKind, cfg: &FlexConfig, spec: &BenchmarkSpec) -> LegalizeReport {
     let mut d = generate(spec);
     kind.build(cfg).legalize(&mut d)
-}
-
-/// Run a hand-configured MGL engine (configurations `EngineKind` does not expose, e.g. the
-/// TCAD'22 `MglConfig::original()`) through the same trait surface.
-fn run_mgl(cfg: MglConfig, design: &mut Design) -> LegalizeReport {
-    let engine: Box<dyn Legalizer> = Box::new(MglLegalizer::new(cfg));
-    engine.legalize(design)
 }
 
 fn fig2a() {
@@ -95,24 +87,20 @@ fn fig2a() {
 fn fig2bc() {
     println!("--- Fig. 2(b)/(c): DATE'22 GPU synchronization share and usable parallelism ---");
     let spec = medium_spec(2);
-    // build the concrete engine so the printed CUDA core count is the model that actually ran,
-    // then drive it through the same trait surface as every other figure
+    // the concrete engine, so the printed CUDA core count is the model that actually ran
     let legalizer = CpuGpuLegalizer::default();
-    let cuda_cores = legalizer.gpu.cuda_cores;
-    let engine: Box<dyn Legalizer> = Box::new(legalizer);
     let mut d = generate(&spec);
-    let report = engine.legalize(&mut d);
-    let res: &CpuGpuResult = report.details().expect("DATE'22 details");
+    let res = legalizer.legalize(&mut d);
     println!(
         "  sync share of GPU time: {:.0}%   (paper: 31–40% on the superblue cases)",
         res.sync_fraction() * 100.0
     );
-    let cells = report.cells;
+    let cells = d.num_movable();
     let avg_parallel =
         cells as f64 * (1.0 - res.tough_cells as f64 / cells as f64) / res.batches.max(1) as f64;
     println!(
         "  avg parallelizable regions per batch: {:.0}  vs  {} CUDA cores (GTX 1660 Ti)",
-        avg_parallel, cuda_cores
+        avg_parallel, legalizer.gpu.cuda_cores
     );
     println!("  → adding cores cannot help once regions, not cores, are the limit (Fig. 2(c))");
 }
@@ -121,20 +109,16 @@ fn fig2g_and_6g() {
     println!("--- Fig. 2(g) / Fig. 6(g): FOP operator breakdown ---");
     let spec = medium_spec(3);
     // original algorithm: cell shifting dominates
-    let mut d = generate(&spec);
-    let orig = run_mgl(MglConfig::original(), &mut d);
-    let orig_stats = orig.details::<LegalizeResult>().expect("mgl details");
+    let orig = MglLegalizer::new(MglConfig::original()).legalize(&mut generate(&spec));
     println!(
         "  original MGL: cell shifting = {:.0}% of FOP time (paper: >60%)",
-        orig_stats.op_stats.cell_shift_fraction() * 100.0
+        orig.op_stats.cell_shift_fraction() * 100.0
     );
     // SACS: pre-sorting overhead
-    let mut d = generate(&spec);
-    let sacs = run_mgl(MglConfig::flex(), &mut d);
-    let sacs_stats = sacs.details::<LegalizeResult>().expect("mgl details");
+    let sacs = MglLegalizer::new(MglConfig::flex()).legalize(&mut generate(&spec));
     println!(
         "  SACS:        pre-sorting  = {:.1}% of FOP time (paper: ≈10%)",
-        sacs_stats.op_stats.presort_fraction() * 100.0
+        sacs.op_stats.presort_fraction() * 100.0
     );
 }
 
@@ -152,8 +136,7 @@ fn fig8() {
     ];
     let mut baseline = None;
     for (label, cfg) in configs {
-        let report = run_kind(EngineKind::Flex, &cfg, &spec);
-        let out: &FlexOutcome = report.details().expect("flex details");
+        let out = FlexAccelerator::new(cfg).legalize(&mut generate(&spec));
         let t = out.timing.fpga_time.as_secs_f64();
         if baseline.is_none() {
             baseline = Some(t);
@@ -188,10 +171,9 @@ fn fig9() {
     for (name, spec) in cases {
         let mut d = generate(&spec);
         let tallf = tall_cell_fraction(&d, 3);
-        // collect the work trace once with the FLEX configuration; the unified report carries
-        // the trace directly
-        let report = run_mgl(FlexConfig::flex().mgl_config(), &mut d);
-        let trace = report.trace.clone().unwrap_or_default();
+        // collect the work trace once with the FLEX configuration
+        let result = MglLegalizer::new(FlexConfig::flex().mgl_config()).legalize(&mut d);
+        let trace = result.trace.unwrap_or_default();
         let steps = [
             (
                 "SACS",
@@ -246,22 +228,14 @@ fn fig9() {
 fn fig10() {
     println!("--- Fig. 10: task assignment — step (d) on FPGA vs. (d)+(e) on FPGA ---");
     let spec = medium_spec(6);
-    let flex = run_kind(EngineKind::Flex, &FlexConfig::flex(), &spec);
-    let alt = run_kind(
-        EngineKind::Flex,
-        &FlexConfig::flex().with_assignment(TaskAssignment::FopAndUpdateOnFpga),
-        &spec,
-    );
-    let flex_total = flex
-        .details::<FlexOutcome>()
-        .expect("flex details")
-        .timing
-        .total;
-    let alt_total = alt
-        .details::<FlexOutcome>()
-        .expect("flex details")
-        .timing
-        .total;
+    let total = |cfg: FlexConfig| {
+        FlexAccelerator::new(cfg)
+            .legalize(&mut generate(&spec))
+            .timing
+            .total
+    };
+    let flex_total = total(FlexConfig::flex());
+    let alt_total = total(FlexConfig::flex().with_assignment(TaskAssignment::FopAndUpdateOnFpga));
     let ratio = alt_total.as_secs_f64() / flex_total.as_secs_f64();
     println!(
         "  assign (d) on FPGA (FLEX):      {:>9.4} s",
@@ -280,11 +254,9 @@ fn fig10() {
 fn scalability() {
     println!("--- Sec. 5.4: FOP-PE scaling ---");
     let spec = medium_spec(7);
-    let mut d = generate(&spec);
-    let report = run_mgl(FlexConfig::flex().mgl_config(), &mut d);
-    let res = report.details::<LegalizeResult>().expect("mgl details");
-    let sw = SoftwareBreakdown::from_result(res);
-    let trace = report.trace.clone().unwrap_or_default();
+    let res = MglLegalizer::new(FlexConfig::flex().mgl_config()).legalize(&mut generate(&spec));
+    let sw = SoftwareBreakdown::from_result(&res);
+    let trace = res.trace.unwrap_or_default();
     let mut base = None;
     for pes in [1u64, 2, 3, 4] {
         let cfg = FlexConfig::flex().with_pes(pes);

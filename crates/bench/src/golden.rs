@@ -11,7 +11,6 @@
 //! the workspace builds offline with a no-op `serde` shim.
 
 use flex_mgl::api::LegalizeReport;
-use flex_mgl::legalize::LegalizeResult;
 
 /// Quality statistics of one legalization run, excluding anything wall-clock dependent.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,23 +32,7 @@ pub struct GoldenStats {
 }
 
 impl GoldenStats {
-    /// Capture the stats of a finished run.
-    pub fn capture(case: &str, cells: usize, result: &LegalizeResult) -> Self {
-        Self {
-            case: case.to_string(),
-            cells,
-            legal: result.legal,
-            s_am: result.average_displacement,
-            max_displacement: result.max_displacement,
-            placed_in_region: result.placed_in_region,
-            fallback_placed: result.fallback_placed,
-        }
-    }
-
-    /// Capture the stats of a unified-API [`LegalizeReport`]. Field for field identical to
-    /// [`GoldenStats::capture`] on the engine's legacy result — the report carries the same
-    /// counts and the same displacement stats — so migrating a golden test between the two
-    /// entry points never re-blesses a file.
+    /// Capture the stats of a unified-API [`LegalizeReport`].
     pub fn capture_report(case: &str, report: &LegalizeReport) -> Self {
         Self {
             case: case.to_string(),

@@ -121,10 +121,9 @@ impl Legalizer for FlexAccelerator {
         .with_counts(
             outcome.result.placed_in_region,
             outcome.result.fallback_placed,
-            outcome.result.failed.clone(),
+            outcome.result.failed,
         )
-        .with_trace(outcome.result.trace.clone())
-        .with_details(outcome)
+        .with_trace(outcome.result.trace)
     }
 }
 

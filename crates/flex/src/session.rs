@@ -219,7 +219,6 @@ impl FlexSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accelerator::FlexOutcome;
     use flex_placement::benchmark::{generate, BenchmarkSpec};
     use flex_placement::legality::check_legality_with;
 
@@ -256,7 +255,7 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].kind, EngineKind::Flex);
         assert!(runs[0].report.legal);
-        assert!(runs[0].report.details::<FlexOutcome>().is_some());
+        assert_eq!(runs[0].report.engine, EngineKind::Flex.name());
         // the session design was cloned, not legalized in place
         let before: Vec<(i64, i64)> = premove_free.cells.iter().map(|c| (c.x, c.y)).collect();
         let after: Vec<(i64, i64)> = session.design().cells.iter().map(|c| (c.x, c.y)).collect();
@@ -266,16 +265,17 @@ mod tests {
     #[test]
     fn per_engine_config_overrides_apply() {
         let design = generate(&BenchmarkSpec::tiny("session-override", 63));
+        let mut direct = design.clone();
         let runs = FlexSession::new(design)
             .engine_with(EngineKind::CpuMgl, FlexConfig::flex().with_host_threads(4))
             .engine(EngineKind::MglSerial)
             .run();
         assert_eq!(runs.len(), 2);
-        let cpu = runs[0]
-            .report
-            .details::<flex_baselines::cpu::CpuLegalizerResult>()
-            .expect("cpu details");
+        // the override reached the engine: the session's run is the 4-thread TCAD'22 run
+        let cpu = flex_baselines::cpu::CpuLegalizer::new(4).legalize(&mut direct);
         assert!(cpu.batches > 0);
+        let xy = |d: &Design| d.cells.iter().map(|c| (c.x, c.y)).collect::<Vec<_>>();
+        assert_eq!(xy(&runs[0].design), xy(&direct));
         assert_eq!(runs[1].report.engine, "mgl-serial");
     }
 }

@@ -9,20 +9,21 @@
 //!
 //! [`LegalizeReport`] carries the cross-engine facts every caller needs — legality, the
 //! displacement summary, placement counts, the wall-clock/estimated runtime split, and the
-//! optional [`WorkTrace`] — while the engine-specific result struct travels whole in the typed
-//! `details` extension, so nothing a legacy entry point returned is lost:
+//! optional [`WorkTrace`]. A caller that needs an engine's own result (FPGA resources, GPU
+//! sync time, shard stats, …) holds the concrete engine and calls its inherent `legalize`,
+//! which returns that result type directly:
 //!
 //! ```
 //! use flex_mgl::api::Legalizer;
-//! use flex_mgl::legalize::LegalizeResult;
 //! use flex_mgl::{MglConfig, MglLegalizer};
 //! use flex_placement::benchmark::{generate, BenchmarkSpec};
 //!
+//! let spec = BenchmarkSpec::tiny("api", 1);
 //! let engine: Box<dyn Legalizer> = Box::new(MglLegalizer::new(MglConfig::default()));
-//! let mut design = generate(&BenchmarkSpec::tiny("api", 1));
-//! let report = engine.legalize(&mut design);
+//! let report = engine.legalize(&mut generate(&spec));
 //! assert!(report.legal);
-//! let full: &LegalizeResult = report.details().expect("engine-specific result");
+//!
+//! let full = MglLegalizer::new(MglConfig::default()).legalize(&mut generate(&spec));
 //! assert_eq!(full.placed_in_region, report.placed_in_region);
 //! ```
 
@@ -32,16 +33,14 @@ use crate::stats::WorkTrace;
 use flex_placement::cell::CellId;
 use flex_placement::layout::Design;
 use flex_placement::metrics::{displacement_stats, DisplacementStats};
-use std::any::Any;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A legalization engine behind the unified API.
 ///
 /// Object-safe by design: `Box<dyn Legalizer>` is how the `flex-core` engine factory, the
 /// benchmark harness and the cross-engine contract tests hold engines. Every engine keeps its
-/// richer inherent `legalize` entry point; the trait impl wraps it and repackages the result
-/// as a [`LegalizeReport`].
+/// richer inherent `legalize` entry point; the trait impl wraps it and condenses the result
+/// into a [`LegalizeReport`].
 pub trait Legalizer {
     /// Stable machine-readable engine name (e.g. `"mgl-serial"`, `"flex"`).
     fn name(&self) -> &'static str;
@@ -135,8 +134,6 @@ pub struct LegalizeReport {
     pub failed: Vec<CellId>,
     /// Per-region work trace, when the engine collected one.
     pub trace: Option<WorkTrace>,
-    /// The engine-specific result struct, untouched (see [`LegalizeReport::details`]).
-    details: Option<Arc<dyn Any + Send + Sync>>,
 }
 
 impl std::fmt::Debug for LegalizeReport {
@@ -151,7 +148,6 @@ impl std::fmt::Debug for LegalizeReport {
             .field("fallback_placed", &self.fallback_placed)
             .field("failed", &self.failed)
             .field("trace_len", &self.trace.as_ref().map(WorkTrace::len))
-            .field("has_details", &self.details.is_some())
             .finish()
     }
 }
@@ -169,7 +165,6 @@ impl LegalizeReport {
             fallback_placed: 0,
             failed: Vec::new(),
             trace: None,
-            details: None,
         }
     }
 
@@ -220,22 +215,6 @@ impl LegalizeReport {
         self
     }
 
-    /// Attach the engine-specific result struct (builder style).
-    pub fn with_details<T: Any + Send + Sync>(mut self, details: T) -> Self {
-        self.details = Some(Arc::new(details));
-        self
-    }
-
-    /// Downcast the engine-specific extension to the engine's legacy result type.
-    ///
-    /// Every trait impl stores its full pre-unification result struct here (`LegalizeResult`,
-    /// `ParallelLegalizeResult`, `CpuLegalizerResult`, `CpuGpuResult`, `AnalyticalResult`,
-    /// `FlexOutcome`), so callers that need engine-specific fields (FPGA resources, GPU sync
-    /// time, shard stats, …) reach them without the trait losing object safety.
-    pub fn details<T: Any>(&self) -> Option<&T> {
-        self.details.as_deref().and_then(|d| d.downcast_ref::<T>())
-    }
-
     /// Runtime the engine is compared on, in seconds (see [`RuntimeBreakdown::reported`]).
     pub fn seconds(&self) -> f64 {
         self.runtime.reported().as_secs_f64()
@@ -247,21 +226,21 @@ impl LegalizeReport {
     }
 }
 
-/// Build the report shared by the two MGL engines (serial and parallel) from the legacy
+/// Build the report shared by the two MGL engines (serial and parallel) from their
 /// [`LegalizeResult`], re-measuring the displacement summary off the legalized design.
-pub(crate) fn report_from_mgl_result(
+fn report_from_mgl_result(
     engine: &'static str,
     design: &Design,
-    result: &LegalizeResult,
+    result: LegalizeResult,
 ) -> LegalizeReport {
     LegalizeReport::new(engine, result.legal, design.num_movable(), design)
         .with_runtime(RuntimeBreakdown::measured(result.runtime))
         .with_counts(
             result.placed_in_region,
             result.fallback_placed,
-            result.failed.clone(),
+            result.failed,
         )
-        .with_trace(result.trace.clone())
+        .with_trace(result.trace)
 }
 
 impl Legalizer for MglLegalizer {
@@ -271,7 +250,7 @@ impl Legalizer for MglLegalizer {
 
     fn legalize(&self, design: &mut Design) -> LegalizeReport {
         let result = MglLegalizer::legalize(self, design);
-        report_from_mgl_result(self.name(), design, &result).with_details(result)
+        report_from_mgl_result(self.name(), design, result)
     }
 }
 
@@ -282,7 +261,7 @@ impl Legalizer for ParallelMglLegalizer {
 
     fn legalize(&self, design: &mut Design) -> LegalizeReport {
         let out: ParallelLegalizeResult = ParallelMglLegalizer::legalize(self, design);
-        report_from_mgl_result(self.name(), design, &out.result).with_details(out)
+        report_from_mgl_result(self.name(), design, out.result)
     }
 }
 
@@ -315,8 +294,6 @@ mod tests {
         assert!((report.displacement.average - result.average_displacement).abs() < 1e-12);
         assert!((report.displacement.max - result.max_displacement).abs() < 1e-12);
         assert!(report.displacement.total >= report.displacement.max);
-        let details: &LegalizeResult = report.details().expect("details attached");
-        assert_eq!(details.placed_in_region, result.placed_in_region);
     }
 
     #[test]
@@ -339,9 +316,6 @@ mod tests {
             reports[1].displacement.average
         );
         assert_eq!(reports[0].placed_in_region, reports[1].placed_in_region);
-        assert!(reports[1]
-            .details::<ParallelLegalizeResult>()
-            .is_some_and(|out| out.shards.bands >= 1));
     }
 
     #[test]

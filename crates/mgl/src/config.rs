@@ -92,8 +92,12 @@ impl Default for MglConfig {
 }
 
 impl MglConfig {
-    /// The configuration matching the original multi-threaded CPU legalizer \[18\]: original
-    /// shifting, original FOP operator chain, size-descending ordering.
+    /// The algorithm configuration of the original multi-threaded CPU legalizer \[18\]:
+    /// original shifting, original FOP operator chain, size-descending ordering.
+    ///
+    /// `MglLegalizer` with it is not the TCAD'22 flow: after a rejected commit it tries the
+    /// next window, where TCAD'22 (`flex_baselines::cpu::CpuLegalizer`) takes the fallback
+    /// scan, so their placements differ (on all 16 Table 1 cases at scale 0.02).
     pub fn original() -> Self {
         Self {
             shift: ShiftAlgorithm::Original,

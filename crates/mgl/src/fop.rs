@@ -18,7 +18,7 @@
 //!
 //! ### Arena-allocated kernel
 //!
-//! The primary entry point, [`find_optimal_position_with`], threads a reusable [`FopScratch`]
+//! The entry point, [`find_optimal_position_with`], threads a reusable [`FopScratch`]
 //! through the whole chain: one set of grow-only buffers (shift positions, curves,
 //! breakpoints, merged breakpoints, slope prefix sums) serves every insertion point of every
 //! region, and per-region state (the localCells sorted once by `(x, index)` — the SACS
@@ -39,6 +39,7 @@ use crate::region::LocalRegion;
 use crate::sacs::shift_phase_sacs_with_stats_into;
 use crate::shift::{shift_phase_original_with, Phase, ShiftOutcome, ShiftProblem, ShiftScratch};
 use crate::stats::{FopOpStats, FopOperator, RegionWork};
+use flex_placement::cell::Cell;
 use flex_placement::geom::Interval;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -57,6 +58,19 @@ pub struct TargetSpec {
     pub gy: f64,
     /// Required bottom-row parity, if any.
     pub parity: Option<u8>,
+}
+
+impl TargetSpec {
+    /// The spec of a design cell: its size, global-placement position and row parity.
+    pub fn of(cell: &Cell) -> Self {
+        Self {
+            width: cell.width,
+            height: cell.height,
+            gx: cell.gx,
+            gy: cell.gy,
+            parity: cell.row_parity,
+        }
+    }
 }
 
 /// The best placement found for a target cell.
@@ -159,11 +173,9 @@ impl FopScratch {
         Self::default()
     }
 
-    /// Run `f` with this thread's scratch. Parallel engines use this to get one arena per
-    /// worker; the compatibility wrappers ([`find_optimal_position`],
-    /// [`crate::legalize::commit_placement`]) route through it so that every caller of the
-    /// old allocating signatures benefits without churn. Falls back to a fresh scratch if the
-    /// thread-local is already borrowed (re-entrant use).
+    /// Run `f` with this thread's scratch: one arena per worker thread for parallel
+    /// speculation and the TCAD'22 baseline's batch workers. Falls back to a fresh scratch if
+    /// the thread-local is already borrowed (re-entrant use).
     pub fn with_thread_local<R>(f: impl FnOnce(&mut FopScratch) -> R) -> R {
         TLS_SCRATCH.with(|s| match s.try_borrow_mut() {
             Ok(mut scratch) => f(&mut scratch),
@@ -216,21 +228,6 @@ impl<'a> OpClock<'a> {
         self.stats.add(op, now - self.last);
         self.last = now;
     }
-}
-
-/// Evaluate every insertion point of `region` and return the optimal placement.
-///
-/// Compatibility wrapper over [`find_optimal_position_with`] using the calling thread's
-/// [`FopScratch`]; results are identical.
-pub fn find_optimal_position(
-    region: &LocalRegion,
-    target: &TargetSpec,
-    config: &MglConfig,
-    op_stats: &mut FopOpStats,
-) -> FopOutcome {
-    FopScratch::with_thread_local(|scratch| {
-        find_optimal_position_with(region, target, config, op_stats, scratch)
-    })
 }
 
 /// Evaluate every insertion point of `region` with the given scratch arena and return the
@@ -1018,7 +1015,13 @@ mod tests {
     fn fop_finds_a_feasible_minimum_cost_placement() {
         let region = region();
         let mut stats = FopOpStats::default();
-        let out = find_optimal_position(&region, &target(), &MglConfig::default(), &mut stats);
+        let out = find_optimal_position_with(
+            &region,
+            &target(),
+            &MglConfig::default(),
+            &mut stats,
+            &mut FopScratch::new(),
+        );
         let best = out.best.expect("feasible placement");
         // the gap between cell 0 (ends at 13) and cell 1 (starts at 20) on row 0 fits width 5
         // exactly around the target's gx=14 with zero or tiny shifting
@@ -1047,12 +1050,19 @@ mod tests {
                 fop: FopVariant::Reorganized,
                 ..MglConfig::default()
             };
-            let a = find_optimal_position(&region, &t, &cfg_orig, &mut s1)
-                .best
-                .unwrap();
-            let b = find_optimal_position(&region, &t, &cfg_reorg, &mut s2)
-                .best
-                .unwrap();
+            let a =
+                find_optimal_position_with(&region, &t, &cfg_orig, &mut s1, &mut FopScratch::new())
+                    .best
+                    .unwrap();
+            let b = find_optimal_position_with(
+                &region,
+                &t,
+                &cfg_reorg,
+                &mut s2,
+                &mut FopScratch::new(),
+            )
+            .best
+            .unwrap();
             assert_eq!(a.x, b.x);
             assert_eq!(a.row, b.row);
             assert!((a.cost - b.cost).abs() < 1e-9);
@@ -1262,13 +1272,25 @@ mod tests {
         t.width = 4;
         t.parity = Some(1);
         let mut stats = FopOpStats::default();
-        let out = find_optimal_position(&region, &t, &MglConfig::default(), &mut stats);
+        let out = find_optimal_position_with(
+            &region,
+            &t,
+            &MglConfig::default(),
+            &mut stats,
+            &mut FopScratch::new(),
+        );
         // only bottom row 1 has odd parity, but row 1 + height 2 exceeds the 2-row window,
         // so there must be no feasible placement
         assert!(out.best.is_none());
         let mut t2 = t;
         t2.parity = Some(0);
-        let out2 = find_optimal_position(&region, &t2, &MglConfig::default(), &mut stats);
+        let out2 = find_optimal_position_with(
+            &region,
+            &t2,
+            &MglConfig::default(),
+            &mut stats,
+            &mut FopScratch::new(),
+        );
         assert_eq!(out2.best.unwrap().row, 0);
     }
 
@@ -1310,7 +1332,13 @@ mod tests {
             parity: None,
         };
         let mut stats = FopOpStats::default();
-        let out = find_optimal_position(&region, &t, &MglConfig::default(), &mut stats);
+        let out = find_optimal_position_with(
+            &region,
+            &t,
+            &MglConfig::default(),
+            &mut stats,
+            &mut FopScratch::new(),
+        );
         let best = out.best.expect("still feasible by shifting");
         // wherever it lands, the work trace must show subcell visits and breakpoints
         assert!(out.work.subcell_visits > 0);
@@ -1345,9 +1373,15 @@ mod tests {
             parity: None,
         };
         let mut stats = FopOpStats::default();
-        let best = find_optimal_position(&region, &t, &MglConfig::default(), &mut stats)
-            .best
-            .unwrap();
+        let best = find_optimal_position_with(
+            &region,
+            &t,
+            &MglConfig::default(),
+            &mut stats,
+            &mut FopScratch::new(),
+        )
+        .best
+        .unwrap();
         assert_eq!(best.row, 0);
         assert_eq!(best.x, 8);
         assert!(best.cost < 1e-9);

@@ -276,22 +276,11 @@ pub fn plan_place_target_with(
     op_stats: &mut FopOpStats,
     scratch: &mut FopScratch,
 ) -> PlannedPlacement {
-    let (width, height, gx, gy, parity) = {
-        let c = design.cell(target);
-        (c.width, c.height, c.gx, c.gy, c.row_parity)
-    };
-    let spec = TargetSpec {
-        width,
-        height,
-        gx,
-        gy,
-        parity,
-    };
-
+    let spec = TargetSpec::of(design.cell(target));
     let mut work = RegionWork {
         target,
-        target_width: width,
-        target_height: height,
+        target_width: spec.width,
+        target_height: spec.height,
         ..RegionWork::default()
     };
     let mut last_window =
@@ -311,7 +300,7 @@ pub fn plan_place_target_with(
             // the region would only grow with further expansions: go straight to the fallback
             break;
         }
-        if !region.can_host(width, height, parity) {
+        if !region.can_host(spec.width, spec.height, spec.parity) {
             continue;
         }
         let fop_span = flex_obs::span!("mgl.fop");
@@ -341,7 +330,7 @@ pub fn plan_place_target_with(
     let (decision, writes) = match find_fallback_position(design, index, target, &spec) {
         Some((x, row)) => (
             PlacementDecision::Fallback { x, row },
-            vec![Rect::new(x, row, x + width, row + height)],
+            vec![Rect::new(x, row, x + spec.width, row + spec.height)],
         ),
         None => (PlacementDecision::Fail, Vec::new()),
     };
@@ -572,38 +561,10 @@ pub fn apply_commit(design: &mut Design, plan: &CommitPlan) {
     t.legalized = true;
 }
 
-/// Commit a placement: shift the affected localCells, verify the region stays overlap-free, and
-/// write the new positions (plus the target) into the design. Returns `false` without touching
-/// the design if the verification fails.
-pub fn commit_placement(
-    design: &mut Design,
-    region: &LocalRegion,
-    placement: &Placement,
-    spec: &TargetSpec,
-    cfg: &MglConfig,
-) -> bool {
-    match FopScratch::with_thread_local(|scratch| {
-        plan_commit_with(region, placement, spec, cfg, scratch)
-    }) {
-        Some(plan) => {
-            apply_commit(design, &plan);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Fallback placement: scan the whole die for the nearest spot where the target fits between
-/// the already-legalized cells without shifting anything. Used only when no window produced a
-/// feasible insertion point.
-pub fn fallback_place(design: &mut Design, target: CellId, spec: &TargetSpec) -> bool {
-    let index = LegalizedIndex::build(design);
-    fallback_place_indexed(design, &index, target, spec)
-}
-
-/// [`fallback_place`] with the obstacle candidates taken from a [`LegalizedIndex`]: each row
-/// only considers the legalized cells actually occupying it, which turns the per-row free-gap
-/// computation from O(all cells) into O(cells on that row).
+/// Fallback placement: write the target at [`find_fallback_position`], the nearest spot where
+/// it fits between the already-legalized cells without shifting anything. `index` must hold
+/// exactly the design's legalized movable cells; it is not updated here. Returns `false`
+/// without touching the design if the die has no gap for the target.
 pub fn fallback_place_indexed(
     design: &mut Design,
     index: &LegalizedIndex,
@@ -623,7 +584,8 @@ pub fn fallback_place_indexed(
 
 /// The search half of [`fallback_place_indexed`]: the nearest `(x, row)` where the target
 /// fits between the already-legalized cells without shifting anything, or `None` if the die
-/// has no gap for it. Pure — the caller decides whether to write the position.
+/// has no gap for it. Each row only considers the legalized cells `index` holds for it, so a
+/// row costs O(cells on that row). Pure — the caller decides whether to write the position.
 pub fn find_fallback_position(
     design: &Design,
     index: &LegalizedIndex,
@@ -838,7 +800,8 @@ mod tests {
             gy: 1.0,
             parity: None,
         };
-        assert!(fallback_place(&mut d, t, &spec));
+        let index = LegalizedIndex::build(&d);
+        assert!(fallback_place_indexed(&mut d, &index, t, &spec));
         let placed = d.cell(t);
         assert!(placed.legalized);
         // the nearest fit is either the row-1 gap at x=20 or an adjacent empty row at x=10
@@ -866,7 +829,8 @@ mod tests {
             gy: 0.0,
             parity: None,
         };
-        assert!(!fallback_place(&mut d, t, &spec));
+        let index = LegalizedIndex::build(&d);
+        assert!(!fallback_place_indexed(&mut d, &index, t, &spec));
     }
 
     #[test]

@@ -574,7 +574,7 @@ fn commit_batch(
             "the dynamic order is commit-invariant, so the live pop must equal the peek"
         );
         let window = target_window(design, id, cfg.window_half_sites, cfg.window_half_rows);
-        // same one-site x slack as the obstacle filter in LocalRegion::extract
+        // same one-site x slack as the obstacle filter of region extraction
         let guard = window.expanded(1, 0);
         let stale_prev = writes_prev.iter().any(|w| w.overlaps(&guard));
         let stale_cur = writes_cur.iter().any(|w| w.overlaps(&guard));
@@ -671,14 +671,7 @@ fn speculate(
     cfg: &MglConfig,
     meta: &TargetMeta,
 ) -> Speculation {
-    let c = snapshot.cell(meta.id);
-    let spec = TargetSpec {
-        width: c.width,
-        height: c.height,
-        gx: c.gx,
-        gy: c.gy,
-        parity: c.row_parity,
-    };
+    let spec = TargetSpec::of(&snapshot.cell(meta.id));
     let mut stats = FopOpStats::default();
     let mut work = RegionWork {
         target: meta.id,

@@ -79,7 +79,7 @@ pub struct LocalRegion {
 }
 
 /// Row-bucketed index of legalized movable cells, the obstacle candidates of
-/// [`LocalRegion::extract`].
+/// [`LocalRegion::extract_indexed`] and of the fallback scan.
 ///
 /// Scanning every design cell per extraction makes legalization O(n²); this index cuts the
 /// candidate set to the cells actually occupying the window's rows. During a legalization run
@@ -155,7 +155,7 @@ impl LegalizedIndex {
     }
 
     /// Ids of legalized cells occupying any row in `[y_lo, y_hi)`, deduplicated, in design
-    /// order (the order [`LocalRegion::extract`]'s full scan would visit them).
+    /// order (the order a full scan of the design would visit them).
     pub fn candidates(&self, y_lo: i64, y_hi: i64) -> Vec<CellId> {
         let mut ids: Vec<CellId> = Vec::new();
         for row in y_lo.max(0)..y_hi.min(self.rows.len() as i64) {
@@ -217,19 +217,9 @@ impl LegalizedIndex {
 }
 
 impl LocalRegion {
-    /// Extract the localRegion of `target` within `window`, scanning every design cell for
-    /// obstacles. Prefer [`LocalRegion::extract_indexed`] inside legalization loops.
-    pub fn extract(design: &Design, segments: &SegmentMap, target: CellId, window: Rect) -> Self {
-        let obstacles: Vec<&flex_placement::cell::Cell> = design
-            .cells
-            .iter()
-            .filter(|c| !c.fixed && c.legalized && c.id != target)
-            .collect();
-        Self::extract_from(design.num_rows, segments, target, window, obstacles)
-    }
-
     /// Extract the localRegion of `target` within `window`, taking obstacle candidates from a
-    /// [`LegalizedIndex`]. Produces exactly the same region as [`LocalRegion::extract`].
+    /// [`LegalizedIndex`]: the legalized movable cells other than the target on the window's
+    /// rows, in design order.
     pub fn extract_indexed(
         design: &Design,
         segments: &SegmentMap,
@@ -499,7 +489,13 @@ mod tests {
         let d = design();
         let segmap = SegmentMap::build(&d);
         let window = Rect::new(0, 0, 25, 4);
-        let region = LocalRegion::extract(&d, &segmap, CellId(3), window);
+        let region = LocalRegion::extract_indexed(
+            &d,
+            &segmap,
+            CellId(3),
+            window,
+            &LegalizedIndex::build(&d),
+        );
         // rows 0..4, each clipped at the macro (x<25): full [0,25)
         assert_eq!(region.segments.len(), 4);
         for s in &region.segments {
@@ -520,7 +516,13 @@ mod tests {
         let segmap = SegmentMap::build(&d);
         // window cuts through cell 2 (x in [10,16)): it is not fully contained
         let window = Rect::new(0, 0, 13, 4);
-        let region = LocalRegion::extract(&d, &segmap, CellId(3), window);
+        let region = LocalRegion::extract_indexed(
+            &d,
+            &segmap,
+            CellId(3),
+            window,
+            &LegalizedIndex::build(&d),
+        );
         let ids: Vec<CellId> = region.cells.iter().map(|c| c.id).collect();
         assert!(!ids.contains(&CellId(2)));
         // rows 1 and 2 must exclude the blocker's span [10,16): the longest piece is [0,10)
@@ -534,7 +536,13 @@ mod tests {
     fn cells_in_row_are_sorted_by_x() {
         let d = design();
         let segmap = SegmentMap::build(&d);
-        let region = LocalRegion::extract(&d, &segmap, CellId(3), Rect::new(0, 0, 25, 4));
+        let region = LocalRegion::extract_indexed(
+            &d,
+            &segmap,
+            CellId(3),
+            Rect::new(0, 0, 25, 4),
+            &LegalizedIndex::build(&d),
+        );
         let row1 = region.cells_in_row(1);
         assert_eq!(row1.len(), 2);
         assert!(region.cells[row1[0]].x <= region.cells[row1[1]].x);
@@ -546,7 +554,13 @@ mod tests {
     fn can_host_respects_width_height_and_parity() {
         let d = design();
         let segmap = SegmentMap::build(&d);
-        let region = LocalRegion::extract(&d, &segmap, CellId(3), Rect::new(0, 0, 25, 4));
+        let region = LocalRegion::extract_indexed(
+            &d,
+            &segmap,
+            CellId(3),
+            Rect::new(0, 0, 25, 4),
+            &LegalizedIndex::build(&d),
+        );
         assert!(region.can_host(5, 1, None));
         assert!(region.can_host(5, 2, Some(0)));
         assert!(!region.can_host(26, 1, None));
@@ -748,7 +762,13 @@ mod tests {
     fn tall_cell_count() {
         let d = design();
         let segmap = SegmentMap::build(&d);
-        let region = LocalRegion::extract(&d, &segmap, CellId(3), Rect::new(0, 0, 25, 4));
+        let region = LocalRegion::extract_indexed(
+            &d,
+            &segmap,
+            CellId(3),
+            Rect::new(0, 0, 25, 4),
+            &LegalizedIndex::build(&d),
+        );
         assert_eq!(region.num_tall_cells(1), 1); // the 2-row cell
         assert_eq!(region.num_tall_cells(3), 0);
     }

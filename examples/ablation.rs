@@ -2,21 +2,19 @@
 //! optimizations one by one (SACS, multi-granularity pipelining, 2-parallel FOP PEs, task
 //! assignment) and print the normalized speedups of the FPGA-side FOP time.
 //!
-//! Every run goes through the unified `EngineKind::Flex` factory; the FPGA-side timings come
-//! from the report's typed `details` extension.
+//! Every run holds the concrete `FlexAccelerator`, whose outcome carries the FPGA-side
+//! timings.
 //!
 //! Run with `cargo run --release --example ablation`.
 
-use flex::core::accelerator::FlexOutcome;
+use flex::core::accelerator::FlexAccelerator;
 use flex::core::config::{FlexConfig, TaskAssignment};
-use flex::core::session::EngineKind;
 use flex::placement::benchmark::{generate, BenchmarkSpec};
 
 fn run(label: &str, cfg: &FlexConfig, seed: u64, baseline_fpga: Option<f64>) -> f64 {
     let mut design = generate(&BenchmarkSpec::medium("ablation", seed).scaled(0.4));
-    let report = EngineKind::Flex.build(cfg).legalize(&mut design);
-    assert!(report.legal, "{label}: illegal result");
-    let out: &FlexOutcome = report.details().expect("flex details");
+    let out = FlexAccelerator::new(cfg.clone()).legalize(&mut design);
+    assert!(out.result.legal, "{label}: illegal result");
     let fpga = out.timing.fpga_time.as_secs_f64();
     let speedup = baseline_fpga.map(|b| b / fpga).unwrap_or(1.0);
     println!(
@@ -31,8 +29,7 @@ fn run(label: &str, cfg: &FlexConfig, seed: u64, baseline_fpga: Option<f64>) -> 
 
 fn total_ms(cfg: &FlexConfig, seed: u64) -> f64 {
     let mut d = generate(&BenchmarkSpec::medium("ablation-ta", seed).scaled(0.4));
-    let report = EngineKind::Flex.build(cfg).legalize(&mut d);
-    let out: &FlexOutcome = report.details().expect("flex details");
+    let out = FlexAccelerator::new(cfg.clone()).legalize(&mut d);
     out.timing.total.as_secs_f64() * 1e3
 }
 

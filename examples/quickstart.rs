@@ -1,11 +1,10 @@
-//! Quickstart: generate a small mixed-cell-height design, legalize it with FLEX through the
-//! unified `Legalizer` API, and print the quality and timing summary.
+//! Quickstart: generate a small mixed-cell-height design, legalize it with FLEX, and print
+//! the quality and timing summary.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use flex::core::accelerator::FlexOutcome;
+use flex::core::accelerator::FlexAccelerator;
 use flex::core::config::FlexConfig;
-use flex::core::session::EngineKind;
 use flex::placement::benchmark::{generate, BenchmarkSpec};
 use flex::placement::legality::check_legality_with;
 
@@ -22,32 +21,29 @@ fn main() {
         design.density() * 100.0
     );
 
-    // 2. build the engine through the factory (any other EngineKind plugs in the same way)
-    //    and legalize with the full FLEX configuration (2 FOP PEs, SACS, multi-granularity)
-    let engine = EngineKind::Flex.build(&FlexConfig::flex());
-    let report = engine.legalize(&mut design);
+    // 2. legalize with the full FLEX configuration (2 FOP PEs, SACS, multi-granularity);
+    //    the concrete engine returns its own outcome. For engine sweeps, every engine is also
+    //    a `Box<dyn Legalizer>` through `EngineKind::build`.
+    let outcome = FlexAccelerator::new(FlexConfig::flex()).legalize(&mut design);
 
-    // 3. the uniform report carries legality, displacement and the runtime split …
-    println!("legal placement:        {}", report.legal);
+    // 3. quality, the host run, and the FPGA timing model and resources
+    let result = &outcome.result;
+    println!("legal placement:        {}", result.legal);
     println!(
         "average displacement:   {:.3} rows (S_am, Eq. 2)",
-        report.displacement.average
+        result.average_displacement
     );
     println!(
         "max displacement:       {:.3} rows",
-        report.displacement.max
+        result.max_displacement
     );
     println!(
         "software runtime:       {:.3} ms (host-only MGL run)",
-        report.runtime.wall.as_secs_f64() * 1e3
+        outcome.software.total.as_secs_f64() * 1e3
     );
-
-    // … while the engine-specific outcome (FPGA timing model, resources) stays reachable
-    // through the typed `details` extension
-    let outcome: &FlexOutcome = report.details().expect("FLEX engine details");
     println!(
         "estimated FLEX runtime: {:.3} ms  ({:.2}x speedup)",
-        report.seconds() * 1e3,
+        outcome.seconds() * 1e3,
         outcome.timing.speedup_vs_software
     );
     println!(
@@ -58,7 +54,7 @@ fn main() {
         outcome.resources.dsps
     );
     assert!(
-        report.legal && check_legality_with(&design, true).is_legal(),
+        result.legal && check_legality_with(&design, true).is_legal(),
         "quickstart must produce a legal placement"
     );
 }

@@ -2,15 +2,14 @@
 //! saturates around 8 threads, while FLEX's insertion-point-level parallelism scales with the
 //! number of FOP PEs at minimal synchronization cost.
 //!
-//! Both sweeps are `EngineKind` one-liners over the unified API; the engine-specific numbers
-//! (batch sizes, BRAM counts) come out of the reports' typed `details`.
+//! Both sweeps hold the concrete engine, whose own result carries the engine-specific numbers
+//! (batch sizes, BRAM counts).
 //!
 //! Run with `cargo run --release --example scalability`.
 
-use flex::baselines::cpu::CpuLegalizerResult;
-use flex::core::accelerator::FlexOutcome;
+use flex::baselines::cpu::CpuLegalizer;
+use flex::core::accelerator::FlexAccelerator;
 use flex::core::config::FlexConfig;
-use flex::core::session::EngineKind;
 use flex::placement::benchmark::{generate, BenchmarkSpec};
 
 fn main() {
@@ -19,17 +18,13 @@ fn main() {
     println!("multi-threaded CPU legalizer (TCAD'22 style region-level parallelism):");
     let mut base_time = None;
     for threads in [1usize, 2, 4, 8, 10] {
-        let mut d = generate(&spec);
-        let report = EngineKind::CpuMgl
-            .build(&FlexConfig::flex().with_host_threads(threads))
-            .legalize(&mut d);
-        assert!(report.legal);
-        let t = report.seconds();
+        let res = CpuLegalizer::new(threads).legalize(&mut generate(&spec));
+        assert!(res.legal);
+        let t = res.seconds();
         let speedup = base_time.map(|b: f64| b / t).unwrap_or(1.0);
         if base_time.is_none() {
             base_time = Some(t);
         }
-        let res: &CpuLegalizerResult = report.details().expect("cpu details");
         println!(
             "  {:>2} threads: {:>8.3} s   speedup {:>5.2}x   avg batch {:>5.2} regions",
             threads, t, speedup, res.avg_batch_size
@@ -40,12 +35,9 @@ fn main() {
     println!("FLEX FOP-PE scaling (insertion-point-level parallelism):");
     let mut base_fpga = None;
     for pes in [1u64, 2, 3, 4] {
-        let mut d = generate(&spec);
-        let report = EngineKind::Flex
-            .build(&FlexConfig::flex().with_pes(pes))
-            .legalize(&mut d);
-        assert!(report.legal);
-        let out: &FlexOutcome = report.details().expect("flex details");
+        let out =
+            FlexAccelerator::new(FlexConfig::flex().with_pes(pes)).legalize(&mut generate(&spec));
+        assert!(out.result.legal);
         let t = out.timing.fpga_time.as_secs_f64();
         let speedup = base_fpga.map(|b: f64| b / t).unwrap_or(1.0);
         if base_fpga.is_none() {

@@ -7,6 +7,7 @@
 
 use flex::core::config::FlexConfig;
 use flex::core::session::{EngineKind, FlexSession};
+use flex::core::FlexAccelerator;
 use flex::mgl::OrderingStrategy;
 use flex::placement::benchmark::{generate, BenchmarkSpec};
 use flex::placement::legality::check_legality_with;
@@ -87,6 +88,18 @@ fn every_engine_report_is_internally_consistent() {
             "{name}: reported runtime"
         );
         assert!(r.seconds() > 0.0, "{name}: reported seconds");
+
+        // the engines with a hardware model are compared on its estimate
+        if matches!(
+            run.kind,
+            EngineKind::CpuGpu | EngineKind::Analytical | EngineKind::Flex
+        ) {
+            let estimated = r
+                .runtime
+                .estimated
+                .unwrap_or_else(|| panic!("{name}: no modeled runtime"));
+            assert_eq!(r.seconds(), estimated.as_secs_f64(), "{name}: compared on");
+        }
     }
 }
 
@@ -158,10 +171,11 @@ fn dynamic_ordering_runs_the_parallel_path_and_matches_serial_through_the_trait(
         serial.report.displacement.total,
         parallel.report.displacement.total
     );
-    let shards = &parallel
-        .report
-        .details::<flex::mgl::ParallelLegalizeResult>()
-        .expect("parallel details")
+    // the schedule counters are the concrete engine's own result
+    let shards = session
+        .config()
+        .parallel_host_engine()
+        .legalize(&mut session.design().clone())
         .shards;
     assert!(
         shards.speculated > 0,
@@ -176,20 +190,15 @@ fn flex_and_mgl_parallel_report_identical_shards() {
     // so every schedule counter — cross-batch invalidations included — must agree
     let design = generate(&BenchmarkSpec::tiny("contract-depth", 83).with_density(0.7));
     let cfg = FlexConfig::flex().with_host_threads(2);
-    let session = FlexSession::new(design).with_config(cfg);
-    let flex = session.run_engine(EngineKind::Flex);
-    let parallel = session.run_engine(EngineKind::MglParallel);
-    let flex_shards = flex
-        .report
-        .details::<flex::core::FlexOutcome>()
-        .and_then(|outcome| outcome.shards.clone())
+    let flex_shards = FlexAccelerator::new(cfg.clone())
+        .legalize(&mut design.clone())
+        .shards
         .expect("FLEX ran its host steps on the parallel engine");
-    let parallel_shards = &parallel
-        .report
-        .details::<flex::mgl::ParallelLegalizeResult>()
-        .expect("parallel details")
+    let parallel_shards = cfg
+        .parallel_host_engine()
+        .legalize(&mut design.clone())
         .shards;
-    assert_eq!(&flex_shards, parallel_shards);
+    assert_eq!(flex_shards, parallel_shards);
 }
 
 #[test]
@@ -253,60 +262,5 @@ fn engine_sweeps_are_one_liners_over_engine_kind_all() {
             "ispd25-analytical",
             "flex"
         ]
-    );
-}
-
-#[test]
-fn reports_preserve_engine_specific_details() {
-    // no information from the legacy result structs is lost: each engine's full result
-    // travels in the report's typed extension
-    let design = generate(&BenchmarkSpec::tiny("contract-details", 80));
-    let session = FlexSession::new(design).with_config(FlexConfig::flex().with_host_threads(2));
-
-    let run = session.run_engine(EngineKind::MglSerial);
-    assert!(run.report.details::<flex::mgl::LegalizeResult>().is_some());
-
-    let run = session.run_engine(EngineKind::MglParallel);
-    let par = run
-        .report
-        .details::<flex::mgl::ParallelLegalizeResult>()
-        .expect("parallel details");
-    assert!(par.shards.bands >= 1);
-
-    let run = session.run_engine(EngineKind::CpuMgl);
-    let cpu = run
-        .report
-        .details::<flex::baselines::cpu::CpuLegalizerResult>()
-        .expect("cpu details");
-    assert!(cpu.batches > 0 && cpu.avg_batch_size >= 1.0);
-
-    let run = session.run_engine(EngineKind::CpuGpu);
-    let gpu = run
-        .report
-        .details::<flex::baselines::cpu_gpu::CpuGpuResult>()
-        .expect("cpu-gpu details");
-    assert!(gpu.batches > 0);
-    assert_eq!(
-        run.report.runtime.estimated,
-        Some(gpu.estimated_runtime),
-        "the modeled runtime must be the one the report is compared on"
-    );
-
-    let run = session.run_engine(EngineKind::Analytical);
-    let ana = run
-        .report
-        .details::<flex::baselines::analytical::AnalyticalResult>()
-        .expect("analytical details");
-    assert!(ana.iterations >= 1);
-
-    let run = session.run_engine(EngineKind::Flex);
-    let flex_out = run
-        .report
-        .details::<flex::core::accelerator::FlexOutcome>()
-        .expect("flex details");
-    assert!(flex_out.timing.fpga_cycles > 0);
-    assert!(
-        run.report.trace.is_some(),
-        "the FLEX config collects a trace"
     );
 }
