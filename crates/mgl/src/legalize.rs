@@ -1,14 +1,13 @@
 //! The end-to-end MGL legalizer (the flow of Fig. 3(e)).
 
-use crate::config::{MglConfig, OrderingStrategy, ShiftAlgorithm};
+use crate::config::{MglConfig, ShiftAlgorithm};
 use crate::fop::{self, FopScratch, Placement, TargetSpec};
-use crate::ordering::{self, SlidingWindowOrderer};
+use crate::ordering;
 use crate::region::{target_window, LegalizedIndex, LocalRegion};
 use crate::sacs::shift_phase_sacs_with_stats_into;
 use crate::shift::{shift_phase_original_with, Phase, ShiftProblem};
 use crate::stats::{FopOpStats, RegionWork, WorkTrace};
 use flex_placement::cell::CellId;
-use flex_placement::density::DensityMap;
 use flex_placement::geom::{Interval, Rect};
 use flex_placement::layout::Design;
 use flex_placement::legality::check_legality_with;
@@ -69,106 +68,110 @@ impl MglLegalizer {
         let start = Instant::now();
         let cfg = &self.config;
 
-        // step (a): input & pre-move
+        // steps (a) and (b): input & pre-move, then the processing order
         let build_span = flex_obs::span!("mgl.build_structures");
         design.pre_move();
         let segmap = SegmentMap::build(design);
         let mut index = LegalizedIndex::build(design);
-        let density = DensityMap::build(design, cfg.density_bin_sites, cfg.density_bin_rows);
+        let order = ordering::processing_order(design, cfg);
         drop(build_span);
 
-        let targets = design.movable_ids();
-        let mut op_stats = FopOpStats::default();
-        let mut trace = if cfg.collect_trace {
-            Some(WorkTrace::default())
-        } else {
-            None
-        };
-        let mut placed_in_region = 0usize;
-        let mut fallback_placed = 0usize;
-        let mut failed = Vec::new();
-        let mut prev_window: Option<Rect> = None;
-
-        // step (b): process ordering — either a static order or the sliding-window orderer
-        let mut static_order: Vec<CellId> = Vec::new();
-        let mut sliding = None;
-        match cfg.ordering {
-            OrderingStrategy::Natural => static_order = ordering::natural_order(&targets),
-            OrderingStrategy::SizeDescending => {
-                static_order = ordering::size_descending_order(design, &targets)
-            }
-            OrderingStrategy::SlidingWindowDensity => {
-                sliding = Some(SlidingWindowOrderer::new(
-                    design,
-                    &targets,
-                    cfg.sliding_window,
-                    cfg.window_half_sites,
-                    cfg.window_half_rows,
-                ));
-            }
-        }
-        let mut static_iter = static_order.into_iter();
-
+        let mut run = RunAccum::new(cfg.collect_trace);
         // one arena for the whole run: every region's FOP, shifting and commit planning
         // reuse the same grow-only buffers
         let mut scratch = FopScratch::new();
 
         let place_span = flex_obs::span!("mgl.place_loop");
-        loop {
-            let target = match sliding.as_mut() {
-                Some(orderer) => orderer.next(design, &density),
-                None => static_iter.next(),
-            };
-            let Some(target) = target else { break };
-
+        for target in order {
             let outcome = place_target_with(
                 design,
                 &segmap,
                 &mut index,
                 cfg,
                 target,
-                &mut op_stats,
+                &mut run.op_stats,
                 &mut scratch,
             );
-            let (placed, window, work) = (outcome.placed, outcome.window, outcome.work);
-            match placed {
-                PlacedBy::Region => placed_in_region += 1,
-                PlacedBy::Fallback => fallback_placed += 1,
-                PlacedBy::None => failed.push(target),
-            }
-            if let Some(trace) = trace.as_mut() {
-                let mut work = work;
-                work.placed_in_region = matches!(placed, PlacedBy::Region);
-                // a region can be preloaded while the previous one is processed only if the two
-                // windows do not overlap (Sec. 3.1.2)
-                if let (Some(prev), Some(entry)) = (prev_window, trace.regions.last_mut()) {
-                    entry.next_region_overlaps = prev.overlaps(&window);
-                }
-                trace.regions.push(work);
-            }
-            prev_window = Some(window);
+            run.record(target, outcome.placed, outcome.work, outcome.window);
         }
         drop(place_span);
 
-        // step (e) epilogue: verify
+        run.finish(design, start)
+    }
+}
+
+/// What a legalization run books per target, and the epilogue that turns it into a
+/// [`LegalizeResult`]. The serial and the parallel engine share it, so both count and trace
+/// their placements the same way.
+pub(crate) struct RunAccum {
+    /// Per-operator FOP timings of every placement, speculative or serial.
+    pub(crate) op_stats: FopOpStats,
+    trace: Option<WorkTrace>,
+    prev_window: Option<Rect>,
+    placed_in_region: usize,
+    fallback_placed: usize,
+    failed: Vec<CellId>,
+}
+
+impl RunAccum {
+    pub(crate) fn new(collect_trace: bool) -> Self {
+        Self {
+            op_stats: FopOpStats::default(),
+            trace: collect_trace.then(WorkTrace::default),
+            prev_window: None,
+            placed_in_region: 0,
+            fallback_placed: 0,
+            failed: Vec::new(),
+        }
+    }
+
+    /// Book one target, in processing order: how it was placed and, when tracing, its work
+    /// counters, marking on the previous target's entry whether the two windows overlap.
+    pub(crate) fn record(
+        &mut self,
+        target: CellId,
+        placed: PlacedBy,
+        mut work: RegionWork,
+        window: Rect,
+    ) {
+        match placed {
+            PlacedBy::Region => self.placed_in_region += 1,
+            PlacedBy::Fallback => self.fallback_placed += 1,
+            PlacedBy::None => self.failed.push(target),
+        }
+        if let Some(trace) = self.trace.as_mut() {
+            work.placed_in_region = placed == PlacedBy::Region;
+            // a region can be preloaded while the previous one is processed only if the two
+            // windows do not overlap (Sec. 3.1.2)
+            if let (Some(prev), Some(entry)) = (self.prev_window, trace.regions.last_mut()) {
+                entry.next_region_overlaps = prev.overlaps(&window);
+            }
+            trace.regions.push(work);
+        }
+        self.prev_window = Some(window);
+    }
+
+    /// Step (e): verify the placement, measure its displacement, and publish the run's FOP
+    /// timings and work trace.
+    pub(crate) fn finish(self, design: &Design, start: Instant) -> LegalizeResult {
         let verify_span = flex_obs::span!("mgl.verify");
         let report = check_legality_with(design, true);
         drop(verify_span);
         let disp = displacement_stats(design);
-        op_stats.publish_to(flex_obs::global());
-        if let Some(trace) = &trace {
+        self.op_stats.publish_to(flex_obs::global());
+        if let Some(trace) = &self.trace {
             trace.publish_to(flex_obs::global());
         }
         LegalizeResult {
             legal: report.is_legal(),
-            placed_in_region,
-            fallback_placed,
-            failed,
+            placed_in_region: self.placed_in_region,
+            fallback_placed: self.fallback_placed,
+            failed: self.failed,
             runtime: start.elapsed(),
             average_displacement: disp.average,
             max_displacement: disp.max,
-            op_stats,
-            trace,
+            op_stats: self.op_stats,
+            trace: self.trace,
         }
     }
 }
@@ -201,8 +204,8 @@ pub struct PlaceOutcome {
     /// invalidate it (per-slot tracking, versus the former single bounding box).
     pub writes: Vec<Rect>,
     /// The commit plan that was applied when the cell was placed inside a region (`None` for
-    /// fallback/failed cells, whose only write is the target itself). The pipelined parallel
-    /// engine replays this into its lagging speculation snapshot.
+    /// fallback/failed cells, whose only write is the target itself). The parallel engine
+    /// reads the cells it moved to bring its lagging speculation shadows up to date.
     pub plan: Option<CommitPlan>,
     /// Work counters accumulated over every evaluated expansion.
     pub work: RegionWork,
@@ -660,7 +663,7 @@ pub fn find_fallback_position(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FopVariant;
+    use crate::config::{FopVariant, OrderingStrategy};
     use flex_placement::benchmark::{generate, BenchmarkSpec};
 
     fn tiny_design(seed: u64) -> Design {

@@ -8,7 +8,7 @@
 //! RAM, and the remaining cells inside the window are reordered by the density of their
 //! localRegions, densest first.
 
-use crate::config::OrderingStrategy;
+use crate::config::{MglConfig, OrderingStrategy};
 use flex_placement::cell::CellId;
 use flex_placement::density::DensityMap;
 use flex_placement::geom::Rect;
@@ -57,19 +57,6 @@ pub struct SlidingWindowOrderer {
     /// `window` times is promoted to the front of the reordered tail, so the density priority
     /// can never starve the large cells that lead the size-sorted sequence.
     deferrals: std::collections::HashMap<CellId, u32>,
-    /// Incremental peek state: a simulated copy of the queue that runs ahead of the live
-    /// one, plus the resolved-but-not-yet-popped prefix. Lazily (re)built; invalidated when
-    /// a live pop diverges from (or outruns) the simulation.
-    cursor: Option<PeekCursor>,
-}
-
-/// The incremental [`SlidingWindowOrderer::peek_prefix`] cursor: `sim_queue`/`sim_deferrals`
-/// mirror what the live state will be *after* every cell in `peeked` has been popped.
-#[derive(Debug, Clone)]
-struct PeekCursor {
-    sim_queue: std::collections::VecDeque<CellId>,
-    sim_deferrals: std::collections::HashMap<CellId, u32>,
-    peeked: std::collections::VecDeque<CellId>,
 }
 
 impl SlidingWindowOrderer {
@@ -87,7 +74,6 @@ impl SlidingWindowOrderer {
             half_sites,
             half_rows,
             deferrals: std::collections::HashMap::new(),
-            cursor: None,
         }
     }
 
@@ -101,157 +87,74 @@ impl SlidingWindowOrderer {
         self.queue.is_empty()
     }
 
-    /// The cell that will be processed after the upcoming one (`C_next`), if any — the cell the
-    /// FLEX controller preloads into the free ping-pong RAM while `C_cur` is being processed.
-    pub fn peek_next(&self) -> Option<CellId> {
-        self.queue.get(1).copied()
-    }
-
-    /// Pop the next cell to process and re-rank the rest of the window by density.
+    /// Pop the next cell to process (`C_cur`), keep the new front (`C_next`) fixed, and
+    /// re-rank the remaining window cells by localRegion density.
     pub fn next(&mut self, design: &Design, density: &DensityMap) -> Option<CellId> {
-        let cur = pop_and_reorder(
-            &mut self.queue,
-            &mut self.deferrals,
-            self.window,
-            self.half_sites,
-            self.half_rows,
-            design,
-            density,
-        )?;
-        // keep the peek cursor in lockstep: consume the matching resolved slot, or drop the
-        // cursor if the live pop diverged from (or ran past) the simulation — the next peek
-        // then re-derives from the live state, which is what keeps divergence *observable*
-        // (the engine counts it as `order_invalidated`) instead of silently compounding
-        let in_sync = match self.cursor.as_mut() {
-            None => true,
-            Some(cursor) => cursor.peeked.pop_front() == Some(cur),
-        };
-        if !in_sync {
-            self.cursor = None;
+        let (queue, deferrals) = (&mut self.queue, &mut self.deferrals);
+        let (window, half_sites, half_rows) = (self.window, self.half_sites, self.half_rows);
+        let cur = queue.pop_front()?;
+        // C_next (new front) stays fixed; the remaining window cells are reordered by density,
+        // except that cells which already spent a full window length being deferred keep their
+        // (size-ranked) priority so they cannot starve.
+        if queue.len() > 2 {
+            let end = window.saturating_sub(1).min(queue.len());
+            if end > 2 {
+                let before: Vec<CellId> = queue.iter().skip(1).take(end - 1).copied().collect();
+                let mut tail = before.clone();
+                let cap = window as u32;
+                tail.sort_by(|&a, &b| {
+                    let exhausted_a = deferrals.get(&a).copied().unwrap_or(0) >= cap;
+                    let exhausted_b = deferrals.get(&b).copied().unwrap_or(0) >= cap;
+                    match (exhausted_a, exhausted_b) {
+                        (true, false) => return std::cmp::Ordering::Less,
+                        (false, true) => return std::cmp::Ordering::Greater,
+                        _ => {}
+                    }
+                    let da = density.density_in(&density_window(design, a, half_sites, half_rows));
+                    let db = density.density_in(&density_window(design, b, half_sites, half_rows));
+                    // total order even for NaN densities (degenerate windows): NaN ranks above
+                    // every real density instead of poisoning the comparator
+                    db.total_cmp(&da).then(a.cmp(&b))
+                });
+                for (new_idx, id) in tail.iter().enumerate() {
+                    let old_idx = before.iter().position(|&x| x == *id).unwrap_or(new_idx);
+                    if new_idx > old_idx {
+                        *deferrals.entry(*id).or_insert(0) += 1;
+                    }
+                }
+                for (i, id) in tail.into_iter().enumerate() {
+                    queue[i + 1] = id;
+                }
+            }
         }
         Some(cur)
     }
-
-    /// Resolve the next `n` cells of the dynamic order **without consuming them**: the exact
-    /// sequence `n` successive [`SlidingWindowOrderer::next`] calls would return.
-    ///
-    /// This is what lets the parallel engine speculate across the FLEX default (dynamic)
-    /// ordering: the reorder step reads only the density map and the queued cells' positions,
-    /// and **neither changes while legalization runs** — the density map is built once before
-    /// the first pop, and commits only move already-legalized cells, never queued ones. The
-    /// resolved prefix is therefore commit-invariant. The engine still verifies this at every
-    /// commit slot by popping the live orderer and comparing (counting any divergence as a
-    /// discarded speculation), so a future commit-reactive density source
-    /// ([`DensityMap::apply_move`]) would degrade performance, not correctness.
-    ///
-    /// The resolution is *incremental*: a cursor holds a simulated copy of the queue that
-    /// runs ahead of the live one, so peeking `n` slots costs `O(window)` per **new** slot
-    /// — already-resolved slots are served from the cursor, and live pops consume it in
-    /// lockstep. Across the parallel engine's batches that makes `peek_prefix`
-    /// O(lookahead) amortized instead of re-simulating the whole prefix per batch. The
-    /// cursor assumes the density map passed in stays the same object state across calls
-    /// (the engine's map is built once and never mutated); peeking against a *different*
-    /// map re-uses cached slots resolved under the old one — clone the orderer to compare
-    /// maps side by side.
-    pub fn peek_prefix(&mut self, design: &Design, density: &DensityMap, n: usize) -> Vec<CellId> {
-        let cursor = self.cursor.get_or_insert_with(|| PeekCursor {
-            sim_queue: self.queue.clone(),
-            sim_deferrals: self.deferrals.clone(),
-            peeked: std::collections::VecDeque::new(),
-        });
-        while cursor.peeked.len() < n {
-            match pop_and_reorder(
-                &mut cursor.sim_queue,
-                &mut cursor.sim_deferrals,
-                self.window,
-                self.half_sites,
-                self.half_rows,
-                design,
-                density,
-            ) {
-                Some(id) => cursor.peeked.push_back(id),
-                None => break,
-            }
-        }
-        cursor.peeked.iter().take(n).copied().collect()
-    }
 }
 
-/// The sliding-window pop: remove the front cell (`C_cur`), keep the new front (`C_next`)
-/// fixed, and re-rank the remaining window cells by localRegion density. Shared by the live
-/// [`SlidingWindowOrderer::next`] and the speculative [`SlidingWindowOrderer::peek_prefix`]
-/// so the two can never drift apart.
-#[allow(clippy::too_many_arguments)]
-fn pop_and_reorder(
-    queue: &mut std::collections::VecDeque<CellId>,
-    deferrals: &mut std::collections::HashMap<CellId, u32>,
-    window: usize,
-    half_sites: i64,
-    half_rows: i64,
-    design: &Design,
-    density: &DensityMap,
-) -> Option<CellId> {
-    let cur = queue.pop_front()?;
-    // C_next (new front) stays fixed; the remaining window cells are reordered by density,
-    // except that cells which already spent a full window length being deferred keep their
-    // (size-ranked) priority so they cannot starve.
-    if queue.len() > 2 {
-        let end = window.saturating_sub(1).min(queue.len());
-        if end > 2 {
-            let before: Vec<CellId> = queue.iter().skip(1).take(end - 1).copied().collect();
-            let mut tail = before.clone();
-            let cap = window as u32;
-            tail.sort_by(|&a, &b| {
-                let exhausted_a = deferrals.get(&a).copied().unwrap_or(0) >= cap;
-                let exhausted_b = deferrals.get(&b).copied().unwrap_or(0) >= cap;
-                match (exhausted_a, exhausted_b) {
-                    (true, false) => return std::cmp::Ordering::Less,
-                    (false, true) => return std::cmp::Ordering::Greater,
-                    _ => {}
-                }
-                let da = density.density_in(&density_window(design, a, half_sites, half_rows));
-                let db = density.density_in(&density_window(design, b, half_sites, half_rows));
-                // total order even for NaN densities (degenerate windows): NaN ranks above
-                // every real density instead of poisoning the comparator
-                db.total_cmp(&da).then(a.cmp(&b))
-            });
-            for (new_idx, id) in tail.iter().enumerate() {
-                let old_idx = before.iter().position(|&x| x == *id).unwrap_or(new_idx);
-                if new_idx > old_idx {
-                    *deferrals.entry(*id).or_insert(0) += 1;
-                }
-            }
-            for (i, id) in tail.into_iter().enumerate() {
-                queue[i + 1] = id;
-            }
-        }
-    }
-    Some(cur)
-}
-
-/// Produce the full processing order for a strategy (materializing the sliding-window dynamic
-/// order requires a density map; the legalizer drives [`SlidingWindowOrderer`] incrementally
-/// instead, but this helper is convenient for analyses and tests).
-pub fn full_order(
-    design: &Design,
-    targets: &[CellId],
-    strategy: OrderingStrategy,
-    density: &DensityMap,
-    window: usize,
-    half_sites: i64,
-    half_rows: i64,
-) -> Vec<CellId> {
-    match strategy {
-        OrderingStrategy::Natural => natural_order(targets),
-        OrderingStrategy::SizeDescending => size_descending_order(design, targets),
+/// The order in which a legalization run places the movable cells of a pre-moved design,
+/// computed once before the first placement. Builds the [`DensityMap`] only for the
+/// sliding-window strategy, which is the only one that reads it.
+///
+/// Precomputing the sliding-window order is exact: a reorder reads only the density map,
+/// built here before any commit, and the positions of queued cells, and a legalization run
+/// never moves a queued cell ([`Design::pre_move`] un-legalizes every movable cell, and a
+/// placement writes only its target and already-legalized localCells). So the order equals
+/// what popping [`SlidingWindowOrderer::next`] between placements yields.
+pub fn processing_order(design: &Design, cfg: &MglConfig) -> Vec<CellId> {
+    let targets = design.movable_ids();
+    match cfg.ordering {
+        OrderingStrategy::Natural => natural_order(&targets),
+        OrderingStrategy::SizeDescending => size_descending_order(design, &targets),
         OrderingStrategy::SlidingWindowDensity => {
-            let mut orderer =
-                SlidingWindowOrderer::new(design, targets, window, half_sites, half_rows);
-            let mut order = Vec::with_capacity(targets.len());
-            while let Some(id) = orderer.next(design, density) {
-                order.push(id);
-            }
-            order
+            let density = DensityMap::build(design, cfg.density_bin_sites, cfg.density_bin_rows);
+            let mut orderer = SlidingWindowOrderer::new(
+                design,
+                &targets,
+                cfg.sliding_window,
+                cfg.window_half_sites,
+                cfg.window_half_rows,
+            );
+            std::iter::from_fn(|| orderer.next(design, &density)).collect()
         }
     }
 }
@@ -259,7 +162,14 @@ pub fn full_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fop::FopScratch;
+    use crate::legalize::{place_target_with, MglLegalizer};
+    use crate::region::LegalizedIndex;
+    use crate::stats::FopOpStats;
+    use flex_placement::benchmark::{generate, tall_cell_spec, BenchmarkSpec};
     use flex_placement::cell::Cell;
+    use flex_placement::metrics::displacement_stats;
+    use flex_placement::segment::SegmentMap;
 
     fn design() -> Design {
         let mut d = Design::new("ord", 200, 20);
@@ -290,20 +200,24 @@ mod tests {
         assert_eq!(sorted, expect);
     }
 
+    /// The configuration the tests order `design()` with.
+    fn cfg(ordering: OrderingStrategy) -> MglConfig {
+        MglConfig {
+            ordering,
+            sliding_window: 4,
+            window_half_sites: 20,
+            window_half_rows: 3,
+            density_bin_sites: 16,
+            density_bin_rows: 4,
+            ..MglConfig::default()
+        }
+    }
+
     #[test]
     fn sliding_window_is_a_permutation_and_starts_with_largest() {
         let d = design();
         let targets = d.movable_ids();
-        let density = DensityMap::build(&d, 16, 4);
-        let order = full_order(
-            &d,
-            &targets,
-            OrderingStrategy::SlidingWindowDensity,
-            &density,
-            4,
-            20,
-            3,
-        );
+        let order = processing_order(&d, &cfg(OrderingStrategy::SlidingWindowDensity));
         assert_eq!(order.len(), targets.len());
         let mut sorted = order.clone();
         sorted.sort();
@@ -339,7 +253,8 @@ mod tests {
         let density = DensityMap::build(&d, 16, 4);
         let mut orderer = SlidingWindowOrderer::new(&d, &targets, 4, 20, 3);
         while !orderer.is_empty() {
-            let expected_next = orderer.peek_next();
+            // C_next: the cell behind the one the pop returns
+            let expected_next = orderer.queue.get(1).copied();
             let _cur = orderer.next(&d, &density).unwrap();
             if let Some(exp) = expected_next {
                 // after popping, the previously peeked cell must be at the front (it is C_next
@@ -351,118 +266,71 @@ mod tests {
     }
 
     #[test]
-    fn peek_prefix_matches_the_realized_pop_sequence() {
-        let d = design();
-        let targets = d.movable_ids();
-        let density = DensityMap::build(&d, 16, 4);
-        for n in [0usize, 1, 2, 3, 5, 8, 20] {
-            let mut orderer = SlidingWindowOrderer::new(&d, &targets, 4, 20, 3);
-            let peeked = orderer.peek_prefix(&d, &density, n);
-            assert_eq!(peeked.len(), n.min(targets.len()));
-            let realized: Vec<CellId> = (0..peeked.len())
-                .map(|_| orderer.next(&d, &density).unwrap())
-                .collect();
-            assert_eq!(peeked, realized, "peek diverged at n = {n}");
-        }
-    }
-
-    #[test]
-    fn peek_prefix_is_exact_when_interleaved_with_pops() {
-        // the engine peeks a batch, pops through it, peeks the next batch, …; every peek
-        // must predict exactly what the live orderer then produces
-        let d = design();
-        let targets = d.movable_ids();
-        let density = DensityMap::build(&d, 16, 4);
-        let mut orderer = SlidingWindowOrderer::new(&d, &targets, 3, 20, 3);
-        let mut realized = Vec::new();
-        while !orderer.is_empty() {
-            let batch = orderer.peek_prefix(&d, &density, 3);
-            for expect in batch {
-                let got = orderer.next(&d, &density).unwrap();
-                assert_eq!(got, expect, "live pop diverged from the peeked prefix");
-                realized.push(got);
-            }
-        }
-        let mut sorted = realized.clone();
-        sorted.sort();
-        let mut expect = targets;
-        expect.sort();
-        assert_eq!(
-            sorted, expect,
-            "interleaved peek/pop must still be a permutation"
-        );
-    }
-
-    #[test]
-    fn peek_cursor_survives_being_outrun_by_live_pops() {
-        // pops beyond the resolved prefix invalidate the cursor; a later peek must rebuild
-        // from the live state and stay exact, and peeking must never perturb the sequence
-        let d = design();
-        let targets = d.movable_ids();
-        let density = DensityMap::build(&d, 16, 4);
-        let mut peeky = SlidingWindowOrderer::new(&d, &targets, 3, 20, 3);
-        let mut pure = peeky.clone();
-
-        let _ = peeky.peek_prefix(&d, &density, 2);
-        let mut realized = Vec::new();
-        for _ in 0..4 {
-            realized.push(peeky.next(&d, &density).unwrap());
-        }
-        let repeek = peeky.peek_prefix(&d, &density, 3);
-        let rest: Vec<CellId> = std::iter::from_fn(|| peeky.next(&d, &density)).collect();
-        assert_eq!(
-            repeek[..],
-            rest[..repeek.len()],
-            "the rebuilt cursor must predict the live pops"
-        );
-        realized.extend(rest);
-
-        let expected: Vec<CellId> = std::iter::from_fn(|| pure.next(&d, &density)).collect();
-        assert_eq!(realized, expected, "peeking must never change the order");
-    }
-
-    #[test]
-    fn peek_prefix_only_depends_on_the_density_snapshot() {
-        // The commit-invariance contract: with the same (static) density map, a peek made
-        // before a batch of commits equals the pops made after them, because commits never
-        // move queued cells. A commit-*reactive* map (DensityMap::apply_move) is exactly
-        // what would break this — demonstrate that the peek re-resolves differently against
-        // a perturbed map, which is the situation the engine's pop-time verification guards.
-        let d = design();
-        let targets = d.movable_ids();
-        let density = DensityMap::build(&d, 16, 4);
-        let orderer = SlidingWindowOrderer::new(&d, &targets, 8, 20, 3);
-        // the incremental cursor caches slots resolved under one density map, so comparing
-        // maps side by side requires independent orderers (see the peek_prefix docs)
-        let before = orderer.clone().peek_prefix(&d, &density, targets.len());
-
-        // pile commit deltas onto the sparse corner until the live map ranks it densest
-        let mut live = density.clone();
-        for _ in 0..60 {
-            live.apply_move(&Rect::new(10, 2, 16, 3), &Rect::new(96, 9, 104, 11));
-        }
-        let after = orderer.clone().peek_prefix(&d, &live, targets.len());
-        let mut sorted = after.clone();
-        sorted.sort();
-        let mut expect = targets;
-        expect.sort();
-        assert_eq!(sorted, expect, "a perturbed peek is still a permutation");
-        assert_ne!(
-            before, after,
-            "a commit-perturbed density map must re-resolve to a different order \
-             (otherwise the invariance contract would be vacuous)"
-        );
-    }
-
-    #[test]
     fn natural_order_is_identity() {
         let d = design();
         let targets = d.movable_ids();
         assert_eq!(natural_order(&targets), targets);
-        let density = DensityMap::build(&d, 16, 4);
         assert_eq!(
-            full_order(&d, &targets, OrderingStrategy::Natural, &density, 4, 20, 3),
+            processing_order(&d, &cfg(OrderingStrategy::Natural)),
             targets
         );
+    }
+
+    #[test]
+    fn popping_the_live_orderer_reproduces_the_serial_placement() {
+        // the legalizers place in the order `processing_order` computes before the first
+        // commit; popping the orderer between placements instead must place every cell
+        // where `MglLegalizer` does, S_am bit for bit
+        let cfg = MglConfig::flex();
+        assert_eq!(cfg.ordering, OrderingStrategy::SlidingWindowDensity);
+        for spec in [
+            BenchmarkSpec::tiny("live-pop-sparse", 31).with_density(0.45),
+            BenchmarkSpec::tiny("live-pop-mid", 32).with_density(0.65),
+            BenchmarkSpec::tiny("live-pop-dense", 33).with_density(0.85),
+            BenchmarkSpec {
+                num_cells: 300,
+                ..tall_cell_spec("live-pop-tall", 0.3, 34)
+            },
+        ] {
+            let mut reference = generate(&spec);
+            let result = MglLegalizer::new(cfg.clone()).legalize(&mut reference);
+
+            let mut live = generate(&spec);
+            live.pre_move();
+            let segmap = SegmentMap::build(&live);
+            let mut index = LegalizedIndex::build(&live);
+            let density = DensityMap::build(&live, cfg.density_bin_sites, cfg.density_bin_rows);
+            let mut orderer = SlidingWindowOrderer::new(
+                &live,
+                &live.movable_ids(),
+                cfg.sliding_window,
+                cfg.window_half_sites,
+                cfg.window_half_rows,
+            );
+            let mut op_stats = FopOpStats::default();
+            let mut scratch = FopScratch::new();
+            while let Some(target) = orderer.next(&live, &density) {
+                place_target_with(
+                    &mut live,
+                    &segmap,
+                    &mut index,
+                    &cfg,
+                    target,
+                    &mut op_stats,
+                    &mut scratch,
+                );
+            }
+            assert!(
+                live.cells == reference.cells,
+                "{}: placements differ",
+                spec.name
+            );
+            assert_eq!(
+                displacement_stats(&live).average.to_bits(),
+                result.average_displacement.to_bits(),
+                "{}: S_am differs",
+                spec.name
+            );
+        }
     }
 }

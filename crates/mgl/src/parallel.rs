@@ -1,4 +1,4 @@
-//! The parallel region-sharded MGL engine, with epoch-pipelined batch speculation.
+//! The parallel region-sharded MGL engine, with ping-pong batch speculation.
 //!
 //! The paper's CPU baseline (Fig. 2(a)) parallelizes MGL by batching target cells whose
 //! legalization windows do not overlap and synchronizing after every batch — at the cost of
@@ -17,79 +17,69 @@
 //!    the serial processing order — a *prefix*, never a reordering. Every non-straddler
 //!    member is *speculated* on the rayon pool: region extraction, FOP (which is where the
 //!    per-shard `shift_phase_*` work runs) and the pure [`plan_commit_with`] verification
-//!    all execute against an epoch snapshot of the cell state (point 4).
+//!    all execute against a shadow copy of the cell state (point 4).
 //! 3. **In-order commit with per-write tracking.** Plans are applied strictly in the serial
 //!    order. Every commit records one rectangle per design write it performed
 //!    ([`plan_write_rects`] / [`PlaceOutcome::writes`]) — the target's committed extent and
 //!    each moved localCell's swept span — rather than one collective bounding box, so a
 //!    later member is invalidated only when an *individual* write intersects its window. A
-//!    member whose window is hit by any write since its snapshot — and any member that was
-//!    not speculated (straddler, conflict) or whose speculation found no expansion-0
-//!    placement — is handled by the ordinary serial [`place_target_with`] at its slot,
-//!    window expansions and whole-die fallback included.
-//! 4. **Epoch-pipelined speculation.** Mutable cell state is captured once into an
-//!    [`EpochCellStore`] — epoch-tagged copy-on-write columns shared between the commit
-//!    thread and a speculation runner thread. Committing batch *k* records its writes into
-//!    the store's open overlay and seals it as epoch *k+1*; launching a batch takes an O(1)
-//!    [`StoreSnapshot`] pinned to the last sealed epoch instead of cloning the `Design` and
-//!    its obstacle index. Batch *k+1* launches before batch *k* commits, so one batch
-//!    speculates while the previous one commits; once batch *k* is sealed, the epochs no
-//!    in-flight snapshot needs are promoted (folded) back into the shared base columns. A
-//!    member of batch *k* is stale if a write of batch *k−1*, which committed after *k*'s
-//!    snapshot ([`ShardStats::cross_batch_invalidated`]), or an earlier commit of batch
-//!    *k* itself ([`ShardStats::dirty_recomputes`]) intersects its window — per write
-//!    rect, so a speculation survives earlier non-overlapping commits.
+//!    member whose window is hit by any write since its shadow was brought up to date — and
+//!    any member that was not speculated (straddler) or whose speculation found no
+//!    expansion-0 placement — is handled by the ordinary serial [`place_target_with`] at its
+//!    slot, window expansions and whole-die fallback included.
+//! 4. **Ping-pong shadows.** Like FLEX's ping-pong RAM (Sec. 3.1.2), which preloads
+//!    `C_next`'s region into the free half while `C_cur` is processed, the engine speculates
+//!    batch *k+1* on a speculation runner thread while the commit thread commits batch *k*.
+//!    Batch *k+1* launches before batch *k* commits, so it reads a private `Shadow` — a
+//!    copy of the design and its [`LegalizedIndex`] taken after pre-move — and two shadows
+//!    alternate: one is out with the batch in flight, the other is home. Before launching
+//!    batch *k+1* the commit thread brings the home shadow up to the live design by copying
+//!    the cells batches *k−2* and *k−1* wrote (the home shadow last served batch *k−1*,
+//!    which saw everything before batch *k−2*). A member of batch *k* is stale if a write of
+//!    batch *k−1*, which committed after *k*'s shadow was brought up to date
+//!    ([`ShardStats::cross_batch_invalidated`]), or an earlier commit of batch *k* itself
+//!    ([`ShardStats::dirty_recomputes`]) intersects its window — per write rect, so a
+//!    speculation survives earlier non-overlapping commits.
 //!
-//! **Dynamic (sliding-window density) ordering.** The FLEX default configuration reorders
-//! its queue by localRegion density as it goes, which previously forced this engine to
-//! degrade to fully-serial execution. The reorder step, however, reads only the density map
-//! built *before* the first commit and the positions of *queued* cells — and commits move
-//! only already-legalized cells, never queued ones — so the dynamic order is commit-invariant
-//! and can be resolved ahead: [`SlidingWindowOrderer::peek_prefix`] resolves the next
-//! `lookahead` pops to form a speculation batch, and the commit loop still pops the *live*
-//! orderer at every slot. Speculations are keyed by cell id, so even if a pop ever diverged
-//! from the peeked prefix (it cannot while the density inputs stay commit-invariant — a
-//! commit-reactive [`DensityMap::apply_move`] feed is what would break it), the engine
-//! re-resolves from the live order and only the never-popped speculations are discarded
-//! ([`ShardStats::order_invalidated`]). The peek steers *performance*; the placement comes
-//! from the live order and the write-set checks alone.
+//! **Ordering.** Both engines place the cells in the order [`ordering::processing_order`]
+//! computes once after pre-move. That covers the FLEX default (sliding-window density)
+//! ordering too: its reorder step reads only the density map built before the first commit
+//! and the positions of queued cells, and commits move only already-legalized cells, never
+//! queued ones, so the dynamic order is fixed before the first commit and batches are plain
+//! slices of it.
 //!
-//! **Serial equivalence.** Because batches are prefixes of the live serial order and commits
+//! **Serial equivalence.** Because batches are prefixes of the serial order and commits
 //! happen in that order, when cell *i* reaches its commit slot every cell before it (and no
 //! cell after it) has been committed — exactly the serial state. A speculative plan is
-//! applied only if nothing written since its snapshot intersects the cell's window (with the
-//! same one-site slack the obstacle filter uses), in which case the speculated region, FOP
-//! result and plan coincide with what the serial legalizer would compute at that slot;
-//! otherwise the cell is recomputed serially at its slot. By induction the final placement,
-//! the displacement stats, the per-cell work trace and the legality verdict are identical to
-//! [`MglLegalizer`] with the same configuration — static or dynamic ordering, at any thread
-//! count and any batch size. Wall-clock fields (`runtime`, the `FopOpStats` nanosecond
-//! counters) are measurements and do differ.
+//! applied only if nothing written since its shadow was brought up to date intersects the
+//! cell's window (with the same one-site slack the obstacle filter uses), in which case the
+//! speculated region, FOP result and plan coincide with what the serial legalizer would
+//! compute at that slot; otherwise the cell is recomputed serially at its slot. By induction
+//! the final placement, the displacement stats, the per-cell work trace and the legality
+//! verdict are identical to [`MglLegalizer`] with the same configuration — static or dynamic
+//! ordering, at any thread count and any batch size. Wall-clock fields (`runtime`, the
+//! `FopOpStats` nanosecond counters) are measurements and do differ.
 
-use crate::config::{MglConfig, OrderingStrategy};
+use crate::config::MglConfig;
 use crate::fop::{self, FopScratch, TargetSpec};
 use crate::legalize::{
     accumulate_work, apply_commit, place_target_with, plan_commit_with, plan_write_rects,
-    CommitPlan, LegalizeResult, PlaceOutcome, PlacedBy,
+    CommitPlan, LegalizeResult, PlacedBy, RunAccum,
 };
-use crate::ordering::{self, SlidingWindowOrderer};
+use crate::ordering;
 use crate::region::{target_window, LegalizedIndex, LocalRegion};
-use crate::stats::{FopOpStats, RegionWork, WorkTrace};
+use crate::stats::{FopOpStats, RegionWork};
 use flex_placement::cell::CellId;
-use flex_placement::density::DensityMap;
 use flex_placement::geom::Rect;
 use flex_placement::layout::Design;
-use flex_placement::legality::check_legality_with;
-use flex_placement::metrics::displacement_stats;
 use flex_placement::segment::SegmentMap;
-use flex_placement::store::{CellState, Epoch, EpochCellStore, StoreSnapshot};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::Instant;
 
 #[cfg(doc)]
-use crate::legalize::MglLegalizer;
+use crate::legalize::{MglLegalizer, PlaceOutcome};
 
 /// Lower bound on the speculation batch size (targets taken off the queue front per round).
 /// The batch size adapts to the worker count (four targets per worker) — staleness within a
@@ -124,14 +114,9 @@ pub struct ShardStats {
     /// their window.
     pub dirty_recomputes: usize,
     /// Speculations discarded because a commit of the **previous batch**, which committed
-    /// after this batch's snapshot epoch was sealed, wrote into their window. Always zero
-    /// for the first batch.
+    /// after this batch's shadow was brought up to date, wrote into their window. Always
+    /// zero for the first batch.
     pub cross_batch_invalidated: usize,
-    /// Speculations discarded because the realized dynamic order diverged from the peeked
-    /// prefix, so the speculated cell never reached a commit slot in its batch. Zero while
-    /// the sliding-window density inputs stay commit-invariant (which the current engines
-    /// guarantee — see the module docs); the counter keeps the re-resolution path honest.
-    pub order_invalidated: usize,
 }
 
 impl ShardStats {
@@ -155,7 +140,6 @@ impl ShardStats {
                 "par_shard_cross_batch_invalidated",
                 self.cross_batch_invalidated as u64,
             ),
-            ("par_shard_order_invalidated", self.order_invalidated as u64),
         ] {
             registry.set_counter(name, v);
         }
@@ -188,13 +172,6 @@ pub struct ParallelMglLegalizer {
     config: MglConfig,
 }
 
-/// Per-target scheduling metadata for one speculation batch.
-struct TargetMeta {
-    id: CellId,
-    window: Rect,
-    straddler: bool,
-}
-
 /// What one speculative evaluation produced.
 struct Speculation {
     work: RegionWork,
@@ -202,127 +179,57 @@ struct Speculation {
     plan: Option<CommitPlan>,
 }
 
-/// The serial processing order, either fully materialized (static strategies) or resolved
-/// incrementally from the live sliding-window orderer (the FLEX dynamic strategy).
-enum OrderSource {
-    Static {
-        order: Vec<CellId>,
-        next: usize,
-    },
-    Dynamic {
-        orderer: Box<SlidingWindowOrderer>,
-        density: DensityMap,
-    },
+/// A private copy of the cell state that one speculation batch reads while the commit
+/// thread writes the live design: the design and its obstacle index as they stood before
+/// the previous batch committed.
+#[derive(Clone)]
+struct Shadow {
+    design: Design,
+    index: LegalizedIndex,
 }
 
-impl OrderSource {
-    fn new(design: &Design, cfg: &MglConfig, targets: &[CellId]) -> Self {
-        match cfg.ordering {
-            OrderingStrategy::Natural => OrderSource::Static {
-                order: ordering::natural_order(targets),
-                next: 0,
-            },
-            OrderingStrategy::SizeDescending => OrderSource::Static {
-                order: ordering::size_descending_order(design, targets),
-                next: 0,
-            },
-            OrderingStrategy::SlidingWindowDensity => OrderSource::Dynamic {
-                // the same map the serial legalizer builds at the same point of the flow;
-                // it is never mutated afterwards, which is what makes peeks exact
-                density: DensityMap::build(design, cfg.density_bin_sites, cfg.density_bin_rows),
-                orderer: Box::new(SlidingWindowOrderer::new(
-                    design,
-                    targets,
-                    cfg.sliding_window,
-                    cfg.window_half_sites,
-                    cfg.window_half_rows,
-                )),
-            },
-        }
-    }
-
-    /// Targets not yet popped.
-    fn remaining(&self) -> usize {
-        match self {
-            OrderSource::Static { order, next } => order.len() - next,
-            OrderSource::Dynamic { orderer, .. } => orderer.len(),
-        }
-    }
-
-    /// Resolve (without consuming) the ids of order slots `[skip, skip + count)` ahead of
-    /// the current position. Dynamic resolution advances the orderer's incremental peek
-    /// cursor, so repeated peeks across batches cost O(new slots), not O(prefix).
-    fn peek(&mut self, design: &Design, skip: usize, count: usize) -> Vec<CellId> {
-        match self {
-            OrderSource::Static { order, next } => {
-                let lo = (*next + skip).min(order.len());
-                let hi = (lo + count).min(order.len());
-                order[lo..hi].to_vec()
+impl Shadow {
+    /// Copy from the live design every cell the last two committed batches wrote (`lag`,
+    /// oldest first), registering in the index the ones that became legalized. A legalized
+    /// cell keeps its rows for the rest of the run, so those are the index's only changes.
+    fn catch_up(&mut self, live: &Design, lag: &[Vec<CellId>; 2]) {
+        for &id in lag.iter().flatten() {
+            let cell = live.cell(id);
+            let newly_legalized = cell.legalized && !self.design.cell(id).legalized;
+            *self.design.cell_mut(id) = cell.clone();
+            if newly_legalized {
+                self.index.insert(&self.design, id);
             }
-            OrderSource::Dynamic { orderer, density } => {
-                let mut resolved = orderer.peek_prefix(design, density, skip + count);
-                if resolved.len() <= skip {
-                    return Vec::new();
-                }
-                resolved.split_off(skip)
-            }
-        }
-    }
-
-    /// Pop the next target of the live serial order.
-    fn pop(&mut self, design: &Design) -> Option<CellId> {
-        match self {
-            OrderSource::Static { order, next } => {
-                let id = order.get(*next).copied();
-                if id.is_some() {
-                    *next += 1;
-                }
-                id
-            }
-            OrderSource::Dynamic { orderer, density } => orderer.next(design, density),
         }
     }
 }
 
-/// One speculation batch handed to the pipeline's runner thread: the batch index, its
-/// non-straddler scheduling metadata and the epoch snapshot to speculate against.
+/// Append the cells one placement wrote: its plan's moved localCells, then the target.
+fn note_written(written: &mut Vec<CellId>, target: CellId, plan: Option<&CommitPlan>) {
+    if let Some(plan) = plan {
+        written.extend(plan.moves.iter().map(|&(id, _)| id));
+    }
+    written.push(target);
+}
+
+/// One speculation batch handed to the runner thread, with the shadow it reads.
 struct LaunchMsg {
     batch: usize,
-    metas: Vec<TargetMeta>,
-    snapshot: StoreSnapshot,
+    shadow: Shadow,
 }
 
-/// One speculated batch coming back from the runner thread, in launch (= batch) order.
+/// One speculated batch coming back from the runner thread, in launch (= batch) order, with
+/// its shadow.
 struct SpecBatch {
     batch: usize,
     pending: HashMap<CellId, Speculation>,
-    speculated: usize,
+    shadow: Shadow,
 }
 
 /// Everything the strictly-serial commit phase accumulates across batches.
 struct CommitAccum {
+    run: RunAccum,
     shards: ShardStats,
-    op_stats: FopOpStats,
-    trace: Option<WorkTrace>,
-    prev_window: Option<Rect>,
-    placed_in_region: usize,
-    fallback_placed: usize,
-    failed: Vec<CellId>,
-}
-
-impl CommitAccum {
-    fn record(&mut self, mut work: RegionWork, window: Rect, placed_in_region: bool) {
-        if let Some(trace) = self.trace.as_mut() {
-            work.placed_in_region = placed_in_region;
-            // a region can be preloaded while the previous one is processed only if the two
-            // windows do not overlap (Sec. 3.1.2)
-            if let (Some(prev), Some(entry)) = (self.prev_window, trace.regions.last_mut()) {
-                entry.next_region_overlaps = prev.overlaps(&window);
-            }
-            trace.regions.push(work);
-        }
-        self.prev_window = Some(window);
-    }
 }
 
 impl ParallelMglLegalizer {
@@ -354,17 +261,14 @@ impl ParallelMglLegalizer {
             .build()
             .expect("failed to build worker pool");
 
-        // step (a): input & pre-move — identical to the serial flow
+        // steps (a) and (b): pre-move and the serial processing order — identical to the
+        // serial flow
         let build_span = flex_obs::span!("par.build_structures");
         design.pre_move();
         let segmap = SegmentMap::build(design);
         let mut index = LegalizedIndex::build(design);
+        let order = ordering::processing_order(design, cfg);
         drop(build_span);
-
-        // step (b): the serial processing order this engine preserves — materialized for the
-        // static strategies, resolved incrementally (peek + live pop) for the dynamic one
-        let targets = design.movable_ids();
-        let mut order = OrderSource::new(design, cfg, &targets);
 
         // row shards: band height is a fixed multiple of the base window height, so the shard
         // layout (and the schedule) is independent of the thread count
@@ -385,10 +289,11 @@ impl ParallelMglLegalizer {
         };
 
         let mut acc = CommitAccum {
+            run: RunAccum::new(cfg.collect_trace),
             shards: ShardStats {
                 bands,
                 band_rows,
-                straddlers: targets
+                straddlers: order
                     .iter()
                     .filter(|&&id| {
                         straddles(&target_window(
@@ -401,26 +306,6 @@ impl ParallelMglLegalizer {
                     .count(),
                 ..ShardStats::default()
             },
-            op_stats: FopOpStats::default(),
-            trace: cfg.collect_trace.then(WorkTrace::default),
-            prev_window: None,
-            placed_in_region: 0,
-            fallback_placed: 0,
-            failed: Vec::new(),
-        };
-
-        let build_metas = |design: &Design, ids: &[CellId]| -> Vec<TargetMeta> {
-            ids.iter()
-                .map(|&id| {
-                    let window =
-                        target_window(design, id, cfg.window_half_sites, cfg.window_half_rows);
-                    TargetMeta {
-                        id,
-                        window,
-                        straddler: straddles(&window),
-                    }
-                })
-                .collect()
         };
 
         // the commit thread's arena; each worker gets its own via the thread-local in
@@ -428,15 +313,17 @@ impl ParallelMglLegalizer {
         let mut scratch = FopScratch::new();
 
         let lookahead = (4 * self.threads).max(MIN_LOOKAHEAD);
-        let total = order.remaining();
-        let num_batches = total.div_ceil(lookahead);
-        let batch_count = |b: usize| lookahead.min(total - b * lookahead);
+        let batches: Vec<&[CellId]> = order.chunks(lookahead).collect();
 
-        // the shared epoch-tagged state both threads agree on: the commit thread records
-        // every write and seals one epoch per batch, launches pin snapshots
-        let store = EpochCellStore::capture(design);
+        // batches 0 and 1 both speculate on the pre-move state
+        let shadow = Shadow {
+            design: design.clone(),
+            index: index.clone(),
+        };
+        let mut home = Some(shadow.clone());
 
-        let (pool_ref, segmap_ref) = (&pool, &segmap);
+        let (pool_ref, segmap_ref, batches_ref, straddles_ref) =
+            (&pool, &segmap, &batches, &straddles);
         std::thread::scope(|s| {
             let (launch_tx, launch_rx) = mpsc::channel::<LaunchMsg>();
             let (result_tx, result_rx) = mpsc::channel::<SpecBatch>();
@@ -445,15 +332,21 @@ impl ParallelMglLegalizer {
             std::thread::Builder::new()
                 .name("flex-spec-runner".into())
                 .spawn_scoped(s, move || {
-                    while let Ok(msg) = launch_rx.recv() {
+                    while let Ok(LaunchMsg { batch, shadow }) = launch_rx.recv() {
                         let spec_span = flex_obs::span!("par.speculate_batch");
-                        let (pending, speculated) =
-                            speculate_batch(pool_ref, msg.metas, &msg.snapshot, segmap_ref, cfg);
+                        let pending = speculate_batch(
+                            pool_ref,
+                            batches_ref[batch],
+                            &shadow,
+                            segmap_ref,
+                            cfg,
+                            straddles_ref,
+                        );
                         drop(spec_span);
                         let out = SpecBatch {
-                            batch: msg.batch,
+                            batch,
                             pending,
-                            speculated,
+                            shadow,
                         };
                         if result_tx.send(out).is_err() {
                             break;
@@ -462,134 +355,98 @@ impl ParallelMglLegalizer {
                 })
                 .expect("failed to spawn speculation runner");
 
-            let launch = |b: usize, skip: usize, order: &mut OrderSource, design: &Design| {
-                let ids = order.peek(design, skip, batch_count(b));
-                let metas = build_metas(design, &ids);
-                let msg = LaunchMsg {
-                    batch: b,
-                    metas,
-                    snapshot: store.snapshot(),
-                };
-                // a send only fails if the runner died; the recv below surfaces that
-                let _ = launch_tx.send(msg);
-            };
-
-            if num_batches > 0 {
-                launch(0, 0, &mut order, design);
+            // a send only fails if the runner died; the recv below surfaces that
+            if !batches.is_empty() {
+                let _ = launch_tx.send(LaunchMsg { batch: 0, shadow });
             }
-            // batch k's snapshot holds every earlier commit except batch k−1's, so its
+            // the cells batches k−2 and k−1 wrote: what the home shadow lags the live design by
+            let mut lag: [Vec<CellId>; 2] = Default::default();
+            // batch k's shadow holds every earlier commit except batch k−1's, so its
             // staleness guard checks the previous batch's write rects alone
             let mut prev_writes: Vec<Rect> = Vec::new();
-            for k in 0..num_batches {
-                // batch k+1 launches at the current sealed epoch k, one whole batch ahead of
-                // the live order, and speculates while batch k commits
-                if k + 1 < num_batches {
-                    launch(k + 1, lookahead, &mut order, design);
+            for (k, &batch) in batches.iter().enumerate() {
+                // batch k+1 launches one whole batch ahead and speculates while batch k
+                // commits
+                if k + 1 < batches.len() {
+                    let mut shadow = home.take().expect("batch k−1 brought its shadow home");
+                    shadow.catch_up(design, &lag);
+                    let _ = launch_tx.send(LaunchMsg {
+                        batch: k + 1,
+                        shadow,
+                    });
                 }
                 let spec = result_rx.recv().expect("speculation runner thread died");
                 debug_assert_eq!(spec.batch, k, "runner must return batches in order");
+                home = Some(spec.shadow);
                 acc.shards.batches += 1;
-                acc.shards.speculated += spec.speculated;
+                acc.shards.speculated += spec.pending.len();
 
-                let count = batch_count(k);
-                let peeked = order.peek(design, 0, count);
-                let mut pending = spec.pending;
+                lag.rotate_left(1);
+                lag[1].clear();
                 let commit_span = flex_obs::span!("par.commit_batch");
                 prev_writes = commit_batch(
                     design,
                     &segmap,
                     &mut index,
-                    &mut order,
                     cfg,
-                    count,
-                    &peeked,
-                    &mut pending,
+                    batch,
+                    spec.pending,
                     &prev_writes,
                     &mut scratch,
                     &mut acc,
-                    &store,
+                    &mut lag[1],
                 );
                 drop(commit_span);
-                store.seal_epoch();
-                // fold retired epochs into the base columns: the oldest snapshot still in
-                // flight is batch k+1's, pinned to epoch k
-                store.promote_through(k as Epoch);
             }
             drop(launch_tx);
         });
 
-        // step (e) epilogue: verify — identical to the serial flow
-        let report = check_legality_with(design, true);
-        let disp = displacement_stats(design);
-        let result = LegalizeResult {
-            legal: report.is_legal(),
-            placed_in_region: acc.placed_in_region,
-            fallback_placed: acc.fallback_placed,
-            failed: acc.failed,
-            runtime: start.elapsed(),
-            average_displacement: disp.average,
-            max_displacement: disp.max,
-            op_stats: acc.op_stats,
-            trace: acc.trace,
-        };
+        // step (e) epilogue — identical to the serial flow
         acc.shards.publish_to(flex_obs::global());
-        result.op_stats.publish_to(flex_obs::global());
-        if let Some(trace) = &result.trace {
-            trace.publish_to(flex_obs::global());
-        }
         ParallelLegalizeResult {
-            result,
+            result: acc.run.finish(design, start),
             shards: acc.shards,
         }
     }
 }
 
-/// Commit one batch strictly in the live serial order: pop each slot from the orderer, apply
-/// the member's speculative plan if its window is clean since its snapshot, otherwise run the
-/// full serial placement at the slot. Every committed state is recorded into `store` so
-/// later epoch snapshots see it. Returns the batch's write rects.
+/// Commit one batch strictly in the serial order: apply each member's speculative plan if
+/// its window is clean since its shadow was brought up to date, otherwise run the full serial
+/// placement at its slot. Appends every cell the batch wrote to `written`, and returns the
+/// batch's write rects.
 #[allow(clippy::too_many_arguments)]
 fn commit_batch(
     design: &mut Design,
     segmap: &SegmentMap,
     index: &mut LegalizedIndex,
-    order: &mut OrderSource,
     cfg: &MglConfig,
-    count: usize,
-    peeked: &[CellId],
-    pending: &mut HashMap<CellId, Speculation>,
+    batch: &[CellId],
+    mut pending: HashMap<CellId, Speculation>,
     writes_prev: &[Rect],
     scratch: &mut FopScratch,
     acc: &mut CommitAccum,
-    store: &EpochCellStore,
+    written: &mut Vec<CellId>,
 ) -> Vec<Rect> {
     let mut writes_cur: Vec<Rect> = Vec::new();
-    for slot in 0..count {
-        let id = order
-            .pop(design)
-            .expect("batch size is bounded by the remaining targets");
-        debug_assert_eq!(
-            peeked.get(slot),
-            Some(&id),
-            "the dynamic order is commit-invariant, so the live pop must equal the peek"
-        );
+    for &id in batch {
         let window = target_window(design, id, cfg.window_half_sites, cfg.window_half_rows);
         // same one-site x slack as the obstacle filter of region extraction
         let guard = window.expanded(1, 0);
         let stale_prev = writes_prev.iter().any(|w| w.overlaps(&guard));
         let stale_cur = writes_cur.iter().any(|w| w.overlaps(&guard));
-        let speculation = pending.remove(&id);
-        match speculation {
-            Some(speculation) if speculation.plan.is_some() && !stale_prev && !stale_cur => {
-                let plan = speculation.plan.expect("guard checked plan");
+        match pending.remove(&id) {
+            Some(Speculation {
+                work,
+                stats,
+                plan: Some(plan),
+            }) if !stale_prev && !stale_cur => {
                 plan_write_rects(design, &plan, &mut writes_cur);
                 apply_commit(design, &plan);
                 index.insert(design, id);
-                record_plan(store, design, &plan);
-                acc.op_stats.merge(&speculation.stats);
-                acc.placed_in_region += 1;
+                note_written(written, id, Some(&plan));
+                acc.run.op_stats.merge(&stats);
                 acc.shards.committed_speculatively += 1;
-                acc.record(speculation.work, window, true);
+                acc.run.record(id, PlacedBy::Region, work, window);
             }
             speculation => {
                 if (stale_prev || stale_cur) && speculation.is_some() {
@@ -599,87 +456,75 @@ fn commit_batch(
                         acc.shards.dirty_recomputes += 1;
                     }
                 }
-                let out =
-                    place_target_with(design, segmap, index, cfg, id, &mut acc.op_stats, scratch);
+                let out = place_target_with(
+                    design,
+                    segmap,
+                    index,
+                    cfg,
+                    id,
+                    &mut acc.run.op_stats,
+                    scratch,
+                );
                 acc.shards.serial_inline += 1;
                 writes_cur.extend(out.writes.iter().copied());
-                match out.placed {
-                    PlacedBy::Region => record_plan(
-                        store,
-                        design,
-                        out.plan
-                            .as_ref()
-                            .expect("region placements carry their plan"),
-                    ),
-                    PlacedBy::Fallback => store.record(id, CellState::of(design.cell(id))),
-                    PlacedBy::None => {}
-                }
-                tally(
-                    &out,
-                    &mut acc.placed_in_region,
-                    &mut acc.fallback_placed,
-                    &mut acc.failed,
-                    id,
-                );
-                acc.record(out.work, out.window, out.placed == PlacedBy::Region);
+                note_written(written, id, out.plan.as_ref());
+                acc.run.record(id, out.placed, out.work, out.window);
             }
         }
     }
-    // speculations whose cell never reached a commit slot: only possible if the realized
-    // dynamic order diverged from the peeked prefix (see the module docs)
-    acc.shards.order_invalidated += pending.len();
-    pending.clear();
     writes_cur
 }
 
-/// Record one committed plan's final cell states into the epoch store: every moved localCell
-/// plus the target, read back from the design *after* [`apply_commit`].
-fn record_plan(store: &EpochCellStore, design: &Design, plan: &CommitPlan) {
-    for &(id, _) in &plan.moves {
-        store.record(id, CellState::of(design.cell(id)));
-    }
-    store.record(plan.target, CellState::of(design.cell(plan.target)));
-}
-
-/// Speculate one batch on the worker pool against an epoch-pinned [`StoreSnapshot`] (the
-/// commit thread may be mutating the live design concurrently). Straddlers are skipped —
-/// they always take the serial path at their commit slot. Returns the id-keyed
-/// speculations and how many ran.
+/// Speculate one batch on the worker pool against `shadow` (the commit thread may be
+/// writing the live design concurrently). Straddlers are skipped — they always take the
+/// serial path at their commit slot. Returns the id-keyed speculations.
 fn speculate_batch(
     pool: &rayon::ThreadPool,
-    metas: Vec<TargetMeta>,
-    snapshot: &StoreSnapshot,
+    batch: &[CellId],
+    shadow: &Shadow,
     segmap: &SegmentMap,
     cfg: &MglConfig,
-) -> (HashMap<CellId, Speculation>, usize) {
-    let jobs: Vec<TargetMeta> = metas.into_iter().filter(|m| !m.straddler).collect();
-    let specs: Vec<(CellId, Speculation)> = pool.install(|| {
+    straddles: &(dyn Fn(&Rect) -> bool + Sync),
+) -> HashMap<CellId, Speculation> {
+    let jobs: Vec<(CellId, Rect)> = batch
+        .iter()
+        .map(|&id| {
+            let window = target_window(
+                &shadow.design,
+                id,
+                cfg.window_half_sites,
+                cfg.window_half_rows,
+            );
+            (id, window)
+        })
+        .filter(|(_, window)| !straddles(window))
+        .collect();
+    pool.install(|| {
         jobs.par_iter()
-            .map(|meta| (meta.id, speculate(snapshot, segmap, cfg, meta)))
+            .map(|&(id, window)| (id, speculate(shadow, segmap, cfg, id, window)))
             .collect()
-    });
-    let n = specs.len();
-    (specs.into_iter().collect(), n)
+    })
 }
 
-/// Evaluate one target speculatively at expansion level 0 against an epoch snapshot. Runs on
-/// a worker thread: the FOP arena comes from that worker's thread-local [`FopScratch`], so
+/// Evaluate one target speculatively at expansion level 0 against a shadow. Runs on a
+/// worker thread: the FOP arena comes from that worker's thread-local [`FopScratch`], so
 /// buffers are reused across every speculation a worker performs.
 fn speculate(
-    snapshot: &StoreSnapshot,
+    shadow: &Shadow,
     segmap: &SegmentMap,
     cfg: &MglConfig,
-    meta: &TargetMeta,
+    id: CellId,
+    window: Rect,
 ) -> Speculation {
-    let spec = TargetSpec::of(&snapshot.cell(meta.id));
+    let spec = TargetSpec::of(shadow.design.cell(id));
     let mut stats = FopOpStats::default();
     let mut work = RegionWork {
-        target: meta.id,
+        target: id,
         target_width: spec.width,
         target_height: spec.height,
         ..RegionWork::default()
     };
-    let region = LocalRegion::extract_snapshot(snapshot, segmap, meta.id, meta.window);
+    let region = LocalRegion::extract_indexed(&shadow.design, segmap, id, window, &shadow.index);
     let mut plan = None;
     if region.cells.len() <= cfg.max_region_cells
         && region.can_host(spec.width, spec.height, spec.parity)
@@ -695,27 +540,12 @@ fn speculate(
     Speculation { work, stats, plan }
 }
 
-/// Book a serial placement outcome into the run counters.
-fn tally(
-    out: &PlaceOutcome,
-    placed_in_region: &mut usize,
-    fallback_placed: &mut usize,
-    failed: &mut Vec<CellId>,
-    id: CellId,
-) {
-    match out.placed {
-        PlacedBy::Region => *placed_in_region += 1,
-        PlacedBy::Fallback => *fallback_placed += 1,
-        PlacedBy::None => failed.push(id),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MglConfig;
+    use crate::config::{MglConfig, OrderingStrategy};
     use crate::legalize::MglLegalizer;
-    use flex_placement::benchmark::{generate, BenchmarkSpec};
+    use flex_placement::benchmark::{generate, tall_cell_spec, BenchmarkSpec};
 
     fn static_cfg() -> MglConfig {
         MglConfig {
@@ -810,8 +640,8 @@ mod tests {
     #[test]
     fn sliding_window_ordering_runs_on_the_parallel_path() {
         // the FLEX default (dynamic) ordering used to degrade to fully-serial execution;
-        // it now speculates through the peeked prefix and must still match the serial
-        // engine cell for cell
+        // it now speculates on slices of the precomputed order and must still match the
+        // serial engine cell for cell
         let spec = BenchmarkSpec::tiny("par-sliding", 8).with_density(0.6);
         let mut d_par = generate(&spec);
         let mut d_ser = generate(&spec);
@@ -825,10 +655,6 @@ mod tests {
             "the dynamic order must be speculated, not serialized"
         );
         assert!(par.shards.committed_speculatively > 0);
-        assert_eq!(
-            par.shards.order_invalidated, 0,
-            "the dynamic order is commit-invariant, so no peeked speculation may be orphaned"
-        );
     }
 
     #[test]
@@ -891,6 +717,77 @@ mod tests {
                         n,
                         "{at}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Assert `shadow` equals the live design `live`: every cell, and the obstacle
+    /// candidates its index yields over several row ranges against a rebuilt index.
+    fn assert_shadow_matches(shadow: &Shadow, live: &Design, at: &str) {
+        assert!(shadow.design.cells == live.cells, "cells diverged {at}");
+        let rebuilt = LegalizedIndex::build(live);
+        let rows = live.num_rows;
+        for (lo, hi) in [
+            (0, rows),
+            (0, rows / 2 + 1),
+            (rows / 3, 2 * rows / 3 + 1),
+            (rows - 2, rows + 3),
+        ] {
+            assert_eq!(
+                shadow.index.candidates(lo, hi),
+                rebuilt.candidates(lo, hi),
+                "candidates over rows [{lo}, {hi}) diverged {at}"
+            );
+        }
+    }
+
+    #[test]
+    fn shadows_catch_up_to_the_live_design_at_every_launch() {
+        // the engine's schedule without its threads: at each batch boundary the home shadow
+        // catches up and goes out with batch k+1, then batch k's shadow comes home and
+        // batch k commits, recording its writes as the engine does
+        let cfg = MglConfig::flex();
+        for spec in [
+            BenchmarkSpec::tiny("shadow-sparse", 21).with_density(0.45),
+            BenchmarkSpec::tiny("shadow-dense", 22).with_density(0.85),
+            BenchmarkSpec {
+                num_cells: 300,
+                ..tall_cell_spec("shadow-tall", 0.3, 23)
+            },
+        ] {
+            let mut design = generate(&spec);
+            design.pre_move();
+            let segmap = SegmentMap::build(&design);
+            let mut index = LegalizedIndex::build(&design);
+            let order = ordering::processing_order(&design, &cfg);
+            let mut away = Shadow {
+                design: design.clone(),
+                index: index.clone(),
+            };
+            let mut home = away.clone();
+            let mut lag: [Vec<CellId>; 2] = Default::default();
+            let mut op_stats = FopOpStats::default();
+            let mut scratch = FopScratch::new();
+            for (k, batch) in order.chunks(MIN_LOOKAHEAD).enumerate() {
+                home.catch_up(&design, &lag);
+                let at = format!("in {} before batch {k} commits", spec.name);
+                assert_shadow_matches(&home, &design, &at);
+                std::mem::swap(&mut home, &mut away);
+
+                lag.rotate_left(1);
+                lag[1].clear();
+                for &id in batch {
+                    let out = place_target_with(
+                        &mut design,
+                        &segmap,
+                        &mut index,
+                        &cfg,
+                        id,
+                        &mut op_stats,
+                        &mut scratch,
+                    );
+                    note_written(&mut lag[1], id, out.plan.as_ref());
                 }
             }
         }

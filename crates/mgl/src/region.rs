@@ -12,7 +12,6 @@ use flex_placement::cell::CellId;
 use flex_placement::geom::{Interval, Rect};
 use flex_placement::layout::Design;
 use flex_placement::segment::SegmentMap;
-use flex_placement::store::StoreSnapshot;
 use serde::{Deserialize, Serialize};
 
 /// The longest unblocked run of sites of one row inside the window.
@@ -220,6 +219,11 @@ impl LocalRegion {
     /// Extract the localRegion of `target` within `window`, taking obstacle candidates from a
     /// [`LegalizedIndex`]: the legalized movable cells other than the target on the window's
     /// rows, in design order.
+    ///
+    /// Linear in the obstacle candidates plus the (obstacle, window row) pairs they span:
+    /// segments live in a table indexed by window row, each row's obstacles are bucketed once
+    /// in obstacle order, and the local/blocking split is a mask, so no step searches a list
+    /// per cell or per segment.
     pub fn extract_indexed(
         design: &Design,
         segments: &SegmentMap,
@@ -227,51 +231,9 @@ impl LocalRegion {
         window: Rect,
         index: &LegalizedIndex,
     ) -> Self {
-        let obstacles: Vec<&flex_placement::cell::Cell> = index
-            .candidates(window.y_lo, window.y_hi)
-            .into_iter()
-            .filter(|&id| id != target)
-            .map(|id| design.cell(id))
-            .collect();
-        Self::extract_from(design.num_rows, segments, target, window, obstacles)
-    }
-
-    /// Extract the localRegion of `target` within `window` from an epoch-pinned
-    /// [`StoreSnapshot`] instead of the live design. The snapshot's obstacle query
-    /// materializes the same candidate set, in the same id order, as
-    /// [`LegalizedIndex::candidates`] over an identically-placed design, so this produces
-    /// exactly the region [`LocalRegion::extract_indexed`] would — but without touching
-    /// `Design`, which the commit thread may be mutating concurrently.
-    pub fn extract_snapshot(
-        snapshot: &StoreSnapshot,
-        segments: &SegmentMap,
-        target: CellId,
-        window: Rect,
-    ) -> Self {
-        let obstacles = snapshot.obstacles(window.y_lo, window.y_hi, target);
-        Self::extract_from(
-            snapshot.num_rows(),
-            segments,
-            target,
-            window,
-            obstacles.iter().collect(),
-        )
-    }
-
-    /// The shared body of every extractor. Linear in the obstacle candidates plus the
-    /// (obstacle, window row) pairs they span: segments live in a table indexed by window
-    /// row, each row's obstacles are bucketed once in obstacle order, and the local/blocking
-    /// split is a mask, so no step searches a list per cell or per segment.
-    fn extract_from(
-        num_rows: i64,
-        segments: &SegmentMap,
-        target: CellId,
-        window: Rect,
-        obstacle_candidates: Vec<&flex_placement::cell::Cell>,
-    ) -> Self {
         let win_x = window.x_interval();
         let row_lo = window.y_lo.max(0);
-        let row_hi = window.y_hi.min(num_rows).max(row_lo);
+        let row_hi = window.y_hi.min(design.num_rows).max(row_lo);
         // 1. one candidate segment per row: the widest free interval clipped to the window,
         //    stored at `row - row_lo` (`None` once a row has no usable sites).
         let mut spans: Vec<Option<Interval>> = (row_lo..row_hi)
@@ -288,8 +250,11 @@ impl LocalRegion {
         // Obstacle candidates: legalized movable cells overlapping the window widened by one
         // site. Every segment is clipped to the window, so no other cell can touch one.
         let probe = window.expanded(1, 0);
-        let obstacles: Vec<&flex_placement::cell::Cell> = obstacle_candidates
+        let obstacles: Vec<&flex_placement::cell::Cell> = index
+            .candidates(window.y_lo, window.y_hi)
             .into_iter()
+            .filter(|&id| id != target)
+            .map(|id| design.cell(id))
             .filter(|c| c.rect().overlaps(&probe))
             .collect();
         let mut row_obstacles: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];

@@ -123,11 +123,10 @@ impl DensityMap {
     /// Equivalent to (but much cheaper than) rebuilding the map after the move; only the
     /// bins the two rectangles touch change. Both rectangles are clipped to the die bounds
     /// (see [`DensityMap::add_rect`]), so a rect falling partially outside the die stays
-    /// consistent with a full rebuild. This is the hook a commit-reactive ordering
-    /// would use to keep a live density map; the MGL legalizers deliberately do **not**
-    /// call it — their sliding-window ordering reads the pre-legalization snapshot, which
-    /// is the invariant that lets the parallel engine resolve the dynamic order ahead of
-    /// the commits (see `flex_mgl::ordering::SlidingWindowOrderer::peek_prefix`).
+    /// consistent with a full rebuild. The ECO engine keeps its resident map current with
+    /// it. The MGL legalizers deliberately do **not** call it: their sliding-window ordering
+    /// reads the map as built before the first commit, which is what lets them compute the
+    /// whole order up front (see `flex_mgl::ordering::processing_order`).
     pub fn apply_move(&mut self, old: &Rect, new: &Rect) {
         self.remove_rect(old);
         self.add_rect(new);

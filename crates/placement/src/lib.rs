@@ -13,7 +13,6 @@
 //! * [`global_place`] — a global-placement simulator that produces realistic overlapping input.
 //! * [`benchmark`] — a seeded synthetic benchmark generator.
 //! * [`iccad2017`] — named specs mirroring the ICCAD 2017 contest cases used in the paper.
-//! * [`store`] — epoch-tagged copy-on-write columns for mutable cell state (speculation).
 //! * [`legality`] — legality checking (overlaps, sites, P/G alignment, die bounds).
 //! * [`metrics`] — displacement metrics, including the paper's average displacement `S_am`.
 //! * [`io`] — a plain-text interchange format (Bookshelf-like) for designs.
@@ -42,7 +41,6 @@ pub mod netlist;
 pub mod row;
 pub mod segment;
 pub mod snapshot;
-pub mod store;
 #[cfg(test)]
 mod test_support;
 
@@ -53,4 +51,3 @@ pub use legality::{check_legality, LegalityReport, Violation};
 pub use metrics::{average_displacement, DisplacementStats};
 pub use row::{Rail, Row};
 pub use segment::Segment;
-pub use store::{CellState, Epoch, EpochCellStore, StoreSnapshot};

@@ -149,8 +149,8 @@ fn serial_and_parallel_mgl_agree_cell_for_cell_through_the_trait() {
 fn dynamic_ordering_runs_the_parallel_path_and_matches_serial_through_the_trait() {
     // the FLEX **default** configuration (sliding-window density ordering) previously forced
     // `EngineKind::MglParallel` to degrade to fully-serial execution, so this equivalence was
-    // impossible to state; it now runs the peeked-prefix speculative path and must reproduce
-    // the serial dynamic-order engine cell for cell
+    // impossible to state; it now speculates on slices of the precomputed order and must
+    // reproduce the serial dynamic-order engine cell for cell
     let cfg = FlexConfig::flex().with_host_threads(4);
     let design = generate(&BenchmarkSpec::tiny("contract-dynamic", 82).with_density(0.65));
     let session = FlexSession::new(design).with_config(cfg);
@@ -181,7 +181,6 @@ fn dynamic_ordering_runs_the_parallel_path_and_matches_serial_through_the_trait(
         shards.speculated > 0,
         "the dynamic order must be speculated, not serialized"
     );
-    assert_eq!(shards.order_invalidated, 0, "no orphaned speculations");
 }
 
 #[test]

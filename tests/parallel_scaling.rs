@@ -81,10 +81,6 @@ fn run_and_compare(cells: usize, cfg: &MglConfig) -> (f64, f64) {
         .map(|c| (c.x, c.y))
         .collect();
     assert_eq!(ps, pp, "placements must be identical");
-    assert_eq!(
-        parallel.shards.order_invalidated, 0,
-        "no speculation may be orphaned by an order divergence"
-    );
 
     (t_serial, t_parallel)
 }
@@ -97,8 +93,8 @@ fn parallel_engine_matches_serial_at_moderate_scale() {
 
 #[test]
 fn parallel_engine_matches_serial_on_the_dynamic_flex_ordering() {
-    // the FLEX default configuration — previously the serial-degradation branch, now the
-    // peeked-prefix speculative path
+    // the FLEX default configuration — previously the serial-degradation branch, now
+    // speculated on slices of the precomputed order
     let (t_serial, t_parallel) = run_and_compare(2_500, &MglConfig::flex());
     eprintln!("2.5k cells dynamic: serial {t_serial:.2}s, parallel(4) {t_parallel:.2}s");
 }

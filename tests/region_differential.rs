@@ -1,13 +1,12 @@
 //! Differential suite for localRegion extraction.
 //!
-//! `LocalRegion::extract_from` carves the window's segments in time linear in the obstacle
+//! `LocalRegion::extract_indexed` carves the window's segments in time linear in the obstacle
 //! candidates and the rows they span. The quadratic implementation it replaced is kept
 //! below, verbatim, as the oracle. On random designs — multi-row cells straddling window
 //! edges, fixed macros and blockages, packed or freely overlapping cells, windows from a few
 //! sites up to past the full die, and regions above `max_region_cells` — the production code
 //! must return the same segments, the same localCells in the same order and the same
-//! `density` bits. Both extractors (`LegalizedIndex`, epoch snapshot) are checked against
-//! the oracle, which receives the full-scan candidate list, on every input.
+//! `density` bits. The oracle receives the full-scan candidate list on every input.
 
 use flex::mgl::legalize::place_target_with;
 use flex::mgl::ordering::size_descending_order;
@@ -17,7 +16,6 @@ use flex::placement::benchmark::{generate, BenchmarkSpec};
 use flex::placement::cell::{Cell, CellId};
 use flex::placement::geom::Rect;
 use flex::placement::segment::SegmentMap;
-use flex::placement::store::EpochCellStore;
 use flex::placement::Design;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -181,12 +179,11 @@ struct Coverage {
     carved_segments: usize,
 }
 
-/// One design with everything the oracle and both extractors read, built once.
+/// One design with everything the oracle and the extractor read, built once.
 struct Fixture {
     design: Design,
     segmap: SegmentMap,
     index: LegalizedIndex,
-    store: EpochCellStore,
 }
 
 impl Fixture {
@@ -194,13 +191,12 @@ impl Fixture {
         Self {
             segmap: SegmentMap::build(&design),
             index: LegalizedIndex::build(&design),
-            store: EpochCellStore::capture(&design),
             design,
         }
     }
 
-    /// Extract `target`'s region in `window` with the oracle and both production extractors,
-    /// assert each extractor agrees with the oracle, and record what the case exercised.
+    /// Extract `target`'s region in `window` with the oracle and the production extractor,
+    /// assert they agree, and record what the case exercised.
     fn check(&self, target: CellId, window: Rect, cov: &mut Coverage) -> LocalRegion {
         let d = &self.design;
         let ctx = format!("{} target {target:?} window {window:?}", d.name);
@@ -215,13 +211,6 @@ impl Fixture {
             &want,
             &indexed,
             &format!("extract_indexed vs oracle, {ctx}"),
-        );
-        let snapshot =
-            LocalRegion::extract_snapshot(&self.store.snapshot(), &self.segmap, target, window);
-        assert_same_region(
-            &want,
-            &snapshot,
-            &format!("extract_snapshot vs oracle, {ctx}"),
         );
 
         cov.regions += 1;
