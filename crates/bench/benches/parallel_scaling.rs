@@ -1,4 +1,4 @@
-//! Criterion benchmark: the region-sharded parallel MGL engine vs. the serial legalizer.
+//! Criterion benchmark: the parallel MGL engine vs. the serial legalizer.
 //!
 //! Thread counts come from `FLEX_BENCH_THREADS` (default 8): the sweep runs 1, 2, 4, … up to
 //! that bound. The case size scales with `FLEX_BENCH_SCALE` like the other benches. Two

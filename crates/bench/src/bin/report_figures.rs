@@ -686,10 +686,11 @@ fn eco_json() {
 ///   the enabled-vs-disabled wall-clock delta on a 50k-cell parallel
 ///   legalization must stay under `FLEX_BENCH_OBS_MAX_OVERHEAD` percent (default 3%),
 ///   and the placements must be byte-identical (spans observe, never perturb);
-/// * **pipeline overlap** — the Chrome trace exported from the enabled run must show
+/// * **pipeline overlap** — the Chrome trace exported from the last enabled run must show
 ///   speculation (`par.speculate_batch`, runner thread) overlapping commits
 ///   (`par.commit_batch`, coordinator thread) in wall-clock time, i.e. the spans prove
-///   the deep-speculation pipeline actually pipelines.
+///   the deep-speculation pipeline actually pipelines. The trace must hold that run whole:
+///   one speculate and one commit span per batch.
 fn obs_json() {
     use flex_mgl::parallel::ParallelMglLegalizer;
     use flex_placement::benchmark::BenchmarkSpec;
@@ -717,10 +718,15 @@ fn obs_json() {
     }
     .with_density(0.45);
 
+    // The coordinator thread records per-cell `mgl.*` spans besides its `par.commit_batch`
+    // spans, about 50k per run at 50k cells: size the rings before the first enabled span so
+    // the last enabled run fits whole (32 bytes per slot, 4 MiB per ring).
+    flex_obs::set_ring_capacity(1 << 17);
+
     println!(
         "--- observability overhead: enabled vs. disabled spans ({cells} cells, {threads}T) ---"
     );
-    let run = |enabled: bool| -> (f64, u64) {
+    let run = |enabled: bool| -> (f64, u64, usize) {
         flex_obs::set_enabled(enabled);
         let engine = ParallelMglLegalizer::new(threads, MglConfig::default());
         let mut d = generate(&spec);
@@ -728,7 +734,11 @@ fn obs_json() {
         let out = engine.legalize(&mut d);
         let seconds = start.elapsed().as_secs_f64();
         assert!(out.result.legal, "run must be legal");
-        (seconds, out.result.average_displacement.to_bits())
+        (
+            seconds,
+            out.result.average_displacement.to_bits(),
+            out.shards.batches,
+        )
     };
 
     // interleave the two modes so drift (thermal, cache warm-up) hits both equally, and
@@ -736,13 +746,19 @@ fn obs_json() {
     let mut disabled = f64::INFINITY;
     let mut enabled = f64::INFINITY;
     let (mut disabled_bits, mut enabled_bits) = (0u64, 0u64);
+    let mut batches = 0;
     for i in 0..repeats {
-        let (d_s, d_bits) = run(false);
-        let (e_s, e_bits) = run(true);
+        let (d_s, d_bits, _) = run(false);
+        if i + 1 == repeats {
+            // the trace below covers the last enabled run alone
+            flex_obs::clear_spans();
+        }
+        let (e_s, e_bits, e_batches) = run(true);
         disabled = disabled.min(d_s);
         enabled = enabled.min(e_s);
         disabled_bits = d_bits;
         enabled_bits = e_bits;
+        batches = e_batches;
         println!("  repeat {i}: disabled {d_s:>7.2} s   enabled {e_s:>7.2} s");
     }
     flex_obs::set_enabled(false);
@@ -755,8 +771,8 @@ fn obs_json() {
         "instrumentation must not perturb the placement (displacement bits differ)"
     );
 
-    // the spans of the last enabled run are still in the per-thread rings: export them as
-    // a Chrome trace and verify the pipeline overlap they exist to show
+    // the spans of the last enabled run are in the per-thread rings: export them as a
+    // Chrome trace and verify the pipeline overlap they exist to show
     let events = flex_obs::collect_spans();
     let rings = flex_obs::thread_rings();
     let speculate: Vec<&flex_obs::SpanEvent> = events
@@ -778,7 +794,7 @@ fn obs_json() {
         })
         .count();
     println!(
-        "  trace: {} spans, {} speculate / {} commit batches, {} speculate∥commit overlaps",
+        "  trace: {} spans, {} speculate / {} commit spans of {batches} batches, {} speculate∥commit overlaps",
         events.len(),
         speculate.len(),
         commit.len(),
@@ -794,8 +810,11 @@ fn obs_json() {
     println!("  wrote {trace_path} (open via chrome://tracing or ui.perfetto.dev)");
 
     assert!(
-        !speculate.is_empty() && !commit.is_empty(),
-        "enabled run must record speculation and commit spans"
+        speculate.len() == batches && commit.len() == batches,
+        "the trace must hold one speculate and one commit span per batch of the last enabled run \
+         ({} speculate, {} commit, {batches} batches): a span ring wrapped",
+        speculate.len(),
+        commit.len()
     );
     assert!(
         overlaps > 0,
@@ -807,7 +826,7 @@ fn obs_json() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"unit\": \"seconds per parallel legalization\",\n  \"cells\": {cells},\n  \"threads\": {threads},\n  \"repeats\": {repeats},\n  \"disabled_s\": {disabled:.4},\n  \"enabled_s\": {enabled:.4},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"gate_pct\": {max_overhead_pct},\n  \"placements_bit_identical\": true,\n  \"spans\": {},\n  \"speculate_batches\": {},\n  \"commit_batches\": {},\n  \"speculate_commit_overlaps\": {},\n  \"trace\": \"{trace_path}\"\n}}\n",
+        "{{\n  \"bench\": \"obs_overhead\",\n  \"unit\": \"seconds per parallel legalization\",\n  \"cells\": {cells},\n  \"threads\": {threads},\n  \"repeats\": {repeats},\n  \"disabled_s\": {disabled:.4},\n  \"enabled_s\": {enabled:.4},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"gate_pct\": {max_overhead_pct},\n  \"placements_bit_identical\": true,\n  \"spans\": {},\n  \"batches\": {batches},\n  \"speculate_batches\": {},\n  \"commit_batches\": {},\n  \"speculate_commit_overlaps\": {},\n  \"trace\": \"{trace_path}\"\n}}\n",
         events.len(),
         speculate.len(),
         commit.len(),

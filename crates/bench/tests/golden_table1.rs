@@ -49,7 +49,7 @@ fn run_case(case_name: &str) -> GoldenStats {
         report.failed
     );
 
-    // differential check: the region-sharded parallel engine must reproduce the serial stats
+    // differential check: the parallel engine must reproduce the serial stats
     let parallel: Box<dyn Legalizer> = Box::new(ParallelMglLegalizer::new(4, cfg));
     let mut d_parallel = generate(&spec);
     let par_stats = GoldenStats::capture_report(case_name, &parallel.legalize(&mut d_parallel));

@@ -62,8 +62,7 @@ impl FlexAccelerator {
 
     /// Legalize the design in place and estimate the accelerated runtime.
     ///
-    /// With `host_threads > 1` the CPU-side steps (a)–(c) run on the region-sharded parallel
-    /// engine; the placement (and therefore the quality numbers and the work trace) is
+    /// With `host_threads > 1` the CPU-side steps (a)–(c) run on the parallel engine; the placement (and therefore the quality numbers and the work trace) is
     /// identical to the serial run, only the measured host runtime changes.
     pub fn legalize(&self, design: &mut Design) -> FlexOutcome {
         let host_span = flex_obs::span!("flex.host_legalize");

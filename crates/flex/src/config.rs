@@ -73,7 +73,8 @@ pub struct FlexConfig {
     pub shift: ShiftAlgorithm,
     /// SACS architecture options (only meaningful when `shift == Sacs`).
     pub sacs: SacsArchConfig,
-    /// FOP breakpoint pipeline organization.
+    /// FOP breakpoint pipeline organization on the FPGA. It drives the cycle model only: the
+    /// software kernel runs one breakpoint chain whatever the mode.
     pub pipeline: PipelineMode,
     /// Task split between CPU and FPGA.
     pub assignment: TaskAssignment,
@@ -87,8 +88,9 @@ pub struct FlexConfig {
     /// ("a simple synchronization operation … taking several clock cycles", Sec. 5.4).
     pub pe_sync_cycles: u64,
     /// Worker threads for the host-side steps (a)–(c): with more than one, the functional
-    /// legalization runs on `flex_mgl::parallel::ParallelMglLegalizer`, overlapping region
-    /// extraction and FOP across row shards while producing the exact serial placement.
+    /// legalization runs on `flex_mgl::parallel::ParallelMglLegalizer`, which speculates region
+    /// extraction and FOP for batches of the serial order while producing the exact serial
+    /// placement.
     pub host_threads: usize,
 }
 
@@ -165,7 +167,7 @@ impl FlexConfig {
     }
 
     /// Set the host-side worker-thread count (builder style). Values above one run the
-    /// CPU-side steps (a)–(c) on the region-sharded parallel engine.
+    /// CPU-side steps (a)–(c) on the parallel engine.
     pub fn with_host_threads(mut self, threads: usize) -> Self {
         self.host_threads = threads.max(1);
         self
@@ -182,10 +184,6 @@ impl FlexConfig {
     pub fn mgl_config(&self) -> MglConfig {
         MglConfig {
             shift: self.shift,
-            fop: match self.pipeline {
-                PipelineMode::Normal => flex_mgl::config::FopVariant::Original,
-                PipelineMode::MultiGranularity => flex_mgl::config::FopVariant::Reorganized,
-            },
             ordering: self.ordering,
             collect_trace: true,
             ..MglConfig::default()
@@ -225,9 +223,9 @@ mod tests {
         let cfg = FlexConfig::default().mgl_config();
         assert!(cfg.collect_trace);
         assert_eq!(cfg.shift, ShiftAlgorithm::Sacs);
-        assert_eq!(cfg.fop, flex_mgl::config::FopVariant::Reorganized);
+        assert_eq!(cfg.ordering, OrderingStrategy::SlidingWindowDensity);
         let cfg2 = FlexConfig::normal_pipeline_baseline().mgl_config();
-        assert_eq!(cfg2.fop, flex_mgl::config::FopVariant::Original);
+        assert_eq!(cfg2.shift, ShiftAlgorithm::Original);
     }
 
     #[test]

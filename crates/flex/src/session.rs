@@ -34,8 +34,8 @@ use flex_placement::layout::Design;
 pub enum EngineKind {
     /// The serial MGL legalizer (`flex_mgl::MglLegalizer`).
     MglSerial,
-    /// The deterministic region-sharded parallel MGL engine
-    /// (`flex_mgl::parallel::ParallelMglLegalizer`).
+    /// The deterministic parallel MGL engine (`flex_mgl::parallel::ParallelMglLegalizer`):
+    /// batch speculation on shadow copies, in-order commit, the exact serial placement.
     MglParallel,
     /// The TCAD'22 multi-threaded CPU baseline (`flex_baselines::cpu::CpuLegalizer`).
     CpuMgl,

@@ -41,7 +41,7 @@ pub enum Executor {
 pub const INSERT_UPDATE_SHARE: f64 = 0.35;
 
 /// Amdahl-style model of how the CPU-side work scales when steps (a)–(c) are spread across
-/// region shards on `threads` workers: region preparation parallelizes, the in-order commit
+/// `threads` workers: region preparation parallelizes, the in-order commit
 /// of step (e) does not. Returns the multiplier on the serial non-FOP time (1.0 for one
 /// thread, approaching [`INSERT_UPDATE_SHARE`] as threads grow).
 pub fn host_overlap_factor(threads: usize) -> f64 {

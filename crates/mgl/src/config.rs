@@ -11,18 +11,6 @@ pub enum ShiftAlgorithm {
     Sacs,
 }
 
-/// How the FOP breakpoint processing is organized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FopVariant {
-    /// The original operator chain: sort bp → merge bp → sum slopesR → sum slopesL →
-    /// calculate value, each finishing before the next starts (left of Fig. 5).
-    Original,
-    /// The reorganized chain of FLEX: fwdtraverse (fwdmerge + sum slopesR + calculate vR) then
-    /// bwdtraverse (bwdmerge + sum slopesL + calculate vL and v), enabling stream I/O
-    /// (right of Fig. 5).
-    Reorganized,
-}
-
 /// Processing-order strategy for unlegalized target cells (Sec. 3.1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OrderingStrategy {
@@ -49,15 +37,10 @@ pub struct MglConfig {
     pub max_window_expansions: u32,
     /// Cell-shifting algorithm.
     pub shift: ShiftAlgorithm,
-    /// FOP operator organization.
-    pub fop: FopVariant,
     /// Processing order of target cells.
     pub ordering: OrderingStrategy,
     /// Size of the sliding window used by [`OrderingStrategy::SlidingWindowDensity`].
     pub sliding_window: usize,
-    /// Upper bound on the number of insertion points evaluated per localRegion (guards against
-    /// pathological regions; the paper quotes "hundreds" per region).
-    pub max_insertion_points: usize,
     /// Upper bound on the number of localCells a region may contain before the legalizer stops
     /// expanding the window and falls back to the whole-die scan. Window expansions on large
     /// designs can otherwise grow regions to thousands of cells, making a single FOP call
@@ -79,10 +62,8 @@ impl Default for MglConfig {
             window_half_rows: 4,
             max_window_expansions: 6,
             shift: ShiftAlgorithm::Sacs,
-            fop: FopVariant::Reorganized,
             ordering: OrderingStrategy::SlidingWindowDensity,
             sliding_window: 16,
-            max_insertion_points: 160,
             max_region_cells: 768,
             collect_trace: false,
             density_bin_sites: 32,
@@ -93,7 +74,10 @@ impl Default for MglConfig {
 
 impl MglConfig {
     /// The algorithm configuration of the original multi-threaded CPU legalizer \[18\]:
-    /// original shifting, original FOP operator chain, size-descending ordering.
+    /// original shifting and size-descending ordering. The breakpoint chain is the same in
+    /// every configuration: the original and reorganized operator organizations of Fig. 5
+    /// compute the same minimum and differ only in how an FPGA pipelines them, which the
+    /// cycle model in `flex-core` covers.
     ///
     /// `MglLegalizer` with it is not the TCAD'22 flow: after a rejected commit it tries the
     /// next window, where TCAD'22 (`flex_baselines::cpu::CpuLegalizer`) takes the fallback
@@ -101,14 +85,13 @@ impl MglConfig {
     pub fn original() -> Self {
         Self {
             shift: ShiftAlgorithm::Original,
-            fop: FopVariant::Original,
             ordering: OrderingStrategy::SizeDescending,
             ..Self::default()
         }
     }
 
-    /// The configuration FLEX runs on the FPGA: SACS shifting, reorganized FOP, sliding-window
-    /// density ordering.
+    /// The configuration FLEX runs on the FPGA: SACS shifting and sliding-window density
+    /// ordering.
     pub fn flex() -> Self {
         Self::default()
     }
@@ -130,12 +113,6 @@ impl MglConfig {
         self.shift = shift;
         self
     }
-
-    /// Set the FOP variant (builder style).
-    pub fn with_fop(mut self, fop: FopVariant) -> Self {
-        self.fop = fop;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -146,16 +123,13 @@ mod tests {
     fn default_is_the_flex_configuration() {
         let c = MglConfig::default();
         assert_eq!(c.shift, ShiftAlgorithm::Sacs);
-        assert_eq!(c.fop, FopVariant::Reorganized);
         assert_eq!(c.ordering, OrderingStrategy::SlidingWindowDensity);
-        assert!(c.max_insertion_points > 0);
     }
 
     #[test]
     fn original_matches_the_cpu_baseline() {
         let c = MglConfig::original();
         assert_eq!(c.shift, ShiftAlgorithm::Original);
-        assert_eq!(c.fop, FopVariant::Original);
         assert_eq!(c.ordering, OrderingStrategy::SizeDescending);
     }
 
@@ -164,11 +138,9 @@ mod tests {
         let c = MglConfig::flex()
             .with_trace()
             .with_ordering(OrderingStrategy::Natural)
-            .with_shift(ShiftAlgorithm::Original)
-            .with_fop(FopVariant::Original);
+            .with_shift(ShiftAlgorithm::Original);
         assert!(c.collect_trace);
         assert_eq!(c.ordering, OrderingStrategy::Natural);
         assert_eq!(c.shift, ShiftAlgorithm::Original);
-        assert_eq!(c.fop, FopVariant::Original);
     }
 }

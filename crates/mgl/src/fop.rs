@@ -5,16 +5,17 @@
 //! 1. runs **cell shifting** at the extremes of the point's feasible range to discover which
 //!    localCells would have to move and by how much (their *stack offsets*),
 //! 2. turns every affected cell (and the target itself) into a **displacement curve**,
-//! 3. gathers and **sorts the breakpoints**, **merges** identical x-coordinates, accumulates
-//!    **slopesR** forward and **slopesL** backward, and finally **calculates the value** of the
-//!    summed curve at every merged breakpoint to pick the minimum (Fig. 3(c)/(d)).
+//! 3. gathers and **sorts the breakpoints**, **merges** identical x-coordinates while
+//!    accumulating the slopes, and **calculates the value** of the summed curve at every merged
+//!    breakpoint to pick the minimum (Fig. 3(c)/(d)).
 //!
-//! Two operator organizations are provided (Fig. 5): the *original* chain, where each operator
-//! finishes before the next starts, and the *reorganized* chain used by FLEX, where the four
-//! breakpoint operators are fused into a forward traversal and a backward traversal
-//! (`fwdtraverse` / `bwdtraverse`) so that intermediate results stream between sub-operations.
-//! Both produce bit-identical results; they differ only in loop structure, which is what the
-//! multi-granularity pipeline on the FPGA exploits.
+//! The breakpoint operators run as FLEX's reorganized chain (right of Fig. 5): a forward
+//! traversal (`fwdtraverse`: merge + sum slopesR) and then the value scan (`bwdtraverse`).
+//! The paper's original chain (left of Fig. 5) runs the same operators one after another and
+//! computes the same minimum: every curve slope is −1, 0 or +1, so the slope sums are exact
+//! in either order. The two organizations differ only in how an FPGA pipelines them, so they
+//! live in the cycle model (`flex_fpga::pipeline`, selected by `flex_core`'s `PipelineMode`),
+//! not here.
 //!
 //! ### Arena-allocated kernel
 //!
@@ -30,7 +31,7 @@
 //! is the differential-testing oracle and the baseline the `fop_kernel` bench compares
 //! against. Placements, costs and work counters are bit-identical between the two.
 
-use crate::config::{FopVariant, MglConfig, ShiftAlgorithm};
+use crate::config::{MglConfig, ShiftAlgorithm};
 use crate::curve::{Breakpoint, DisplacementCurve};
 use crate::insertion::{
     enumerate_insertion_points, enumerate_insertion_points_into, InsertionPoint, InsertionScratch,
@@ -44,6 +45,10 @@ use flex_placement::geom::Interval;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::time::Instant;
+
+/// Upper bound on the number of insertion points evaluated per localRegion (guards against
+/// pathological regions; the paper quotes "hundreds" per region).
+const MAX_INSERTION_POINTS: usize = 160;
 
 /// Description of the target cell handed to FOP.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -152,8 +157,6 @@ pub struct FopScratch {
     merged: Vec<MergedBp>,
     /// Forward (`sum slopesR`) prefix sums.
     slopes_r: Vec<f64>,
-    /// Backward (`sum slopesL`) suffix sums.
-    slopes_l: Vec<f64>,
     /// Working positions for commit planning (`legalize::plan_commit_with`).
     pub(crate) commit_pos: Vec<i64>,
     /// Span-verification buffer for commit planning.
@@ -260,7 +263,7 @@ pub fn find_optimal_position_with(
         target.height,
         target.parity,
         target.gx,
-        config.max_insertion_points,
+        MAX_INSERTION_POINTS,
         &mut insertion,
     );
     clock.lap(FopOperator::Other);
@@ -318,7 +321,6 @@ fn evaluate_point_with(
         bps,
         merged,
         slopes_r,
-        slopes_l,
         ..
     } = scratch;
 
@@ -406,30 +408,16 @@ fn evaluate_point_with(
     clock.lap(FopOperator::SortBp);
     work.breakpoints += bps.len() as u64;
 
-    let (best_x, horiz_cost) = match config.fop {
-        FopVariant::Original => original_pipeline_with(
-            bps,
-            base_slope,
-            anchor_value,
-            lo,
-            hi,
-            clock,
-            merged,
-            slopes_r,
-            slopes_l,
-        ),
-        FopVariant::Reorganized => reorganized_pipeline_with(
-            bps,
-            base_slope,
-            anchor_value,
-            lo,
-            hi,
-            clock,
-            merged,
-            slopes_r,
-            slopes_l,
-        ),
-    };
+    let (best_x, horiz_cost) = breakpoint_chain_with(
+        bps,
+        base_slope,
+        anchor_value,
+        lo,
+        hi,
+        clock,
+        merged,
+        slopes_r,
+    );
 
     let vertical = (point.bottom_row as f64 - target.gy).abs();
     Some((best_x.round() as i64, horiz_cost + vertical))
@@ -452,9 +440,8 @@ struct MergedBp {
 /// every breakpoint (the sum of each curve's initial slope). On the open interval following
 /// merged breakpoint `i`, the total slope is `base_slope + slopes_r[i]`, where `slopes_r[i]` is
 /// the cumulative slope delta `Σ_{j ≤ i} (right_j − left_j)` produced by the forward
-/// `sum slopesR` traversal. (The backward `sum slopesL` traversal produces the equivalent
-/// suffix form `base_slope + total − slopes_l[i+1]`; both are computed so the two operator
-/// organizations of Fig. 5 can be modelled and cross-checked.)
+/// `sum slopesR` traversal. The prefix sums give the slope of every interval, so the scan
+/// needs no backward `sum slopesL` suffix array.
 fn scan_minimum(
     merged: &[MergedBp],
     slopes_r: &[f64],
@@ -509,10 +496,10 @@ fn scan_minimum(
     (best_x, best_v)
 }
 
-/// Scratch twin of [`reference::original_pipeline`]: merge bp → sum slopesR → sum slopesL →
-/// calculate value, writing every intermediate array into the reusable buffers.
+/// Scratch twin of [`reference::breakpoint_chain`]: the forward traversal followed by the
+/// value scan, on the reusable buffers.
 #[allow(clippy::too_many_arguments)]
-fn original_pipeline_with(
+fn breakpoint_chain_with(
     sorted: &[Breakpoint],
     base_slope: f64,
     anchor_value: f64,
@@ -521,78 +508,6 @@ fn original_pipeline_with(
     clock: &mut OpClock<'_>,
     merged: &mut Vec<MergedBp>,
     slopes_r: &mut Vec<f64>,
-    slopes_l: &mut Vec<f64>,
-) -> (f64, f64) {
-    merged.clear();
-    for bp in sorted {
-        match merged.last_mut() {
-            Some(m) if (m.x - bp.x).abs() < 1e-9 => {
-                m.left += bp.left_slope;
-                m.right += bp.right_slope;
-            }
-            _ => merged.push(MergedBp {
-                x: bp.x,
-                left: bp.left_slope,
-                right: bp.right_slope,
-            }),
-        }
-    }
-    clock.lap(FopOperator::MergeBp);
-
-    // sum slopesR: forward traversal accumulating Σ (right − left) up to each breakpoint
-    slopes_r.clear();
-    let mut acc = 0.0;
-    for m in merged.iter() {
-        acc += m.right - m.left;
-        slopes_r.push(acc);
-    }
-    clock.lap(FopOperator::SumSlopesR);
-
-    // sum slopesL: backward traversal accumulating Σ (left − right) from each breakpoint on —
-    // the suffix counterpart of slopesR (used by the value computation in its backward form).
-    slopes_l.clear();
-    slopes_l.resize(merged.len(), 0.0);
-    let mut suffix = 0.0;
-    for i in (0..merged.len()).rev() {
-        suffix += merged[i].left - merged[i].right;
-        slopes_l[i] = suffix;
-    }
-    clock.lap(FopOperator::SumSlopesL);
-
-    // calculate value: integrate the slopes from the domain edge and pick the minimum
-    debug_assert!(
-        merged.is_empty() || slopes_balanced(*slopes_r.last().unwrap(), slopes_l[0]),
-        "prefix and suffix slope sums must cancel"
-    );
-    let result = scan_minimum(merged, slopes_r, base_slope, anchor_value, lo, hi);
-    clock.lap(FopOperator::CalcValue);
-    result
-}
-
-/// Whether the total prefix (`r`) and suffix (`l`) slope sums cancel, up to floating-point
-/// error *relative to their magnitude*. An absolute `1e-9` cutoff misfires on
-/// large-coordinate designs, where the individual slope sums legitimately reach `1e9`-plus
-/// and their rounding error scales with them; non-finite sums (curves fed NaN/overflowing
-/// desired positions) are exempt — cancellation is meaningless there and the minimizer's
-/// NaN-tolerant comparisons handle the fallout.
-fn slopes_balanced(r: f64, l: f64) -> bool {
-    let sum = r + l;
-    !sum.is_finite() || sum.abs() <= 1e-9 * r.abs().max(l.abs()).max(1.0)
-}
-
-/// Scratch twin of [`reference::reorganized_pipeline`]: fused forward traversal followed by
-/// the fused backward traversal, on the reusable buffers.
-#[allow(clippy::too_many_arguments)]
-fn reorganized_pipeline_with(
-    sorted: &[Breakpoint],
-    base_slope: f64,
-    anchor_value: f64,
-    lo: f64,
-    hi: f64,
-    clock: &mut OpClock<'_>,
-    merged: &mut Vec<MergedBp>,
-    slopes_r: &mut Vec<f64>,
-    slopes_l: &mut Vec<f64>,
 ) -> (f64, f64) {
     // fwdtraverse: merge on the fly while accumulating the right-slope prefix sums
     merged.clear();
@@ -619,15 +534,7 @@ fn reorganized_pipeline_with(
     }
     clock.lap(FopOperator::FwdTraverse);
 
-    // bwdtraverse: suffix left-slope accumulation fused with the final value scan
-    slopes_l.clear();
-    slopes_l.resize(merged.len(), 0.0);
-    let mut suffix = 0.0;
-    for i in (0..merged.len()).rev() {
-        suffix += merged[i].left - merged[i].right;
-        slopes_l[i] = suffix;
-    }
-    let _ = &slopes_l;
+    // bwdtraverse: the value scan that picks the minimum
     let result = scan_minimum(merged, slopes_r, base_slope, anchor_value, lo, hi);
     clock.lap(FopOperator::BwdTraverse);
     result
@@ -672,7 +579,7 @@ pub mod reference {
             target.height,
             target.parity,
             target.gx,
-            config.max_insertion_points,
+            MAX_INSERTION_POINTS,
         );
         op_stats.add(FopOperator::Other, t_enum.elapsed());
         work.insertion_points = points.len() as u64;
@@ -776,14 +683,8 @@ pub mod reference {
             .filter_map(|c| c.breakpoints.first())
             .map(|bp| bp.left_slope)
             .sum();
-        let (best_x, horiz_cost) = match config.fop {
-            FopVariant::Original => {
-                original_pipeline(&bps, base_slope, anchor_value, lo, hi, op_stats)
-            }
-            FopVariant::Reorganized => {
-                reorganized_pipeline(&bps, base_slope, anchor_value, lo, hi, op_stats)
-            }
-        };
+        let (best_x, horiz_cost) =
+            breakpoint_chain(&bps, base_slope, anchor_value, lo, hi, op_stats);
 
         let vertical = (point.bottom_row as f64 - target.gy).abs();
         Some((best_x.round() as i64, horiz_cost + vertical))
@@ -828,76 +729,9 @@ pub mod reference {
         curves
     }
 
-    /// Merge breakpoints with identical x-coordinates (the `merge bp` operator).
-    fn merge_bps(sorted: &[Breakpoint]) -> Vec<MergedBp> {
-        let mut merged: Vec<MergedBp> = Vec::with_capacity(sorted.len());
-        for bp in sorted {
-            match merged.last_mut() {
-                Some(m) if (m.x - bp.x).abs() < 1e-9 => {
-                    m.left += bp.left_slope;
-                    m.right += bp.right_slope;
-                }
-                _ => merged.push(MergedBp {
-                    x: bp.x,
-                    left: bp.left_slope,
-                    right: bp.right_slope,
-                }),
-            }
-        }
-        merged
-    }
-
-    /// The original operator chain: merge bp → sum slopesR → sum slopesL → calculate value,
-    /// each operator completing (and materializing its output) before the next starts.
-    pub fn original_pipeline(
-        sorted: &[Breakpoint],
-        base_slope: f64,
-        anchor_value: f64,
-        lo: f64,
-        hi: f64,
-        op_stats: &mut FopOpStats,
-    ) -> (f64, f64) {
-        let t_merge = Instant::now();
-        let merged = merge_bps(sorted);
-        op_stats.add(FopOperator::MergeBp, t_merge.elapsed());
-
-        // sum slopesR: forward traversal accumulating Σ (right − left) up to each breakpoint
-        let t_r = Instant::now();
-        let mut slopes_r = vec![0.0; merged.len()];
-        let mut acc = 0.0;
-        for (i, m) in merged.iter().enumerate() {
-            acc += m.right - m.left;
-            slopes_r[i] = acc;
-        }
-        op_stats.add(FopOperator::SumSlopesR, t_r.elapsed());
-
-        // sum slopesL: backward traversal accumulating Σ (left − right) from each breakpoint
-        // on — the suffix counterpart of slopesR.
-        let t_l = Instant::now();
-        let mut slopes_l = vec![0.0; merged.len()];
-        let mut suffix = 0.0;
-        for i in (0..merged.len()).rev() {
-            suffix += merged[i].left - merged[i].right;
-            slopes_l[i] = suffix;
-        }
-        op_stats.add(FopOperator::SumSlopesL, t_l.elapsed());
-
-        // calculate value: integrate the slopes from the domain edge and pick the minimum
-        let t_val = Instant::now();
-        debug_assert!(
-            merged.is_empty() || super::slopes_balanced(*slopes_r.last().unwrap(), slopes_l[0]),
-            "prefix and suffix slope sums must cancel"
-        );
-        let result = scan_minimum(&merged, &slopes_r, base_slope, anchor_value, lo, hi);
-        op_stats.add(FopOperator::CalcValue, t_val.elapsed());
-        result
-    }
-
-    /// The reorganized chain of FLEX: a fused forward traversal (fwdmerge + sum slopesR +
-    /// calculate vR) followed by a fused backward traversal (bwdmerge + sum slopesL +
-    /// calculate vL and v). Produces the same result as [`original_pipeline`] with only two
-    /// passes over the breakpoints and no intermediate arrays beyond the merged list.
-    pub fn reorganized_pipeline(
+    /// The reorganized breakpoint chain of FLEX: a forward traversal (merge + sum slopesR)
+    /// followed by the value scan, allocating its merged list and prefix sums afresh.
+    pub fn breakpoint_chain(
         sorted: &[Breakpoint],
         base_slope: f64,
         anchor_value: f64,
@@ -931,15 +765,8 @@ pub mod reference {
         }
         op_stats.add(FopOperator::FwdTraverse, t_fwd.elapsed());
 
-        // bwdtraverse: suffix left-slope accumulation fused with the final value scan
+        // bwdtraverse: the value scan that picks the minimum
         let t_bwd = Instant::now();
-        let mut slopes_l = vec![0.0; merged.len()];
-        let mut suffix = 0.0;
-        for i in (0..merged.len()).rev() {
-            suffix += merged[i].left - merged[i].right;
-            slopes_l[i] = suffix;
-        }
-        let _ = &slopes_l;
         let result = scan_minimum(&merged, &slopes_r, base_slope, anchor_value, lo, hi);
         op_stats.add(FopOperator::BwdTraverse, t_bwd.elapsed());
         result
@@ -948,7 +775,7 @@ pub mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{original_pipeline, reorganized_pipeline};
+    use super::reference::breakpoint_chain;
     use super::*;
     use crate::curve::minimize_sum;
     use crate::region::{LocalCell, LocalRegion, LocalSegment};
@@ -1034,42 +861,6 @@ mod tests {
     }
 
     #[test]
-    fn original_and_reorganized_agree() {
-        let region = region();
-        let t = target();
-        for shift in [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs] {
-            let mut s1 = FopOpStats::default();
-            let mut s2 = FopOpStats::default();
-            let cfg_orig = MglConfig {
-                shift,
-                fop: FopVariant::Original,
-                ..MglConfig::default()
-            };
-            let cfg_reorg = MglConfig {
-                shift,
-                fop: FopVariant::Reorganized,
-                ..MglConfig::default()
-            };
-            let a =
-                find_optimal_position_with(&region, &t, &cfg_orig, &mut s1, &mut FopScratch::new())
-                    .best
-                    .unwrap();
-            let b = find_optimal_position_with(
-                &region,
-                &t,
-                &cfg_reorg,
-                &mut s2,
-                &mut FopScratch::new(),
-            )
-            .best
-            .unwrap();
-            assert_eq!(a.x, b.x);
-            assert_eq!(a.row, b.row);
-            assert!((a.cost - b.cost).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn scratch_kernel_matches_the_reference_bit_for_bit() {
         // The dedicated differential proptest suite runs on random regions; this is the
         // fast in-crate smoke check over every config combination.
@@ -1077,19 +868,16 @@ mod tests {
         let t = target();
         let mut scratch = FopScratch::new();
         for shift in [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs] {
-            for fop in [FopVariant::Original, FopVariant::Reorganized] {
-                let cfg = MglConfig {
-                    shift,
-                    fop,
-                    ..MglConfig::default()
-                };
-                let mut s1 = FopOpStats::default();
-                let mut s2 = FopOpStats::default();
-                let a = reference::find_optimal_position(&region, &t, &cfg, &mut s1);
-                let b = find_optimal_position_with(&region, &t, &cfg, &mut s2, &mut scratch);
-                assert_eq!(a.best, b.best, "shift={shift:?} fop={fop:?}");
-                assert_eq!(a.work, b.work, "shift={shift:?} fop={fop:?}");
-            }
+            let cfg = MglConfig {
+                shift,
+                ..MglConfig::default()
+            };
+            let mut s1 = FopOpStats::default();
+            let mut s2 = FopOpStats::default();
+            let a = reference::find_optimal_position(&region, &t, &cfg, &mut s1);
+            let b = find_optimal_position_with(&region, &t, &cfg, &mut s2, &mut scratch);
+            assert_eq!(a.best, b.best, "shift={shift:?}");
+            assert_eq!(a.work, b.work, "shift={shift:?}");
         }
     }
 
@@ -1170,53 +958,37 @@ mod tests {
                 .map(|bp| bp.left_slope)
                 .sum();
             let mut st = FopOpStats::default();
-            let (ox, ov) = original_pipeline(&bps, base, anchor, lo, hi, &mut st);
-            let (fx, fv) = reorganized_pipeline(&bps, base, anchor, lo, hi, &mut st);
-            assert!(
-                (ov - rv).abs() < 1e-6,
-                "original {ov} vs reference {rv} (x {ox} vs {rx})"
-            );
+            let (fx, fv) = breakpoint_chain(&bps, base, anchor, lo, hi, &mut st);
             assert!(
                 (fv - rv).abs() < 1e-6,
-                "reorganized {fv} vs reference {rv} (x {fx} vs {rx})"
+                "chain {fv} vs reference {rv} (x {fx} vs {rx})"
             );
-
-            // the scratch pipelines must agree bit for bit with the allocating ones
-            let (mut merged, mut sr, mut sl) = (Vec::new(), Vec::new(), Vec::new());
-            let (sx, sv) = original_pipeline_with(
-                &bps,
-                base,
-                anchor,
-                lo,
-                hi,
-                &mut OpClock::start(&mut st),
-                &mut merged,
-                &mut sr,
-                &mut sl,
-            );
-            assert_eq!((sx, sv), (ox, ov));
-            let (tx, tv) = reorganized_pipeline_with(
-                &bps,
-                base,
-                anchor,
-                lo,
-                hi,
-                &mut OpClock::start(&mut st),
-                &mut merged,
-                &mut sr,
-                &mut sl,
-            );
-            assert_eq!((tx, tv), (fx, fv));
+            // the scratch chain must agree bit for bit with the allocating one
+            assert_eq!(scratch_chain(&bps, base, anchor, lo, hi), (fx, fv));
         }
+    }
+
+    /// Run [`breakpoint_chain_with`] on fresh buffers.
+    fn scratch_chain(bps: &[Breakpoint], base: f64, anchor: f64, lo: f64, hi: f64) -> (f64, f64) {
+        let mut st = FopOpStats::default();
+        let (mut merged, mut slopes_r) = (Vec::new(), Vec::new());
+        breakpoint_chain_with(
+            bps,
+            base,
+            anchor,
+            lo,
+            hi,
+            &mut OpClock::start(&mut st),
+            &mut merged,
+            &mut slopes_r,
+        )
     }
 
     #[test]
     fn slope_balance_assert_tolerates_large_magnitudes() {
-        // Regression: the slope-balance debug assertion used an absolute 1e-9 cutoff.
-        // Prefix and suffix slope sums accumulate in opposite orders, so their cancellation
-        // error scales with the slope magnitude — at ~1e12 (large-coordinate designs with
-        // heavy localCells) the residue dwarfs 1e-9 and the old assertion misfired even
-        // though the pipelines were computing correctly. The tolerance is relative now.
+        // Slope sums near 1e12 at coordinates near 1e9 (large-coordinate designs with heavy
+        // localCells): the chain must stay finite, and the scratch chain must agree bit for
+        // bit with the allocating one.
         let mut bps: Vec<Breakpoint> = (0..64)
             .map(|i| {
                 let f = i as f64;
@@ -1232,18 +1004,19 @@ mod tests {
         let base = bps[0].left_slope;
         let (lo, hi) = (1.0e9 - 5.0, 1.0e9 + 700.0);
         let mut st = FopOpStats::default();
-        let (ox, ov) = original_pipeline(&bps, base, 0.0, lo, hi, &mut st);
-        let (fx, fv) = reorganized_pipeline(&bps, base, 0.0, lo, hi, &mut st);
-        assert!(ox.is_finite() && ov.is_finite());
-        assert!(
-            (ox - fx).abs() < 1e-6 && (ov - fv).abs() / ov.abs().max(1.0) < 1e-9,
-            "pipelines diverged at large magnitude: ({ox}, {ov}) vs ({fx}, {fv})"
+        let (fx, fv) = breakpoint_chain(&bps, base, 0.0, lo, hi, &mut st);
+        assert!(fx.is_finite() && fv.is_finite());
+        let (sx, sv) = scratch_chain(&bps, base, 0.0, lo, hi);
+        assert_eq!(
+            (sx.to_bits(), sv.to_bits()),
+            (fx.to_bits(), fv.to_bits()),
+            "scratch and reference chains diverged at large magnitude: ({sx}, {sv}) vs ({fx}, {fv})"
         );
     }
 
     #[test]
     fn pipelines_tolerate_nan_breakpoints_without_panicking() {
-        // a NaN desired position produces NaN curve data; the pipelines must degrade
+        // a NaN desired position produces NaN curve data; both chains must degrade
         // gracefully (garbage minimum, no panic) — the engines' feasibility checks and the
         // NaN-tolerant cost comparisons discard the result downstream
         let mut bps = vec![
@@ -1260,8 +1033,8 @@ mod tests {
         ];
         bps.sort_by(|a, b| a.x.total_cmp(&b.x));
         let mut st = FopOpStats::default();
-        let _ = original_pipeline(&bps, f64::NAN, f64::NAN, 0.0, 10.0, &mut st);
-        let _ = reorganized_pipeline(&bps, f64::NAN, f64::NAN, 0.0, 10.0, &mut st);
+        let _ = breakpoint_chain(&bps, f64::NAN, f64::NAN, 0.0, 10.0, &mut st);
+        let _ = scratch_chain(&bps, f64::NAN, f64::NAN, 0.0, 10.0);
     }
 
     #[test]

@@ -663,7 +663,7 @@ pub fn find_fallback_position(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FopVariant, OrderingStrategy};
+    use crate::config::OrderingStrategy;
     use flex_placement::benchmark::{generate, BenchmarkSpec};
 
     fn tiny_design(seed: u64) -> Design {
@@ -704,39 +704,6 @@ mod tests {
             flex.average_displacement,
             orig.average_displacement
         );
-    }
-
-    #[test]
-    fn fop_variants_produce_identical_placements() {
-        // The original and reorganized FOP operator chains are bit-identical computations;
-        // switching between them must not change a single cell position.
-        let base = MglConfig {
-            ordering: OrderingStrategy::SizeDescending,
-            ..MglConfig::default()
-        };
-        for shift in [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs] {
-            let mut reference: Option<Vec<(i64, i64)>> = None;
-            for fop in [FopVariant::Original, FopVariant::Reorganized] {
-                let mut d = tiny_design(3);
-                let cfg = MglConfig {
-                    shift,
-                    fop,
-                    ..base.clone()
-                };
-                let res = MglLegalizer::new(cfg).legalize(&mut d);
-                assert!(res.legal);
-                let placement: Vec<(i64, i64)> = d
-                    .cells
-                    .iter()
-                    .filter(|c| !c.fixed)
-                    .map(|c| (c.x, c.y))
-                    .collect();
-                match &reference {
-                    None => reference = Some(placement),
-                    Some(r) => assert_eq!(r, &placement, "shift={shift:?} fop={fop:?}"),
-                }
-            }
-        }
     }
 
     #[test]

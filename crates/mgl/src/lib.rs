@@ -13,19 +13,19 @@
 //!
 //! Modules:
 //!
-//! * [`config`] — tuning knobs selecting the shifting algorithm, FOP variant and ordering.
+//! * [`config`] — tuning knobs selecting the shifting algorithm and the ordering.
 //! * [`region`] — windows, localSegments, localCells and localRegions (Sec. 2.2.1).
 //! * [`insertion`] — insertion intervals and insertion points (Sec. 2.2.2).
 //! * [`curve`] — displacement curves and breakpoints (Sec. 2.2.3).
 //! * [`shift`] — the original multi-pass cell-shifting algorithm (Fig. 6, Algorithm 3).
 //! * [`sacs`] — the Sort-Ahead Cell Shifting algorithm of FLEX (Fig. 6, Algorithm 4).
-//! * [`fop`] — finding the optimal placement position, in both the original and the
-//!   reorganized bidirectional-traversal form (Fig. 5).
+//! * [`fop`] — finding the optimal placement position, with the reorganized
+//!   bidirectional-traversal breakpoint chain (Fig. 5).
 //! * [`ordering`] — processing-order strategies, including FLEX's sliding-window ordering.
 //! * [`stats`] — operator-level runtime statistics and the work trace consumed by the FPGA
 //!   performance model in `flex-core`.
 //! * [`legalize`] — the end-to-end MGL legalizer.
-//! * [`parallel`] — the deterministic region-sharded parallel engine built on top of it.
+//! * [`parallel`] — the deterministic parallel engine built on top of it.
 //! * [`api`] — the unified [`api::Legalizer`] trait + [`api::LegalizeReport`] every engine in
 //!   the workspace (including the baselines and the FLEX accelerator) implements.
 
@@ -46,7 +46,7 @@ pub mod shift;
 pub mod stats;
 
 pub use api::{DisplacementSummary, LegalizeReport, Legalizer, RuntimeBreakdown};
-pub use config::{FopVariant, MglConfig, OrderingStrategy, ShiftAlgorithm};
+pub use config::{MglConfig, OrderingStrategy, ShiftAlgorithm};
 pub use fop::FopScratch;
 pub use legalize::{LegalizeResult, MglLegalizer};
 pub use parallel::{ParallelLegalizeResult, ParallelMglLegalizer, ShardStats};

@@ -1,33 +1,27 @@
-//! The parallel region-sharded MGL engine, with ping-pong batch speculation.
+//! The parallel MGL engine, with ping-pong batch speculation.
 //!
 //! The paper's CPU baseline (Fig. 2(a)) parallelizes MGL by batching target cells whose
 //! legalization windows do not overlap and synchronizing after every batch — at the cost of
 //! reordering cells and therefore changing the result. This module keeps the batching idea
 //! but makes the engine *placement-identical to the serial legalizer*:
 //!
-//! 1. **Row sharding.** The die's rows are partitioned into disjoint horizontal *bands* (the
-//!    region shards). Each target's base legalization window ([`target_window`] at expansion
-//!    level 0) is assigned to the band that fully contains it; windows living in different
-//!    bands provably cannot overlap. Band membership classifies the work: cells whose
-//!    windows straddle a band boundary always take the serial path, everything else is a
-//!    speculation candidate. (Correctness does not rest on the banding — the commit-time
-//!    write-set check below catches every conflict, same-band or not — the bands bound the
-//!    serial fraction and keep the shard structure explicit.)
-//! 2. **Prefix batches with speculation.** Each round takes the next `lookahead` targets of
-//!    the serial processing order — a *prefix*, never a reordering. Every non-straddler
-//!    member is *speculated* on the rayon pool: region extraction, FOP (which is where the
-//!    per-shard `shift_phase_*` work runs) and the pure [`plan_commit_with`] verification
-//!    all execute against a shadow copy of the cell state (point 4).
-//! 3. **In-order commit with per-write tracking.** Plans are applied strictly in the serial
+//! 1. **Prefix batches with speculation.** Each round takes the next `lookahead` targets of
+//!    the serial processing order — a *prefix*, never a reordering. Every member is
+//!    *speculated* on the rayon pool at its base legalization window ([`target_window`] at
+//!    expansion level 0): region extraction, FOP (which is where the `shift_phase_*` work
+//!    runs) and the pure [`plan_commit_with`] verification all execute against a shadow copy
+//!    of the cell state (point 3). Members whose windows overlap need no separate treatment:
+//!    the commit-time write check below catches every conflict.
+//! 2. **In-order commit with per-write tracking.** Plans are applied strictly in the serial
 //!    order. Every commit records one rectangle per design write it performed
 //!    ([`plan_write_rects`] / [`PlaceOutcome::writes`]) — the target's committed extent and
 //!    each moved localCell's swept span — rather than one collective bounding box, so a
 //!    later member is invalidated only when an *individual* write intersects its window. A
 //!    member whose window is hit by any write since its shadow was brought up to date — and
-//!    any member that was not speculated (straddler) or whose speculation found no
-//!    expansion-0 placement — is handled by the ordinary serial [`place_target_with`] at its
-//!    slot, window expansions and whole-die fallback included.
-//! 4. **Ping-pong shadows.** Like FLEX's ping-pong RAM (Sec. 3.1.2), which preloads
+//!    any member whose speculation found no expansion-0 placement — is handled by the
+//!    ordinary serial [`place_target_with`] at its slot, window expansions and whole-die
+//!    fallback included.
+//! 3. **Ping-pong shadows.** Like FLEX's ping-pong RAM (Sec. 3.1.2), which preloads
 //!    `C_next`'s region into the free half while `C_cur` is processed, the engine speculates
 //!    batch *k+1* on a speculation runner thread while the commit thread commits batch *k*.
 //!    Batch *k+1* launches before batch *k* commits, so it reads a private `Shadow` — a
@@ -88,27 +82,16 @@ use crate::legalize::{MglLegalizer, PlaceOutcome};
 /// (see the module docs), so this is purely a throughput choice.
 pub const MIN_LOOKAHEAD: usize = 8;
 
-/// How many base-window heights one row band spans. Larger bands mean fewer straddlers (which
-/// are always serial) at the cost of more same-band conflict checks during batch formation.
-const BAND_WINDOW_MULTIPLE: i64 = 8;
-
-/// Statistics about how the sharded schedule executed.
+/// Statistics about how the speculation schedule executed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Number of row bands (region shards) the die was partitioned into.
-    pub bands: usize,
-    /// Rows per band.
-    pub band_rows: i64,
-    /// Targets whose base window straddled a band boundary (never speculated).
-    pub straddlers: usize,
     /// Prefix batches executed.
     pub batches: usize,
     /// Targets speculated in parallel.
     pub speculated: usize,
     /// Targets whose speculative plan was committed as-is.
     pub committed_speculatively: usize,
-    /// Targets handled by the serial path (straddlers, conflicts, failed or stale
-    /// speculations).
+    /// Targets handled by the serial path (failed or stale speculations).
     pub serial_inline: usize,
     /// Speculations discarded because an earlier commit **of the same batch** wrote into
     /// their window.
@@ -125,9 +108,6 @@ impl ShardStats {
     /// registry, called once per run.
     pub fn publish_to(&self, registry: &flex_obs::Registry) {
         for (name, v) in [
-            ("par_shard_bands", self.bands as u64),
-            ("par_shard_band_rows", self.band_rows.max(0) as u64),
-            ("par_shard_straddlers", self.straddlers as u64),
             ("par_shard_batches", self.batches as u64),
             ("par_shard_speculated", self.speculated as u64),
             (
@@ -165,7 +145,7 @@ pub struct ParallelLegalizeResult {
     pub shards: ShardStats,
 }
 
-/// The parallel region-sharded MGL legalizer.
+/// The parallel MGL legalizer.
 #[derive(Debug, Clone)]
 pub struct ParallelMglLegalizer {
     threads: usize,
@@ -270,42 +250,9 @@ impl ParallelMglLegalizer {
         let order = ordering::processing_order(design, cfg);
         drop(build_span);
 
-        // row shards: band height is a fixed multiple of the base window height, so the shard
-        // layout (and the schedule) is independent of the thread count
-        let max_height = design
-            .cells
-            .iter()
-            .filter(|c| !c.fixed)
-            .map(|c| c.height)
-            .max()
-            .unwrap_or(1);
-        let window_rows = 2 * cfg.window_half_rows + max_height;
-        let band_rows = (window_rows * BAND_WINDOW_MULTIPLE).max(1);
-        let bands = ((design.num_rows.max(1) + band_rows - 1) / band_rows) as usize;
-        let straddles = |window: &Rect| {
-            let band_lo = (window.y_lo.max(0) / band_rows) as usize;
-            let band_hi = ((window.y_hi - 1).max(0) / band_rows) as usize;
-            band_lo != band_hi
-        };
-
         let mut acc = CommitAccum {
             run: RunAccum::new(cfg.collect_trace),
-            shards: ShardStats {
-                bands,
-                band_rows,
-                straddlers: order
-                    .iter()
-                    .filter(|&&id| {
-                        straddles(&target_window(
-                            design,
-                            id,
-                            cfg.window_half_sites,
-                            cfg.window_half_rows,
-                        ))
-                    })
-                    .count(),
-                ..ShardStats::default()
-            },
+            shards: ShardStats::default(),
         };
 
         // the commit thread's arena; each worker gets its own via the thread-local in
@@ -322,8 +269,7 @@ impl ParallelMglLegalizer {
         };
         let mut home = Some(shadow.clone());
 
-        let (pool_ref, segmap_ref, batches_ref, straddles_ref) =
-            (&pool, &segmap, &batches, &straddles);
+        let (pool_ref, segmap_ref, batches_ref) = (&pool, &segmap, &batches);
         std::thread::scope(|s| {
             let (launch_tx, launch_rx) = mpsc::channel::<LaunchMsg>();
             let (result_tx, result_rx) = mpsc::channel::<SpecBatch>();
@@ -334,14 +280,8 @@ impl ParallelMglLegalizer {
                 .spawn_scoped(s, move || {
                     while let Ok(LaunchMsg { batch, shadow }) = launch_rx.recv() {
                         let spec_span = flex_obs::span!("par.speculate_batch");
-                        let pending = speculate_batch(
-                            pool_ref,
-                            batches_ref[batch],
-                            &shadow,
-                            segmap_ref,
-                            cfg,
-                            straddles_ref,
-                        );
+                        let pending =
+                            speculate_batch(pool_ref, batches_ref[batch], &shadow, segmap_ref, cfg);
                         drop(spec_span);
                         let out = SpecBatch {
                             batch,
@@ -476,32 +416,18 @@ fn commit_batch(
 }
 
 /// Speculate one batch on the worker pool against `shadow` (the commit thread may be
-/// writing the live design concurrently). Straddlers are skipped — they always take the
-/// serial path at their commit slot. Returns the id-keyed speculations.
+/// writing the live design concurrently). Returns the id-keyed speculations.
 fn speculate_batch(
     pool: &rayon::ThreadPool,
     batch: &[CellId],
     shadow: &Shadow,
     segmap: &SegmentMap,
     cfg: &MglConfig,
-    straddles: &(dyn Fn(&Rect) -> bool + Sync),
 ) -> HashMap<CellId, Speculation> {
-    let jobs: Vec<(CellId, Rect)> = batch
-        .iter()
-        .map(|&id| {
-            let window = target_window(
-                &shadow.design,
-                id,
-                cfg.window_half_sites,
-                cfg.window_half_rows,
-            );
-            (id, window)
-        })
-        .filter(|(_, window)| !straddles(window))
-        .collect();
     pool.install(|| {
-        jobs.par_iter()
-            .map(|&(id, window)| (id, speculate(shadow, segmap, cfg, id, window)))
+        batch
+            .par_iter()
+            .map(|&id| (id, speculate(shadow, segmap, cfg, id)))
             .collect()
     })
 }
@@ -509,13 +435,13 @@ fn speculate_batch(
 /// Evaluate one target speculatively at expansion level 0 against a shadow. Runs on a
 /// worker thread: the FOP arena comes from that worker's thread-local [`FopScratch`], so
 /// buffers are reused across every speculation a worker performs.
-fn speculate(
-    shadow: &Shadow,
-    segmap: &SegmentMap,
-    cfg: &MglConfig,
-    id: CellId,
-    window: Rect,
-) -> Speculation {
+fn speculate(shadow: &Shadow, segmap: &SegmentMap, cfg: &MglConfig, id: CellId) -> Speculation {
+    let window = target_window(
+        &shadow.design,
+        id,
+        cfg.window_half_sites,
+        cfg.window_half_rows,
+    );
     let spec = TargetSpec::of(shadow.design.cell(id));
     let mut stats = FopOpStats::default();
     let mut work = RegionWork {
@@ -571,7 +497,6 @@ mod tests {
             out.result.placed_in_region + out.result.fallback_placed,
             d.num_movable()
         );
-        assert!(out.shards.bands >= 1);
         assert!(out.shards.batches > 0);
     }
 

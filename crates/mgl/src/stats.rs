@@ -2,10 +2,10 @@
 //!
 //! Two kinds of bookkeeping live here:
 //!
-//! * [`FopOpStats`] — wall-clock time spent in each FOP operator (cell shifting, breakpoint
-//!   sorting, merging, slope accumulation, value calculation). This is what Fig. 2(g) ("cell
-//!   shifting dominates over 60% of FOP runtime") and Fig. 6(g) ("pre-sorting is ≈10% of FOP
-//!   runtime") report.
+//! * [`FopOpStats`] — wall-clock time spent in each FOP operator (cell shifting, the SACS
+//!   pre-sort, breakpoint sorting, and the breakpoint chain's forward traversal and value
+//!   scan). This is what Fig. 2(g) ("cell shifting dominates over 60% of FOP runtime") and
+//!   Fig. 6(g) ("pre-sorting is ≈10% of FOP runtime") report.
 //! * [`RegionWork`] / [`WorkTrace`] — hardware-independent work counts per legalized target
 //!   (insertion points evaluated, breakpoints produced, subcell visits, multi-row bound queries,
 //!   …). The FLEX accelerator model in `flex-core` replays this trace through its pipeline and
@@ -24,17 +24,9 @@ pub struct FopOpStats {
     pub presort_ns: u64,
     /// Gathering and sorting breakpoints by x.
     pub sort_bp_ns: u64,
-    /// Merging breakpoints with identical x (original operator chain).
-    pub merge_bp_ns: u64,
-    /// Forward traversal accumulating right slopes (original chain).
-    pub sum_slopes_r_ns: u64,
-    /// Backward traversal accumulating left slopes (original chain).
-    pub sum_slopes_l_ns: u64,
-    /// Final value computation and minimum search (original chain).
-    pub calc_value_ns: u64,
-    /// fwdtraverse of the reorganized chain (fwdmerge + sum slopesR + calculate vR).
+    /// fwdtraverse: merging breakpoints with identical x and accumulating slopesR.
     pub fwd_traverse_ns: u64,
-    /// bwdtraverse of the reorganized chain (bwdmerge + sum slopesL + calculate vL and v).
+    /// bwdtraverse: the value scan that picks the minimum.
     pub bwd_traverse_ns: u64,
     /// Everything else inside FOP (curve construction, feasibility checks).
     pub other_ns: u64,
@@ -46,10 +38,6 @@ impl FopOpStats {
         self.cell_shift_ns
             + self.presort_ns
             + self.sort_bp_ns
-            + self.merge_bp_ns
-            + self.sum_slopes_r_ns
-            + self.sum_slopes_l_ns
-            + self.calc_value_ns
             + self.fwd_traverse_ns
             + self.bwd_traverse_ns
             + self.other_ns
@@ -80,10 +68,6 @@ impl FopOpStats {
         self.cell_shift_ns += other.cell_shift_ns;
         self.presort_ns += other.presort_ns;
         self.sort_bp_ns += other.sort_bp_ns;
-        self.merge_bp_ns += other.merge_bp_ns;
-        self.sum_slopes_r_ns += other.sum_slopes_r_ns;
-        self.sum_slopes_l_ns += other.sum_slopes_l_ns;
-        self.calc_value_ns += other.calc_value_ns;
         self.fwd_traverse_ns += other.fwd_traverse_ns;
         self.bwd_traverse_ns += other.bwd_traverse_ns;
         self.other_ns += other.other_ns;
@@ -97,10 +81,6 @@ impl FopOpStats {
             ("mgl_fop_cell_shift_ns", self.cell_shift_ns),
             ("mgl_fop_presort_ns", self.presort_ns),
             ("mgl_fop_sort_bp_ns", self.sort_bp_ns),
-            ("mgl_fop_merge_bp_ns", self.merge_bp_ns),
-            ("mgl_fop_sum_slopes_r_ns", self.sum_slopes_r_ns),
-            ("mgl_fop_sum_slopes_l_ns", self.sum_slopes_l_ns),
-            ("mgl_fop_calc_value_ns", self.calc_value_ns),
             ("mgl_fop_fwd_traverse_ns", self.fwd_traverse_ns),
             ("mgl_fop_bwd_traverse_ns", self.bwd_traverse_ns),
             ("mgl_fop_other_ns", self.other_ns),
@@ -117,10 +97,6 @@ impl FopOpStats {
             FopOperator::CellShift => self.cell_shift_ns += ns,
             FopOperator::Presort => self.presort_ns += ns,
             FopOperator::SortBp => self.sort_bp_ns += ns,
-            FopOperator::MergeBp => self.merge_bp_ns += ns,
-            FopOperator::SumSlopesR => self.sum_slopes_r_ns += ns,
-            FopOperator::SumSlopesL => self.sum_slopes_l_ns += ns,
-            FopOperator::CalcValue => self.calc_value_ns += ns,
             FopOperator::FwdTraverse => self.fwd_traverse_ns += ns,
             FopOperator::BwdTraverse => self.bwd_traverse_ns += ns,
             FopOperator::Other => self.other_ns += ns,
@@ -128,7 +104,7 @@ impl FopOpStats {
     }
 }
 
-/// The FOP operators named in Fig. 3(e) / Fig. 5 of the paper.
+/// The FOP operators the software kernel times, named after Fig. 3(e) / Fig. 5 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FopOperator {
     /// Cell shifting (left-move + right-move).
@@ -137,17 +113,9 @@ pub enum FopOperator {
     Presort,
     /// sort bp.
     SortBp,
-    /// merge bp.
-    MergeBp,
-    /// sum slopesR.
-    SumSlopesR,
-    /// sum slopesL.
-    SumSlopesL,
-    /// calculate value.
-    CalcValue,
-    /// fwdtraverse (reorganized chain).
+    /// fwdtraverse (merge bp + sum slopesR).
     FwdTraverse,
-    /// bwdtraverse (reorganized chain).
+    /// bwdtraverse (the value scan).
     BwdTraverse,
     /// Anything else (curve construction, bookkeeping).
     Other,
@@ -282,10 +250,9 @@ mod tests {
         let mut s = FopOpStats::default();
         s.add(FopOperator::CellShift, Duration::from_nanos(600));
         s.add(FopOperator::SortBp, Duration::from_nanos(100));
-        s.add(FopOperator::MergeBp, Duration::from_nanos(100));
-        s.add(FopOperator::SumSlopesR, Duration::from_nanos(50));
-        s.add(FopOperator::SumSlopesL, Duration::from_nanos(50));
-        s.add(FopOperator::CalcValue, Duration::from_nanos(100));
+        s.add(FopOperator::FwdTraverse, Duration::from_nanos(150));
+        s.add(FopOperator::BwdTraverse, Duration::from_nanos(50));
+        s.add(FopOperator::Other, Duration::from_nanos(100));
         assert_eq!(s.total_ns(), 1000);
         assert!((s.cell_shift_fraction() - 0.6).abs() < 1e-12);
         assert_eq!(s.presort_fraction(), 0.0);

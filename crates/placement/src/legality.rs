@@ -14,7 +14,6 @@
 use crate::cell::CellId;
 use crate::geom::Interval;
 use crate::layout::Design;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A single legality violation.
@@ -81,52 +80,17 @@ impl LegalityReport {
     }
 }
 
-/// Row count below which the overlap sweep of [`check_legality_with`] stays serial.
-const PARALLEL_SWEEP_MIN_ROWS: usize = 512;
-
-/// Sort one row bucket and sweep it for overlapping-candidate pairs, in the exact order the
-/// serial reference visits them. Pairs are emitted as `(lo, hi)` cell ids *without*
-/// cross-row deduplication or area computation — both happen in the deterministic serial
-/// merge so the parallel and serial checks produce identical reports.
-fn sweep_row(bucket: &mut [(Interval, CellId, bool)]) -> Vec<(CellId, CellId)> {
-    bucket.sort_by_key(|(iv, _, _)| iv.lo);
-    let mut pairs = Vec::new();
-    for i in 0..bucket.len() {
-        let (a_iv, a_id, a_fixed) = bucket[i];
-        for &(b_iv, b_id, b_fixed) in &bucket[i + 1..] {
-            if b_iv.lo >= a_iv.hi {
-                break;
-            }
-            if a_fixed && b_fixed {
-                continue;
-            }
-            let (lo, hi) = if a_id <= b_id {
-                (a_id, b_id)
-            } else {
-                (b_id, a_id)
-            };
-            pairs.push((lo, hi));
-        }
-    }
-    pairs
-}
-
-/// One row's sweep bucket: `(x-interval, cell id, fixed)` per subcell occupying the row.
-type RowBucket = Vec<(Interval, CellId, bool)>;
-
-/// The per-cell checks shared by both sweep variants: out-of-die, parity, legalized-flag and
-/// blockage violations pushed into a fresh report, plus the per-row `(x-interval, id, fixed)`
-/// buckets the overlap sweep consumes. One implementation on purpose — only the sweep is
-/// differentially varied between [`check_legality_with`] and [`check_legality_with_serial`].
-fn per_cell_checks(
-    design: &Design,
-    require_legalized_flag: bool,
-) -> (LegalityReport, Vec<RowBucket>) {
+/// Check the legality of every movable cell in the design.
+///
+/// `require_legalized_flag` additionally reports cells whose `legalized` flag is still false,
+/// which is how the integration tests catch legalizers that silently skip cells.
+pub fn check_legality_with(design: &Design, require_legalized_flag: bool) -> LegalityReport {
     let mut report = LegalityReport::default();
     let die = design.die();
 
+    // per-row buckets of `(x-interval, id, fixed)`, one entry per subcell occupying the row
     let rows = design.num_rows.max(0) as usize;
-    let mut per_row: Vec<RowBucket> = vec![Vec::new(); rows];
+    let mut per_row: Vec<Vec<(Interval, CellId, bool)>> = vec![Vec::new(); rows];
 
     for c in &design.cells {
         if !c.fixed {
@@ -161,59 +125,6 @@ fn per_cell_checks(
             }
         }
     }
-    (report, per_row)
-}
-
-/// Check the legality of every movable cell in the design.
-///
-/// `require_legalized_flag` additionally reports cells whose `legalized` flag is still false,
-/// which is how the integration tests catch legalizers that silently skip cells.
-///
-/// The per-row overlap sweep — the O(n) bulk of the check, and the final serial pass of every
-/// legalizer — is sharded across the rayon worker threads on large designs; the candidate
-/// pairs are merged back in row order through the same deduplicating set the serial reference
-/// uses, so the report is identical to [`check_legality_with_serial`] (asserted by tests).
-pub fn check_legality_with(design: &Design, require_legalized_flag: bool) -> LegalityReport {
-    let (mut report, mut per_row) = per_cell_checks(design, require_legalized_flag);
-    let rows = per_row.len();
-
-    // Row-by-row sweep to find overlapping candidate pairs, sharded across rows when the
-    // design is large enough to amortize the fan-out.
-    let row_pairs: Vec<Vec<(CellId, CellId)>> = if rows >= PARALLEL_SWEEP_MIN_ROWS {
-        per_row
-            .into_par_iter()
-            .map(|mut b| sweep_row(&mut b))
-            .collect()
-    } else {
-        per_row.iter_mut().map(|b| sweep_row(b)).collect()
-    };
-
-    // Deterministic merge: a multi-row overlap is reported once with the full overlapping
-    // area (deduplicated via the ordered pair set, first row wins — same as the serial scan).
-    let mut seen: std::collections::HashSet<(CellId, CellId)> = std::collections::HashSet::new();
-    for (lo, hi) in row_pairs.into_iter().flatten() {
-        if !seen.insert((lo, hi)) {
-            continue;
-        }
-        let a = design.cell(lo);
-        let b = design.cell(hi);
-        let area = a.rect().overlap_area(&b.rect());
-        if area > 0 {
-            report
-                .violations
-                .push(Violation::CellOverlap { a: lo, b: hi, area });
-            report.overlap_area += area;
-        }
-    }
-
-    report
-}
-
-/// The serial reference implementation of [`check_legality_with`]: the same per-cell checks,
-/// followed by the original single-threaded sort-sweep-dedup loop. Only the sweep differs
-/// from the sharded version — that is the part the differential tests compare.
-pub fn check_legality_with_serial(design: &Design, require_legalized_flag: bool) -> LegalityReport {
-    let (mut report, mut per_row) = per_cell_checks(design, require_legalized_flag);
 
     // Row-by-row sweep to find overlapping pairs; a multi-row overlap is reported once with the
     // full overlapping area (deduplicated via the ordered pair set).
@@ -355,19 +266,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_check_matches_serial_exactly() {
-        // a tall design (above the parallel threshold) seeded with every violation kind,
-        // including multi-row overlaps that must be deduplicated identically
-        let mut d = Design::new("legal-par", 120, 600);
+    fn tall_scatter_reports_each_overlapping_pair_once() {
+        // a 600-row design seeded with every violation kind, including multi-row overlaps
+        // the per-row sweep meets on several rows and must report once, with the full area
+        let mut d = Design::new("legal-tall", 120, 600);
         d.add_blockage(Rect::new(100, 0, 120, 600));
-        let mut id = 0u32;
-        let mut add = |d: &mut Design, x: i64, y: i64, w: i64, h: i64, legalized: bool| {
+        let add = |d: &mut Design, x: i64, y: i64, w: i64, h: i64, legalized: bool| {
             let mut c = Cell::movable(CellId(0), w, h, x as f64, y as f64);
             c.x = x;
             c.y = y;
             c.legalized = legalized;
             d.add_cell(c);
-            id += 1;
         };
         // deterministic pseudo-random scatter with deliberate collisions
         let mut state = 0x9e3779b97f4a7c15u64;
@@ -381,22 +290,47 @@ mod tests {
             let h = 1 + ((state >> 11) % 4) as i64;
             add(&mut d, x, y, w, h, !state.is_multiple_of(5));
         }
-        let _ = id;
-        for require in [false, true] {
-            let par = check_legality_with(&d, require);
-            let ser = check_legality_with_serial(&d, require);
-            assert_eq!(par, ser, "require_legalized_flag={require}");
-            assert!(!par.is_legal(), "the scatter must contain violations");
-        }
 
-        // and a small design (serial fast path) for completeness
-        let mut small = base();
-        small.add_cell(Cell::movable(CellId(0), 6, 2, 10.0, 1.0));
-        small.add_cell(Cell::movable(CellId(0), 6, 2, 13.0, 2.0));
-        assert_eq!(
-            check_legality_with(&small, false),
-            check_legality_with_serial(&small, false)
+        // every overlapping pair by brute force, with its full overlap area
+        let mut expected = std::collections::BTreeMap::new();
+        let mut multi_row_pairs = 0;
+        for (i, a) in d.cells.iter().enumerate() {
+            for b in &d.cells[i + 1..] {
+                let area = a.rect().overlap_area(&b.rect());
+                if area > 0 {
+                    expected.insert((a.id, b.id), area);
+                    if a.rect().intersect(&b.rect()).height() > 1 {
+                        multi_row_pairs += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            multi_row_pairs > 0,
+            "the scatter must hold multi-row overlaps"
         );
+
+        for require in [false, true] {
+            let rep = check_legality_with(&d, require);
+            assert!(!rep.is_legal(), "the scatter must contain violations");
+            let mut reported = std::collections::BTreeMap::new();
+            for v in &rep.violations {
+                if let Violation::CellOverlap { a, b, area } = *v {
+                    assert!(
+                        reported.insert((a, b), area).is_none(),
+                        "pair ({a:?}, {b:?}) reported twice (require_legalized_flag={require})"
+                    );
+                }
+            }
+            assert_eq!(reported, expected, "require_legalized_flag={require}");
+            let unlegalized = d.cells.iter().filter(|c| !c.legalized).count();
+            let flagged = rep
+                .violations
+                .iter()
+                .filter(|v| matches!(v, Violation::NotLegalized { .. }))
+                .count();
+            assert_eq!(flagged, if require { unlegalized } else { 0 });
+        }
     }
 
     #[test]

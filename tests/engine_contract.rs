@@ -202,39 +202,36 @@ fn flex_and_mgl_parallel_report_identical_shards() {
 
 #[test]
 fn serial_and_parallel_agree_through_the_scratch_path_for_every_fop_config() {
-    // Both engines now run FOP through the arena-allocated scratch kernel (one scratch for
-    // the serial engine, one per worker thread in the parallel engine). The equivalence must
-    // hold for every shift-algorithm × FOP-variant combination, since each takes a different
-    // route through the scratch buffers.
+    // Both engines run FOP through the arena-allocated scratch kernel (one scratch for the
+    // serial engine, one per worker thread in the parallel engine). The equivalence must hold
+    // for both shift algorithms, since each takes a different route through the scratch
+    // buffers.
     use flex::mgl::api::Legalizer;
-    use flex::mgl::config::{FopVariant, MglConfig, ShiftAlgorithm};
+    use flex::mgl::config::{MglConfig, ShiftAlgorithm};
     use flex::mgl::{MglLegalizer, ParallelMglLegalizer};
 
     for shift in [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs] {
-        for fop in [FopVariant::Original, FopVariant::Reorganized] {
-            let cfg = MglConfig {
-                shift,
-                fop,
-                ordering: OrderingStrategy::SizeDescending,
-                ..MglConfig::default()
-            };
-            let spec = BenchmarkSpec::tiny("contract-scratch", 81).with_density(0.7);
-            let mut d_ser = generate(&spec);
-            let mut d_par = generate(&spec);
-            let serial: Box<dyn Legalizer> = Box::new(MglLegalizer::new(cfg.clone()));
-            let parallel: Box<dyn Legalizer> = Box::new(ParallelMglLegalizer::new(4, cfg));
-            let rs = serial.legalize(&mut d_ser);
-            let rp = parallel.legalize(&mut d_par);
-            assert!(rs.legal && rp.legal, "shift {shift:?} fop {fop:?}");
-            assert_eq!(
-                positions(&d_ser),
-                positions(&d_par),
-                "shift {shift:?} fop {fop:?}: parallel placement diverged from serial"
-            );
-            assert_eq!(rs.displacement.average, rp.displacement.average);
-            assert_eq!(rs.placed_in_region, rp.placed_in_region);
-            assert_eq!(rs.fallback_placed, rp.fallback_placed);
-        }
+        let cfg = MglConfig {
+            shift,
+            ordering: OrderingStrategy::SizeDescending,
+            ..MglConfig::default()
+        };
+        let spec = BenchmarkSpec::tiny("contract-scratch", 81).with_density(0.7);
+        let mut d_ser = generate(&spec);
+        let mut d_par = generate(&spec);
+        let serial: Box<dyn Legalizer> = Box::new(MglLegalizer::new(cfg.clone()));
+        let parallel: Box<dyn Legalizer> = Box::new(ParallelMglLegalizer::new(4, cfg));
+        let rs = serial.legalize(&mut d_ser);
+        let rp = parallel.legalize(&mut d_par);
+        assert!(rs.legal && rp.legal, "shift {shift:?}");
+        assert_eq!(
+            positions(&d_ser),
+            positions(&d_par),
+            "shift {shift:?}: parallel placement diverged from serial"
+        );
+        assert_eq!(rs.displacement.average, rp.displacement.average);
+        assert_eq!(rs.placed_in_region, rp.placed_in_region);
+        assert_eq!(rs.fallback_placed, rp.fallback_placed);
     }
 }
 

@@ -4,11 +4,11 @@
 //! results to the allocating reference implementation (`fop::reference`) it replaced: the
 //! same `Placement` (x, row, cost — exact float equality, no tolerance), the same work
 //! counters (they feed the FPGA performance model and the golden traces), for both
-//! [`FopVariant`]s and both [`ShiftAlgorithm`]s, on randomly generated regions. The commit
+//! [`ShiftAlgorithm`]s, on randomly generated regions. The commit
 //! plan derived from a placement must likewise match the one derived from the allocating
 //! shift functions.
 
-use flex::mgl::config::{FopVariant, MglConfig, ShiftAlgorithm};
+use flex::mgl::config::{MglConfig, ShiftAlgorithm};
 use flex::mgl::fop::{self, FopScratch, TargetSpec};
 use flex::mgl::legalize::plan_commit_with;
 use flex::mgl::region::{LocalCell, LocalRegion, LocalSegment};
@@ -79,12 +79,7 @@ fn random_case(seed: u64) -> (LocalRegion, TargetSpec) {
     (region, target)
 }
 
-const CONFIGS: [(ShiftAlgorithm, FopVariant); 4] = [
-    (ShiftAlgorithm::Original, FopVariant::Original),
-    (ShiftAlgorithm::Original, FopVariant::Reorganized),
-    (ShiftAlgorithm::Sacs, FopVariant::Original),
-    (ShiftAlgorithm::Sacs, FopVariant::Reorganized),
-];
+const CONFIGS: [ShiftAlgorithm; 2] = [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -96,10 +91,9 @@ proptest! {
     fn scratch_fop_is_bit_identical_to_the_reference(seed in 0u64..1_000_000) {
         let (region, target) = random_case(seed);
         let mut scratch = FopScratch::new();
-        for (shift, fopv) in CONFIGS {
+        for shift in CONFIGS {
             let cfg = MglConfig {
                 shift,
-                fop: fopv,
                 ..MglConfig::default()
             };
             let mut s_ref = FopOpStats::default();
@@ -110,18 +104,16 @@ proptest! {
             prop_assert_eq!(
                 &reference.best,
                 &scratched.best,
-                "placement diverged: seed {} shift {:?} fop {:?}",
+                "placement diverged: seed {} shift {:?}",
                 seed,
-                shift,
-                fopv
+                shift
             );
             prop_assert_eq!(
                 &reference.work,
                 &scratched.work,
-                "work counters diverged: seed {} shift {:?} fop {:?}",
+                "work counters diverged: seed {} shift {:?}",
                 seed,
-                shift,
-                fopv
+                shift
             );
         }
     }
@@ -151,10 +143,9 @@ proptest! {
     #[test]
     fn scratch_commit_plans_match_allocating_shift_positions(seed in 0u64..1_000_000) {
         let (region, target) = random_case(seed);
-        for (shift, fopv) in CONFIGS {
+        for shift in CONFIGS {
             let cfg = MglConfig {
                 shift,
-                fop: fopv,
                 ..MglConfig::default()
             };
             let mut stats = FopOpStats::default();

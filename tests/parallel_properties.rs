@@ -1,4 +1,4 @@
-//! Property-based tests for the parallel region-sharded MGL engine: legality of every
+//! Property-based tests for the parallel MGL engine: legality of every
 //! legalizer on random benchmarks, and determinism of serial vs. parallel legalization
 //! across the full {ordering strategy} × {thread count} matrix — including the FLEX default
 //! dynamic (sliding-window density) ordering, where each speculation batch runs against a
@@ -142,6 +142,52 @@ proptest! {
                 par.result.average_displacement.to_bits(),
                 serial.average_displacement.to_bits(),
                 "S_am must be byte-identical (seed {seed} ordering {ordering:?})"
+            );
+        }
+    }
+}
+
+/// Every design above has at most 26 rows. This one takes eco-stream's spec shape (wider
+/// cells at density 0.30 on a 1.5-aspect die) at 1,500 cells, about 205 rows, so the engine
+/// speculates cells whose windows lie anywhere on a die many windows tall: under every
+/// ordering, at 2 and 4 threads, the placement and the S_am bits must equal the serial run.
+#[test]
+fn tall_die_is_serial_identical_under_every_ordering() {
+    let spec = BenchmarkSpec {
+        num_cells: 1500,
+        min_width: 4,
+        max_width: 16,
+        density: 0.30,
+        aspect: 1.5,
+        ..BenchmarkSpec::medium("par-tall-die", 1)
+    };
+    assert!(generate(&spec).num_rows > 200, "the die must be tall");
+
+    for ordering in [
+        OrderingStrategy::Natural,
+        OrderingStrategy::SizeDescending,
+        OrderingStrategy::SlidingWindowDensity,
+    ] {
+        let cfg = MglConfig {
+            ordering,
+            ..MglConfig::default()
+        };
+        let mut d_serial = generate(&spec);
+        let serial = MglLegalizer::new(cfg.clone()).legalize(&mut d_serial);
+        assert!(serial.legal, "serial illegal under {ordering:?}");
+        for threads in [2usize, 4] {
+            let mut d_par = generate(&spec);
+            let par = ParallelMglLegalizer::new(threads, cfg.clone()).legalize(&mut d_par);
+            let at = format!("{ordering:?}, {threads} threads");
+            assert_eq!(positions(&d_serial), positions(&d_par), "{at}");
+            assert_eq!(
+                par.result.average_displacement.to_bits(),
+                serial.average_displacement.to_bits(),
+                "S_am bits diverged: {at}"
+            );
+            assert!(
+                par.shards.speculative_fraction() > 0.0,
+                "nothing committed speculatively: {at}"
             );
         }
     }

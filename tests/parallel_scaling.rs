@@ -1,4 +1,4 @@
-//! Acceptance tests for the parallel region-sharded MGL engine.
+//! Acceptance tests for the parallel MGL engine.
 //!
 //! The headline criterion — on a ≥50k-cell benchmark, 4 threads beat the serial legalizer's
 //! wall-clock — needs several minutes of CPU and at least 4 hardware cores, so it is
