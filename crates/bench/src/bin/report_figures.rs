@@ -31,7 +31,7 @@
 //! FOP kernel's.
 //!
 //! With `--metrics-json` it measures the observability layer itself: enabled-vs-disabled
-//! span overhead on the acceptance-scale parallel run (gated at
+//! span overhead as the median of alternating paired ratios of a parallel run (gated at
 //! `FLEX_BENCH_OBS_MAX_OVERHEAD`%, default 3), byte-identical placements, and a Chrome
 //! trace-event export proving speculation/commit overlap — written to `BENCH_obs.json`
 //! and `BENCH_obs_trace.json` (`FLEX_BENCH_OBS_OUT` / `FLEX_BENCH_OBS_TRACE`).
@@ -299,6 +299,18 @@ fn median(xs: &[f64]) -> f64 {
     } else {
         v[mid]
     }
+}
+
+/// First quartile, median and third quartile of a non-empty sample (linear interpolation).
+fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (v.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+    };
+    (at(0.25), at(0.5), at(0.75))
 }
 
 /// `{"median": …, "min": …, "max": …}` of a non-empty sample.
@@ -679,13 +691,17 @@ fn eco_json() {
     println!("  wrote {path}");
 }
 
-/// `--metrics-json`: measure the observability layer itself on the acceptance-scale
-/// parallel run and write `BENCH_obs.json`. Two figures are recorded and gated:
+/// `--metrics-json`: measure the observability layer itself on a parallel legalization
+/// and write `BENCH_obs.json`. Two figures are recorded and gated:
 ///
 /// * **disabled overhead** — instrumentation compiled in but switched off must be free:
-///   the enabled-vs-disabled wall-clock delta on a 50k-cell parallel
-///   legalization must stay under `FLEX_BENCH_OBS_MAX_OVERHEAD` percent (default 3%),
-///   and the placements must be byte-identical (spans observe, never perturb);
+///   over `FLEX_BENCH_OBS_REPEATS` pairs (default 120) of an enabled and a disabled run of a
+///   `FLEX_BENCH_OBS_CELLS`-cell parallel legalization (default 4,000), alternating which
+///   runs first, the median of the per-pair enabled/disabled ratios must stay within
+///   `FLEX_BENCH_OBS_MAX_OVERHEAD` percent (default 3%) of 1, and every pair's placements
+///   must be byte-identical (spans observe, never perturb). A paired ratio cancels the
+///   machine's speed drift that separate minima of each mode do not, and the median of
+///   many small runs does not flip on one slow run;
 /// * **pipeline overlap** — the Chrome trace exported from the last enabled run must show
 ///   speculation (`par.speculate_batch`, runner thread) overlapping commits
 ///   (`par.commit_batch`, coordinator thread) in wall-clock time, i.e. the spans prove
@@ -698,11 +714,11 @@ fn obs_json() {
     let cells: usize = std::env::var("FLEX_BENCH_OBS_CELLS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(50_000);
-    let repeats: usize = std::env::var("FLEX_BENCH_OBS_REPEATS")
+        .unwrap_or(4_000);
+    let pairs: usize = std::env::var("FLEX_BENCH_OBS_REPEATS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
+        .unwrap_or(120)
         .max(1);
     let max_overhead_pct: f64 = std::env::var("FLEX_BENCH_OBS_MAX_OVERHEAD")
         .ok()
@@ -719,8 +735,8 @@ fn obs_json() {
     .with_density(0.45);
 
     // The coordinator thread records per-cell `mgl.*` spans besides its `par.commit_batch`
-    // spans, about 50k per run at 50k cells: size the rings before the first enabled span so
-    // the last enabled run fits whole (32 bytes per slot, 4 MiB per ring).
+    // spans, about one per cell: size the rings before the first enabled span so the last
+    // enabled run fits whole up to 50k cells (32 bytes per slot, 4 MiB per ring).
     flex_obs::set_ring_capacity(1 << 17);
 
     println!(
@@ -741,34 +757,42 @@ fn obs_json() {
         )
     };
 
-    // interleave the two modes so drift (thermal, cache warm-up) hits both equally, and
-    // compare the minima: overhead is a property of the code path, not of scheduler noise
-    let mut disabled = f64::INFINITY;
-    let mut enabled = f64::INFINITY;
-    let (mut disabled_bits, mut enabled_bits) = (0u64, 0u64);
+    // Alternate which mode runs first, so a drift in machine speed lands on both modes, and
+    // decide on the median of the per-pair ratios.
+    let mut runs = Vec::with_capacity(pairs); // (disabled s, enabled s, enabled ran first)
     let mut batches = 0;
-    for i in 0..repeats {
-        let (d_s, d_bits, _) = run(false);
-        if i + 1 == repeats {
-            // the trace below covers the last enabled run alone
-            flex_obs::clear_spans();
+    for i in 0..pairs {
+        let enabled_first = i % 2 == 1;
+        let mut pair = [(0.0, 0u64); 2];
+        for enabled in [enabled_first, !enabled_first] {
+            if enabled && i + 1 == pairs {
+                // the trace below covers the last enabled run alone
+                flex_obs::clear_spans();
+            }
+            let (seconds, bits, run_batches) = run(enabled);
+            pair[usize::from(enabled)] = (seconds, bits);
+            if enabled {
+                batches = run_batches;
+            }
         }
-        let (e_s, e_bits, e_batches) = run(true);
-        disabled = disabled.min(d_s);
-        enabled = enabled.min(e_s);
-        disabled_bits = d_bits;
-        enabled_bits = e_bits;
-        batches = e_batches;
-        println!("  repeat {i}: disabled {d_s:>7.2} s   enabled {e_s:>7.2} s");
+        let [(d_s, d_bits), (e_s, e_bits)] = pair;
+        assert_eq!(
+            d_bits, e_bits,
+            "instrumentation must not perturb the placement (pair {i}: displacement bits differ)"
+        );
+        println!(
+            "  pair {i:>2} ({} first): disabled {d_s:>7.3} s   enabled {e_s:>7.3} s   ratio {:.4}",
+            if enabled_first { "enabled" } else { "disabled" },
+            e_s / d_s
+        );
+        runs.push((d_s, e_s, enabled_first));
     }
     flex_obs::set_enabled(false);
-    let overhead_pct = (enabled - disabled) / disabled * 100.0;
+    let ratios: Vec<f64> = runs.iter().map(|&(d, e, _)| e / d).collect();
+    let (q1, ratio, q3) = quartiles(&ratios);
+    let overhead_pct = (ratio - 1.0) * 100.0;
     println!(
-        "  min: disabled {disabled:.3} s   enabled {enabled:.3} s   overhead {overhead_pct:+.2}%  (gate: ≤ {max_overhead_pct}%)"
-    );
-    assert_eq!(
-        disabled_bits, enabled_bits,
-        "instrumentation must not perturb the placement (displacement bits differ)"
+        "  median enabled/disabled ratio {ratio:.4} (quartiles {q1:.4}–{q3:.4}, {pairs} pairs)   overhead {overhead_pct:+.2}%  (gate: ≤ {max_overhead_pct}%)"
     );
 
     // the spans of the last enabled run are in the per-thread rings: export them as a
@@ -820,13 +844,20 @@ fn obs_json() {
         overlaps > 0,
         "pipelined run must show speculation overlapping a commit on another thread"
     );
-    assert!(
-        overhead_pct <= max_overhead_pct,
-        "disabled-instrumentation overhead {overhead_pct:.2}% exceeds the {max_overhead_pct}% gate"
-    );
-
+    let pair_json: Vec<String> = runs
+        .iter()
+        .map(|&(d, e, enabled_first)| {
+            format!(
+                "    {{\"disabled_s\": {d:.4}, \"enabled_s\": {e:.4}, \"ratio\": {:.4}, \"first\": \"{}\"}}",
+                e / d,
+                if enabled_first { "enabled" } else { "disabled" }
+            )
+        })
+        .collect();
     let json = format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"unit\": \"seconds per parallel legalization\",\n  \"cells\": {cells},\n  \"threads\": {threads},\n  \"repeats\": {repeats},\n  \"disabled_s\": {disabled:.4},\n  \"enabled_s\": {enabled:.4},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"gate_pct\": {max_overhead_pct},\n  \"placements_bit_identical\": true,\n  \"spans\": {},\n  \"batches\": {batches},\n  \"speculate_batches\": {},\n  \"commit_batches\": {},\n  \"speculate_commit_overlaps\": {},\n  \"trace\": \"{trace_path}\"\n}}\n",
+        "{{\n  \"bench\": \"obs_overhead\",\n  \"unit\": \"seconds per parallel legalization\",\n  \"cells\": {cells},\n  \"threads\": {threads},\n  \"available_parallelism\": {},\n  \"verdict\": \"median of per-pair enabled/disabled ratios\",\n  \"ratio_median\": {ratio:.4},\n  \"ratio_q1\": {q1:.4},\n  \"ratio_q3\": {q3:.4},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"gate_pct\": {max_overhead_pct},\n  \"placements_bit_identical\": true,\n  \"pairs\": [\n{}\n  ],\n  \"spans\": {},\n  \"batches\": {batches},\n  \"speculate_batches\": {},\n  \"commit_batches\": {},\n  \"speculate_commit_overlaps\": {},\n  \"trace\": \"{trace_path}\"\n}}\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        pair_json.join(",\n"),
         events.len(),
         speculate.len(),
         commit.len(),
@@ -835,6 +866,10 @@ fn obs_json() {
     let path = std::env::var("FLEX_BENCH_OBS_OUT").unwrap_or_else(|_| "BENCH_obs.json".to_string());
     std::fs::write(&path, &json).expect("write BENCH_obs.json");
     println!("  wrote {path}");
+    assert!(
+        overhead_pct <= max_overhead_pct,
+        "disabled-instrumentation overhead {overhead_pct:.2}% (median of {pairs} paired ratios) exceeds the {max_overhead_pct}% gate"
+    );
 }
 
 /// `--recovery-json`: measure what durability costs and what recovery buys, and write

@@ -25,9 +25,11 @@
 //! region, and per-region state (the localCells sorted once by `(x, index)` — the SACS
 //! Ahead-Sorter — and the per-segment cell lists presorted in that order, per-cell anchor
 //! displacements, the target's own curve) is computed once per region instead of once per
-//! point. Cell shifting builds each point's traversal lists by walking the presorted rows,
-//! and SACS streams its output in the region order, so no phase problem sorts its setup.
-//! The allocating implementation it replaced is kept verbatim under [`mod@reference`]: it
+//! point. Cell shifting ([`shift_phase_with`]) pays for the rows and cells each point's push
+//! reaches: it traverses only unsettled rows, builds a row's lists from the presorted row on
+//! its first traversal, undoes its state from the cells it moved, and reports only those
+//! cells, in the order the dense outcome lists them, so curve building walks the moved cells
+//! alone. The allocating implementation it replaced is kept verbatim under [`mod@reference`]: it
 //! is the differential-testing oracle and the baseline the `fop_kernel` bench compares
 //! against. Placements, costs and work counters are bit-identical between the two.
 
@@ -37,8 +39,7 @@ use crate::insertion::{
     enumerate_insertion_points, enumerate_insertion_points_into, InsertionPoint, InsertionScratch,
 };
 use crate::region::LocalRegion;
-use crate::sacs::shift_phase_sacs_with_stats_into;
-use crate::shift::{shift_phase_original_with, Phase, ShiftOutcome, ShiftProblem, ShiftScratch};
+use crate::shift::{shift_phase_with, Phase, PhaseMoves, ShiftProblem, ShiftScratch};
 use crate::stats::{FopOpStats, FopOperator, RegionWork};
 use flex_placement::cell::Cell;
 use flex_placement::geom::Interval;
@@ -141,10 +142,10 @@ impl CurvePool {
 pub struct FopScratch {
     /// Shifting buffers + the per-region presorted order and row lists.
     pub(crate) shift: ShiftScratch,
-    /// Left-phase outcome buffer.
-    pub(crate) left: ShiftOutcome,
-    /// Right-phase outcome buffer.
-    pub(crate) right: ShiftOutcome,
+    /// Left-phase moved cells.
+    pub(crate) left: PhaseMoves,
+    /// Right-phase moved cells.
+    pub(crate) right: PhaseMoves,
     /// Pool of localCell displacement curves.
     curves: CurvePool,
     /// The target cell's own curve `|x_t − gx|`, set once per region.
@@ -266,7 +267,7 @@ pub fn find_optimal_position_with(
         MAX_INSERTION_POINTS,
         &mut insertion,
     );
-    clock.lap(FopOperator::Other);
+    clock.lap(FopOperator::Enumerate);
     work.insertion_points = n_points as u64;
 
     scratch.begin_region(region, target, config, &mut clock);
@@ -339,53 +340,35 @@ fn evaluate_point_with(
         target_height: target.height,
         target_x: point.x_hi,
     };
-    let shifted = match config.shift {
-        ShiftAlgorithm::Original => {
-            shift_phase_original_with(&left_problem, Phase::Left, shift, left)
-                .and_then(|()| {
-                    shift_phase_original_with(&right_problem, Phase::Right, shift, right)
-                })
-                .map(|()| work.shift_passes += (left.passes + right.passes) as u64)
-        }
-        ShiftAlgorithm::Sacs => {
-            shift_phase_sacs_with_stats_into(&left_problem, Phase::Left, shift, left)
-                .and_then(|ls| {
-                    shift_phase_sacs_with_stats_into(&right_problem, Phase::Right, shift, right)
-                        .map(|rs| (ls, rs))
-                })
-                .map(|(ls, rs)| {
-                    work.shift_passes += 2;
-                    work.sorted_cells += ls.sorted_cells + rs.sorted_cells;
-                    work.bound_queries += ls.bound_queries + rs.bound_queries;
-                    work.tall_bound_queries += ls.tall_bound_queries + rs.tall_bound_queries;
-                })
-        }
-    };
+    let shifted = shift_phase_with(&left_problem, Phase::Left, config.shift, shift, left)
+        .and_then(|()| shift_phase_with(&right_problem, Phase::Right, config.shift, shift, right));
     // timed on both exits: most points of a crowded region turn out infeasible here
     clock.lap(FopOperator::CellShift);
     shifted.ok()?;
-    work.subcell_visits += left.subcell_visits + right.subcell_visits;
-
-    // --- displacement curves (pooled; target curve prebuilt per region) --------------------
-    curves.clear();
-    for &(i, pos) in &left.positions {
-        let c = &region.cells[i];
-        if pos != c.x {
-            // stack offset: at full compression (x_t = x_lo) the cell sits at x_lo - s
-            let s = point.x_lo - pos;
-            let curve = curves.next();
-            curve.set_left_cell(c.x as f64, c.gx, s as f64);
-            curve.anchor.1 -= anchor_disp[i];
-        }
+    for moves in [&*left, &*right] {
+        work.shift_passes += moves.passes as u64;
+        work.subcell_visits += moves.subcell_visits;
+        work.sorted_cells += moves.sacs.sorted_cells;
+        work.bound_queries += moves.sacs.bound_queries;
+        work.tall_bound_queries += moves.sacs.tall_bound_queries;
     }
-    for &(i, pos) in &right.positions {
+
+    // --- displacement curves of the moved cells (pooled; target curve prebuilt per region) --
+    curves.clear();
+    for &(i, pos) in &left.moved {
         let c = &region.cells[i];
-        if pos != c.x {
-            let s = pos - (point.x_hi + target.width);
-            let curve = curves.next();
-            curve.set_right_cell(c.x as f64, c.gx, s as f64, target.width as f64);
-            curve.anchor.1 -= anchor_disp[i];
-        }
+        // stack offset: at full compression (x_t = x_lo) the cell sits at x_lo - s
+        let s = point.x_lo - pos;
+        let curve = curves.next();
+        curve.set_left_cell(c.x as f64, c.gx, s as f64);
+        curve.anchor.1 -= anchor_disp[i];
+    }
+    for &(i, pos) in &right.moved {
+        let c = &region.cells[i];
+        let s = pos - (point.x_hi + target.width);
+        let curve = curves.next();
+        curve.set_right_cell(c.x as f64, c.gx, s as f64, target.width as f64);
+        curve.anchor.1 -= anchor_disp[i];
     }
     let lo = point.x_lo as f64;
     let hi = point.x_hi as f64;
@@ -396,7 +379,7 @@ fn evaluate_point_with(
         .filter_map(|c| c.breakpoints.first())
         .map(|bp| bp.left_slope)
         .sum();
-    clock.lap(FopOperator::Other);
+    clock.lap(FopOperator::Curves);
 
     // --- breakpoint pipeline ---------------------------------------------------------------
     bps.clear();
@@ -553,7 +536,7 @@ pub mod reference {
 
     use super::*;
     use crate::sacs::shift_phase_sacs_with_stats;
-    use crate::shift::shift_phase_original;
+    use crate::shift::{shift_phase_original, ShiftOutcome};
 
     /// Evaluate every insertion point of `region` and return the optimal placement,
     /// allocating afresh per insertion point.
@@ -581,7 +564,7 @@ pub mod reference {
             target.gx,
             MAX_INSERTION_POINTS,
         );
-        op_stats.add(FopOperator::Other, t_enum.elapsed());
+        op_stats.add(FopOperator::Enumerate, t_enum.elapsed());
         work.insertion_points = points.len() as u64;
 
         let mut best: Option<Placement> = None;
@@ -662,7 +645,7 @@ pub mod reference {
         // --- displacement curves -----------------------------------------------------------
         let t_curves = Instant::now();
         let curves = build_curves(region, target, point, &left, &right);
-        op_stats.add(FopOperator::Other, t_curves.elapsed());
+        op_stats.add(FopOperator::Curves, t_curves.elapsed());
 
         // --- breakpoint pipeline -----------------------------------------------------------
         let lo = point.x_lo as f64;

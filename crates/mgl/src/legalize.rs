@@ -1,11 +1,10 @@
 //! The end-to-end MGL legalizer (the flow of Fig. 3(e)).
 
-use crate::config::{MglConfig, ShiftAlgorithm};
+use crate::config::MglConfig;
 use crate::fop::{self, FopScratch, Placement, TargetSpec};
 use crate::ordering;
 use crate::region::{target_window, LegalizedIndex, LocalRegion};
-use crate::sacs::shift_phase_sacs_with_stats_into;
-use crate::shift::{shift_phase_original_with, Phase, ShiftProblem};
+use crate::shift::{shift_phase_with, Phase, ShiftProblem};
 use crate::stats::{FopOpStats, RegionWork, WorkTrace};
 use flex_placement::cell::CellId;
 use flex_placement::geom::{Interval, Rect};
@@ -485,21 +484,22 @@ pub fn plan_commit_with(
     // commit planning is also entered directly (speculation, baselines), so redo the
     // per-region presort rather than assuming a preceding FOP call prepared it
     shift.begin_region(region);
-    match cfg.shift {
-        ShiftAlgorithm::Original => {
-            shift_phase_original_with(&problem, Phase::Left, shift, left).ok()?;
-            shift_phase_original_with(&problem, Phase::Right, shift, right).ok()?;
-        }
-        ShiftAlgorithm::Sacs => {
-            shift_phase_sacs_with_stats_into(&problem, Phase::Left, shift, left).ok()?;
-            shift_phase_sacs_with_stats_into(&problem, Phase::Right, shift, right).ok()?;
-        }
-    }
+    shift_phase_with(&problem, Phase::Left, cfg.shift, shift, left).ok()?;
+    shift_phase_with(&problem, Phase::Right, cfg.shift, shift, right).ok()?;
 
+    // The merge of the dense phase outcomes: the right phase lists every cell outside the
+    // left chain, moved or not, and is applied last, so a left-phase move stands only on the
+    // left chain (a cell it pushed elsewhere returns to its region x and fails verification).
     commit_pos.clear();
     commit_pos.extend(region.cells.iter().map(|c| c.x));
-    for (i, x) in left.positions.iter().chain(right.positions.iter()) {
-        commit_pos[*i] = *x;
+    let left_chain = &placement.point.left_chain;
+    for &(i, x) in &left.moved {
+        if left_chain.iter().flatten().any(|&j| j == i) {
+            commit_pos[i] = x;
+        }
+    }
+    for &(i, x) in &right.moved {
+        commit_pos[i] = x;
     }
 
     // verification: per segment row, no overlaps among localCells and the target, and every
@@ -663,7 +663,7 @@ pub fn find_fallback_position(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OrderingStrategy;
+    use crate::config::{OrderingStrategy, ShiftAlgorithm};
     use flex_placement::benchmark::{generate, BenchmarkSpec};
 
     fn tiny_design(seed: u64) -> Design {

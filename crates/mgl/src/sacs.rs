@@ -23,19 +23,23 @@
 //!
 //! The presort is real in the scratch kernel: [`ShiftScratch::begin_region`] sorts the
 //! localCells once per region by `(x, index)`, every phase problem builds its per-row lists from
-//! that order instead of sorting, and [`shift_phase_sacs_with_stats_into`] streams its output in
-//! it. The positions still come from the canonical multi-pass fixpoint, which re-sorts each row
-//! by current position on every pass. Algorithm 4's single pass cannot replace it without
-//! changing placements: it keeps each row in presorted order, so a multi-row cell pushed in one
-//! row can never overtake a neighbour in another. `shift::tests::
+//! that order instead of sorting, and [`shift_phase_with`] under [`ShiftAlgorithm::Sacs`]
+//! reports the moved cells in that stream order, with the work profile computed from
+//! per-region totals minus the statics. The positions still come from the canonical
+//! multi-pass fixpoint, which re-sorts a row by current position on every traversal; the
+//! scratch kernel traverses only the rows a push reaches (see [`crate::shift`]), which changes
+//! no position and no count. Algorithm 4's single pass cannot replace the fixpoint without
+//! changing placements: it keeps each row in presorted order, so a multi-row cell pushed in
+//! one row can never overtake a neighbour in another. `shift::tests::
 //! a_multi_row_cell_overtakes_its_neighbour_on_the_second_pass` pins a region where the
 //! fixpoint lets that happen on its second pass, and the order-preserving pass would push the
 //! neighbour out of its segment and reject the point.
+//!
+//! [`ShiftScratch::begin_region`]: crate::shift::ShiftScratch::begin_region
+//! [`shift_phase_with`]: crate::shift::shift_phase_with
+//! [`ShiftAlgorithm::Sacs`]: crate::config::ShiftAlgorithm::Sacs
 
-use crate::shift::{
-    resolve_phase_with, shift_phase_original, Infeasible, Phase, ShiftOutcome, ShiftProblem,
-    ShiftScratch,
-};
+use crate::shift::{shift_phase_original, Infeasible, Phase, ShiftOutcome, ShiftProblem};
 
 /// Statistics specific to a SACS run (consumed by the FPGA performance model).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -100,41 +104,6 @@ pub fn shift_phase_sacs_with_stats(
     ))
 }
 
-/// Scratch twin of [`shift_phase_sacs_with_stats`]: resolves the canonical positions on the
-/// scratch, then streams the non-static cells into the caller's `out` buffer in the
-/// Ahead-Sorter order that [`ShiftScratch::begin_region`] built (reversed for the left-move
-/// phase), accumulating the SACS work profile on the way. Requires `begin_region` to have
-/// been called for `problem.region`. Bit-identical to the allocating function: its sort keys
-/// `(x, index)` are unique, so the streamed sequence is the one it sorts into.
-pub fn shift_phase_sacs_with_stats_into(
-    problem: &ShiftProblem<'_>,
-    phase: Phase,
-    scratch: &mut ShiftScratch,
-    out: &mut ShiftOutcome,
-) -> Result<SacsStats, Infeasible> {
-    let region = problem.region;
-    resolve_phase_with(problem, phase, scratch)?;
-
-    let mut stats = SacsStats {
-        sorted_cells: region.cells.len() as u64,
-        ..SacsStats::default()
-    };
-    out.positions.clear();
-    for (i, x) in scratch.streamed(phase) {
-        let c = &region.cells[i];
-        let rows = c.height as u64;
-        stats.bound_queries += rows;
-        if c.height > 3 {
-            stats.tall_bound_queries += rows;
-        }
-        out.positions.push((i, x));
-    }
-    out.passes = 1;
-    // the single pass visits each participant subcell once, issuing one bound query there
-    out.subcell_visits = stats.bound_queries;
-    Ok(stats)
-}
-
 /// Run one SACS phase (positions only).
 pub fn shift_phase_sacs(
     problem: &ShiftProblem<'_>,
@@ -148,7 +117,7 @@ mod tests {
     use super::*;
     use crate::insertion::{enumerate_insertion_points_into, InsertionPoint, InsertionScratch};
     use crate::region::{LocalCell, LocalRegion, LocalSegment};
-    use crate::shift::shift_phase_original_with;
+    use crate::shift::{assert_scratch_matches_oracles, ShiftScratch};
     use flex_placement::cell::CellId;
     use flex_placement::geom::{Interval, Rect};
     use rand::rngs::StdRng;
@@ -341,13 +310,13 @@ mod tests {
     }
 
     /// Randomized test: the shared shifting routine must always produce legal phase results, the
-    /// SACS schedule must report the same positions, and the scratch twins (one scratch for
-    /// every region) must equal the allocating functions exactly, output order included.
+    /// SACS schedule must report the same positions, and the scratch kernel (one scratch for
+    /// every region) must report exactly the allocating functions' moved cells, in their
+    /// order, with their counters.
     #[test]
     fn shifting_invariants_hold_on_random_regions() {
         let mut rng = StdRng::seed_from_u64(0xACE5);
         let mut scratch = ShiftScratch::default();
-        let mut out = ShiftOutcome::default();
         for case in 0..60 {
             let rows = rng.random_range(1..=4i64);
             let width = rng.random_range(30..=60i64);
@@ -407,19 +376,11 @@ mod tests {
                 for phase in [Phase::Left, Phase::Right] {
                     let a = shift_phase_original(&problem, phase);
                     let b = shift_phase_sacs(&problem, phase);
-                    let a_with = shift_phase_original_with(&problem, phase, &mut scratch, &mut out)
-                        .map(|()| out.clone());
-                    assert_eq!(
-                        a_with, a,
-                        "case {case} phase {phase:?}: original scratch twin"
-                    );
-                    let b_with =
-                        shift_phase_sacs_with_stats_into(&problem, phase, &mut scratch, &mut out)
-                            .map(|stats| (out.clone(), stats));
-                    assert_eq!(
-                        b_with,
-                        shift_phase_sacs_with_stats(&problem, phase),
-                        "case {case} phase {phase:?}: SACS scratch twin"
+                    assert_scratch_matches_oracles(
+                        &problem,
+                        phase,
+                        &mut scratch,
+                        &format!("case {case}"),
                     );
                     match (&a, &b) {
                         (Ok(a_out), Ok(b_out)) => {
@@ -438,6 +399,121 @@ mod tests {
                         }
                         (Err(_), Err(_)) => {}
                         _ => panic!("case {case}: feasibility disagreement between schedules"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// A random point on `region`: each of `height` target rows from a random bottom row
+    /// splits the cells spanning it at an x (shared by the rows, or its own) into the left and
+    /// right chains, nearest first, sometimes leaving a cell out of both. A multi-row cell
+    /// split differently in two rows lands in both chains.
+    fn random_point(region: &LocalRegion, height: i64, rng: &mut StdRng) -> InsertionPoint {
+        let rows = region.window.y_hi;
+        let width = region.window.x_hi;
+        let bottom_row = rng.random_range(0..=(rows - height));
+        let split = rng.random_range(-2..=width + 2);
+        let mut left_chain = Vec::new();
+        let mut right_chain = Vec::new();
+        for row in bottom_row..bottom_row + height {
+            let at = if rng.random_range(0..3) == 0 {
+                rng.random_range(-2..=width + 2)
+            } else {
+                split
+            };
+            let mut in_row: Vec<usize> = (0..region.cells.len())
+                .filter(|&i| region.cells[i].rows().any(|r| r == row))
+                .filter(|_| rng.random_range(0..6) != 0)
+                .collect();
+            in_row.sort_by_key(|&i| (region.cells[i].x, i));
+            let cut = in_row.partition_point(|&i| region.cells[i].x < at);
+            left_chain.push(in_row[..cut].iter().rev().copied().collect());
+            right_chain.push(in_row[cut..].to_vec());
+        }
+        let x_lo = split - rng.random_range(0..=8i64);
+        InsertionPoint {
+            bottom_row,
+            x_lo,
+            x_hi: x_lo + rng.random_range(0..=4i64),
+            left_chain,
+            right_chain,
+        }
+    }
+
+    /// The scratch kernel is exact on regions no legalizer produces, where rows are not clean:
+    /// overlapping cells, equal-x ties, zero-width cells, cells hanging past their segment,
+    /// rows without a segment, cells taller than three rows. Enumerated and random points,
+    /// target x inside and outside the point's range, both phases, both algorithms, one
+    /// scratch for every region.
+    #[test]
+    fn scratch_kernel_is_exact_beyond_legal_regions() {
+        let mut rng = StdRng::seed_from_u64(0x5E7_71ED);
+        let mut scratch = ShiftScratch::default();
+        for case in 0..400 {
+            let rows = rng.random_range(1..=5i64);
+            let width = rng.random_range(12..=40i64);
+            let mut segments = Vec::new();
+            for row in 0..rows {
+                if rng.random_range(0..5) != 0 {
+                    let span =
+                        Interval::new(rng.random_range(0..=3), width - rng.random_range(0..=3i64));
+                    segments.push(LocalSegment { row, span });
+                }
+            }
+            let mut cells: Vec<LocalCell> = Vec::new();
+            for id in 0..rng.random_range(2..=12u32) {
+                let height = rng.random_range(1..=rows);
+                let x = if !cells.is_empty() && rng.random_range(0..4) == 0 {
+                    cells[rng.random_range(0..cells.len())].x
+                } else {
+                    rng.random_range(-2..=width)
+                };
+                cells.push(LocalCell {
+                    id: CellId(id),
+                    x,
+                    y: rng.random_range(0..=(rows - height)),
+                    width: rng.random_range(0..=6i64),
+                    height,
+                    gx: x as f64,
+                });
+            }
+            let region = LocalRegion {
+                target: CellId(1000 + case),
+                window: Rect::new(0, 0, width, rows),
+                segments,
+                cells,
+                density: 0.0,
+            };
+            scratch.begin_region(&region);
+            let tw = rng.random_range(1..=8i64);
+            let th = rng.random_range(1..=rows);
+            let mut points = enumerate(&region, tw, th, rng.random_range(0..width) as f64, 8);
+            for _ in 0..6 {
+                points.push(random_point(&region, th, &mut rng));
+            }
+            for point in &points {
+                let outside = rng.random_range(1..=6i64);
+                for x in [
+                    point.x_lo,
+                    point.x_hi,
+                    point.x_lo - outside,
+                    point.x_hi + outside,
+                ] {
+                    let problem = ShiftProblem {
+                        region: &region,
+                        point,
+                        target_width: tw,
+                        target_height: th,
+                        target_x: x,
+                    };
+                    for phase in [Phase::Left, Phase::Right] {
+                        assert_scratch_matches_oracles(
+                            &problem,
+                            phase,
+                            &mut scratch,
+                            &format!("case {case} x {x}"),
+                        );
                     }
                 }
             }

@@ -11,9 +11,37 @@
 //! moved in one row can create an overlap in another row that the current pass has already
 //! visited. The number of passes is unpredictable, which is exactly the property FLEX's SACS
 //! algorithm (see [`crate::sacs`]) removes.
+//!
+//! ### Two implementations
+//!
+//! [`shift_phase_original`] (and SACS's [`shift_phase_sacs_with_stats`] on top of it) is the
+//! allocating reference: it lists every non-static cell with its final position and rebuilds
+//! every row's lists on every pass. It is the oracle of the differential tests.
+//!
+//! [`shift_phase_with`] is the scratch kernel the hot paths (FOP's curve building and commit
+//! planning) call. One phase problem costs the rows and cells its push reaches:
+//!
+//! * **Settled rows.** A row is traversed only while it is *unsettled*. Starting a row's
+//!   traversal settles it; every move unsettles each row the moved cell spans. This is
+//!   exact: a row's traversal is a pure function of its cells' positions and the problem's
+//!   fixed inputs (traversal list, static edges, initial bound), so a row whose last
+//!   traversal moved nothing, and none of whose cells moved since, would move nothing again;
+//!   skipping it changes no position, pass count or `Err` exit. Rows that
+//!   [`ShiftScratch::begin_region`] finds *clean* (presorted cells strictly increasing in x,
+//!   non-overlapping, inside the segment) start settled unless they are target rows,
+//!   because their first traversal moves nothing either.
+//! * **Undo instead of rebuild.** Positions and the membership bitmaps are restored from
+//!   the cells the run touched, on both exits; a row's lists are built on its first
+//!   traversal; the work counters come from row sizes and per-region totals.
+//! * **Moved cells only.** The kernel reports the cells the phase moved ([`PhaseMoves`]),
+//!   in the order the dense outcome lists them, so both consumers stay bit-identical.
+//!
+//! [`shift_phase_sacs_with_stats`]: crate::sacs::shift_phase_sacs_with_stats
 
+use crate::config::ShiftAlgorithm;
 use crate::insertion::InsertionPoint;
-use crate::region::LocalRegion;
+use crate::region::{LocalRegion, LocalSegment};
+use crate::sacs::SacsStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -139,46 +167,75 @@ impl EdgeLists {
         self.len = n;
     }
 
-    fn get(&self, i: usize) -> &[(i64, i64)] {
-        debug_assert!(i < self.len);
-        &self.lists[i]
-    }
-
     fn get_mut(&mut self, i: usize) -> &mut Vec<(i64, i64)> {
         debug_assert!(i < self.len);
         &mut self.lists[i]
     }
 }
 
+/// What one scratch phase run ([`shift_phase_with`]) reports.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PhaseMoves {
+    /// `(cell index in region, final x)` of every cell the phase moved, in the order the
+    /// dense outcome of the same algorithm lists them: ascending index for
+    /// [`shift_phase_original`], the SACS stream order (descending `(x, index)` for the
+    /// left-move phase, ascending for the right-move phase) for
+    /// [`shift_phase_sacs_with_stats`](crate::sacs::shift_phase_sacs_with_stats). Every cell
+    /// not listed stays at its region x.
+    pub moved: Vec<(usize, i64)>,
+    /// Number of full traversal passes (always 1 for SACS).
+    pub passes: u32,
+    /// Number of subcell visits, counted as the dense outcome counts them.
+    pub subcell_visits: u64,
+    /// The SACS work profile; all zero under the original algorithm.
+    pub sacs: SacsStats,
+}
+
 /// Reusable buffers for the shifting phases: one instance per engine (or per worker thread)
 /// serves every insertion point of every region without reallocating.
 ///
 /// Usage contract: call [`ShiftScratch::begin_region`] once per [`LocalRegion`], then any
-/// number of [`shift_phase_original_with`] /
-/// [`shift_phase_sacs_with_stats_into`](crate::sacs::shift_phase_sacs_with_stats_into) calls
-/// against that region. `begin_region` sorts the localCells once by `(x, index)` — the
-/// software Ahead-Sorter — and distributes that order into one presorted cell list per
-/// segment row. Every phase problem then builds its traversal and static-edge lists by
-/// walking those rows in phase direction instead of sorting, and SACS streams its output in
-/// the region order. The row lists replace the per-pass `rows().any(..)` scans of the
-/// reference implementation; the phase bitmaps replace its per-problem `BTreeSet`s. Results
-/// are bit-identical to the allocating functions (same per-pass traversal orders, same
-/// arithmetic).
+/// number of [`shift_phase_with`] calls against that region, in any order of phases and
+/// algorithms, whether they return `Ok` or `Err`. `begin_region` sorts the localCells once
+/// by `(x, index)` — the software Ahead-Sorter — distributes that order into one presorted
+/// cell list per segment row, marks the rows whose traversal moves nothing (*clean* rows,
+/// see [`shift_phase_with`]), and resets the undo state: every working position back to its
+/// cell's region x, both membership bitmaps clear, no moved cells logged.
+///
+/// Each phase run leaves that undo state as it found it: it sets the membership bitmaps
+/// from the point's chains, logs every cell it moves, and on either exit restores the
+/// logged cells' positions and clears the chain cells' bits. Results are bit-identical to
+/// the allocating functions (same per-pass traversal orders, same arithmetic).
 #[derive(Debug, Clone, Default)]
 pub struct ShiftScratch {
-    /// Working x positions, indexed by region cell index.
+    /// Working x positions, indexed by region cell index; each equals its cell's region x
+    /// between phase runs.
     pos: Vec<i64>,
-    /// Membership bitmap of the phase's static (opposite-chain) cells.
+    /// Membership bitmap of the phase's static (opposite-chain) cells; clear between runs.
     statics: Vec<bool>,
-    /// Membership bitmap of the phase's designated movers (own chain).
+    /// Membership bitmap of the phase's designated movers (own chain); clear between runs.
     movers: Vec<bool>,
+    /// Undo log: the cells the running phase has moved, in first-move order.
+    touched: Vec<usize>,
     /// Region-lifetime: every cell index sorted by `(x, index)` (the Ahead-Sorter order).
     order: Vec<usize>,
     /// Region-lifetime: per segment, indices of the cells occupying that row, sorted by
     /// `(x, index)`.
     row_cells: SegLists,
-    /// Problem-lifetime: per segment, the movable traversal list (re-sorted by position
-    /// every pass, exactly like the reference rebuilds it).
+    /// Region-lifetime: per segment, whether the row is clean (see `row_is_clean`).
+    clean: Vec<bool>,
+    /// Region-lifetime: subcells over all segment rows (the row lists' total length).
+    subcells: u64,
+    /// Region-lifetime: the heights of all localCells, summed.
+    heights: u64,
+    /// Region-lifetime: the heights of the localCells taller than three rows, summed.
+    tall_heights: u64,
+    /// Problem-lifetime: per segment, whether traversing the row now would move nothing.
+    settled: Vec<bool>,
+    /// Problem-lifetime: per segment, whether its traversal and static-edge lists are built.
+    built: Vec<bool>,
+    /// Problem-lifetime: per segment, the movable traversal list (re-sorted by position on
+    /// every traversal, exactly like the reference rebuilds it every pass).
     traverse: SegLists,
     /// Problem-lifetime: per segment, static obstacle edges sorted in phase direction.
     static_edges: EdgeLists,
@@ -213,19 +270,51 @@ impl RegionKey {
     }
 }
 
+/// Whether a row is *clean*: its presorted cells are strictly increasing in x, pairwise
+/// non-overlapping and inside the segment. Outside the target rows, a clean row's
+/// traversal moves nothing in either phase: the left-move bound at each cell is the nearest
+/// cell to its right (or the segment end), the right-move bound the furthest right edge to
+/// its left (or the segment start), and both already clear it.
+fn row_is_clean(region: &LocalRegion, seg: &LocalSegment, cells: &[usize]) -> bool {
+    let inside = cells.iter().all(|&i| {
+        let c = &region.cells[i];
+        seg.span.lo <= c.x && c.x + c.width <= seg.span.hi
+    });
+    inside
+        && cells.windows(2).all(|w| {
+            let (a, b) = (&region.cells[w[0]], &region.cells[w[1]]);
+            a.x < b.x && a.x + a.width <= b.x
+        })
+}
+
+/// Per-problem counts gathered while marking the chains, for the work profile.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChainCounts {
+    /// Heights of the static cells, summed.
+    static_heights: u64,
+    /// Heights of the static cells taller than three rows, summed.
+    static_tall_heights: u64,
+    /// Subcells of the static cells in segment rows outside the target rows.
+    static_subcells_off_target: u64,
+    /// Subcells of the non-static movers in segment rows inside the target rows.
+    mover_subcells_on_target: u64,
+}
+
 impl ShiftScratch {
-    /// Sort `region`'s localCells by `(x, index)` and distribute that order into the
-    /// per-segment row lists. Must be called before the scratch shifting functions are used
-    /// on problems of that region.
+    /// Sort `region`'s localCells by `(x, index)`, distribute that order into the
+    /// per-segment row lists, mark the clean rows and reset the undo state. Must be called
+    /// before [`shift_phase_with`] is used on problems of that region.
     pub fn begin_region(&mut self, region: &LocalRegion) {
         debug_assert!(
             region.segments.windows(2).all(|w| w[0].row < w[1].row),
             "LocalRegion segments must be sorted by row (see LocalRegion::segments)"
         );
+        let n = region.cells.len();
+        let nsegs = region.segments.len();
         self.order.clear();
-        self.order.extend(0..region.cells.len());
+        self.order.extend(0..n);
         self.order.sort_unstable_by_key(|&i| (region.cells[i].x, i));
-        self.row_cells.reset(region.segments.len());
+        self.row_cells.reset(nsegs);
         for &i in &self.order {
             for r in region.cells[i].rows() {
                 if let Some(s) = region.segment_index(r) {
@@ -233,134 +322,272 @@ impl ShiftScratch {
                 }
             }
         }
+        self.clean.clear();
+        self.clean.extend(
+            region
+                .segments
+                .iter()
+                .enumerate()
+                .map(|(s, seg)| row_is_clean(region, seg, self.row_cells.get(s))),
+        );
+        self.subcells = (0..nsegs).map(|s| self.row_cells.get(s).len() as u64).sum();
+        self.heights = region.cells.iter().map(|c| c.height as u64).sum();
+        self.tall_heights = region
+            .cells
+            .iter()
+            .filter(|c| c.height > 3)
+            .map(|c| c.height as u64)
+            .sum();
+
+        self.pos.clear();
+        self.pos.extend(region.cells.iter().map(|c| c.x));
+        self.statics.clear();
+        self.statics.resize(n, false);
+        self.movers.clear();
+        self.movers.resize(n, false);
+        self.touched.clear();
+        self.settled.clear();
+        self.settled.resize(nsegs, false);
+        self.built.clear();
+        self.built.resize(nsegs, false);
+        self.traverse.reset(nsegs);
+        self.static_edges.reset(nsegs);
         self.region_key = Some(RegionKey::of(region));
     }
 
-    /// The non-static cells of the most recent successful phase run with their final
-    /// positions, in the Ahead-Sorter's streaming order: descending `(x, index)` for the
-    /// left-move phase, ascending for the right-move phase.
-    pub(crate) fn streamed(&self, phase: Phase) -> impl Iterator<Item = (usize, i64)> + '_ {
-        let n = self.order.len();
-        (0..n)
-            .map(move |k| match phase {
-                Phase::Left => self.order[n - 1 - k],
-                Phase::Right => self.order[k],
-            })
-            .filter(|&i| !self.statics[i])
-            .map(|i| (i, self.pos[i]))
+    /// Set the phase's membership bitmaps from the point's chains (a cell in both chains
+    /// is static, as in the reference) and count what the work profile needs, each cell
+    /// once however many target rows list it.
+    fn mark(&mut self, problem: &ShiftProblem<'_>, phase: Phase) -> ChainCounts {
+        let region = problem.region;
+        let target_rows = problem.target_rows();
+        let (mover_chain, static_chain) = match phase {
+            Phase::Left => (&problem.point.left_chain, &problem.point.right_chain),
+            Phase::Right => (&problem.point.right_chain, &problem.point.left_chain),
+        };
+        // segment rows of `i`, inside or outside the target rows
+        let segment_rows = |i: usize, on_target: bool| {
+            region.cells[i]
+                .rows()
+                .filter(|r| target_rows.contains(r) == on_target)
+                .filter(|&r| region.segment_index(r).is_some())
+                .count() as u64
+        };
+        let mut counts = ChainCounts::default();
+        for &i in static_chain.iter().flatten() {
+            if !self.statics[i] {
+                self.statics[i] = true;
+                let h = region.cells[i].height;
+                counts.static_heights += h as u64;
+                if h > 3 {
+                    counts.static_tall_heights += h as u64;
+                }
+                counts.static_subcells_off_target += segment_rows(i, false);
+            }
+        }
+        for &i in mover_chain.iter().flatten() {
+            if !self.movers[i] {
+                self.movers[i] = true;
+                if !self.statics[i] {
+                    counts.mover_subcells_on_target += segment_rows(i, true);
+                }
+            }
+        }
+        counts
+    }
+
+    /// Undo one phase run: restore the logged cells' positions and clear the chain cells'
+    /// membership bits.
+    fn undo(&mut self, problem: &ShiftProblem<'_>) {
+        for &i in &self.touched {
+            self.pos[i] = problem.region.cells[i].x;
+        }
+        self.touched.clear();
+        let point = problem.point;
+        for &i in point.left_chain.iter().chain(&point.right_chain).flatten() {
+            self.statics[i] = false;
+            self.movers[i] = false;
+        }
+    }
+
+    /// Fill `out` after a successful run that took `passes` passes.
+    fn report(
+        &mut self,
+        problem: &ShiftProblem<'_>,
+        phase: Phase,
+        algorithm: ShiftAlgorithm,
+        passes: u32,
+        counts: ChainCounts,
+        out: &mut PhaseMoves,
+    ) {
+        match algorithm {
+            ShiftAlgorithm::Original => {
+                // every pass visits every traversal list whole: the non-static subcells of
+                // the rows outside the target, and the movers' subcells inside it
+                let target_subcells: u64 = problem
+                    .target_rows()
+                    .filter_map(|r| problem.region.segment_index(r))
+                    .map(|s| self.row_cells.get(s).len() as u64)
+                    .sum();
+                let per_pass = self.subcells - target_subcells - counts.static_subcells_off_target
+                    + counts.mover_subcells_on_target;
+                self.touched.sort_unstable();
+                out.passes = passes;
+                out.subcell_visits = passes as u64 * per_pass;
+                out.sacs = SacsStats::default();
+            }
+            ShiftAlgorithm::Sacs => {
+                // the Ahead-Sorter's `(x, index)` order, reversed for the left-move phase
+                let cells = &problem.region.cells;
+                match phase {
+                    Phase::Left => self
+                        .touched
+                        .sort_unstable_by_key(|&i| std::cmp::Reverse((cells[i].x, i))),
+                    Phase::Right => self.touched.sort_unstable_by_key(|&i| (cells[i].x, i)),
+                }
+                // every non-static cell streams through the single pass, issuing one bound
+                // query per row it spans
+                let bound_queries = self.heights - counts.static_heights;
+                out.passes = 1;
+                out.subcell_visits = bound_queries;
+                out.sacs = SacsStats {
+                    sorted_cells: problem.region.cells.len() as u64,
+                    bound_queries,
+                    tall_bound_queries: self.tall_heights - counts.static_tall_heights,
+                };
+            }
+        }
+        out.moved.clear();
+        out.moved
+            .extend(self.touched.iter().map(|&i| (i, self.pos[i])));
     }
 }
 
-/// Scratch twin of [`shift_phase_original`]: writes the outcome into `out` (positions vector
-/// reused) instead of allocating, and reads the presorted rows prepared by
-/// [`ShiftScratch::begin_region`]. Produces bit-identical positions, passes and visit counts.
-pub fn shift_phase_original_with(
+/// Run one shifting phase of `algorithm` on the scratch and write the cells it moved into
+/// `out`. Requires [`ShiftScratch::begin_region`] to have been called for `problem.region`.
+///
+/// Both algorithms resolve positions with the canonical multi-pass fixpoint of
+/// [`shift_phase_original`], traversing only unsettled rows (see the module docs); they
+/// differ in what they report (see [`PhaseMoves`]). Passes, `Err` exits and positions are
+/// those of the reference. The original algorithm's `subcell_visits` is counted from the row
+/// sizes (passes × traversal-list lengths), the SACS work profile from per-region totals
+/// minus the statics.
+pub fn shift_phase_with(
     problem: &ShiftProblem<'_>,
     phase: Phase,
+    algorithm: ShiftAlgorithm,
     scratch: &mut ShiftScratch,
-    out: &mut ShiftOutcome,
+    out: &mut PhaseMoves,
 ) -> Result<(), Infeasible> {
-    let (passes, visits) = resolve_phase_with(problem, phase, scratch)?;
-    out.positions.clear();
-    out.positions.extend(
-        (0..problem.region.cells.len())
-            .filter(|&i| !scratch.statics[i])
-            .map(|i| (i, scratch.pos[i])),
-    );
-    out.passes = passes;
-    out.subcell_visits = visits;
-    Ok(())
-}
-
-/// Run the multi-pass fixpoint of one phase on the scratch, leaving the final positions in
-/// `scratch.pos` and the phase's statics in `scratch.statics`. Returns `(passes, visits)`.
-pub(crate) fn resolve_phase_with(
-    problem: &ShiftProblem<'_>,
-    phase: Phase,
-    scratch: &mut ShiftScratch,
-) -> Result<(u32, u64), Infeasible> {
-    let region = problem.region;
-    let n = region.cells.len();
     // checked unconditionally: a stale row index would produce silently wrong positions
     assert_eq!(
         scratch.region_key,
-        Some(RegionKey::of(region)),
+        Some(RegionKey::of(problem.region)),
         "ShiftScratch::begin_region was not called for this region"
     );
+    let counts = scratch.mark(problem, phase);
+    let resolved = resolve_phase_with(problem, phase, scratch);
+    if let Ok(passes) = resolved {
+        scratch.report(problem, phase, algorithm, passes, counts, out);
+    }
+    scratch.undo(problem);
+    resolved.map(drop)
+}
 
+/// Move cell `i` to `x`: log its first move for the undo and unsettle every row it spans.
+fn move_cell(
+    region: &LocalRegion,
+    pos: &mut [i64],
+    touched: &mut Vec<usize>,
+    settled: &mut [bool],
+    i: usize,
+    x: i64,
+) {
+    // moves are strictly monotone, so a cell at its region x has not moved yet
+    if pos[i] == region.cells[i].x {
+        touched.push(i);
+    }
+    pos[i] = x;
+    for r in region.cells[i].rows() {
+        if let Some(s) = region.segment_index(r) {
+            settled[s] = false;
+        }
+    }
+}
+
+/// Run the multi-pass fixpoint of one phase on the marked scratch, leaving the final
+/// positions in `scratch.pos` and the moved cells in its undo log. Returns the number of
+/// passes.
+fn resolve_phase_with(
+    problem: &ShiftProblem<'_>,
+    phase: Phase,
+    scratch: &mut ShiftScratch,
+) -> Result<u32, Infeasible> {
+    let region = problem.region;
+    let n = region.cells.len();
     let ShiftScratch {
         pos,
         statics,
         movers,
+        touched,
         row_cells,
+        clean,
+        settled,
+        built,
         traverse,
         static_edges,
         ..
     } = scratch;
 
-    // phase membership bitmaps (the scratch twin of the reference's BTreeSets)
-    statics.clear();
-    statics.resize(n, false);
-    movers.clear();
-    movers.resize(n, false);
-    let (mover_chain, static_chain) = match phase {
-        Phase::Left => (&problem.point.left_chain, &problem.point.right_chain),
-        Phase::Right => (&problem.point.right_chain, &problem.point.left_chain),
-    };
-    for &i in static_chain.iter().flatten() {
-        statics[i] = true;
-    }
-    for &i in mover_chain.iter().flatten() {
-        movers[i] = true;
-    }
-
-    pos.clear();
-    pos.extend(region.cells.iter().map(|c| c.x));
-
     let target_rows = problem.target_rows();
-    let nsegs = region.segments.len();
-
-    // Hoisted out of the pass loop: traversal membership and static obstacle positions never
-    // change within a phase, so they are computed once per problem (the reference rebuilds
-    // and re-sorts them every pass). Walking the presorted row in phase direction (descending
-    // x for Left, ascending for Right) emits both lists already in traversal order. Equal-x
-    // static edges may come out in another order than the reference's stable sort, but both
-    // folds below consume equal-x edges in the same step, so the bounds are identical.
-    traverse.reset(nsegs);
-    static_edges.reset(nsegs);
     for (s, seg) in region.segments.iter().enumerate() {
-        let is_target_row = target_rows.contains(&seg.row);
-        let t = traverse.get_mut(s);
-        let e = static_edges.get_mut(s);
-        let mut classify = |i: usize| {
-            if statics[i] {
-                if !is_target_row {
-                    let c = &region.cells[i];
-                    e.push((c.x, c.width));
-                }
-            } else if !is_target_row || movers[i] {
-                t.push(i);
-            }
-        };
-        match phase {
-            Phase::Left => row_cells.get(s).iter().rev().for_each(|&i| classify(i)),
-            Phase::Right => row_cells.get(s).iter().for_each(|&i| classify(i)),
-        }
+        settled[s] = clean[s] && !target_rows.contains(&seg.row);
+        built[s] = false;
     }
 
     let mut passes = 0u32;
-    let mut visits = 0u64;
     loop {
         passes += 1;
         let mut finish = true;
         for (s, seg) in region.segments.iter().enumerate() {
+            if settled[s] {
+                continue;
+            }
+            settled[s] = true;
             let is_target_row = target_rows.contains(&seg.row);
             let t = traverse.get_mut(s);
-            let edges = static_edges.get(s);
+            let edges = static_edges.get_mut(s);
+            if !built[s] {
+                // Traversal membership and static obstacle positions never change within a
+                // phase, so they are built once per problem (the reference rebuilds and
+                // re-sorts them every pass). Walking the presorted row in phase direction
+                // (descending x for Left, ascending for Right) emits both lists already in
+                // traversal order. Equal-x static edges may come out in another order than
+                // the reference's stable sort, but both folds below consume equal-x edges in
+                // the same step, so the bounds are identical.
+                built[s] = true;
+                t.clear();
+                edges.clear();
+                let mut classify = |i: usize| {
+                    if statics[i] {
+                        if !is_target_row {
+                            let c = &region.cells[i];
+                            edges.push((c.x, c.width));
+                        }
+                    } else if !is_target_row || movers[i] {
+                        t.push(i);
+                    }
+                };
+                match phase {
+                    Phase::Left => row_cells.get(s).iter().rev().for_each(|&i| classify(i)),
+                    Phase::Right => row_cells.get(s).iter().for_each(|&i| classify(i)),
+                }
+            }
+            let edges: &[(i64, i64)] = edges;
             let mut cursor = 0usize;
-            // The per-pass re-sort lets a multi-row cell moved in another row overtake a
-            // neighbour here (see `a_multi_row_cell_overtakes_its_neighbour_on_the_second_pass`);
-            // on the presorted first pass it is one comparison per element.
+            // The per-traversal re-sort lets a multi-row cell moved in another row overtake
+            // a neighbour here (see `a_multi_row_cell_overtakes_its_neighbour_on_the_second_pass`);
+            // on a presorted list it is one comparison per element.
             match phase {
                 Phase::Left => {
                     t.sort_by_key(|&i| std::cmp::Reverse((pos[i], i)));
@@ -370,7 +597,6 @@ pub(crate) fn resolve_phase_with(
                         seg.span.hi
                     };
                     for &i in t.iter() {
-                        visits += 1;
                         while cursor < edges.len() {
                             let (sx, _) = edges[cursor];
                             if sx >= pos[i] {
@@ -386,7 +612,7 @@ pub(crate) fn resolve_phase_with(
                             if new_x < seg.span.lo {
                                 return Err(Infeasible);
                             }
-                            pos[i] = new_x;
+                            move_cell(region, pos, touched, settled, i, new_x);
                             finish = false;
                         }
                         bound = bound.min(pos[i]);
@@ -400,7 +626,6 @@ pub(crate) fn resolve_phase_with(
                         seg.span.lo
                     };
                     for &i in t.iter() {
-                        visits += 1;
                         while cursor < edges.len() {
                             let (sx, sw) = edges[cursor];
                             if sx <= pos[i] {
@@ -415,7 +640,7 @@ pub(crate) fn resolve_phase_with(
                             if bound + w > seg.span.hi {
                                 return Err(Infeasible);
                             }
-                            pos[i] = bound;
+                            move_cell(region, pos, touched, settled, i, bound);
                             finish = false;
                         }
                         bound = bound.max(pos[i] + w);
@@ -430,7 +655,7 @@ pub(crate) fn resolve_phase_with(
             return Err(Infeasible);
         }
     }
-    Ok((passes, visits))
+    Ok(passes)
 }
 
 /// Shifting failed: a cell would have to be pushed outside its localSegment.
@@ -582,6 +807,57 @@ pub fn shift_original(
     let left = shift_phase_original(problem, Phase::Left)?;
     let right = shift_phase_original(problem, Phase::Right)?;
     Ok((left, right))
+}
+
+/// Assert that [`shift_phase_with`] gives the dense oracles' answer for `problem`'s `phase`
+/// under both algorithms on `scratch`: the oracle's moved cells in its order (every other
+/// cell it lists sits at its region x), passes, subcell visits, SACS stats and `Err`, and
+/// that each run leaves the undo state clear.
+#[cfg(test)]
+pub(crate) fn assert_scratch_matches_oracles(
+    problem: &ShiftProblem<'_>,
+    phase: Phase,
+    scratch: &mut ShiftScratch,
+    label: &str,
+) {
+    let region = problem.region;
+    let dense = |o: ShiftOutcome, sacs: SacsStats| PhaseMoves {
+        moved: o
+            .positions
+            .into_iter()
+            .filter(|&(i, x)| x != region.cells[i].x)
+            .collect(),
+        passes: o.passes,
+        subcell_visits: o.subcell_visits,
+        sacs,
+    };
+    let oracles = [
+        (
+            ShiftAlgorithm::Original,
+            shift_phase_original(problem, phase).map(|o| dense(o, SacsStats::default())),
+        ),
+        (
+            ShiftAlgorithm::Sacs,
+            crate::sacs::shift_phase_sacs_with_stats(problem, phase).map(|(o, s)| dense(o, s)),
+        ),
+    ];
+    let mut out = PhaseMoves::default();
+    for (algorithm, want) in oracles {
+        let got =
+            shift_phase_with(problem, phase, algorithm, scratch, &mut out).map(|()| out.clone());
+        assert_eq!(got, want, "{label}: {phase:?} phase under {algorithm:?}");
+        let clear = scratch.touched.is_empty()
+            && !scratch.statics.iter().chain(&scratch.movers).any(|&b| b)
+            && scratch
+                .pos
+                .iter()
+                .zip(&region.cells)
+                .all(|(&x, c)| x == c.x);
+        assert!(
+            clear,
+            "{label}: {phase:?} phase under {algorithm:?} left undo state behind"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -805,16 +1081,12 @@ mod tests {
         assert_eq!(shift_phase_original(&problem, Phase::Left), Err(Infeasible));
     }
 
-    /// E (rows 1–2) is pushed left of C in row 1 by the target in row 2. The per-pass re-sort
-    /// lets E overtake C on the second pass; an order-preserving single pass over the
-    /// presorted cells (the paper's Algorithm 4) would keep C left of E, push C to
-    /// `0 − 2 = −2` and reject the point. So replacing the per-pass re-sort with the
-    /// presorted order changes feasibility, and a single-pass software SACS cannot be
-    /// bit-identical to this fixpoint.
-    #[test]
-    fn a_multi_row_cell_overtakes_its_neighbour_on_the_second_pass() {
-        const C: usize = 0;
-        const E: usize = 1;
+    const C: usize = 0;
+    const E: usize = 1;
+
+    /// C (row 1) and the two-row E (rows 1–2) on three rows; see
+    /// `a_multi_row_cell_overtakes_its_neighbour_on_the_second_pass`.
+    fn overtake_region() -> LocalRegion {
         let cell = |id, x, y, width, height| LocalCell {
             id: CellId(id),
             x,
@@ -823,7 +1095,7 @@ mod tests {
             height,
             gx: x as f64,
         };
-        let region = LocalRegion {
+        LocalRegion {
             target: CellId(99),
             window: Rect::new(0, 0, 40, 3),
             segments: (0..3)
@@ -834,11 +1106,27 @@ mod tests {
                 .collect(),
             cells: vec![cell(0, 8, 1, 2, 1), cell(1, 10, 1, 4, 2)],
             density: 0.1,
-        };
-        let point = enumerate_insertion_points(&region, 6, 1, None, 4.0, 64)
+        }
+    }
+
+    /// The point of `overtake_region` right of E on row 2.
+    fn overtake_point(region: &LocalRegion) -> InsertionPoint {
+        enumerate_insertion_points(region, 6, 1, None, 4.0, 64)
             .into_iter()
             .find(|p| p.bottom_row == 2 && p.x_lo == 4 && p.left_chain == vec![vec![E]])
-            .expect("the point right of E on row 2");
+            .expect("the point right of E on row 2")
+    }
+
+    /// E (rows 1–2) is pushed left of C in row 1 by the target in row 2. The per-pass re-sort
+    /// lets E overtake C on the second pass; an order-preserving single pass over the
+    /// presorted cells (the paper's Algorithm 4) would keep C left of E, push C to
+    /// `0 − 2 = −2` and reject the point. So replacing the per-pass re-sort with the
+    /// presorted order changes feasibility, and a single-pass software SACS cannot be
+    /// bit-identical to this fixpoint.
+    #[test]
+    fn a_multi_row_cell_overtakes_its_neighbour_on_the_second_pass() {
+        let region = overtake_region();
+        let point = overtake_point(&region);
         let problem = ShiftProblem {
             region: &region,
             point: &point,
@@ -848,16 +1136,90 @@ mod tests {
         };
 
         let reference = shift_phase_original(&problem, Phase::Left).expect("feasible");
+        let map = reference.as_map();
+        assert_eq!(map[&E], 0, "E is pushed to the segment start");
+        assert_eq!(map[&C], 8, "C stays put: E passed it");
+        assert_eq!(reference.passes, 2);
+
         let mut scratch = ShiftScratch::default();
         scratch.begin_region(&region);
-        let mut out = ShiftOutcome::default();
-        shift_phase_original_with(&problem, Phase::Left, &mut scratch, &mut out).expect("feasible");
-        for got in [&reference, &out] {
-            let map = got.as_map();
-            assert_eq!(map[&E], 0, "E is pushed to the segment start");
-            assert_eq!(map[&C], 8, "C stays put: E passed it");
-            assert_eq!(got.passes, 2);
+        let mut out = PhaseMoves::default();
+        shift_phase_with(
+            &problem,
+            Phase::Left,
+            ShiftAlgorithm::Original,
+            &mut scratch,
+            &mut out,
+        )
+        .expect("feasible");
+        assert_eq!(
+            out.moved,
+            vec![(E, 0)],
+            "only E moves; C stays at its region x"
+        );
+        assert_eq!(out.passes, 2);
+        assert_scratch_matches_oracles(&problem, Phase::Left, &mut scratch, "overtake");
+    }
+
+    /// One scratch keeps giving the oracles' answers after a phase that returned `Err`
+    /// mid-pass (having moved cells), after a phase of the other direction, and after
+    /// `begin_region` switched to a region with fewer cells and back.
+    #[test]
+    fn scratch_undo_state_survives_err_exits_and_region_switches() {
+        let fig6 = fig6_region();
+        let pts = enumerate_insertion_points(&fig6, 6, 1, None, 15.0, 64);
+        let point = pts
+            .iter()
+            .find(|p| p.bottom_row == 0 && p.left_chain[0].len() == 2)
+            .expect("point with two left-chain cells");
+        // a is pushed to 3 in row 0 before b runs out of row 1 (see
+        // `cascade_feasibility_is_detected_during_shifting`)
+        let tight = ShiftProblem {
+            region: &fig6,
+            point,
+            target_width: 6,
+            target_height: 1,
+            target_x: point.x_lo,
+        };
+        let relaxed = ShiftProblem {
+            target_x: 12,
+            ..tight
+        };
+        let right = ShiftProblem {
+            target_x: point.x_hi,
+            ..tight
+        };
+        let overtake = overtake_region();
+        let overtake_pt = overtake_point(&overtake);
+        let overtake_problem = ShiftProblem {
+            region: &overtake,
+            point: &overtake_pt,
+            target_width: 6,
+            target_height: 1,
+            target_x: overtake_pt.x_lo,
+        };
+        assert!(overtake.cells.len() < fig6.cells.len());
+
+        let mut scratch = ShiftScratch::default();
+        let mut out = PhaseMoves::default();
+        scratch.begin_region(&fig6);
+        for algorithm in [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs] {
+            let got = shift_phase_with(&tight, Phase::Left, algorithm, &mut scratch, &mut out);
+            assert_eq!(got, Err(Infeasible));
+            assert_scratch_matches_oracles(&relaxed, Phase::Left, &mut scratch, "after Err");
         }
+        assert_scratch_matches_oracles(&tight, Phase::Left, &mut scratch, "Err again");
+        assert_scratch_matches_oracles(&right, Phase::Right, &mut scratch, "after Err, right");
+        assert_scratch_matches_oracles(&relaxed, Phase::Left, &mut scratch, "after right");
+        assert_scratch_matches_oracles(&tight, Phase::Right, &mut scratch, "tight, right");
+
+        scratch.begin_region(&overtake);
+        assert_scratch_matches_oracles(&overtake_problem, Phase::Left, &mut scratch, "smaller");
+        assert_scratch_matches_oracles(&overtake_problem, Phase::Right, &mut scratch, "smaller");
+        scratch.begin_region(&fig6);
+        assert_scratch_matches_oracles(&tight, Phase::Left, &mut scratch, "back, Err");
+        assert_scratch_matches_oracles(&relaxed, Phase::Left, &mut scratch, "back");
+        assert_scratch_matches_oracles(&right, Phase::Right, &mut scratch, "back, right");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! * [`FopOpStats`] — wall-clock time spent in each FOP operator (cell shifting, the SACS
 //!   pre-sort, breakpoint sorting, and the breakpoint chain's forward traversal and value
-//!   scan). This is what Fig. 2(g) ("cell shifting dominates over 60% of FOP runtime") and
-//!   Fig. 6(g) ("pre-sorting is ≈10% of FOP runtime") report.
+//!   scan), plus insertion-point enumeration and curve building, which the paper's figures
+//!   count in FOP's remainder. This is what Fig. 2(g) ("cell shifting dominates over 60% of
+//!   FOP runtime") and Fig. 6(g) ("pre-sorting is ≈10% of FOP runtime") report.
 //! * [`RegionWork`] / [`WorkTrace`] — hardware-independent work counts per legalized target
 //!   (insertion points evaluated, breakpoints produced, subcell visits, multi-row bound queries,
 //!   …). The FLEX accelerator model in `flex-core` replays this trace through its pipeline and
@@ -28,7 +29,11 @@ pub struct FopOpStats {
     pub fwd_traverse_ns: u64,
     /// bwdtraverse: the value scan that picks the minimum.
     pub bwd_traverse_ns: u64,
-    /// Everything else inside FOP (curve construction, feasibility checks).
+    /// Insertion-point enumeration.
+    pub enumerate_ns: u64,
+    /// Building the displacement curves of the target and the shifted cells.
+    pub curves_ns: u64,
+    /// Everything else inside FOP (the per-region setup, bookkeeping).
     pub other_ns: u64,
 }
 
@@ -40,6 +45,8 @@ impl FopOpStats {
             + self.sort_bp_ns
             + self.fwd_traverse_ns
             + self.bwd_traverse_ns
+            + self.enumerate_ns
+            + self.curves_ns
             + self.other_ns
     }
 
@@ -70,6 +77,8 @@ impl FopOpStats {
         self.sort_bp_ns += other.sort_bp_ns;
         self.fwd_traverse_ns += other.fwd_traverse_ns;
         self.bwd_traverse_ns += other.bwd_traverse_ns;
+        self.enumerate_ns += other.enumerate_ns;
+        self.curves_ns += other.curves_ns;
         self.other_ns += other.other_ns;
     }
 
@@ -83,6 +92,8 @@ impl FopOpStats {
             ("mgl_fop_sort_bp_ns", self.sort_bp_ns),
             ("mgl_fop_fwd_traverse_ns", self.fwd_traverse_ns),
             ("mgl_fop_bwd_traverse_ns", self.bwd_traverse_ns),
+            ("mgl_fop_enumerate_ns", self.enumerate_ns),
+            ("mgl_fop_curves_ns", self.curves_ns),
             ("mgl_fop_other_ns", self.other_ns),
             ("mgl_fop_total_ns", self.total_ns()),
         ] {
@@ -99,6 +110,8 @@ impl FopOpStats {
             FopOperator::SortBp => self.sort_bp_ns += ns,
             FopOperator::FwdTraverse => self.fwd_traverse_ns += ns,
             FopOperator::BwdTraverse => self.bwd_traverse_ns += ns,
+            FopOperator::Enumerate => self.enumerate_ns += ns,
+            FopOperator::Curves => self.curves_ns += ns,
             FopOperator::Other => self.other_ns += ns,
         }
     }
@@ -117,7 +130,11 @@ pub enum FopOperator {
     FwdTraverse,
     /// bwdtraverse (the value scan).
     BwdTraverse,
-    /// Anything else (curve construction, bookkeeping).
+    /// Insertion-point enumeration.
+    Enumerate,
+    /// Displacement-curve construction.
+    Curves,
+    /// Anything else (the per-region setup, bookkeeping).
     Other,
 }
 
@@ -263,16 +280,36 @@ mod tests {
         let mut a = FopOpStats::default();
         a.add(FopOperator::Presort, Duration::from_nanos(10));
         a.add(FopOperator::FwdTraverse, Duration::from_nanos(20));
+        a.add(FopOperator::Enumerate, Duration::from_nanos(100));
         let mut b = FopOpStats::default();
         b.add(FopOperator::Presort, Duration::from_nanos(5));
         b.add(FopOperator::BwdTraverse, Duration::from_nanos(7));
         b.add(FopOperator::Other, Duration::from_nanos(3));
+        b.add(FopOperator::Enumerate, Duration::from_nanos(200));
+        b.add(FopOperator::Curves, Duration::from_nanos(400));
         a.merge(&b);
         assert_eq!(a.presort_ns, 15);
         assert_eq!(a.fwd_traverse_ns, 20);
         assert_eq!(a.bwd_traverse_ns, 7);
+        assert_eq!(a.enumerate_ns, 300);
+        assert_eq!(a.curves_ns, 400);
         assert_eq!(a.other_ns, 3);
-        assert_eq!(a.total_ns(), 45);
+        assert_eq!(a.total_ns(), 745);
+    }
+
+    #[test]
+    fn publish_mirrors_every_operator_and_the_total() {
+        let mut s = FopOpStats::default();
+        s.add(FopOperator::Enumerate, Duration::from_nanos(11));
+        s.add(FopOperator::Curves, Duration::from_nanos(13));
+        s.add(FopOperator::Other, Duration::from_nanos(17));
+        let registry = flex_obs::Registry::new();
+        s.publish_to(&registry);
+        let counters = registry.snapshot().counters;
+        assert_eq!(counters["mgl_fop_enumerate_ns"], 11);
+        assert_eq!(counters["mgl_fop_curves_ns"], 13);
+        assert_eq!(counters["mgl_fop_other_ns"], 17);
+        assert_eq!(counters["mgl_fop_total_ns"], 41);
     }
 
     #[test]
