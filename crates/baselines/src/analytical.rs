@@ -72,14 +72,6 @@ impl Default for AnalyticalLegalizer {
 }
 
 impl AnalyticalLegalizer {
-    /// Create a legalizer with a given number of relaxation sweeps.
-    pub fn new(iterations: usize) -> Self {
-        Self {
-            iterations: iterations.max(1),
-            ..Self::default()
-        }
-    }
-
     /// Legalize the design in place.
     pub fn legalize(&self, design: &mut Design) -> AnalyticalResult {
         let start = Instant::now();
@@ -387,7 +379,11 @@ mod tests {
     #[test]
     fn more_iterations_do_not_break_legality() {
         let mut d = generate(&BenchmarkSpec::tiny("ana-it", 32));
-        let res = AnalyticalLegalizer::new(6).legalize(&mut d);
+        let legalizer = AnalyticalLegalizer {
+            iterations: 6,
+            ..AnalyticalLegalizer::default()
+        };
+        let res = legalizer.legalize(&mut d);
         assert!(res.legal);
         assert_eq!(res.iterations, 6);
     }

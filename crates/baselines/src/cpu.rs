@@ -87,12 +87,6 @@ impl CpuLegalizer {
         }
     }
 
-    /// Override the MGL configuration.
-    pub fn with_config(mut self, config: MglConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Legalize the design in place.
     pub fn legalize(&self, design: &mut Design) -> CpuLegalizerResult {
         let start = Instant::now();

@@ -23,13 +23,6 @@
 //! overridable via `FLEX_BENCH_FOP_OUT`), so the kernel's perf trajectory is tracked in
 //! the repository.
 //!
-//! With `--parallel-json` it measures the parallel MGL engine across
-//! threads × ordering on the acceptance-scale case (50k cells by default,
-//! `FLEX_BENCH_PARALLEL_CELLS` to override) — wall-clock, `speculative_fraction` and the
-//! invalidation counters — and writes `BENCH_parallel.json` (path overridable via
-//! `FLEX_BENCH_PARALLEL_OUT`), so the parallel path's perf trajectory is tracked like the
-//! FOP kernel's.
-//!
 //! With `--metrics-json` it measures the observability layer itself: enabled-vs-disabled
 //! span overhead as the median of alternating paired ratios of a parallel run (gated at
 //! `FLEX_BENCH_OBS_MAX_OVERHEAD`%, default 3), byte-identical placements, and a Chrome
@@ -420,123 +413,6 @@ fn fop_json() {
             r.speedup()
         );
     }
-    println!("  wrote {path}");
-}
-
-/// One measured parallel-engine configuration.
-struct ParallelBenchRow {
-    threads: usize,
-    seconds: f64,
-    speculative_fraction: f64,
-    cross_batch_invalidated: usize,
-    dirty_recomputes: usize,
-}
-
-/// `--parallel-json`: measure the parallel MGL engine (threads × ordering) against the
-/// serial legalizer on the acceptance-scale case and write `BENCH_parallel.json`.
-fn parallel_json() {
-    use flex_mgl::parallel::ParallelMglLegalizer;
-    use flex_mgl::OrderingStrategy;
-    use flex_placement::benchmark::BenchmarkSpec;
-
-    let cells: usize = std::env::var("FLEX_BENCH_PARALLEL_CELLS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50_000);
-    let spec = BenchmarkSpec {
-        num_cells: cells,
-        ..BenchmarkSpec::medium("par-scaling", 42)
-    }
-    .with_density(0.45);
-    // an explicit FLEX_BENCH_THREADS is honored; the default is the acceptance gate's 4
-    // threads rather than the bench sweep's 8, to bound the recording's runtime
-    let max_threads = std::env::var("FLEX_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(4, |n| n.max(1));
-    let mut threads = Vec::new();
-    let mut t = 1usize;
-    while t <= max_threads {
-        threads.push(t);
-        t *= 2;
-    }
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    println!("--- parallel MGL: threads × ordering ({cells} cells) ---");
-    let mut cases = String::new();
-    let orderings = [
-        ("size-desc", OrderingStrategy::SizeDescending),
-        ("sliding-window", OrderingStrategy::SlidingWindowDensity),
-    ];
-    for (oi, (label, ordering)) in orderings.iter().enumerate() {
-        let cfg = MglConfig {
-            ordering: *ordering,
-            ..MglConfig::default()
-        };
-        let mut d = generate(&spec);
-        let start = std::time::Instant::now();
-        let serial = MglLegalizer::new(cfg.clone()).legalize(&mut d);
-        let serial_s = start.elapsed().as_secs_f64();
-        assert!(serial.legal, "{label}: serial run must be legal");
-        println!("  {label:<15} serial                  {serial_s:>8.2} s");
-
-        let mut rows = Vec::new();
-        for &n in &threads {
-            let engine = ParallelMglLegalizer::new(n, cfg.clone());
-            let mut d = generate(&spec);
-            let start = std::time::Instant::now();
-            let out = engine.legalize(&mut d);
-            let seconds = start.elapsed().as_secs_f64();
-            assert!(out.result.legal, "{label}: parallel run must be legal");
-            assert_eq!(
-                out.result.average_displacement.to_bits(),
-                serial.average_displacement.to_bits(),
-                "{label}: parallel quality must be byte-identical to serial"
-            );
-            println!(
-                "  {label:<15} {n}T {seconds:>8.2} s   speedup {:>5.2}x   spec {:>5.1}%   xbatch-inv {}",
-                serial_s / seconds,
-                out.shards.speculative_fraction() * 100.0,
-                out.shards.cross_batch_invalidated,
-            );
-            rows.push(ParallelBenchRow {
-                threads: n,
-                seconds,
-                speculative_fraction: out.shards.speculative_fraction(),
-                cross_batch_invalidated: out.shards.cross_batch_invalidated,
-                dirty_recomputes: out.shards.dirty_recomputes,
-            });
-        }
-
-        cases.push_str(&format!(
-            "    {{\"ordering\": \"{label}\", \"serial_s\": {serial_s:.4}, \"runs\": [\n"
-        ));
-        for (i, r) in rows.iter().enumerate() {
-            cases.push_str(&format!(
-                "      {{\"threads\": {}, \"seconds\": {:.4}, \"speedup_vs_serial\": {:.3}, \"speculative_fraction\": {:.4}, \"cross_batch_invalidated\": {}, \"dirty_recomputes\": {}}}{}\n",
-                r.threads,
-                r.seconds,
-                serial_s / r.seconds,
-                r.speculative_fraction,
-                r.cross_batch_invalidated,
-                r.dirty_recomputes,
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        cases.push_str(&format!(
-            "    ]}}{}\n",
-            if oi + 1 < orderings.len() { "," } else { "" }
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"parallel_scaling\",\n  \"unit\": \"seconds per legalization\",\n  \"cells\": {cells},\n  \"host_cores\": {host_cores},\n  \"cases\": [\n{cases}  ]\n}}\n"
-    );
-    let path = std::env::var("FLEX_BENCH_PARALLEL_OUT")
-        .unwrap_or_else(|_| "BENCH_parallel.json".to_string());
-    std::fs::write(&path, &json).expect("write BENCH_parallel.json");
     println!("  wrote {path}");
 }
 
@@ -1036,26 +912,23 @@ fn recovery_json() {
 
 fn main() {
     flex_obs::init_from_env();
-    if std::env::args().any(|a| a == "--fop-json") {
-        fop_json();
-        return;
+    match std::env::args().nth(1).as_deref() {
+        Some("--fop-json") => fop_json(),
+        Some("--recovery-json") => recovery_json(),
+        Some("--eco-json") => eco_json(),
+        Some("--metrics-json") => obs_json(),
+        Some(other) => {
+            eprintln!(
+                "report_figures: unknown argument {other}; modes are --fop-json, \
+                 --recovery-json, --eco-json and --metrics-json, or none for the figures"
+            );
+            std::process::exit(2);
+        }
+        None => figures(),
     }
-    if std::env::args().any(|a| a == "--recovery-json") {
-        recovery_json();
-        return;
-    }
-    if std::env::args().any(|a| a == "--parallel-json") {
-        parallel_json();
-        return;
-    }
-    if std::env::args().any(|a| a == "--eco-json") {
-        eco_json();
-        return;
-    }
-    if std::env::args().any(|a| a == "--metrics-json") {
-        obs_json();
-        return;
-    }
+}
+
+fn figures() {
     println!(
         "=== Figure reproductions (scale factor {}) ===\n",
         flex_bench::scale_from_env()

@@ -205,11 +205,6 @@ impl EcoServer {
 }
 
 impl ServerHandle {
-    /// The socket path the server is listening on.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Block until the server has fully stopped (a client sent `shutdown`) and take the
     /// resident engine back. The socket file and any private journal are removed before
     /// this returns. If the supervisor thread panicked, the panic is re-raised here (a

@@ -1,6 +1,6 @@
 //! Deterministic, structure-aware fuzz harness for every parser on the service's trust
 //! boundary: the JSON decoder, the request decoder, the length-prefixed framing, and the
-//! design text format.
+//! binary design snapshot that crash recovery reads.
 //!
 //! Philosophy: std-only and **seeded** — a fixed xorshift64* stream drives both the
 //! structure-aware generators (valid documents/frames/requests, so the deep paths get
@@ -17,9 +17,11 @@
 use flex_eco::json::Json;
 use flex_eco::proto::{decode_request, encode_request, read_frame, write_frame, Request};
 use flex_eco::EcoDelta;
-use flex_placement::cell::CellId;
-use flex_placement::io::{from_text, to_text};
+use flex_placement::cell::{Cell, CellId};
+use flex_placement::geom::Rect;
 use flex_placement::layout::Design;
+use flex_placement::row::Rail;
+use flex_placement::snapshot::{crc32, read_design, write_design, SnapshotError};
 use std::io::Cursor;
 
 /// Iterations per fuzz target (override with `FLEX_FUZZ_ITERS` for longer runs).
@@ -147,31 +149,40 @@ fn gen_request(rng: &mut Rng) -> Request {
     }
 }
 
-/// A tiny valid design in the text interchange format.
-fn gen_design_text(rng: &mut Rng) -> String {
-    let mut design = Design::new("fuzz", 20 + rng.below(60) as i64, 4 + rng.below(12) as i64);
-    for _ in 0..rng.below(20) {
-        let (width, height) = (1 + rng.below(5) as i64, 1 + rng.below(2) as i64);
-        let cell = if rng.below(8) == 0 {
-            flex_placement::cell::Cell::fixed(
-                CellId(0),
-                width,
-                height,
-                rng.below(design.num_sites_x as u64) as i64,
-                rng.below(design.num_rows as u64) as i64,
-            )
+/// A small design holding every field kind a snapshot stores: blockages, fixed cells,
+/// cells up to four rows tall (even heights carry a row parity), legalized flags, desired
+/// coordinates no placement would produce, and a tombstone.
+fn gen_design(rng: &mut Rng) -> Design {
+    let (sites, rows) = (20 + rng.below(60) as i64, 4 + rng.below(12) as i64);
+    let mut design = Design::new(format!("fuzz-{}", rng.below(1000)), sites, rows);
+    design.site_width = 0.05 + rng.f64();
+    design.row_height = 0.5 + 4.0 * rng.f64();
+    if rng.below(2) == 0 {
+        design.base_rail = Rail::Vss;
+    }
+    for _ in 0..rng.below(4) {
+        let (x, y) = (
+            rng.below(sites as u64) as i64,
+            rng.below(rows as u64) as i64,
+        );
+        let (w, h) = (1 + rng.below(8) as i64, 1 + rng.below(3) as i64);
+        design.add_blockage(Rect::new(x, y, x + w, y + h));
+    }
+    for _ in 0..1 + rng.below(20) {
+        let (width, height) = (1 + rng.below(5) as i64, 1 + rng.below(4) as i64);
+        let (gx, gy) = (rng.f64() * sites as f64, rng.f64() * rows as f64);
+        let mut cell = if rng.below(6) == 0 {
+            Cell::fixed(CellId(0), width, height, gx as i64, gy as i64)
         } else {
-            flex_placement::cell::Cell::movable(
-                CellId(0),
-                width,
-                height,
-                rng.f64() * design.num_sites_x as f64,
-                rng.f64() * design.num_rows as f64,
-            )
+            Cell::movable(CellId(0), width, height, gx, gy)
         };
+        cell.legalized |= rng.below(3) == 0;
         design.add_cell(cell);
     }
-    to_text(&design)
+    design.add_cell(Cell::movable(CellId(0), 2, 2, f64::NAN, -1e300));
+    let removed = CellId(rng.below(design.cells.len() as u64) as u32);
+    design.tombstone_cell(removed);
+    design
 }
 
 // --- byte mutators ----------------------------------------------------------------------
@@ -284,23 +295,65 @@ fn frame_reader_survives_arbitrary_and_mutated_byte_streams() {
     }
 }
 
+/// Every field of `back` equals `want`'s, floats compared by their bits.
+fn assert_same_design(back: &Design, want: &Design, ctx: &str) {
+    let die = |d: &Design| {
+        let sizes = (d.site_width.to_bits(), d.row_height.to_bits());
+        let bounds = (d.num_sites_x, d.num_rows, d.base_rail);
+        (d.name.clone(), bounds, sizes, d.blockages.clone())
+    };
+    let cell = |c: &Cell| {
+        let desired = (c.gx.to_bits(), c.gy.to_bits());
+        let flags = (c.fixed, c.legalized, c.row_parity);
+        (c.id, c.width, c.height, c.x, c.y, flags, desired)
+    };
+    assert_eq!(die(back), die(want), "{ctx}: name, die or blockages");
+    assert_eq!(back.cells.len(), want.cells.len(), "{ctx}: cell count");
+    for (a, b) in back.cells.iter().zip(&want.cells) {
+        assert_eq!(cell(a), cell(b), "{ctx}: cell {}", b.id);
+    }
+}
+
+/// Bytes before a snapshot's body: magic (8), version (4), body length (8), body CRC (4).
+const SNAPSHOT_HEADER: usize = 24;
+
 #[test]
-fn design_text_parser_survives_byte_mutations_and_roundtrips_valid_text() {
+fn snapshot_roundtrips_seeded_designs_bit_exactly() {
     let seed = 0xF00D_0004u64;
     let mut rng = Rng::new(seed);
     for i in 0..iters() / 4 {
-        let text = gen_design_text(&mut rng);
-        // valid text round-trips exactly (parse → serialize is a fixed point)
-        let design = from_text(&text)
-            .unwrap_or_else(|e| panic!("seed {seed:#x} iter {i}: valid design rejected: {e}"));
+        let design = gen_design(&mut rng);
+        let mut bytes = Vec::new();
+        write_design(&mut bytes, &design).unwrap();
+        let back = read_design(&mut Cursor::new(&bytes))
+            .unwrap_or_else(|e| panic!("seed {seed:#x} iter {i}: valid snapshot rejected: {e}"));
+        assert_same_design(&back, &design, &format!("seed {seed:#x} iter {i}"));
+        let mut again = Vec::new();
+        write_design(&mut again, &back).unwrap();
         assert_eq!(
-            to_text(&design),
-            text,
-            "seed {seed:#x} iter {i}: design round-trip diverged"
+            again, bytes,
+            "seed {seed:#x} iter {i}: re-encoding diverged"
         );
-        // mutated text yields Ok or a typed ParseError, never a panic
-        let mut bytes = text.into_bytes();
-        mutate(&mut bytes, &mut rng, 8);
-        let _ = from_text(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+#[test]
+fn snapshot_decoder_survives_body_mutations() {
+    let seed = 0xF00D_0005u64;
+    let mut rng = Rng::new(seed);
+    for i in 0..iters() / 4 {
+        let mut bytes = Vec::new();
+        write_design(&mut bytes, &gen_design(&mut rng)).unwrap();
+        let mut body = bytes.split_off(SNAPSHOT_HEADER);
+        mutate(&mut body, &mut rng, 8);
+        // re-seal the header around the mutated body, so the mutation passes the length and
+        // CRC checks and reaches the field decoder
+        bytes[12..20].copy_from_slice(&(body.len() as u64).to_le_bytes());
+        bytes[20..24].copy_from_slice(&crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        match read_design(&mut Cursor::new(&bytes)) {
+            Ok(_) | Err(SnapshotError::Corrupt(_)) => {}
+            Err(e) => panic!("seed {seed:#x} iter {i}: in-memory snapshot read failed: {e}"),
+        }
     }
 }

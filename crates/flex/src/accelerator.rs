@@ -55,11 +55,6 @@ impl FlexAccelerator {
         Self { config }
     }
 
-    /// The accelerator configuration.
-    pub fn config(&self) -> &FlexConfig {
-        &self.config
-    }
-
     /// Legalize the design in place and estimate the accelerated runtime.
     ///
     /// With `host_threads > 1` the CPU-side steps (a)–(c) run on the parallel engine; the placement (and therefore the quality numbers and the work trace) is

@@ -160,12 +160,6 @@ impl FlexConfig {
         self
     }
 
-    /// Set the SACS architecture options (builder style).
-    pub fn with_sacs_arch(mut self, sacs: SacsArchConfig) -> Self {
-        self.sacs = sacs;
-        self
-    }
-
     /// Set the host-side worker-thread count (builder style). Values above one run the
     /// CPU-side steps (a)–(c) on the parallel engine.
     pub fn with_host_threads(mut self, threads: usize) -> Self {
@@ -232,11 +226,9 @@ mod tests {
     fn builders() {
         let c = FlexConfig::default()
             .with_pes(3)
-            .with_assignment(TaskAssignment::FopAndUpdateOnFpga)
-            .with_sacs_arch(SacsArchConfig::algorithm_only());
+            .with_assignment(TaskAssignment::FopAndUpdateOnFpga);
         assert_eq!(c.num_fop_pes, 3);
         assert_eq!(c.assignment, TaskAssignment::FopAndUpdateOnFpga);
-        assert!(!c.sacs.pipelined);
         assert_eq!(FlexConfig::default().with_pes(0).num_fop_pes, 1);
     }
 }

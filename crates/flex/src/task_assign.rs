@@ -12,30 +12,6 @@ use flex_mgl::stats::RegionWork;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// The five steps of the legalization flow (Fig. 3(e)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FlowStep {
-    /// (a) input & pre-move.
-    InputPreMove,
-    /// (b) process ordering.
-    ProcessOrdering,
-    /// (c) define localRegion.
-    DefineLocalRegion,
-    /// (d) finding the optimal position.
-    Fop,
-    /// (e) insert & update.
-    InsertUpdate,
-}
-
-/// Where a step executes under a given assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Executor {
-    /// Runs on the host CPU.
-    Cpu,
-    /// Runs on the FPGA.
-    Fpga,
-}
-
 /// Fraction of the CPU-side non-FOP time that step (e) — insert & update — accounts for.
 /// Step (e) performs a shifting pass similar to FOP's, so it dominates the non-FOP time.
 pub const INSERT_UPDATE_SHARE: f64 = 0.35;
@@ -47,21 +23,6 @@ pub const INSERT_UPDATE_SHARE: f64 = 0.35;
 pub fn host_overlap_factor(threads: usize) -> f64 {
     let threads = threads.max(1) as f64;
     INSERT_UPDATE_SHARE + (1.0 - INSERT_UPDATE_SHARE) / threads
-}
-
-/// Which device executes `step` under `assignment`.
-pub fn executor(assignment: TaskAssignment, step: FlowStep) -> Executor {
-    match (assignment, step) {
-        (TaskAssignment::AllCpu, _) => Executor::Cpu,
-        (_, FlowStep::InputPreMove | FlowStep::ProcessOrdering | FlowStep::DefineLocalRegion) => {
-            Executor::Cpu
-        }
-        (TaskAssignment::FopOnFpga, FlowStep::Fop) => Executor::Fpga,
-        (TaskAssignment::FopOnFpga, FlowStep::InsertUpdate) => Executor::Cpu,
-        (TaskAssignment::FopAndUpdateOnFpga, FlowStep::Fop | FlowStep::InsertUpdate) => {
-            Executor::Fpga
-        }
-    }
 }
 
 /// Per-region traffic (bytes) between the CPU and the FPGA under a given assignment.
@@ -136,25 +97,6 @@ mod tests {
             next_region_overlaps: overlaps,
             ..RegionWork::default()
         }
-    }
-
-    #[test]
-    fn flex_assignment_matches_the_paper() {
-        use FlowStep::*;
-        for step in [
-            InputPreMove,
-            ProcessOrdering,
-            DefineLocalRegion,
-            InsertUpdate,
-        ] {
-            assert_eq!(executor(TaskAssignment::FopOnFpga, step), Executor::Cpu);
-        }
-        assert_eq!(executor(TaskAssignment::FopOnFpga, Fop), Executor::Fpga);
-        assert_eq!(
-            executor(TaskAssignment::FopAndUpdateOnFpga, InsertUpdate),
-            Executor::Fpga
-        );
-        assert_eq!(executor(TaskAssignment::AllCpu, Fop), Executor::Cpu);
     }
 
     #[test]

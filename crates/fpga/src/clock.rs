@@ -1,8 +1,9 @@
 //! Clock domains and cycle accounting.
 //!
-//! FLEX runs its PEs at 285 MHz; the SACS memory tables (LCT, LCPT, CST, LSC) sit in a second
-//! clock domain at twice that frequency so that multi-row cell accesses complete in fewer PE
-//! cycles (Sec. 4.3.2). This module provides the conversion plumbing.
+//! FLEX runs its PEs at 285 MHz. The SACS memory tables (LCT, LCPT, CST, LSC) sit in a second
+//! clock domain at twice that frequency (Sec. 4.3.2); `flex-core`'s SACS model folds that
+//! domain into its stall divisor, so the only conversion the estimate needs is PE cycles to
+//! time.
 
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
@@ -19,16 +20,6 @@ impl Cycles {
     /// The raw cycle count.
     pub fn count(&self) -> u64 {
         self.0
-    }
-
-    /// Saturating multiplication by a scalar.
-    pub fn times(&self, n: u64) -> Cycles {
-        Cycles(self.0.saturating_mul(n))
-    }
-
-    /// The larger of two cycle counts.
-    pub fn max(self, other: Cycles) -> Cycles {
-        Cycles(self.0.max(other.0))
     }
 }
 
@@ -62,18 +53,6 @@ impl ClockDomain {
     /// The 285 MHz PE clock used in the paper's evaluation.
     pub const FLEX_PE: ClockDomain = ClockDomain { freq_mhz: 285.0 };
 
-    /// Create a domain from a frequency in MHz.
-    pub fn mhz(freq_mhz: f64) -> Self {
-        Self { freq_mhz }
-    }
-
-    /// A domain at `factor ×` this domain's frequency (e.g. the 2× memory domain of SACS).
-    pub fn scaled(&self, factor: f64) -> Self {
-        Self {
-            freq_mhz: self.freq_mhz * factor,
-        }
-    }
-
     /// Period of one cycle in nanoseconds.
     pub fn period_ns(&self) -> f64 {
         1000.0 / self.freq_mhz
@@ -82,26 +61,6 @@ impl ClockDomain {
     /// Convert cycles in this domain to wall-clock time.
     pub fn to_duration(&self, cycles: Cycles) -> Duration {
         Duration::from_secs_f64(cycles.0 as f64 * self.period_ns() * 1e-9)
-    }
-
-    /// Convert a duration to (rounded-up) cycles in this domain.
-    pub fn to_cycles(&self, d: Duration) -> Cycles {
-        // the tiny epsilon keeps exact multiples of the period from rounding up spuriously
-        Cycles(
-            ((d.as_secs_f64() / (self.period_ns() * 1e-9)) - 1e-9)
-                .ceil()
-                .max(0.0) as u64,
-        )
-    }
-
-    /// Convert a cycle count from another (faster or slower) domain into this domain,
-    /// rounding up — e.g. 3 cycles of the 2× memory domain cost 2 PE cycles.
-    pub fn from_domain(&self, cycles: Cycles, other: &ClockDomain) -> Cycles {
-        if cycles.0 == 0 {
-            return Cycles::ZERO;
-        }
-        let ratio = self.freq_mhz / other.freq_mhz;
-        Cycles(((cycles.0 as f64) * ratio).ceil() as u64)
     }
 }
 
@@ -116,7 +75,6 @@ mod tests {
         let mut b = Cycles(3);
         b += Cycles(4);
         assert_eq!(b.count(), 7);
-        assert_eq!(Cycles(3).times(4), Cycles(12));
         assert_eq!(Cycles(3).max(Cycles(9)), Cycles(9));
         let total: Cycles = [Cycles(1), Cycles(2), Cycles(3)].into_iter().sum();
         assert_eq!(total, Cycles(6));
@@ -128,24 +86,5 @@ mod tests {
         assert!((pe.period_ns() - 3.508).abs() < 0.01);
         let d = pe.to_duration(Cycles(285_000_000));
         assert!((d.as_secs_f64() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn duration_roundtrip() {
-        let pe = ClockDomain::mhz(100.0);
-        let cycles = pe.to_cycles(Duration::from_micros(10));
-        assert_eq!(cycles, Cycles(1000));
-        assert_eq!(pe.to_duration(cycles), Duration::from_micros(10));
-    }
-
-    #[test]
-    fn cross_domain_conversion_rounds_up() {
-        let pe = ClockDomain::FLEX_PE;
-        let mem = pe.scaled(2.0);
-        // 3 memory cycles = 1.5 PE cycles → 2 PE cycles
-        assert_eq!(pe.from_domain(Cycles(3), &mem), Cycles(2));
-        assert_eq!(pe.from_domain(Cycles(0), &mem), Cycles(0));
-        // converting into the faster domain doubles the count
-        assert_eq!(mem.from_domain(Cycles(3), &pe), Cycles(6));
     }
 }

@@ -2,11 +2,9 @@
 //!
 //! FLEX is evaluated on an AMD Alveo U50 running at 285 MHz. This crate substitutes that board
 //! with a performance and resource model of the primitives the FLEX architecture is built from
-//! (see DESIGN.md §1 for the substitution rationale):
+//! (README's "Notes" say what the estimates are and are not):
 //!
-//! * [`clock`] — clock domains and cycle/time conversion (the SACS tables run in a domain at
-//!   twice the PE frequency, Sec. 4.3.2).
-//! * [`bram`] — on-chip RAM: dual-port banks, odd-even banking, ping-pong buffers.
+//! * [`clock`] — cycle counts and the PE clock's cycle-to-time conversion.
 //! * [`sorter`] — insertion/merge hardware sorters (the Ahead Sorter of Fig. 4).
 //! * [`pipeline`] — operator pipelines: normal (operator-at-a-time), fine-grained (stream I/O),
 //!   and the coarse+fine *multi-granularity* composition of Sec. 3.2.
@@ -20,14 +18,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bram;
 pub mod clock;
 pub mod link;
 pub mod pipeline;
 pub mod resources;
 pub mod sorter;
 
-pub use bram::{BramBank, OddEvenBram, PingPongBuffer};
 pub use clock::{ClockDomain, Cycles};
 pub use link::LinkModel;
 pub use pipeline::{

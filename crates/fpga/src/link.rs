@@ -4,8 +4,9 @@
 //! the FPGA before its FOP can run, and the chosen placement must come back. FLEX's task
 //! assignment (Sec. 3.1.1) is designed to minimize this traffic — keeping step (e) on the CPU
 //! avoids shipping every updated cell position back — and the ping-pong preload hides the
-//! remaining transfers behind computation (Sec. 5.3). This model provides the transfer-time
-//! arithmetic those analyses need.
+//! remaining transfers behind computation (Sec. 5.3). This model provides the wire sizes and
+//! the transfer-time arithmetic; `flex-core`'s `task_assign::region_traffic` counts the bytes
+//! each region moves.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -42,20 +43,6 @@ impl LinkModel {
         let seconds = self.latency_us * 1e-6 + bytes as f64 / (self.bandwidth_gbps * 1e9);
         Duration::from_secs_f64(seconds)
     }
-
-    /// Time to ship one localRegion (cells + segments) to the card.
-    pub fn region_download(&self, cells: u64, segments: u64) -> Duration {
-        self.transfer(cells * BYTES_PER_CELL + segments * BYTES_PER_SEGMENT)
-    }
-
-    /// Time to return the FOP result for a region.
-    ///
-    /// With FLEX's task assignment only the target's chosen position and the shifted cells'
-    /// positions need to return when step (e) stays on the CPU; offloading step (e) to the FPGA
-    /// (the Fig. 10 ablation) instead requires *all* updated positions to come back.
-    pub fn region_upload(&self, updated_cells: u64) -> Duration {
-        self.transfer(updated_cells * BYTES_PER_RESULT)
-    }
 }
 
 #[cfg(test)]
@@ -85,21 +72,6 @@ mod tests {
         assert_eq!(BYTES_PER_SEGMENT, 12);
         // one result record: id (4 B) + position (4 B)
         assert_eq!(BYTES_PER_RESULT, 8);
-
-        // download/upload helpers must be exactly the linear byte model, no hidden padding
-        let link = LinkModel::default();
-        for (cells, segments) in [(0u64, 0u64), (1, 1), (60, 9), (1000, 17)] {
-            assert_eq!(
-                link.region_download(cells, segments),
-                link.transfer(cells * BYTES_PER_CELL + segments * BYTES_PER_SEGMENT)
-            );
-        }
-        for updated in [0u64, 1, 2, 61] {
-            assert_eq!(
-                link.region_upload(updated),
-                link.transfer(updated * BYTES_PER_RESULT)
-            );
-        }
     }
 
     #[test]
@@ -111,16 +83,5 @@ mod tests {
             assert!(t >= last, "transfer time must not decrease with size");
             last = t;
         }
-    }
-
-    #[test]
-    fn region_traffic_scales_with_cells() {
-        let link = LinkModel::default();
-        let small = link.region_download(10, 5);
-        let large = link.region_download(1000, 5);
-        assert!(large > small);
-        // returning the whole region (step (e) on FPGA) costs more than returning a handful of
-        // shifted cells (step (e) on CPU)
-        assert!(link.region_upload(200) > link.region_upload(8));
     }
 }

@@ -45,14 +45,6 @@ impl Default for SorterModel {
 }
 
 impl SorterModel {
-    /// Create a model of the given kind with a given insertion capacity.
-    pub fn new(kind: SorterKind, insertion_capacity: u64) -> Self {
-        Self {
-            kind,
-            insertion_capacity: insertion_capacity.max(2),
-        }
-    }
-
     /// Cycles to sort `n` elements.
     pub fn sort_cycles(&self, n: u64) -> Cycles {
         if n <= 1 {
@@ -115,12 +107,21 @@ mod tests {
 
     #[test]
     fn combined_beats_insertion_for_large_inputs() {
-        let comb = SorterModel::new(SorterKind::Combined, 32);
-        let ins = SorterModel::new(SorterKind::Insertion, 32);
+        let comb = SorterModel {
+            kind: SorterKind::Combined,
+            insertion_capacity: 32,
+        };
+        let ins = SorterModel {
+            kind: SorterKind::Insertion,
+            insertion_capacity: 32,
+        };
         let n = 512;
         assert!(comb.sort_cycles(n) < ins.sort_cycles(n));
         // and is no worse than a pure merge sorter for small inputs
-        let merge = SorterModel::new(SorterKind::Merge, 32);
+        let merge = SorterModel {
+            kind: SorterKind::Merge,
+            insertion_capacity: 32,
+        };
         assert!(comb.sort_cycles(16) <= merge.sort_cycles(16));
     }
 
@@ -131,7 +132,10 @@ mod tests {
             SorterKind::Merge,
             SorterKind::Combined,
         ] {
-            let s = SorterModel::new(kind, 16);
+            let s = SorterModel {
+                kind,
+                insertion_capacity: 16,
+            };
             let mut prev = Cycles(0);
             for n in [1u64, 2, 8, 16, 17, 64, 200, 1000] {
                 let c = s.sort_cycles(n);
@@ -154,7 +158,10 @@ mod tests {
 
     #[test]
     fn merge_sorter_is_n_log_n() {
-        let s = SorterModel::new(SorterKind::Merge, 16);
+        let s = SorterModel {
+            kind: SorterKind::Merge,
+            insertion_capacity: 16,
+        };
         assert_eq!(s.sort_cycles(8), Cycles(8 * 3));
         assert_eq!(s.sort_cycles(9), Cycles(9 * 4));
     }

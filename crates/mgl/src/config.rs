@@ -95,24 +95,6 @@ impl MglConfig {
     pub fn flex() -> Self {
         Self::default()
     }
-
-    /// Enable work-trace collection (builder style).
-    pub fn with_trace(mut self) -> Self {
-        self.collect_trace = true;
-        self
-    }
-
-    /// Set the ordering strategy (builder style).
-    pub fn with_ordering(mut self, ordering: OrderingStrategy) -> Self {
-        self.ordering = ordering;
-        self
-    }
-
-    /// Set the shifting algorithm (builder style).
-    pub fn with_shift(mut self, shift: ShiftAlgorithm) -> Self {
-        self.shift = shift;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -131,16 +113,5 @@ mod tests {
         let c = MglConfig::original();
         assert_eq!(c.shift, ShiftAlgorithm::Original);
         assert_eq!(c.ordering, OrderingStrategy::SizeDescending);
-    }
-
-    #[test]
-    fn builders_compose() {
-        let c = MglConfig::flex()
-            .with_trace()
-            .with_ordering(OrderingStrategy::Natural)
-            .with_shift(ShiftAlgorithm::Original);
-        assert!(c.collect_trace);
-        assert_eq!(c.ordering, OrderingStrategy::Natural);
-        assert_eq!(c.shift, ShiftAlgorithm::Original);
     }
 }

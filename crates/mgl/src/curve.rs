@@ -192,11 +192,6 @@ impl DisplacementCurve {
         let _ = &mut hi;
         v0 + sign * total
     }
-
-    /// Number of breakpoints.
-    pub fn num_breakpoints(&self) -> usize {
-        self.breakpoints.len()
-    }
 }
 
 /// Sum a set of curves over the inclusive domain `[lo, hi]` and return `(x*, value*)`, the
@@ -239,7 +234,7 @@ mod tests {
         assert_close(c.eval(5.0), 0.0);
         assert_close(c.eval(2.0), 3.0);
         assert_close(c.eval(9.5), 4.5);
-        assert_eq!(c.num_breakpoints(), 1);
+        assert_eq!(c.breakpoints.len(), 1);
     }
 
     #[test]
@@ -254,7 +249,7 @@ mod tests {
             assert_close(c.eval(x), direct(x));
         }
         // valley at g+s = 11, freeze at c+s = 13
-        assert_eq!(c.num_breakpoints(), 2);
+        assert_eq!(c.breakpoints.len(), 2);
     }
 
     #[test]
@@ -268,7 +263,7 @@ mod tests {
         for x in [0.0, 6.0, 11.9, 12.0, 15.0, 30.0] {
             assert_close(c.eval(x), direct(x));
         }
-        assert_eq!(c.num_breakpoints(), 1);
+        assert_eq!(c.breakpoints.len(), 1);
     }
 
     #[test]
@@ -282,7 +277,7 @@ mod tests {
         for x in [0.0, 14.0, 15.0, 16.0, 18.0, 19.0, 25.0] {
             assert_close(c.eval(x), direct(x));
         }
-        assert_eq!(c.num_breakpoints(), 2);
+        assert_eq!(c.breakpoints.len(), 2);
 
         // g <= c variant
         let c2 = DisplacementCurve::right_cell(20.0, 18.0, 0.0, 4.0);
@@ -293,7 +288,7 @@ mod tests {
         for x in [0.0, 15.9, 16.0, 17.0, 30.0] {
             assert_close(c2.eval(x), direct2(x));
         }
-        assert_eq!(c2.num_breakpoints(), 1);
+        assert_eq!(c2.breakpoints.len(), 1);
     }
 
     #[test]

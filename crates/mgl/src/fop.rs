@@ -160,8 +160,9 @@ pub struct FopScratch {
     slopes_r: Vec<f64>,
     /// Working positions for commit planning (`legalize::plan_commit_with`).
     pub(crate) commit_pos: Vec<i64>,
-    /// Span-verification buffer for commit planning.
-    pub(crate) commit_spans: Vec<Interval>,
+    /// Span-verification buffer for commit planning: `(span, rank)`, rank 0 for the target
+    /// and `index + 1` for a localCell.
+    pub(crate) commit_spans: Vec<(Interval, usize)>,
     /// Insertion-point enumeration buffers (point slots, chain pool, anchors, row lists).
     insertion: InsertionScratch,
 }

@@ -29,18 +29,6 @@ pub struct InsertionPoint {
 }
 
 impl InsertionPoint {
-    /// Number of rows the target occupies.
-    pub fn height(&self) -> usize {
-        self.left_chain.len()
-    }
-
-    /// Total number of localCells involved in the point's chains (without deduplication across
-    /// rows — multi-row cells count once per row they appear in, i.e. per subcell).
-    pub fn chain_subcells(&self) -> usize {
-        self.left_chain.iter().map(Vec::len).sum::<usize>()
-            + self.right_chain.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// Clamp an x coordinate into the feasible range.
     pub fn clamp(&self, x: i64) -> i64 {
         x.clamp(self.x_lo, self.x_hi)
@@ -412,7 +400,7 @@ mod tests {
         assert_eq!(row1.len(), 2);
         for p in &pts {
             assert!(p.x_lo <= p.x_hi);
-            assert_eq!(p.height(), 1);
+            assert_eq!(p.left_chain.len(), 1);
         }
     }
 
@@ -438,7 +426,7 @@ mod tests {
         assert!(!pts.is_empty());
         for p in &pts {
             assert_eq!(p.bottom_row, 0); // only bottom row 0 gives two stacked rows
-            assert_eq!(p.height(), 2);
+            assert_eq!(p.left_chain.len(), 2);
             assert!(p.x_lo <= p.x_hi);
             // row-0 and row-1 constraints both hold
             let left_w0: i64 = p.left_chain[0].iter().map(|&i| r.cells[i].width).sum();
@@ -508,6 +496,8 @@ mod tests {
             .iter()
             .find(|p| p.right_chain.iter().all(|c| c.is_empty()))
             .expect("a point with everything on the left");
-        assert_eq!(rightmost.chain_subcells(), 3);
+        // a multi-row cell counts once per row its chain lists it in, i.e. per subcell
+        let subcells: usize = rightmost.left_chain.iter().map(Vec::len).sum();
+        assert_eq!(subcells, 3);
     }
 }

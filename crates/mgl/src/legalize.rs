@@ -38,13 +38,6 @@ pub struct LegalizeResult {
     pub trace: Option<WorkTrace>,
 }
 
-impl LegalizeResult {
-    /// Runtime in seconds.
-    pub fn seconds(&self) -> f64 {
-        self.runtime.as_secs_f64()
-    }
-}
-
 /// The MGL legalizer.
 #[derive(Debug, Clone)]
 pub struct MglLegalizer {
@@ -55,11 +48,6 @@ impl MglLegalizer {
     /// Create a legalizer with the given configuration.
     pub fn new(config: MglConfig) -> Self {
         Self { config }
-    }
-
-    /// Access the configuration.
-    pub fn config(&self) -> &MglConfig {
-        &self.config
     }
 
     /// Legalize every movable cell of the design in place.
@@ -503,37 +491,32 @@ pub fn plan_commit_with(
     }
 
     // verification: per segment row, no overlaps among localCells and the target, and every
-    // cell stays inside its segment
+    // cell stays inside its segment; a row's cells come from the shift scratch's row lists
+    let target = Interval::new(placement.x, placement.x + spec.width);
     let target_rows = placement.row..placement.row + spec.height;
-    for seg in &region.segments {
+    for (s, seg) in region.segments.iter().enumerate() {
         commit_spans.clear();
         if target_rows.contains(&seg.row) {
-            commit_spans.push(Interval::new(placement.x, placement.x + spec.width));
+            commit_spans.push((target, 0));
         }
-        for (i, c) in region.cells.iter().enumerate() {
-            if c.rows().any(|r| r == seg.row) {
-                let iv = Interval::new(commit_pos[i], commit_pos[i] + c.width);
-                if !seg.span.contains_interval(&iv) {
-                    return None;
-                }
-                commit_spans.push(iv);
-            }
-        }
-        commit_spans.sort_by_key(|s| s.lo);
-        for w in commit_spans.windows(2) {
-            if w[0].overlaps(&w[1]) {
+        for &i in shift.row_cells(s) {
+            let iv = Interval::new(commit_pos[i], commit_pos[i] + region.cells[i].width);
+            if !seg.span.contains_interval(&iv) {
                 return None;
             }
+            commit_spans.push((iv, i + 1));
+        }
+        // the target first, then ascending cell index: the order a scan of every region cell
+        // inserts the spans in, which decides the adjacency of zero-width spans
+        commit_spans.sort_unstable_by_key(|&(iv, rank)| (iv.lo, rank));
+        if commit_spans.windows(2).any(|w| w[0].0.overlaps(&w[1].0)) {
+            return None;
         }
     }
     if !target_rows.clone().all(|r| {
         region
             .segment(r)
-            .map(|s| {
-                s.span
-                    .contains_interval(&Interval::new(placement.x, placement.x + spec.width))
-            })
-            .unwrap_or(false)
+            .is_some_and(|s| s.span.contains_interval(&target))
     }) {
         return None;
     }
@@ -664,7 +647,10 @@ pub fn find_fallback_position(
 mod tests {
     use super::*;
     use crate::config::{OrderingStrategy, ShiftAlgorithm};
+    use crate::sacs::tests::{enumerate, random_point, random_region};
     use flex_placement::benchmark::{generate, BenchmarkSpec};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn tiny_design(seed: u64) -> Design {
         generate(&BenchmarkSpec::tiny("legalize-tiny", seed))
@@ -738,7 +724,11 @@ mod tests {
     fn trace_collection_produces_one_entry_per_target() {
         let mut d = tiny_design(4);
         let n = d.num_movable();
-        let res = MglLegalizer::new(MglConfig::default().with_trace()).legalize(&mut d);
+        let res = MglLegalizer::new(MglConfig {
+            collect_trace: true,
+            ..MglConfig::default()
+        })
+        .legalize(&mut d);
         let trace = res.trace.expect("trace requested");
         assert_eq!(trace.len(), n);
         assert!(trace.total_points() > 0);
@@ -831,5 +821,155 @@ mod tests {
             worst = worst.max(res.average_displacement);
         }
         assert!(best <= worst);
+    }
+
+    /// Commit planning as it was before verification read the shift scratch's row lists: every
+    /// segment row scans every localCell and stable-sorts the row's spans by `lo`.
+    fn plan_commit_by_scan(
+        region: &LocalRegion,
+        placement: &Placement,
+        spec: &TargetSpec,
+        cfg: &MglConfig,
+        scratch: &mut FopScratch,
+    ) -> Option<CommitPlan> {
+        let problem = ShiftProblem {
+            region,
+            point: &placement.point,
+            target_width: spec.width,
+            target_height: spec.height,
+            target_x: placement.x,
+        };
+        let FopScratch {
+            shift,
+            left,
+            right,
+            commit_pos,
+            ..
+        } = scratch;
+        shift.begin_region(region);
+        shift_phase_with(&problem, Phase::Left, cfg.shift, shift, left).ok()?;
+        shift_phase_with(&problem, Phase::Right, cfg.shift, shift, right).ok()?;
+        commit_pos.clear();
+        commit_pos.extend(region.cells.iter().map(|c| c.x));
+        let left_chain = &placement.point.left_chain;
+        for &(i, x) in &left.moved {
+            if left_chain.iter().flatten().any(|&j| j == i) {
+                commit_pos[i] = x;
+            }
+        }
+        for &(i, x) in &right.moved {
+            commit_pos[i] = x;
+        }
+
+        let target_rows = placement.row..placement.row + spec.height;
+        for seg in &region.segments {
+            let mut spans = Vec::new();
+            if target_rows.contains(&seg.row) {
+                spans.push(Interval::new(placement.x, placement.x + spec.width));
+            }
+            for (i, c) in region.cells.iter().enumerate() {
+                if c.rows().any(|r| r == seg.row) {
+                    let iv = Interval::new(commit_pos[i], commit_pos[i] + c.width);
+                    if !seg.span.contains_interval(&iv) {
+                        return None;
+                    }
+                    spans.push(iv);
+                }
+            }
+            spans.sort_by_key(|s| s.lo);
+            for w in spans.windows(2) {
+                if w[0].overlaps(&w[1]) {
+                    return None;
+                }
+            }
+        }
+        if !target_rows.clone().all(|r| {
+            region
+                .segment(r)
+                .map(|s| {
+                    s.span
+                        .contains_interval(&Interval::new(placement.x, placement.x + spec.width))
+                })
+                .unwrap_or(false)
+        }) {
+            return None;
+        }
+
+        let moves = region
+            .cells
+            .iter()
+            .enumerate()
+            .filter(|(i, c)| commit_pos[*i] != c.x)
+            .map(|(i, c)| (c.id, commit_pos[i]))
+            .collect();
+        Some(CommitPlan {
+            target: region.target,
+            x: placement.x,
+            row: placement.row,
+            moves,
+        })
+    }
+
+    /// Verification over the shift scratch's row lists gives the scan's verdict and plan on
+    /// regions beyond legal ones (overlapping, tied and zero-width cells, rows without a
+    /// segment), for enumerated and random points, targets inside and outside the point's
+    /// range, and both shifting algorithms.
+    #[test]
+    fn commit_verification_matches_the_region_scan() {
+        let mut rng = StdRng::seed_from_u64(0xC0_4417);
+        let mut scratch = FopScratch::new();
+        let (mut planned, mut rejected) = (0, 0);
+        for case in 0..400 {
+            let region = random_region(&mut rng, case);
+            let (rows, width) = (region.window.y_hi, region.window.x_hi);
+            let tw = rng.random_range(1..=8i64);
+            let th = rng.random_range(1..=rows);
+            let mut points = enumerate(&region, tw, th, rng.random_range(0..width) as f64, 8);
+            for _ in 0..6 {
+                points.push(random_point(&region, th, &mut rng));
+            }
+            for point in points {
+                let outside = rng.random_range(1..=6i64);
+                for x in [
+                    point.x_lo,
+                    point.x_hi,
+                    point.x_lo - outside,
+                    point.x_hi + outside,
+                ] {
+                    let placement = Placement {
+                        row: point.bottom_row,
+                        x,
+                        point: point.clone(),
+                        cost: 0.0,
+                    };
+                    let spec = TargetSpec {
+                        width: tw,
+                        height: th,
+                        gx: x as f64,
+                        gy: point.bottom_row as f64,
+                        parity: None,
+                    };
+                    for shift in [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs] {
+                        let cfg = MglConfig {
+                            shift,
+                            ..MglConfig::default()
+                        };
+                        let got = plan_commit_with(&region, &placement, &spec, &cfg, &mut scratch);
+                        let want =
+                            plan_commit_by_scan(&region, &placement, &spec, &cfg, &mut scratch);
+                        assert_eq!(got, want, "case {case} x {x} {shift:?}");
+                        if got.is_some() {
+                            planned += 1;
+                        } else {
+                            rejected += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            planned > 100 && rejected > 100,
+            "{planned} plans, {rejected} rejections"
+        );
     }
 }

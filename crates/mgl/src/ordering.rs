@@ -77,16 +77,6 @@ impl SlidingWindowOrderer {
         }
     }
 
-    /// Remaining number of cells.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the orderer is exhausted.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Pop the next cell to process (`C_cur`), keep the new front (`C_next`) fixed, and
     /// re-rank the remaining window cells by localRegion density.
     pub fn next(&mut self, design: &Design, density: &DensityMap) -> Option<CellId> {
@@ -252,7 +242,7 @@ mod tests {
         let targets = d.movable_ids();
         let density = DensityMap::build(&d, 16, 4);
         let mut orderer = SlidingWindowOrderer::new(&d, &targets, 4, 20, 3);
-        while !orderer.is_empty() {
+        while !orderer.queue.is_empty() {
             // C_next: the cell behind the one the pop returns
             let expected_next = orderer.queue.get(1).copied();
             let _cur = orderer.next(&d, &density).unwrap();
@@ -262,7 +252,7 @@ mod tests {
                 assert_eq!(orderer.queue.front().copied(), Some(exp));
             }
         }
-        assert_eq!(orderer.len(), 0);
+        assert_eq!(orderer.queue.len(), 0);
     }
 
     #[test]

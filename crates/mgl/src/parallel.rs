@@ -221,16 +221,6 @@ impl ParallelMglLegalizer {
         }
     }
 
-    /// Access the configuration.
-    pub fn config(&self) -> &MglConfig {
-        &self.config
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Legalize every movable cell of the design in place.
     pub fn legalize(&self, design: &mut Design) -> ParallelLegalizeResult {
         let start = Instant::now();

@@ -50,16 +50,6 @@ impl LocalCell {
     pub fn right(&self) -> i64 {
         self.x + self.width
     }
-
-    /// Horizontal span.
-    pub fn x_interval(&self) -> Interval {
-        Interval::new(self.x, self.right())
-    }
-
-    /// Current displacement of the cell relative to its global-placement x.
-    pub fn displacement(&self) -> f64 {
-        (self.x as f64 - self.gx).abs()
-    }
 }
 
 /// A localRegion: the window, its localSegments and localCells.

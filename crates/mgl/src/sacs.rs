@@ -104,16 +104,8 @@ pub fn shift_phase_sacs_with_stats(
     ))
 }
 
-/// Run one SACS phase (positions only).
-pub fn shift_phase_sacs(
-    problem: &ShiftProblem<'_>,
-    phase: Phase,
-) -> Result<ShiftOutcome, Infeasible> {
-    shift_phase_sacs_with_stats(problem, phase).map(|(o, _)| o)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::insertion::{enumerate_insertion_points_into, InsertionPoint, InsertionScratch};
     use crate::region::{LocalCell, LocalRegion, LocalSegment};
@@ -124,7 +116,7 @@ mod tests {
     use rand::{RngExt, SeedableRng};
 
     /// Enumerate through the scratch-backed hot path (the same route `fop.rs` takes).
-    fn enumerate(
+    pub(crate) fn enumerate(
         region: &LocalRegion,
         width: i64,
         height: i64,
@@ -242,7 +234,7 @@ mod tests {
                 };
                 for phase in [Phase::Left, Phase::Right] {
                     let a = shift_phase_original(&problem, phase).map(|o| o.as_map());
-                    let b = shift_phase_sacs(&problem, phase).map(|o| o.as_map());
+                    let b = shift_phase_sacs_with_stats(&problem, phase).map(|(o, _)| o.as_map());
                     assert_eq!(a, b, "phase {phase:?} at x={x}");
                 }
             }
@@ -375,7 +367,7 @@ mod tests {
                 };
                 for phase in [Phase::Left, Phase::Right] {
                     let a = shift_phase_original(&problem, phase);
-                    let b = shift_phase_sacs(&problem, phase);
+                    let b = shift_phase_sacs_with_stats(&problem, phase).map(|(o, _)| o);
                     assert_scratch_matches_oracles(
                         &problem,
                         phase,
@@ -409,7 +401,11 @@ mod tests {
     /// splits the cells spanning it at an x (shared by the rows, or its own) into the left and
     /// right chains, nearest first, sometimes leaving a cell out of both. A multi-row cell
     /// split differently in two rows lands in both chains.
-    fn random_point(region: &LocalRegion, height: i64, rng: &mut StdRng) -> InsertionPoint {
+    pub(crate) fn random_point(
+        region: &LocalRegion,
+        height: i64,
+        rng: &mut StdRng,
+    ) -> InsertionPoint {
         let rows = region.window.y_hi;
         let width = region.window.x_hi;
         let bottom_row = rng.random_range(0..=(rows - height));
@@ -441,6 +437,46 @@ mod tests {
         }
     }
 
+    /// A random region beyond legal ones: overlapping cells, equal-x ties, zero-width
+    /// cells, cells hanging past their segment, rows without a segment, cells taller than
+    /// three rows.
+    pub(crate) fn random_region(rng: &mut StdRng, case: u32) -> LocalRegion {
+        let rows = rng.random_range(1..=5i64);
+        let width = rng.random_range(12..=40i64);
+        let mut segments = Vec::new();
+        for row in 0..rows {
+            if rng.random_range(0..5) != 0 {
+                let span =
+                    Interval::new(rng.random_range(0..=3), width - rng.random_range(0..=3i64));
+                segments.push(LocalSegment { row, span });
+            }
+        }
+        let mut cells: Vec<LocalCell> = Vec::new();
+        for id in 0..rng.random_range(2..=12u32) {
+            let height = rng.random_range(1..=rows);
+            let x = if !cells.is_empty() && rng.random_range(0..4) == 0 {
+                cells[rng.random_range(0..cells.len())].x
+            } else {
+                rng.random_range(-2..=width)
+            };
+            cells.push(LocalCell {
+                id: CellId(id),
+                x,
+                y: rng.random_range(0..=(rows - height)),
+                width: rng.random_range(0..=6i64),
+                height,
+                gx: x as f64,
+            });
+        }
+        LocalRegion {
+            target: CellId(1000 + case),
+            window: Rect::new(0, 0, width, rows),
+            segments,
+            cells,
+            density: 0.0,
+        }
+    }
+
     /// The scratch kernel is exact on regions no legalizer produces, where rows are not clean:
     /// overlapping cells, equal-x ties, zero-width cells, cells hanging past their segment,
     /// rows without a segment, cells taller than three rows. Enumerated and random points,
@@ -451,40 +487,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5E7_71ED);
         let mut scratch = ShiftScratch::default();
         for case in 0..400 {
-            let rows = rng.random_range(1..=5i64);
-            let width = rng.random_range(12..=40i64);
-            let mut segments = Vec::new();
-            for row in 0..rows {
-                if rng.random_range(0..5) != 0 {
-                    let span =
-                        Interval::new(rng.random_range(0..=3), width - rng.random_range(0..=3i64));
-                    segments.push(LocalSegment { row, span });
-                }
-            }
-            let mut cells: Vec<LocalCell> = Vec::new();
-            for id in 0..rng.random_range(2..=12u32) {
-                let height = rng.random_range(1..=rows);
-                let x = if !cells.is_empty() && rng.random_range(0..4) == 0 {
-                    cells[rng.random_range(0..cells.len())].x
-                } else {
-                    rng.random_range(-2..=width)
-                };
-                cells.push(LocalCell {
-                    id: CellId(id),
-                    x,
-                    y: rng.random_range(0..=(rows - height)),
-                    width: rng.random_range(0..=6i64),
-                    height,
-                    gx: x as f64,
-                });
-            }
-            let region = LocalRegion {
-                target: CellId(1000 + case),
-                window: Rect::new(0, 0, width, rows),
-                segments,
-                cells,
-                density: 0.0,
-            };
+            let region = random_region(&mut rng, case);
+            let (rows, width) = (region.window.y_hi, region.window.x_hi);
             scratch.begin_region(&region);
             let tw = rng.random_range(1..=8i64);
             let th = rng.random_range(1..=rows);
@@ -563,7 +567,7 @@ mod tests {
             target_height: 1,
             target_x: point.clamp(12),
         };
-        let out = shift_phase_sacs(&problem, Phase::Left).unwrap();
+        let (out, _) = shift_phase_sacs_with_stats(&problem, Phase::Left).unwrap();
         // left phase emits cells in descending original-x order (the pre-sorted order)
         let xs: Vec<i64> = out
             .positions

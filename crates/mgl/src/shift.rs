@@ -355,6 +355,12 @@ impl ShiftScratch {
         self.region_key = Some(RegionKey::of(region));
     }
 
+    /// Indices of the cells occupying segment `s`'s row, sorted by `(x, index)`, for the
+    /// region [`Self::begin_region`] last indexed.
+    pub(crate) fn row_cells(&self, s: usize) -> &[usize] {
+        self.row_cells.get(s)
+    }
+
     /// Set the phase's membership bitmaps from the point's chains (a cell in both chains
     /// is static, as in the reference) and count what the work profile needs, each cell
     /// once however many target rows list it.

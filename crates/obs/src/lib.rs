@@ -35,7 +35,7 @@ pub mod metrics;
 pub mod spans;
 
 pub use hist::Histogram;
-pub use metrics::{Counter, Gauge, HistogramHandle, Registry, Snapshot, Timer};
+pub use metrics::{Counter, Gauge, HistogramHandle, Registry, Snapshot};
 pub use spans::{
     clear_spans, collect_spans, drain_spans, now_ns, record_span, set_ring_capacity, span,
     thread_rings, SpanEvent, SpanGuard, SpanRing, ThreadRing,

@@ -19,7 +19,6 @@ use crate::hist::Histogram;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// A monotonically increasing counter.
 #[derive(Clone)]
@@ -95,39 +94,6 @@ impl HistogramHandle {
     /// Owned copy of the current state.
     pub fn get(&self) -> Histogram {
         self.0.lock().expect("histogram poisoned").clone()
-    }
-
-    /// Start a [`Timer`] that records into this histogram when dropped.
-    #[inline]
-    pub fn start_timer(&self) -> Timer {
-        Timer {
-            hist: self.clone(),
-            start: Instant::now(),
-        }
-    }
-}
-
-/// RAII phase timer: records its elapsed time (ns) into a histogram on drop.
-#[must_use = "a timer records its duration when dropped"]
-pub struct Timer {
-    hist: HistogramHandle,
-    start: Instant,
-}
-
-impl Timer {
-    /// Stop early and return the elapsed duration (otherwise drop records it).
-    pub fn stop(self) -> std::time::Duration {
-        let elapsed = self.start.elapsed();
-        let this = std::mem::ManuallyDrop::new(self);
-        this.hist.record_duration(elapsed);
-        elapsed
-    }
-}
-
-impl Drop for Timer {
-    #[inline]
-    fn drop(&mut self) {
-        self.hist.record_duration(self.start.elapsed());
     }
 }
 
@@ -208,12 +174,6 @@ impl Registry {
                 .collect(),
         }
     }
-
-    /// Drop every instrument (tests; long-lived services resetting between loads).
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        *inner = Inner::default();
-    }
 }
 
 /// An owned point-in-time copy of a [`Registry`]'s instruments, ready for export.
@@ -248,19 +208,6 @@ mod tests {
         g.set(4);
         g.add(-6);
         assert_eq!(reg.snapshot().gauges["depth"], -2);
-    }
-
-    #[test]
-    fn timer_records_into_histogram() {
-        let reg = Registry::new();
-        let h = reg.histogram("latency_ns");
-        {
-            let _t = h.start_timer();
-        }
-        let stopped = h.start_timer().stop();
-        let snap = reg.snapshot();
-        assert_eq!(snap.histograms["latency_ns"].count(), 2);
-        assert!(snap.histograms["latency_ns"].max() >= stopped.as_nanos() as u64);
     }
 
     #[test]

@@ -85,20 +85,6 @@ impl BenchmarkSpec {
         self.height_mix = mix;
         self
     }
-
-    /// Fraction of cells strictly taller than three rows implied by the height mix.
-    pub fn tall_fraction(&self) -> f64 {
-        let total: f64 = self.height_mix.iter().map(|(_, f)| f).sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        self.height_mix
-            .iter()
-            .filter(|(h, _)| *h > 3)
-            .map(|(_, f)| f)
-            .sum::<f64>()
-            / total
-    }
 }
 
 /// Sample a height from the (normalized) height mix.
@@ -283,7 +269,6 @@ mod tests {
             (f - 0.10).abs() < 0.03,
             "tall fraction {f} should be near 0.10"
         );
-        assert!((spec.tall_fraction() - 0.10).abs() < 1e-9);
     }
 
     #[test]

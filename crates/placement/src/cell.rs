@@ -150,11 +150,6 @@ impl Cell {
         }
     }
 
-    /// Whether this cell spans more than one row.
-    pub fn is_multi_row(&self) -> bool {
-        self.height > 1
-    }
-
     /// Whether two cells overlap at their current positions.
     pub fn overlaps(&self, other: &Cell) -> bool {
         self.rect().overlaps(&other.rect())
@@ -212,7 +207,6 @@ mod tests {
         assert_eq!(c.y_interval(), Interval::new(10, 13));
         assert_eq!(c.rows().collect::<Vec<_>>(), vec![10, 11, 12]);
         assert_eq!(c.area(), 15);
-        assert!(c.is_multi_row());
         assert!(c.fixed && c.legalized);
     }
 

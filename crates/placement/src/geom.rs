@@ -79,15 +79,6 @@ impl Interval {
         out.retain(|iv| !iv.is_empty());
         out
     }
-
-    /// Clamp a value into `[lo, hi - width]` so that an object of `width` sites starting at the
-    /// returned coordinate stays inside the interval. Returns `None` if the object does not fit.
-    pub fn clamp_start(&self, x: i64, width: i64) -> Option<i64> {
-        if width > self.len() {
-            return None;
-        }
-        Some(x.clamp(self.lo, self.hi - width))
-    }
 }
 
 /// An axis-aligned integer rectangle in site/row units, half-open on both axes.
@@ -240,16 +231,6 @@ mod tests {
         assert_eq!(a.subtract(&Interval::new(8, 20)), vec![Interval::new(0, 8)]);
         assert_eq!(a.subtract(&Interval::new(-1, 11)), vec![]);
         assert_eq!(a.subtract(&Interval::new(20, 30)), vec![a]);
-    }
-
-    #[test]
-    fn interval_clamp_start_fits_object() {
-        let iv = Interval::new(10, 20);
-        assert_eq!(iv.clamp_start(0, 4), Some(10));
-        assert_eq!(iv.clamp_start(18, 4), Some(16));
-        assert_eq!(iv.clamp_start(12, 4), Some(12));
-        assert_eq!(iv.clamp_start(12, 11), None);
-        assert_eq!(iv.clamp_start(12, 10), Some(10));
     }
 
     #[test]

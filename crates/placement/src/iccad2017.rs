@@ -310,15 +310,6 @@ pub fn spec(case: &Iccad2017Case, scale: f64, seed: u64) -> BenchmarkSpec {
     }
 }
 
-/// Specs for every Table 1 case at the given scale (seed derived from the case index).
-pub fn all_specs(scale: f64) -> Vec<BenchmarkSpec> {
-    CASES
-        .iter()
-        .enumerate()
-        .map(|(i, c)| spec(c, scale, 0xF1E5 + i as u64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,9 +357,8 @@ mod tests {
 
     #[test]
     fn all_specs_cover_every_case_and_respect_scale() {
-        let specs = all_specs(0.01);
-        assert_eq!(specs.len(), 16);
-        for (s, c) in specs.iter().zip(CASES.iter()) {
+        for (i, c) in CASES.iter().enumerate() {
+            let s = spec(c, 0.01, i as u64);
             assert_eq!(s.name, c.name);
             assert!(s.num_cells >= 100);
             assert!(s.num_cells <= c.num_cells);

@@ -74,25 +74,11 @@ impl Design {
         &mut self.cells[id.index()]
     }
 
-    /// Number of cells (movable + fixed).
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Ids of all movable cells.
     pub fn movable_ids(&self) -> Vec<CellId> {
         self.cells
             .iter()
             .filter(|c| !c.fixed)
-            .map(|c| c.id)
-            .collect()
-    }
-
-    /// Ids of all fixed cells.
-    pub fn fixed_ids(&self) -> Vec<CellId> {
-        self.cells
-            .iter()
-            .filter(|c| c.fixed)
             .map(|c| c.id)
             .collect()
     }
@@ -224,44 +210,6 @@ impl Design {
         Ok(())
     }
 
-    /// Total overlapping area between pairs of movable cells plus movable-vs-blocked area.
-    ///
-    /// This is an O(n log n) sweep over row-bucketed cells, intended for verification and for
-    /// the global-placement simulator's spreading loop, not for inner legalization loops.
-    pub fn total_overlap_area(&self) -> i64 {
-        let mut per_row: Vec<Vec<(Interval, bool, CellId)>> =
-            vec![Vec::new(); self.num_rows.max(0) as usize];
-        for c in &self.cells {
-            for r in c.rows() {
-                if r >= 0 && r < self.num_rows {
-                    per_row[r as usize].push((c.x_interval(), c.fixed, c.id));
-                }
-            }
-        }
-        for b in &self.blockages {
-            for r in b.y_lo.max(0)..b.y_hi.min(self.num_rows) {
-                per_row[r as usize].push((b.x_interval(), true, CellId(u32::MAX)));
-            }
-        }
-        let mut total = 0i64;
-        for row in &mut per_row {
-            row.sort_by_key(|(iv, _, _)| iv.lo);
-            for i in 0..row.len() {
-                let (a, a_fixed, _) = row[i];
-                for &(b, b_fixed, _) in &row[i + 1..] {
-                    if b.lo >= a.hi {
-                        break;
-                    }
-                    if a_fixed && b_fixed {
-                        continue;
-                    }
-                    total += a.overlap_len(&b);
-                }
-            }
-        }
-        total
-    }
-
     /// Snap every movable cell to the nearest legal-parity row and clamp it inside the die.
     ///
     /// This is step (a) "input & pre-move" of the legalization flow (Fig. 3(e)): cells are
@@ -313,7 +261,7 @@ impl Design {
     /// Cheap structural sanity check: ids match indices (hence no duplicates), dimensions
     /// are positive (zero-area fixed tombstones excepted — see
     /// [`Design::tombstone_cell`]), and every legalized movable cell lies on rows that
-    /// exist. O(cells), no overlap detection — run [`crate::legality::check_legality`] for
+    /// exist. O(cells), no overlap detection — run [`crate::legality::check_legality_with`] for
     /// the full check. The ECO service calls this at its request boundary so a malformed
     /// client delta surfaces as a typed error instead of corrupting the resident state.
     pub fn validate_invariants(&self) -> Result<(), String> {
@@ -440,7 +388,8 @@ mod tests {
         assert_eq!(d.cells[1].id, CellId(1));
         assert_eq!(d.cells[2].id, CellId(2));
         assert_eq!(d.num_movable(), 2);
-        assert_eq!(d.fixed_ids(), vec![CellId(2)]);
+        let fixed: Vec<CellId> = d.cells.iter().filter(|c| c.fixed).map(|c| c.id).collect();
+        assert_eq!(fixed, vec![CellId(2)]);
     }
 
     #[test]
@@ -593,7 +542,8 @@ mod tests {
         d.add_cell(Cell::movable(CellId(0), 4, 1, 2.0, 0.0));
         d.add_cell(Cell::movable(CellId(0), 4, 1, 4.0, 0.0));
         // cells at x=2..6 and x=4..8 overlap by 2; fixed at 0..4 overlaps first movable by 2
-        assert_eq!(d.total_overlap_area(), 2 + 2);
+        let report = crate::legality::check_legality_with(&d, false);
+        assert_eq!(report.overlap_area, 2 + 2);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! 3. satisfies its P/G row-parity constraint,
 //! 4. does not overlap any other cell, fixed cell, or blockage.
 //!
-//! [`check_legality`] returns a [`LegalityReport`] enumerating every violation, which the test
-//! suite and the experiment harness use to verify that each legalizer actually produces legal
-//! results before its runtime/quality numbers are reported.
+//! [`check_legality_with`] returns a [`LegalityReport`] enumerating every violation, which the
+//! test suite and the experiment harness use to verify that each legalizer actually produces
+//! legal results before its runtime/quality numbers are reported.
 
 use crate::cell::CellId;
 use crate::geom::Interval;
@@ -66,16 +66,6 @@ pub struct LegalityReport {
 impl LegalityReport {
     /// Whether the placement is fully legal.
     pub fn is_legal(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Number of violations.
-    pub fn len(&self) -> usize {
-        self.violations.len()
-    }
-
-    /// Whether no violations were found.
-    pub fn is_empty(&self) -> bool {
         self.violations.is_empty()
     }
 }
@@ -164,11 +154,6 @@ pub fn check_legality_with(design: &Design, require_legalized_flag: bool) -> Leg
     report
 }
 
-/// Check legality without requiring the `legalized` flag to be set.
-pub fn check_legality(design: &Design) -> LegalityReport {
-    check_legality_with(design, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,7 +177,7 @@ mod tests {
             "unexpected violations: {:?}",
             rep.violations
         );
-        assert!(rep.is_empty());
+        assert!(rep.violations.is_empty());
     }
 
     #[test]
@@ -200,8 +185,8 @@ mod tests {
         let mut d = base();
         d.add_cell(Cell::movable(CellId(0), 6, 2, 10.0, 1.0));
         d.add_cell(Cell::movable(CellId(0), 6, 2, 13.0, 2.0));
-        let rep = check_legality(&d);
-        assert_eq!(rep.len(), 1);
+        let rep = check_legality_with(&d, false);
+        assert_eq!(rep.violations.len(), 1);
         match &rep.violations[0] {
             Violation::CellOverlap { a, b, area } => {
                 assert_eq!((*a, *b), (CellId(0), CellId(1)));
@@ -219,7 +204,7 @@ mod tests {
         d.add_cell(Cell::movable(CellId(0), 5, 1, 8.0, 1.0));
         d.add_blockage(Rect::new(30, 0, 40, 6));
         d.add_cell(Cell::movable(CellId(0), 5, 1, 28.0, 4.0));
-        let rep = check_legality(&d);
+        let rep = check_legality_with(&d, false);
         let kinds: Vec<_> = rep
             .violations
             .iter()
@@ -241,7 +226,7 @@ mod tests {
         c.y = 5; // height 2 extends to 7 > 6
         c.row_parity = Some(0);
         d.add_cell(c);
-        let rep = check_legality(&d);
+        let rep = check_legality_with(&d, false);
         assert!(rep
             .violations
             .iter()
@@ -261,7 +246,7 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, Violation::NotLegalized { .. })));
-        let lax = check_legality(&d);
+        let lax = check_legality_with(&d, false);
         assert!(lax.is_legal());
     }
 
@@ -338,7 +323,7 @@ mod tests {
         let mut d = base();
         d.add_cell(Cell::fixed(CellId(0), 10, 2, 0, 0));
         d.add_cell(Cell::fixed(CellId(0), 10, 2, 5, 0));
-        let rep = check_legality(&d);
+        let rep = check_legality_with(&d, false);
         assert!(rep.is_legal());
     }
 }

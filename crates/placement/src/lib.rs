@@ -9,20 +9,17 @@
 //! * [`layout`] — the [`layout::Design`] container tying rows, cells and blockages together.
 //! * [`segment`] — extraction of unblocked placement segments per row.
 //! * [`density`] — bin-based density maps used by processing-ordering heuristics.
-//! * [`netlist`] — a light-weight netlist for HPWL-style quality metrics.
 //! * [`global_place`] — a global-placement simulator that produces realistic overlapping input.
 //! * [`benchmark`] — a seeded synthetic benchmark generator.
 //! * [`iccad2017`] — named specs mirroring the ICCAD 2017 contest cases used in the paper.
 //! * [`legality`] — legality checking (overlaps, sites, P/G alignment, die bounds).
 //! * [`metrics`] — displacement metrics, including the paper's average displacement `S_am`.
-//! * [`io`] — a plain-text interchange format (Bookshelf-like) for designs.
 //! * [`snapshot`] — a checksummed binary snapshot format (bit-exact, for crash recovery).
 //!
 //! The paper evaluates on the ICCAD 2017 multi-deck legalization contest benchmarks, which are
 //! not redistributable here; [`benchmark`] generates seeded synthetic designs that match the
 //! published per-case statistics (cell count, density, mixed-height distribution) so that every
-//! experiment in the paper can be re-run end to end. See `DESIGN.md` §1 for the substitution
-//! rationale.
+//! experiment in the paper can be re-run end to end.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,11 +30,9 @@ pub mod density;
 pub mod geom;
 pub mod global_place;
 pub mod iccad2017;
-pub mod io;
 pub mod layout;
 pub mod legality;
 pub mod metrics;
-pub mod netlist;
 pub mod row;
 pub mod segment;
 pub mod snapshot;
@@ -47,7 +42,7 @@ mod test_support;
 pub use cell::{Cell, CellId};
 pub use geom::{Interval, Rect};
 pub use layout::Design;
-pub use legality::{check_legality, LegalityReport, Violation};
+pub use legality::{LegalityReport, Violation};
 pub use metrics::{average_displacement, DisplacementStats};
 pub use row::{Rail, Row};
 pub use segment::Segment;

@@ -57,16 +57,6 @@ impl Row {
             rail,
         }
     }
-
-    /// Exclusive end site of the row.
-    pub fn x_end(&self) -> i64 {
-        self.x_start + self.num_sites
-    }
-
-    /// Whether site `x` lies inside the row.
-    pub fn contains_site(&self, x: i64) -> bool {
-        x >= self.x_start && x < self.x_end()
-    }
 }
 
 #[cfg(test)]
@@ -92,11 +82,8 @@ mod tests {
 
     #[test]
     fn row_site_bounds() {
-        let r = Row::new(3, 0, 100, Rail::Vss);
-        assert_eq!(r.x_end(), 100);
-        assert!(r.contains_site(0));
-        assert!(r.contains_site(99));
-        assert!(!r.contains_site(100));
-        assert!(!r.contains_site(-1));
+        let r = Row::new(3, 10, 100, Rail::Vss);
+        assert_eq!((r.index, r.x_start, r.num_sites), (3, 10, 100));
+        assert_eq!(r.rail, Rail::Vss);
     }
 }

@@ -83,26 +83,6 @@ impl SegmentMap {
         }
     }
 
-    /// Number of rows tracked.
-    pub fn num_rows(&self) -> usize {
-        self.per_row.len()
-    }
-
-    /// Iterator over every segment of the design.
-    pub fn iter(&self) -> impl Iterator<Item = &Segment> {
-        self.per_row.iter().flatten()
-    }
-
-    /// Total number of free sites across all rows.
-    pub fn total_free_sites(&self) -> i64 {
-        self.iter().map(|s| s.len()).sum()
-    }
-
-    /// The segment of row `row` that contains site `x`, if any.
-    pub fn segment_at(&self, row: i64, x: i64) -> Option<&Segment> {
-        self.row(row).iter().find(|s| s.span.contains(x))
-    }
-
     /// The widest segment of row `row` overlapping the window, if any (the localSegment rule).
     pub fn widest_in_window(&self, row: i64, window: &Interval) -> Option<Segment> {
         self.row(row)
@@ -177,7 +157,7 @@ mod tests {
     fn build_extracts_per_row_segments() {
         let d = design_with_macro();
         let map = SegmentMap::build(&d);
-        assert_eq!(map.num_rows(), 4);
+        assert_eq!(map.per_row.len(), 4);
         assert_eq!(map.row(0), &[Segment::new(0, 0, 50)]);
         assert_eq!(
             map.row(1),
@@ -196,16 +176,10 @@ mod tests {
     fn total_free_sites_matches_free_area() {
         let d = design_with_macro();
         let map = SegmentMap::build(&d);
-        assert_eq!(map.total_free_sites(), d.free_area());
-    }
-
-    #[test]
-    fn segment_at_finds_containing_segment() {
-        let d = design_with_macro();
-        let map = SegmentMap::build(&d);
-        assert_eq!(map.segment_at(1, 5), Some(&Segment::new(1, 0, 20)));
-        assert_eq!(map.segment_at(1, 25), None);
-        assert_eq!(map.segment_at(1, 35), Some(&Segment::new(1, 30, 50)));
+        assert_eq!(
+            map.per_row.iter().flatten().map(|s| s.len()).sum::<i64>(),
+            d.free_area()
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Checksummed binary design snapshots — the durable on-disk twin of [`crate::io`].
+//! Checksummed binary design snapshots: the on-disk design format of the ECO service's
+//! crash recovery.
 //!
-//! The text interchange format ([`crate::io`]) is for humans: diffable, greppable,
-//! checked into golden files. A *recovery* snapshot has different needs: it must
-//! round-trip every field **bit-exactly** (the ECO recovery differential compares cells
-//! with `f64::to_bits`), it must detect its own corruption (a torn write during a crash
-//! must never be mistaken for a valid design), and it is on the hot path of a resident
-//! service's checkpoint loop, so it should not format and re-parse half a million floats.
+//! A recovery snapshot must round-trip every field **bit-exactly** (the ECO recovery
+//! differential compares cells with `f64::to_bits`), it must detect its own corruption (a
+//! torn write during a crash must never be mistaken for a valid design), and it is on the
+//! hot path of a resident service's checkpoint loop, so it should not format and re-parse
+//! half a million floats.
 //!
 //! Layout (all integers little-endian):
 //!

@@ -6,7 +6,7 @@
 //!
 //! * [`placement`] — layout substrate (cells, rows, segments, benchmarks, metrics).
 //! * [`mgl`] — the Multi-row Global Legalization algorithm FLEX builds on.
-//! * [`fpga`] — cycle-approximate FPGA hardware model (BRAM, pipelines, PEs, resources).
+//! * [`fpga`] — cycle-approximate FPGA hardware model (pipelines, sorter, resources, link).
 //! * [`core`] — the FLEX accelerator itself (task assignment, multi-granularity pipeline,
 //!   SACS architecture, timing model).
 //! * [`baselines`] — the legalizers the paper compares against.

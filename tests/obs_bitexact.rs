@@ -87,3 +87,38 @@ fn serial_equals_parallel_with_spans_enabled() {
         "serial and parallel must stay byte-identical with spans enabled"
     );
 }
+
+/// The rayon shim spawns fresh worker threads for every batch, and a thread keeps the span
+/// ring it registers on its first span for the life of the process. So speculation workers
+/// must record no spans: with spans on, one parallel run may register at most the calling
+/// thread's ring and its speculation runner's ring, however many batches it speculates.
+#[test]
+fn speculation_workers_register_no_span_rings() {
+    let _guard = FLAG_LOCK.lock().unwrap();
+    // small rings for any thread that registers here, so a regression stays cheap to detect
+    flex_obs::set_ring_capacity(256);
+    flex_obs::set_enabled(true);
+    let spec = BenchmarkSpec {
+        num_cells: 900,
+        ..BenchmarkSpec::tiny("obs-rings", 29)
+    };
+    let mut runs = Vec::new();
+    for _ in 0..2 {
+        let before = flex_obs::thread_rings().len();
+        let mut d = generate(&spec);
+        let out = ParallelMglLegalizer::new(4, MglConfig::default()).legalize(&mut d);
+        runs.push((out.shards.batches, flex_obs::thread_rings().len() - before));
+    }
+    flex_obs::set_enabled(false);
+    flex_obs::set_ring_capacity(flex_obs::spans::DEFAULT_RING_CAPACITY);
+    for (batches, rings) in runs {
+        assert!(
+            batches >= 50,
+            "the run must speculate at least 50 batches, got {batches}"
+        );
+        assert!(
+            rings <= 2,
+            "a {batches}-batch 4-thread run registered {rings} span rings"
+        );
+    }
+}

@@ -4,7 +4,6 @@ use flex::mgl::curve::{minimize_sum, DisplacementCurve};
 use flex::mgl::{MglConfig, MglLegalizer, OrderingStrategy};
 use flex::placement::benchmark::{generate, BenchmarkSpec};
 use flex::placement::geom::{Interval, Rect};
-use flex::placement::io;
 use flex::placement::legality::check_legality_with;
 use flex::placement::metrics::displacement_stats;
 use proptest::prelude::*;
@@ -69,18 +68,6 @@ proptest! {
             x += 0.05;
         }
         prop_assert!(v <= grid_best + 1e-6, "scan {v} vs grid {grid_best}");
-    }
-
-    /// The text serialization of a design round-trips exactly.
-    #[test]
-    fn design_text_format_roundtrips(seed in 0u64..200, cells in 10usize..60) {
-        let spec = BenchmarkSpec { num_cells: cells, ..BenchmarkSpec::tiny("prop-io", seed) };
-        let d = generate(&spec);
-        let text = io::to_text(&d);
-        let back = io::from_text(&text).unwrap();
-        prop_assert_eq!(d.cells, back.cells);
-        prop_assert_eq!(d.blockages, back.blockages);
-        prop_assert_eq!(d.num_sites_x, back.num_sites_x);
     }
 }
 
