@@ -7,10 +7,9 @@
 //! block of the analytical baseline and a useful reference for single-height designs.
 
 use flex_placement::geom::Interval;
-use serde::{Deserialize, Serialize};
 
 /// One cell to be placed by Abacus within a row segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbacusCell {
     /// Caller-defined identifier (index into the caller's structures).
     pub id: usize,

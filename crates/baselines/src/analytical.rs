@@ -30,12 +30,11 @@ use flex_placement::layout::Design;
 use flex_placement::legality::check_legality_with;
 use flex_placement::metrics::displacement_stats;
 use flex_placement::segment::SegmentMap;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Result of the analytical legalizer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnalyticalResult {
     /// Whether the final placement is legal.
     pub legal: bool,

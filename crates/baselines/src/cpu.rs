@@ -7,25 +7,29 @@
 //! formation and committing are inherently serial, and the number of non-overlapping regions
 //! available at any moment is limited, which is why the speedup saturates around eight threads.
 //!
-//! Each member's step is TCAD'22's own: FOP over expanding windows, then one commit attempt
-//! for the first feasible placement. A cell whose commit is rejected goes to the fallback
-//! scan, not to the next window (where the serial [`flex_mgl::MglLegalizer`] would go).
+//! Each member's step is TCAD'22's own policy over the shared window pipeline
+//! ([`plan_window`]): expanding windows until FOP finds a feasible placement, then one commit
+//! attempt for it, planned on the worker. A cell whose commit is rejected goes to the
+//! fallback scan, not to the next window (where the serial [`flex_mgl::MglLegalizer`] would
+//! go), and so does a cell whose region outgrows `max_region_cells`.
 //!
-//! Batch windows are disjoint only at expansion 0, and every member's region is extracted
+//! Batch windows are disjoint only at expansion 0, and every member's plan is computed
 //! before the batch commits. So an earlier member's commit in an expanded window, or its
 //! fallback, can write into a later member's region, and that member's plan is stale. The
 //! commit phase records every write of the batch; a member whose region window, widened by one
 //! site like the parallel MGL engine's guard, meets an earlier write reruns its step serially
 //! against the current design. A one-thread run never reruns a member.
 
+use crate::next_batch;
 use flex_mgl::api::{LegalizeReport, Legalizer, RuntimeBreakdown};
 use flex_mgl::config::MglConfig;
-use flex_mgl::fop::{find_optimal_position_with, FopScratch, Placement, TargetSpec};
+use flex_mgl::fop::{FopScratch, TargetSpec};
 use flex_mgl::legalize::{
-    apply_commit, fallback_place_indexed, plan_commit_with, plan_write_rects,
+    apply_commit, fallback_place_indexed, plan_window, plan_write_rects, CommitPlan, WindowOutcome,
 };
-use flex_mgl::region::{target_window, LegalizedIndex, LocalRegion};
-use flex_mgl::stats::FopOpStats;
+use flex_mgl::ordering::size_descending_order;
+use flex_mgl::region::LegalizedIndex;
+use flex_mgl::stats::{FopOpStats, RegionWork};
 use flex_placement::cell::CellId;
 use flex_placement::geom::Rect;
 use flex_placement::layout::Design;
@@ -33,14 +37,15 @@ use flex_placement::legality::check_legality_with;
 use flex_placement::metrics::displacement_stats;
 use flex_placement::segment::SegmentMap;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// A batch member's FOP result: the region it was found in and the chosen placement.
-type Found = (LocalRegion, Placement);
+/// A batch member's step result: the window FOP found a feasible placement in, with the
+/// commit plan of that placement (`None` when commit planning rejected it).
+type Found = (Rect, Option<CommitPlan>);
 
 /// Result of a CPU-baseline legalization run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuLegalizerResult {
     /// Whether the final placement is fully legal.
     pub legal: bool,
@@ -101,11 +106,7 @@ impl CpuLegalizer {
         let mut scratch = FopScratch::new();
 
         // size-descending processing order (the widely adopted baseline ordering)
-        let mut queue: Vec<CellId> = design.movable_ids();
-        queue.sort_by_key(|&id| {
-            let c = design.cell(id);
-            (std::cmp::Reverse(c.area()), id)
-        });
+        let queue = size_descending_order(design, &design.movable_ids());
 
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(self.threads)
@@ -119,46 +120,27 @@ impl CpuLegalizer {
         let mut batch_total = 0usize;
         let mut writes: Vec<Rect> = Vec::new();
 
-        let mut pending = std::collections::VecDeque::from(queue);
+        let mut pending = VecDeque::from(queue);
         while !pending.is_empty() {
-            // form a batch of cells whose windows do not overlap (scanning a bounded lookahead
-            // so the ordering does not degrade arbitrarily)
+            // a batch of cells whose windows do not overlap (scanning a bounded lookahead so
+            // the ordering does not degrade arbitrarily)
             let lookahead = (self.threads * 4).max(8);
-            let mut batch: Vec<CellId> = Vec::with_capacity(self.threads);
-            let mut batch_windows: Vec<Rect> = Vec::new();
-            let mut skipped: Vec<CellId> = Vec::new();
-            while batch.len() < self.threads && !pending.is_empty() && skipped.len() < lookahead {
-                let id = pending.pop_front().unwrap();
-                let window = target_window(design, id, cfg.window_half_sites, cfg.window_half_rows);
-                if batch_windows.iter().any(|w| w.overlaps(&window)) {
-                    skipped.push(id);
-                } else {
-                    batch_windows.push(window);
-                    batch.push(id);
-                }
-            }
-            // anything skipped goes back to the front, preserving order
-            for id in skipped.into_iter().rev() {
-                pending.push_front(id);
-            }
-            if batch.is_empty() {
-                // nothing non-overlapping found within the lookahead: fall back to one cell
-                if let Some(id) = pending.pop_front() {
-                    batch.push(id);
-                }
-            }
+            let batch = next_batch(design, cfg, &mut pending, self.threads, lookahead);
 
             batches += 1;
             batch_total += batch.len();
 
-            // parallel FOP over the batch (read-only view of the design and the index)
+            // parallel FOP and commit planning over the batch (read-only view of the design
+            // and the index)
             let (design_ref, index_ref): (&Design, &LegalizedIndex) = (design, &index);
             let outcomes: Vec<(CellId, Option<Found>)> = pool.install(|| {
                 batch
                     .par_iter()
-                    .map(|&id| {
-                        let found = FopScratch::with_thread_local(|scratch| {
-                            find_in_windows(design_ref, &segmap, index_ref, cfg, id, scratch)
+                    .map(|&(id, _)| {
+                        let found = flex_obs::without_spans(|| {
+                            FopScratch::with_thread_local(|scratch| {
+                                find_in_windows(design_ref, &segmap, index_ref, cfg, id, scratch)
+                            })
                         });
                         (id, found)
                     })
@@ -168,8 +150,8 @@ impl CpuLegalizer {
             // serial commit phase (the synchronization the paper's Fig. 2(a)/(b) refers to)
             writes.clear();
             for (id, found) in outcomes {
-                let stale = found.as_ref().is_some_and(|(region, _)| {
-                    let guard = region.window.expanded(1, 0);
+                let stale = found.as_ref().is_some_and(|(window, _)| {
+                    let guard = window.expanded(1, 0);
                     writes.iter().any(|w| w.overlaps(&guard))
                 });
                 let found = if stale {
@@ -177,12 +159,9 @@ impl CpuLegalizer {
                 } else {
                     found
                 };
-                // one commit attempt, then the fallback scan
+                // the one commit attempt, then the fallback scan
                 let spec = TargetSpec::of(design.cell(id));
-                let plan = found.and_then(|(region, placement)| {
-                    plan_commit_with(&region, &placement, &spec, cfg, &mut scratch)
-                });
-                if let Some(plan) = plan {
+                if let Some((_, Some(plan))) = found {
                     plan_write_rects(design, &plan, &mut writes);
                     apply_commit(design, &plan);
                     placed_in_region += 1;
@@ -216,9 +195,9 @@ impl CpuLegalizer {
     }
 }
 
-/// TCAD'22's FOP step for one cell: extract the region of each expanding window until FOP
-/// finds a feasible placement. `None` when no window does, or once a region outgrows
-/// `max_region_cells` (larger windows only grow it).
+/// TCAD'22's step for one cell: [`plan_window`] at each expansion level until FOP finds a
+/// feasible placement, whose one commit attempt it plans. `None` when no window does, or
+/// once a region outgrows `max_region_cells` (larger windows only grow it).
 fn find_in_windows(
     design: &Design,
     segmap: &SegmentMap,
@@ -228,25 +207,16 @@ fn find_in_windows(
     scratch: &mut FopScratch,
 ) -> Option<Found> {
     let spec = TargetSpec::of(design.cell(id));
+    let (mut work, mut stats) = (RegionWork::default(), FopOpStats::default());
     for expansion in 0..=cfg.max_window_expansions {
-        let window = target_window(
-            design,
-            id,
-            cfg.window_half_sites << expansion,
-            cfg.window_half_rows << expansion,
+        let (window, outcome) = plan_window(
+            design, segmap, index, cfg, &spec, id, expansion, &mut work, &mut stats, scratch,
         );
-        let region = LocalRegion::extract_indexed(design, segmap, id, window, index);
-        if region.cells.len() > cfg.max_region_cells {
-            return None;
-        }
-        if !region.can_host(spec.width, spec.height, spec.parity) {
-            continue;
-        }
-        let mut stats = FopOpStats::default();
-        if let Some(best) =
-            find_optimal_position_with(&region, &spec, cfg, &mut stats, scratch).best
-        {
-            return Some((region, best));
+        match outcome {
+            WindowOutcome::Oversize => return None,
+            WindowOutcome::CannotHost | WindowOutcome::NoFeasiblePoint => {}
+            WindowOutcome::Rejected => return Some((window, None)),
+            WindowOutcome::Planned(plan) => return Some((window, Some(plan))),
         }
     }
     None

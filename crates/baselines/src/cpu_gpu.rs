@@ -16,24 +16,24 @@
 //! queue.
 
 use crate::gpu_model::GpuModel;
+use crate::next_batch;
 use flex_mgl::api::{LegalizeReport, Legalizer, RuntimeBreakdown};
 use flex_mgl::config::MglConfig;
 use flex_mgl::fop::FopScratch;
 use flex_mgl::legalize::{place_target_with, PlacedBy};
-use flex_mgl::region::{target_window, LegalizedIndex};
+use flex_mgl::ordering::size_descending_order;
+use flex_mgl::region::LegalizedIndex;
 use flex_mgl::stats::FopOpStats;
 use flex_placement::cell::CellId;
-use flex_placement::geom::Rect;
 use flex_placement::layout::Design;
 use flex_placement::legality::check_legality_with;
 use flex_placement::metrics::displacement_stats;
 use flex_placement::segment::SegmentMap;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Result of a CPU-GPU legalization run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuGpuResult {
     /// Whether the final placement is legal.
     pub legal: bool,
@@ -127,12 +127,7 @@ impl CpuGpuLegalizer {
         // size-descending order; multi-row cells are "tough" and land on the CPU queue
         let mut simple: Vec<CellId> = Vec::new();
         let mut tough: Vec<CellId> = Vec::new();
-        let mut order: Vec<CellId> = design.movable_ids();
-        order.sort_by_key(|&id| {
-            let c = design.cell(id);
-            (std::cmp::Reverse(c.area()), id)
-        });
-        for id in order {
+        for id in size_descending_order(design, &design.movable_ids()) {
             if design.cell(id).height > 1 {
                 tough.push(id);
             } else {
@@ -149,54 +144,23 @@ impl CpuGpuLegalizer {
         // --- GPU part: batches of non-overlapping single-row regions --------------------------
         let mut pending: VecDeque<CellId> = simple.into();
         while !pending.is_empty() {
-            let mut batch: Vec<CellId> = Vec::new();
-            let mut windows: Vec<Rect> = Vec::new();
-            let mut skipped: Vec<CellId> = Vec::new();
-            let lookahead = self.batch_size * 4;
-            while batch.len() < self.batch_size && !pending.is_empty() && skipped.len() < lookahead
-            {
-                let id = pending.pop_front().unwrap();
-                let w = target_window(
-                    design,
-                    id,
-                    self.config.window_half_sites,
-                    self.config.window_half_rows,
-                );
-                if windows.iter().any(|x| x.overlaps(&w)) {
-                    skipped.push(id);
-                } else {
-                    windows.push(w);
-                    batch.push(id);
-                }
-            }
-            for id in skipped.into_iter().rev() {
-                pending.push_front(id);
-            }
-            if batch.is_empty() {
-                if let Some(id) = pending.pop_front() {
-                    batch.push(id);
-                }
-            }
+            let (size, lookahead) = (self.batch_size, self.batch_size * 4);
+            let batch = next_batch(design, &self.config, &mut pending, size, lookahead);
             batches += 1;
 
             // brute-force work per region: every site of every row of the window is a candidate
             // interval evaluated by one GPU thread
-            let mut items_per_region = 0u64;
-            for id in &batch {
-                let w = target_window(
-                    design,
-                    *id,
-                    self.config.window_half_sites,
-                    self.config.window_half_rows,
-                );
-                items_per_region = items_per_region.max((w.width() * w.height()) as u64);
-            }
+            let items_per_region = batch
+                .iter()
+                .map(|(_, w)| (w.width() * w.height()) as u64)
+                .max()
+                .unwrap_or(0);
             let batch_time = self.gpu.batch_time(batch.len() as u64, items_per_region);
             gpu_time += batch_time;
             sync_time += self.gpu.sync_overhead;
 
             // functional evaluation + commit on the host
-            for id in batch {
+            for (id, _) in batch {
                 if !place(design, id) {
                     failed.push(id);
                 }

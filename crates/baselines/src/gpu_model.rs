@@ -6,11 +6,10 @@
 //! positions back before the next batch can be formed. This model captures exactly those two
 //! effects and nothing more.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A CUDA-core style throughput model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     /// Number of CUDA cores (GTX 1660 Ti: 1536; A800: 6912).
     pub cuda_cores: u64,

@@ -33,3 +33,45 @@ pub use analytical::{AnalyticalLegalizer, AnalyticalResult};
 pub use cpu::{CpuLegalizer, CpuLegalizerResult};
 pub use cpu_gpu::{CpuGpuLegalizer, CpuGpuResult};
 pub use gpu_model::GpuModel;
+
+use flex_mgl::config::MglConfig;
+use flex_mgl::region::target_window;
+use flex_placement::cell::CellId;
+use flex_placement::geom::Rect;
+use flex_placement::layout::Design;
+use std::collections::VecDeque;
+
+/// Take the next batch of region-parallel work off the front of `pending` (TCAD'22 and
+/// DATE'22 form their batches alike): up to `max` cells whose level-0 windows are pairwise
+/// disjoint, passing over at most `lookahead` cells whose window meets the batch's. Skipped
+/// cells go back to the front in their order; if no cell fits, the batch is the front cell
+/// alone. Returns each member with its level-0 window.
+pub(crate) fn next_batch(
+    design: &Design,
+    cfg: &MglConfig,
+    pending: &mut VecDeque<CellId>,
+    max: usize,
+    lookahead: usize,
+) -> Vec<(CellId, Rect)> {
+    let window = |id| target_window(design, id, cfg.window_half_sites, cfg.window_half_rows);
+    let mut batch: Vec<(CellId, Rect)> = Vec::new();
+    let mut skipped: Vec<CellId> = Vec::new();
+    while batch.len() < max && skipped.len() < lookahead {
+        let Some(id) = pending.pop_front() else { break };
+        let w = window(id);
+        if batch.iter().any(|(_, b)| b.overlaps(&w)) {
+            skipped.push(id);
+        } else {
+            batch.push((id, w));
+        }
+    }
+    for id in skipped.into_iter().rev() {
+        pending.push_front(id);
+    }
+    if batch.is_empty() {
+        if let Some(id) = pending.pop_front() {
+            batch.push((id, window(id)));
+        }
+    }
+    batch
+}

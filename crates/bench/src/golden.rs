@@ -8,7 +8,7 @@
 //! `FLEX_BLESS=1` to regenerate the files after an intentional algorithm change.
 //!
 //! The JSON codec is hand-rolled (flat objects, no escapes needed for the keys used) because
-//! the workspace builds offline with a no-op `serde` shim.
+//! the workspace builds offline without `serde`.
 
 use flex_mgl::api::LegalizeReport;
 

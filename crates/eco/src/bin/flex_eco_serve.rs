@@ -25,7 +25,7 @@ fn usage() -> ! {
         "usage: flex-eco-serve --socket PATH [--cells N] [--seed S] [--density D] [--queue N]\n\
          \x20                     [--journal-dir DIR] [--fsync] [--snapshot-every N]\n\
          \x20                     [--idle-timeout-ms MS] [--batch-deadline-ms MS]\n\
-         \x20                     [--no-validate] [--no-obs]\n\
+         \x20                     [--no-obs]\n\
          \n\
          --socket PATH        Unix socket to listen on (required)\n\
          --cells N            movable cells in the generated design (default 50000)\n\
@@ -42,7 +42,6 @@ fn usage() -> ! {
          --idle-timeout-ms MS disconnect a connection idle past MS (default 30000, 0 = never)\n\
          --batch-deadline-ms MS  supervision watchdog: a batch the engine has not answered\n\
          \x20                    within MS is quarantined and the engine rebuilt (default 5000)\n\
-         --no-validate        skip Design::validate_invariants at the batch boundary\n\
          --no-obs             disable span collection (the `trace` op then returns empty)\n\
          \n\
          environment: FLEX_FAULTS / FLEX_FAULTS_SEED / FLEX_FAULTS_HANG_MS arm\n\
@@ -63,7 +62,6 @@ fn main() {
     let mut snapshot_every: u64 = 4096;
     let mut idle_timeout_ms: u64 = 30_000;
     let mut batch_deadline_ms: u64 = 5_000;
-    let mut validate = true;
     let mut obs = true;
 
     let mut it = args.iter();
@@ -97,7 +95,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| usage())
             }
-            "--no-validate" => validate = false,
             "--no-obs" => obs = false,
             "--help" | "-h" => usage(),
             other => {
@@ -127,7 +124,7 @@ fn main() {
     // engine — recover it instead of regenerating (the bootstrap legalization of a big
     // design costs minutes; replaying the journal suffix costs milliseconds).
     let recovered = match &journal_cfg {
-        Some(cfg) => match recover_engine(cfg.clone(), MglConfig::default(), validate) {
+        Some(cfg) => match recover_engine(cfg.clone(), MglConfig::default()) {
             Ok(recovered) => recovered,
             Err(e) => {
                 eprintln!("recovery from {} failed: {e}", cfg.dir.display());
@@ -163,7 +160,7 @@ fn main() {
 
             eprintln!("legalizing and warming acceleration structures ...");
             let engine = match EcoEngine::legalize_and_build(design, MglConfig::default()) {
-                Ok(engine) => engine.with_boundary_validation(validate),
+                Ok(engine) => engine,
                 Err(e) => {
                     eprintln!("failed to build resident engine: {e}");
                     std::process::exit(1);

@@ -258,10 +258,6 @@ pub struct EcoStats {
     pub failed: u64,
     /// Failed deltas bucketed by [`DeltaKind::index`] (sums to `failed`).
     pub failed_by_kind: [u64; 4],
-    /// Full `LegalizedIndex` rebuilds the engine performed (stays 0: point updates only).
-    pub index_rebuilds: u64,
-    /// Full `DensityMap` rebuilds the engine performed (stays 0: `apply_move` only).
-    pub density_rebuilds: u64,
 }
 
 impl EcoStats {
@@ -287,7 +283,5 @@ impl EcoStats {
         registry.set_counter("eco_batches_total", self.batches);
         registry.set_counter("eco_fallbacks_total", self.fallbacks);
         registry.set_counter("eco_failed_total", self.failed);
-        registry.set_counter("eco_index_rebuilds_total", self.index_rebuilds);
-        registry.set_counter("eco_density_rebuilds_total", self.density_rebuilds);
     }
 }

@@ -8,8 +8,7 @@
 //! through the existing expanding-window FOP machinery ([`plan_place_target_with`]), and
 //! committed with point updates to the index
 //! ([`LegalizedIndex::insert_cell`] / [`LegalizedIndex::remove_cell`]) and density map
-//! ([`DensityMap::apply_move`]) — never a full rebuild ([`EcoStats::index_rebuilds`] and
-//! [`EcoStats::density_rebuilds`] stay 0 by construction).
+//! ([`DensityMap::apply_move`]) — never a full rebuild.
 //!
 //! Batches are validated up front: a rejected batch leaves the resident state untouched. A
 //! delta that validates but finds no feasible position is rolled back individually and
@@ -37,7 +36,6 @@ use std::time::Instant;
 pub struct EcoEngine {
     design: Design,
     cfg: MglConfig,
-    validate_boundary: bool,
     segmap: SegmentMap,
     index: LegalizedIndex,
     density: DensityMap,
@@ -72,7 +70,6 @@ impl EcoEngine {
         Ok(Self {
             design,
             cfg,
-            validate_boundary: true,
             segmap,
             index,
             density,
@@ -110,13 +107,6 @@ impl EcoEngine {
         Self::new(design, cfg)
     }
 
-    /// Enable or disable the post-batch `Design::validate_invariants` boundary check
-    /// (enabled by default; `flex-eco-serve --no-validate` turns it off).
-    pub fn with_boundary_validation(mut self, validate: bool) -> Self {
-        self.validate_boundary = validate;
-        self
-    }
-
     /// The resident design.
     pub fn design(&self) -> &Design {
         &self.design
@@ -152,13 +142,6 @@ impl EcoEngine {
     /// individual wall-clock time into its kind's bucket.
     pub fn latency_histograms(&self) -> &[flex_obs::Histogram; 4] {
         &self.latency
-    }
-
-    /// Whether the post-batch boundary invariant check is enabled (see
-    /// [`EcoEngine::with_boundary_validation`]); the supervisor preserves this across
-    /// engine rebuilds.
-    pub fn boundary_validation(&self) -> bool {
-        self.validate_boundary
     }
 
     /// Run the full legality check over the resident design.
@@ -327,11 +310,9 @@ impl EcoEngine {
             outcomes.push(outcome);
         }
 
-        if self.validate_boundary {
-            self.design
-                .validate_invariants()
-                .map_err(EcoError::InvariantViolation)?;
-        }
+        self.design
+            .validate_invariants()
+            .map_err(EcoError::InvariantViolation)?;
 
         let cells_touched = outcomes.iter().map(|o| o.cells_touched).sum();
         let fallbacks = outcomes

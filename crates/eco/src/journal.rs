@@ -189,19 +189,11 @@ fn stats_to_json(stats: &EcoStats) -> Json {
         ("batches".into(), Json::Num(stats.batches as f64)),
         ("fallbacks".into(), Json::Num(stats.fallbacks as f64)),
         ("failed".into(), Json::Num(stats.failed as f64)),
-        (
-            "index_rebuilds".into(),
-            Json::Num(stats.index_rebuilds as f64),
-        ),
-        (
-            "density_rebuilds".into(),
-            Json::Num(stats.density_rebuilds as f64),
-        ),
     ])
 }
 
 /// Keys it does not know are ignored, so snapshots written with retired counters (such as
-/// `store_recaptures`) still load.
+/// `store_recaptures`, `index_rebuilds` and `density_rebuilds`) still load.
 fn stats_from_json(json: &Json) -> Result<EcoStats, String> {
     let num = |key: &str| -> Result<u64, String> {
         json.get(key)
@@ -232,8 +224,6 @@ fn stats_from_json(json: &Json) -> Result<EcoStats, String> {
         batches: num("batches")?,
         fallbacks: num("fallbacks")?,
         failed: num("failed")?,
-        index_rebuilds: num("index_rebuilds")?,
-        density_rebuilds: num("density_rebuilds")?,
     })
 }
 
@@ -653,15 +643,8 @@ fn scan_wal(path: &Path, mut expect: u64) -> std::io::Result<WalScan> {
 pub fn recover_engine(
     cfg: JournalConfig,
     mgl: MglConfig,
-    validate_boundary: bool,
 ) -> std::io::Result<Option<(EcoEngine, Journal, RecoveryReport)>> {
-    recover_engine_supervised(
-        cfg,
-        mgl,
-        validate_boundary,
-        &BTreeSet::new(),
-        &BTreeSet::new(),
-    )
+    recover_engine_supervised(cfg, mgl, &BTreeSet::new(), &BTreeSet::new())
 }
 
 /// One attempt of [`recover_engine_supervised`]: either finished, or aborted because a
@@ -689,21 +672,13 @@ enum RecoverStep {
 pub fn recover_engine_supervised(
     cfg: JournalConfig,
     mgl: MglConfig,
-    validate_boundary: bool,
     capture: &BTreeSet<u64>,
     extra_quarantine: &BTreeSet<u64>,
 ) -> std::io::Result<Option<(EcoEngine, Journal, RecoveryReport)>> {
     fault::fail_io("eco.recover.fail")?;
     let mut auto: BTreeMap<u64, String> = BTreeMap::new();
     loop {
-        match try_recover(
-            &cfg,
-            &mgl,
-            validate_boundary,
-            capture,
-            extra_quarantine,
-            &auto,
-        )? {
+        match try_recover(&cfg, &mgl, capture, extra_quarantine, &auto)? {
             RecoverStep::Done(None) => return Ok(None),
             RecoverStep::Done(Some(done)) => {
                 let (engine, journal, mut report) = *done;
@@ -729,7 +704,6 @@ pub fn recover_engine_supervised(
 fn try_recover(
     cfg: &JournalConfig,
     mgl: &MglConfig,
-    validate_boundary: bool,
     capture: &BTreeSet<u64>,
     extra_quarantine: &BTreeSet<u64>,
     auto: &BTreeMap<u64, String>,
@@ -781,8 +755,7 @@ fn try_recover(
     let quarantined = load_quarantine(&cfg.dir);
 
     let mut engine = EcoEngine::resume(design, mgl.clone(), stats)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
-        .with_boundary_validation(validate_boundary);
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
 
     // walk the wal generations forward from the chosen snapshot, enforcing one unbroken
     // sequence chain across files; the first torn record ends history
@@ -931,7 +904,9 @@ mod tests {
         let Json::Obj(mut fields) = stats_to_json(&stats) else {
             panic!("stats encode as an object");
         };
-        fields.push(("store_recaptures".into(), Json::Num(4.0)));
+        for retired in ["store_recaptures", "index_rebuilds", "density_rebuilds"] {
+            fields.push((retired.into(), Json::Num(4.0)));
+        }
         let old = Json::parse(&Json::Obj(fields).to_string()).unwrap();
         assert_eq!(stats_from_json(&old), Ok(stats));
     }

@@ -1,9 +1,8 @@
 //! A minimal JSON value, parser and writer.
 //!
-//! The workspace's `serde` shim provides no-op derives only (the no-network constraint), so
-//! the wire protocol hand-rolls its JSON the same way `flex-bench`'s golden files do — but
-//! the service additionally needs to *parse* requests, which this module supplies in ~150
-//! lines. Only what the protocol uses is implemented: objects, arrays, strings with the
+//! The workspace builds offline without `serde`, so the wire protocol hand-rolls its JSON
+//! the same way `flex-bench`'s golden files do — but the service additionally needs to
+//! *parse* requests, which this module supplies in ~150 lines. Only what the protocol uses is implemented: objects, arrays, strings with the
 //! standard escapes, finite numbers, booleans and null.
 
 /// A parsed JSON value.

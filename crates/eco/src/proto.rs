@@ -318,14 +318,6 @@ pub fn encode_stats(stats: &EcoStats, uptime: std::time::Duration) -> Vec<u8> {
     body.push(("fallbacks".into(), Json::Num(stats.fallbacks as f64)));
     body.push(("failed".into(), Json::Num(stats.failed as f64)));
     body.push(("uptime_s".into(), Json::Num(uptime.as_secs_f64())));
-    body.push((
-        "index_rebuilds".into(),
-        Json::Num(stats.index_rebuilds as f64),
-    ));
-    body.push((
-        "density_rebuilds".into(),
-        Json::Num(stats.density_rebuilds as f64),
-    ));
     fields.push(("stats".into(), Json::Obj(body)));
     Json::Obj(fields).to_string().into_bytes()
 }

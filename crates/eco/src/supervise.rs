@@ -457,7 +457,6 @@ struct Supervisor {
     /// consumes `journal`) so every later rebuild attempt can retry journal recovery.
     journal_cfg: JournalConfig,
     mgl: MglConfig,
-    validate_boundary: bool,
     quarantined: BTreeSet<u64>,
     /// Sequence numbers journaled but not yet answered — in fsync mode a whole group is
     /// journaled before any member is dispatched, so a mid-group rebuild replays these. Recovery captures their replay outcomes so the waiting clients
@@ -535,7 +534,6 @@ impl Supervisor {
         shared: Arc<SupervisorShared>,
     ) -> Self {
         let mgl = engine.config().clone();
-        let validate_boundary = engine.boundary_validation();
         let num_rows = engine.design().num_rows;
         // quarantines from previous incarnations still count as degradation
         let quarantined = journal::load_quarantine(&journal.config().dir);
@@ -553,7 +551,6 @@ impl Supervisor {
             journal: Some(journal),
             journal_cfg,
             mgl,
-            validate_boundary,
             quarantined,
             unanswered: BTreeSet::new(),
             replay_responses: BTreeMap::new(),
@@ -814,7 +811,6 @@ impl Supervisor {
         let rebuilt = match journal::recover_engine_supervised(
             self.journal_cfg.clone(),
             self.mgl.clone(),
-            self.validate_boundary,
             &self.unanswered,
             &self.quarantined,
         ) {

@@ -117,7 +117,7 @@ fn journal_write_failure_is_a_typed_error_and_the_engine_stays_untouched() {
     // recovery sees exactly the durable history — the state the server wound down with
     fault::reset();
     let (recovered, journal, _report) =
-        recover_engine(JournalConfig::new(&dir), MglConfig::default(), true)
+        recover_engine(JournalConfig::new(&dir), MglConfig::default())
             .unwrap()
             .expect("journal directory must recover");
     assert_eq!(journal.seq(), 4);

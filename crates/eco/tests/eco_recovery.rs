@@ -130,10 +130,9 @@ fn twins(tag: &str, seed: u64, n_batches: usize, snapshot_every: u64) -> Twins {
 
 /// Recover from `dir` and return (engine bytes, stats, last seq).
 fn recover_state(dir: &Path) -> (Vec<u8>, EcoStats, u64) {
-    let (engine, journal, _report) =
-        recover_engine(JournalConfig::new(dir), MglConfig::default(), true)
-            .unwrap()
-            .expect("journal directory must hold a snapshot");
+    let (engine, journal, _report) = recover_engine(JournalConfig::new(dir), MglConfig::default())
+        .unwrap()
+        .expect("journal directory must hold a snapshot");
     assert!(engine.check_legal(), "recovered engine must be legal");
     (
         design_bytes(engine.design()),
@@ -335,7 +334,7 @@ fn corrupt_newest_snapshot_falls_back_to_the_previous_generation() {
 fn fresh_directory_recovers_to_nothing_and_shutdown_snapshot_restores_instantly() {
     let dir = temp_dir("fresh");
     assert!(
-        recover_engine(JournalConfig::new(&dir), MglConfig::default(), true)
+        recover_engine(JournalConfig::new(&dir), MglConfig::default())
             .unwrap()
             .is_none(),
         "an empty directory is a fresh start, not an error"

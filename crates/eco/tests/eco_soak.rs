@@ -182,7 +182,7 @@ fn soak_under_fault_injection_keeps_exactly_once_stats_and_leaks_nothing() {
 
     // the journal's view of history equals the surviving engine, bit for bit
     let (recovered, journal, report) =
-        recover_engine(JournalConfig::new(&dir), MglConfig::default(), true)
+        recover_engine(JournalConfig::new(&dir), MglConfig::default())
             .unwrap()
             .expect("soak journal must recover");
     assert_eq!(journal.seq(), total_acked);
@@ -342,7 +342,7 @@ fn soak_under_random_engine_panics_survives_and_quarantines_each_one() {
 
     // recovery honors the quarantine: bit-identical to the surviving engine
     let (recovered, journal, _report) =
-        recover_engine(JournalConfig::new(&dir), MglConfig::default(), true)
+        recover_engine(JournalConfig::new(&dir), MglConfig::default())
             .unwrap()
             .expect("storm journal must recover");
     assert_eq!(

@@ -189,7 +189,7 @@ fn engine_panic_mid_batch_is_quarantined_and_the_server_self_heals() {
     // snapshot is already past the quarantined batch, so nothing needs skipping
     fault::reset();
     let (recovered, _journal, report) =
-        recover_engine(JournalConfig::new(&dir), MglConfig::default(), true)
+        recover_engine(JournalConfig::new(&dir), MglConfig::default())
             .unwrap()
             .expect("journal directory must recover");
     assert_eq!(report.quarantined_skipped, 0);
@@ -226,7 +226,7 @@ fn recovery_replays_around_a_quarantined_batch_and_reports_the_skip() {
     drop(journal);
 
     let (recovered, journal, report) =
-        recover_engine(JournalConfig::new(&dir), MglConfig::default(), true)
+        recover_engine(JournalConfig::new(&dir), MglConfig::default())
             .unwrap()
             .expect("journal directory must recover");
     assert_eq!(journal.seq(), 3);

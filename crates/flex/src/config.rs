@@ -4,10 +4,9 @@ use flex_fpga::clock::ClockDomain;
 use flex_fpga::link::LinkModel;
 use flex_mgl::config::{MglConfig, OrderingStrategy, ShiftAlgorithm};
 use flex_mgl::parallel::ParallelMglLegalizer;
-use serde::{Deserialize, Serialize};
 
 /// Which legalization steps run on the FPGA (Sec. 3.1.1 / Fig. 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskAssignment {
     /// The FLEX assignment: steps (a), (b), (c), (e) on the CPU, step (d) — FOP — on the FPGA.
     FopOnFpga,
@@ -19,7 +18,7 @@ pub enum TaskAssignment {
 }
 
 /// How the FOP operators are pipelined on the FPGA (Sec. 3.2 / Fig. 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineMode {
     /// Normal pipeline: each operator finishes all items and parks results in RAM before the
     /// next operator starts.
@@ -30,7 +29,7 @@ pub enum PipelineMode {
 }
 
 /// The SACS architecture options of Sec. 4.3 (the Fig. 9 ablation steps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SacsArchConfig {
     /// `SACS-Ar`: the customized dataflow/architecture (pipelined PE, II ≈ 1 per cell) instead
     /// of a sequential evaluation of the dataflow stages.
@@ -63,7 +62,7 @@ impl SacsArchConfig {
 }
 
 /// Configuration of the FLEX accelerator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlexConfig {
     /// Number of parallel FOP PEs (the paper evaluates 1 and 2; Table 2 shows both).
     pub num_fop_pes: u64,

@@ -9,7 +9,6 @@
 use crate::config::TaskAssignment;
 use flex_fpga::link::{LinkModel, BYTES_PER_CELL, BYTES_PER_RESULT, BYTES_PER_SEGMENT};
 use flex_mgl::stats::RegionWork;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Fraction of the CPU-side non-FOP time that step (e) — insert & update — accounts for.
@@ -26,7 +25,7 @@ pub fn host_overlap_factor(threads: usize) -> f64 {
 }
 
 /// Per-region traffic (bytes) between the CPU and the FPGA under a given assignment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegionTraffic {
     /// Bytes shipped to the card before its FOP can start.
     pub download: u64,

@@ -16,11 +16,10 @@ use crate::fop_pipeline::FopPeModel;
 use crate::task_assign;
 use flex_mgl::legalize::LegalizeResult;
 use flex_mgl::stats::WorkTrace;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Breakdown of the software (host-only) legalization run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SoftwareBreakdown {
     /// Total wall-clock runtime of the software legalizer.
     pub total: Duration,
@@ -69,7 +68,7 @@ impl SoftwareBreakdown {
 }
 
 /// Estimated timing of a FLEX run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FlexTiming {
     /// CPU time (steps a, b, c and — under the FLEX assignment — e).
     pub cpu_time: Duration,

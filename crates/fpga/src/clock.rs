@@ -5,12 +5,11 @@
 //! domain into its stall divisor, so the only conversion the estimate needs is PE cycles to
 //! time.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 use std::time::Duration;
 
 /// A number of clock cycles in some domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Cycles(pub u64);
 
 impl Cycles {
@@ -43,7 +42,7 @@ impl std::iter::Sum for Cycles {
 }
 
 /// A clock domain characterized by its frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockDomain {
     /// Frequency in MHz.
     pub freq_mhz: f64,

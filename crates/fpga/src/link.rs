@@ -8,11 +8,10 @@
 //! the transfer-time arithmetic; `flex-core`'s `task_assign::region_traffic` counts the bytes
 //! each region moves.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A simple bandwidth + latency model of the host link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Sustained bandwidth in gigabytes per second.
     pub bandwidth_gbps: f64,

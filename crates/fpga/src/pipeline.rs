@@ -10,10 +10,9 @@
 //! Fig. 8 ablation.
 
 use crate::clock::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// Timing characteristics of one pipeline operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OperatorSpec {
     /// Human-readable operator name (for reports).
     pub name: &'static str,

@@ -4,11 +4,10 @@
 //! PEs; this module reproduces that accounting and lets the scalability analysis of Sec. 5.4
 //! ask "how many PEs fit before BRAM becomes the bound?".
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul};
 
 /// A bundle of FPGA resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Resources {
     /// Look-up tables.
     pub luts: u64,
@@ -82,7 +81,7 @@ impl Resources {
 }
 
 /// Utilization fractions per resource class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceUtilization {
     /// LUT utilization.
     pub luts: f64,
@@ -95,7 +94,7 @@ pub struct ResourceUtilization {
 }
 
 /// A resource class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResourceKind {
     /// Look-up tables.
     Luts,

@@ -10,10 +10,9 @@
 
 use crate::clock::Cycles;
 use crate::resources::Resources;
-use serde::{Deserialize, Serialize};
 
 /// The kind of hardware sorter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SorterKind {
     /// Insertion sorter: a linear array of compare-swap stages. One element accepted per cycle;
     /// the full sorted sequence is available `capacity` cycles after the last insert. Only
@@ -27,7 +26,7 @@ pub enum SorterKind {
 }
 
 /// A hardware sorter model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SorterModel {
     /// The sorter micro-architecture.
     pub kind: SorterKind,

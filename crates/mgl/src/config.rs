@@ -1,9 +1,7 @@
 //! Configuration of the MGL legalizer.
 
-use serde::{Deserialize, Serialize};
-
 /// Which cell-shifting algorithm to use inside FOP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShiftAlgorithm {
     /// The original multi-pass algorithm with a `finish` flag (Fig. 6, Algorithm 3).
     Original,
@@ -12,7 +10,7 @@ pub enum ShiftAlgorithm {
 }
 
 /// Processing-order strategy for unlegalized target cells (Sec. 3.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderingStrategy {
     /// Sort by cell area, largest first — the widely adopted baseline the paper attributes
     /// to the CPU-GPU legalizer \[30\].
@@ -26,7 +24,7 @@ pub enum OrderingStrategy {
 }
 
 /// Configuration of the MGL legalizer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MglConfig {
     /// Half-width of the legalization window in sites.
     pub window_half_sites: i64,

@@ -12,11 +12,9 @@
 //! `|min(c_k, x_t - S_k) - g_k|`; the right-move phase mirrors this. The target itself
 //! contributes `|x_t - g_t|` plus the constant vertical displacement of the chosen row.
 
-use serde::{Deserialize, Serialize};
-
 /// A breakpoint of one displacement curve, carrying the curve's slopes on either side
 /// (this is exactly the representation the FOP hardware streams between operators).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Breakpoint {
     /// x-coordinate of the breakpoint (target left-edge position).
     pub x: f64,
@@ -27,7 +25,7 @@ pub struct Breakpoint {
 }
 
 /// A convex piecewise-linear displacement curve.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DisplacementCurve {
     /// Breakpoints in ascending x order.
     pub breakpoints: Vec<Breakpoint>,

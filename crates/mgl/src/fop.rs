@@ -43,7 +43,6 @@ use crate::shift::{shift_phase_with, Phase, PhaseMoves, ShiftProblem, ShiftScrat
 use crate::stats::{FopOpStats, FopOperator, RegionWork};
 use flex_placement::cell::Cell;
 use flex_placement::geom::Interval;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -52,7 +51,7 @@ use std::time::Instant;
 const MAX_INSERTION_POINTS: usize = 160;
 
 /// Description of the target cell handed to FOP.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetSpec {
     /// Width in sites.
     pub width: i64,
@@ -80,7 +79,7 @@ impl TargetSpec {
 }
 
 /// The best placement found for a target cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Chosen insertion point.
     pub point: InsertionPoint,
@@ -163,7 +162,7 @@ pub struct FopScratch {
     /// Span-verification buffer for commit planning: `(span, rank)`, rank 0 for the target
     /// and `index + 1` for a localCell.
     pub(crate) commit_spans: Vec<(Interval, usize)>,
-    /// Insertion-point enumeration buffers (point slots, chain pool, anchors, row lists).
+    /// Insertion-point enumeration buffers (point slots, chain pool, anchors).
     insertion: InsertionScratch,
 }
 
@@ -256,6 +255,9 @@ pub fn find_optimal_position_with(
     work.tall_cells = region.num_tall_cells(3) as u64;
     work.segments = region.segments.len() as u64;
 
+    // the per-region presort first: enumeration reads its per-segment row lists
+    scratch.begin_region(region, target, config, &mut clock);
+
     // take the enumeration buffers out of the scratch so the per-point evaluation can borrow
     // the rest of it mutably; the allocations go back afterwards
     let mut insertion = std::mem::take(&mut scratch.insertion);
@@ -266,12 +268,11 @@ pub fn find_optimal_position_with(
         target.parity,
         target.gx,
         MAX_INSERTION_POINTS,
+        &scratch.shift,
         &mut insertion,
     );
     clock.lap(FopOperator::Enumerate);
     work.insertion_points = n_points as u64;
-
-    scratch.begin_region(region, target, config, &mut clock);
 
     let mut best: Option<(i64, f64, usize)> = None; // (x, cost, point index)
     for (idx, point) in insertion.points().iter().enumerate() {

@@ -9,11 +9,11 @@
 //! have to be pushed aside.
 
 use crate::region::LocalRegion;
-use serde::{Deserialize, Serialize};
+use crate::shift::ShiftScratch;
 use std::collections::BTreeSet;
 
 /// One candidate insertion point for the target cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InsertionPoint {
     /// Row the bottom of the target would occupy.
     pub bottom_row: i64,
@@ -53,9 +53,9 @@ fn rounded_anchor(anchor_x: f64) -> i64 {
 }
 
 /// Reusable buffers for [`enumerate_insertion_points_into`]: the resolved points (slots are
-/// rebuilt in place), a recycling pool for the points' chain vectors, and the per-row /
-/// anchor working sets. One instance per legalizer (it lives inside `fop::FopScratch`)
-/// removes the last per-target allocations of the FOP hot path.
+/// rebuilt in place), a recycling pool for the points' chain vectors, and the anchor working
+/// set. One instance per legalizer (it lives inside `fop::FopScratch`) removes the last
+/// per-target allocations of the FOP hot path.
 #[derive(Debug, Clone, Default)]
 pub struct InsertionScratch {
     /// Point slots; `[..len]` hold the current region's resolved points.
@@ -66,8 +66,6 @@ pub struct InsertionScratch {
     spare: Vec<Vec<usize>>,
     /// Candidate anchor x-coordinates of one bottom row.
     anchors: Vec<i64>,
-    /// Per-segment localCell lists (parallel to `region.segments`), sorted by x.
-    row_cells: Vec<Vec<usize>>,
 }
 
 impl InsertionScratch {
@@ -80,9 +78,14 @@ impl InsertionScratch {
 /// [`enumerate_insertion_points`] writing into a reusable [`InsertionScratch`]: identical
 /// points in identical order (the differential suite checks this on random regions), but
 /// after warm-up the enumeration performs no allocation — point slots, chain vectors and the
-/// anchor/row working sets are all recycled.
+/// anchor working set are all recycled.
+///
+/// Each segment row's localCells are read from `rows`, which
+/// [`ShiftScratch::begin_region`] must have prepared for `region` (asserted): its lists are
+/// in `(x, index)` order, the order the oracle sorts each row into.
 ///
 /// Returns the number of points resolved; read them via [`InsertionScratch::points`].
+#[allow(clippy::too_many_arguments)]
 pub fn enumerate_insertion_points_into(
     region: &LocalRegion,
     width: i64,
@@ -90,25 +93,17 @@ pub fn enumerate_insertion_points_into(
     parity: Option<u8>,
     anchor_x: f64,
     max_points: usize,
+    rows: &ShiftScratch,
     scratch: &mut InsertionScratch,
 ) -> usize {
+    rows.assert_prepared_for(region);
     let InsertionScratch {
         points,
         len,
         spare,
         anchors,
-        row_cells,
     } = scratch;
     *len = 0;
-
-    // per-segment localCell lists (sorted by x), computed once per region into reused buffers
-    for (i, seg) in region.segments.iter().enumerate() {
-        if i < row_cells.len() {
-            region.cells_in_row_into(seg.row, &mut row_cells[i]);
-        } else {
-            row_cells.push(region.cells_in_row(seg.row));
-        }
-    }
 
     'rows: for seg_idx in 0..region.segments.len() {
         let bottom = region.segments[seg_idx].row;
@@ -132,7 +127,7 @@ pub fn enumerate_insertion_points_into(
             let seg = &region.segments[si];
             anchors.push(seg.span.lo);
             anchors.push(seg.span.hi);
-            for &ci in &row_cells[si] {
+            for &ci in rows.row_cells(si) {
                 let c = &region.cells[ci];
                 anchors.push(c.x);
                 anchors.push(c.right());
@@ -166,7 +161,7 @@ pub fn enumerate_insertion_points_into(
             for r in bottom..bottom + height {
                 let si = region.segment_index(r).expect("checked above");
                 let seg = &region.segments[si];
-                let in_row = &row_cells[si];
+                let in_row = rows.row_cells(si);
                 // split the row at the anchor: cells whose centre is left of the anchor go to
                 // the left chain, the rest to the right chain
                 let split = in_row
@@ -465,6 +460,8 @@ mod tests {
     #[test]
     fn scratch_enumeration_matches_the_allocating_oracle() {
         let r = region();
+        let mut rows = ShiftScratch::default();
+        rows.begin_region(&r);
         let mut scratch = InsertionScratch::default();
         // reuse one scratch across every shape so slot/chain recycling is exercised
         for (w, h, parity, anchor, cap) in [
@@ -478,7 +475,8 @@ mod tests {
             (5, 2, None, 30.0, 100),
         ] {
             let expect = enumerate_insertion_points(&r, w, h, parity, anchor, cap);
-            let n = enumerate_insertion_points_into(&r, w, h, parity, anchor, cap, &mut scratch);
+            let n =
+                enumerate_insertion_points_into(&r, w, h, parity, anchor, cap, &rows, &mut scratch);
             assert_eq!(n, expect.len(), "w={w} h={h} parity={parity:?}");
             assert_eq!(
                 scratch.points(),

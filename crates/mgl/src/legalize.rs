@@ -12,11 +12,10 @@ use flex_placement::layout::Design;
 use flex_placement::legality::check_legality_with;
 use flex_placement::metrics::displacement_stats;
 use flex_placement::segment::SegmentMap;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Outcome of a legalization run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LegalizeResult {
     /// Whether the final placement passes the full legality check.
     pub legal: bool,
@@ -202,9 +201,9 @@ pub struct PlaceOutcome {
 /// first, then the fallback scan.
 ///
 /// This is the per-cell step of the serial [`MglLegalizer`]; the parallel engine
-/// ([`crate::parallel::ParallelMglLegalizer`]) reuses it for cells it cannot speculate on.
-/// Implemented as [`plan_place_target_with`] (pure) followed by
-/// [`apply_placement`] — byte-for-byte the same placements as the former fused loop.
+/// ([`crate::parallel::ParallelMglLegalizer`]) runs it for cells whose level-0
+/// speculation it cannot apply, and DATE'22 places every cell with it. Implemented as
+/// [`plan_place_target_with`] (pure) followed by [`apply_placement`].
 pub fn place_target_with(
     design: &mut Design,
     segmap: &SegmentMap,
@@ -253,10 +252,111 @@ pub struct PlannedPlacement {
     pub work: RegionWork,
 }
 
-/// The planning half of [`place_target_with`]: expanding-window FOP first, then the fallback
-/// scan, without touching the design or the index. The ECO engine plans against the resident
-/// state, derives the disturbed neighborhood from [`PlannedPlacement::writes`], and only then
-/// applies; the serial engine applies immediately.
+impl PlannedPlacement {
+    /// The region commit of `plan`, found in `window` at level `expansion`, with its write
+    /// rects recorded against `design` (the state the plan was computed on).
+    pub(crate) fn region(
+        design: &Design,
+        plan: CommitPlan,
+        window: Rect,
+        expansion: u32,
+        work: RegionWork,
+    ) -> Self {
+        let mut writes = Vec::new();
+        plan_write_rects(design, &plan, &mut writes);
+        Self {
+            target: plan.target,
+            decision: PlacementDecision::Region(plan),
+            window,
+            expansion,
+            writes,
+            work,
+        }
+    }
+}
+
+/// How one window of the per-cell step ended ([`plan_window`]): a verified commit plan, or
+/// the reason this window placed nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WindowOutcome {
+    /// The region holds more than `max_region_cells` localCells; larger windows only grow it.
+    Oversize,
+    /// No row of the region can hold the target (width, height or parity).
+    CannotHost,
+    /// FOP found no feasible insertion point.
+    NoFeasiblePoint,
+    /// FOP's best placement failed commit planning.
+    Rejected,
+    /// A verified commit of FOP's best placement.
+    Planned(CommitPlan),
+}
+
+/// The work counters of one target before any window is evaluated.
+pub(crate) fn target_work(target: CellId, spec: &TargetSpec) -> RegionWork {
+    RegionWork {
+        target,
+        target_width: spec.width,
+        target_height: spec.height,
+        ..RegionWork::default()
+    }
+}
+
+/// One window of the per-cell step (Fig. 3(e)), without touching the design: take the
+/// target's window at expansion level `expansion`, extract its localRegion, cut oversize
+/// regions and regions that cannot host the target, run FOP and plan the commit of its
+/// best placement. Returns the window with the outcome; FOP's work counters accumulate into
+/// `work`.
+///
+/// Every engine's window pipeline is this function: the serial step
+/// ([`plan_place_target_with`]) loops it over the expansion levels, the parallel engine
+/// speculates it at level 0, and the TCAD'22 baseline loops it with its own stopping rule.
+#[allow(clippy::too_many_arguments)]
+pub fn plan_window(
+    design: &Design,
+    segmap: &SegmentMap,
+    index: &LegalizedIndex,
+    cfg: &MglConfig,
+    spec: &TargetSpec,
+    target: CellId,
+    expansion: u32,
+    work: &mut RegionWork,
+    op_stats: &mut FopOpStats,
+    scratch: &mut FopScratch,
+) -> (Rect, WindowOutcome) {
+    let window = target_window(
+        design,
+        target,
+        cfg.window_half_sites << expansion,
+        cfg.window_half_rows << expansion,
+    );
+    let extract_span = flex_obs::span!("mgl.extract");
+    let region = LocalRegion::extract_indexed(design, segmap, target, window, index);
+    drop(extract_span);
+    if region.cells.len() > cfg.max_region_cells {
+        return (window, WindowOutcome::Oversize);
+    }
+    if !region.can_host(spec.width, spec.height, spec.parity) {
+        return (window, WindowOutcome::CannotHost);
+    }
+    let fop_span = flex_obs::span!("mgl.fop");
+    let outcome = fop::find_optimal_position_with(&region, spec, cfg, op_stats, scratch);
+    drop(fop_span);
+    accumulate_work(work, &outcome.work);
+    let Some(best) = outcome.best else {
+        return (window, WindowOutcome::NoFeasiblePoint);
+    };
+    let _plan_span = flex_obs::span!("mgl.plan_commit");
+    match plan_commit_with(&region, &best, spec, cfg, scratch) {
+        Some(plan) => (window, WindowOutcome::Planned(plan)),
+        None => (window, WindowOutcome::Rejected),
+    }
+}
+
+/// The planning half of [`place_target_with`]: [`plan_window`] at each expansion level until
+/// one plans a commit or its region is oversize, then the fallback scan, without touching
+/// the design or the index. The ECO engine plans against the resident state, derives the
+/// disturbed neighborhood from [`PlannedPlacement::writes`], and only then applies; the
+/// serial engine applies immediately.
 pub fn plan_place_target_with(
     design: &Design,
     segmap: &SegmentMap,
@@ -267,54 +367,21 @@ pub fn plan_place_target_with(
     scratch: &mut FopScratch,
 ) -> PlannedPlacement {
     let spec = TargetSpec::of(design.cell(target));
-    let mut work = RegionWork {
-        target,
-        target_width: spec.width,
-        target_height: spec.height,
-        ..RegionWork::default()
-    };
-    let mut last_window =
-        target_window(design, target, cfg.window_half_sites, cfg.window_half_rows);
-    let mut last_expansion = 0;
-
-    for expansion in 0..=cfg.max_window_expansions {
-        let half_s = cfg.window_half_sites << expansion;
-        let half_r = cfg.window_half_rows << expansion;
-        let window = target_window(design, target, half_s, half_r);
-        last_window = window;
-        last_expansion = expansion;
-        let extract_span = flex_obs::span!("mgl.extract");
-        let region = LocalRegion::extract_indexed(design, segmap, target, window, index);
-        drop(extract_span);
-        if region.cells.len() > cfg.max_region_cells {
-            // the region would only grow with further expansions: go straight to the fallback
-            break;
-        }
-        if !region.can_host(spec.width, spec.height, spec.parity) {
-            continue;
-        }
-        let fop_span = flex_obs::span!("mgl.fop");
-        let outcome = fop::find_optimal_position_with(&region, &spec, cfg, op_stats, scratch);
-        drop(fop_span);
-        accumulate_work(&mut work, &outcome.work);
-        if let Some(best) = outcome.best {
-            let plan_span = flex_obs::span!("mgl.plan_commit");
-            let plan = plan_commit_with(&region, &best, &spec, cfg, scratch);
-            drop(plan_span);
-            if let Some(plan) = plan {
-                let mut writes = Vec::new();
-                plan_write_rects(design, &plan, &mut writes);
-                return PlannedPlacement {
-                    target,
-                    decision: PlacementDecision::Region(plan),
-                    window,
-                    expansion,
-                    writes,
-                    work,
-                };
+    let mut work = target_work(target, &spec);
+    let mut expansion = 0;
+    let window = loop {
+        let (window, outcome) = plan_window(
+            design, segmap, index, cfg, &spec, target, expansion, &mut work, op_stats, scratch,
+        );
+        match outcome {
+            WindowOutcome::Planned(plan) => {
+                return PlannedPlacement::region(design, plan, window, expansion, work);
             }
+            WindowOutcome::Oversize => break window,
+            _ if expansion == cfg.max_window_expansions => break window,
+            _ => expansion += 1,
         }
-    }
+    };
 
     let _fallback_span = flex_obs::span!("mgl.fallback_scan");
     let (decision, writes) = match find_fallback_position(design, index, target, &spec) {
@@ -327,8 +394,8 @@ pub fn plan_place_target_with(
     PlannedPlacement {
         target,
         decision,
-        window: last_window,
-        expansion: last_expansion,
+        window,
+        expansion,
         writes,
         work,
     }
@@ -412,7 +479,7 @@ pub fn plan_write_rects(design: &Design, plan: &CommitPlan, out: &mut Vec<Rect>)
     }
 }
 
-pub(crate) fn accumulate_work(into: &mut RegionWork, from: &RegionWork) {
+fn accumulate_work(into: &mut RegionWork, from: &RegionWork) {
     into.local_cells = into.local_cells.max(from.local_cells);
     into.tall_cells = into.tall_cells.max(from.tall_cells);
     into.segments = into.segments.max(from.segments);
@@ -469,8 +536,8 @@ pub fn plan_commit_with(
         commit_spans,
         ..
     } = scratch;
-    // commit planning is also entered directly (speculation, baselines), so redo the
-    // per-region presort rather than assuming a preceding FOP call prepared it
+    // a public entry point need not follow a FOP call on this region, so redo the
+    // per-region presort rather than assuming one prepared it
     shift.begin_region(region);
     shift_phase_with(&problem, Phase::Left, cfg.shift, shift, left).ok()?;
     shift_phase_with(&problem, Phase::Right, cfg.shift, shift, right).ok()?;
@@ -791,6 +858,86 @@ mod tests {
         };
         let index = LegalizedIndex::build(&d);
         assert!(!fallback_place_indexed(&mut d, &index, t, &spec));
+    }
+
+    /// A `sites × rows` die with legalized single-row cells at `(x, y, width)` and an
+    /// unlegalized target of `width` whose global position is `(gx, gy)`.
+    fn hand_built(
+        sites: i64,
+        rows: i64,
+        placed: &[(i64, i64, i64)],
+        width: i64,
+        (gx, gy): (f64, f64),
+    ) -> (Design, CellId) {
+        let mut d = Design::new("window", sites, rows);
+        for &(x, y, w) in placed {
+            let mut c = flex_placement::cell::Cell::movable(CellId(0), w, 1, x as f64, y as f64);
+            c.legalized = true;
+            d.add_cell(c);
+        }
+        let t = flex_placement::cell::Cell::movable(CellId(0), width, 1, gx, gy);
+        let target = d.add_cell(t);
+        (d, target)
+    }
+
+    /// Run [`plan_window`] at level 0 on a hand-built design.
+    fn level_zero(design: &Design, target: CellId, cfg: &MglConfig) -> (Rect, WindowOutcome) {
+        let spec = TargetSpec::of(design.cell(target));
+        let mut work = target_work(target, &spec);
+        plan_window(
+            design,
+            &SegmentMap::build(design),
+            &LegalizedIndex::build(design),
+            cfg,
+            &spec,
+            target,
+            0,
+            &mut work,
+            &mut FopOpStats::default(),
+            &mut FopScratch::new(),
+        )
+    }
+
+    #[test]
+    fn plan_window_reports_each_way_a_window_ends() {
+        let cfg = MglConfig {
+            window_half_sites: 10,
+            window_half_rows: 1,
+            ..MglConfig::default()
+        };
+        // an empty window: the target commits where it wants to be
+        let (d, t) = hand_built(40, 4, &[], 4, (10.0, 1.0));
+        let (window, outcome) = level_zero(&d, t, &cfg);
+        assert_eq!(window, target_window(&d, t, 10, 1));
+        let WindowOutcome::Planned(plan) = outcome else {
+            panic!("an empty window must plan a commit, got {outcome:?}");
+        };
+        assert_eq!((plan.target, plan.x, plan.row), (t, 10, 1));
+        assert!(plan.moves.is_empty());
+
+        // one localCell is already more than a cap of zero
+        let (d, t) = hand_built(40, 4, &[(2, 1, 3)], 4, (10.0, 1.0));
+        let capped = MglConfig {
+            max_region_cells: 0,
+            ..cfg.clone()
+        };
+        assert_eq!(level_zero(&d, t, &capped).1, WindowOutcome::Oversize);
+        assert!(matches!(
+            level_zero(&d, t, &cfg).1,
+            WindowOutcome::Planned(_)
+        ));
+
+        // a target wider than the window: no row can host it
+        let (d, t) = hand_built(40, 4, &[], 30, (5.0, 1.0));
+        assert_eq!(level_zero(&d, t, &cfg).1, WindowOutcome::CannotHost);
+
+        // every row has room for the target's width but only 2 free sites: no insertion
+        // point is feasible
+        let full: Vec<(i64, i64, i64)> = (0..2)
+            .flat_map(|y| [(0, y, 6), (6, y, 6), (12, y, 6)])
+            .collect();
+        let (d, t) = hand_built(20, 2, &full, 4, (8.0, 0.0));
+        assert_eq!(level_zero(&d, t, &cfg).1, WindowOutcome::NoFeasiblePoint);
     }
 
     #[test]

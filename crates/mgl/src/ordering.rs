@@ -9,9 +9,9 @@
 //! localRegions, densest first.
 
 use crate::config::{MglConfig, OrderingStrategy};
+use crate::region::target_window;
 use flex_placement::cell::CellId;
 use flex_placement::density::DensityMap;
-use flex_placement::geom::Rect;
 use flex_placement::layout::Design;
 
 /// Sort target cells by area, largest first (ties broken by id for determinism).
@@ -27,19 +27,6 @@ pub fn size_descending_order(design: &Design, targets: &[CellId]) -> Vec<CellId>
 /// Keep the natural (index) order.
 pub fn natural_order(targets: &[CellId]) -> Vec<CellId> {
     targets.to_vec()
-}
-
-/// The window rectangle used to estimate a target cell's localRegion density.
-pub fn density_window(design: &Design, id: CellId, half_sites: i64, half_rows: i64) -> Rect {
-    let c = design.cell(id);
-    let cx = c.x + c.width / 2;
-    let cy = c.y + c.height / 2;
-    Rect::new(
-        (cx - half_sites).max(0),
-        (cy - half_rows).max(0),
-        (cx + half_sites).min(design.num_sites_x),
-        (cy + half_rows + c.height).min(design.num_rows),
-    )
 }
 
 /// FLEX's sliding-window, density-aware orderer.
@@ -100,8 +87,9 @@ impl SlidingWindowOrderer {
                         (false, true) => return std::cmp::Ordering::Greater,
                         _ => {}
                     }
-                    let da = density.density_in(&density_window(design, a, half_sites, half_rows));
-                    let db = density.density_in(&density_window(design, b, half_sites, half_rows));
+                    // a cell's localRegion density is read over its legalization window
+                    let da = density.density_in(&target_window(design, a, half_sites, half_rows));
+                    let db = density.density_in(&target_window(design, b, half_sites, half_rows));
                     // total order even for NaN densities (degenerate windows): NaN ranks above
                     // every real density instead of poisoning the comparator
                     db.total_cmp(&da).then(a.cmp(&b))

@@ -7,20 +7,20 @@
 //!
 //! 1. **Prefix batches with speculation.** Each round takes the next `lookahead` targets of
 //!    the serial processing order — a *prefix*, never a reordering. Every member is
-//!    *speculated* on the rayon pool at its base legalization window ([`target_window`] at
-//!    expansion level 0): region extraction, FOP (which is where the `shift_phase_*` work
-//!    runs) and the pure [`plan_commit_with`] verification all execute against a shadow copy
-//!    of the cell state (point 3). Members whose windows overlap need no separate treatment:
-//!    the commit-time write check below catches every conflict.
-//! 2. **In-order commit with per-write tracking.** Plans are applied strictly in the serial
-//!    order. Every commit records one rectangle per design write it performed
-//!    ([`plan_write_rects`] / [`PlaceOutcome::writes`]) — the target's committed extent and
-//!    each moved localCell's swept span — rather than one collective bounding box, so a
-//!    later member is invalidated only when an *individual* write intersects its window. A
-//!    member whose window is hit by any write since its shadow was brought up to date — and
-//!    any member whose speculation found no expansion-0 placement — is handled by the
-//!    ordinary serial [`place_target_with`] at its slot, window expansions and whole-die
-//!    fallback included.
+//!    *speculated* on the rayon pool: the serial step's own window pipeline, [`plan_window`]
+//!    at expansion level 0 (region extraction, FOP and the pure commit planning), runs
+//!    against a shadow copy of the cell state (point 3). Members whose windows overlap need
+//!    no separate treatment: the commit-time write check below catches every conflict.
+//! 2. **In-order commit with per-write tracking.** Placements are applied strictly in the
+//!    serial order through the serial engine's [`apply_placement`]. Every commit records one
+//!    rectangle per design write it performed ([`plan_write_rects`] /
+//!    [`PlaceOutcome::writes`]) — the target's committed extent and each moved localCell's
+//!    swept span — rather than one collective bounding box, so a later member is
+//!    invalidated only when an *individual* write intersects its window. A member whose
+//!    window is hit by any write since its shadow was brought up to date — and any member
+//!    whose speculation planned no level-0 commit — is planned by the ordinary serial step
+//!    ([`plan_place_target_with`], as in [`place_target_with`]) at its slot, window
+//!    expansions and whole-die fallback included.
 //! 3. **Ping-pong shadows.** Like FLEX's ping-pong RAM (Sec. 3.1.2), which preloads
 //!    `C_next`'s region into the free half while `C_cur` is processed, the engine speculates
 //!    batch *k+1* on a speculation runner thread while the commit thread commits batch *k*.
@@ -55,25 +55,24 @@
 //! `FopOpStats` nanosecond counters) are measurements and do differ.
 
 use crate::config::MglConfig;
-use crate::fop::{self, FopScratch, TargetSpec};
+use crate::fop::{FopScratch, TargetSpec};
 use crate::legalize::{
-    accumulate_work, apply_commit, place_target_with, plan_commit_with, plan_write_rects,
-    CommitPlan, LegalizeResult, PlacedBy, RunAccum,
+    apply_placement, plan_place_target_with, plan_window, target_work, CommitPlan, LegalizeResult,
+    PlannedPlacement, RunAccum, WindowOutcome,
 };
 use crate::ordering;
-use crate::region::{target_window, LegalizedIndex, LocalRegion};
-use crate::stats::{FopOpStats, RegionWork};
+use crate::region::{target_window, LegalizedIndex};
+use crate::stats::FopOpStats;
 use flex_placement::cell::CellId;
 use flex_placement::geom::Rect;
 use flex_placement::layout::Design;
 use flex_placement::segment::SegmentMap;
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::Instant;
 
 #[cfg(doc)]
-use crate::legalize::{MglLegalizer, PlaceOutcome};
+use crate::legalize::{place_target_with, plan_write_rects, MglLegalizer, PlaceOutcome};
 
 /// Lower bound on the speculation batch size (targets taken off the queue front per round).
 /// The batch size adapts to the worker count (four targets per worker) — staleness within a
@@ -152,11 +151,11 @@ pub struct ParallelMglLegalizer {
     config: MglConfig,
 }
 
-/// What one speculative evaluation produced.
+/// A speculation that planned a commit at level 0: the placement, with the FOP timings of
+/// its evaluation.
 struct Speculation {
-    work: RegionWork,
+    planned: PlannedPlacement,
     stats: FopOpStats,
-    plan: Option<CommitPlan>,
 }
 
 /// A private copy of the cell state that one speculation batch reads while the commit
@@ -199,10 +198,10 @@ struct LaunchMsg {
 }
 
 /// One speculated batch coming back from the runner thread, in launch (= batch) order, with
-/// its shadow.
+/// its shadow. `pending[i]` is the speculation of the batch's `i`-th member.
 struct SpecBatch {
     batch: usize,
-    pending: HashMap<CellId, Speculation>,
+    pending: Vec<Option<Speculation>>,
     shadow: Shadow,
 }
 
@@ -340,10 +339,12 @@ impl ParallelMglLegalizer {
     }
 }
 
-/// Commit one batch strictly in the serial order: apply each member's speculative plan if
-/// its window is clean since its shadow was brought up to date, otherwise run the full serial
-/// placement at its slot. Appends every cell the batch wrote to `written`, and returns the
-/// batch's write rects.
+/// Commit one batch strictly in the serial order: apply each member's speculative placement
+/// if its window is clean since its shadow was brought up to date, otherwise plan the full
+/// serial placement at its slot; both go through [`apply_placement`]. A clean speculation's
+/// write rects equal the live ones: the cells it moves lie inside the guarded window, so no
+/// write since its shadow touched them. Appends every cell the batch wrote to `written`, and
+/// returns the batch's write rects.
 #[allow(clippy::too_many_arguments)]
 fn commit_batch(
     design: &mut Design,
@@ -351,42 +352,33 @@ fn commit_batch(
     index: &mut LegalizedIndex,
     cfg: &MglConfig,
     batch: &[CellId],
-    mut pending: HashMap<CellId, Speculation>,
+    pending: Vec<Option<Speculation>>,
     writes_prev: &[Rect],
     scratch: &mut FopScratch,
     acc: &mut CommitAccum,
     written: &mut Vec<CellId>,
 ) -> Vec<Rect> {
     let mut writes_cur: Vec<Rect> = Vec::new();
-    for &id in batch {
+    for (&id, speculation) in batch.iter().zip(pending) {
         let window = target_window(design, id, cfg.window_half_sites, cfg.window_half_rows);
         // same one-site x slack as the obstacle filter of region extraction
         let guard = window.expanded(1, 0);
         let stale_prev = writes_prev.iter().any(|w| w.overlaps(&guard));
         let stale_cur = writes_cur.iter().any(|w| w.overlaps(&guard));
-        match pending.remove(&id) {
-            Some(Speculation {
-                work,
-                stats,
-                plan: Some(plan),
-            }) if !stale_prev && !stale_cur => {
-                plan_write_rects(design, &plan, &mut writes_cur);
-                apply_commit(design, &plan);
-                index.insert(design, id);
-                note_written(written, id, Some(&plan));
+        if stale_prev {
+            acc.shards.cross_batch_invalidated += 1;
+        } else if stale_cur {
+            acc.shards.dirty_recomputes += 1;
+        }
+        let planned = match speculation {
+            Some(Speculation { planned, stats }) if !stale_prev && !stale_cur => {
                 acc.run.op_stats.merge(&stats);
                 acc.shards.committed_speculatively += 1;
-                acc.run.record(id, PlacedBy::Region, work, window);
+                planned
             }
-            speculation => {
-                if (stale_prev || stale_cur) && speculation.is_some() {
-                    if stale_prev {
-                        acc.shards.cross_batch_invalidated += 1;
-                    } else {
-                        acc.shards.dirty_recomputes += 1;
-                    }
-                }
-                let out = place_target_with(
+            _ => {
+                acc.shards.serial_inline += 1;
+                plan_place_target_with(
                     design,
                     segmap,
                     index,
@@ -394,73 +386,79 @@ fn commit_batch(
                     id,
                     &mut acc.run.op_stats,
                     scratch,
-                );
-                acc.shards.serial_inline += 1;
-                writes_cur.extend(out.writes.iter().copied());
-                note_written(written, id, out.plan.as_ref());
-                acc.run.record(id, out.placed, out.work, out.window);
+                )
             }
-        }
+        };
+        let out = apply_placement(design, index, planned);
+        writes_cur.extend(out.writes.iter().copied());
+        note_written(written, id, out.plan.as_ref());
+        acc.run.record(id, out.placed, out.work, out.window);
     }
     writes_cur
 }
 
 /// Speculate one batch on the worker pool against `shadow` (the commit thread may be
-/// writing the live design concurrently). Returns the id-keyed speculations.
+/// writing the live design concurrently). Returns the speculations in batch order.
 fn speculate_batch(
     pool: &rayon::ThreadPool,
     batch: &[CellId],
     shadow: &Shadow,
     segmap: &SegmentMap,
     cfg: &MglConfig,
-) -> HashMap<CellId, Speculation> {
+) -> Vec<Option<Speculation>> {
     pool.install(|| {
         batch
             .par_iter()
-            .map(|&id| (id, speculate(shadow, segmap, cfg, id)))
+            .map(|&id| speculate(shadow, segmap, cfg, id))
             .collect()
     })
 }
 
-/// Evaluate one target speculatively at expansion level 0 against a shadow. Runs on a
-/// worker thread: the FOP arena comes from that worker's thread-local [`FopScratch`], so
-/// buffers are reused across every speculation a worker performs.
-fn speculate(shadow: &Shadow, segmap: &SegmentMap, cfg: &MglConfig, id: CellId) -> Speculation {
-    let window = target_window(
-        &shadow.design,
-        id,
-        cfg.window_half_sites,
-        cfg.window_half_rows,
-    );
-    let spec = TargetSpec::of(shadow.design.cell(id));
+/// Evaluate one target speculatively against a shadow: [`plan_window`] at expansion level
+/// 0. `None` unless that window plans a commit. Runs on a worker thread without spans (the
+/// shim's workers are fresh threads, and a thread that records a span keeps a ring for the
+/// life of the process); the FOP arena comes from that worker's thread-local
+/// [`FopScratch`].
+fn speculate(
+    shadow: &Shadow,
+    segmap: &SegmentMap,
+    cfg: &MglConfig,
+    id: CellId,
+) -> Option<Speculation> {
+    let design = &shadow.design;
+    let spec = TargetSpec::of(design.cell(id));
+    let mut work = target_work(id, &spec);
     let mut stats = FopOpStats::default();
-    let mut work = RegionWork {
-        target: id,
-        target_width: spec.width,
-        target_height: spec.height,
-        ..RegionWork::default()
-    };
-    let region = LocalRegion::extract_indexed(&shadow.design, segmap, id, window, &shadow.index);
-    let mut plan = None;
-    if region.cells.len() <= cfg.max_region_cells
-        && region.can_host(spec.width, spec.height, spec.parity)
-    {
+    let (window, outcome) = flex_obs::without_spans(|| {
         FopScratch::with_thread_local(|scratch| {
-            let outcome = fop::find_optimal_position_with(&region, &spec, cfg, &mut stats, scratch);
-            accumulate_work(&mut work, &outcome.work);
-            if let Some(best) = outcome.best {
-                plan = plan_commit_with(&region, &best, &spec, cfg, scratch);
-            }
-        });
-    }
-    Speculation { work, stats, plan }
+            plan_window(
+                design,
+                segmap,
+                &shadow.index,
+                cfg,
+                &spec,
+                id,
+                0,
+                &mut work,
+                &mut stats,
+                scratch,
+            )
+        })
+    });
+    let WindowOutcome::Planned(plan) = outcome else {
+        return None;
+    };
+    Some(Speculation {
+        planned: PlannedPlacement::region(design, plan, window, 0, work),
+        stats,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{MglConfig, OrderingStrategy};
-    use crate::legalize::MglLegalizer;
+    use crate::legalize::{place_target_with, MglLegalizer};
     use flex_placement::benchmark::{generate, tall_cell_spec, BenchmarkSpec};
 
     fn static_cfg() -> MglConfig {

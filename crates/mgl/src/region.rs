@@ -12,10 +12,9 @@ use flex_placement::cell::CellId;
 use flex_placement::geom::{Interval, Rect};
 use flex_placement::layout::Design;
 use flex_placement::segment::SegmentMap;
-use serde::{Deserialize, Serialize};
 
 /// The longest unblocked run of sites of one row inside the window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LocalSegment {
     /// Row index.
     pub row: i64,
@@ -24,7 +23,7 @@ pub struct LocalSegment {
 }
 
 /// A legalized movable cell fully contained in the localSegments of the window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalCell {
     /// Identity of the cell in the design.
     pub id: CellId,
@@ -53,7 +52,7 @@ impl LocalCell {
 }
 
 /// A localRegion: the window, its localSegments and localCells.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalRegion {
     /// The target cell this region was built for.
     pub target: CellId,
@@ -342,25 +341,15 @@ impl LocalRegion {
         self.segments.iter().map(|s| s.row).collect()
     }
 
-    /// Indices (into [`Self::cells`]) of localCells occupying `row`, sorted by x.
+    /// Indices (into [`Self::cells`]) of localCells occupying `row`, sorted by x (ties by
+    /// index). The hot path reads the same lists from
+    /// [`ShiftScratch::begin_region`](crate::shift::ShiftScratch::begin_region) instead.
     pub fn cells_in_row(&self, row: i64) -> Vec<usize> {
-        let mut v = Vec::new();
-        self.cells_in_row_into(row, &mut v);
+        let mut v: Vec<usize> = (0..self.cells.len())
+            .filter(|&i| self.cells[i].rows().any(|r| r == row))
+            .collect();
+        v.sort_by_key(|&i| self.cells[i].x);
         v
-    }
-
-    /// [`Self::cells_in_row`] writing into a caller-provided buffer (cleared first), so hot
-    /// paths can reuse the allocation across rows and regions.
-    pub fn cells_in_row_into(&self, row: i64, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(
-            self.cells
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.rows().any(|r| r == row))
-                .map(|(i, _)| i),
-        );
-        out.sort_by_key(|&i| self.cells[i].x);
     }
 
     /// Number of localCells strictly taller than `rows` rows (drives the Fig. 9 bandwidth study).

@@ -123,6 +123,8 @@ pub(crate) mod tests {
         anchor_x: f64,
         max_points: usize,
     ) -> Vec<InsertionPoint> {
+        let mut rows = ShiftScratch::default();
+        rows.begin_region(region);
         let mut scratch = InsertionScratch::default();
         enumerate_insertion_points_into(
             region,
@@ -131,6 +133,7 @@ pub(crate) mod tests {
             None,
             anchor_x,
             max_points,
+            &rows,
             &mut scratch,
         );
         scratch.points().to_vec()

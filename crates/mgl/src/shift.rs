@@ -42,11 +42,10 @@ use crate::config::ShiftAlgorithm;
 use crate::insertion::InsertionPoint;
 use crate::region::{LocalRegion, LocalSegment};
 use crate::sacs::SacsStats;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Which shifting phase to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Push the cells on the left of the target further left.
     Left,
@@ -103,7 +102,7 @@ impl<'a> ShiftProblem<'a> {
 }
 
 /// Result of one shifting phase.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShiftOutcome {
     /// `(cell index in region, final x)` for every cell the phase considered, in output order.
     pub positions: Vec<(usize, i64)>,
@@ -361,6 +360,16 @@ impl ShiftScratch {
         self.row_cells.get(s)
     }
 
+    /// Panic unless [`Self::begin_region`] last indexed `region`. Checked unconditionally:
+    /// a stale row index would produce silently wrong results.
+    pub(crate) fn assert_prepared_for(&self, region: &LocalRegion) {
+        assert_eq!(
+            self.region_key,
+            Some(RegionKey::of(region)),
+            "ShiftScratch::begin_region was not called for this region"
+        );
+    }
+
     /// Set the phase's membership bitmaps from the point's chains (a cell in both chains
     /// is static, as in the reference) and count what the work profile needs, each cell
     /// once however many target rows list it.
@@ -485,12 +494,7 @@ pub fn shift_phase_with(
     scratch: &mut ShiftScratch,
     out: &mut PhaseMoves,
 ) -> Result<(), Infeasible> {
-    // checked unconditionally: a stale row index would produce silently wrong positions
-    assert_eq!(
-        scratch.region_key,
-        Some(RegionKey::of(problem.region)),
-        "ShiftScratch::begin_region was not called for this region"
-    );
+    scratch.assert_prepared_for(problem.region);
     let counts = scratch.mark(problem, phase);
     let resolved = resolve_phase_with(problem, phase, scratch);
     if let Ok(passes) = resolved {
@@ -665,7 +669,7 @@ fn resolve_phase_with(
 }
 
 /// Shifting failed: a cell would have to be pushed outside its localSegment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Infeasible;
 
 impl std::fmt::Display for Infeasible {

@@ -13,11 +13,10 @@
 //!   BRAM models to predict FPGA cycles, which is how the Fig. 8/9/10 ablations are produced.
 
 use flex_placement::cell::CellId;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Wall-clock time spent in each FOP operator, accumulated over an entire legalization run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FopOpStats {
     /// Cell shifting (both phases, original or SACS).
     pub cell_shift_ns: u64,
@@ -118,7 +117,7 @@ impl FopOpStats {
 }
 
 /// The FOP operators the software kernel times, named after Fig. 3(e) / Fig. 5 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FopOperator {
     /// Cell shifting (left-move + right-move).
     CellShift,
@@ -139,7 +138,7 @@ pub enum FopOperator {
 }
 
 /// Hardware-independent work performed while legalizing one target cell.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionWork {
     /// The target cell.
     pub target: CellId,
@@ -178,7 +177,7 @@ pub struct RegionWork {
 }
 
 /// The full work trace of a legalization run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkTrace {
     /// Per-target work, in processing order.
     pub regions: Vec<RegionWork>,

@@ -363,7 +363,7 @@ impl Drop for SpanGuard {
 /// [`span!`](crate::span!) macro on per-target hot paths, which caches the intern).
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if crate::enabled() {
+    if crate::recording() {
         SpanGuard::armed(intern(name))
     } else {
         SpanGuard::inert()
@@ -373,7 +373,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// Record an already-measured complete span (for callers that time manually).
 #[inline]
 pub fn record_span(name: &'static str, start_ns: u64, dur_ns: u64) {
-    if crate::enabled() {
+    if crate::recording() {
         let id = intern(name);
         with_thread_ring(|tid, ring| ring.record(id, tid, start_ns, dur_ns));
     }

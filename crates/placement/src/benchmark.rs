@@ -13,13 +13,12 @@ use crate::global_place::{self, GlobalPlaceConfig};
 use crate::layout::Design;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Distribution of cell heights: `(height_in_rows, fraction_of_cells)`.
 pub type HeightMix = Vec<(i64, f64)>;
 
 /// Specification of a synthetic benchmark.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchmarkSpec {
     /// Benchmark name (used for reporting; matches the ICCAD 2017 case names for Table 1).
     pub name: String,

@@ -12,12 +12,9 @@
 //! additionally carry a power-rail parity constraint (see [`crate::row::Rail`]).
 
 use crate::geom::{Interval, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a cell: index into [`crate::layout::Design::cells`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct CellId(pub u32);
 
 impl CellId {
@@ -34,7 +31,7 @@ impl std::fmt::Display for CellId {
 }
 
 /// A standard cell (possibly multi-row-height) or a fixed macro.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Stable identifier (index into the design's cell vector).
     pub id: CellId,

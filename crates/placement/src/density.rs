@@ -7,10 +7,9 @@
 
 use crate::geom::Rect;
 use crate::layout::Design;
-use serde::{Deserialize, Serialize};
 
 /// A uniform grid of density bins over the die.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DensityMap {
     bin_w: i64,
     bin_h: i64,

@@ -5,13 +5,11 @@
 //! one unit of `y` is one row height). Keeping both in the same unit system makes the
 //! displacement maths in [`crate::metrics`] trivial.
 
-use serde::{Deserialize, Serialize};
-
 /// A half-open integer interval `[lo, hi)` on the site axis.
 ///
 /// Intervals are the work-horse of segment extraction and insertion-point enumeration:
 /// a free stretch of sites in a row, the span occupied by a cell, the gap between two cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// Inclusive lower bound.
     pub lo: i64,
@@ -82,7 +80,7 @@ impl Interval {
 }
 
 /// An axis-aligned integer rectangle in site/row units, half-open on both axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Leftmost site (inclusive).
     pub x_lo: i64,

@@ -9,10 +9,9 @@
 //! [`BenchmarkSpec`] for the synthetic generator.
 
 use crate::benchmark::{BenchmarkSpec, HeightMix};
-use serde::{Deserialize, Serialize};
 
 /// Reference values for one ICCAD 2017 case, as printed in Table 1 of the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Iccad2017Case {
     /// Benchmark name.
     pub name: &'static str,

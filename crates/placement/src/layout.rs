@@ -3,7 +3,6 @@
 use crate::cell::{Cell, CellId};
 use crate::geom::{Interval, Rect};
 use crate::row::{Rail, Row};
-use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
 
 /// A complete mixed-cell-height design: a uniform die of rows/sites plus cells and blockages.
@@ -11,7 +10,7 @@ use std::convert::Infallible;
 /// All coordinates are in site/row units (see [`crate::geom`]). The physical site width and row
 /// height are retained so that callers can convert displacements back to microns if desired; the
 /// paper's `S_am` metric is computed in row-height units, which is what [`crate::metrics`] uses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Design {
     /// Human-readable benchmark name (e.g. `des_perf_1`).
     pub name: String,

@@ -14,10 +14,9 @@
 use crate::cell::CellId;
 use crate::geom::Interval;
 use crate::layout::Design;
-use serde::{Deserialize, Serialize};
 
 /// A single legality violation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
     /// The cell extends outside the die boundary.
     OutOfDie {
@@ -55,7 +54,7 @@ pub enum Violation {
 }
 
 /// The result of a legality check.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LegalityReport {
     /// Every violation found.
     pub violations: Vec<Violation>,

@@ -7,11 +7,10 @@
 
 use crate::cell::CellId;
 use crate::layout::Design;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Aggregated displacement statistics of a design.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DisplacementStats {
     /// `S_am` of Eq. (2): mean of per-height-group mean displacements.
     pub average: f64,

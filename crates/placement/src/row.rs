@@ -4,10 +4,8 @@
 //! share a power rail whose polarity alternates (VDD / VSS), which is what gives rise to the
 //! P/G alignment constraint for even-height cells described in Fig. 1 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Power-rail polarity at the *bottom* edge of a row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rail {
     /// The bottom rail of the row is the power net (VDD).
     Vdd,
@@ -35,7 +33,7 @@ impl Rail {
 }
 
 /// A single placement row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Row {
     /// Row index (0 = bottom row).
     pub index: i64,

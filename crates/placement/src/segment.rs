@@ -7,10 +7,9 @@
 
 use crate::geom::Interval;
 use crate::layout::Design;
-use serde::{Deserialize, Serialize};
 
 /// A maximal unblocked interval of sites within a single row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segment {
     /// Row index the segment lives in.
     pub row: i64,
@@ -52,7 +51,7 @@ impl Segment {
 }
 
 /// All segments of a design, bucketed by row for O(1) row lookup.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentMap {
     per_row: Vec<Vec<Segment>>,
 }

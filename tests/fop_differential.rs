@@ -124,14 +124,18 @@ proptest! {
     #[test]
     fn scratch_enumeration_is_identical_to_the_allocating_oracle(seed in 0u64..1_000_000) {
         use flex::mgl::insertion::{enumerate_insertion_points, enumerate_insertion_points_into, InsertionScratch};
+        use flex::mgl::shift::ShiftScratch;
         let (region, target) = random_case(seed);
+        let mut rows = ShiftScratch::default();
+        rows.begin_region(&region);
         let mut scratch = InsertionScratch::default();
         for cap in [160usize, 7] {
             let expect = enumerate_insertion_points(
                 &region, target.width, target.height, target.parity, target.gx, cap,
             );
             let n = enumerate_insertion_points_into(
-                &region, target.width, target.height, target.parity, target.gx, cap, &mut scratch,
+                &region, target.width, target.height, target.parity, target.gx, cap, &rows,
+                &mut scratch,
             );
             prop_assert_eq!(n, expect.len(), "seed {} cap {}: point count", seed, cap);
             prop_assert_eq!(scratch.points(), &expect[..], "seed {} cap {}", seed, cap);

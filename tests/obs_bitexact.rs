@@ -8,6 +8,7 @@
 //! The tests share the process-global enable flag, so they serialize on a mutex and
 //! restore the disabled default before releasing it.
 
+use flex::baselines::CpuLegalizer;
 use flex::mgl::parallel::ParallelMglLegalizer;
 use flex::mgl::{MglConfig, MglLegalizer};
 use flex::placement::benchmark::{generate, BenchmarkSpec};
@@ -89,9 +90,10 @@ fn serial_equals_parallel_with_spans_enabled() {
 }
 
 /// The rayon shim spawns fresh worker threads for every batch, and a thread keeps the span
-/// ring it registers on its first span for the life of the process. So speculation workers
-/// must record no spans: with spans on, one parallel run may register at most the calling
-/// thread's ring and its speculation runner's ring, however many batches it speculates.
+/// ring it registers on its first span for the life of the process. Pool workers run the
+/// spanned window step (`plan_window`), so they must record no spans: with spans on, one
+/// run of either region-parallel engine may register at most the calling thread's ring and
+/// the MGL engine's speculation runner's ring, however many batches it runs.
 #[test]
 fn speculation_workers_register_no_span_rings() {
     let _guard = FLAG_LOCK.lock().unwrap();
@@ -103,22 +105,29 @@ fn speculation_workers_register_no_span_rings() {
         ..BenchmarkSpec::tiny("obs-rings", 29)
     };
     let mut runs = Vec::new();
-    for _ in 0..2 {
+    for engine in ["mgl-parallel", "mgl-parallel", "tcad22-cpu"] {
         let before = flex_obs::thread_rings().len();
         let mut d = generate(&spec);
-        let out = ParallelMglLegalizer::new(4, MglConfig::default()).legalize(&mut d);
-        runs.push((out.shards.batches, flex_obs::thread_rings().len() - before));
+        let batches = if engine == "tcad22-cpu" {
+            CpuLegalizer::new(4).legalize(&mut d).batches
+        } else {
+            ParallelMglLegalizer::new(4, MglConfig::default())
+                .legalize(&mut d)
+                .shards
+                .batches
+        };
+        runs.push((engine, batches, flex_obs::thread_rings().len() - before));
     }
     flex_obs::set_enabled(false);
     flex_obs::set_ring_capacity(flex_obs::spans::DEFAULT_RING_CAPACITY);
-    for (batches, rings) in runs {
+    for (engine, batches, rings) in runs {
         assert!(
             batches >= 50,
-            "the run must speculate at least 50 batches, got {batches}"
+            "{engine}: the run must take at least 50 batches, got {batches}"
         );
         assert!(
             rings <= 2,
-            "a {batches}-batch 4-thread run registered {rings} span rings"
+            "{engine}: a {batches}-batch 4-thread run registered {rings} span rings"
         );
     }
 }
