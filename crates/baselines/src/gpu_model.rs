@@ -55,15 +55,6 @@ impl GpuModel {
         let compute_s = waves as f64 * items_per_task as f64 / self.items_per_core_per_s;
         self.kernel_launch + Duration::from_secs_f64(compute_s) + self.sync_overhead
     }
-
-    /// Fraction of a batch spent in synchronization rather than compute.
-    pub fn sync_fraction(&self, parallel_tasks: u64, items_per_task: u64) -> f64 {
-        let total = self.batch_time(parallel_tasks, items_per_task);
-        if total.is_zero() {
-            return 0.0;
-        }
-        self.sync_overhead.as_secs_f64() / total.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -84,20 +75,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_overhead_dominates_small_batches() {
-        let gpu = GpuModel::gtx_1660_ti();
-        let frac_small = gpu.sync_fraction(64, 200);
-        let frac_large = gpu.sync_fraction(1536, 100_000);
-        assert!(
-            frac_small > 0.3,
-            "sync share {frac_small:.2} of a small batch"
-        );
-        assert!(frac_large < frac_small);
-    }
-
-    #[test]
     fn empty_batch_is_free() {
         assert_eq!(GpuModel::a800().batch_time(0, 100), Duration::ZERO);
-        assert_eq!(GpuModel::a800().sync_fraction(0, 100), 0.0);
     }
 }

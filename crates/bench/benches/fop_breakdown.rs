@@ -1,9 +1,10 @@
-//! Criterion benchmark for Fig. 2(g)/6(g): the FOP cost under original shifting vs. SACS. The
-//! breakpoint chain is the same under both; the original and reorganized operator
-//! organizations of Fig. 5 differ only on the FPGA, where `flex_fpga::pipeline` models them.
+//! Criterion benchmark for Fig. 2(g)/6(g): the FOP cost of one region. Cell shifting and the
+//! breakpoint chain are the same in every configuration: the original shifting and SACS
+//! (Fig. 6), like the original and reorganized operator organizations of Fig. 5, differ only
+//! on the FPGA, where `flex_core` and `flex_fpga::pipeline` model them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flex_mgl::config::{MglConfig, ShiftAlgorithm};
+use flex_mgl::config::MglConfig;
 use flex_mgl::fop::{find_optimal_position_with, FopScratch, TargetSpec};
 use flex_mgl::region::{target_window, LegalizedIndex, LocalRegion};
 use flex_mgl::stats::FopOpStats;
@@ -25,22 +26,14 @@ fn bench_fop(c: &mut Criterion) {
         .sample_size(30)
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_secs(1));
-    for (label, shift) in [
-        ("original_shift", ShiftAlgorithm::Original),
-        ("sacs_shift", ShiftAlgorithm::Sacs),
-    ] {
-        let cfg = MglConfig {
-            shift,
-            ..MglConfig::default()
-        };
-        let mut scratch = FopScratch::new();
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut stats = FopOpStats::default();
-                find_optimal_position_with(&region, &spec, &cfg, &mut stats, &mut scratch)
-            })
-        });
-    }
+    let cfg = MglConfig::default();
+    let mut scratch = FopScratch::new();
+    group.bench_function("region", |b| {
+        b.iter(|| {
+            let mut stats = FopOpStats::default();
+            find_optimal_position_with(&region, &spec, &cfg, &mut stats, &mut scratch)
+        })
+    });
     group.finish();
 }
 

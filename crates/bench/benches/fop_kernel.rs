@@ -30,7 +30,6 @@ fn bench_fop_kernel(c: &mut Criterion) {
                     black_box(fop::reference::find_optimal_position(
                         &case.region,
                         &case.target,
-                        &cfg,
                         &mut stats,
                     ))
                 })

@@ -228,6 +228,34 @@ mod tests {
     }
 
     #[test]
+    fn modeled_fpga_cycles_are_pinned() {
+        // The cycle model costs the recorded work trace. These literals pin its output for
+        // the Fig. 8 steps and the Fig. 10 alternative on one seeded design, so a change to
+        // what the trace records cannot move a modeled figure unnoticed.
+        let spec = BenchmarkSpec::tiny("cycle-pin", 3).with_density(0.7);
+        let update_on_fpga = FlexConfig::flex().with_assignment(TaskAssignment::FopAndUpdateOnFpga);
+        let cases = [
+            (
+                "normal pipeline baseline",
+                FlexConfig::normal_pipeline_baseline(),
+                63_954_138,
+            ),
+            ("SACS only", FlexConfig::with_sacs_only(), 39_830_962),
+            (
+                "multi-granularity",
+                FlexConfig::with_multi_granularity(),
+                38_406_278,
+            ),
+            ("flex", FlexConfig::flex(), 19_236_822),
+            ("flex, (d)+(e) on FPGA", update_on_fpga, 57_539_584),
+        ];
+        for (label, cfg, cycles) in cases {
+            let out = FlexAccelerator::new(cfg).legalize(&mut generate(&spec));
+            assert_eq!(out.timing.fpga_cycles, cycles, "{label}");
+        }
+    }
+
+    #[test]
     fn task_assignment_ablation_prefers_keeping_update_on_cpu() {
         // Estimate both assignments from the same recorded trace in the FPGA-bound regime
         // Fig. 10 measures (see timing::tests::offloading_insert_update_is_slower_than_flex);

@@ -2,7 +2,7 @@
 
 use flex_fpga::clock::ClockDomain;
 use flex_fpga::link::LinkModel;
-use flex_mgl::config::{MglConfig, OrderingStrategy, ShiftAlgorithm};
+use flex_mgl::config::{MglConfig, OrderingStrategy};
 use flex_mgl::parallel::ParallelMglLegalizer;
 
 /// Which legalization steps run on the FPGA (Sec. 3.1.1 / Fig. 10).
@@ -68,10 +68,10 @@ pub struct FlexConfig {
     pub num_fop_pes: u64,
     /// PE clock domain (285 MHz on the Alveo U50).
     pub pe_clock: ClockDomain,
-    /// Whether cell shifting uses SACS or the original multi-pass algorithm on the FPGA.
-    pub shift: ShiftAlgorithm,
-    /// SACS architecture options (only meaningful when `shift == Sacs`).
-    pub sacs: SacsArchConfig,
+    /// Cell shifting on the FPGA: SACS with these architecture options (Sec. 4.3), or `None`
+    /// for the original multi-pass algorithm (the Fig. 8 baseline). Like `pipeline` it drives
+    /// the cycle model only: every software run records the work of both algorithms.
+    pub sacs: Option<SacsArchConfig>,
     /// FOP breakpoint pipeline organization on the FPGA. It drives the cycle model only: the
     /// software kernel runs one breakpoint chain whatever the mode.
     pub pipeline: PipelineMode,
@@ -98,8 +98,7 @@ impl Default for FlexConfig {
         Self {
             num_fop_pes: 2,
             pe_clock: ClockDomain::FLEX_PE,
-            shift: ShiftAlgorithm::Sacs,
-            sacs: SacsArchConfig::full(),
+            sacs: Some(SacsArchConfig::full()),
             pipeline: PipelineMode::MultiGranularity,
             assignment: TaskAssignment::FopOnFpga,
             ordering: OrderingStrategy::SlidingWindowDensity,
@@ -121,8 +120,7 @@ impl FlexConfig {
     pub fn normal_pipeline_baseline() -> Self {
         Self {
             num_fop_pes: 1,
-            shift: ShiftAlgorithm::Original,
-            sacs: SacsArchConfig::algorithm_only(),
+            sacs: None,
             pipeline: PipelineMode::Normal,
             ..Self::default()
         }
@@ -132,8 +130,7 @@ impl FlexConfig {
     pub fn with_sacs_only() -> Self {
         Self {
             num_fop_pes: 1,
-            shift: ShiftAlgorithm::Sacs,
-            sacs: SacsArchConfig::full(),
+            sacs: Some(SacsArchConfig::full()),
             pipeline: PipelineMode::Normal,
             ..Self::default()
         }
@@ -176,7 +173,6 @@ impl FlexConfig {
     /// run the functional legalization on the host and collect the work trace).
     pub fn mgl_config(&self) -> MglConfig {
         MglConfig {
-            shift: self.shift,
             ordering: self.ordering,
             collect_trace: true,
             ..MglConfig::default()
@@ -194,16 +190,16 @@ mod tests {
         assert_eq!(c.num_fop_pes, 2);
         assert_eq!(c.assignment, TaskAssignment::FopOnFpga);
         assert_eq!(c.pipeline, PipelineMode::MultiGranularity);
-        assert!(c.sacs.pipelined && c.sacs.improved_bandwidth && c.sacs.parallel_phases);
+        assert_eq!(c.sacs, Some(SacsArchConfig::full()));
     }
 
     #[test]
     fn ablation_presets_are_ordered() {
         let base = FlexConfig::normal_pipeline_baseline();
         assert_eq!(base.pipeline, PipelineMode::Normal);
-        assert_eq!(base.shift, ShiftAlgorithm::Original);
+        assert_eq!(base.sacs, None);
         let sacs = FlexConfig::with_sacs_only();
-        assert_eq!(sacs.shift, ShiftAlgorithm::Sacs);
+        assert_eq!(sacs.sacs, Some(SacsArchConfig::full()));
         assert_eq!(sacs.pipeline, PipelineMode::Normal);
         let mg = FlexConfig::with_multi_granularity();
         assert_eq!(mg.pipeline, PipelineMode::MultiGranularity);
@@ -215,10 +211,11 @@ mod tests {
     fn mgl_config_reflects_accelerator_choices() {
         let cfg = FlexConfig::default().mgl_config();
         assert!(cfg.collect_trace);
-        assert_eq!(cfg.shift, ShiftAlgorithm::Sacs);
         assert_eq!(cfg.ordering, OrderingStrategy::SlidingWindowDensity);
+        // the Fig. 8 baseline costs other hardware for the same software run
         let cfg2 = FlexConfig::normal_pipeline_baseline().mgl_config();
-        assert_eq!(cfg2.shift, ShiftAlgorithm::Original);
+        assert!(cfg2.collect_trace);
+        assert_eq!(cfg2.ordering, OrderingStrategy::SlidingWindowDensity);
     }
 
     #[test]

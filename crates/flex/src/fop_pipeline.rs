@@ -1,12 +1,12 @@
 //! Cycle model of a FOP PE: cell shifting plus the breakpoint pipeline (Sec. 3.2).
 //!
 //! One FOP PE evaluates insertion points: for each point it runs cell shifting (SACS or the
-//! original algorithm) and then the breakpoint chain (sort → merge → slopes → value). The model
-//! combines the SACS PE cycle model with the pipeline models of `flex-fpga` and adds the
-//! cluster-level parallelism: with two FOP PEs, two insertion points of the *same* localRegion
-//! are evaluated concurrently and merged with a few synchronization cycles (Sec. 5.4) — this is
-//! the insertion-point-level parallelism that avoids the heavy region-level synchronization of
-//! the CPU/GPU baselines.
+//! original algorithm, as `FlexConfig::sacs` selects) and then the breakpoint chain (sort →
+//! merge → slopes → value). The model combines the SACS PE cycle model with the pipeline
+//! models of `flex-fpga` and adds the cluster-level parallelism: with two FOP PEs, two
+//! insertion points of the *same* localRegion are evaluated concurrently and merged with a
+//! few synchronization cycles (Sec. 5.4) — this is the insertion-point-level parallelism that
+//! avoids the heavy region-level synchronization of the CPU/GPU baselines.
 
 use crate::config::{FlexConfig, PipelineMode};
 use crate::sacs_arch::SacsPeModel;
@@ -14,7 +14,6 @@ use flex_fpga::clock::Cycles;
 use flex_fpga::pipeline::{
     fine_grained_cycles, normal_pipeline_cycles, original_fop_operators, reorganized_fop_groups,
 };
-use flex_mgl::config::ShiftAlgorithm;
 use flex_mgl::stats::RegionWork;
 
 /// Cycle model of the FOP PE cluster.
@@ -22,22 +21,20 @@ use flex_mgl::stats::RegionWork;
 pub struct FopPeModel {
     /// Accelerator configuration.
     pub config: FlexConfig,
-    /// The SACS PE model used for the cell-shifting part.
-    pub sacs: SacsPeModel,
 }
 
 impl FopPeModel {
     /// Build the model from an accelerator configuration.
     pub fn new(config: FlexConfig) -> Self {
-        let sacs = SacsPeModel::new(config.sacs);
-        Self { config, sacs }
+        Self { config }
     }
 
-    /// Cycles one PE needs for the cell-shifting work of a region.
+    /// Cycles one PE needs for the cell-shifting work of a region: the SACS PE's, or the
+    /// original multi-pass algorithm's when `FlexConfig::sacs` is `None`.
     pub fn shift_cycles(&self, work: &RegionWork) -> Cycles {
-        match self.config.shift {
-            ShiftAlgorithm::Sacs => self.sacs.region_cycles(work),
-            ShiftAlgorithm::Original => SacsPeModel::original_shift_cycles(work),
+        match self.config.sacs {
+            Some(arch) => SacsPeModel::new(arch).region_cycles(work),
+            None => SacsPeModel::original_shift_cycles(work),
         }
     }
 

@@ -7,13 +7,14 @@
 //! per row they span, which is where BRAM bandwidth becomes the bottleneck and where the
 //! odd-even banking / ping-pong initialization / double-rate memory clock of Sec. 4.3.2 pay off.
 //!
-//! The model below turns the work counters recorded by the functional SACS run (cells sorted,
+//! The model below turns the SACS work counters recorded by the functional run (cells sorted,
 //! cursor queries, queries issued by cells taller than three rows) into PE cycles for each of
-//! the Fig. 9 ablation points: plain `SACS`, `SACS-Ar`, `SACS-ImpBW`, and `SACS-Paral`.
+//! the Fig. 9 ablation points: plain `SACS`, `SACS-Ar`, `SACS-ImpBW`, and `SACS-Paral`. The
+//! same run records the original multi-pass algorithm's counters, which
+//! [`SacsPeModel::original_shift_cycles`] costs for the Fig. 8 baseline.
 
 use crate::config::SacsArchConfig;
 use flex_fpga::clock::Cycles;
-use flex_fpga::resources::Resources;
 use flex_fpga::sorter::SorterModel;
 use flex_mgl::stats::RegionWork;
 
@@ -82,22 +83,10 @@ impl SacsPeModel {
 
     /// Cycles the *original* multi-pass shifting algorithm would need on the FPGA for the same
     /// work: every subcell visit pays the full dataflow plus an intermediate-result round trip,
-    /// and the pass structure prevents any streaming overlap.
+    /// and the pass structure prevents any streaming overlap. Reads the original algorithm's
+    /// own counters only (`subcell_visits`, `shift_passes`).
     pub fn original_shift_cycles(work: &RegionWork) -> Cycles {
-        let visits = work.subcell_visits.max(work.bound_queries);
-        Cycles(visits * (DATAFLOW_STAGES + 2) + work.shift_passes * DATAFLOW_STAGES)
-    }
-
-    /// Approximate resource cost of the SACS PE (tables plus the sorter).
-    pub fn resources(&self) -> Resources {
-        let tables = Resources::new(9_000, 11_000, 96, 2);
-        let bw = if self.config.improved_bandwidth {
-            // odd-even split + duplicated LCT roughly doubles the BRAM count of the tables
-            Resources::new(1_500, 2_000, 96, 0)
-        } else {
-            Resources::default()
-        };
-        tables + bw + self.sorter.resources()
+        Cycles(work.subcell_visits * (DATAFLOW_STAGES + 2) + work.shift_passes * DATAFLOW_STAGES)
     }
 }
 
@@ -181,10 +170,22 @@ mod tests {
     }
 
     #[test]
-    fn resources_stay_small_and_grow_with_bandwidth_package() {
-        let small = SacsPeModel::new(SacsArchConfig::algorithm_only()).resources();
-        let big = SacsPeModel::new(SacsArchConfig::full()).resources();
-        assert!(big.brams > small.brams);
-        assert!(big.luts < flex_fpga::resources::FLEX_ONE_PE.luts);
+    fn original_shifting_costs_only_its_own_counters() {
+        // one run records both algorithms' work; SACS's bound queries, however many, must not
+        // leak into the original algorithm's cycles
+        let w = work(200, 260, 0);
+        let more_queries = RegionWork {
+            bound_queries: 5_000,
+            ..w.clone()
+        };
+        assert!(more_queries.bound_queries > more_queries.subcell_visits);
+        assert_eq!(
+            SacsPeModel::original_shift_cycles(&more_queries),
+            SacsPeModel::original_shift_cycles(&w)
+        );
+        assert_eq!(
+            SacsPeModel::original_shift_cycles(&w),
+            Cycles(260 * (DATAFLOW_STAGES + 2) + 3 * DATAFLOW_STAGES)
+        );
     }
 }

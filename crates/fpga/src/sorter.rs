@@ -5,11 +5,10 @@
 //! (cheap, fully pipelined, but O(n) per inserted element when used alone) with a merge sorter
 //! (streaming k-way merge) following the Vitis database-library designs cited by the paper
 //! (\[1\], \[2\]). The model below captures their throughput so that Fig. 6(g) — pre-sorting is
-//! about 10% of FOP runtime — and the sorter's small resource footprint (Sec. 5.4) can be
-//! reproduced.
+//! about 10% of FOP runtime — can be reproduced; Table 2's resource numbers, the sorter's
+//! included, come from `crate::resources`.
 
 use crate::clock::Cycles;
-use crate::resources::Resources;
 
 /// The kind of hardware sorter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,23 +78,11 @@ impl SorterModel {
             }
         }
     }
-
-    /// Rough resource footprint of the sorter (compare-swap cells dominate). The paper notes the
-    /// sorter is *not* duplicated when a second FOP PE is added and that its footprint is small.
-    pub fn resources(&self) -> Resources {
-        let cells = self.insertion_capacity;
-        match self.kind {
-            SorterKind::Insertion => Resources::new(cells * 60, cells * 80, 0, 0),
-            SorterKind::Merge => Resources::new(2_000, 2_500, 4, 0),
-            SorterKind::Combined => Resources::new(cells * 60 + 2_000, cells * 80 + 2_500, 4, 0),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resources::FLEX_ONE_PE;
 
     #[test]
     fn trivial_inputs() {
@@ -142,17 +129,6 @@ mod tests {
                 prev = c;
             }
         }
-    }
-
-    #[test]
-    fn sorter_resources_are_small_relative_to_a_fop_pe() {
-        let s = SorterModel::default();
-        let r = s.resources();
-        assert!(
-            r.luts * 10 < FLEX_ONE_PE.luts,
-            "sorter LUTs should be a small fraction of a PE"
-        );
-        assert!(r.brams < 16);
     }
 
     #[test]

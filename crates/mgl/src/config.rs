@@ -1,14 +1,5 @@
 //! Configuration of the MGL legalizer.
 
-/// Which cell-shifting algorithm to use inside FOP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShiftAlgorithm {
-    /// The original multi-pass algorithm with a `finish` flag (Fig. 6, Algorithm 3).
-    Original,
-    /// FLEX's Sort-Ahead Cell Shifting: pre-sort by x, one pass (Fig. 6, Algorithm 4).
-    Sacs,
-}
-
 /// Processing-order strategy for unlegalized target cells (Sec. 3.1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderingStrategy {
@@ -33,8 +24,6 @@ pub struct MglConfig {
     /// How many times the window may be enlarged (doubling each time) when no feasible
     /// insertion point is found.
     pub max_window_expansions: u32,
-    /// Cell-shifting algorithm.
-    pub shift: ShiftAlgorithm,
     /// Processing order of target cells.
     pub ordering: OrderingStrategy,
     /// Size of the sliding window used by [`OrderingStrategy::SlidingWindowDensity`].
@@ -59,7 +48,6 @@ impl Default for MglConfig {
             window_half_sites: 32,
             window_half_rows: 4,
             max_window_expansions: 6,
-            shift: ShiftAlgorithm::Sacs,
             ordering: OrderingStrategy::SlidingWindowDensity,
             sliding_window: 16,
             max_region_cells: 768,
@@ -72,24 +60,22 @@ impl Default for MglConfig {
 
 impl MglConfig {
     /// The algorithm configuration of the original multi-threaded CPU legalizer \[18\]:
-    /// original shifting and size-descending ordering. The breakpoint chain is the same in
-    /// every configuration: the original and reorganized operator organizations of Fig. 5
-    /// compute the same minimum and differ only in how an FPGA pipelines them, which the
-    /// cycle model in `flex-core` covers.
+    /// size-descending ordering. Cell shifting (Fig. 6) and the breakpoint chain (Fig. 5) are
+    /// the same in every configuration: the paper's original and FLEX's schedules of each
+    /// compute the same result and differ only on an FPGA, which the cycle model in
+    /// `flex-core` covers.
     ///
     /// `MglLegalizer` with it is not the TCAD'22 flow: after a rejected commit it tries the
     /// next window, where TCAD'22 (`flex_baselines::cpu::CpuLegalizer`) takes the fallback
     /// scan, so their placements differ (on all 16 Table 1 cases at scale 0.02).
     pub fn original() -> Self {
         Self {
-            shift: ShiftAlgorithm::Original,
             ordering: OrderingStrategy::SizeDescending,
             ..Self::default()
         }
     }
 
-    /// The configuration FLEX runs on the FPGA: SACS shifting and sliding-window density
-    /// ordering.
+    /// The configuration FLEX runs on the FPGA: sliding-window density ordering.
     pub fn flex() -> Self {
         Self::default()
     }
@@ -102,14 +88,12 @@ mod tests {
     #[test]
     fn default_is_the_flex_configuration() {
         let c = MglConfig::default();
-        assert_eq!(c.shift, ShiftAlgorithm::Sacs);
         assert_eq!(c.ordering, OrderingStrategy::SlidingWindowDensity);
     }
 
     #[test]
     fn original_matches_the_cpu_baseline() {
         let c = MglConfig::original();
-        assert_eq!(c.shift, ShiftAlgorithm::Original);
         assert_eq!(c.ordering, OrderingStrategy::SizeDescending);
     }
 }

@@ -28,12 +28,15 @@
 //! point. Cell shifting ([`shift_phase_with`]) pays for the rows and cells each point's push
 //! reaches: it traverses only unsettled rows, builds a row's lists from the presorted row on
 //! its first traversal, undoes its state from the cells it moved, and reports only those
-//! cells, in the order the dense outcome lists them, so curve building walks the moved cells
-//! alone. The allocating implementation it replaced is kept verbatim under [`mod@reference`]: it
-//! is the differential-testing oracle and the baseline the `fop_kernel` bench compares
-//! against. Placements, costs and work counters are bit-identical between the two.
+//! cells, in SACS's stream order, so curve building walks the moved cells alone. Each run
+//! records the work of both shifting schedules (the original algorithm's passes and subcell
+//! visits, the SACS profile), so every configuration runs this one FOP and the FPGA cycle
+//! model picks the schedule it costs. The allocating implementation it replaced is kept
+//! verbatim under [`mod@reference`]: it is the differential-testing oracle and the baseline
+//! the `fop_kernel` bench compares against. Placements, costs and work counters are
+//! bit-identical between the two.
 
-use crate::config::{MglConfig, ShiftAlgorithm};
+use crate::config::MglConfig;
 use crate::curve::{Breakpoint, DisplacementCurve};
 use crate::insertion::{
     enumerate_insertion_points, enumerate_insertion_points_into, InsertionPoint, InsertionScratch,
@@ -189,25 +192,15 @@ impl FopScratch {
 
     /// Prepare the per-region state: the per-cell anchor displacements, the target curve,
     /// and the shift scratch's presorted region order and row lists.
-    fn begin_region(
-        &mut self,
-        region: &LocalRegion,
-        target: &TargetSpec,
-        config: &MglConfig,
-        clock: &mut OpClock<'_>,
-    ) {
+    fn begin_region(&mut self, region: &LocalRegion, target: &TargetSpec, clock: &mut OpClock<'_>) {
         self.anchor_disp.clear();
         self.anchor_disp
             .extend(region.cells.iter().map(|c| (c.x as f64 - c.gx).abs()));
         self.target_curve.set_abs(target.gx);
         clock.lap(FopOperator::Other);
+        // the Ahead-Sorter: the Fig. 6(g) `Presort` share
         self.shift.begin_region(region);
-        // Under SACS this sort is the Ahead-Sorter (the Fig. 6(g) `Presort` share); the
-        // original algorithm has no sorter stage, so there it is part of cell shifting.
-        clock.lap(match config.shift {
-            ShiftAlgorithm::Sacs => FopOperator::Presort,
-            ShiftAlgorithm::Original => FopOperator::CellShift,
-        });
+        clock.lap(FopOperator::Presort);
     }
 }
 
@@ -238,10 +231,13 @@ impl<'a> OpClock<'a> {
 /// optimal placement. Bit-identical to [`reference::find_optimal_position`] in placements,
 /// costs and work counters; only wall-clock operator stats differ (they measure the faster
 /// kernel, and the per-region sort is attributed once per region instead of once per point).
+///
+/// The configuration is unread: FOP is the same under every [`MglConfig`]. The parameter
+/// stays for the benchmark harness, which calls this signature.
 pub fn find_optimal_position_with(
     region: &LocalRegion,
     target: &TargetSpec,
-    config: &MglConfig,
+    _config: &MglConfig,
     op_stats: &mut FopOpStats,
     scratch: &mut FopScratch,
 ) -> FopOutcome {
@@ -256,7 +252,7 @@ pub fn find_optimal_position_with(
     work.segments = region.segments.len() as u64;
 
     // the per-region presort first: enumeration reads its per-segment row lists
-    scratch.begin_region(region, target, config, &mut clock);
+    scratch.begin_region(region, target, &mut clock);
 
     // take the enumeration buffers out of the scratch so the per-point evaluation can borrow
     // the rest of it mutably; the allocations go back afterwards
@@ -277,7 +273,7 @@ pub fn find_optimal_position_with(
     let mut best: Option<(i64, f64, usize)> = None; // (x, cost, point index)
     for (idx, point) in insertion.points().iter().enumerate() {
         if let Some((x, cost)) =
-            evaluate_point_with(region, target, point, config, &mut clock, work, scratch)
+            evaluate_point_with(region, target, point, &mut clock, work, scratch)
         {
             work.feasible_points += 1;
             let better = match best {
@@ -309,7 +305,6 @@ fn evaluate_point_with(
     region: &LocalRegion,
     target: &TargetSpec,
     point: &InsertionPoint,
-    config: &MglConfig,
     clock: &mut OpClock<'_>,
     work: &mut RegionWork,
     scratch: &mut FopScratch,
@@ -342,8 +337,8 @@ fn evaluate_point_with(
         target_height: target.height,
         target_x: point.x_hi,
     };
-    let shifted = shift_phase_with(&left_problem, Phase::Left, config.shift, shift, left)
-        .and_then(|()| shift_phase_with(&right_problem, Phase::Right, config.shift, shift, right));
+    let shifted = shift_phase_with(&left_problem, Phase::Left, shift, left)
+        .and_then(|()| shift_phase_with(&right_problem, Phase::Right, shift, right));
     // timed on both exits: most points of a crowded region turn out infeasible here
     clock.lap(FopOperator::CellShift);
     shifted.ok()?;
@@ -537,7 +532,7 @@ pub mod reference {
     //! (and now the scratch kernel) streams away.
 
     use super::*;
-    use crate::sacs::shift_phase_sacs_with_stats;
+    use crate::sacs::sacs_schedule;
     use crate::shift::{shift_phase_original, ShiftOutcome};
 
     /// Evaluate every insertion point of `region` and return the optimal placement,
@@ -545,7 +540,6 @@ pub mod reference {
     pub fn find_optimal_position(
         region: &LocalRegion,
         target: &TargetSpec,
-        config: &MglConfig,
         op_stats: &mut FopOpStats,
     ) -> FopOutcome {
         let mut outcome = FopOutcome::default();
@@ -571,8 +565,7 @@ pub mod reference {
 
         let mut best: Option<Placement> = None;
         for point in points {
-            if let Some((x, cost)) = evaluate_point(region, target, &point, config, op_stats, work)
-            {
+            if let Some((x, cost)) = evaluate_point(region, target, &point, op_stats, work) {
                 work.feasible_points += 1;
                 let better = match &best {
                     None => true,
@@ -597,7 +590,6 @@ pub mod reference {
         region: &LocalRegion,
         target: &TargetSpec,
         point: &InsertionPoint,
-        config: &MglConfig,
         op_stats: &mut FopOpStats,
         work: &mut RegionWork,
     ) -> Option<(i64, f64)> {
@@ -617,31 +609,23 @@ pub mod reference {
             target_height: target.height,
             target_x: point.x_hi,
         };
-        let (left, right) = match config.shift {
-            ShiftAlgorithm::Original => {
-                let l = shift_phase_original(&left_problem, Phase::Left).ok()?;
-                let r = shift_phase_original(&right_problem, Phase::Right).ok()?;
-                work.shift_passes += (l.passes + r.passes) as u64;
-                (l, r)
-            }
-            ShiftAlgorithm::Sacs => {
-                // the SACS pre-sort is timed separately so that Fig. 6(g) can report its
-                // share (the arena kernel hoists this to once per region)
-                let t_sort = Instant::now();
-                let mut order: Vec<i64> = region.cells.iter().map(|c| c.x).collect();
-                order.sort_unstable();
-                op_stats.add(FopOperator::Presort, t_sort.elapsed());
+        // the SACS pre-sort is timed separately so that Fig. 6(g) can report its share (the
+        // arena kernel hoists this to once per region)
+        let t_sort = Instant::now();
+        let mut order: Vec<i64> = region.cells.iter().map(|c| c.x).collect();
+        order.sort_unstable();
+        op_stats.add(FopOperator::Presort, t_sort.elapsed());
 
-                let (l, ls) = shift_phase_sacs_with_stats(&left_problem, Phase::Left).ok()?;
-                let (r, rs) = shift_phase_sacs_with_stats(&right_problem, Phase::Right).ok()?;
-                work.shift_passes += 2;
-                work.sorted_cells += ls.sorted_cells + rs.sorted_cells;
-                work.bound_queries += ls.bound_queries + rs.bound_queries;
-                work.tall_bound_queries += ls.tall_bound_queries + rs.tall_bound_queries;
-                (l, r)
-            }
-        };
-        work.subcell_visits += left.subcell_visits + right.subcell_visits;
+        // one canonical fixpoint run per phase gives both schedules' work
+        let l = shift_phase_original(&left_problem, Phase::Left).ok()?;
+        let r = shift_phase_original(&right_problem, Phase::Right).ok()?;
+        work.shift_passes += (l.passes + r.passes) as u64;
+        work.subcell_visits += l.subcell_visits + r.subcell_visits;
+        let (left, ls) = sacs_schedule(&left_problem, Phase::Left, l);
+        let (right, rs) = sacs_schedule(&right_problem, Phase::Right, r);
+        work.sorted_cells += ls.sorted_cells + rs.sorted_cells;
+        work.bound_queries += ls.bound_queries + rs.bound_queries;
+        work.tall_bound_queries += ls.tall_bound_queries + rs.tall_bound_queries;
         op_stats.add(FopOperator::CellShift, t_shift.elapsed());
 
         // --- displacement curves -----------------------------------------------------------
@@ -848,22 +832,21 @@ mod tests {
     #[test]
     fn scratch_kernel_matches_the_reference_bit_for_bit() {
         // The dedicated differential proptest suite runs on random regions; this is the
-        // fast in-crate smoke check over every config combination.
+        // fast in-crate smoke check.
         let region = region();
         let t = target();
-        let mut scratch = FopScratch::new();
-        for shift in [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs] {
-            let cfg = MglConfig {
-                shift,
-                ..MglConfig::default()
-            };
-            let mut s1 = FopOpStats::default();
-            let mut s2 = FopOpStats::default();
-            let a = reference::find_optimal_position(&region, &t, &cfg, &mut s1);
-            let b = find_optimal_position_with(&region, &t, &cfg, &mut s2, &mut scratch);
-            assert_eq!(a.best, b.best, "shift={shift:?}");
-            assert_eq!(a.work, b.work, "shift={shift:?}");
-        }
+        let mut s1 = FopOpStats::default();
+        let mut s2 = FopOpStats::default();
+        let a = reference::find_optimal_position(&region, &t, &mut s1);
+        let b = find_optimal_position_with(
+            &region,
+            &t,
+            &MglConfig::default(),
+            &mut s2,
+            &mut FopScratch::new(),
+        );
+        assert_eq!(a.best, b.best);
+        assert_eq!(a.work, b.work);
     }
 
     #[test]
@@ -902,8 +885,7 @@ mod tests {
             parity: None,
         };
         let second = find_optimal_position_with(&r2, &t2, &cfg, &mut stats, &mut scratch);
-        let second_ref =
-            reference::find_optimal_position(&r2, &t2, &cfg, &mut FopOpStats::default());
+        let second_ref = reference::find_optimal_position(&r2, &t2, &mut FopOpStats::default());
         assert_eq!(second.best, second_ref.best);
 
         // and back to the first region: still identical to a fresh evaluation

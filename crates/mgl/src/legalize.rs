@@ -512,13 +512,18 @@ pub struct CommitPlan {
 /// Plan a placement commit with an explicit scratch arena: run both shifting phases into the
 /// scratch's outcome buffers and verify the region stays overlap-free.
 ///
+/// Contract: `scratch` holds the presort that FOP ([`fop::find_optimal_position_with`]) left
+/// for this `region`, which is not sorted a second time; shifting panics on a scratch
+/// prepared for another region.
+///
 /// Pure with respect to the design — everything is computed from the extracted `region`.
-/// Returns `None` if either phase is infeasible or the verification fails.
+/// Returns `None` if either phase is infeasible or the verification fails. The configuration
+/// is unread; the parameter stays for the benchmark harness, which calls this signature.
 pub fn plan_commit_with(
     region: &LocalRegion,
     placement: &Placement,
     spec: &TargetSpec,
-    cfg: &MglConfig,
+    _cfg: &MglConfig,
     scratch: &mut FopScratch,
 ) -> Option<CommitPlan> {
     let problem = ShiftProblem {
@@ -536,11 +541,8 @@ pub fn plan_commit_with(
         commit_spans,
         ..
     } = scratch;
-    // a public entry point need not follow a FOP call on this region, so redo the
-    // per-region presort rather than assuming one prepared it
-    shift.begin_region(region);
-    shift_phase_with(&problem, Phase::Left, cfg.shift, shift, left).ok()?;
-    shift_phase_with(&problem, Phase::Right, cfg.shift, shift, right).ok()?;
+    shift_phase_with(&problem, Phase::Left, shift, left).ok()?;
+    shift_phase_with(&problem, Phase::Right, shift, right).ok()?;
 
     // The merge of the dense phase outcomes: the right phase lists every cell outside the
     // left chain, moved or not, and is applied last, so a left-phase move stands only on the
@@ -713,7 +715,7 @@ pub fn find_fallback_position(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{OrderingStrategy, ShiftAlgorithm};
+    use crate::config::OrderingStrategy;
     use crate::sacs::tests::{enumerate, random_point, random_region};
     use flex_placement::benchmark::{generate, BenchmarkSpec};
     use rand::rngs::StdRng;
@@ -756,34 +758,6 @@ mod tests {
             "flex {} vs original {}",
             flex.average_displacement,
             orig.average_displacement
-        );
-    }
-
-    #[test]
-    fn shift_algorithms_produce_comparable_quality() {
-        // SACS and the original shifting may differ on leapfrog corner cases, but legality must
-        // hold for both and the average displacement must stay within a few percent.
-        let base = MglConfig {
-            ordering: OrderingStrategy::SizeDescending,
-            ..MglConfig::default()
-        };
-        let mut results = Vec::new();
-        for shift in [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs] {
-            let mut d = tiny_design(3);
-            let cfg = MglConfig {
-                shift,
-                ..base.clone()
-            };
-            let res = MglLegalizer::new(cfg).legalize(&mut d);
-            assert!(res.legal, "{shift:?} produced an illegal placement");
-            results.push(res.average_displacement);
-        }
-        let ratio = results[0].max(results[1]) / results[0].min(results[1]).max(1e-9);
-        assert!(
-            ratio < 1.10,
-            "quality diverged: original {} vs sacs {}",
-            results[0],
-            results[1]
         );
     }
 
@@ -971,12 +945,12 @@ mod tests {
     }
 
     /// Commit planning as it was before verification read the shift scratch's row lists: every
-    /// segment row scans every localCell and stable-sorts the row's spans by `lo`.
+    /// segment row scans every localCell and stable-sorts the row's spans by `lo`. It presorts
+    /// the region itself, which leaves `scratch` prepared for [`plan_commit_with`].
     fn plan_commit_by_scan(
         region: &LocalRegion,
         placement: &Placement,
         spec: &TargetSpec,
-        cfg: &MglConfig,
         scratch: &mut FopScratch,
     ) -> Option<CommitPlan> {
         let problem = ShiftProblem {
@@ -994,8 +968,8 @@ mod tests {
             ..
         } = scratch;
         shift.begin_region(region);
-        shift_phase_with(&problem, Phase::Left, cfg.shift, shift, left).ok()?;
-        shift_phase_with(&problem, Phase::Right, cfg.shift, shift, right).ok()?;
+        shift_phase_with(&problem, Phase::Left, shift, left).ok()?;
+        shift_phase_with(&problem, Phase::Right, shift, right).ok()?;
         commit_pos.clear();
         commit_pos.extend(region.cells.iter().map(|c| c.x));
         let left_chain = &placement.point.left_chain;
@@ -1059,11 +1033,12 @@ mod tests {
 
     /// Verification over the shift scratch's row lists gives the scan's verdict and plan on
     /// regions beyond legal ones (overlapping, tied and zero-width cells, rows without a
-    /// segment), for enumerated and random points, targets inside and outside the point's
-    /// range, and both shifting algorithms.
+    /// segment), for enumerated and random points, and targets inside and outside the point's
+    /// range.
     #[test]
     fn commit_verification_matches_the_region_scan() {
         let mut rng = StdRng::seed_from_u64(0xC0_4417);
+        let cfg = MglConfig::default();
         let mut scratch = FopScratch::new();
         let (mut planned, mut rejected) = (0, 0);
         for case in 0..400 {
@@ -1096,20 +1071,14 @@ mod tests {
                         gy: point.bottom_row as f64,
                         parity: None,
                     };
-                    for shift in [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs] {
-                        let cfg = MglConfig {
-                            shift,
-                            ..MglConfig::default()
-                        };
-                        let got = plan_commit_with(&region, &placement, &spec, &cfg, &mut scratch);
-                        let want =
-                            plan_commit_by_scan(&region, &placement, &spec, &cfg, &mut scratch);
-                        assert_eq!(got, want, "case {case} x {x} {shift:?}");
-                        if got.is_some() {
-                            planned += 1;
-                        } else {
-                            rejected += 1;
-                        }
+                    // the scan presorts the region, as FOP would before planning
+                    let want = plan_commit_by_scan(&region, &placement, &spec, &mut scratch);
+                    let got = plan_commit_with(&region, &placement, &spec, &cfg, &mut scratch);
+                    assert_eq!(got, want, "case {case} x {x}");
+                    if got.is_some() {
+                        planned += 1;
+                    } else {
+                        rejected += 1;
                     }
                 }
             }

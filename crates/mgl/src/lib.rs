@@ -13,12 +13,13 @@
 //!
 //! Modules:
 //!
-//! * [`config`] — tuning knobs selecting the shifting algorithm and the ordering.
+//! * [`config`] — tuning knobs: windows, the processing order, the region cap, tracing.
 //! * [`region`] — windows, localSegments, localCells and localRegions (Sec. 2.2.1).
 //! * [`insertion`] — insertion intervals and insertion points (Sec. 2.2.2).
 //! * [`curve`] — displacement curves and breakpoints (Sec. 2.2.3).
-//! * [`shift`] — the original multi-pass cell-shifting algorithm (Fig. 6, Algorithm 3).
-//! * [`sacs`] — the Sort-Ahead Cell Shifting algorithm of FLEX (Fig. 6, Algorithm 4).
+//! * [`shift`] — the original multi-pass cell shifting (Fig. 6, Algorithm 3) and the one
+//!   shifting kernel, which records the work of both it and SACS on every run.
+//! * [`sacs`] — FLEX's Sort-Ahead Cell Shifting schedule and work profile (Algorithm 4).
 //! * [`fop`] — finding the optimal placement position, with the reorganized
 //!   bidirectional-traversal breakpoint chain (Fig. 5).
 //! * [`ordering`] — processing-order strategies, including FLEX's sliding-window ordering.
@@ -46,7 +47,7 @@ pub mod shift;
 pub mod stats;
 
 pub use api::{DisplacementSummary, LegalizeReport, Legalizer, RuntimeBreakdown};
-pub use config::{MglConfig, OrderingStrategy, ShiftAlgorithm};
+pub use config::{MglConfig, OrderingStrategy};
 pub use fop::FopScratch;
 pub use legalize::{LegalizeResult, MglLegalizer};
 pub use parallel::{ParallelLegalizeResult, ParallelMglLegalizer, ShardStats};

@@ -13,31 +13,30 @@
 //! SACS is a *re-scheduling* of the same overlap-resolution computation: the paper's claim is
 //! that it reaches the same resolved layout with one predictable pass instead of several
 //! unpredictable ones, which is what makes it streamable and pipeline-friendly in hardware.
-//! This crate therefore computes the shifted positions with the shared canonical routine
-//! (`shift_phase_original`, the list-order fixpoint both algorithms converge to) and reports the
-//! **SACS work profile** — cells fed through the Ahead Sorter, per-row cursor (CSP/CSE) queries,
-//! and the single streaming pass — which is what the FPGA performance model in `flex-core`
-//! consumes. The runtime difference between the two algorithms therefore shows up exactly where
-//! the paper claims it does (hardware pipelining and memory traffic), never in placement
-//! quality.
+//! This crate therefore computes the shifted positions once, with the shared canonical routine
+//! (`shift_phase_original`, the list-order fixpoint both algorithms converge to), and every run
+//! reports the work of both schedules: the original algorithm's passes and subcell visits, and
+//! the **SACS work profile** — cells fed through the Ahead Sorter, per-row cursor (CSP/CSE)
+//! queries, and the single streaming pass. The FPGA performance model in `flex-core` costs one
+//! of the two (`FlexConfig::sacs`). The runtime difference between the two algorithms therefore
+//! shows up exactly where the paper claims it does (hardware pipelining and memory traffic),
+//! never in placement quality.
 //!
 //! The presort is real in the scratch kernel: [`ShiftScratch::begin_region`] sorts the
 //! localCells once per region by `(x, index)`, every phase problem builds its per-row lists from
-//! that order instead of sorting, and [`shift_phase_with`] under [`ShiftAlgorithm::Sacs`]
-//! reports the moved cells in that stream order, with the work profile computed from
-//! per-region totals minus the statics. The positions still come from the canonical
-//! multi-pass fixpoint, which re-sorts a row by current position on every traversal; the
-//! scratch kernel traverses only the rows a push reaches (see [`crate::shift`]), which changes
-//! no position and no count. Algorithm 4's single pass cannot replace the fixpoint without
-//! changing placements: it keeps each row in presorted order, so a multi-row cell pushed in
-//! one row can never overtake a neighbour in another. `shift::tests::
-//! a_multi_row_cell_overtakes_its_neighbour_on_the_second_pass` pins a region where the
-//! fixpoint lets that happen on its second pass, and the order-preserving pass would push the
-//! neighbour out of its segment and reject the point.
+//! that order instead of sorting, and [`shift_phase_with`] reports the moved cells in that
+//! stream order, with the work profile computed from per-region totals minus the statics. The
+//! positions still come from the canonical multi-pass fixpoint, which re-sorts a row by current
+//! position on every traversal; the scratch kernel traverses only the rows a push reaches (see
+//! [`crate::shift`]), which changes no position and no count. Algorithm 4's single pass
+//! cannot replace the fixpoint without changing placements: it keeps each row in presorted
+//! order, so a multi-row cell pushed in one row can never overtake a neighbour in another.
+//! `shift::tests::a_multi_row_cell_overtakes_its_neighbour_on_the_second_pass` pins a region
+//! where the fixpoint lets that happen on its second pass, and the order-preserving pass would
+//! push the neighbour out of its segment and reject the point.
 //!
 //! [`ShiftScratch::begin_region`]: crate::shift::ShiftScratch::begin_region
 //! [`shift_phase_with`]: crate::shift::shift_phase_with
-//! [`ShiftAlgorithm::Sacs`]: crate::config::ShiftAlgorithm::Sacs
 
 use crate::shift::{shift_phase_original, Infeasible, Phase, ShiftOutcome, ShiftProblem};
 
@@ -58,11 +57,20 @@ pub fn shift_phase_sacs_with_stats(
     problem: &ShiftProblem<'_>,
     phase: Phase,
 ) -> Result<(ShiftOutcome, SacsStats), Infeasible> {
-    let region = problem.region;
-    let statics = problem.statics(phase);
-
     // the canonical list-order fixpoint both Algorithm 3 and Algorithm 4 resolve to
     let canonical = shift_phase_original(problem, phase)?;
+    Ok(sacs_schedule(problem, phase, canonical))
+}
+
+/// The SACS schedule of `problem`'s `phase`, given the canonical fixpoint's outcome of it:
+/// the same positions in the stream order, one pass, and the SACS work statistics.
+pub(crate) fn sacs_schedule(
+    problem: &ShiftProblem<'_>,
+    phase: Phase,
+    canonical: ShiftOutcome,
+) -> (ShiftOutcome, SacsStats) {
+    let region = problem.region;
+    let statics = problem.statics(phase);
 
     // SACS work profile: every localCell flows through the Ahead Sorter once; each participant
     // issues one CSP/CSE query per row it spans (the multi-row access pattern that motivates the
@@ -71,14 +79,12 @@ pub fn shift_phase_sacs_with_stats(
         sorted_cells: region.cells.len() as u64,
         ..SacsStats::default()
     };
-    let mut subcell_visits = 0u64;
     for (i, c) in region.cells.iter().enumerate() {
         if statics.contains(&i) {
             continue;
         }
         let rows = c.height as u64;
         stats.bound_queries += rows;
-        subcell_visits += rows;
         if c.height > 3 {
             stats.tall_bound_queries += rows;
         }
@@ -94,14 +100,14 @@ pub fn shift_phase_sacs_with_stats(
         Phase::Right => positions.sort_by_key(|&(i, _)| (region.cells[i].x, i as i64)),
     }
 
-    Ok((
+    (
         ShiftOutcome {
             positions,
             passes: 1,
-            subcell_visits,
+            subcell_visits: stats.bound_queries,
         },
         stats,
-    ))
+    )
 }
 
 #[cfg(test)]
@@ -306,8 +312,8 @@ pub(crate) mod tests {
 
     /// Randomized test: the shared shifting routine must always produce legal phase results, the
     /// SACS schedule must report the same positions, and the scratch kernel (one scratch for
-    /// every region) must report exactly the allocating functions' moved cells, in their
-    /// order, with their counters.
+    /// every region) must report exactly the allocating functions' moved cells, in SACS's
+    /// order, with both schedules' counters.
     #[test]
     fn shifting_invariants_hold_on_random_regions() {
         let mut rng = StdRng::seed_from_u64(0xACE5);
@@ -483,8 +489,8 @@ pub(crate) mod tests {
     /// The scratch kernel is exact on regions no legalizer produces, where rows are not clean:
     /// overlapping cells, equal-x ties, zero-width cells, cells hanging past their segment,
     /// rows without a segment, cells taller than three rows. Enumerated and random points,
-    /// target x inside and outside the point's range, both phases, both algorithms, one
-    /// scratch for every region.
+    /// target x inside and outside the point's range, both phases, one scratch for every
+    /// region.
     #[test]
     fn scratch_kernel_is_exact_beyond_legal_regions() {
         let mut rng = StdRng::seed_from_u64(0x5E7_71ED);

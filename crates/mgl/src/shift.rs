@@ -1,4 +1,5 @@
-//! The original multi-pass cell-shifting algorithm (Fig. 6, Algorithm 3 of the paper).
+//! Cell shifting: the original multi-pass algorithm (Fig. 6, Algorithm 3 of the paper) and
+//! the one kernel that runs it for both of the paper's schedules.
 //!
 //! Inserting the target cell into an insertion point splices it into every target row's cell
 //! sequence: `…left-chain cells, target, right-chain cells…`. Cell shifting resolves the
@@ -19,7 +20,11 @@
 //! every row's lists on every pass. It is the oracle of the differential tests.
 //!
 //! [`shift_phase_with`] is the scratch kernel the hot paths (FOP's curve building and commit
-//! planning) call. One phase problem costs the rows and cells its push reaches:
+//! planning) call. Algorithm 3 and SACS (Algorithm 4) schedule the same fixpoint, so one run
+//! reports what both do: the original algorithm's passes and subcell visits, the SACS work
+//! profile, and the moved cells in the SACS stream order ([`PhaseMoves`]). Which schedule an
+//! FPGA would run is a question for the cycle model in `flex-core`, not for the software.
+//! One phase problem costs the rows and cells its push reaches:
 //!
 //! * **Settled rows.** A row is traversed only while it is *unsettled*. Starting a row's
 //!   traversal settles it; every move unsettles each row the moved cell spans. This is
@@ -34,11 +39,10 @@
 //!   the cells the run touched, on both exits; a row's lists are built on its first
 //!   traversal; the work counters come from row sizes and per-region totals.
 //! * **Moved cells only.** The kernel reports the cells the phase moved ([`PhaseMoves`]),
-//!   in the order the dense outcome lists them, so both consumers stay bit-identical.
+//!   in the order SACS's dense outcome lists them, so both consumers stay bit-identical.
 //!
 //! [`shift_phase_sacs_with_stats`]: crate::sacs::shift_phase_sacs_with_stats
 
-use crate::config::ShiftAlgorithm;
 use crate::insertion::InsertionPoint;
 use crate::region::{LocalRegion, LocalSegment};
 use crate::sacs::SacsStats;
@@ -172,21 +176,20 @@ impl EdgeLists {
     }
 }
 
-/// What one scratch phase run ([`shift_phase_with`]) reports.
+/// What one scratch phase run ([`shift_phase_with`]) reports: the cells it moved and the
+/// work of both schedules of the fixpoint that moved them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseMoves {
-    /// `(cell index in region, final x)` of every cell the phase moved, in the order the
-    /// dense outcome of the same algorithm lists them: ascending index for
-    /// [`shift_phase_original`], the SACS stream order (descending `(x, index)` for the
-    /// left-move phase, ascending for the right-move phase) for
-    /// [`shift_phase_sacs_with_stats`](crate::sacs::shift_phase_sacs_with_stats). Every cell
-    /// not listed stays at its region x.
+    /// `(cell index in region, final x)` of every cell the phase moved, in the SACS stream
+    /// order (descending `(x, index)` for the left-move phase, ascending for the right-move
+    /// phase), as [`shift_phase_sacs_with_stats`](crate::sacs::shift_phase_sacs_with_stats)
+    /// lists them. Every cell not listed stays at its region x.
     pub moved: Vec<(usize, i64)>,
-    /// Number of full traversal passes (always 1 for SACS).
+    /// Full traversal passes of the original algorithm (SACS streams in one).
     pub passes: u32,
-    /// Number of subcell visits, counted as the dense outcome counts them.
+    /// Subcell visits of the original algorithm, as [`shift_phase_original`] counts them.
     pub subcell_visits: u64,
-    /// The SACS work profile; all zero under the original algorithm.
+    /// The SACS work profile.
     pub sacs: SacsStats,
 }
 
@@ -194,11 +197,11 @@ pub struct PhaseMoves {
 /// serves every insertion point of every region without reallocating.
 ///
 /// Usage contract: call [`ShiftScratch::begin_region`] once per [`LocalRegion`], then any
-/// number of [`shift_phase_with`] calls against that region, in any order of phases and
-/// algorithms, whether they return `Ok` or `Err`. `begin_region` sorts the localCells once
-/// by `(x, index)` — the software Ahead-Sorter — distributes that order into one presorted
-/// cell list per segment row, marks the rows whose traversal moves nothing (*clean* rows,
-/// see [`shift_phase_with`]), and resets the undo state: every working position back to its
+/// number of [`shift_phase_with`] calls against that region, in any order of phases, whether
+/// they return `Ok` or `Err`. `begin_region` sorts the localCells once by `(x, index)` — the
+/// software Ahead-Sorter — distributes that order into one presorted cell list per segment
+/// row, marks the rows whose traversal moves nothing (*clean* rows, see
+/// [`shift_phase_with`]), and resets the undo state: every working position back to its
 /// cell's region x, both membership bitmaps clear, no moved cells logged.
 ///
 /// Each phase run leaves that undo state as it found it: it sets the membership bitmaps
@@ -430,47 +433,34 @@ impl ShiftScratch {
         &mut self,
         problem: &ShiftProblem<'_>,
         phase: Phase,
-        algorithm: ShiftAlgorithm,
         passes: u32,
         counts: ChainCounts,
         out: &mut PhaseMoves,
     ) {
-        match algorithm {
-            ShiftAlgorithm::Original => {
-                // every pass visits every traversal list whole: the non-static subcells of
-                // the rows outside the target, and the movers' subcells inside it
-                let target_subcells: u64 = problem
-                    .target_rows()
-                    .filter_map(|r| problem.region.segment_index(r))
-                    .map(|s| self.row_cells.get(s).len() as u64)
-                    .sum();
-                let per_pass = self.subcells - target_subcells - counts.static_subcells_off_target
-                    + counts.mover_subcells_on_target;
-                self.touched.sort_unstable();
-                out.passes = passes;
-                out.subcell_visits = passes as u64 * per_pass;
-                out.sacs = SacsStats::default();
-            }
-            ShiftAlgorithm::Sacs => {
-                // the Ahead-Sorter's `(x, index)` order, reversed for the left-move phase
-                let cells = &problem.region.cells;
-                match phase {
-                    Phase::Left => self
-                        .touched
-                        .sort_unstable_by_key(|&i| std::cmp::Reverse((cells[i].x, i))),
-                    Phase::Right => self.touched.sort_unstable_by_key(|&i| (cells[i].x, i)),
-                }
-                // every non-static cell streams through the single pass, issuing one bound
-                // query per row it spans
-                let bound_queries = self.heights - counts.static_heights;
-                out.passes = 1;
-                out.subcell_visits = bound_queries;
-                out.sacs = SacsStats {
-                    sorted_cells: problem.region.cells.len() as u64,
-                    bound_queries,
-                    tall_bound_queries: self.tall_heights - counts.static_tall_heights,
-                };
-            }
+        // the original algorithm: every pass visits every traversal list whole, the
+        // non-static subcells of the rows outside the target and the movers' subcells inside
+        let target_subcells: u64 = problem
+            .target_rows()
+            .filter_map(|r| problem.region.segment_index(r))
+            .map(|s| self.row_cells.get(s).len() as u64)
+            .sum();
+        let per_pass = self.subcells - target_subcells - counts.static_subcells_off_target
+            + counts.mover_subcells_on_target;
+        out.passes = passes;
+        out.subcell_visits = passes as u64 * per_pass;
+        // SACS: one pass, in which every non-static cell queries a bound per row it spans
+        out.sacs = SacsStats {
+            sorted_cells: problem.region.cells.len() as u64,
+            bound_queries: self.heights - counts.static_heights,
+            tall_bound_queries: self.tall_heights - counts.static_tall_heights,
+        };
+        // the Ahead-Sorter's `(x, index)` order, reversed for the left-move phase
+        let cells = &problem.region.cells;
+        match phase {
+            Phase::Left => self
+                .touched
+                .sort_unstable_by_key(|&i| std::cmp::Reverse((cells[i].x, i))),
+            Phase::Right => self.touched.sort_unstable_by_key(|&i| (cells[i].x, i)),
         }
         out.moved.clear();
         out.moved
@@ -478,19 +468,18 @@ impl ShiftScratch {
     }
 }
 
-/// Run one shifting phase of `algorithm` on the scratch and write the cells it moved into
-/// `out`. Requires [`ShiftScratch::begin_region`] to have been called for `problem.region`.
+/// Run one shifting phase on the scratch and write what it did into `out`: the cells it
+/// moved, and the work of both the original algorithm and SACS (see [`PhaseMoves`]).
+/// Requires [`ShiftScratch::begin_region`] to have been called for `problem.region`.
 ///
-/// Both algorithms resolve positions with the canonical multi-pass fixpoint of
-/// [`shift_phase_original`], traversing only unsettled rows (see the module docs); they
-/// differ in what they report (see [`PhaseMoves`]). Passes, `Err` exits and positions are
-/// those of the reference. The original algorithm's `subcell_visits` is counted from the row
-/// sizes (passes × traversal-list lengths), the SACS work profile from per-region totals
+/// Positions come from the canonical multi-pass fixpoint of [`shift_phase_original`],
+/// traversing only unsettled rows (see the module docs); passes, `Err` exits and positions
+/// are those of the reference. The original algorithm's `subcell_visits` is counted from the
+/// row sizes (passes × traversal-list lengths), the SACS work profile from per-region totals
 /// minus the statics.
 pub fn shift_phase_with(
     problem: &ShiftProblem<'_>,
     phase: Phase,
-    algorithm: ShiftAlgorithm,
     scratch: &mut ShiftScratch,
     out: &mut PhaseMoves,
 ) -> Result<(), Infeasible> {
@@ -498,7 +487,7 @@ pub fn shift_phase_with(
     let counts = scratch.mark(problem, phase);
     let resolved = resolve_phase_with(problem, phase, scratch);
     if let Ok(passes) = resolved {
-        scratch.report(problem, phase, algorithm, passes, counts, out);
+        scratch.report(problem, phase, passes, counts, out);
     }
     scratch.undo(problem);
     resolved.map(drop)
@@ -819,10 +808,11 @@ pub fn shift_original(
     Ok((left, right))
 }
 
-/// Assert that [`shift_phase_with`] gives the dense oracles' answer for `problem`'s `phase`
-/// under both algorithms on `scratch`: the oracle's moved cells in its order (every other
-/// cell it lists sits at its region x), passes, subcell visits, SACS stats and `Err`, and
-/// that each run leaves the undo state clear.
+/// Assert that one [`shift_phase_with`] run on `scratch` gives the dense oracles' answer for
+/// `problem`'s `phase`: the moved cells in the order and the work profile of
+/// [`shift_phase_sacs_with_stats`](crate::sacs::shift_phase_sacs_with_stats) (every other
+/// cell it lists sits at its region x), the passes and subcell visits of
+/// [`shift_phase_original`], and their `Err`; and that the run leaves the undo state clear.
 #[cfg(test)]
 pub(crate) fn assert_scratch_matches_oracles(
     problem: &ShiftProblem<'_>,
@@ -831,43 +821,30 @@ pub(crate) fn assert_scratch_matches_oracles(
     label: &str,
 ) {
     let region = problem.region;
-    let dense = |o: ShiftOutcome, sacs: SacsStats| PhaseMoves {
-        moved: o
-            .positions
-            .into_iter()
-            .filter(|&(i, x)| x != region.cells[i].x)
-            .collect(),
-        passes: o.passes,
-        subcell_visits: o.subcell_visits,
-        sacs,
-    };
-    let oracles = [
-        (
-            ShiftAlgorithm::Original,
-            shift_phase_original(problem, phase).map(|o| dense(o, SacsStats::default())),
-        ),
-        (
-            ShiftAlgorithm::Sacs,
-            crate::sacs::shift_phase_sacs_with_stats(problem, phase).map(|(o, s)| dense(o, s)),
-        ),
-    ];
+    let want = shift_phase_original(problem, phase).and_then(|original| {
+        let (sacs, stats) = crate::sacs::shift_phase_sacs_with_stats(problem, phase)?;
+        Ok(PhaseMoves {
+            moved: sacs
+                .positions
+                .into_iter()
+                .filter(|&(i, x)| x != region.cells[i].x)
+                .collect(),
+            passes: original.passes,
+            subcell_visits: original.subcell_visits,
+            sacs: stats,
+        })
+    });
     let mut out = PhaseMoves::default();
-    for (algorithm, want) in oracles {
-        let got =
-            shift_phase_with(problem, phase, algorithm, scratch, &mut out).map(|()| out.clone());
-        assert_eq!(got, want, "{label}: {phase:?} phase under {algorithm:?}");
-        let clear = scratch.touched.is_empty()
-            && !scratch.statics.iter().chain(&scratch.movers).any(|&b| b)
-            && scratch
-                .pos
-                .iter()
-                .zip(&region.cells)
-                .all(|(&x, c)| x == c.x);
-        assert!(
-            clear,
-            "{label}: {phase:?} phase under {algorithm:?} left undo state behind"
-        );
-    }
+    let got = shift_phase_with(problem, phase, scratch, &mut out).map(|()| out);
+    assert_eq!(got, want, "{label}: {phase:?} phase");
+    let clear = scratch.touched.is_empty()
+        && !scratch.statics.iter().chain(&scratch.movers).any(|&b| b)
+        && scratch
+            .pos
+            .iter()
+            .zip(&region.cells)
+            .all(|(&x, c)| x == c.x);
+    assert!(clear, "{label}: {phase:?} phase left undo state behind");
 }
 
 #[cfg(test)]
@@ -1154,14 +1131,7 @@ mod tests {
         let mut scratch = ShiftScratch::default();
         scratch.begin_region(&region);
         let mut out = PhaseMoves::default();
-        shift_phase_with(
-            &problem,
-            Phase::Left,
-            ShiftAlgorithm::Original,
-            &mut scratch,
-            &mut out,
-        )
-        .expect("feasible");
+        shift_phase_with(&problem, Phase::Left, &mut scratch, &mut out).expect("feasible");
         assert_eq!(
             out.moved,
             vec![(E, 0)],
@@ -1213,11 +1183,9 @@ mod tests {
         let mut scratch = ShiftScratch::default();
         let mut out = PhaseMoves::default();
         scratch.begin_region(&fig6);
-        for algorithm in [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs] {
-            let got = shift_phase_with(&tight, Phase::Left, algorithm, &mut scratch, &mut out);
-            assert_eq!(got, Err(Infeasible));
-            assert_scratch_matches_oracles(&relaxed, Phase::Left, &mut scratch, "after Err");
-        }
+        let got = shift_phase_with(&tight, Phase::Left, &mut scratch, &mut out);
+        assert_eq!(got, Err(Infeasible));
+        assert_scratch_matches_oracles(&relaxed, Phase::Left, &mut scratch, "after Err");
         assert_scratch_matches_oracles(&tight, Phase::Left, &mut scratch, "Err again");
         assert_scratch_matches_oracles(&right, Phase::Right, &mut scratch, "after Err, right");
         assert_scratch_matches_oracles(&relaxed, Phase::Left, &mut scratch, "after right");

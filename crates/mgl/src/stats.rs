@@ -8,9 +8,11 @@
 //!   count in FOP's remainder. This is what Fig. 2(g) ("cell shifting dominates over 60% of
 //!   FOP runtime") and Fig. 6(g) ("pre-sorting is ≈10% of FOP runtime") report.
 //! * [`RegionWork`] / [`WorkTrace`] — hardware-independent work counts per legalized target
-//!   (insertion points evaluated, breakpoints produced, subcell visits, multi-row bound queries,
-//!   …). The FLEX accelerator model in `flex-core` replays this trace through its pipeline and
-//!   BRAM models to predict FPGA cycles, which is how the Fig. 8/9/10 ablations are produced.
+//!   (insertion points evaluated, breakpoints produced, and the work of both cell-shifting
+//!   schedules: the original algorithm's passes and subcell visits, SACS's sorted cells and
+//!   multi-row bound queries). The FLEX accelerator model in `flex-core` replays this trace
+//!   through its pipeline and BRAM models to predict FPGA cycles, which is how the Fig. 8/9/10
+//!   ablations are produced.
 
 use flex_placement::cell::CellId;
 use std::time::Duration;
@@ -18,7 +20,7 @@ use std::time::Duration;
 /// Wall-clock time spent in each FOP operator, accumulated over an entire legalization run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FopOpStats {
-    /// Cell shifting (both phases, original or SACS).
+    /// Cell shifting (both phases).
     pub cell_shift_ns: u64,
     /// SACS pre-sorting of localCells (the 10% overhead quoted in Fig. 6(g)).
     pub presort_ns: u64,
@@ -158,10 +160,11 @@ pub struct RegionWork {
     pub feasible_points: u64,
     /// Breakpoints generated across all evaluated points.
     pub breakpoints: u64,
-    /// Subcell visits performed by cell shifting.
+    /// Subcell visits the original multi-pass shifting performs (Algorithm 3: every pass
+    /// visits every traversal list whole). SACS's own count is `bound_queries`.
     pub subcell_visits: u64,
-    /// Full shifting passes performed (original algorithm only; 2 per point for SACS —
-    /// one per phase).
+    /// Full passes the original multi-pass shifting performs, summed over both phases of every
+    /// evaluated point (SACS streams each phase in one pass).
     pub shift_passes: u64,
     /// Cells fed through the SACS pre-sorter.
     pub sorted_cells: u64,
@@ -204,17 +207,9 @@ impl WorkTrace {
         self.regions.iter().map(|r| r.breakpoints).sum()
     }
 
-    /// Total subcell visits performed by cell shifting.
+    /// Total subcell visits of the original multi-pass shifting.
     pub fn total_subcell_visits(&self) -> u64 {
         self.regions.iter().map(|r| r.subcell_visits).sum()
-    }
-
-    /// Append another trace's regions after this one's, preserving both processing orders.
-    ///
-    /// Like [`FopOpStats::merge`] this is associative, which is what lets the parallel
-    /// legalizer combine per-shard traces in any grouping as long as the shard order is fixed.
-    pub fn merge(&mut self, other: &WorkTrace) {
-        self.regions.extend(other.regions.iter().cloned());
     }
 
     /// Mirror the trace's aggregates into `registry`: totals as `mgl_trace_*` counters and
@@ -350,35 +345,6 @@ mod tests {
         let mut ba = b;
         ba.merge(&a);
         assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn trace_merge_is_associative_and_preserves_order() {
-        fn trace(ids: &[u32]) -> WorkTrace {
-            WorkTrace {
-                regions: ids
-                    .iter()
-                    .map(|&i| RegionWork {
-                        target: CellId(i),
-                        insertion_points: i as u64,
-                        ..RegionWork::default()
-                    })
-                    .collect(),
-            }
-        }
-        let (a, b, c) = (trace(&[1, 2]), trace(&[3]), trace(&[4, 5]));
-
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-        let order: Vec<u32> = left.regions.iter().map(|r| r.target.0).collect();
-        assert_eq!(order, vec![1, 2, 3, 4, 5]);
-        assert_eq!(left.total_points(), 1 + 2 + 3 + 4 + 5);
     }
 
     #[test]

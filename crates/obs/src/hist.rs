@@ -13,8 +13,8 @@
 //!
 //! [`Histogram::merge`] adds bucket counts element-wise with saturating arithmetic, which
 //! makes it exactly associative and commutative — per-thread or per-shard histograms can
-//! be combined in any grouping, the same contract `WorkTrace::merge` and
-//! `FopOpStats::merge` already follow in `flex-mgl`.
+//! be combined in any grouping, the same contract `FopOpStats::merge` follows in
+//! `flex-mgl`.
 
 /// log2 of the number of linear sub-buckets per power-of-two range.
 pub const SUB_BITS: u32 = 4;

@@ -54,12 +54,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Add a (possibly negative) delta.
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -199,15 +193,6 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(reg.snapshot().counters["hits"], 3);
-    }
-
-    #[test]
-    fn gauge_moves_both_ways() {
-        let reg = Registry::new();
-        let g = reg.gauge("depth");
-        g.set(4);
-        g.add(-6);
-        assert_eq!(reg.snapshot().gauges["depth"], -2);
     }
 
     #[test]

@@ -146,11 +146,6 @@ impl Cell {
             Some(p) => row.rem_euclid(2) as u8 == p,
         }
     }
-
-    /// Whether two cells overlap at their current positions.
-    pub fn overlaps(&self, other: &Cell) -> bool {
-        self.rect().overlaps(&other.rect())
-    }
 }
 
 #[cfg(test)]
@@ -205,14 +200,5 @@ mod tests {
         assert_eq!(c.rows().collect::<Vec<_>>(), vec![10, 11, 12]);
         assert_eq!(c.area(), 15);
         assert!(c.fixed && c.legalized);
-    }
-
-    #[test]
-    fn overlap_detection_between_cells() {
-        let a = Cell::fixed(CellId(0), 4, 2, 0, 0);
-        let b = Cell::fixed(CellId(1), 4, 2, 3, 1);
-        let c = Cell::fixed(CellId(2), 4, 2, 4, 0);
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c));
     }
 }

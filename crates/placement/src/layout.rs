@@ -2,7 +2,7 @@
 
 use crate::cell::{Cell, CellId};
 use crate::geom::{Interval, Rect};
-use crate::row::{Rail, Row};
+use crate::row::Rail;
 use std::convert::Infallible;
 
 /// A complete mixed-cell-height design: a uniform die of rows/sites plus cells and blockages.
@@ -85,26 +85,6 @@ impl Design {
     /// Number of movable cells.
     pub fn num_movable(&self) -> usize {
         self.cells.iter().filter(|c| !c.fixed).count()
-    }
-
-    /// Iterator over the rows of the die.
-    pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
-        (0..self.num_rows)
-            .map(move |r| Row::new(r, 0, self.num_sites_x, Rail::of_row(r, self.base_rail)))
-    }
-
-    /// Row `index`, if it exists.
-    pub fn row(&self, index: i64) -> Option<Row> {
-        if index >= 0 && index < self.num_rows {
-            Some(Row::new(
-                index,
-                0,
-                self.num_sites_x,
-                Rail::of_row(index, self.base_rail),
-            ))
-        } else {
-            None
-        }
     }
 
     /// Total area of movable cells (site·row units).
@@ -543,17 +523,5 @@ mod tests {
         // cells at x=2..6 and x=4..8 overlap by 2; fixed at 0..4 overlaps first movable by 2
         let report = crate::legality::check_legality_with(&d, false);
         assert_eq!(report.overlap_area, 2 + 2);
-    }
-
-    #[test]
-    fn rows_iterate_with_alternating_rails() {
-        let d = Design::new("rows", 10, 3);
-        let rows: Vec<Row> = d.rows().collect();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].rail, Rail::Vdd);
-        assert_eq!(rows[1].rail, Rail::Vss);
-        assert_eq!(rows[2].rail, Rail::Vdd);
-        assert!(d.row(3).is_none());
-        assert!(d.row(-1).is_none());
     }
 }

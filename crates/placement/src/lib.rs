@@ -44,5 +44,5 @@ pub use geom::{Interval, Rect};
 pub use layout::Design;
 pub use legality::{LegalityReport, Violation};
 pub use metrics::{average_displacement, DisplacementStats};
-pub use row::{Rail, Row};
+pub use row::Rail;
 pub use segment::Segment;

@@ -19,6 +19,7 @@ pub struct Segment {
 
 impl Segment {
     /// Create a segment.
+    #[cfg(test)]
     pub fn new(row: i64, lo: i64, hi: i64) -> Self {
         Self {
             row,

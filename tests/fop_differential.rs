@@ -3,12 +3,11 @@
 //! The scratch-based kernel (`fop::find_optimal_position_with`) must return **bit-identical**
 //! results to the allocating reference implementation (`fop::reference`) it replaced: the
 //! same `Placement` (x, row, cost — exact float equality, no tolerance), the same work
-//! counters (they feed the FPGA performance model and the golden traces), for both
-//! [`ShiftAlgorithm`]s, on randomly generated regions. The commit
-//! plan derived from a placement must likewise match the one derived from the allocating
-//! shift functions.
+//! counters of both shifting schedules (they feed the FPGA performance model and the golden
+//! traces), on randomly generated regions. The commit plan derived from a placement must
+//! likewise match the one derived from the allocating shift functions.
 
-use flex::mgl::config::{MglConfig, ShiftAlgorithm};
+use flex::mgl::config::MglConfig;
 use flex::mgl::fop::{self, FopScratch, TargetSpec};
 use flex::mgl::legalize::plan_commit_with;
 use flex::mgl::region::{LocalCell, LocalRegion, LocalSegment};
@@ -79,43 +78,26 @@ fn random_case(seed: u64) -> (LocalRegion, TargetSpec) {
     (region, target)
 }
 
-const CONFIGS: [ShiftAlgorithm; 2] = [ShiftAlgorithm::Original, ShiftAlgorithm::Sacs];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The scratch kernel returns bit-identical placements and work counters to the
-    /// allocating reference, with one scratch reused across every case and configuration
-    /// (which also exercises cross-region buffer reuse).
+    /// allocating reference.
     #[test]
     fn scratch_fop_is_bit_identical_to_the_reference(seed in 0u64..1_000_000) {
         let (region, target) = random_case(seed);
-        let mut scratch = FopScratch::new();
-        for shift in CONFIGS {
-            let cfg = MglConfig {
-                shift,
-                ..MglConfig::default()
-            };
-            let mut s_ref = FopOpStats::default();
-            let mut s_new = FopOpStats::default();
-            let reference = fop::reference::find_optimal_position(&region, &target, &cfg, &mut s_ref);
-            let scratched =
-                fop::find_optimal_position_with(&region, &target, &cfg, &mut s_new, &mut scratch);
-            prop_assert_eq!(
-                &reference.best,
-                &scratched.best,
-                "placement diverged: seed {} shift {:?}",
-                seed,
-                shift
-            );
-            prop_assert_eq!(
-                &reference.work,
-                &scratched.work,
-                "work counters diverged: seed {} shift {:?}",
-                seed,
-                shift
-            );
-        }
+        let mut s_ref = FopOpStats::default();
+        let mut s_new = FopOpStats::default();
+        let reference = fop::reference::find_optimal_position(&region, &target, &mut s_ref);
+        let scratched = fop::find_optimal_position_with(
+            &region,
+            &target,
+            &MglConfig::default(),
+            &mut s_new,
+            &mut FopScratch::new(),
+        );
+        prop_assert_eq!(&reference.best, &scratched.best, "placement diverged: seed {}", seed);
+        prop_assert_eq!(&reference.work, &scratched.work, "work counters diverged: seed {}", seed);
     }
 
     /// The scratch-backed insertion-point enumeration resolves exactly the points of the
@@ -144,50 +126,52 @@ proptest! {
 
     /// Commit planning through the scratch arena matches the positions the allocating shift
     /// functions produce, and is insensitive to scratch reuse (fresh scratch ≡ warm scratch).
+    /// Planning reads the presort FOP leaves in the scratch, so both scratches run FOP on the
+    /// region first; the warm one has served another region before.
     #[test]
     fn scratch_commit_plans_match_allocating_shift_positions(seed in 0u64..1_000_000) {
         let (region, target) = random_case(seed);
-        for shift in CONFIGS {
-            let cfg = MglConfig {
-                shift,
-                ..MglConfig::default()
+        let cfg = MglConfig::default();
+        let mut stats = FopOpStats::default();
+        let mut warm = FopScratch::new();
+        let (other, other_target) = random_case(seed ^ 0x5EED);
+        fop::find_optimal_position_with(&other, &other_target, &cfg, &mut stats, &mut warm);
+        let out = fop::find_optimal_position_with(&region, &target, &cfg, &mut stats, &mut warm);
+        let Some(best) = out.best else { return Ok(()) };
+        let mut fresh = FopScratch::new();
+        fop::find_optimal_position_with(&region, &target, &cfg, &mut stats, &mut fresh);
+
+        let warm_plan = plan_commit_with(&region, &best, &target, &cfg, &mut warm);
+        let fresh_plan = plan_commit_with(&region, &best, &target, &cfg, &mut fresh);
+        prop_assert_eq!(&warm_plan, &fresh_plan, "seed {}: scratch reuse changed the plan", seed);
+
+        if let Some(plan) = warm_plan {
+            // the plan's moves must equal the allocating canonical shift at the committed
+            // position (SACS reorders its streaming output but resolves to the same per-cell
+            // positions, so the canonical fixpoint is the oracle)
+            let problem = ShiftProblem {
+                region: &region,
+                point: &best.point,
+                target_width: target.width,
+                target_height: target.height,
+                target_x: best.x,
             };
-            let mut stats = FopOpStats::default();
-            let mut warm = FopScratch::new();
-            let out = fop::find_optimal_position_with(&region, &target, &cfg, &mut stats, &mut warm);
-            let Some(best) = out.best else { continue };
-
-            let warm_plan = plan_commit_with(&region, &best, &target, &cfg, &mut warm);
-            let fresh_plan = plan_commit_with(&region, &best, &target, &cfg, &mut FopScratch::new());
-            prop_assert_eq!(&warm_plan, &fresh_plan, "seed {}: scratch reuse changed the plan", seed);
-
-            if let Some(plan) = warm_plan {
-                // the plan's moves must equal the allocating canonical shift at the
-                // committed position (SACS reorders its streaming output but resolves to
-                // the same per-cell positions, so the canonical fixpoint is the oracle)
-                let problem = ShiftProblem {
-                    region: &region,
-                    point: &best.point,
-                    target_width: target.width,
-                    target_height: target.height,
-                    target_x: best.x,
-                };
-                let (left, right) = shift_original(&problem).expect("committed plan implies feasible shift");
-                let mut pos: Vec<i64> = region.cells.iter().map(|c| c.x).collect();
-                for phase in [Phase::Left, Phase::Right] {
-                    let outps = if phase == Phase::Left { &left } else { &right };
-                    for &(i, x) in &outps.positions {
-                        pos[i] = x;
-                    }
+            let (left, right) =
+                shift_original(&problem).expect("committed plan implies feasible shift");
+            let mut pos: Vec<i64> = region.cells.iter().map(|c| c.x).collect();
+            for phase in [Phase::Left, Phase::Right] {
+                let outps = if phase == Phase::Left { &left } else { &right };
+                for &(i, x) in &outps.positions {
+                    pos[i] = x;
                 }
-                for &(id, new_x) in &plan.moves {
-                    let idx = region.cells.iter().position(|c| c.id == id).unwrap();
-                    prop_assert_eq!(pos[idx], new_x, "seed {}: move mismatch for cell {:?}", seed, id);
-                    prop_assert!(region.cells[idx].x != new_x, "plan contains a no-op move");
-                }
-                prop_assert_eq!(plan.x, best.x);
-                prop_assert_eq!(plan.row, best.row);
             }
+            for &(id, new_x) in &plan.moves {
+                let idx = region.cells.iter().position(|c| c.id == id).unwrap();
+                prop_assert_eq!(pos[idx], new_x, "seed {}: move mismatch for cell {:?}", seed, id);
+                prop_assert!(region.cells[idx].x != new_x, "plan contains a no-op move");
+            }
+            prop_assert_eq!(plan.x, best.x);
+            prop_assert_eq!(plan.row, best.row);
         }
     }
 }
