@@ -19,7 +19,6 @@ fn region_work() -> RegionWork {
         shift_passes: 96,
         sorted_cells: 800,
         bound_queries: 1040,
-        tall_bound_queries: 80,
         local_cells: 30,
         segments: 9,
         ..RegionWork::default()

@@ -206,9 +206,11 @@ pub struct DeltaOutcome {
     pub placed: PlacedKind,
     /// Cells whose positions this delta wrote (the target plus shifted neighbors).
     pub cells_touched: usize,
-    /// Disturbed neighborhood: the target's previous extent, every rectangle the placement
-    /// wrote, and (conservatively) the maximally expanded legalization window around the
-    /// target. Cells wholly outside these rectangles are untouched, bit for bit.
+    /// Disturbed neighborhood: the target's previous extent, what planning read (the last
+    /// legalization window it evaluated, which contains every earlier one; the whole die
+    /// when the fallback scan ran) and every rectangle the placement wrote. Cells wholly
+    /// outside these rectangles are untouched, bit for bit, and their rows are every row
+    /// the delta read or wrote. Empty for a delta that placed nothing.
     pub disturbed: Vec<Rect>,
 }
 

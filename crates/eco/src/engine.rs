@@ -16,14 +16,19 @@
 //! retires the id it was assigned (the slot is tombstoned, never popped), so ids are never
 //! reused and later deltas in the same batch that reference it fail cleanly instead of
 //! addressing a recycled slot.
+//!
+//! The whole design is validated ([`Design::validate_invariants`]) when the engine takes
+//! it. After a batch only the cells it wrote are checked ([`Design::validate_cells`]): a
+//! batch can only break the invariants of cells it wrote.
 
 use crate::delta::{DeltaKind, DeltaOutcome, EcoDelta, EcoError, EcoReport, EcoStats, PlacedKind};
 use flex_mgl::config::MglConfig;
 use flex_mgl::fop::FopScratch;
 use flex_mgl::legalize::{apply_commit, plan_place_target_with, MglLegalizer, PlacementDecision};
-use flex_mgl::region::{target_window, LegalizedIndex};
+use flex_mgl::region::LegalizedIndex;
 use flex_mgl::stats::FopOpStats;
 use flex_placement::cell::{Cell, CellId};
+use flex_placement::census::RowCensus;
 use flex_placement::density::DensityMap;
 use flex_placement::geom::Rect;
 use flex_placement::layout::Design;
@@ -54,16 +59,18 @@ fn is_tombstone(c: &Cell) -> bool {
 
 impl EcoEngine {
     /// Build a resident engine over an already-legalized design: every movable cell must
-    /// carry the `legalized` flag and the placement must pass the full legality check.
+    /// carry the `legalized` flag and the placement must pass the full legality check. The
+    /// design's invariants, its die bounds among them, are checked first: nothing allocates
+    /// per row or per bin before the die is known to be bounded.
     pub fn new(design: Design, cfg: MglConfig) -> Result<Self, EcoError> {
+        design
+            .validate_invariants()
+            .map_err(EcoError::InvariantViolation)?;
         if !check_legality_with(&design, true).is_legal() {
             return Err(EcoError::InvariantViolation(
                 "design handed to EcoEngine::new is not legal".to_string(),
             ));
         }
-        design
-            .validate_invariants()
-            .map_err(EcoError::InvariantViolation)?;
         let segmap = SegmentMap::build(&design);
         let index = LegalizedIndex::build(&design);
         let density = DensityMap::build(&design, cfg.density_bin_sites, cfg.density_bin_rows);
@@ -225,6 +232,9 @@ impl EcoEngine {
 
         let mut outcomes = Vec::with_capacity(deltas.len());
         let mut displacement_delta = 0.0f64;
+        // every slot the batch writes: targets, appended and tombstoned slots (each delta's
+        // outcome cell) and the neighbours plans shift
+        let mut written: Vec<CellId> = Vec::with_capacity(deltas.len());
 
         for delta in deltas {
             // deterministic kill switch for the crash-recovery and wind-down suites: a
@@ -232,12 +242,16 @@ impl EcoEngine {
             crate::fault::maybe_panic("eco.engine.panic");
             let delta_start = Instant::now();
             let outcome = match delta {
-                EcoDelta::MoveCell { id, gx, gy } => {
-                    self.relegalize_target(*id, DeltaKind::Move, &mut displacement_delta, |c| {
+                EcoDelta::MoveCell { id, gx, gy } => self.relegalize_target(
+                    *id,
+                    DeltaKind::Move,
+                    &mut displacement_delta,
+                    &mut written,
+                    |c| {
                         c.gx = *gx;
                         c.gy = *gy;
-                    })
-                }
+                    },
+                ),
                 EcoDelta::InsertCell {
                     width,
                     height,
@@ -251,6 +265,7 @@ impl EcoEngine {
                         id,
                         DeltaKind::Insert,
                         &mut displacement_delta,
+                        &mut written,
                         |_| {},
                     );
                     if outcome.placed == PlacedKind::Failed {
@@ -262,8 +277,12 @@ impl EcoEngine {
                     }
                     outcome
                 }
-                EcoDelta::ResizeCell { id, width, height } => {
-                    self.relegalize_target(*id, DeltaKind::Resize, &mut displacement_delta, |c| {
+                EcoDelta::ResizeCell { id, width, height } => self.relegalize_target(
+                    *id,
+                    DeltaKind::Resize,
+                    &mut displacement_delta,
+                    &mut written,
+                    |c| {
                         c.width = *width;
                         c.height = *height;
                         c.row_parity = if height % 2 == 0 {
@@ -271,8 +290,8 @@ impl EcoEngine {
                         } else {
                             None
                         };
-                    })
-                }
+                    },
+                ),
                 EcoDelta::RemoveCell { id } => {
                     let c = self.design.cell(*id);
                     if is_tombstone(c) {
@@ -307,11 +326,12 @@ impl EcoEngine {
             if outcome.placed == PlacedKind::Failed {
                 self.stats.failed_by_kind[outcome.kind.index()] += 1;
             }
+            written.push(outcome.cell);
             outcomes.push(outcome);
         }
 
         self.design
-            .validate_invariants()
+            .validate_cells(written)
             .map_err(EcoError::InvariantViolation)?;
 
         let cells_touched = outcomes.iter().map(|o| o.cells_touched).sum();
@@ -338,12 +358,14 @@ impl EcoEngine {
 
     /// Shared move/insert/resize body: mutate the target with `change`, re-seed it with the
     /// per-cell pre-move, plan through the expanding-window FOP + fallback machinery, and
-    /// commit with point updates — or roll the target back if nothing fits.
+    /// commit with point updates — or roll the target back if nothing fits. The neighbours
+    /// the plan shifts are appended to `written` (the caller records the target).
     fn relegalize_target(
         &mut self,
         id: CellId,
         kind: DeltaKind,
         displacement_delta: &mut f64,
+        written: &mut Vec<CellId>,
         change: impl FnOnce(&mut Cell),
     ) -> DeltaOutcome {
         // validation lets later deltas reference the id a prior InsertCell allocates, so if
@@ -393,19 +415,17 @@ impl EcoEngine {
             };
         }
 
-        // the disturbed neighborhood: where the target was, the widest window planning may
-        // have searched (computed at the pre-moved position planning starts from), and the
-        // rectangles actually written
+        // the disturbed neighborhood: where the target was, what planning read (the last
+        // window it evaluated, which contains every earlier level's, or the whole die once
+        // the fallback scan ran) and the rectangles the placement writes
         let mut disturbed = Vec::with_capacity(planned.writes.len() + 2);
         if was_placed {
             disturbed.push(old_rect);
         }
-        disturbed.push(target_window(
-            &self.design,
-            id,
-            self.cfg.window_half_sites << self.cfg.max_window_expansions,
-            self.cfg.window_half_rows << self.cfg.max_window_expansions,
-        ));
+        disturbed.push(match planned.decision {
+            PlacementDecision::Fallback { .. } => self.design.die(),
+            _ => planned.window,
+        });
         disturbed.extend_from_slice(&planned.writes);
 
         // density + displacement bookkeeping for shifted neighbors needs their pre-commit
@@ -414,6 +434,7 @@ impl EcoEngine {
         let (placed, cells_touched) = match planned.decision {
             PlacementDecision::Region(ref plan) => {
                 for &(mid, new_x) in &plan.moves {
+                    written.push(mid);
                     let mc = self.design.cell(mid);
                     let to = Rect::new(new_x, mc.y, new_x + mc.width, mc.y + mc.height);
                     neighbor_moves.push((mc.rect(), to));
@@ -467,30 +488,29 @@ impl EcoEngine {
         }
     }
 
-    /// Audit the warm structures over design rows `[row_lo, row_hi)` against the resident
-    /// design — the invariant scrubber's inner step. Each structure that diverges from
-    /// what a from-scratch build would contain yields one finding; an empty vec means the
-    /// slice is clean. Read-only: repairs go through [`EcoEngine::rebuild_structure`].
-    pub fn audit_rows(&self, row_lo: i64, row_hi: i64) -> Vec<ScrubFinding> {
-        let mut findings = Vec::new();
-        let mut push = |structure: ScrubStructure, result: Result<(), String>| {
-            if let Err(detail) = result {
-                findings.push(ScrubFinding { structure, detail });
-            }
-        };
-        push(
-            ScrubStructure::Index,
-            self.index.audit_rows(&self.design, row_lo, row_hi),
-        );
-        push(
-            ScrubStructure::Density,
-            self.density.audit_rows(&self.design, row_lo, row_hi),
-        );
-        push(
-            ScrubStructure::Segments,
-            self.segmap.audit_rows(&self.design, row_lo, row_hi),
-        );
-        findings
+    /// Audit the warm structures over the design rows in `ranges` (any order, overlapping
+    /// or off the die) against the resident design — the invariant scrubber's inner step.
+    /// One pass over the design gathers what all three audits read ([`RowCensus`]), then
+    /// each structure is compared with it. Returns the findings, one per structure that
+    /// diverges from what a from-scratch build would contain (none: the rows are clean),
+    /// and the number of rows audited. Read-only: repairs go through
+    /// [`EcoEngine::rebuild_structure`].
+    pub fn audit(&self, ranges: &[(i64, i64)]) -> (Vec<ScrubFinding>, usize) {
+        let census = RowCensus::gather(&self.design, ranges, self.density.bin_size());
+        let findings = ScrubStructure::ALL
+            .into_iter()
+            .filter_map(|structure| {
+                let audited = match structure {
+                    ScrubStructure::Index => self.index.audit(&self.design, &census),
+                    ScrubStructure::Density => self.density.audit(&self.design, &census),
+                    ScrubStructure::Segments => self.segmap.audit(&self.design, &census),
+                };
+                audited
+                    .err()
+                    .map(|detail| ScrubFinding { structure, detail })
+            })
+            .collect();
+        (findings, census.num_rows())
     }
 
     /// Rebuild one warm structure from scratch off the resident design — the graceful
@@ -580,6 +600,6 @@ impl ScrubStructure {
 pub struct ScrubFinding {
     /// The structure that no longer matches the design.
     pub structure: ScrubStructure,
-    /// First-divergence evidence from the structure's `audit_rows`.
+    /// First-divergence evidence from the structure's `audit`.
     pub detail: String,
 }

@@ -17,7 +17,12 @@
 //!
 //! - the design stays legal (the differential test suite checks this property on random
 //!   delta streams);
-//! - cells wholly outside the reported disturbed rectangles are untouched, bit for bit;
+//! - cells wholly outside the reported disturbed rectangles (each target's old extent, the
+//!   last window planning read or the whole die after a fallback scan, and the rectangles
+//!   written) are untouched, bit for bit, so those rects' rows are every row the batch read
+//!   or wrote;
+//! - every cell the batch wrote passes `Design::validate_cells`: a batch can only break
+//!   the invariants of cells it wrote;
 //! - the legalized index equals a from-scratch rebuild (point mutations keep the exact
 //!   bucket ordering), and the density map tracks every rect move incrementally;
 //! - a rejected batch (validation error) mutates nothing.
@@ -33,7 +38,9 @@
 //! `Poisoned` reply, persisted skip record) and the engine is rebuilt from durable
 //! history without dropping connections (a server started without a journal keeps a
 //! private one for this), while a background invariant scrubber audits
-//! the warm acceleration structures against the design and repairs corruption in place.
+//! the warm acceleration structures against the design and repairs corruption in place:
+//! the rows each batch read or wrote right after its reply, every other row within one
+//! sweep of 512 batches.
 
 pub mod delta;
 pub mod engine;

@@ -37,20 +37,23 @@
 //!
 //! **Invariant scrubber.** Idle ticks and post-batch slack run incremental audits of
 //! the engine's acceleration structures (legalized index, density map, segment map)
-//! against the design, a slice of rows at a time: recently disturbed row ranges first,
-//! then a round-robin sweep sized so a full pass completes within 512 (`SWEEP_BATCHES`)
-//! batches. A batch's priority audit covers the union of its outcomes' `disturbed`
-//! rects, and those include the widest window planning may have searched, so on a die of
-//! a few hundred rows (perfbench's eco-stream: 374) it spans most of the die. Each batch
-//! schedules its slices (usually its dirty range plus one sweep slice; an idle tick one
-//! slice), merges them, and hands the sorted union to the worker in one request, so every
-//! scheduled row is audited once per batch, in one hand-off. A detected divergence is a
-//! typed corruption event (counter + health `last_fault`), and the engine degrades
-//! gracefully: only the corrupt structure is rebuilt from the design, in place, on the
-//! worker thread. The `eco.scrub.corrupt` failpoint injects real corruption (rotating
-//! across the three structures) into the next audited range to prove the scrubber finds
-//! and repairs it. The `metrics` op exports the worker-side audit time per hand-off
-//! (`eco_scrub_audit_ns`) and each job's queue wait (`eco_queue_wait_ns`).
+//! against the design, a slice of rows at a time: recently disturbed rows first, then a
+//! round-robin sweep sized so a full pass completes within 512 (`SWEEP_BATCHES`)
+//! batches. A batch's priority slice is the rows of its outcomes' `disturbed` rects as
+//! sorted, disjoint ranges: each target's old extent, the last window planning read (the
+//! whole die after a fallback scan) and the rects the batch wrote, so the slice covers
+//! every row the batch read or wrote and nothing else. Each batch schedules its slices
+//! (usually its dirty rows plus one sweep slice; an idle tick one slice), merges them, and
+//! hands the sorted union to the worker in one request, which audits all three structures
+//! from one pass over the design (`EcoEngine::audit`). Detection contract: every row a
+//! batch read or wrote is audited right after its reply, and every other row within one
+//! sweep. A detected divergence is a typed corruption event (counter + health
+//! `last_fault`), and the engine degrades gracefully: only the corrupt structure is
+//! rebuilt from the design, in place, on the worker thread. The `eco.scrub.corrupt`
+//! failpoint injects real corruption (rotating across the three structures) into the next
+//! audited rows to prove the scrubber finds and repairs it. The `metrics` op exports the
+//! worker-side audit time (`eco_scrub_audit_ns`) and the rows audited
+//! (`eco_scrub_rows`) per hand-off, and each job's queue wait (`eco_queue_wait_ns`).
 //!
 //! **Health.** The `health` protocol op reports the state machine — `healthy` →
 //! `recovering` (rebuild in progress) → `degraded` (sticky once a batch was quarantined
@@ -65,6 +68,7 @@ use crate::journal::{self, Journal, JournalConfig};
 use crate::proto::{encode_error, encode_health, encode_report, encode_stats, Request};
 use crate::service::{query_response, Job, StopGuard};
 use flex_mgl::config::MglConfig;
+use flex_placement::census::merge_ranges;
 use flex_placement::snapshot::write_design;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,8 +83,9 @@ use std::time::{Duration, Instant};
 /// cannot defer the first client's ack indefinitely.
 const GROUP_MAX: usize = 32;
 
-/// Bound on the queue of recently-disturbed row ranges awaiting a priority audit.
-/// Overflow falls back to the background sweep, which audits everything eventually.
+/// Bound on the queue of recently disturbed batches' rows awaiting a priority audit (one
+/// entry per batch). Overflow falls back to the background sweep, which audits everything
+/// eventually.
 const DIRTY_QUEUE_MAX: usize = 64;
 
 /// Rows per scrub slice, the unit the sweep advances by and `scrub_slices` counts.
@@ -94,8 +99,11 @@ const SWEEP_BATCHES: u64 = 512;
 /// scrub slice instead.
 const IDLE_TICK: Duration = Duration::from_millis(50);
 
-/// Most dirty (recently disturbed) ranges audited right after one batch.
+/// Most dirty (recently disturbed) batches' rows audited right after one batch.
 const MAX_DIRTY_PER_BATCH: usize = 2;
+
+/// Row ranges `[lo, hi)`; as a scrub slice or a batch's dirty rows, sorted and disjoint.
+type RowRanges = Vec<(i64, i64)>;
 
 /// Tuning for the supervision layer.
 #[derive(Debug, Clone)]
@@ -256,9 +264,9 @@ pub struct HealthSnapshot {
 enum WorkItem {
     Apply(Vec<EcoDelta>),
     Query(Request),
-    /// Audit each row range once, in order (the merged slices of one scrub hand-off).
+    /// Audit the rows of the ranges (the merged slices of one scrub hand-off) once.
     Scrub {
-        ranges: Vec<(i64, i64)>,
+        ranges: RowRanges,
     },
     Image,
     TakeEngine,
@@ -267,7 +275,7 @@ enum WorkItem {
 enum WorkReply {
     Applied {
         response: Vec<u8>,
-        dirty: Option<(i64, i64)>,
+        dirty: RowRanges,
     },
     Response(Vec<u8>),
     Scrubbed {
@@ -281,18 +289,19 @@ enum WorkReply {
     Engine(Box<EcoEngine>),
 }
 
-/// Row range disturbed by a batch (feeds the scrubber's priority queue): the union of
-/// its [`EcoReport::disturbed`] rects. Those include the widest window planning may have
-/// searched (`window_half_rows << max_window_expansions` rows either side of each
-/// target), so on a die of a few hundred rows one batch's range spans most of the die.
-fn dirty_rows(report: &EcoReport) -> Option<(i64, i64)> {
-    let mut lo = i64::MAX;
-    let mut hi = i64::MIN;
-    for rect in report.disturbed() {
-        lo = lo.min(rect.y_lo);
-        hi = hi.max(rect.y_hi);
-    }
-    (lo < hi).then_some((lo, hi))
+/// Rows a batch read or wrote (feeds the scrubber's priority queue): the rows of its
+/// [`EcoReport::disturbed`] rects — each target's old extent, the last window planning
+/// read (the die after a fallback scan) and the rects the batch wrote — as sorted,
+/// disjoint ranges. Empty when the batch placed nothing.
+fn dirty_rows(report: &EcoReport) -> RowRanges {
+    let mut rows: RowRanges = report
+        .disturbed()
+        .iter()
+        .filter(|rect| rect.y_lo < rect.y_hi)
+        .map(|rect| (rect.y_lo, rect.y_hi))
+        .collect();
+    merge_ranges(&mut rows);
+    rows
 }
 
 /// Sweep slices each batch audits so a full pass over `num_rows` rows completes within
@@ -304,22 +313,23 @@ fn sweep_slices_per_batch(num_rows: i64) -> u64 {
 
 /// One scrub hand-off, planned from the supervisor's scrub state.
 struct ScrubPlan {
-    /// The scheduled slices, in schedule order: dirty ranges first, then sweep slices.
-    slices: Vec<(i64, i64)>,
+    /// The scheduled slices, in schedule order: dirty batches' rows first, then sweep
+    /// slices (one range each).
+    slices: Vec<RowRanges>,
     /// The sorted union of `slices`: what the worker audits, each row once.
-    ranges: Vec<(i64, i64)>,
+    ranges: RowRanges,
     /// The sweep cursor after the plan's sweep slices.
     cursor: i64,
     /// Full sweeps the plan's sweep slices complete.
     sweeps: u64,
 }
 
-/// Schedule up to `budget` slices over a `num_rows`-row die: pop the oldest dirty ranges
-/// first, then take round-robin sweep slices of [`SLICE_ROWS`] from `cursor`, wrapping to
-/// row 0 (and counting a sweep) at the end of the die. Then sort and merge the slices so
-/// overlapping rows are audited once.
+/// Schedule up to `budget` slices over a `num_rows`-row die: pop the oldest dirty batches'
+/// rows first, then take round-robin sweep slices of [`SLICE_ROWS`] from `cursor`, wrapping
+/// to row 0 (and counting a sweep) at the end of the die. Then sort and merge the slices'
+/// ranges so overlapping rows are audited once.
 fn plan_scrub(
-    dirty: &mut VecDeque<(i64, i64)>,
+    dirty: &mut VecDeque<RowRanges>,
     mut cursor: i64,
     budget: u64,
     num_rows: i64,
@@ -328,7 +338,7 @@ fn plan_scrub(
     let mut sweeps = 0;
     for _ in 0..budget {
         let slice = match dirty.pop_front() {
-            Some(range) => range,
+            Some(rows) => rows,
             None => {
                 let lo = cursor;
                 let hi = (lo + SLICE_ROWS).min(num_rows);
@@ -338,20 +348,13 @@ fn plan_scrub(
                 } else {
                     hi
                 };
-                (lo, hi)
+                vec![(lo, hi)]
             }
         };
         slices.push(slice);
     }
-    let mut ranges = slices.clone();
-    ranges.sort_unstable();
-    ranges.dedup_by(|next, merged| {
-        let touches = next.0 <= merged.1;
-        if touches {
-            merged.1 = merged.1.max(next.1);
-        }
-        touches
-    });
+    let mut ranges: RowRanges = slices.iter().flatten().copied().collect();
+    merge_ranges(&mut ranges);
     ScrubPlan {
         slices,
         ranges,
@@ -375,7 +378,7 @@ fn worker_loop(mut engine: EcoEngine, items: Receiver<WorkItem>, replies: SyncSe
                         let dirty = dirty_rows(&report);
                         (encode_report(&report), dirty)
                     }
-                    Err(e) => (encode_error(&e), None),
+                    Err(e) => (encode_error(&e), Vec::new()),
                 }));
                 match applied {
                     Ok((response, dirty)) => WorkReply::Applied { response, dirty },
@@ -389,8 +392,7 @@ fn worker_loop(mut engine: EcoEngine, items: Receiver<WorkItem>, replies: SyncSe
             WorkItem::Scrub { ranges } => {
                 let audit = Instant::now();
                 let scrubbed = catch_unwind(AssertUnwindSafe(|| {
-                    let mut rebuilt = Vec::new();
-                    for &(row_lo, row_hi) in &ranges {
+                    for &(row_lo, _) in &ranges {
                         // fault injection: deliberately damage one structure (rotating
                         // across all three) inside the range about to be audited, so the
                         // scrubber proves it detects and repairs real corruption
@@ -400,19 +402,23 @@ fn worker_loop(mut engine: EcoEngine, items: Receiver<WorkItem>, replies: SyncSe
                             corrupt_rotation += 1;
                             engine.corrupt_structure(structure, row_lo);
                         }
-                        for finding in engine.audit_rows(row_lo, row_hi) {
-                            // graceful degradation: rebuild only the corrupt structure
-                            engine.rebuild_structure(finding.structure);
-                            rebuilt.push((finding.structure, finding.detail));
-                        }
                     }
-                    rebuilt
+                    let (findings, rows) = engine.audit(&ranges);
+                    let mut rebuilt = Vec::with_capacity(findings.len());
+                    for finding in findings {
+                        // graceful degradation: rebuild only the corrupt structure
+                        engine.rebuild_structure(finding.structure);
+                        rebuilt.push((finding.structure, finding.detail));
+                    }
+                    (rebuilt, rows)
                 }));
                 match scrubbed {
-                    Ok(rebuilt) => {
-                        flex_obs::global()
+                    Ok((rebuilt, rows)) => {
+                        let metrics = flex_obs::global();
+                        metrics
                             .histogram("eco_scrub_audit_ns")
                             .record_duration(audit.elapsed());
+                        metrics.histogram("eco_scrub_rows").record(rows as u64);
                         WorkReply::Scrubbed { rebuilt }
                     }
                     Err(panic) => {
@@ -472,7 +478,7 @@ struct Supervisor {
     worker: Option<Worker>,
     num_rows: i64,
     cursor: i64,
-    dirty: VecDeque<(i64, i64)>,
+    dirty: VecDeque<RowRanges>,
     slices_per_batch: u64,
     pending: Option<Job>,
 }
@@ -860,11 +866,9 @@ impl Supervisor {
     /// Post-apply housekeeping: feed the scrubber's dirty queue, rotate the journal
     /// snapshot when due (the engine lives on the worker thread, so its state travels
     /// as a serialized image), then spend the batch's scrub budget.
-    fn after_apply(&mut self, dirty: Option<(i64, i64)>) {
-        if let Some(range) = dirty {
-            if self.dirty.len() < DIRTY_QUEUE_MAX {
-                self.dirty.push_back(range);
-            }
+    fn after_apply(&mut self, dirty: RowRanges) {
+        if !dirty.is_empty() && self.dirty.len() < DIRTY_QUEUE_MAX {
+            self.dirty.push_back(dirty);
         }
         if self.journal.as_ref().is_some_and(Journal::snapshot_due) {
             match self.ask(WorkItem::Image) {
@@ -888,9 +892,9 @@ impl Supervisor {
         self.scrub_tick(self.slices_per_batch + dirty_budget);
     }
 
-    /// Audit up to `budget` row slices ([`plan_scrub`]: recently disturbed ranges first,
-    /// then the round-robin background sweep) in one worker hand-off that audits each
-    /// scheduled row once.
+    /// Audit up to `budget` row slices ([`plan_scrub`]: recently disturbed batches' rows
+    /// first, then the round-robin background sweep) in one worker hand-off that audits
+    /// each scheduled row once.
     fn scrub_tick(&mut self, budget: u64) {
         if self.worker.is_none() || self.num_rows <= 0 {
             return; // don't force a rebuild just to scrub; the next apply will
@@ -1009,29 +1013,25 @@ mod tests {
     /// The per-slice scrub loop [`plan_scrub`] replaced, minus the worker round trip per
     /// slice: the slices it audited, in order, and the cursor and sweep count it left.
     fn per_slice_schedule(
-        dirty: &mut VecDeque<(i64, i64)>,
+        dirty: &mut VecDeque<RowRanges>,
         mut cursor: i64,
         budget: u64,
         num_rows: i64,
-    ) -> (Vec<(i64, i64)>, i64, u64) {
+    ) -> (Vec<RowRanges>, i64, u64) {
         let (mut slices, mut sweeps) = (Vec::new(), 0);
         for _ in 0..budget {
-            let (row_lo, row_hi, from_sweep) = match dirty.pop_front() {
-                Some((lo, hi)) => (lo, hi, false),
+            match dirty.pop_front() {
+                Some(rows) => slices.push(rows),
                 None => {
-                    let lo = cursor;
-                    let hi = (lo + 32).min(num_rows);
-                    (lo, hi, true)
+                    let (row_lo, row_hi) = (cursor, (cursor + 32).min(num_rows));
+                    slices.push(vec![(row_lo, row_hi)]);
+                    cursor = if row_hi >= num_rows {
+                        sweeps += 1;
+                        0
+                    } else {
+                        row_hi
+                    };
                 }
-            };
-            slices.push((row_lo, row_hi));
-            if from_sweep {
-                cursor = if row_hi >= num_rows {
-                    sweeps += 1;
-                    0
-                } else {
-                    row_hi
-                };
             }
         }
         (slices, cursor, sweeps)
@@ -1046,7 +1046,7 @@ mod tests {
     /// same state, and require the same slices, cursor and sweeps, and merged ranges that
     /// are the sorted union of the slices. Returns the plan.
     fn plan_like_per_slice(
-        dirty: &mut VecDeque<(i64, i64)>,
+        dirty: &mut VecDeque<RowRanges>,
         cursor: i64,
         budget: u64,
         num_rows: i64,
@@ -1056,7 +1056,7 @@ mod tests {
         let plan = plan_scrub(dirty, cursor, budget, num_rows);
         assert_eq!(plan.slices, slices, "cursor {cursor}, budget {budget}");
         assert_eq!((plan.cursor, plan.sweeps), (oracle_cursor, sweeps));
-        assert_eq!(rows_of(&plan.ranges), rows_of(&plan.slices));
+        assert_eq!(rows_of(&plan.ranges), rows_of(&plan.slices.concat()));
         for pair in plan.ranges.windows(2) {
             assert!(
                 pair[0].1 < pair[1].0,
@@ -1067,20 +1067,15 @@ mod tests {
         plan
     }
 
-    /// Drive `batches` batches the way `after_apply` does (queue the batch's dirty range,
+    /// Drive `batches` batches the way `after_apply` does (queue the batch's dirty rows,
     /// then plan its budget) and return the scrub slices and sweeps counted.
-    fn run_batches(
-        num_rows: i64,
-        batches: u64,
-        dirty_of: impl Fn(u64) -> Option<(i64, i64)>,
-    ) -> (u64, u64) {
+    fn run_batches(num_rows: i64, batches: u64, dirty_of: impl Fn(u64) -> RowRanges) -> (u64, u64) {
         let (mut dirty, mut cursor) = (VecDeque::new(), 0);
         let (mut slices, mut sweeps) = (0, 0);
         for batch in 0..batches {
-            if let Some(range) = dirty_of(batch) {
-                if dirty.len() < DIRTY_QUEUE_MAX {
-                    dirty.push_back(range);
-                }
+            let rows = dirty_of(batch);
+            if !rows.is_empty() && dirty.len() < DIRTY_QUEUE_MAX {
+                dirty.push_back(rows);
             }
             let budget =
                 sweep_slices_per_batch(num_rows) + dirty.len().min(MAX_DIRTY_PER_BATCH) as u64;
@@ -1094,52 +1089,77 @@ mod tests {
 
     #[test]
     fn scrub_plan_reproduces_the_per_slice_schedule() {
-        // eco-stream's die: 374 rows in 32-row slices, one sweep slice per batch, and a
-        // dirty range spanning most of the die every batch (partly outside it at times)
+        // eco-stream's die: 374 rows in 32-row slices, one sweep slice per batch, and each
+        // batch's dirty rows: its target's old rows, its window and its writes, apart
         assert_eq!(sweep_slices_per_batch(374), 1);
-        let wide = |batch: u64| Some((batch as i64 % 90 - 40, 300 + batch as i64 % 120));
-        // 2 slices per batch; a full sweep is 12 slices
-        assert_eq!(run_batches(374, 1_000, wide), (2_000, 1_000 / 12));
-        // bulk-clustered's die: 54 rows, dirty ranges covering nearly all of it
+        let narrow = |batch: u64| {
+            let (old, new) = ((batch * 37 % 370) as i64, (batch * 101 % 360) as i64);
+            let mut rows = vec![(old, old + 2), (new, new + 11)];
+            merge_ranges(&mut rows);
+            rows
+        };
+        // 2 slices per batch, whatever the dirty rows; a full sweep is 12 slices
+        assert_eq!(run_batches(374, 1_000, narrow), (2_000, 1_000 / 12));
+        // a fallback's dirty rows are the whole die
+        assert_eq!(
+            run_batches(374, 1_000, |_| vec![(0, 374)]),
+            (2_000, 1_000 / 12)
+        );
+        // bulk-clustered's die: 54 rows, dirty rows covering nearly all of it
         assert_eq!(sweep_slices_per_batch(54), 1);
         assert_eq!(
-            run_batches(54, 1_000, |b| Some((b as i64 % 3, 52))),
+            run_batches(54, 1_000, |b| vec![(b as i64 % 3, 20), (24, 52)]),
             (2_000, 500)
         );
-        // batches without a dirty range (rejected deltas) scrub one sweep slice each
-        assert_eq!(run_batches(374, 100, |_| None), (100, 100 / 12));
+        // batches without dirty rows (rejected deltas) scrub one sweep slice each
+        assert_eq!(run_batches(374, 100, |_| Vec::new()), (100, 100 / 12));
         // a taller die needs more than one sweep slice per batch
         assert_eq!(sweep_slices_per_batch(32 * 512 + 1), 2);
-        assert_eq!(run_batches(32 * 512 + 1, 10, |_| None), (20, 0));
+        assert_eq!(run_batches(32 * 512 + 1, 10, |_| Vec::new()), (20, 0));
     }
 
     #[test]
     fn scrub_plan_handles_backlogs_wraparound_and_idle_ticks() {
-        // a dirty backlog of 3: the budget (one sweep slice plus two for the backlog)
-        // takes dirty ranges first, oldest first, so all three are audited and the sweep
-        // waits for the next batch
-        let mut dirty: VecDeque<(i64, i64)> = [(10, 20), (200, 260), (15, 40)].into();
+        // a dirty backlog of 3 batches: the budget (one sweep slice plus two for the
+        // backlog) takes dirty rows first, oldest first, so all three are audited and the
+        // sweep waits for the next batch
+        let mut dirty: VecDeque<RowRanges> =
+            [vec![(10, 20), (30, 34)], vec![(200, 260)], vec![(15, 31)]].into();
         let budget = sweep_slices_per_batch(374) + dirty.len().min(MAX_DIRTY_PER_BATCH) as u64;
         let plan = plan_like_per_slice(&mut dirty, 64, budget, 374);
-        assert_eq!(plan.slices, vec![(10, 20), (200, 260), (15, 40)]);
-        assert_eq!(plan.ranges, vec![(10, 40), (200, 260)]);
+        assert_eq!(
+            plan.slices,
+            vec![vec![(10, 20), (30, 34)], vec![(200, 260)], vec![(15, 31)]]
+        );
+        assert_eq!(plan.ranges, vec![(10, 34), (200, 260)]);
         assert_eq!((plan.cursor, plan.sweeps), (64, 0));
         assert!(dirty.is_empty());
-        // a batch with no dirty range, or an idle tick: one sweep slice from the cursor
+        // a batch with no dirty rows, or an idle tick: one sweep slice from the cursor
         let plan = plan_like_per_slice(&mut VecDeque::new(), 64, 1, 374);
         assert_eq!(plan.ranges, vec![(64, 96)]);
         assert_eq!(plan.cursor, 96);
         // wrap-around: the last, short slice completes a sweep, the next starts at row 0,
-        // and the two merge with an overlapping dirty range into one
-        let mut dirty: VecDeque<(i64, i64)> = [(300, 360)].into();
+        // and the two merge with overlapping dirty rows into two ranges
+        let mut dirty: VecDeque<RowRanges> = [vec![(5, 9), (300, 360)]].into();
         let plan = plan_like_per_slice(&mut dirty, 352, 3, 374);
-        assert_eq!(plan.slices, vec![(300, 360), (352, 374), (0, 32)]);
+        assert_eq!(
+            plan.slices,
+            vec![vec![(5, 9), (300, 360)], vec![(352, 374)], vec![(0, 32)]]
+        );
         assert_eq!(plan.ranges, vec![(0, 32), (300, 374)]);
         assert_eq!((plan.cursor, plan.sweeps), (32, 1));
-        // touching slices merge; dirty ranges hanging off the die stay as scheduled
-        let mut dirty: VecDeque<(i64, i64)> = [(-40, 0), (32, 50)].into();
+        // touching slices merge; dirty rows hanging off the die stay as scheduled
+        let mut dirty: VecDeque<RowRanges> = [vec![(-40, 0)], vec![(32, 50)]].into();
         let plan = plan_like_per_slice(&mut dirty, 0, 4, 54);
-        assert_eq!(plan.slices, vec![(-40, 0), (32, 50), (0, 32), (32, 54)]);
+        assert_eq!(
+            plan.slices,
+            vec![
+                vec![(-40, 0)],
+                vec![(32, 50)],
+                vec![(0, 32)],
+                vec![(32, 54)]
+            ]
+        );
         assert_eq!(plan.ranges, vec![(-40, 54)]);
         assert_eq!((plan.cursor, plan.sweeps), (0, 1));
         // randomized states and budgets agree with the oracle too
@@ -1150,10 +1170,16 @@ mod tests {
         };
         for _ in 0..2_000 {
             let num_rows = 1 + next(400) as i64;
-            let mut dirty: VecDeque<(i64, i64)> = (0..next(5))
+            let mut dirty: VecDeque<RowRanges> = (0..next(5))
                 .map(|_| {
-                    let lo = next(num_rows as u64 + 80) as i64 - 40;
-                    (lo, lo + 1 + next(300) as i64)
+                    let mut rows: RowRanges = (0..1 + next(3))
+                        .map(|_| {
+                            let lo = next(num_rows as u64 + 80) as i64 - 40;
+                            (lo, lo + 1 + next(300) as i64)
+                        })
+                        .collect();
+                    merge_ranges(&mut rows);
+                    rows
                 })
                 .collect();
             let cursor = next(num_rows as u64) as i64;
@@ -1174,7 +1200,7 @@ mod tests {
             failed: 0,
             latency: Duration::ZERO,
         };
-        assert_eq!(dirty_rows(&report), None);
+        assert_eq!(dirty_rows(&report), Vec::new());
         report.outcomes.push(DeltaOutcome {
             cell: CellId(0),
             kind: DeltaKind::Move,
@@ -1182,6 +1208,72 @@ mod tests {
             cells_touched: 1,
             disturbed: vec![Rect::new(0, 3, 5, 6), Rect::new(2, 10, 4, 12)],
         });
-        assert_eq!(dirty_rows(&report), Some((3, 12)));
+        assert_eq!(dirty_rows(&report), vec![(3, 6), (10, 12)]);
+        // a second outcome's rects overlap and touch the first's: one range each
+        report.outcomes.push(DeltaOutcome {
+            cell: CellId(1),
+            kind: DeltaKind::Move,
+            placed: PlacedKind::Region,
+            cells_touched: 1,
+            disturbed: vec![Rect::new(0, 5, 5, 8), Rect::new(0, 12, 5, 13)],
+        });
+        assert_eq!(dirty_rows(&report), vec![(3, 8), (10, 13)]);
+    }
+
+    #[test]
+    fn dirty_rows_are_what_each_delta_read_and_wrote() {
+        use crate::delta::PlacedKind;
+        use flex_mgl::region::target_window;
+        use flex_placement::benchmark::{generate, BenchmarkSpec};
+        // the delta below plans in the level-0 window; the widest window planning may search
+        // (`window_half_rows << max_window_expansions` rows either side) covers the die
+        let cfg = MglConfig::default();
+        let design = generate(&BenchmarkSpec::tiny("dirty-rows", 5).scaled(3.0));
+        let mut engine = EcoEngine::legalize_and_build(design, cfg.clone()).unwrap();
+        let before = engine.design().clone();
+        let rows = before.num_rows;
+        let id = before.movable_ids()[7];
+        let old = before.cell(id).rect();
+        // move the cell to the other half of the die
+        let (gx, gy) = (
+            before.num_sites_x as f64 / 2.0,
+            ((old.y_lo + rows / 2) % rows) as f64,
+        );
+        let report = engine.apply(&[EcoDelta::MoveCell { id, gx, gy }]).unwrap();
+        assert_eq!(report.outcomes[0].placed, PlacedKind::Region);
+        let mut premoved = before.clone();
+        premoved.cell_mut(id).gx = gx;
+        premoved.cell_mut(id).gy = gy;
+        premoved.pre_move_cell(id);
+        let window = target_window(&premoved, id, cfg.window_half_sites, cfg.window_half_rows);
+        // the old rows, the window's and the rows of every cell the delta moved
+        let mut want = vec![(old.y_lo, old.y_hi), (window.y_lo, window.y_hi)];
+        for (b, a) in before.cells.iter().zip(&engine.design().cells) {
+            if (b.x, b.y) != (a.x, a.y) {
+                want.push((a.y, a.y + a.height));
+            }
+        }
+        merge_ranges(&mut want);
+        assert_eq!(dirty_rows(&report), want);
+        assert!(
+            want.iter().map(|&(lo, hi)| hi - lo).sum::<i64>() < rows / 2,
+            "a region delta's rows are a fraction of the {rows}-row die: {want:?}"
+        );
+
+        // every window oversize: the fallback scan reads every row
+        let cfg = MglConfig {
+            max_region_cells: 0,
+            ..MglConfig::default()
+        };
+        let mut engine = EcoEngine::new(engine.design().clone(), cfg).unwrap();
+        let report = engine
+            .apply(&[EcoDelta::MoveCell {
+                id,
+                gx: 3.0,
+                gy: 2.0,
+            }])
+            .unwrap();
+        assert_eq!(report.outcomes[0].placed, PlacedKind::Fallback);
+        assert_eq!(dirty_rows(&report), vec![(0, rows)]);
     }
 }

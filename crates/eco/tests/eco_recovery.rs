@@ -18,7 +18,7 @@ use flex_mgl::config::MglConfig;
 use flex_placement::benchmark::{generate, BenchmarkSpec};
 use flex_placement::cell::CellId;
 use flex_placement::layout::Design;
-use flex_placement::snapshot::write_design;
+use flex_placement::snapshot::{crc32, write_design, MAGIC};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::path::{Path, PathBuf};
 
@@ -350,5 +350,37 @@ fn fresh_directory_recovers_to_nothing_and_shutdown_snapshot_restores_instantly(
     assert_eq!(seq, 0);
     assert_eq!(bytes, expected);
     assert_eq!(stats, EcoStats::default());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_claiming_an_unbounded_die_is_a_typed_error() {
+    let dir = temp_dir("huge-die");
+    let design = generate(&BenchmarkSpec::tiny("huge-die", 3));
+    let engine = EcoEngine::legalize_and_build(design, MglConfig::default()).unwrap();
+    let _journal =
+        Journal::create(JournalConfig::new(&dir), engine.design(), engine.stats(), 0).unwrap();
+
+    // rewrite the snapshot's design image to claim 2^40 rows and re-seal its CRC, so the
+    // body decodes and only the engine's die bound stands between recovery and a per-row
+    // allocation of 2^40 entries (which would abort the process at once)
+    let path = dir.join("snap-0.ecosnap");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let image = bytes.windows(MAGIC.len()).position(|w| w == MAGIC).unwrap();
+    let body_len = u64::from_le_bytes(bytes[image + 12..image + 20].try_into().unwrap());
+    let body = image + 24..image + 24 + body_len as usize;
+    let name_len =
+        u32::from_le_bytes(bytes[body.start..body.start + 4].try_into().unwrap()) as usize;
+    let rows_at = body.start + 4 + name_len + 8;
+    bytes[rows_at..rows_at + 8].copy_from_slice(&(1i64 << 40).to_le_bytes());
+    let crc = crc32(&bytes[body]);
+    bytes[image + 20..image + 24].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let Err(err) = recover_engine(JournalConfig::new(&dir), MglConfig::default()) else {
+        panic!("a snapshot claiming 2^40 rows must not recover");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("exceeds the bounds"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

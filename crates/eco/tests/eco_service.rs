@@ -262,7 +262,7 @@ fn metrics_break_the_service_overhead_into_queue_wait_and_scrub_audit() {
         .get("metrics")
         .and_then(|m| m.get("histograms"))
         .expect("histograms");
-    for name in ["eco_queue_wait_ns", "eco_scrub_audit_ns"] {
+    for name in ["eco_queue_wait_ns", "eco_scrub_audit_ns", "eco_scrub_rows"] {
         let count = histograms
             .get(name)
             .and_then(|h| h.get("count"))
@@ -282,7 +282,7 @@ fn metrics_break_the_service_overhead_into_queue_wait_and_scrub_audit() {
         .get("text")
         .and_then(Json::as_str)
         .expect("prometheus text");
-    for name in ["eco_queue_wait_ns", "eco_scrub_audit_ns"] {
+    for name in ["eco_queue_wait_ns", "eco_scrub_audit_ns", "eco_scrub_rows"] {
         assert!(text.contains(&format!("# TYPE {name} histogram")), "{text}");
     }
 

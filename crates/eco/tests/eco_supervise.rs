@@ -399,10 +399,9 @@ fn scrubber_detects_injected_corruption_and_repairs_in_place() {
     assert!(engine.check_legal());
     // the repaired structure equals a from-scratch rebuild: a full audit stays clean
     let rows = engine.design().num_rows;
-    assert!(
-        engine.audit_rows(0, rows).is_empty(),
-        "post-repair audit must be clean"
-    );
+    let (findings, audited) = engine.audit(&[(0, rows)]);
+    assert!(findings.is_empty(), "post-repair audit must be clean");
+    assert_eq!(audited, rows as usize);
 }
 
 #[test]

@@ -101,7 +101,6 @@ mod tests {
             shift_passes: 64,
             sorted_cells: 600,
             bound_queries: 780,
-            tall_bound_queries: 60,
             local_cells: 25,
             ..RegionWork::default()
         }

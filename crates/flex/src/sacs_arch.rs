@@ -8,8 +8,8 @@
 //! odd-even banking / ping-pong initialization / double-rate memory clock of Sec. 4.3.2 pay off.
 //!
 //! The model below turns the SACS work counters recorded by the functional run (cells sorted,
-//! cursor queries, queries issued by cells taller than three rows) into PE cycles for each of
-//! the Fig. 9 ablation points: plain `SACS`, `SACS-Ar`, `SACS-ImpBW`, and `SACS-Paral`. The
+//! cursor queries, one per row each moving cell spans) into PE cycles for each of the Fig. 9
+//! ablation points: plain `SACS`, `SACS-Ar`, `SACS-ImpBW`, and `SACS-Paral`. The
 //! same run records the original multi-pass algorithm's counters, which
 //! [`SacsPeModel::original_shift_cycles`] costs for the Fig. 8 baseline.
 
@@ -95,12 +95,11 @@ mod tests {
     use super::*;
     use flex_placement::cell::CellId;
 
-    fn work(sorted: u64, queries: u64, tall: u64) -> RegionWork {
+    fn work(sorted: u64, queries: u64) -> RegionWork {
         RegionWork {
             target: CellId(0),
             sorted_cells: sorted,
             bound_queries: queries,
-            tall_bound_queries: tall,
             subcell_visits: queries,
             shift_passes: 3,
             ..RegionWork::default()
@@ -109,7 +108,7 @@ mod tests {
 
     #[test]
     fn pipelining_gives_a_large_speedup() {
-        let w = work(200, 260, 0);
+        let w = work(200, 260);
         let plain = SacsPeModel::new(SacsArchConfig::algorithm_only());
         let ar = SacsPeModel::new(SacsArchConfig {
             pipelined: true,
@@ -133,10 +132,10 @@ mod tests {
             parallel_phases: false,
         });
         // single-row-only region: queries == cells, no extra accesses, no benefit
-        let flat = work(100, 100, 0);
+        let flat = work(100, 100);
         assert_eq!(ar.shift_cycles(&flat), bw.shift_cycles(&flat));
         // tall-cell-heavy region: many extra accesses, clear benefit
-        let tall = work(100, 480, 300);
+        let tall = work(100, 480);
         assert!(bw.shift_cycles(&tall) < ar.shift_cycles(&tall));
     }
 
@@ -148,7 +147,7 @@ mod tests {
             parallel_phases: false,
         });
         let par = SacsPeModel::new(SacsArchConfig::full());
-        let w = work(300, 420, 60);
+        let w = work(300, 420);
         let ratio = seq.shift_cycles(&w).count() as f64 / par.shift_cycles(&w).count() as f64;
         assert!(
             (1.6..=2.0).contains(&ratio),
@@ -160,7 +159,7 @@ mod tests {
     fn sacs_beats_the_original_shifting_by_2_to_3x() {
         // the paper attributes 2–3× to the SACS algorithm + architecture over the original
         // multi-pass shifting (Fig. 8, first step)
-        let w = work(180, 240, 20);
+        let w = work(180, 240);
         let sacs = SacsPeModel::new(SacsArchConfig::full());
         let orig = SacsPeModel::original_shift_cycles(&w);
         let full = sacs.region_cycles(&w);
@@ -173,7 +172,7 @@ mod tests {
     fn original_shifting_costs_only_its_own_counters() {
         // one run records both algorithms' work; SACS's bound queries, however many, must not
         // leak into the original algorithm's cycles
-        let w = work(200, 260, 0);
+        let w = work(200, 260);
         let more_queries = RegionWork {
             bound_queries: 5_000,
             ..w.clone()

@@ -177,7 +177,6 @@ mod tests {
                     shift_passes: 48,
                     sorted_cells: 400,
                     bound_queries: 520,
-                    tall_bound_queries: 40,
                     local_cells: 20,
                     segments: 9,
                     next_region_overlaps: i % 4 == 0,

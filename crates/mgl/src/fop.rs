@@ -248,7 +248,6 @@ pub fn find_optimal_position_with(
     work.target_width = target.width;
     work.target_height = target.height;
     work.local_cells = region.cells.len() as u64;
-    work.tall_cells = region.num_tall_cells(3) as u64;
     work.segments = region.segments.len() as u64;
 
     // the per-region presort first: enumeration reads its per-segment row lists
@@ -347,7 +346,6 @@ fn evaluate_point_with(
         work.subcell_visits += moves.subcell_visits;
         work.sorted_cells += moves.sacs.sorted_cells;
         work.bound_queries += moves.sacs.bound_queries;
-        work.tall_bound_queries += moves.sacs.tall_bound_queries;
     }
 
     // --- displacement curves of the moved cells (pooled; target curve prebuilt per region) --
@@ -548,7 +546,6 @@ pub mod reference {
         work.target_width = target.width;
         work.target_height = target.height;
         work.local_cells = region.cells.len() as u64;
-        work.tall_cells = region.num_tall_cells(3) as u64;
         work.segments = region.segments.len() as u64;
 
         let t_enum = Instant::now();
@@ -625,7 +622,6 @@ pub mod reference {
         let (right, rs) = sacs_schedule(&right_problem, Phase::Right, r);
         work.sorted_cells += ls.sorted_cells + rs.sorted_cells;
         work.bound_queries += ls.bound_queries + rs.bound_queries;
-        work.tall_bound_queries += ls.tall_bound_queries + rs.tall_bound_queries;
         op_stats.add(FopOperator::CellShift, t_shift.elapsed());
 
         // --- displacement curves -----------------------------------------------------------

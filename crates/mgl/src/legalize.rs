@@ -481,7 +481,6 @@ pub fn plan_write_rects(design: &Design, plan: &CommitPlan, out: &mut Vec<Rect>)
 
 fn accumulate_work(into: &mut RegionWork, from: &RegionWork) {
     into.local_cells = into.local_cells.max(from.local_cells);
-    into.tall_cells = into.tall_cells.max(from.tall_cells);
     into.segments = into.segments.max(from.segments);
     into.insertion_points += from.insertion_points;
     into.feasible_points += from.feasible_points;
@@ -490,7 +489,6 @@ fn accumulate_work(into: &mut RegionWork, from: &RegionWork) {
     into.shift_passes += from.shift_passes;
     into.sorted_cells += from.sorted_cells;
     into.bound_queries += from.bound_queries;
-    into.tall_bound_queries += from.tall_bound_queries;
 }
 
 /// The design writes a verified placement implies: every shifted localCell's new x plus the

@@ -9,6 +9,7 @@
 //! turn comes.
 
 use flex_placement::cell::CellId;
+use flex_placement::census::RowCensus;
 use flex_placement::geom::{Interval, Rect};
 use flex_placement::layout::Design;
 use flex_placement::segment::SegmentMap;
@@ -154,16 +155,16 @@ impl LegalizedIndex {
         ids
     }
 
-    /// Audit rows `[row_lo, row_hi)` against `design`: compare each bucket with what
-    /// [`LegalizedIndex::build`] would put there (id-sorted, one entry per row a legalized
-    /// movable cell spans) without rebuilding it. One pass over the design counts each
-    /// row's expected bucket size (a difference array over the slice); a bucket equals the
-    /// rebuilt one iff its size matches, its ids are strictly ascending, and each id names
-    /// a legalized movable cell that spans the row (ids index `design.cells`, as
+    /// Audit the census's rows against `design`, which the census was gathered from:
+    /// compare each audited bucket with what [`LegalizedIndex::build`] would put there
+    /// (id-sorted, one entry per row a legalized movable cell spans) without rebuilding it.
+    /// A bucket equals the rebuilt one iff its size is the census's count of legalized
+    /// movable cells spanning the row, its ids are strictly ascending, and each id names a
+    /// legalized movable cell that spans the row (ids index `design.cells`, as
     /// [`Design::validate_invariants`] guarantees). `Err` names the first diverging row —
-    /// the invariant-scrubber's typed corruption evidence. O(cells + audited buckets), with
-    /// one allocation per audit.
-    pub fn audit_rows(&self, design: &Design, row_lo: i64, row_hi: i64) -> Result<(), String> {
+    /// the invariant-scrubber's typed corruption evidence. O(audited buckets): the census
+    /// did the one pass over the design.
+    pub fn audit(&self, design: &Design, census: &RowCensus) -> Result<(), String> {
         let num_rows = design.num_rows.max(0);
         if self.rows.len() as i64 != num_rows {
             return Err(format!(
@@ -171,26 +172,14 @@ impl LegalizedIndex {
                 self.rows.len()
             ));
         }
-        let lo = row_lo.clamp(0, num_rows);
-        let hi = row_hi.clamp(lo, num_rows);
-        let mut size_delta = vec![0i64; (hi - lo) as usize + 1];
-        for c in design.cells.iter().filter(|c| !c.fixed && c.legalized) {
-            let (first, end) = (c.y.max(lo), (c.y + c.height).min(hi));
-            if first < end {
-                size_delta[(first - lo) as usize] += 1;
-                size_delta[(end - lo) as usize] -= 1;
-            }
-        }
-        let mut want = 0;
-        for (row, delta) in (lo..hi).zip(size_delta) {
-            want += delta;
+        for (row, want) in census.spanning() {
             let got = &self.rows[row as usize];
             let spans_row = |id: &CellId| {
                 design.cells.get(id.index()).is_some_and(|c| {
                     c.id == *id && !c.fixed && c.legalized && c.y <= row && row < c.y + c.height
                 })
             };
-            if got.len() as i64 != want
+            if got.len() != want
                 || !got.windows(2).all(|pair| pair[0].0 < pair[1].0)
                 || !got.iter().all(spans_row)
             {
@@ -350,11 +339,6 @@ impl LocalRegion {
             .collect();
         v.sort_by_key(|&i| self.cells[i].x);
         v
-    }
-
-    /// Number of localCells strictly taller than `rows` rows (drives the Fig. 9 bandwidth study).
-    pub fn num_tall_cells(&self, rows: i64) -> usize {
-        self.cells.iter().filter(|c| c.height > rows).count()
     }
 
     /// Whether the region could possibly host a cell of `width × height` starting at a row with
@@ -562,8 +546,8 @@ mod tests {
         }
     }
 
-    /// The allocating audit [`LegalizedIndex::audit_rows`] replaced, kept as its oracle:
-    /// rebuild every audited bucket from the design and compare whole vectors.
+    /// The allocating per-range audit the census audit replaced, kept as its oracle: rebuild
+    /// every audited bucket from the design and compare whole vectors.
     fn audit_rows_by_rebuild(
         index: &LegalizedIndex,
         design: &Design,
@@ -673,7 +657,7 @@ mod tests {
             shorter.num_rows -= 1;
             indexes.push(LegalizedIndex::build(&shorter));
             let rows = d.num_rows;
-            let mut ranges = vec![
+            let mut sets: Vec<Vec<(i64, i64)>> = [
                 (0, 0),
                 (4, 2),
                 (-3, 2),
@@ -682,19 +666,34 @@ mod tests {
                 (rows + 1, rows + 3),
                 (0, rows),
                 (-1, rows + 1),
-            ];
-            for _ in 0..6 {
-                let lo = rng.random_range(-4..rows + 4);
-                ranges.push((lo, lo + rng.random_range(-2..rows + 2)));
+            ]
+            .into_iter()
+            .map(|range| vec![range])
+            .collect();
+            sets.push(Vec::new());
+            // random sets: overlapping, touching, reversed and off-die ranges, any order
+            for _ in 0..8 {
+                let set = (0..rng.random_range(1..6u32))
+                    .map(|_| {
+                        let lo = rng.random_range(-4..rows + 4);
+                        (lo, lo + rng.random_range(-2..rows / 2 + 3))
+                    })
+                    .collect::<Vec<_>>();
+                let touching = set.iter().map(|&(_, hi)| (hi, hi + 2)).collect::<Vec<_>>();
+                sets.push(set.into_iter().chain(touching).collect());
             }
+            let bin_h = rng.random_range(1..10i64);
             for (i, index) in indexes.iter().enumerate() {
-                for &(lo, hi) in &ranges {
-                    let want = audit_rows_by_rebuild(index, &d, lo, hi);
+                for ranges in &sets {
+                    let want = audit_over(ranges, rows, |lo, hi| {
+                        audit_rows_by_rebuild(index, &d, lo, hi)
+                    });
                     diverged += usize::from(want.is_err());
+                    let census = RowCensus::gather(&d, ranges, (8, bin_h));
                     assert_eq!(
-                        index.audit_rows(&d, lo, hi),
+                        index.audit(&d, &census),
                         want,
-                        "seed {seed}, index {i}, rows [{lo}, {hi})"
+                        "seed {seed}, index {i}, rows {ranges:?}"
                     );
                 }
             }
@@ -702,18 +701,21 @@ mod tests {
         assert!(diverged > 3_000, "the corruptions must be seen: {diverged}");
     }
 
-    #[test]
-    fn tall_cell_count() {
-        let d = design();
-        let segmap = SegmentMap::build(&d);
-        let region = LocalRegion::extract_indexed(
-            &d,
-            &segmap,
-            CellId(3),
-            Rect::new(0, 0, 25, 4),
-            &LegalizedIndex::build(&d),
-        );
-        assert_eq!(region.num_tall_cells(1), 1); // the 2-row cell
-        assert_eq!(region.num_tall_cells(3), 0);
+    /// What the per-range `oracle` says of the rows of `ranges` on a `rows`-row die: its
+    /// shape check (an empty range), then its verdict on each range clipped to the die, in
+    /// ascending order, stopping at the first `Err` — the first divergence in row order.
+    fn audit_over(
+        ranges: &[(i64, i64)],
+        rows: i64,
+        mut oracle: impl FnMut(i64, i64) -> Result<(), String>,
+    ) -> Result<(), String> {
+        oracle(0, 0)?;
+        let mut clipped: Vec<(i64, i64)> = ranges
+            .iter()
+            .map(|&(lo, hi)| (lo.clamp(0, rows), hi.clamp(0, rows)))
+            .filter(|&(lo, hi)| lo < hi)
+            .collect();
+        clipped.sort_unstable();
+        clipped.into_iter().try_for_each(|(lo, hi)| oracle(lo, hi))
     }
 }

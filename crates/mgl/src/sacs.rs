@@ -48,8 +48,6 @@ pub struct SacsStats {
     /// Number of per-row bound lookups (CSP/CSE queries); multi-row cells perform one per row,
     /// which is the access pattern the odd-even BRAM banking of Sec. 4.3.2 accelerates.
     pub bound_queries: u64,
-    /// Number of bound lookups issued by cells taller than three rows.
-    pub tall_bound_queries: u64,
 }
 
 /// Run one SACS phase and also return its work statistics.
@@ -83,11 +81,7 @@ pub(crate) fn sacs_schedule(
         if statics.contains(&i) {
             continue;
         }
-        let rows = c.height as u64;
-        stats.bound_queries += rows;
-        if c.height > 3 {
-            stats.tall_bound_queries += rows;
-        }
+        stats.bound_queries += c.height as u64;
     }
 
     // SACS streams positions in pre-sorted order: descending x for the left-move phase,
@@ -558,9 +552,15 @@ pub(crate) mod tests {
             target_x: point.clamp(18),
         };
         let (_, stats) = shift_phase_sacs_with_stats(&problem, Phase::Left).unwrap();
-        assert!(
-            stats.tall_bound_queries >= 4,
-            "the 4-row cell queries one bound per row"
+        let statics = problem.statics(Phase::Left);
+        assert!(!statics.contains(&4), "the 4-row cell takes part");
+        let moving_rows: u64 = (0..region.cells.len())
+            .filter(|i| !statics.contains(i))
+            .map(|i| region.cells[i].height as u64)
+            .sum();
+        assert_eq!(
+            stats.bound_queries, moving_rows,
+            "every moving cell, the 4-row one included, queries one bound per row"
         );
     }
 

@@ -230,8 +230,6 @@ pub struct ShiftScratch {
     subcells: u64,
     /// Region-lifetime: the heights of all localCells, summed.
     heights: u64,
-    /// Region-lifetime: the heights of the localCells taller than three rows, summed.
-    tall_heights: u64,
     /// Problem-lifetime: per segment, whether traversing the row now would move nothing.
     settled: Vec<bool>,
     /// Problem-lifetime: per segment, whether its traversal and static-edge lists are built.
@@ -294,8 +292,6 @@ fn row_is_clean(region: &LocalRegion, seg: &LocalSegment, cells: &[usize]) -> bo
 struct ChainCounts {
     /// Heights of the static cells, summed.
     static_heights: u64,
-    /// Heights of the static cells taller than three rows, summed.
-    static_tall_heights: u64,
     /// Subcells of the static cells in segment rows outside the target rows.
     static_subcells_off_target: u64,
     /// Subcells of the non-static movers in segment rows inside the target rows.
@@ -334,12 +330,6 @@ impl ShiftScratch {
         );
         self.subcells = (0..nsegs).map(|s| self.row_cells.get(s).len() as u64).sum();
         self.heights = region.cells.iter().map(|c| c.height as u64).sum();
-        self.tall_heights = region
-            .cells
-            .iter()
-            .filter(|c| c.height > 3)
-            .map(|c| c.height as u64)
-            .sum();
 
         self.pos.clear();
         self.pos.extend(region.cells.iter().map(|c| c.x));
@@ -395,11 +385,7 @@ impl ShiftScratch {
         for &i in static_chain.iter().flatten() {
             if !self.statics[i] {
                 self.statics[i] = true;
-                let h = region.cells[i].height;
-                counts.static_heights += h as u64;
-                if h > 3 {
-                    counts.static_tall_heights += h as u64;
-                }
+                counts.static_heights += region.cells[i].height as u64;
                 counts.static_subcells_off_target += segment_rows(i, false);
             }
         }
@@ -452,7 +438,6 @@ impl ShiftScratch {
         out.sacs = SacsStats {
             sorted_cells: problem.region.cells.len() as u64,
             bound_queries: self.heights - counts.static_heights,
-            tall_bound_queries: self.tall_heights - counts.static_tall_heights,
         };
         // the Ahead-Sorter's `(x, index)` order, reversed for the left-move phase
         let cells = &problem.region.cells;

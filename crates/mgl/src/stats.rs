@@ -150,8 +150,6 @@ pub struct RegionWork {
     pub target_height: i64,
     /// Number of localCells in the final region.
     pub local_cells: u64,
-    /// Number of localCells taller than three rows (drives the Fig. 9 bandwidth analysis).
-    pub tall_cells: u64,
     /// Number of localSegments (rows) in the region.
     pub segments: u64,
     /// Insertion points enumerated.
@@ -170,8 +168,6 @@ pub struct RegionWork {
     pub sorted_cells: u64,
     /// Per-row bound (CSP/CSE) queries issued by SACS.
     pub bound_queries: u64,
-    /// Bound queries issued on behalf of cells taller than three rows.
-    pub tall_bound_queries: u64,
     /// Whether the target was eventually committed inside a region (false = fallback placement).
     pub placed_in_region: bool,
     /// Whether the region of the *next* target overlapped this one (determines whether the FLEX

@@ -5,8 +5,12 @@
 //! cells. Both need a cheap "how full is this area of the die" query, which this module provides
 //! via a uniform grid of bins accumulating cell area.
 
+use crate::census::RowCensus;
 use crate::geom::Rect;
 use crate::layout::Design;
+
+/// The slot [`BinRows`] gives a bin row outside the audited ones.
+const UNAUDITED: u32 = u32::MAX;
 
 /// A uniform grid of density bins over the die.
 #[derive(Debug, Clone)]
@@ -177,17 +181,23 @@ impl DensityMap {
         }
     }
 
-    /// Audit the bins covering design rows `[row_lo, row_hi)` against `design`: recompute
-    /// each covered bin's capacity (geometric area minus fixed cells and blockages,
-    /// clamped at zero) and occupancy (every movable cell's in-die overlap) exactly the
-    /// way [`DensityMap::build`] does, and compare. All contributions are integer
-    /// site·row areas, so they are summed as exact integers, which equal the map's `f64`
-    /// sums regardless of accumulation order — the comparison uses a tiny epsilon only as
-    /// slack against future fractional areas. `Err` names the first diverging bin — the
-    /// invariant-scrubber's typed corruption evidence. Every rectangle is clipped to the
-    /// audited band of bin rows (and the die) and located through site → column and
-    /// row → bin-row tables, so a cell costs no division and no per-bin rectangle.
-    pub fn audit_rows(&self, design: &Design, row_lo: i64, row_hi: i64) -> Result<(), String> {
+    /// Bin size in (sites, rows), the grid a [`RowCensus`] for this map's audit is gathered
+    /// on.
+    pub fn bin_size(&self) -> (i64, i64) {
+        (self.bin_w, self.bin_h)
+    }
+
+    /// Audit the bins covering the census's rows against `design`, which the census was
+    /// gathered from on this map's [`DensityMap::bin_size`]: recompute each covered bin's
+    /// capacity (geometric area minus fixed cells and blockages, clamped at zero) and
+    /// occupancy (every movable cell's in-die overlap, summed by the census) exactly the way
+    /// [`DensityMap::build`] does, and compare. All contributions are integer site·row
+    /// areas, so they are summed as exact integers, which equal the map's `f64` sums
+    /// regardless of accumulation order — the comparison uses a tiny epsilon only as slack
+    /// against future fractional areas. `Err` names the first diverging bin (by bin row,
+    /// then column) — the invariant-scrubber's typed corruption evidence. Reads no cell:
+    /// O(audited bins + the census's blockers).
+    pub fn audit(&self, design: &Design, census: &RowCensus) -> Result<(), String> {
         let die = design.die();
         let nx = ((design.num_sites_x + self.bin_w - 1) / self.bin_w).max(1) as usize;
         let ny = ((design.num_rows + self.bin_h - 1) / self.bin_h).max(1) as usize;
@@ -197,35 +207,19 @@ impl DensityMap {
                 self.nx, self.ny, self.die
             ));
         }
-        let by0 = row_lo
-            .clamp(0, design.num_rows.max(1) - 1)
-            .div_euclid(self.bin_h) as usize;
-        let by1 = (row_hi - 1)
-            .clamp(0, design.num_rows.max(1) - 1)
-            .div_euclid(self.bin_h) as usize;
-        if row_lo >= row_hi {
-            return Ok(());
-        }
-        let band = BandGrid::new(self, by0, by1);
-        let bins = nx * (by1 - by0 + 1);
-        let mut cap = vec![0i64; bins];
-        let mut occ = vec![0i64; bins];
+        let bins = &census.bins;
+        debug_assert_eq!(bins.bin_size(), self.bin_size(), "census of another grid");
         // capacity starts as the geometric bin area clipped to the die, then fixed cells
         // and blockages consume it
-        band.splat(&mut cap, &band.rect, 1);
-        for b in design.blockers_in_rows(band.rect.y_lo, band.rect.y_hi) {
-            band.splat(&mut cap, &b, -1);
+        let mut cap = vec![0i64; bins.len()];
+        bins.splat(&mut cap, &die, 1);
+        for b in &census.blockers {
+            bins.splat(&mut cap, b, -1);
         }
-        for c in cap.iter_mut() {
-            *c = (*c).max(0);
-        }
-        for c in design.cells.iter().filter(|c| !c.fixed) {
-            band.splat(&mut occ, &c.rect(), 1);
-        }
-        for by in by0..=by1 {
+        for (slot, &by) in bins.audited.iter().enumerate() {
             for bx in 0..nx {
-                let want_occ = occ[(by - by0) * nx + bx] as f64;
-                let want_cap = cap[(by - by0) * nx + bx] as f64;
+                let want_occ = census.occupied[slot * nx + bx] as f64;
+                let want_cap = cap[slot * nx + bx].max(0) as f64;
                 let idx = by * nx + bx;
                 if (self.occupied[idx] - want_occ).abs() > 1e-6
                     || (self.capacity[idx] - want_cap).abs() > 1e-6
@@ -260,70 +254,123 @@ impl DensityMap {
     }
 }
 
-/// The bin rows `by0..=by1` of a [`DensityMap`] as an integer accumulation grid for
-/// [`DensityMap::audit_rows`]: the band's die-clipped rectangle plus lookup tables from
-/// site to bin column and from band row to bin row.
-struct BandGrid {
+/// The density bin rows covering a [`RowCensus`]'s rows, as an integer accumulation grid of
+/// `len()` bins: one slot of `nx` bins per audited bin row, in ascending bin-row order.
+/// Lookup tables from site to bin column, from row to bin row and from bin row to slot
+/// locate a rectangle without division.
+#[derive(Debug)]
+pub(crate) struct BinRows {
     bin_w: i64,
     bin_h: i64,
     nx: usize,
-    by0: usize,
-    /// The band's bin rows clipped to the die; every splatted rectangle is clipped to it.
-    rect: Rect,
+    /// The design's die; every splatted rectangle is clipped to it.
+    die: Rect,
     /// Bin column of each site of the die.
-    col_of: Vec<usize>,
-    /// Bin row, relative to `by0`, of each row of `rect`.
-    row_of: Vec<usize>,
+    col_of: Vec<u32>,
+    /// Bin row of each row of the die.
+    row_of: Vec<u32>,
+    /// Slot of each bin row among the audited ones, or [`UNAUDITED`].
+    slot_of: Vec<u32>,
+    /// Rows before each row `0..=num_rows` that lie in an audited bin row.
+    audited_before: Vec<u32>,
+    /// The audited bin rows, ascending; `audited[slot]` is the bin row of `slot`.
+    audited: Vec<usize>,
 }
 
-impl BandGrid {
-    fn new(map: &DensityMap, by0: usize, by1: usize) -> Self {
-        let rect = Rect::new(
-            0,
-            by0 as i64 * map.bin_h,
-            map.die.x_hi,
-            (by1 as i64 + 1) * map.bin_h,
-        )
-        .intersect(&map.die);
-        let table = |len: i64, bin: i64| -> Vec<usize> {
-            let (len, bin) = (len.max(0) as usize, bin as usize);
-            (0..len.div_ceil(bin))
-                .flat_map(|b| std::iter::repeat_n(b, bin))
-                .take(len)
-                .collect()
+impl BinRows {
+    /// The bin rows of a `bin_size` grid over `design`'s die that cover `ranges` (sorted,
+    /// disjoint rows inside the die).
+    pub(crate) fn new(design: &Design, bin_size: (i64, i64), ranges: &[(i64, i64)]) -> Self {
+        let (bin_w, bin_h) = (bin_size.0.max(1), bin_size.1.max(1));
+        let nx = ((design.num_sites_x + bin_w - 1) / bin_w).max(1) as usize;
+        let ny = ((design.num_rows + bin_h - 1) / bin_h).max(1) as usize;
+        let table = |len: i64, bin: i64| -> Vec<u32> {
+            let mut table = vec![0; len.max(0) as usize];
+            for (b, entries) in table.chunks_mut(bin as usize).enumerate() {
+                entries.fill(b as u32);
+            }
+            table
         };
+        let (col_of, row_of) = (
+            table(design.num_sites_x, bin_w),
+            table(design.num_rows, bin_h),
+        );
+        let mut slot_of = vec![UNAUDITED; ny];
+        for &(lo, hi) in ranges {
+            let (b0, b1) = (
+                row_of[lo as usize] as usize,
+                row_of[hi as usize - 1] as usize,
+            );
+            slot_of[b0..=b1].fill(0);
+        }
+        let mut audited = Vec::new();
+        for (by, slot) in slot_of.iter_mut().enumerate() {
+            if *slot != UNAUDITED {
+                *slot = audited.len() as u32;
+                audited.push(by);
+            }
+        }
+        let audited_before = std::iter::once(0)
+            .chain(row_of.iter().scan(0, |before, &by| {
+                *before += u32::from(slot_of[by as usize] != UNAUDITED);
+                Some(*before)
+            }))
+            .collect();
         Self {
-            bin_w: map.bin_w,
-            bin_h: map.bin_h,
-            nx: map.nx,
-            by0,
-            rect,
-            col_of: table(map.die.x_hi, map.bin_w),
-            row_of: table(rect.height(), map.bin_h),
+            bin_w,
+            bin_h,
+            nx,
+            die: design.die(),
+            col_of,
+            row_of,
+            slot_of,
+            audited_before,
+            audited,
         }
     }
 
-    /// Add `sign` × the overlap of `rect` (clipped to the band) to every bin it touches.
-    fn splat(&self, bins: &mut [i64], rect: &Rect, sign: i64) {
-        let r = rect.intersect(&self.rect);
+    /// Bins in the grid.
+    pub(crate) fn len(&self) -> usize {
+        self.audited.len() * self.nx
+    }
+
+    /// Bin size in (sites, rows).
+    fn bin_size(&self) -> (i64, i64) {
+        (self.bin_w, self.bin_h)
+    }
+
+    /// Whether the rows `[lo, hi)` (`0 <= lo, hi <= num_rows`; empty when `hi <= lo`)
+    /// touch an audited bin row: two table loads, no branch.
+    pub(crate) fn touches(&self, lo: i64, hi: i64) -> bool {
+        self.audited_before[hi as usize] > self.audited_before[lo as usize]
+    }
+
+    /// Add `sign` × the overlap of `rect` (clipped to the die) to every audited bin it
+    /// touches.
+    pub(crate) fn splat(&self, bins: &mut [i64], rect: &Rect, sign: i64) {
+        let r = rect.intersect(&self.die);
         if r.is_empty() {
             return;
         }
         let (bx0, bx1) = (
-            self.col_of[r.x_lo as usize],
-            self.col_of[r.x_hi as usize - 1],
+            self.col_of[r.x_lo as usize] as usize,
+            self.col_of[r.x_hi as usize - 1] as usize,
         );
-        let (q0, q1) = (
-            self.row_of[(r.y_lo - self.rect.y_lo) as usize],
-            self.row_of[(r.y_hi - 1 - self.rect.y_lo) as usize],
+        let (b0, b1) = (
+            self.row_of[r.y_lo as usize] as usize,
+            self.row_of[r.y_hi as usize - 1] as usize,
         );
-        for q in q0..=q1 {
-            let bin_y = (self.by0 + q) as i64 * self.bin_h;
+        for by in b0..=b1 {
+            let slot = self.slot_of[by];
+            if slot == UNAUDITED {
+                continue;
+            }
+            let bin_y = by as i64 * self.bin_h;
             let rows = r.y_hi.min(bin_y + self.bin_h) - r.y_lo.max(bin_y);
             for bx in bx0..=bx1 {
                 let bin_x = bx as i64 * self.bin_w;
                 let sites = r.x_hi.min(bin_x + self.bin_w) - r.x_lo.max(bin_x);
-                bins[q * self.nx + bx] += sign * sites * rows;
+                bins[slot as usize * self.nx + bx] += sign * sites * rows;
             }
         }
     }
@@ -446,7 +493,7 @@ mod tests {
         }
     }
 
-    /// The allocating audit [`DensityMap::audit_rows`] replaced, kept as its oracle: a
+    /// The allocating per-range audit the census audit replaced, kept as its oracle: a
     /// `Rect` per bin and `f64` sums, splatting through [`DensityMap::bin_range`].
     fn audit_rows_by_rect_splat(
         map: &DensityMap,
@@ -530,9 +577,14 @@ mod tests {
         Ok(())
     }
 
+    /// The census audit of `map` over `ranges`.
+    fn audit(map: &DensityMap, d: &Design, ranges: &[(i64, i64)]) -> Result<(), String> {
+        map.audit(d, &RowCensus::gather(d, ranges, map.bin_size()))
+    }
+
     #[test]
     fn audit_differential_agrees_with_the_rect_splat_audit() {
-        use crate::test_support::{audit_ranges, random_design};
+        use crate::test_support::{audit_over, random_design, random_range_sets};
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(3);
@@ -561,19 +613,17 @@ mod tests {
             maps.push(m);
             // a map of another grid shape
             maps.push(DensityMap::build(&d, bin_w + 1, bin_h));
-            let mut ranges = audit_ranges(d.num_rows);
-            for _ in 0..6 {
-                let lo = rng.random_range(-5..d.num_rows + 5);
-                ranges.push((lo, lo + rng.random_range(-3..d.num_rows + 3)));
-            }
+            let sets = random_range_sets(&mut rng, d.num_rows, bin_h);
             for (i, map) in maps.iter().enumerate() {
-                for &(lo, hi) in &ranges {
-                    let want = audit_rows_by_rect_splat(map, &d, lo, hi);
+                for ranges in &sets {
+                    let want = audit_over(ranges, d.num_rows, |lo, hi| {
+                        audit_rows_by_rect_splat(map, &d, lo, hi)
+                    });
                     diverged += usize::from(want.is_err());
                     assert_eq!(
-                        map.audit_rows(&d, lo, hi),
+                        audit(map, &d, ranges),
                         want,
-                        "seed {seed}, map {i}, rows [{lo}, {hi})"
+                        "seed {seed}, map {i}, rows {ranges:?}"
                     );
                 }
             }
@@ -597,7 +647,7 @@ mod tests {
         }
         let map = DensityMap::build(&d, 10, 2);
         let (nx, _) = map.dims();
-        assert_eq!(map.audit_rows(&d, 3, 7), Ok(()));
+        assert_eq!(audit(&map, &d, &[(3, 7)]), Ok(()));
 
         let damaged = |bx: usize, by: usize, occupied: f64, capacity: f64| {
             let mut m = map.clone();
@@ -610,17 +660,20 @@ mod tests {
         for (bx, by, occupied, capacity) in
             [(0, 1, 0.0, 10.0), (2, 3, 0.0, 10.0), (1, 1, -6.0, 0.0)]
         {
-            let err = damaged(bx, by, occupied, capacity)
-                .audit_rows(&d, 3, 7)
-                .unwrap_err();
+            let err = audit(&damaged(bx, by, occupied, capacity), &d, &[(3, 7)]).unwrap_err();
             assert!(err.contains(&format!("bin ({bx},{by})")), "{err}");
         }
         // damage outside the slice is left to the slice that covers it
         let outside = damaged(3, 5, 1.0, 0.0);
-        assert_eq!(outside.audit_rows(&d, 3, 7), Ok(()));
-        assert!(outside
-            .audit_rows(&d, 10, 12)
+        assert_eq!(audit(&outside, &d, &[(3, 7)]), Ok(()));
+        assert!(audit(&outside, &d, &[(10, 12)])
             .unwrap_err()
             .contains("bin (3,5)"));
+        // two slices in one census: the first divergence in bin-row order is reported
+        let mut both = damaged(3, 5, 1.0, 0.0);
+        both.occupied[nx] += 1.0;
+        assert!(audit(&both, &d, &[(10, 12), (3, 7)])
+            .unwrap_err()
+            .contains("bin (0,1)"));
     }
 }

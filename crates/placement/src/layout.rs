@@ -5,6 +5,22 @@ use crate::geom::{Interval, Rect};
 use crate::row::Rail;
 use std::convert::Infallible;
 
+/// Most rows [`Design::validate_invariants`] accepts. With [`MAX_SITES_X`] and
+/// [`MAX_DIE_AREA`] it bounds what the ECO engine allocates per row and per bin for a
+/// validated design: every per-row structure (legality buckets, the legalized index, the
+/// segment map) holds 24-byte headers, 24 MiB per structure at this bound, and a density map
+/// of 1×1 bins holds two `f64` per site·row, 512 MiB at [`MAX_DIE_AREA`]. Both stay under the
+/// snapshot decoder's 1 GiB body cap, so a recovered design cannot make the engine allocate
+/// more than its snapshot could hold.
+pub const MAX_ROWS: i64 = 1 << 20;
+
+/// Most sites per row [`Design::validate_invariants`] accepts (see [`MAX_ROWS`]).
+pub const MAX_SITES_X: i64 = 1 << 22;
+
+/// Most site·rows (sites per row × rows) [`Design::validate_invariants`] accepts (see
+/// [`MAX_ROWS`]).
+pub const MAX_DIE_AREA: i64 = 1 << 25;
+
 /// A complete mixed-cell-height design: a uniform die of rows/sites plus cells and blockages.
 ///
 /// All coordinates are in site/row units (see [`crate::geom`]). The physical site width and row
@@ -161,32 +177,13 @@ impl Design {
     /// passes over those blockers instead of `k` passes over the design.
     pub fn free_intervals_in_rows(&self, row_lo: i64, row_hi: i64) -> Vec<Vec<Interval>> {
         let mut rows = Vec::with_capacity((row_hi - row_lo).max(0) as usize);
-        let Ok(()) = self.try_for_each_free_row(row_lo, row_hi, |_, free| {
-            rows.push(free.to_vec());
-            Ok::<(), Infallible>(())
-        });
-        rows
-    }
-
-    /// Visit [`Design::free_intervals`] of every row in `[row_lo, row_hi)`, in row order,
-    /// stopping at the first `Err`. The band's blockers are collected once and the two
-    /// per-row buffers are reused, so `k` rows cost one pass over the design plus `k`
-    /// passes over those blockers, with no allocation per row or per blocker.
-    pub(crate) fn try_for_each_free_row<E>(
-        &self,
-        row_lo: i64,
-        row_hi: i64,
-        mut visit: impl FnMut(i64, &[Interval]) -> Result<(), E>,
-    ) -> Result<(), E> {
         let blockers = self.blockers_in_rows(row_lo, row_hi);
-        let (mut blocked, mut free) = (Vec::new(), Vec::new());
-        for row in row_lo..row_hi {
-            blocked.clear();
-            blocked.extend(blocked_in_row(&blockers, row));
-            free_among(self.num_sites_x, &mut blocked, &mut free);
-            visit(row, &free)?;
-        }
-        Ok(())
+        let Ok(()) =
+            try_for_each_free_row(self.num_sites_x, &blockers, row_lo..row_hi, |_, free| {
+                rows.push(free.to_vec());
+                Ok::<(), Infallible>(())
+            });
+        rows
     }
 
     /// Snap every movable cell to the nearest legal-parity row and clamp it inside the die.
@@ -237,12 +234,12 @@ impl Design {
         c.gy = c.y as f64;
     }
 
-    /// Cheap structural sanity check: ids match indices (hence no duplicates), dimensions
-    /// are positive (zero-area fixed tombstones excepted — see
-    /// [`Design::tombstone_cell`]), and every legalized movable cell lies on rows that
-    /// exist. O(cells), no overlap detection — run [`crate::legality::check_legality_with`] for
-    /// the full check. The ECO service calls this at its request boundary so a malformed
-    /// client delta surfaces as a typed error instead of corrupting the resident state.
+    /// Cheap structural sanity check: the die is non-empty and within [`MAX_ROWS`],
+    /// [`MAX_SITES_X`] and [`MAX_DIE_AREA`], and every cell passes
+    /// [`Design::validate_cells`]. O(cells), allocation-free, no overlap detection — run
+    /// [`crate::legality::check_legality_with`] for the full check, and only after this one,
+    /// since it allocates per row. The ECO engine runs it when it takes a design (from a
+    /// caller or a recovery snapshot).
     pub fn validate_invariants(&self) -> Result<(), String> {
         if self.num_sites_x <= 0 || self.num_rows <= 0 {
             return Err(format!(
@@ -250,10 +247,33 @@ impl Design {
                 self.num_sites_x, self.num_rows
             ));
         }
-        for (i, c) in self.cells.iter().enumerate() {
-            if c.id.index() != i {
+        if self.num_rows > MAX_ROWS
+            || self.num_sites_x > MAX_SITES_X
+            || self.num_rows * self.num_sites_x > MAX_DIE_AREA
+        {
+            return Err(format!(
+                "die of {} sites x {} rows exceeds the bounds ({MAX_SITES_X} sites, \
+                 {MAX_ROWS} rows, {MAX_DIE_AREA} site-rows)",
+                self.num_sites_x, self.num_rows
+            ));
+        }
+        self.validate_cells((0..self.cells.len()).map(|i| CellId(i as u32)))
+    }
+
+    /// The per-cell half of [`Design::validate_invariants`] for the cells `ids`: each id
+    /// addresses a slot that carries it (so ids are never duplicated), dimensions are
+    /// positive (zero-area fixed tombstones excepted — see [`Design::tombstone_cell`]), and
+    /// a legalized movable cell lies inside the die. The ECO engine checks the cells each
+    /// batch wrote with it.
+    pub fn validate_cells(&self, ids: impl IntoIterator<Item = CellId>) -> Result<(), String> {
+        for id in ids {
+            let Some(c) = self.cells.get(id.index()) else {
+                return Err(format!("cell {id} is past the {} slots", self.cells.len()));
+            };
+            if c.id != id {
                 return Err(format!(
-                    "cell at index {i} carries id {} (duplicate or stale id)",
+                    "cell at index {} carries id {} (duplicate or stale id)",
+                    id.index(),
                     c.id
                 ));
             }
@@ -289,6 +309,26 @@ impl Design {
         }
         Ok(())
     }
+}
+
+/// Visit the free intervals ([`Design::free_intervals`]) of each of `rows`, in order,
+/// stopping at the first `Err`. `blockers` must hold every fixed-cell rectangle and blockage
+/// that touches those rows (others are ignored), so `k` rows cost `k` passes over the
+/// blockers, with the two per-row buffers reused: no allocation per row or per blocker.
+pub(crate) fn try_for_each_free_row<E>(
+    num_sites: i64,
+    blockers: &[Rect],
+    rows: impl IntoIterator<Item = i64>,
+    mut visit: impl FnMut(i64, &[Interval]) -> Result<(), E>,
+) -> Result<(), E> {
+    let (mut blocked, mut free) = (Vec::new(), Vec::new());
+    for row in rows {
+        blocked.clear();
+        blocked.extend(blocked_in_row(blockers, row));
+        free_among(num_sites, &mut blocked, &mut free);
+        visit(row, &free)?;
+    }
+    Ok(())
 }
 
 /// The x spans of the `blockers` that cover `row`, in blocker order.

@@ -9,6 +9,7 @@
 //! * [`layout`] — the [`layout::Design`] container tying rows, cells and blockages together.
 //! * [`segment`] — extraction of unblocked placement segments per row.
 //! * [`density`] — bin-based density maps used by processing-ordering heuristics.
+//! * [`census`] — one pass over a design gathering what the ECO scrubber's audits read.
 //! * [`global_place`] — a global-placement simulator that produces realistic overlapping input.
 //! * [`benchmark`] — a seeded synthetic benchmark generator.
 //! * [`iccad2017`] — named specs mirroring the ICCAD 2017 contest cases used in the paper.
@@ -26,6 +27,7 @@
 
 pub mod benchmark;
 pub mod cell;
+pub mod census;
 pub mod density;
 pub mod geom;
 pub mod global_place;

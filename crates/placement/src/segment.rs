@@ -5,6 +5,7 @@
 //! row is a localSegment. This module extracts full-row segments from a [`Design`]; the MGL
 //! crate clips them to windows.
 
+use crate::census::RowCensus;
 use crate::geom::Interval;
 use crate::layout::Design;
 
@@ -91,14 +92,13 @@ impl SegmentMap {
             .max_by_key(|s| s.len())
     }
 
-    /// Audit rows `[row_lo, row_hi)` against `design`: the map is a pure function of the
-    /// design's fixed cells and blockages (`Design::free_intervals`), so each audited row
-    /// is recomputed and compared segment-for-segment. `Err` names the first diverging
-    /// row — the invariant-scrubber's typed corruption evidence. The slice's blockers are
-    /// collected once and each row is swept into reused buffers
-    /// (`Design::try_for_each_free_row`), so the cost is one pass over the design plus the
-    /// slice, with no allocation per row.
-    pub fn audit_rows(&self, design: &Design, row_lo: i64, row_hi: i64) -> Result<(), String> {
+    /// Audit the census's rows against `design`, which the census was gathered from: the map
+    /// is a pure function of the design's fixed cells and blockages
+    /// (`Design::free_intervals`), so each audited row is recomputed from the blockers the
+    /// census collected and compared segment-for-segment. `Err` names the first diverging
+    /// row — the invariant-scrubber's typed corruption evidence. Reads no cell: each row is
+    /// swept into reused buffers, with no allocation per row.
+    pub fn audit(&self, design: &Design, census: &RowCensus) -> Result<(), String> {
         let num_rows = design.num_rows.max(0);
         if self.per_row.len() as i64 != num_rows {
             return Err(format!(
@@ -106,9 +106,7 @@ impl SegmentMap {
                 self.per_row.len()
             ));
         }
-        let lo = row_lo.clamp(0, num_rows);
-        let hi = row_hi.clamp(0, num_rows);
-        design.try_for_each_free_row(lo, hi, |row, free| {
+        census.try_for_each_free_row(design.num_sites_x, |row, free| {
             let got = &self.per_row[row as usize];
             let same = got.len() == free.len()
                 && got
@@ -196,6 +194,11 @@ mod tests {
         assert_eq!(map.widest_in_window(1, &Interval::new(20, 30)), None);
     }
 
+    /// The census audit of `map` over `ranges`.
+    fn audit(map: &SegmentMap, d: &Design, ranges: &[(i64, i64)]) -> Result<(), String> {
+        map.audit(d, &RowCensus::gather(d, ranges, (1, 1)))
+    }
+
     #[test]
     fn audit_rows_sees_blockers_straddling_the_slice() {
         // the slice [4, 8): a macro enters it from below (rows 2..6), a blockage leaves it
@@ -205,7 +208,7 @@ mod tests {
         d.add_blockage(Rect::new(40, 7, 50, 10));
         d.add_cell(Cell::fixed(CellId(0), 5, 1, 5, 5));
         let map = SegmentMap::build(&d);
-        assert_eq!(map.audit_rows(&d, 4, 8), Ok(()));
+        assert_eq!(audit(&map, &d, &[(4, 8)]), Ok(()));
 
         let damaged = |row: i64| {
             let mut m = map.clone();
@@ -214,18 +217,24 @@ mod tests {
         };
         // a row that forgot the macro from below, the inner macro, or the blockage above
         for row in [4, 5, 7] {
-            let err = damaged(row).audit_rows(&d, 4, 8).unwrap_err();
+            let err = audit(&damaged(row), &d, &[(4, 8)]).unwrap_err();
             assert!(err.contains(&format!("row {row} ")), "{err}");
         }
         // damage outside the slice is left to the slice that covers it
         let outside = damaged(3);
-        assert_eq!(outside.audit_rows(&d, 4, 8), Ok(()));
-        assert!(outside.audit_rows(&d, 0, 4).unwrap_err().contains("row 3 "));
+        assert_eq!(audit(&outside, &d, &[(4, 8)]), Ok(()));
+        assert!(audit(&outside, &d, &[(0, 4)])
+            .unwrap_err()
+            .contains("row 3 "));
+        // two slices in one census: the first divergence in row order is reported
+        assert!(audit(&damaged(5), &d, &[(4, 8), (0, 4)])
+            .unwrap_err()
+            .contains("row 5 "));
     }
 
-    /// The allocating audit [`SegmentMap::audit_rows`] replaced, kept as its oracle: each
-    /// row's segments rebuilt through the subtract-based free intervals, then compared
-    /// as whole vectors.
+    /// The allocating per-range audit the census audit replaced, kept as its oracle: each
+    /// row's segments rebuilt through the subtract-based free intervals, then compared as
+    /// whole vectors.
     fn audit_rows_by_rebuild(
         map: &SegmentMap,
         design: &Design,
@@ -262,7 +271,7 @@ mod tests {
 
     #[test]
     fn audit_differential_agrees_with_the_rebuilding_audit() {
-        use crate::test_support::{audit_ranges, random_design};
+        use crate::test_support::{audit_over, random_design, random_range_sets};
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
@@ -300,19 +309,21 @@ mod tests {
             let mut taller = d.clone();
             taller.num_rows += 1;
             maps.push(SegmentMap::build(&taller));
-            let mut ranges = audit_ranges(d.num_rows);
-            for _ in 0..6 {
-                let lo = rng.random_range(-5..d.num_rows + 5);
-                ranges.push((lo, lo + rng.random_range(-3..d.num_rows + 3)));
-            }
+            // the census collects blockers by density bin row: audit on grids of several
+            // bin heights, so the collected blockers reach past the audited rows
+            let bin_h = rng.random_range(1..12i64);
+            let sets = random_range_sets(&mut rng, d.num_rows, bin_h);
             for (i, map) in maps.iter().enumerate() {
-                for &(lo, hi) in &ranges {
-                    let want = audit_rows_by_rebuild(map, &d, lo, hi);
+                for ranges in &sets {
+                    let want = audit_over(ranges, d.num_rows, |lo, hi| {
+                        audit_rows_by_rebuild(map, &d, lo, hi)
+                    });
                     diverged += usize::from(want.is_err());
+                    let census = RowCensus::gather(&d, ranges, (1 + bin_h, bin_h));
                     assert_eq!(
-                        map.audit_rows(&d, lo, hi),
+                        map.audit(&d, &census),
                         want,
-                        "seed {seed}, map {i}, rows [{lo}, {hi})"
+                        "seed {seed}, map {i}, rows {ranges:?}"
                     );
                 }
             }

@@ -1,5 +1,6 @@
-//! Fixtures shared by the audit differential tests: seeded random designs and the
-//! subtract-based free-interval computation the sort-and-sweep replaced (the oracle).
+//! Fixtures shared by the audit differential tests: seeded random designs, random sets of
+//! audited row ranges, the way a per-range oracle judges such a set, and the subtract-based
+//! free-interval computation the sort-and-sweep replaced (the oracle).
 
 use crate::cell::{Cell, CellId};
 use crate::geom::{Interval, Rect};
@@ -89,4 +90,57 @@ pub(crate) fn audit_ranges(rows: i64) -> Vec<(i64, i64)> {
         (rows - 1, rows),
         (rows / 3, 2 * rows / 3),
     ]
+}
+
+/// Sets of audited row ranges on a `rows`-row die with `bin_h`-row density bins: the empty
+/// set, each of [`audit_ranges`] alone, and random sets of one to five ranges in random
+/// order, some touching or overlapping the previous range, some straddling a bin-row
+/// boundary, some reversed or off the die.
+pub(crate) fn random_range_sets(rng: &mut StdRng, rows: i64, bin_h: i64) -> Vec<Vec<(i64, i64)>> {
+    let mut sets: Vec<Vec<(i64, i64)>> = audit_ranges(rows).into_iter().map(|r| vec![r]).collect();
+    sets.push(Vec::new());
+    for _ in 0..10 {
+        let mut set: Vec<(i64, i64)> = Vec::new();
+        for _ in 0..rng.random_range(1..6u32) {
+            let range = match (rng.random_range(0..4u32), set.last()) {
+                (0, Some(&(_, hi))) => (hi, hi + rng.random_range(1..6i64)),
+                (1, Some(&(lo, hi))) => (lo + 1, hi + rng.random_range(-2..4i64)),
+                (2, _) => {
+                    let edge = bin_h * rng.random_range(0..rows / bin_h + 2);
+                    (
+                        edge - rng.random_range(1..3i64),
+                        edge + rng.random_range(1..3i64),
+                    )
+                }
+                _ => {
+                    let lo = rng.random_range(-5..rows + 5);
+                    (lo, lo + rng.random_range(-3..rows / 2 + 4))
+                }
+            };
+            set.push(range);
+        }
+        if rng.random::<f64>() < 0.5 {
+            set.reverse();
+        }
+        sets.push(set);
+    }
+    sets
+}
+
+/// What a per-range audit `oracle` says of the rows of `ranges` on a `rows`-row die: its
+/// shape check (an empty range), then its verdict on each range clipped to the die, in
+/// ascending order, stopping at the first `Err` — the first divergence in row order.
+pub(crate) fn audit_over<E>(
+    ranges: &[(i64, i64)],
+    rows: i64,
+    mut oracle: impl FnMut(i64, i64) -> Result<(), E>,
+) -> Result<(), E> {
+    oracle(0, 0)?;
+    let mut clipped: Vec<(i64, i64)> = ranges
+        .iter()
+        .map(|&(lo, hi)| (lo.clamp(0, rows), hi.clamp(0, rows)))
+        .filter(|&(lo, hi)| lo < hi)
+        .collect();
+    clipped.sort_unstable();
+    clipped.into_iter().try_for_each(|(lo, hi)| oracle(lo, hi))
 }
