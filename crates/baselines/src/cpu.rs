@@ -7,9 +7,9 @@
 //! formation and committing are inherently serial, and the number of non-overlapping regions
 //! available at any moment is limited, which is why the speedup saturates around eight threads.
 //!
-//! Each member's step is TCAD'22's own policy over the shared window pipeline
-//! ([`plan_window`]): expanding windows until FOP finds a feasible placement, then one commit
-//! attempt for it, planned on the worker. A cell whose commit is rejected goes to the
+//! Each member's step is TCAD'22's own policy over the shared expansion loop
+//! ([`plan_windows`]): expanding windows until FOP finds a feasible placement, then one
+//! commit attempt for it, planned on the worker. A cell whose commit is rejected goes to the
 //! fallback scan, not to the next window (where the serial [`flex_mgl::MglLegalizer`] would
 //! go), and so does a cell whose region outgrows `max_region_cells`.
 //!
@@ -25,7 +25,7 @@ use flex_mgl::api::{LegalizeReport, Legalizer, RuntimeBreakdown};
 use flex_mgl::config::MglConfig;
 use flex_mgl::fop::{FopScratch, TargetSpec};
 use flex_mgl::legalize::{
-    apply_commit, fallback_place_indexed, plan_window, plan_write_rects, CommitPlan, WindowOutcome,
+    apply_commit, fallback_place_indexed, plan_windows, plan_write_rects, CommitPlan, WindowOutcome,
 };
 use flex_mgl::ordering::size_descending_order;
 use flex_mgl::region::LegalizedIndex;
@@ -195,9 +195,9 @@ impl CpuLegalizer {
     }
 }
 
-/// TCAD'22's step for one cell: [`plan_window`] at each expansion level until FOP finds a
-/// feasible placement, whose one commit attempt it plans. `None` when no window does, or
-/// once a region outgrows `max_region_cells` (larger windows only grow it).
+/// TCAD'22's step for one cell: [`plan_windows`] until FOP finds a feasible placement,
+/// whose one commit attempt it plans. `None` when no window does, or once a region outgrows
+/// `max_region_cells` (larger windows only grow it).
 fn find_in_windows(
     design: &Design,
     segmap: &SegmentMap,
@@ -208,18 +208,23 @@ fn find_in_windows(
 ) -> Option<Found> {
     let spec = TargetSpec::of(design.cell(id));
     let (mut work, mut stats) = (RegionWork::default(), FopOpStats::default());
-    for expansion in 0..=cfg.max_window_expansions {
-        let (window, outcome) = plan_window(
-            design, segmap, index, cfg, &spec, id, expansion, &mut work, &mut stats, scratch,
-        );
-        match outcome {
-            WindowOutcome::Oversize => return None,
-            WindowOutcome::CannotHost | WindowOutcome::NoFeasiblePoint => {}
-            WindowOutcome::Rejected => return Some((window, None)),
-            WindowOutcome::Planned(plan) => return Some((window, Some(plan))),
-        }
-    }
-    None
+    let (window, _, found) = plan_windows(
+        design,
+        segmap,
+        index,
+        cfg,
+        &spec,
+        id,
+        &mut work,
+        &mut stats,
+        scratch,
+        |outcome| match outcome {
+            WindowOutcome::Rejected => Some(None),
+            WindowOutcome::Planned(plan) => Some(Some(plan)),
+            _ => None,
+        },
+    );
+    found.map(|plan| (window, plan))
 }
 
 impl Legalizer for CpuLegalizer {
@@ -242,6 +247,7 @@ impl Legalizer for CpuLegalizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flex_mgl::legalize::{expansion_window, plan_window};
     use flex_placement::benchmark::{generate, BenchmarkSpec};
 
     #[test]
@@ -273,6 +279,91 @@ mod tests {
             let mut d = generate(&BenchmarkSpec::tiny("cpu2", seed));
             let res = CpuLegalizer::new(2).legalize(&mut d);
             assert!(res.legal, "seed {seed}: failed cells {:?}", res.failed);
+        }
+    }
+
+    /// A 40-site, 2-row die: row 0 blocked below site 16; a two-row cell at [18, 22); cells
+    /// at [24, 40) on row 0 and [22, 40) on row 1; a row-1 cell at `b` (x, width); a 4-wide
+    /// target wanting x 22 on row 0.
+    fn repeat_die(b: (i64, i64)) -> (Design, CellId) {
+        use flex_placement::cell::Cell;
+        let mut d = Design::new("repeat", 40, 2);
+        d.add_cell(Cell::fixed(CellId(0), 16, 1, 0, 0));
+        for (x, y, w, h) in [
+            (18, 0, 4, 2),
+            (24, 0, 16, 1),
+            (22, 1, 18, 1),
+            (b.0, 1, b.1, 1),
+        ] {
+            let mut c = Cell::movable(CellId(0), w, h, x as f64, y as f64);
+            c.legalized = true;
+            d.add_cell(c);
+        }
+        let target = d.add_cell(Cell::movable(CellId(0), 4, 1, 22.0, 0.0));
+        (d, target)
+    }
+
+    /// TCAD'22's step without the repeated-window cut: every level up to
+    /// `max_window_expansions`.
+    fn find_in_every_window(design: &Design, cfg: &MglConfig, id: CellId) -> Option<Found> {
+        let (segmap, index) = (SegmentMap::build(design), LegalizedIndex::build(design));
+        let spec = TargetSpec::of(design.cell(id));
+        let (mut work, mut stats) = (RegionWork::default(), FopOpStats::default());
+        let mut scratch = FopScratch::new();
+        for expansion in 0..=cfg.max_window_expansions {
+            let window = expansion_window(design, cfg, id, expansion);
+            match plan_window(
+                design,
+                &segmap,
+                &index,
+                cfg,
+                &spec,
+                id,
+                window,
+                &mut work,
+                &mut stats,
+                &mut scratch,
+            ) {
+                WindowOutcome::Oversize => return None,
+                WindowOutcome::CannotHost | WindowOutcome::NoFeasiblePoint => {}
+                WindowOutcome::Rejected => return Some((window, None)),
+                WindowOutcome::Planned(plan) => return Some((window, Some(plan))),
+            }
+        }
+        None
+    }
+
+    /// TCAD'22's step returns what evaluating every level returns. With the default
+    /// half-extents every level's window is the die, where the row-1 cell at [0, 18) leaves
+    /// no feasible point (so the step stops after level 0 and falls back) and the one at
+    /// [12, 18) a rejected commit plan; with half-extents of 8 sites and 1 row, level 0's
+    /// window already rejects one.
+    #[test]
+    fn find_in_windows_matches_evaluating_every_level() {
+        let half8 = MglConfig {
+            window_half_sites: 8,
+            window_half_rows: 1,
+            ..MglConfig::original()
+        };
+        let (die, level0) = (Rect::new(0, 0, 40, 2), Rect::new(16, 0, 32, 2));
+        for (b, cfg, want) in [
+            ((0, 18), MglConfig::original(), None),
+            ((12, 6), MglConfig::original(), Some((die, None))),
+            ((0, 18), half8.clone(), Some((level0, None))),
+            ((12, 6), half8, Some((level0, None))),
+        ] {
+            let (d, t) = repeat_die(b);
+            let every = find_in_every_window(&d, &cfg, t);
+            let got = find_in_windows(
+                &d,
+                &SegmentMap::build(&d),
+                &LegalizedIndex::build(&d),
+                &cfg,
+                t,
+                &mut FopScratch::new(),
+            );
+            assert_eq!(got, every, "{b:?}");
+            assert_eq!(got, want, "{b:?}");
         }
     }
 

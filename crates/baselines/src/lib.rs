@@ -35,7 +35,7 @@ pub use cpu_gpu::{CpuGpuLegalizer, CpuGpuResult};
 pub use gpu_model::GpuModel;
 
 use flex_mgl::config::MglConfig;
-use flex_mgl::region::target_window;
+use flex_mgl::legalize::expansion_window;
 use flex_placement::cell::CellId;
 use flex_placement::geom::Rect;
 use flex_placement::layout::Design;
@@ -53,7 +53,7 @@ pub(crate) fn next_batch(
     max: usize,
     lookahead: usize,
 ) -> Vec<(CellId, Rect)> {
-    let window = |id| target_window(design, id, cfg.window_half_sites, cfg.window_half_rows);
+    let window = |id| expansion_window(design, cfg, id, 0);
     let mut batch: Vec<(CellId, Rect)> = Vec::new();
     let mut skipped: Vec<CellId> = Vec::new();
     while batch.len() < max && skipped.len() < lookahead {

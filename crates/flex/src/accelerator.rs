@@ -231,23 +231,25 @@ mod tests {
     fn modeled_fpga_cycles_are_pinned() {
         // The cycle model costs the recorded work trace. These literals pin its output for
         // the Fig. 8 steps and the Fig. 10 alternative on one seeded design, so a change to
-        // what the trace records cannot move a modeled figure unnoticed.
+        // what the trace records cannot move a modeled figure unnoticed. The trace holds each
+        // distinct window of a target once; on this design some targets' windows reach the die
+        // and stop growing.
         let spec = BenchmarkSpec::tiny("cycle-pin", 3).with_density(0.7);
         let update_on_fpga = FlexConfig::flex().with_assignment(TaskAssignment::FopAndUpdateOnFpga);
         let cases = [
             (
                 "normal pipeline baseline",
                 FlexConfig::normal_pipeline_baseline(),
-                63_954_138,
+                43_644_069,
             ),
-            ("SACS only", FlexConfig::with_sacs_only(), 39_830_962),
+            ("SACS only", FlexConfig::with_sacs_only(), 25_470_835),
             (
                 "multi-granularity",
                 FlexConfig::with_multi_granularity(),
-                38_406_278,
+                24_405_125,
             ),
-            ("flex", FlexConfig::flex(), 19_236_822),
-            ("flex, (d)+(e) on FPGA", update_on_fpga, 57_539_584),
+            ("flex", FlexConfig::flex(), 12_229_801),
+            ("flex, (d)+(e) on FPGA", update_on_fpga, 36_557_051),
         ];
         for (label, cfg, cycles) in cases {
             let out = FlexAccelerator::new(cfg).legalize(&mut generate(&spec));

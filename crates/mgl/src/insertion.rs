@@ -7,6 +7,20 @@
 //! as long as the total free width of every involved segment can absorb the target; the feasible
 //! x-range of the target's left edge follows from the cumulative widths of the cells that would
 //! have to be pushed aside.
+//!
+//! ### Enumerating each point once
+//!
+//! Each bottom row's candidate anchors (segment ends, cell edges, the target's own x) split
+//! every target row into a left and a right chain: a row's *split* is its first cell, in
+//! `(x, index)` order, whose centre lies right of the anchor. The set of cells whose centre
+//! lies right of the anchor only shrinks as the anchor grows, so a row's split is
+//! non-decreasing in the anchor, even on rows whose cell centres are not sorted. The anchors
+//! that yield one combination of splits (one point) therefore form a run of the ascending
+//! anchor list. [`enumerate_insertion_points_into`] computes every split with one resumable
+//! sweep per row, numbers the runs, and walks the anchors in distance order staging only the
+//! first anchor of each run: every later anchor of a run would resolve the same point, a
+//! duplicate if it is feasible and infeasible again otherwise. Chain widths come from the
+//! presorted rows' prefix sums, and chains are copied only for accepted points.
 
 use crate::region::LocalRegion;
 use crate::shift::ShiftScratch;
@@ -64,8 +78,16 @@ pub struct InsertionScratch {
     len: usize,
     /// Spare chain vectors recycled across points and regions.
     spare: Vec<Vec<usize>>,
-    /// Candidate anchor x-coordinates of one bottom row.
+    /// Candidate anchor x-coordinates of one bottom row, ascending and unique.
     anchors: Vec<i64>,
+    /// Per anchor (in `anchors` order), the split of each target row, bottom first.
+    splits: Vec<usize>,
+    /// Per anchor, the number of its run of equal splits.
+    runs: Vec<usize>,
+    /// `(distance key, anchor)` pairs in the order the anchors are walked.
+    by_distance: Vec<(i64, usize)>,
+    /// Per run, whether an anchor of it was staged.
+    staged: Vec<bool>,
 }
 
 impl InsertionScratch {
@@ -76,11 +98,12 @@ impl InsertionScratch {
 }
 
 /// [`enumerate_insertion_points`] writing into a reusable [`InsertionScratch`]: identical
-/// points in identical order (the differential suite checks this on random regions), but
-/// after warm-up the enumeration performs no allocation — point slots, chain vectors and the
-/// anchor working set are all recycled.
+/// points in identical order (the differential suites check this on random regions), but
+/// each distinct point is staged once (see the module docs) and, after warm-up, the
+/// enumeration performs no allocation — point slots, chain vectors and the anchor working
+/// set are all recycled.
 ///
-/// Each segment row's localCells are read from `rows`, which
+/// Each segment row's localCells and their width prefix sums are read from `rows`, which
 /// [`ShiftScratch::begin_region`] must have prepared for `region` (asserted): its lists are
 /// in `(x, index)` order, the order the oracle sorts each row into.
 ///
@@ -102,32 +125,41 @@ pub fn enumerate_insertion_points_into(
         len,
         spare,
         anchors,
+        splits,
+        runs,
+        by_distance,
+        staged,
     } = scratch;
     *len = 0;
+    let segments = &region.segments;
 
-    'rows: for seg_idx in 0..region.segments.len() {
-        let bottom = region.segments[seg_idx].row;
+    for bottom_seg in 0..segments.len() {
+        if *len >= max_points {
+            break;
+        }
+        let bottom = segments[bottom_seg].row;
         if let Some(p) = parity {
             if bottom.rem_euclid(2) as u8 != p {
                 continue;
             }
         }
         // every row the target would occupy needs a segment
-        if !(bottom..bottom + height).all(|r| region.segment_index(r).is_some()) {
+        let target_segs = region.segment_range(bottom..bottom + height);
+        if target_segs.len() as i64 != height.max(0) {
             continue;
         }
+        let h = target_segs.len();
 
         // candidate anchors: segment boundaries and cell edges of the involved rows, plus the
-        // target's own global x — sorted unique (as the allocating version's BTreeSet yields
-        // them), then stably re-ranked by distance to the anchor
+        // target's own global x, sorted unique (as the allocating version's BTreeSet yields
+        // them)
         anchors.clear();
         anchors.push(rounded_anchor(anchor_x));
-        for r in bottom..bottom + height {
-            let si = region.segment_index(r).expect("checked above");
-            let seg = &region.segments[si];
+        for s in target_segs.clone() {
+            let seg = &segments[s];
             anchors.push(seg.span.lo);
             anchors.push(seg.span.hi);
-            for &ci in rows.row_cells(si) {
+            for &ci in rows.row_cells(s) {
                 let c = &region.cells[ci];
                 anchors.push(c.x);
                 anchors.push(c.right());
@@ -135,13 +167,71 @@ pub fn enumerate_insertion_points_into(
         }
         anchors.sort_unstable();
         anchors.dedup();
-        anchors.sort_by_key(|a| (*a as f64 - anchor_x).abs() as i64);
 
-        for &a in anchors.iter() {
-            if *len >= max_points {
-                break 'rows;
+        // every row's split at every anchor, in one resumable sweep per row: the cells before
+        // a row's split at one anchor lie at or left of it, so also of every larger one
+        splits.clear();
+        splits.resize(anchors.len() * h, 0);
+        for (k, s) in target_segs.clone().enumerate() {
+            let in_row = rows.row_cells(s);
+            let mut split = 0;
+            for (j, &a) in anchors.iter().enumerate() {
+                while split < in_row.len() && {
+                    let c = &region.cells[in_row[split]];
+                    c.x * 2 + c.width <= a * 2
+                } {
+                    split += 1;
+                }
+                splits[j * h + k] = split;
             }
-            // stage the candidate into the next point slot, recycling its chain vectors
+        }
+        runs.clear();
+        let mut run = 0;
+        for j in 0..anchors.len() {
+            if j > 0 && splits[(j - 1) * h..j * h] != splits[j * h..(j + 1) * h] {
+                run += 1;
+            }
+            runs.push(run);
+        }
+
+        // walk the anchors by distance to the target's x, ties in ascending order (the
+        // oracle's stable re-rank), staging the first anchor of each run
+        by_distance.clear();
+        by_distance.extend(
+            anchors
+                .iter()
+                .enumerate()
+                .map(|(j, &a)| ((a as f64 - anchor_x).abs() as i64, j)),
+        );
+        by_distance.sort_unstable();
+        staged.clear();
+        staged.resize(run + 1, false);
+        for &(_, j) in by_distance.iter() {
+            if *len >= max_points {
+                break;
+            }
+            if std::mem::replace(&mut staged[runs[j]], true) {
+                continue;
+            }
+            let split = &splits[j * h..(j + 1) * h];
+            let mut x_lo = i64::MIN;
+            let mut x_hi = i64::MAX;
+            let fits = target_segs.clone().zip(split).all(|(s, &at)| {
+                let seg = &segments[s];
+                let widths = rows.row_widths(s);
+                let left_w = widths[at];
+                let right_w = widths[widths.len() - 1] - left_w;
+                let lo = seg.span.lo + left_w;
+                let hi = seg.span.hi - right_w - width;
+                x_lo = x_lo.max(lo);
+                x_hi = x_hi.min(hi);
+                lo <= hi
+            });
+            if !fits || x_hi < x_lo {
+                continue;
+            }
+
+            // accept: fill the next point slot, recycling its chain vectors
             if *len == points.len() {
                 points.push(InsertionPoint {
                     bottom_row: 0,
@@ -154,64 +244,21 @@ pub fn enumerate_insertion_points_into(
             let slot = &mut points[*len];
             spare.append(&mut slot.left_chain);
             spare.append(&mut slot.right_chain);
-
-            let mut x_lo = i64::MIN;
-            let mut x_hi = i64::MAX;
-            let mut ok = true;
-            for r in bottom..bottom + height {
-                let si = region.segment_index(r).expect("checked above");
-                let seg = &region.segments[si];
-                let in_row = rows.row_cells(si);
-                // split the row at the anchor: cells whose centre is left of the anchor go to
-                // the left chain, the rest to the right chain
-                let split = in_row
-                    .iter()
-                    .position(|&ci| {
-                        let c = &region.cells[ci];
-                        c.x * 2 + c.width > a * 2
-                    })
-                    .unwrap_or(in_row.len());
+            for (s, &at) in target_segs.clone().zip(split) {
+                let in_row = rows.row_cells(s);
                 let mut left = spare.pop().unwrap_or_default();
                 left.clear();
-                left.extend(in_row[..split].iter().rev().copied());
+                left.extend(in_row[..at].iter().rev().copied());
                 let mut right = spare.pop().unwrap_or_default();
                 right.clear();
-                right.extend(in_row[split..].iter().copied());
-                let left_w: i64 = left.iter().map(|&ci| region.cells[ci].width).sum();
-                let right_w: i64 = right.iter().map(|&ci| region.cells[ci].width).sum();
-                let lo = seg.span.lo + left_w;
-                let hi = seg.span.hi - right_w - width;
-                if hi < lo {
-                    ok = false;
-                    spare.push(left);
-                    spare.push(right);
-                    break;
-                }
-                x_lo = x_lo.max(lo);
-                x_hi = x_hi.min(hi);
+                right.extend_from_slice(&in_row[at..]);
                 slot.left_chain.push(left);
                 slot.right_chain.push(right);
-            }
-            if !ok || x_hi < x_lo {
-                continue; // the staged slot is recycled by the next candidate
             }
             slot.bottom_row = bottom;
             slot.x_lo = x_lo;
             slot.x_hi = x_hi;
-
-            // dedup against the accepted points (same key as InsertionPoint::dedup_key)
-            let staged = &points[*len];
-            let duplicate = points[..*len].iter().any(|p| {
-                p.bottom_row == staged.bottom_row
-                    && p.left_chain.len() == staged.left_chain.len()
-                    && p.left_chain
-                        .iter()
-                        .zip(&staged.left_chain)
-                        .all(|(pc, sc)| pc.len() == sc.len())
-            });
-            if !duplicate {
-                *len += 1;
-            }
+            *len += 1;
         }
     }
     *len

@@ -178,10 +178,10 @@ pub enum PlacedBy {
 pub struct PlaceOutcome {
     /// How the cell was placed.
     pub placed: PlacedBy,
-    /// The window of the successful expansion, or the last window tried.
+    /// The window of the successful expansion, or the last window evaluated.
     pub window: Rect,
-    /// Expansion level at which the cell was committed (meaningful for [`PlacedBy::Region`];
-    /// for fallback/failed cells this is the last expansion tried).
+    /// Expansion level of [`Self::window`]: the level at which the cell was committed, or
+    /// the last level evaluated (see [`plan_windows`]).
     pub expansion: u32,
     /// One rectangle per design write the placement performed: for each moved localCell the
     /// union of its old and new extent, plus the target's committed extent; empty when
@@ -218,7 +218,7 @@ pub fn place_target_with(
 }
 
 /// What [`plan_place_target_with`] decided to do with a target cell, before any design write.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlacementDecision {
     /// A verified region commit: apply via [`apply_commit`].
     Region(CommitPlan),
@@ -242,9 +242,9 @@ pub struct PlannedPlacement {
     pub target: CellId,
     /// What to do with it.
     pub decision: PlacementDecision,
-    /// The window of the successful expansion, or the last window tried.
+    /// The window of the successful expansion, or the last window evaluated.
     pub window: Rect,
-    /// Expansion level of the decisive window.
+    /// Expansion level of [`Self::window`]: the last level evaluated (see [`plan_windows`]).
     pub expansion: u32,
     /// One rect per design write the decision implies (empty for [`PlacementDecision::Fail`]).
     pub writes: Vec<Rect>,
@@ -301,15 +301,26 @@ pub(crate) fn target_work(target: CellId, spec: &TargetSpec) -> RegionWork {
     }
 }
 
-/// One window of the per-cell step (Fig. 3(e)), without touching the design: take the
-/// target's window at expansion level `expansion`, extract its localRegion, cut oversize
-/// regions and regions that cannot host the target, run FOP and plan the commit of its
-/// best placement. Returns the window with the outcome; FOP's work counters accumulate into
-/// `work`.
+/// The target's window at expansion level `expansion`: both half-extents doubled
+/// `expansion` times, clipped to the die.
+pub fn expansion_window(design: &Design, cfg: &MglConfig, target: CellId, expansion: u32) -> Rect {
+    target_window(
+        design,
+        target,
+        cfg.window_half_sites << expansion,
+        cfg.window_half_rows << expansion,
+    )
+}
+
+/// One window of the per-cell step (Fig. 3(e)), without touching the design: extract the
+/// target's localRegion in `window`, cut oversize regions and regions that cannot host the
+/// target, run FOP and plan the commit of its best placement. FOP's work counters accumulate
+/// into `work`.
 ///
 /// Every engine's window pipeline is this function: the serial step
-/// ([`plan_place_target_with`]) loops it over the expansion levels, the parallel engine
-/// speculates it at level 0, and the TCAD'22 baseline loops it with its own stopping rule.
+/// ([`plan_place_target_with`]) and the TCAD'22 baseline loop it over the expansion levels
+/// through [`plan_windows`], each with its own stopping rule, and the parallel engine
+/// speculates it at level 0.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_window(
     design: &Design,
@@ -318,45 +329,87 @@ pub fn plan_window(
     cfg: &MglConfig,
     spec: &TargetSpec,
     target: CellId,
-    expansion: u32,
+    window: Rect,
     work: &mut RegionWork,
     op_stats: &mut FopOpStats,
     scratch: &mut FopScratch,
-) -> (Rect, WindowOutcome) {
-    let window = target_window(
-        design,
-        target,
-        cfg.window_half_sites << expansion,
-        cfg.window_half_rows << expansion,
-    );
+) -> WindowOutcome {
     let extract_span = flex_obs::span!("mgl.extract");
     let region = LocalRegion::extract_indexed(design, segmap, target, window, index);
     drop(extract_span);
     if region.cells.len() > cfg.max_region_cells {
-        return (window, WindowOutcome::Oversize);
+        return WindowOutcome::Oversize;
     }
     if !region.can_host(spec.width, spec.height, spec.parity) {
-        return (window, WindowOutcome::CannotHost);
+        return WindowOutcome::CannotHost;
     }
     let fop_span = flex_obs::span!("mgl.fop");
     let outcome = fop::find_optimal_position_with(&region, spec, cfg, op_stats, scratch);
     drop(fop_span);
     accumulate_work(work, &outcome.work);
     let Some(best) = outcome.best else {
-        return (window, WindowOutcome::NoFeasiblePoint);
+        return WindowOutcome::NoFeasiblePoint;
     };
     let _plan_span = flex_obs::span!("mgl.plan_commit");
     match plan_commit_with(&region, &best, spec, cfg, scratch) {
-        Some(plan) => (window, WindowOutcome::Planned(plan)),
-        None => (window, WindowOutcome::Rejected),
+        Some(plan) => WindowOutcome::Planned(plan),
+        None => WindowOutcome::Rejected,
     }
 }
 
-/// The planning half of [`place_target_with`]: [`plan_window`] at each expansion level until
-/// one plans a commit or its region is oversize, then the fallback scan, without touching
-/// the design or the index. The ECO engine plans against the resident state, derives the
-/// disturbed neighborhood from [`PlannedPlacement::writes`], and only then applies; the
-/// serial engine applies immediately.
+/// The expansion loop: [`plan_window`] at levels 0, 1, … up to `max_window_expansions`
+/// until `settle` returns a value for a level's outcome or a region is oversize (larger
+/// windows only grow it).
+///
+/// A level whose window, clipped to the die, equals the previous level's ends the loop
+/// unevaluated. Extraction, FOP and commit planning are pure, so it would repeat the
+/// previous outcome, and so would every later level: a half-extent clipped at one level is
+/// clipped at every larger one. Each distinct window is therefore evaluated, and counted in
+/// `work`, once.
+///
+/// Returns the last window evaluated and its level, with `settle`'s value if a level
+/// settled the target.
+#[allow(clippy::too_many_arguments)]
+pub fn plan_windows<T>(
+    design: &Design,
+    segmap: &SegmentMap,
+    index: &LegalizedIndex,
+    cfg: &MglConfig,
+    spec: &TargetSpec,
+    target: CellId,
+    work: &mut RegionWork,
+    op_stats: &mut FopOpStats,
+    scratch: &mut FopScratch,
+    mut settle: impl FnMut(WindowOutcome) -> Option<T>,
+) -> (Rect, u32, Option<T>) {
+    let mut expansion = 0;
+    let mut window = expansion_window(design, cfg, target, expansion);
+    loop {
+        let outcome = plan_window(
+            design, segmap, index, cfg, spec, target, window, work, op_stats, scratch,
+        );
+        if outcome == WindowOutcome::Oversize {
+            return (window, expansion, None);
+        }
+        if let Some(settled) = settle(outcome) {
+            return (window, expansion, Some(settled));
+        }
+        if expansion == cfg.max_window_expansions {
+            return (window, expansion, None);
+        }
+        let next = expansion_window(design, cfg, target, expansion + 1);
+        if next == window {
+            return (window, expansion, None);
+        }
+        (window, expansion) = (next, expansion + 1);
+    }
+}
+
+/// The planning half of [`place_target_with`]: [`plan_windows`] until a level plans a
+/// commit, else the fallback scan, without touching the design or the index. The ECO engine
+/// plans against the resident state, derives the disturbed neighborhood from
+/// [`PlannedPlacement::writes`], and only then applies; the serial engine applies
+/// immediately.
 pub fn plan_place_target_with(
     design: &Design,
     segmap: &SegmentMap,
@@ -368,20 +421,24 @@ pub fn plan_place_target_with(
 ) -> PlannedPlacement {
     let spec = TargetSpec::of(design.cell(target));
     let mut work = target_work(target, &spec);
-    let mut expansion = 0;
-    let window = loop {
-        let (window, outcome) = plan_window(
-            design, segmap, index, cfg, &spec, target, expansion, &mut work, op_stats, scratch,
-        );
-        match outcome {
-            WindowOutcome::Planned(plan) => {
-                return PlannedPlacement::region(design, plan, window, expansion, work);
-            }
-            WindowOutcome::Oversize => break window,
-            _ if expansion == cfg.max_window_expansions => break window,
-            _ => expansion += 1,
-        }
-    };
+    let (window, expansion, plan) = plan_windows(
+        design,
+        segmap,
+        index,
+        cfg,
+        &spec,
+        target,
+        &mut work,
+        op_stats,
+        scratch,
+        |outcome| match outcome {
+            WindowOutcome::Planned(plan) => Some(plan),
+            _ => None,
+        },
+    );
+    if let Some(plan) = plan {
+        return PlannedPlacement::region(design, plan, window, expansion, work);
+    }
 
     let _fallback_span = flex_obs::span!("mgl.fallback_scan");
     let (decision, writes) = match find_fallback_position(design, index, target, &spec) {
@@ -856,18 +913,20 @@ mod tests {
     fn level_zero(design: &Design, target: CellId, cfg: &MglConfig) -> (Rect, WindowOutcome) {
         let spec = TargetSpec::of(design.cell(target));
         let mut work = target_work(target, &spec);
-        plan_window(
+        let window = expansion_window(design, cfg, target, 0);
+        let outcome = plan_window(
             design,
             &SegmentMap::build(design),
             &LegalizedIndex::build(design),
             cfg,
             &spec,
             target,
-            0,
+            window,
             &mut work,
             &mut FopOpStats::default(),
             &mut FopScratch::new(),
-        )
+        );
+        (window, outcome)
     }
 
     #[test]
@@ -910,6 +969,169 @@ mod tests {
             .collect();
         let (d, t) = hand_built(20, 2, &full, 4, (8.0, 0.0));
         assert_eq!(level_zero(&d, t, &cfg).1, WindowOutcome::NoFeasiblePoint);
+    }
+
+    /// A 40-site, 2-row die: row 0 blocked below site 16; a two-row cell A at [18, 22); P at
+    /// [24, 40) on row 0 and C at [22, 40) on row 1; B on row 1 at `b` (x, width); a 4-wide
+    /// target wanting x 22 on row 0.
+    fn repeat_die(b: (i64, i64)) -> (Design, CellId) {
+        use flex_placement::cell::Cell;
+        let mut d = Design::new("repeat", 40, 2);
+        d.add_cell(Cell::fixed(CellId(0), 16, 1, 0, 0));
+        for (x, y, w, h) in [
+            (18, 0, 4, 2),
+            (24, 0, 16, 1),
+            (22, 1, 18, 1),
+            (b.0, 1, b.1, 1),
+        ] {
+            let mut c = Cell::movable(CellId(0), w, h, x as f64, y as f64);
+            c.legalized = true;
+            d.add_cell(c);
+        }
+        let target = d.add_cell(Cell::movable(CellId(0), 4, 1, 22.0, 0.0));
+        (d, target)
+    }
+
+    /// The expansion loop without the repeated-window cut: [`plan_window`] at every level up
+    /// to `max_window_expansions` until one plans a commit or is oversize, then the fallback
+    /// scan. Returns its placement, every level's window and outcome, and the work of the
+    /// distinct windows alone.
+    fn plan_every_level(
+        design: &Design,
+        cfg: &MglConfig,
+        target: CellId,
+    ) -> (PlannedPlacement, Vec<(Rect, WindowOutcome)>, RegionWork) {
+        let (segmap, index) = (SegmentMap::build(design), LegalizedIndex::build(design));
+        let spec = TargetSpec::of(design.cell(target));
+        let (mut stats, mut scratch) = (FopOpStats::default(), FopScratch::new());
+        let mut work = target_work(target, &spec);
+        let mut distinct = work.clone();
+        let mut levels: Vec<(Rect, WindowOutcome)> = Vec::new();
+        for expansion in 0..=cfg.max_window_expansions {
+            let window = expansion_window(design, cfg, target, expansion);
+            let mut level = RegionWork::default();
+            let outcome = plan_window(
+                design,
+                &segmap,
+                &index,
+                cfg,
+                &spec,
+                target,
+                window,
+                &mut level,
+                &mut stats,
+                &mut scratch,
+            );
+            accumulate_work(&mut work, &level);
+            if levels.last().map(|&(w, _)| w) != Some(window) {
+                accumulate_work(&mut distinct, &level);
+            }
+            levels.push((window, outcome.clone()));
+            match outcome {
+                WindowOutcome::Planned(plan) => {
+                    let planned = PlannedPlacement::region(design, plan, window, expansion, work);
+                    return (planned, levels, distinct);
+                }
+                WindowOutcome::Oversize => break,
+                _ => {}
+            }
+        }
+        let (&(window, _), expansion) = (levels.last().expect("level 0"), levels.len() - 1);
+        let (decision, writes) = match find_fallback_position(design, &index, target, &spec) {
+            Some((x, row)) => (
+                PlacementDecision::Fallback { x, row },
+                vec![Rect::new(x, row, x + spec.width, row + spec.height)],
+            ),
+            None => (PlacementDecision::Fail, Vec::new()),
+        };
+        let planned = PlannedPlacement {
+            target,
+            decision,
+            window,
+            expansion: expansion as u32,
+            writes,
+            work,
+        };
+        (planned, levels, distinct)
+    }
+
+    /// Once a level's window, clipped to the die, stops growing, the step decides what
+    /// evaluating every level decides, reports the same window, and counts each distinct
+    /// window's work once. With half-extents of 8 sites and 1 row, levels 0–2 of
+    /// `repeat_die` have distinct windows and every later one is level 2's (the die); with
+    /// the default half-extents level 0's window is already the die.
+    #[test]
+    fn repeated_windows_are_evaluated_once() {
+        use WindowOutcome::{NoFeasiblePoint, Rejected};
+        let half8 = MglConfig {
+            window_half_sites: 8,
+            window_half_rows: 1,
+            ..MglConfig::default()
+        };
+        let cases = [
+            // B at [12, 18) can make room for A, but every window's commit plan is rejected;
+            // the fallback scan then finds row 1's free sites
+            (
+                (12, 6),
+                &half8,
+                &[Rejected, Rejected, Rejected][..],
+                PlacementDecision::Fallback { x: 8, row: 1 },
+            ),
+            // B at [0, 18) cannot move: the die's window has no feasible point, and the die
+            // no gap
+            (
+                (0, 18),
+                &half8,
+                &[Rejected, Rejected, NoFeasiblePoint][..],
+                PlacementDecision::Fail,
+            ),
+            (
+                (0, 18),
+                &MglConfig::default(),
+                &[NoFeasiblePoint][..],
+                PlacementDecision::Fail,
+            ),
+        ];
+        let die = Rect::new(0, 0, 40, 2);
+        for (b, cfg, distinct_outcomes, decision) in cases {
+            let (d, t) = repeat_die(b);
+            let last_distinct = distinct_outcomes.len() - 1;
+            let (every, levels, distinct_work) = plan_every_level(&d, cfg, t);
+            let label = format!("B {b:?}, half-extents {}", cfg.window_half_sites);
+            // every level evaluated: the windows grow to the die, then repeat it
+            assert_eq!(
+                levels.len(),
+                cfg.max_window_expansions as usize + 1,
+                "{label}"
+            );
+            for (level, (window, outcome)) in levels.iter().enumerate() {
+                assert_eq!(
+                    *window == die,
+                    level >= last_distinct,
+                    "{label}: level {level}"
+                );
+                let want = &distinct_outcomes[level.min(last_distinct)];
+                assert_eq!(outcome, want, "{label}: level {level}");
+            }
+            assert_eq!(every.decision, decision, "{label}");
+
+            let planned = plan_place_target_with(
+                &d,
+                &SegmentMap::build(&d),
+                &LegalizedIndex::build(&d),
+                cfg,
+                t,
+                &mut FopOpStats::default(),
+                &mut FopScratch::new(),
+            );
+            assert_eq!(planned.decision, every.decision, "{label}");
+            assert_eq!(planned.window, every.window, "{label}");
+            assert_eq!(planned.writes, every.writes, "{label}");
+            assert_eq!(planned.expansion, last_distinct as u32, "{label}");
+            assert_eq!(planned.work, distinct_work, "{label}");
+            assert!(distinct_work.insertion_points > 0, "{label}");
+            assert!(every.work.insertion_points > distinct_work.insertion_points);
+        }
     }
 
     #[test]

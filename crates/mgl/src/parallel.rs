@@ -57,11 +57,11 @@
 use crate::config::MglConfig;
 use crate::fop::{FopScratch, TargetSpec};
 use crate::legalize::{
-    apply_placement, plan_place_target_with, plan_window, target_work, CommitPlan, LegalizeResult,
-    PlannedPlacement, RunAccum, WindowOutcome,
+    apply_placement, expansion_window, plan_place_target_with, plan_window, target_work,
+    CommitPlan, LegalizeResult, PlannedPlacement, RunAccum, WindowOutcome,
 };
 use crate::ordering;
-use crate::region::{target_window, LegalizedIndex};
+use crate::region::LegalizedIndex;
 use crate::stats::FopOpStats;
 use flex_placement::cell::CellId;
 use flex_placement::geom::Rect;
@@ -360,7 +360,7 @@ fn commit_batch(
 ) -> Vec<Rect> {
     let mut writes_cur: Vec<Rect> = Vec::new();
     for (&id, speculation) in batch.iter().zip(pending) {
-        let window = target_window(design, id, cfg.window_half_sites, cfg.window_half_rows);
+        let window = expansion_window(design, cfg, id, 0);
         // same one-site x slack as the obstacle filter of region extraction
         let guard = window.expanded(1, 0);
         let stale_prev = writes_prev.iter().any(|w| w.overlaps(&guard));
@@ -429,7 +429,8 @@ fn speculate(
     let spec = TargetSpec::of(design.cell(id));
     let mut work = target_work(id, &spec);
     let mut stats = FopOpStats::default();
-    let (window, outcome) = flex_obs::without_spans(|| {
+    let window = expansion_window(design, cfg, id, 0);
+    let outcome = flex_obs::without_spans(|| {
         FopScratch::with_thread_local(|scratch| {
             plan_window(
                 design,
@@ -438,7 +439,7 @@ fn speculate(
                 cfg,
                 &spec,
                 id,
-                0,
+                window,
                 &mut work,
                 &mut stats,
                 scratch,

@@ -316,13 +316,23 @@ impl LocalRegion {
     /// Index (into [`Self::segments`]) of the localSegment covering `row`, if any.
     ///
     /// Relies on the [`Self::segments`] invariant (sorted by ascending row — established by
-    /// every extractor and required of hand-built regions) to binary-search; the FOP hot
-    /// path calls it once per subcell when building its per-region row index. On a region
-    /// violating the invariant the lookup may miss rows that do have a segment
+    /// every extractor and required of hand-built regions) to binary-search, as does
+    /// [`Self::segment_range`], which the FOP hot path calls once per localCell when building
+    /// its per-region row index. On a region violating the invariant the lookup may miss rows
+    /// that do have a segment
     /// ([`ShiftScratch::begin_region`](crate::shift::ShiftScratch::begin_region) asserts
     /// sortedness in debug builds).
     pub fn segment_index(&self, row: i64) -> Option<usize> {
         self.segments.binary_search_by_key(&row, |s| s.row).ok()
+    }
+
+    /// Indices (into [`Self::segments`]) of the localSegments whose rows lie in `rows`. They
+    /// are contiguous because the segments are sorted by row (the invariant
+    /// [`Self::segment_index`] relies on); an empty or reversed `rows` gives an empty range.
+    pub fn segment_range(&self, rows: std::ops::Range<i64>) -> std::ops::Range<usize> {
+        let first_at_or_above = |row: i64| self.segments.partition_point(|s| s.row < row);
+        let lo = first_at_or_above(rows.start);
+        lo..first_at_or_above(rows.end).max(lo)
     }
 
     /// Rows that have a localSegment, in ascending order.

@@ -35,9 +35,16 @@
 //!   [`ShiftScratch::begin_region`] finds *clean* (presorted cells strictly increasing in x,
 //!   non-overlapping, inside the segment) start settled unless they are target rows,
 //!   because their first traversal moves nothing either.
-//! * **Undo instead of rebuild.** Positions and the membership bitmaps are restored from
-//!   the cells the run touched, on both exits; a row's lists are built on its first
+//! * **Undo instead of rebuild.** Chain membership is a per-run stamp: a cell is static (or
+//!   a designated mover) in a run iff its mark holds that run's stamp, so the next run's
+//!   stamp retires every mark at once. Undoing a run restores the positions of the cells it
+//!   moved, on both exits, and walks nothing else. A row's lists are built on its first
 //!   traversal; the work counters come from row sizes and per-region totals.
+//! * **Segment ranges.** A localCell's rows that have a segment are one contiguous range of
+//!   segment indices (the segments are sorted by row), found once per region by
+//!   [`ShiftScratch::begin_region`]. A move unsettles that range without a lookup per row,
+//!   and the chain counts of the work profile are range overlaps with the target rows'
+//!   segments.
 //! * **Moved cells only.** The kernel reports the cells the phase moved ([`PhaseMoves`]),
 //!   in the order SACS's dense outcome lists them, so both consumers stay bit-identical.
 //!
@@ -47,6 +54,7 @@ use crate::insertion::InsertionPoint;
 use crate::region::{LocalRegion, LocalSegment};
 use crate::sacs::SacsStats;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Which shifting phase to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,14 +131,14 @@ impl ShiftOutcome {
     }
 }
 
-/// A grow-only pool of per-segment index lists (reused across problems and regions).
+/// A grow-only pool of per-segment lists (reused across problems and regions).
 #[derive(Debug, Clone, Default)]
-struct SegLists {
-    lists: Vec<Vec<usize>>,
+struct SegLists<T> {
+    lists: Vec<Vec<T>>,
     len: usize,
 }
 
-impl SegLists {
+impl<T> SegLists<T> {
     fn reset(&mut self, n: usize) {
         while self.lists.len() < n {
             self.lists.push(Vec::new());
@@ -141,36 +149,12 @@ impl SegLists {
         self.len = n;
     }
 
-    fn get(&self, i: usize) -> &[usize] {
+    fn get(&self, i: usize) -> &[T] {
         debug_assert!(i < self.len);
         &self.lists[i]
     }
 
-    fn get_mut(&mut self, i: usize) -> &mut Vec<usize> {
-        debug_assert!(i < self.len);
-        &mut self.lists[i]
-    }
-}
-
-/// A grow-only pool of per-segment static obstacle edges `(x, width)`.
-#[derive(Debug, Clone, Default)]
-struct EdgeLists {
-    lists: Vec<Vec<(i64, i64)>>,
-    len: usize,
-}
-
-impl EdgeLists {
-    fn reset(&mut self, n: usize) {
-        while self.lists.len() < n {
-            self.lists.push(Vec::new());
-        }
-        for l in self.lists.iter_mut().take(n) {
-            l.clear();
-        }
-        self.len = n;
-    }
-
-    fn get_mut(&mut self, i: usize) -> &mut Vec<(i64, i64)> {
+    fn get_mut(&mut self, i: usize) -> &mut Vec<T> {
         debug_assert!(i < self.len);
         &mut self.lists[i]
     }
@@ -200,30 +184,39 @@ pub struct PhaseMoves {
 /// number of [`shift_phase_with`] calls against that region, in any order of phases, whether
 /// they return `Ok` or `Err`. `begin_region` sorts the localCells once by `(x, index)` — the
 /// software Ahead-Sorter — distributes that order into one presorted cell list per segment
-/// row, marks the rows whose traversal moves nothing (*clean* rows, see
-/// [`shift_phase_with`]), and resets the undo state: every working position back to its
-/// cell's region x, both membership bitmaps clear, no moved cells logged.
+/// row with the prefix sums of its widths, finds each cell's range of segments, marks the
+/// rows whose traversal moves nothing (*clean* rows, see [`shift_phase_with`]), and resets
+/// the undo state: every working position back to its cell's region x, no moved cells
+/// logged.
 ///
-/// Each phase run leaves that undo state as it found it: it sets the membership bitmaps
-/// from the point's chains, logs every cell it moves, and on either exit restores the
-/// logged cells' positions and clears the chain cells' bits. Results are bit-identical to
-/// the allocating functions (same per-pass traversal orders, same arithmetic).
+/// Each phase run takes the next stamp and marks the point's chains with it, so no mark of
+/// an earlier run is live; it logs every cell it moves, and on either exit restores the
+/// logged cells' positions. Results are bit-identical to the allocating functions (same
+/// per-pass traversal orders, same arithmetic).
 #[derive(Debug, Clone, Default)]
 pub struct ShiftScratch {
     /// Working x positions, indexed by region cell index; each equals its cell's region x
     /// between phase runs.
     pos: Vec<i64>,
-    /// Membership bitmap of the phase's static (opposite-chain) cells; clear between runs.
-    statics: Vec<bool>,
-    /// Membership bitmap of the phase's designated movers (own chain); clear between runs.
-    movers: Vec<bool>,
+    /// Per cell, the stamp of the last run that marked it static (in the opposite chain).
+    statics: Vec<u64>,
+    /// Per cell, the stamp of the last run that marked it a designated mover (own chain).
+    movers: Vec<u64>,
+    /// The stamp of the last phase run; every mark is at most this. 64 bits do not wrap in
+    /// practice (584 years at 10^9 runs a second).
+    stamp: u64,
     /// Undo log: the cells the running phase has moved, in first-move order.
     touched: Vec<usize>,
     /// Region-lifetime: every cell index sorted by `(x, index)` (the Ahead-Sorter order).
     order: Vec<usize>,
     /// Region-lifetime: per segment, indices of the cells occupying that row, sorted by
     /// `(x, index)`.
-    row_cells: SegLists,
+    row_cells: SegLists<usize>,
+    /// Region-lifetime: per segment, the prefix sums of the row's cell widths in
+    /// `row_cells` order (one more entry than the row has cells, starting at 0).
+    row_widths: SegLists<i64>,
+    /// Region-lifetime: per cell, the indices of the segments its rows cover.
+    cell_segs: Vec<Range<usize>>,
     /// Region-lifetime: per segment, whether the row is clean (see `row_is_clean`).
     clean: Vec<bool>,
     /// Region-lifetime: subcells over all segment rows (the row lists' total length).
@@ -236,9 +229,10 @@ pub struct ShiftScratch {
     built: Vec<bool>,
     /// Problem-lifetime: per segment, the movable traversal list (re-sorted by position on
     /// every traversal, exactly like the reference rebuilds it every pass).
-    traverse: SegLists,
-    /// Problem-lifetime: per segment, static obstacle edges sorted in phase direction.
-    static_edges: EdgeLists,
+    traverse: SegLists<usize>,
+    /// Problem-lifetime: per segment, static obstacle edges `(x, width)` sorted in phase
+    /// direction.
+    static_edges: SegLists<(i64, i64)>,
     /// Identity of the region `begin_region` indexed (misuse guard).
     region_key: Option<RegionKey>,
 }
@@ -300,8 +294,9 @@ struct ChainCounts {
 
 impl ShiftScratch {
     /// Sort `region`'s localCells by `(x, index)`, distribute that order into the
-    /// per-segment row lists, mark the clean rows and reset the undo state. Must be called
-    /// before [`shift_phase_with`] is used on problems of that region.
+    /// per-segment row lists with their width prefix sums, find each cell's segment range,
+    /// mark the clean rows and reset the undo state. Must be called before
+    /// [`shift_phase_with`] is used on problems of that region.
     pub fn begin_region(&mut self, region: &LocalRegion) {
         debug_assert!(
             region.segments.windows(2).all(|w| w[0].row < w[1].row),
@@ -312,12 +307,27 @@ impl ShiftScratch {
         self.order.clear();
         self.order.extend(0..n);
         self.order.sort_unstable_by_key(|&i| (region.cells[i].x, i));
+        self.cell_segs.clear();
+        self.cell_segs.extend(
+            region
+                .cells
+                .iter()
+                .map(|c| region.segment_range(c.y..c.y + c.height)),
+        );
         self.row_cells.reset(nsegs);
         for &i in &self.order {
-            for r in region.cells[i].rows() {
-                if let Some(s) = region.segment_index(r) {
-                    self.row_cells.get_mut(s).push(i);
-                }
+            for s in self.cell_segs[i].clone() {
+                self.row_cells.get_mut(s).push(i);
+            }
+        }
+        self.row_widths.reset(nsegs);
+        for s in 0..nsegs {
+            let widths = self.row_widths.get_mut(s);
+            widths.push(0);
+            let mut sum = 0;
+            for &i in self.row_cells.get(s) {
+                sum += region.cells[i].width;
+                widths.push(sum);
             }
         }
         self.clean.clear();
@@ -333,10 +343,9 @@ impl ShiftScratch {
 
         self.pos.clear();
         self.pos.extend(region.cells.iter().map(|c| c.x));
-        self.statics.clear();
-        self.statics.resize(n, false);
-        self.movers.clear();
-        self.movers.resize(n, false);
+        // kept marks hold earlier stamps, so none is live for the next run
+        self.statics.resize(n, 0);
+        self.movers.resize(n, 0);
         self.touched.clear();
         self.settled.clear();
         self.settled.resize(nsegs, false);
@@ -353,6 +362,12 @@ impl ShiftScratch {
         self.row_cells.get(s)
     }
 
+    /// The prefix sums of the widths of [`Self::row_cells`]`(s)`: entry `k` is the total
+    /// width of the row's first `k` cells, and the last entry the row's.
+    pub(crate) fn row_widths(&self, s: usize) -> &[i64] {
+        self.row_widths.get(s)
+    }
+
     /// Panic unless [`Self::begin_region`] last indexed `region`. Checked unconditionally:
     /// a stale row index would produce silently wrong results.
     pub(crate) fn assert_prepared_for(&self, region: &LocalRegion) {
@@ -363,55 +378,51 @@ impl ShiftScratch {
         );
     }
 
-    /// Set the phase's membership bitmaps from the point's chains (a cell in both chains
-    /// is static, as in the reference) and count what the work profile needs, each cell
-    /// once however many target rows list it.
+    /// Take the next stamp and mark the point's chains with it (a cell in both chains is
+    /// static, as in the reference), counting what the work profile needs, each cell once
+    /// however many target rows list it.
     fn mark(&mut self, problem: &ShiftProblem<'_>, phase: Phase) -> ChainCounts {
+        self.stamp += 1;
+        let stamp = self.stamp;
         let region = problem.region;
-        let target_rows = problem.target_rows();
+        let target = region.segment_range(problem.target_rows());
         let (mover_chain, static_chain) = match phase {
             Phase::Left => (&problem.point.left_chain, &problem.point.right_chain),
             Phase::Right => (&problem.point.right_chain, &problem.point.left_chain),
         };
-        // segment rows of `i`, inside or outside the target rows
-        let segment_rows = |i: usize, on_target: bool| {
-            region.cells[i]
-                .rows()
-                .filter(|r| target_rows.contains(r) == on_target)
-                .filter(|&r| region.segment_index(r).is_some())
-                .count() as u64
+        // segment rows of a cell inside the target rows
+        let on_target = |segs: &Range<usize>| {
+            segs.end
+                .min(target.end)
+                .saturating_sub(segs.start.max(target.start)) as u64
         };
         let mut counts = ChainCounts::default();
         for &i in static_chain.iter().flatten() {
-            if !self.statics[i] {
-                self.statics[i] = true;
+            if self.statics[i] != stamp {
+                self.statics[i] = stamp;
+                let segs = &self.cell_segs[i];
                 counts.static_heights += region.cells[i].height as u64;
-                counts.static_subcells_off_target += segment_rows(i, false);
+                counts.static_subcells_off_target += segs.len() as u64 - on_target(segs);
             }
         }
         for &i in mover_chain.iter().flatten() {
-            if !self.movers[i] {
-                self.movers[i] = true;
-                if !self.statics[i] {
-                    counts.mover_subcells_on_target += segment_rows(i, true);
+            if self.movers[i] != stamp {
+                self.movers[i] = stamp;
+                if self.statics[i] != stamp {
+                    counts.mover_subcells_on_target += on_target(&self.cell_segs[i]);
                 }
             }
         }
         counts
     }
 
-    /// Undo one phase run: restore the logged cells' positions and clear the chain cells'
-    /// membership bits.
-    fn undo(&mut self, problem: &ShiftProblem<'_>) {
+    /// Undo one phase run: restore the logged cells' positions. The marks need no undo: the
+    /// next run's stamp retires them.
+    fn undo(&mut self, region: &LocalRegion) {
         for &i in &self.touched {
-            self.pos[i] = problem.region.cells[i].x;
+            self.pos[i] = region.cells[i].x;
         }
         self.touched.clear();
-        let point = problem.point;
-        for &i in point.left_chain.iter().chain(&point.right_chain).flatten() {
-            self.statics[i] = false;
-            self.movers[i] = false;
-        }
     }
 
     /// Fill `out` after a successful run that took `passes` passes.
@@ -426,8 +437,8 @@ impl ShiftScratch {
         // the original algorithm: every pass visits every traversal list whole, the
         // non-static subcells of the rows outside the target and the movers' subcells inside
         let target_subcells: u64 = problem
-            .target_rows()
-            .filter_map(|r| problem.region.segment_index(r))
+            .region
+            .segment_range(problem.target_rows())
             .map(|s| self.row_cells.get(s).len() as u64)
             .sum();
         let per_pass = self.subcells - target_subcells - counts.static_subcells_off_target
@@ -474,16 +485,18 @@ pub fn shift_phase_with(
     if let Ok(passes) = resolved {
         scratch.report(problem, phase, passes, counts, out);
     }
-    scratch.undo(problem);
+    scratch.undo(problem.region);
     resolved.map(drop)
 }
 
-/// Move cell `i` to `x`: log its first move for the undo and unsettle every row it spans.
+/// Move cell `i` to `x`: log its first move for the undo and unsettle every row it spans
+/// (the segments `cell_segs[i]`).
 fn move_cell(
     region: &LocalRegion,
     pos: &mut [i64],
     touched: &mut Vec<usize>,
     settled: &mut [bool],
+    cell_segs: &[Range<usize>],
     i: usize,
     x: i64,
 ) {
@@ -492,11 +505,7 @@ fn move_cell(
         touched.push(i);
     }
     pos[i] = x;
-    for r in region.cells[i].rows() {
-        if let Some(s) = region.segment_index(r) {
-            settled[s] = false;
-        }
-    }
+    settled[cell_segs[i].clone()].fill(false);
 }
 
 /// Run the multi-pass fixpoint of one phase on the marked scratch, leaving the final
@@ -513,8 +522,10 @@ fn resolve_phase_with(
         pos,
         statics,
         movers,
+        stamp,
         touched,
         row_cells,
+        cell_segs,
         clean,
         settled,
         built,
@@ -522,6 +533,7 @@ fn resolve_phase_with(
         static_edges,
         ..
     } = scratch;
+    let stamp = *stamp;
 
     let target_rows = problem.target_rows();
     for (s, seg) in region.segments.iter().enumerate() {
@@ -553,12 +565,12 @@ fn resolve_phase_with(
                 t.clear();
                 edges.clear();
                 let mut classify = |i: usize| {
-                    if statics[i] {
+                    if statics[i] == stamp {
                         if !is_target_row {
                             let c = &region.cells[i];
                             edges.push((c.x, c.width));
                         }
-                    } else if !is_target_row || movers[i] {
+                    } else if !is_target_row || movers[i] == stamp {
                         t.push(i);
                     }
                 };
@@ -596,7 +608,7 @@ fn resolve_phase_with(
                             if new_x < seg.span.lo {
                                 return Err(Infeasible);
                             }
-                            move_cell(region, pos, touched, settled, i, new_x);
+                            move_cell(region, pos, touched, settled, cell_segs, i, new_x);
                             finish = false;
                         }
                         bound = bound.min(pos[i]);
@@ -624,7 +636,7 @@ fn resolve_phase_with(
                             if bound + w > seg.span.hi {
                                 return Err(Infeasible);
                             }
-                            move_cell(region, pos, touched, settled, i, bound);
+                            move_cell(region, pos, touched, settled, cell_segs, i, bound);
                             finish = false;
                         }
                         bound = bound.max(pos[i] + w);
@@ -797,7 +809,9 @@ pub fn shift_original(
 /// `problem`'s `phase`: the moved cells in the order and the work profile of
 /// [`shift_phase_sacs_with_stats`](crate::sacs::shift_phase_sacs_with_stats) (every other
 /// cell it lists sits at its region x), the passes and subcell visits of
-/// [`shift_phase_original`], and their `Err`; and that the run leaves the undo state clear.
+/// [`shift_phase_original`], and their `Err`; and that the run leaves the undo state clear:
+/// every position back at its region x, no move logged, and no mark newer than the run's
+/// stamp, so none is live for the next run.
 #[cfg(test)]
 pub(crate) fn assert_scratch_matches_oracles(
     problem: &ShiftProblem<'_>,
@@ -823,7 +837,11 @@ pub(crate) fn assert_scratch_matches_oracles(
     let got = shift_phase_with(problem, phase, scratch, &mut out).map(|()| out);
     assert_eq!(got, want, "{label}: {phase:?} phase");
     let clear = scratch.touched.is_empty()
-        && !scratch.statics.iter().chain(&scratch.movers).any(|&b| b)
+        && scratch
+            .statics
+            .iter()
+            .chain(&scratch.movers)
+            .all(|&mark| mark <= scratch.stamp)
         && scratch
             .pos
             .iter()
