@@ -26,7 +26,7 @@ use flex_mgl::legalize::fallback_place_indexed;
 use flex_mgl::region::LegalizedIndex;
 use flex_placement::cell::CellId;
 use flex_placement::geom::Interval;
-use flex_placement::layout::Design;
+use flex_placement::layout::{free_among, Design};
 use flex_placement::legality::check_legality_with;
 use flex_placement::metrics::displacement_stats;
 use flex_placement::segment::SegmentMap;
@@ -123,7 +123,7 @@ impl AnalyticalLegalizer {
                 let c = design.cell(id);
                 let row = c.y;
                 // the free segment of this row once multi-row/fixed obstacles are carved out
-                let span = segment_for(design, &segmap, row, c.x);
+                let span = segment_for(design, &segmap, &index, row, c.x);
                 match span {
                     Some(span) => {
                         let key = (row, span.lo);
@@ -330,34 +330,33 @@ fn fallback(design: &mut Design, index: &mut LegalizedIndex, id: CellId) -> bool
     placed
 }
 
-/// The free interval of `row` that contains (or is nearest to) `x`, with fixed cells, blockages
-/// and already-legalized multi-row cells carved out.
-fn segment_for(design: &Design, segmap: &SegmentMap, row: i64, x: i64) -> Option<Interval> {
-    let mut pieces: Vec<Interval> = segmap.row(row).iter().map(|s| s.span).collect();
-    for c in design
-        .cells
+/// The free interval of `row` that contains (or is nearest to) `x`: each segment of the row
+/// minus the legalized multi-row cells, which `multi_row` buckets by row. The run's index
+/// holds exactly those cells during the sweeps, since no sweep moves them or updates it.
+fn segment_for(
+    design: &Design,
+    segmap: &SegmentMap,
+    multi_row: &LegalizedIndex,
+    row: i64,
+    x: i64,
+) -> Option<Interval> {
+    let mut cuts: Vec<Interval> = multi_row
+        .cells_in_row(row)
         .iter()
-        .filter(|c| !c.fixed && c.legalized && c.height > 1)
-    {
-        if c.y_interval().contains(row) {
-            let span = c.x_interval();
-            let mut next = Vec::with_capacity(pieces.len() + 1);
-            for p in pieces {
-                next.extend(p.subtract(&span));
-            }
-            pieces = next;
-        }
+        .map(|&id| design.cell(id).x_interval())
+        .collect();
+    let (mut free, mut pieces) = (Vec::new(), Vec::new());
+    for seg in segmap.row(row) {
+        free_among(seg.span, &mut cuts, &mut free);
+        pieces.extend_from_slice(&free);
     }
-    pieces
-        .into_iter()
-        .filter(|p| !p.is_empty())
-        .min_by_key(|p| {
-            if p.contains(x) {
-                0
-            } else {
-                (p.lo - x).abs().min((p.hi - x).abs())
-            }
-        })
+    pieces.into_iter().min_by_key(|p| {
+        if p.contains(x) {
+            0
+        } else {
+            (p.lo - x).abs().min((p.hi - x).abs())
+        }
+    })
 }
 
 #[cfg(test)]

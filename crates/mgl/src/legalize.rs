@@ -8,7 +8,7 @@ use crate::shift::{shift_phase_with, Phase, ShiftProblem};
 use crate::stats::{FopOpStats, RegionWork, WorkTrace};
 use flex_placement::cell::CellId;
 use flex_placement::geom::{Interval, Rect};
-use flex_placement::layout::Design;
+use flex_placement::layout::{blocked_in_row, free_among, Design};
 use flex_placement::legality::check_legality_with;
 use flex_placement::metrics::displacement_stats;
 use flex_placement::segment::SegmentMap;
@@ -694,8 +694,10 @@ pub fn fallback_place_indexed(
 
 /// The search half of [`fallback_place_indexed`]: the nearest `(x, row)` where the target
 /// fits between the already-legalized cells without shifting anything, or `None` if the die
-/// has no gap for it. Each row only considers the legalized cells `index` holds for it, so a
-/// row costs O(cells on that row). Pure — the caller decides whether to write the position.
+/// has no gap for it (a target taller than the die never fits). Pure — the caller decides
+/// whether to write the position. A call reads the design's cells once, to collect the
+/// die's blockers; each row a candidate spans then costs one [`free_among`] sweep of that
+/// row's blockers and the cells `index` holds for it, the target left out.
 pub fn find_fallback_position(
     design: &Design,
     index: &LegalizedIndex,
@@ -703,26 +705,26 @@ pub fn find_fallback_position(
     spec: &TargetSpec,
 ) -> Option<(i64, i64)> {
     let (gx, gy) = (spec.gx, spec.gy);
-    // free intervals per row, with the legalized movable cells of that row subtracted
-    let row_free = |row: i64| -> Vec<Interval> {
-        let mut free = design.free_intervals(row);
-        for &id in index.cells_in_row(row) {
-            if id == target {
-                continue;
-            }
-            let span = design.cell(id).x_interval();
-            let mut next = Vec::with_capacity(free.len() + 1);
-            for f in free {
-                next.extend(f.subtract(&span));
-            }
-            free = next;
-        }
-        free
+    let blockers = design.blockers_in_rows(0, design.num_rows);
+    let row_sites = Interval::new(0, design.num_sites_x);
+    let mut cuts = Vec::new();
+    // the free intervals of `row`: its sites minus its blockers and its legalized cells
+    let mut row_free = |row: i64, free: &mut Vec<Interval>| {
+        cuts.clear();
+        cuts.extend(blocked_in_row(&blockers, row));
+        cuts.extend(
+            index
+                .cells_in_row(row)
+                .iter()
+                .filter(|&&id| id != target)
+                .map(|&id| design.cell(id).x_interval()),
+        );
+        free_among(row_sites, &mut cuts, free);
     };
 
+    let (mut pieces, mut other) = (Vec::new(), Vec::new());
     let mut best: Option<(f64, i64, i64)> = None; // (cost, x, row)
-    let max_row = design.num_rows - spec.height;
-    for row in 0..=max_row.max(0) {
+    for row in 0..=design.num_rows - spec.height {
         if let Some(p) = spec.parity {
             if row.rem_euclid(2) as u8 != p {
                 continue;
@@ -735,9 +737,9 @@ pub fn find_fallback_position(
             }
         }
         // intersect the free intervals of all rows the cell would span
-        let mut pieces = row_free(row);
+        row_free(row, &mut pieces);
         for r in row + 1..row + spec.height {
-            let other = row_free(r);
+            row_free(r, &mut other);
             let mut next = Vec::new();
             for p in &pieces {
                 for o in &other {
@@ -752,7 +754,7 @@ pub fn find_fallback_position(
                 break;
             }
         }
-        for piece in pieces {
+        for piece in &pieces {
             if piece.len() < spec.width {
                 continue;
             }
@@ -887,6 +889,185 @@ mod tests {
         };
         let index = LegalizedIndex::build(&d);
         assert!(!fallback_place_indexed(&mut d, &index, t, &spec));
+    }
+
+    #[test]
+    fn a_target_taller_than_the_die_fails() {
+        // a 2-row die has no rows for a 3-row cell, however empty its rows are
+        let mut d = Design::new("too-tall", 20, 2);
+        let t = d.add_cell(flex_placement::cell::Cell::movable(
+            CellId(0),
+            4,
+            3,
+            5.0,
+            0.0,
+        ));
+        let spec = TargetSpec::of(d.cell(t));
+        let index = LegalizedIndex::build(&d);
+        assert_eq!(find_fallback_position(&d, &index, t, &spec), None);
+        let result = MglLegalizer::new(MglConfig::default()).legalize(&mut d);
+        assert_eq!(result.failed, vec![t]);
+        assert_eq!(result.fallback_placed, 0);
+        assert!(!result.legal);
+    }
+
+    /// The fallback scan as it was before it carved rows with [`free_among`], kept as its
+    /// oracle: every candidate row filters the whole design for its blockers, then subtracts
+    /// the row's legalized cells one by one with an allocating [`Interval::subtract`]. It
+    /// takes rows past the die for free rows, so it places targets taller than the die.
+    fn find_fallback_position_by_subtract(
+        design: &Design,
+        index: &LegalizedIndex,
+        target: CellId,
+        spec: &TargetSpec,
+    ) -> Option<(i64, i64)> {
+        let (gx, gy) = (spec.gx, spec.gy);
+        let row_free = |row: i64| -> Vec<Interval> {
+            let mut free = design.free_intervals_in_rows(row, row + 1).remove(0);
+            for &id in index.cells_in_row(row) {
+                if id == target {
+                    continue;
+                }
+                let span = design.cell(id).x_interval();
+                let mut next = Vec::with_capacity(free.len() + 1);
+                for f in free {
+                    next.extend(f.subtract(&span));
+                }
+                free = next;
+            }
+            free
+        };
+
+        let mut best: Option<(f64, i64, i64)> = None; // (cost, x, row)
+        let max_row = design.num_rows - spec.height;
+        for row in 0..=max_row.max(0) {
+            if let Some(p) = spec.parity {
+                if row.rem_euclid(2) as u8 != p {
+                    continue;
+                }
+            }
+            if let Some((cost, _, _)) = best {
+                if (row as f64 - gy).abs() >= cost {
+                    continue;
+                }
+            }
+            let mut pieces = row_free(row);
+            for r in row + 1..row + spec.height {
+                let other = row_free(r);
+                let mut next = Vec::new();
+                for p in &pieces {
+                    for o in &other {
+                        let i = p.intersect(o);
+                        if i.len() >= spec.width {
+                            next.push(i);
+                        }
+                    }
+                }
+                pieces = next;
+                if pieces.is_empty() {
+                    break;
+                }
+            }
+            for piece in pieces {
+                if piece.len() < spec.width {
+                    continue;
+                }
+                let x = (gx.round() as i64).clamp(piece.lo, piece.hi - spec.width);
+                let cost = (x as f64 - gx).abs() + (row as f64 - gy).abs();
+                if best.map(|(c, _, _)| cost < c).unwrap_or(true) {
+                    best = Some((cost, x, row));
+                }
+            }
+        }
+        best.map(|(_, x, row)| (x, row))
+    }
+
+    /// A seeded random die for the fallback differential: macros and blockages (some hanging
+    /// past the die, some covering whole rows) and movable cells one to four rows tall, most
+    /// of them legalized.
+    fn fallback_design(seed: u64) -> Design {
+        use flex_placement::cell::Cell;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (sites, rows) = (rng.random_range(12..80i64), rng.random_range(2..14i64));
+        let mut d = Design::new(format!("fallback-{seed}"), sites, rows);
+        for _ in 0..rng.random_range(0..4u32) {
+            let (w, h) = (rng.random_range(1..16i64), rng.random_range(1..5i64));
+            let (x, y) = (rng.random_range(-4..sites), rng.random_range(-2..rows));
+            d.add_cell(Cell::fixed(CellId(0), w, h, x, y));
+        }
+        for _ in 0..rng.random_range(0..4u32) {
+            let (x, y) = (rng.random_range(-6..sites), rng.random_range(-2..rows));
+            let (w, h) = (rng.random_range(0..20i64), rng.random_range(1..4i64));
+            d.add_blockage(Rect::new(x, y, x + w, y + h));
+        }
+        for _ in 0..rng.random_range(0..3u32) {
+            let y = rng.random_range(0..rows);
+            d.add_blockage(Rect::new(0, y, sites, y + 1));
+        }
+        for _ in 0..rng.random_range(0..(sites * rows / 20) as u64 + 2) {
+            let (w, h) = (
+                rng.random_range(1..10i64),
+                rng.random_range(1..5i64).min(rows),
+            );
+            let mut c = Cell::movable(CellId(0), w, h, 0.0, 0.0);
+            c.x = rng.random_range(0..(sites - w).max(0) + 1);
+            c.y = rng.random_range(0..rows - h + 1);
+            c.legalized = rng.random::<f64>() < 0.85;
+            d.add_cell(c);
+        }
+        d
+    }
+
+    #[test]
+    fn fallback_scan_differential_matches_the_subtract_scan() {
+        // a desired coordinate: NaN, ±1e9, or anywhere in or just around `[0, hi)`
+        let coordinate = |rng: &mut StdRng, hi: i64| match rng.random_range(0..5u32) {
+            0 => f64::NAN,
+            1 => 1e9,
+            2 => -1e9,
+            _ => rng.random_range(-3..hi + 3) as f64 + rng.random::<f64>(),
+        };
+        let mut rng = StdRng::seed_from_u64(0xFA11);
+        let (mut placed, mut checked) = (0, 0);
+        for seed in 0..400 {
+            let d = fallback_design(seed);
+            let index = LegalizedIndex::build(&d);
+            // a legalized target is in the index and must not block itself
+            let legalized: Vec<CellId> = d
+                .cells
+                .iter()
+                .filter(|c| !c.fixed && c.legalized)
+                .map(|c| c.id)
+                .collect();
+            for _ in 0..12 {
+                let target = if !legalized.is_empty() && rng.random::<bool>() {
+                    legalized[rng.random_range(0..legalized.len())]
+                } else {
+                    CellId(d.cells.len() as u32)
+                };
+                let spec = TargetSpec {
+                    width: rng.random_range(1..12i64),
+                    height: rng.random_range(1..5i64),
+                    gx: coordinate(&mut rng, d.num_sites_x),
+                    gy: coordinate(&mut rng, d.num_rows),
+                    parity: [None, Some(0), Some(1)][rng.random_range(0..3usize)],
+                };
+                let got = find_fallback_position(&d, &index, target, &spec);
+                if spec.height > d.num_rows {
+                    assert_eq!(got, None, "seed {seed}: {spec:?} is taller than the die");
+                    continue;
+                }
+                let want = find_fallback_position_by_subtract(&d, &index, target, &spec);
+                assert_eq!(got, want, "seed {seed}: target {target} with {spec:?}");
+                checked += 1;
+                placed += usize::from(got.is_some());
+            }
+        }
+        // both outcomes are exercised
+        assert!(
+            placed > checked / 4 && placed < checked,
+            "{placed} of {checked} placed"
+        );
     }
 
     /// A `sites × rows` die with legalized single-row cells at `(x, y, width)` and an

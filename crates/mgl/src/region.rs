@@ -11,7 +11,7 @@
 use flex_placement::cell::CellId;
 use flex_placement::census::RowCensus;
 use flex_placement::geom::{Interval, Rect};
-use flex_placement::layout::Design;
+use flex_placement::layout::{free_among, Design};
 use flex_placement::segment::SegmentMap;
 
 /// The longest unblocked run of sites of one row inside the window.
@@ -247,6 +247,7 @@ impl LocalRegion {
         // taken before each carve, so after a fourth carve it describes the previous segments;
         // regions stay byte-identical to earlier releases only with this order kept.
         let mut local = vec![false; obstacles.len()];
+        let (mut cuts, mut pieces) = (Vec::new(), Vec::new());
         for _ in 0..4 {
             for (is_local, c) in local.iter_mut().zip(&obstacles) {
                 let x = c.x_interval();
@@ -254,18 +255,20 @@ impl LocalRegion {
                     .rows()
                     .all(|r| span_at(&spans, r).is_some_and(|s| s.contains_interval(&x)));
             }
-            // carve each segment with the non-local obstacles on its row, keeping the widest
-            // remaining piece (the last of equally wide ones)
+            // carve each segment with the non-local obstacles on its row, one sort and sweep
+            // (`free_among`) into buffers reused across rows, keeping the widest remaining
+            // piece (the last of equally wide ones)
             let mut changed = false;
             for (span, ids) in spans.iter_mut().zip(&row_obstacles) {
                 let Some(seg) = *span else { continue };
-                let mut pieces = vec![seg];
-                for &i in ids.iter().filter(|&&i| !local[i]) {
-                    let cut = obstacles[i].x_interval();
-                    pieces = pieces.iter().flat_map(|p| p.subtract(&cut)).collect();
-                }
-                let best = pieces.into_iter().max_by_key(|p| p.len());
-                *span = best.filter(|b| !b.is_empty());
+                cuts.clear();
+                cuts.extend(
+                    ids.iter()
+                        .filter(|&&i| !local[i])
+                        .map(|&i| obstacles[i].x_interval()),
+                );
+                free_among(seg, &mut cuts, &mut pieces);
+                *span = pieces.iter().copied().max_by_key(|p| p.len());
                 changed |= *span != Some(seg);
             }
             if !changed {

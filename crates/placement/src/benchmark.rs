@@ -294,6 +294,6 @@ mod tests {
         let before = d.blockages.len();
         block_row(&mut d, 3);
         assert_eq!(d.blockages.len(), before + 1);
-        assert!(d.free_intervals(3).is_empty());
+        assert!(d.free_intervals_in_rows(3, 4)[0].is_empty());
     }
 }

@@ -95,8 +95,8 @@ impl RowCensus {
             .zip(self.spanning.iter().map(|&n| n as usize))
     }
 
-    /// Visit the free intervals ([`Design::free_intervals`]) of each audited row, in order,
-    /// stopping at the first `Err`; `num_sites` is the design's row width.
+    /// Visit the free intervals ([`Design::free_intervals_in_rows`]) of each audited row, in
+    /// order, stopping at the first `Err`; `num_sites` is the design's row width.
     pub(crate) fn try_for_each_free_row<E>(
         &self,
         num_sites: i64,

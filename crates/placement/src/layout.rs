@@ -139,14 +139,9 @@ impl Design {
         self.movable_area() as f64 / free as f64
     }
 
-    /// Blocked site intervals in row `row` coming from fixed cells and blockages.
-    pub fn blocked_intervals(&self, row: i64) -> Vec<Interval> {
-        blocked_in_row(&self.blockers_in_rows(row, row + 1), row).collect()
-    }
-
     /// Rectangles of the fixed cells (in design order), then of the blockages, that touch
-    /// rows `[row_lo, row_hi)`: one pass over the design collects everything
-    /// [`Design::blocked_intervals`] reports for any row of the band, in the same order.
+    /// rows `[row_lo, row_hi)`: one pass over the design collects every blocker of the band,
+    /// and [`blocked_in_row`] picks out one row's.
     pub fn blockers_in_rows(&self, row_lo: i64, row_hi: i64) -> Vec<Rect> {
         let band = Interval::new(row_lo, row_hi);
         self.cells
@@ -158,22 +153,10 @@ impl Design {
             .collect()
     }
 
-    /// Free (unblocked) site intervals in row `row`, sorted left to right.
-    ///
-    /// Only fixed cells and blockages block a row — movable cells live *inside* the free
-    /// intervals and become `localCells` of the MGL algorithm.
-    pub fn free_intervals(&self, row: i64) -> Vec<Interval> {
-        let mut free = Vec::new();
-        free_among(
-            self.num_sites_x,
-            &mut self.blocked_intervals(row),
-            &mut free,
-        );
-        free
-    }
-
-    /// [`Design::free_intervals`] of every row in `[row_lo, row_hi)`, in row order. The band's
-    /// blockers are collected once, so `k` rows cost one pass over the design plus `k`
+    /// The free (unblocked) site intervals of every row in `[row_lo, row_hi)`, in row order,
+    /// each sorted left to right. Only fixed cells and blockages block a row: movable cells
+    /// live *inside* the free intervals and become `localCells` of the MGL algorithm. The
+    /// band's blockers are collected once, so `k` rows cost one pass over the design plus `k`
     /// passes over those blockers instead of `k` passes over the design.
     pub fn free_intervals_in_rows(&self, row_lo: i64, row_hi: i64) -> Vec<Vec<Interval>> {
         let mut rows = Vec::with_capacity((row_hi - row_lo).max(0) as usize);
@@ -311,7 +294,7 @@ impl Design {
     }
 }
 
-/// Visit the free intervals ([`Design::free_intervals`]) of each of `rows`, in order,
+/// Visit the free intervals ([`Design::free_intervals_in_rows`]) of each of `rows`, in order,
 /// stopping at the first `Err`. `blockers` must hold every fixed-cell rectangle and blockage
 /// that touches those rows (others are ignored), so `k` rows cost `k` passes over the
 /// blockers, with the two per-row buffers reused: no allocation per row or per blocker.
@@ -325,41 +308,41 @@ pub(crate) fn try_for_each_free_row<E>(
     for row in rows {
         blocked.clear();
         blocked.extend(blocked_in_row(blockers, row));
-        free_among(num_sites, &mut blocked, &mut free);
+        free_among(Interval::new(0, num_sites), &mut blocked, &mut free);
         visit(row, &free)?;
     }
     Ok(())
 }
 
 /// The x spans of the `blockers` that cover `row`, in blocker order.
-fn blocked_in_row(blockers: &[Rect], row: i64) -> impl Iterator<Item = Interval> + '_ {
+pub fn blocked_in_row(blockers: &[Rect], row: i64) -> impl Iterator<Item = Interval> + '_ {
     blockers
         .iter()
         .filter(move |b| b.y_interval().contains(row))
         .map(|b| b.x_interval())
 }
 
-/// The sites `[0, num_sites)` minus `blocked` (one row's blocked intervals), written to
-/// `free` as sorted, disjoint, non-empty intervals: one sort and one sweep. Blockers are
-/// clipped to the die, and a zero-width blocker strictly inside a free run splits it, so
-/// the result is exactly what subtracting the blockers one by one with
-/// [`Interval::subtract`] leaves.
-fn free_among(num_sites: i64, blocked: &mut [Interval], free: &mut Vec<Interval>) {
-    blocked.sort_unstable_by_key(|iv| iv.lo);
+/// The sites of `span` minus the `cuts`, written to `free` as sorted, disjoint, non-empty
+/// intervals: one sort of `cuts` and one sweep. Cuts are clipped to `span`, and a zero-width
+/// cut strictly inside a free run splits it, so the result is exactly what subtracting the
+/// cuts one by one with [`Interval::subtract`] leaves. Every carve of a row's free space
+/// runs through it: segments, the fallback scan, localRegion extraction and ISPD'25's rows.
+pub fn free_among(span: Interval, cuts: &mut [Interval], free: &mut Vec<Interval>) {
+    cuts.sort_unstable_by_key(|iv| iv.lo);
     free.clear();
-    // every site from `start` on is clear of the blockers swept so far
-    let mut start = 0;
-    for b in blocked.iter() {
-        if b.lo >= num_sites {
+    // every site of `span` from `start` on is clear of the cuts swept so far
+    let mut start = span.lo;
+    for c in cuts.iter() {
+        if c.lo >= span.hi {
             break;
         }
-        if b.lo > start {
-            free.push(Interval::new(start, b.lo));
+        if c.lo > start {
+            free.push(Interval::new(start, c.lo));
         }
-        start = start.max(b.hi);
+        start = start.max(c.hi);
     }
-    if start < num_sites {
-        free.push(Interval::new(start, num_sites));
+    if start < span.hi {
+        free.push(Interval::new(start, span.hi));
     }
 }
 
@@ -411,18 +394,21 @@ mod tests {
         assert_eq!(fixed, vec![CellId(2)]);
     }
 
+    /// One row's free intervals, computed from that row's blockers alone.
+    fn free_in_row(d: &Design, row: i64) -> Vec<Interval> {
+        d.free_intervals_in_rows(row, row + 1).remove(0)
+    }
+
     #[test]
     fn free_intervals_subtract_fixed_and_blockages() {
         let d = small_design();
+        let rows = d.free_intervals_in_rows(0, d.num_rows);
         // row 1 crosses the fixed macro at x in [40, 50)
-        assert_eq!(
-            d.free_intervals(1),
-            vec![Interval::new(0, 40), Interval::new(50, 100)]
-        );
+        assert_eq!(rows[1], vec![Interval::new(0, 40), Interval::new(50, 100)]);
         // row 5 is unblocked
-        assert_eq!(d.free_intervals(5), vec![Interval::new(0, 100)]);
+        assert_eq!(rows[5], vec![Interval::new(0, 100)]);
         // row 9 is fully covered by the blockage
-        assert_eq!(d.free_intervals(9), vec![]);
+        assert_eq!(rows[9], vec![]);
     }
 
     #[test]
@@ -435,11 +421,7 @@ mod tests {
             let band = d.free_intervals_in_rows(lo, hi);
             assert_eq!(band.len(), (hi - lo) as usize);
             for (row, free) in (lo..).zip(band) {
-                assert_eq!(
-                    free,
-                    d.free_intervals(row),
-                    "row {row} of band [{lo}, {hi})"
-                );
+                assert_eq!(free, free_in_row(&d, row), "row {row} of band [{lo}, {hi})");
             }
         }
     }
@@ -449,9 +431,9 @@ mod tests {
         use crate::test_support::free_among_by_subtract;
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
-        let sweep = |num_sites: i64, blocked: &[Interval]| {
+        let sweep = |span: Interval, blocked: &[Interval]| {
             let mut free = Vec::new();
-            free_among(num_sites, &mut blocked.to_vec(), &mut free);
+            free_among(span, &mut blocked.to_vec(), &mut free);
             free
         };
         let iv = |lo, hi| Interval { lo, hi };
@@ -473,28 +455,51 @@ mod tests {
             vec![iv(-5, -1), iv(20, 30), iv(40, 50)],
             vec![iv(-5, 30)],
         ];
-        for blocked in &cases {
-            for num_sites in [-3, 0, 1, 6, 20] {
+        // whole rows of -3 to 20 sites, then spans that start off the row origin
+        let spans = [-3, 0, 1, 6, 20]
+            .map(|n| Interval::new(0, n))
+            .into_iter()
+            .chain([(2, 9), (-4, 6), (5, 5), (9, 30), (4, 20)].map(|(lo, hi)| iv(lo, hi)));
+        for span in spans {
+            for blocked in &cases {
                 assert_eq!(
-                    sweep(num_sites, blocked),
-                    free_among_by_subtract(num_sites, blocked.clone()),
-                    "{num_sites} sites minus {blocked:?}"
+                    sweep(span, blocked),
+                    free_among_by_subtract(span, blocked.clone()),
+                    "{span:?} minus {blocked:?}"
                 );
             }
         }
-        let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..5_000 {
-            let num_sites = rng.random_range(0..40i64);
-            let blocked: Vec<Interval> = (0..rng.random_range(0..8u32))
+        // random spans, half of them whole rows starting at site 0, and cuts anchored at an
+        // end of the span or anywhere in or around it
+        let mut rng = StdRng::seed_from_u64(29);
+        for _ in 0..20_000 {
+            let lo = if rng.random::<bool>() {
+                0
+            } else {
+                rng.random_range(-20..40i64)
+            };
+            let span = Interval::new(lo, lo + rng.random_range(-3..30i64));
+            let cuts: Vec<Interval> = (0..rng.random_range(0..10u32))
                 .map(|_| {
-                    let lo = rng.random_range(-6..num_sites + 6);
-                    Interval::new(lo, lo + rng.random_range(-2..12i64))
+                    let at = match rng.random_range(0..4u32) {
+                        0 => span.lo,
+                        1 => span.hi,
+                        _ => rng.random_range(span.lo - 12..span.hi + 12),
+                    };
+                    // zero-width cuts included; a cut reaches left or right of its anchor,
+                    // so an anchored cut touches the end from inside or from outside
+                    let width = rng.random_range(0..10i64);
+                    if rng.random::<bool>() {
+                        Interval::new(at, at + width)
+                    } else {
+                        Interval::new(at - width, at)
+                    }
                 })
                 .collect();
             assert_eq!(
-                sweep(num_sites, &blocked),
-                free_among_by_subtract(num_sites, blocked.clone()),
-                "{num_sites} sites minus {blocked:?}"
+                sweep(span, &cuts),
+                free_among_by_subtract(span, cuts.clone()),
+                "{span:?} minus {cuts:?}"
             );
         }
     }
@@ -505,10 +510,13 @@ mod tests {
         for seed in 0..200 {
             let d = random_design(seed);
             let want: Vec<Vec<Interval>> = (-2..d.num_rows + 2)
-                .map(|row| free_among_by_subtract(d.num_sites_x, d.blocked_intervals(row)))
+                .map(|row| {
+                    let blocked = blocked_in_row(&d.blockers_in_rows(row, row + 1), row).collect();
+                    free_among_by_subtract(Interval::new(0, d.num_sites_x), blocked)
+                })
                 .collect();
             let per_row: Vec<Vec<Interval>> = (-2..d.num_rows + 2)
-                .map(|row| d.free_intervals(row))
+                .map(|row| free_in_row(&d, row))
                 .collect();
             assert_eq!(per_row, want, "seed {seed}");
             assert_eq!(

@@ -62,17 +62,11 @@ impl SegmentMap {
     /// Build the segment map of a design from its fixed cells and blockages, collecting
     /// the blockers of all rows in one pass over the design.
     pub fn build(design: &Design) -> Self {
-        Self {
-            per_row: Self::rows_of(design, 0, design.num_rows),
-        }
-    }
-
-    /// The segments of rows `[row_lo, row_hi)`, computed from the design.
-    fn rows_of(design: &Design, row_lo: i64, row_hi: i64) -> Vec<Vec<Segment>> {
-        (row_lo..)
-            .zip(design.free_intervals_in_rows(row_lo, row_hi))
+        let per_row = (0..)
+            .zip(design.free_intervals_in_rows(0, design.num_rows))
             .map(|(row, free)| free.into_iter().map(|span| Segment { row, span }).collect())
-            .collect()
+            .collect();
+        Self { per_row }
     }
 
     /// Segments of row `row` (empty slice if the row does not exist).
@@ -94,10 +88,10 @@ impl SegmentMap {
 
     /// Audit the census's rows against `design`, which the census was gathered from: the map
     /// is a pure function of the design's fixed cells and blockages
-    /// (`Design::free_intervals`), so each audited row is recomputed from the blockers the
-    /// census collected and compared segment-for-segment. `Err` names the first diverging
-    /// row — the invariant-scrubber's typed corruption evidence. Reads no cell: each row is
-    /// swept into reused buffers, with no allocation per row.
+    /// ([`Design::free_intervals_in_rows`]), so each audited row is recomputed from the
+    /// blockers the census collected and compared segment-for-segment. `Err` names the first
+    /// diverging row — the invariant-scrubber's typed corruption evidence. Reads no cell:
+    /// each row is swept into reused buffers, with no allocation per row.
     pub fn audit(&self, design: &Design, census: &RowCensus) -> Result<(), String> {
         let num_rows = design.num_rows.max(0);
         if self.per_row.len() as i64 != num_rows {
@@ -241,6 +235,7 @@ mod tests {
         row_lo: i64,
         row_hi: i64,
     ) -> Result<(), String> {
+        use crate::layout::blocked_in_row;
         use crate::test_support::free_among_by_subtract;
         let num_rows = design.num_rows.max(0);
         if map.per_row.len() as i64 != num_rows {
@@ -252,8 +247,9 @@ mod tests {
         let lo = row_lo.clamp(0, num_rows);
         let hi = row_hi.clamp(0, num_rows);
         for row in lo..hi {
+            let blocked = blocked_in_row(&design.blockers_in_rows(row, row + 1), row).collect();
             let want: Vec<Segment> =
-                free_among_by_subtract(design.num_sites_x, design.blocked_intervals(row))
+                free_among_by_subtract(Interval::new(0, design.num_sites_x), blocked)
                     .into_iter()
                     .map(|span| Segment { row, span })
                     .collect();

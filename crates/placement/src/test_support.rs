@@ -50,16 +50,12 @@ pub(crate) fn random_design(seed: u64) -> Design {
     d
 }
 
-/// The die width minus `blocked`, by subtracting the blockers one at a time with
-/// [`Interval::subtract`]: the allocating computation `Design::free_intervals` used before
-/// its sort-and-sweep, kept as the oracle.
-pub(crate) fn free_among_by_subtract(
-    num_sites_x: i64,
-    mut blocked: Vec<Interval>,
-) -> Vec<Interval> {
-    let full = Interval::new(0, num_sites_x);
+/// `span` minus `blocked`, by subtracting the blockers one at a time with
+/// [`Interval::subtract`]: the allocating computation a row's free intervals came from
+/// before [`crate::layout::free_among`]'s sort-and-sweep, kept as its oracle.
+pub(crate) fn free_among_by_subtract(span: Interval, mut blocked: Vec<Interval>) -> Vec<Interval> {
     blocked.sort_by_key(|iv| iv.lo);
-    let mut free = vec![full];
+    let mut free = vec![span];
     for b in blocked {
         let mut next = Vec::with_capacity(free.len() + 1);
         for f in free {
