@@ -17,18 +17,22 @@
 //! live in the cycle model (`flex_fpga::pipeline`, selected by `flex_core`'s `PipelineMode`),
 //! not here.
 //!
-//! ### Arena-allocated kernel
+//! ### Arena-allocated, operator-major kernel
 //!
 //! The entry point, [`find_optimal_position_with`], threads a reusable [`FopScratch`]
-//! through the whole chain: one set of grow-only buffers (shift positions, curves,
-//! breakpoints, merged breakpoints, slope prefix sums) serves every insertion point of every
-//! region, and per-region state (the localCells sorted once by `(x, index)` — the SACS
-//! Ahead-Sorter — and the per-segment cell lists presorted in that order, per-cell anchor
-//! displacements, the target's own curve) is computed once per region instead of once per
-//! point. Cell shifting ([`shift_phase_with`]) pays for the rows and cells each point's push
-//! reaches: it traverses only unsettled rows, builds a row's lists from the presorted row on
-//! its first traversal, undoes its state from the cells it moved, and reports only those
-//! cells, in SACS's stream order, so curve building walks the moved cells alone. Each run
+//! through the whole chain and runs it operator-major, as FLEX streams insertion points
+//! through its operator stages: cell shifting for every point of the region, then the curves
+//! of every feasible point, then each point's breakpoint sort, fwdtraverse and bwdtraverse
+//! in turn. Each operator leaves its results for all points in flat grow-only buffers (moved
+//! cells, breakpoints, merged breakpoints, slope prefix sums) that serve every region, and
+//! gets one `OpClock` lap per region instead of one per point. Per-region state (the
+//! localCells sorted once by `(x, index)` — the SACS Ahead-Sorter — and the per-segment
+//! cell lists presorted in that order, per-cell anchor displacements, the target's own curve)
+//! is computed once per region instead of once per point. Cell shifting
+//! ([`shift_phase_with`]) pays for the rows and cells each point's push reaches: it traverses
+//! only unsettled rows, builds a row's lists from the presorted row on its first traversal,
+//! undoes its state from the cells it moved, and reports only those cells, in SACS's stream
+//! order, so curve building walks the moved cells alone. Each run
 //! records the work of both shifting schedules (the original algorithm's passes and subcell
 //! visits, the SACS profile), so every configuration runs this one FOP and the FPGA cycle
 //! model picks the schedule it costs. The allocating implementation it replaced is kept
@@ -47,6 +51,7 @@ use crate::stats::{FopOpStats, FopOperator, RegionWork};
 use flex_placement::cell::Cell;
 use flex_placement::geom::Interval;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Upper bound on the number of insertion points evaluated per localRegion (guards against
@@ -103,32 +108,25 @@ pub struct FopOutcome {
     pub work: RegionWork,
 }
 
-/// A grow-only pool of [`DisplacementCurve`]s: curves are rebuilt in place per insertion
-/// point, reusing each curve's breakpoint allocation.
+/// One feasible insertion point of a region, filled in operator by operator: shifting
+/// records its moves, curve building its breakpoints and curve totals, fwdtraverse its
+/// merged breakpoints. The ranges index the region-wide buffers of [`FopScratch`].
 #[derive(Debug, Clone, Default)]
-struct CurvePool {
-    curves: Vec<DisplacementCurve>,
-    len: usize,
-}
-
-impl CurvePool {
-    fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Hand out the next pooled curve (allocating a new slot only on first growth).
-    fn next(&mut self) -> &mut DisplacementCurve {
-        if self.len == self.curves.len() {
-            self.curves.push(DisplacementCurve::constant(0.0));
-        }
-        let c = &mut self.curves[self.len];
-        self.len += 1;
-        c
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &DisplacementCurve> {
-        self.curves[..self.len].iter()
-    }
+struct FeasiblePoint {
+    /// Index of the point in enumeration order.
+    point: usize,
+    /// Its moved cells in `FopScratch::moves`: the left phase's first, then the right's.
+    moves: Range<usize>,
+    /// How many of `moves` the left phase made.
+    left_moves: usize,
+    /// Its breakpoints in `FopScratch::bps`, in curve order until sorted in place.
+    bps: Range<usize>,
+    /// Its merged breakpoints and slope prefix sums in `FopScratch::{merged, slopes_r}`.
+    merged: Range<usize>,
+    /// Total curve value at the point's `x_lo`.
+    anchor_value: f64,
+    /// Total slope left of every breakpoint: the sum of each curve's initial slope.
+    base_slope: f64,
 }
 
 /// Reusable buffers for the whole FOP chain — the arena the hot path allocates from.
@@ -148,17 +146,21 @@ pub struct FopScratch {
     pub(crate) left: PhaseMoves,
     /// Right-phase moved cells.
     pub(crate) right: PhaseMoves,
-    /// Pool of localCell displacement curves.
-    curves: CurvePool,
+    /// The localCell curve being built, rewritten in place for every moved cell.
+    curve: DisplacementCurve,
     /// The target cell's own curve `|x_t − gx|`, set once per region.
     target_curve: DisplacementCurve,
     /// Per-cell current displacement `|x − gx|`, computed once per region.
     anchor_disp: Vec<f64>,
-    /// Gathered breakpoints of one insertion point.
+    /// The region's feasible points, in enumeration order.
+    feasible: Vec<FeasiblePoint>,
+    /// Moved cells of every feasible point.
+    moves: Vec<(usize, i64)>,
+    /// Breakpoints of every feasible point.
     bps: Vec<Breakpoint>,
-    /// Merged breakpoints.
+    /// Merged breakpoints of every feasible point.
     merged: Vec<MergedBp>,
-    /// Forward (`sum slopesR`) prefix sums.
+    /// Forward (`sum slopesR`) prefix sums, one per merged breakpoint.
     slopes_r: Vec<f64>,
     /// Working positions for commit planning (`legalize::plan_commit_with`).
     pub(crate) commit_pos: Vec<i64>,
@@ -206,7 +208,8 @@ impl FopScratch {
 
 /// Charges consecutive stretches of FOP wall time to operators. Each [`OpClock::lap`] reads
 /// the clock once and charges everything since the previous lap to one operator, so adjacent
-/// operators share a clock read and no time falls between them.
+/// operators share a clock read and no time falls between them. FOP runs operator-major, so
+/// a region costs one lap per operator (nine clock reads), however many points it has.
 struct OpClock<'a> {
     stats: &'a mut FopOpStats,
     last: Instant,
@@ -232,6 +235,12 @@ impl<'a> OpClock<'a> {
 /// costs and work counters; only wall-clock operator stats differ (they measure the faster
 /// kernel, and the per-region sort is attributed once per region instead of once per point).
 ///
+/// Operator-major: each operator runs over every point before the next one starts, the way
+/// FLEX streams points through its operator stages. Shifting runs both phases of every
+/// point; the points that survive get their curves (gathering their breakpoints as they are
+/// built), then their breakpoints sorted, then fwdtraverse, then bwdtraverse, which keeps
+/// the first strictly better point in point order (`cost < best − 1e-9`).
+///
 /// The configuration is unread: FOP is the same under every [`MglConfig`]. The parameter
 /// stays for the benchmark harness, which calls this signature.
 pub fn find_optimal_position_with(
@@ -253,8 +262,8 @@ pub fn find_optimal_position_with(
     // the per-region presort first: enumeration reads its per-segment row lists
     scratch.begin_region(region, target, &mut clock);
 
-    // take the enumeration buffers out of the scratch so the per-point evaluation can borrow
-    // the rest of it mutably; the allocations go back afterwards
+    // take the enumeration buffers out of the scratch so the operators can borrow the rest
+    // of it mutably; the allocations go back afterwards
     let mut insertion = std::mem::take(&mut scratch.insertion);
     let n_points = enumerate_insertion_points_into(
         region,
@@ -268,24 +277,124 @@ pub fn find_optimal_position_with(
     );
     clock.lap(FopOperator::Enumerate);
     work.insertion_points = n_points as u64;
+    let points = insertion.points();
+    let FopScratch {
+        shift,
+        left,
+        right,
+        curve,
+        target_curve,
+        anchor_disp,
+        feasible,
+        moves,
+        bps,
+        merged,
+        slopes_r,
+        ..
+    } = scratch;
+
+    // --- cell shifting at both extremes of every point's feasible range -------------------
+    // (timed on both exits: most points of a crowded region turn out infeasible here)
+    feasible.clear();
+    moves.clear();
+    for (idx, point) in points.iter().enumerate() {
+        let problem = |target_x| ShiftProblem {
+            region,
+            point,
+            target_width: target.width,
+            target_height: target.height,
+            target_x,
+        };
+        if shift_phase_with(&problem(point.x_lo), Phase::Left, shift, left).is_err()
+            || shift_phase_with(&problem(point.x_hi), Phase::Right, shift, right).is_err()
+        {
+            continue;
+        }
+        for phase in [&*left, &*right] {
+            work.shift_passes += phase.passes as u64;
+            work.subcell_visits += phase.subcell_visits;
+            work.sorted_cells += phase.sacs.sorted_cells;
+            work.bound_queries += phase.sacs.bound_queries;
+        }
+        let start = moves.len();
+        moves.extend_from_slice(&left.moved);
+        moves.extend_from_slice(&right.moved);
+        feasible.push(FeasiblePoint {
+            point: idx,
+            moves: start..moves.len(),
+            left_moves: left.moved.len(),
+            ..FeasiblePoint::default()
+        });
+    }
+    clock.lap(FopOperator::CellShift);
+    work.feasible_points = feasible.len() as u64;
+
+    // --- displacement curves of the moved cells (target curve prebuilt per region); each
+    // point's breakpoints are gathered in curve order as its curves are built -------------
+    bps.clear();
+    for fp in feasible.iter_mut() {
+        let point = &points[fp.point];
+        let lo = point.x_lo as f64;
+        let start = bps.len();
+        // the totals add up in curve order, target first, as the reference's sums do, so
+        // they are bit-identical to them
+        bps.extend_from_slice(&target_curve.breakpoints);
+        fp.anchor_value = target_curve.eval(lo);
+        fp.base_slope = target_curve.breakpoints[0].left_slope;
+        for (k, &(i, pos)) in moves[fp.moves.clone()].iter().enumerate() {
+            let c = &region.cells[i];
+            if k < fp.left_moves {
+                // stack offset: at full compression (x_t = x_lo) the cell sits at x_lo - s
+                curve.set_left_cell(c.x as f64, c.gx, (point.x_lo - pos) as f64);
+            } else {
+                let s = pos - (point.x_hi + target.width);
+                curve.set_right_cell(c.x as f64, c.gx, s as f64, target.width as f64);
+            }
+            curve.anchor.1 -= anchor_disp[i];
+            fp.anchor_value += curve.eval(lo);
+            fp.base_slope += curve.breakpoints[0].left_slope;
+            bps.extend_from_slice(&curve.breakpoints);
+        }
+        fp.bps = start..bps.len();
+    }
+    clock.lap(FopOperator::Curves);
+
+    // --- breakpoint pipeline: sort bp, fwdtraverse, bwdtraverse -----------------------------
+    for fp in feasible.iter() {
+        bps[fp.bps.clone()].sort_by(|a, b| a.x.total_cmp(&b.x));
+    }
+    clock.lap(FopOperator::SortBp);
+    work.breakpoints = bps.len() as u64;
+
+    merged.clear();
+    slopes_r.clear();
+    for fp in feasible.iter_mut() {
+        let start = merged.len();
+        fwd_traverse(&bps[fp.bps.clone()], merged, slopes_r);
+        fp.merged = start..merged.len();
+    }
+    clock.lap(FopOperator::FwdTraverse);
 
     let mut best: Option<(i64, f64, usize)> = None; // (x, cost, point index)
-    for (idx, point) in insertion.points().iter().enumerate() {
-        if let Some((x, cost)) =
-            evaluate_point_with(region, target, point, &mut clock, work, scratch)
-        {
-            work.feasible_points += 1;
-            let better = match best {
-                None => true,
-                Some((_, best_cost, _)) => cost < best_cost - 1e-9,
-            };
-            if better {
-                best = Some((x, cost, idx));
-            }
+    for fp in feasible.iter() {
+        let point = &points[fp.point];
+        let (best_x, horiz_cost) = scan_minimum(
+            &merged[fp.merged.clone()],
+            &slopes_r[fp.merged.clone()],
+            fp.base_slope,
+            fp.anchor_value,
+            point.x_lo as f64,
+            point.x_hi as f64,
+        );
+        let cost = horiz_cost + (point.bottom_row as f64 - target.gy).abs();
+        if best.is_none_or(|(_, best_cost, _)| cost < best_cost - 1e-9) {
+            best = Some((best_x.round() as i64, cost, fp.point));
         }
     }
+    clock.lap(FopOperator::BwdTraverse);
+
     outcome.best = best.map(|(x, cost, idx)| {
-        let point = insertion.points()[idx].clone();
+        let point = points[idx].clone();
         Placement {
             x,
             row: point.bottom_row,
@@ -295,110 +404,6 @@ pub fn find_optimal_position_with(
     });
     scratch.insertion = insertion;
     outcome
-}
-
-/// Evaluate one insertion point against the scratch arena: shift into the reusable outcome
-/// buffers, rebuild the pooled curves in place, run the breakpoint pipeline on the reusable
-/// vectors. Returns `(best x, cost)` or `None` if the point turned out infeasible.
-fn evaluate_point_with(
-    region: &LocalRegion,
-    target: &TargetSpec,
-    point: &InsertionPoint,
-    clock: &mut OpClock<'_>,
-    work: &mut RegionWork,
-    scratch: &mut FopScratch,
-) -> Option<(i64, f64)> {
-    let FopScratch {
-        shift,
-        left,
-        right,
-        curves,
-        target_curve,
-        anchor_disp,
-        bps,
-        merged,
-        slopes_r,
-        ..
-    } = scratch;
-
-    // --- cell shifting at both extremes of the feasible range -----------------------------
-    let left_problem = ShiftProblem {
-        region,
-        point,
-        target_width: target.width,
-        target_height: target.height,
-        target_x: point.x_lo,
-    };
-    let right_problem = ShiftProblem {
-        region,
-        point,
-        target_width: target.width,
-        target_height: target.height,
-        target_x: point.x_hi,
-    };
-    let shifted = shift_phase_with(&left_problem, Phase::Left, shift, left)
-        .and_then(|()| shift_phase_with(&right_problem, Phase::Right, shift, right));
-    // timed on both exits: most points of a crowded region turn out infeasible here
-    clock.lap(FopOperator::CellShift);
-    shifted.ok()?;
-    for moves in [&*left, &*right] {
-        work.shift_passes += moves.passes as u64;
-        work.subcell_visits += moves.subcell_visits;
-        work.sorted_cells += moves.sacs.sorted_cells;
-        work.bound_queries += moves.sacs.bound_queries;
-    }
-
-    // --- displacement curves of the moved cells (pooled; target curve prebuilt per region) --
-    curves.clear();
-    for &(i, pos) in &left.moved {
-        let c = &region.cells[i];
-        // stack offset: at full compression (x_t = x_lo) the cell sits at x_lo - s
-        let s = point.x_lo - pos;
-        let curve = curves.next();
-        curve.set_left_cell(c.x as f64, c.gx, s as f64);
-        curve.anchor.1 -= anchor_disp[i];
-    }
-    for &(i, pos) in &right.moved {
-        let c = &region.cells[i];
-        let s = pos - (point.x_hi + target.width);
-        let curve = curves.next();
-        curve.set_right_cell(c.x as f64, c.gx, s as f64, target.width as f64);
-        curve.anchor.1 -= anchor_disp[i];
-    }
-    let lo = point.x_lo as f64;
-    let hi = point.x_hi as f64;
-    let all_curves = || std::iter::once(&*target_curve).chain(curves.iter());
-    let anchor_value: f64 = all_curves().map(|c| c.eval(lo)).sum();
-    // total slope left of every breakpoint: the sum of each curve's initial slope
-    let base_slope: f64 = all_curves()
-        .filter_map(|c| c.breakpoints.first())
-        .map(|bp| bp.left_slope)
-        .sum();
-    clock.lap(FopOperator::Curves);
-
-    // --- breakpoint pipeline ---------------------------------------------------------------
-    bps.clear();
-    bps.extend(target_curve.breakpoints.iter().copied());
-    for c in curves.iter() {
-        bps.extend(c.breakpoints.iter().copied());
-    }
-    bps.sort_by(|a, b| a.x.total_cmp(&b.x));
-    clock.lap(FopOperator::SortBp);
-    work.breakpoints += bps.len() as u64;
-
-    let (best_x, horiz_cost) = breakpoint_chain_with(
-        bps,
-        base_slope,
-        anchor_value,
-        lo,
-        hi,
-        clock,
-        merged,
-        slopes_r,
-    );
-
-    let vertical = (point.bottom_row as f64 - target.gy).abs();
-    Some((best_x.round() as i64, horiz_cost + vertical))
 }
 
 /// A merged breakpoint: identical x-coordinates folded together with accumulated slopes.
@@ -474,29 +479,19 @@ fn scan_minimum(
     (best_x, best_v)
 }
 
-/// Scratch twin of [`reference::breakpoint_chain`]: the forward traversal followed by the
-/// value scan, on the reusable buffers.
-#[allow(clippy::too_many_arguments)]
-fn breakpoint_chain_with(
-    sorted: &[Breakpoint],
-    base_slope: f64,
-    anchor_value: f64,
-    lo: f64,
-    hi: f64,
-    clock: &mut OpClock<'_>,
-    merged: &mut Vec<MergedBp>,
-    slopes_r: &mut Vec<f64>,
-) -> (f64, f64) {
-    // fwdtraverse: merge on the fly while accumulating the right-slope prefix sums
-    merged.clear();
-    slopes_r.clear();
+/// fwdtraverse over one point's sorted breakpoints, the kernel's twin of the first half of
+/// [`reference::breakpoint_chain`]: merge identical x-coordinates on the fly while
+/// accumulating the right-slope prefix sums, appending to the region-wide buffers (a merge
+/// never reaches back into an earlier point's entries).
+fn fwd_traverse(sorted: &[Breakpoint], merged: &mut Vec<MergedBp>, slopes_r: &mut Vec<f64>) {
+    let start = merged.len();
     let mut acc = 0.0;
     for bp in sorted {
-        match merged.last_mut() {
+        acc += bp.right_slope - bp.left_slope;
+        match merged[start..].last_mut() {
             Some(m) if (m.x - bp.x).abs() < 1e-9 => {
                 m.left += bp.left_slope;
                 m.right += bp.right_slope;
-                acc += bp.right_slope - bp.left_slope;
                 *slopes_r.last_mut().expect("merged entry exists") = acc;
             }
             _ => {
@@ -505,17 +500,10 @@ fn breakpoint_chain_with(
                     left: bp.left_slope,
                     right: bp.right_slope,
                 });
-                acc += bp.right_slope - bp.left_slope;
                 slopes_r.push(acc);
             }
         }
     }
-    clock.lap(FopOperator::FwdTraverse);
-
-    // bwdtraverse: the value scan that picks the minimum
-    let result = scan_minimum(merged, slopes_r, base_slope, anchor_value, lo, hi);
-    clock.lap(FopOperator::BwdTraverse);
-    result
 }
 
 pub mod reference {
@@ -931,20 +919,15 @@ mod tests {
         }
     }
 
-    /// Run [`breakpoint_chain_with`] on fresh buffers.
+    /// Run the kernel's [`fwd_traverse`] and value scan on buffers that already hold another
+    /// point's entries, as every point after a region's first finds them.
     fn scratch_chain(bps: &[Breakpoint], base: f64, anchor: f64, lo: f64, hi: f64) -> (f64, f64) {
-        let mut st = FopOpStats::default();
         let (mut merged, mut slopes_r) = (Vec::new(), Vec::new());
-        breakpoint_chain_with(
-            bps,
-            base,
-            anchor,
-            lo,
-            hi,
-            &mut OpClock::start(&mut st),
-            &mut merged,
-            &mut slopes_r,
-        )
+        fwd_traverse(bps, &mut merged, &mut slopes_r);
+        let start = merged.len();
+        fwd_traverse(bps, &mut merged, &mut slopes_r);
+        let (merged, slopes_r) = (&merged[start..], &slopes_r[start..]);
+        scan_minimum(merged, slopes_r, base, anchor, lo, hi)
     }
 
     #[test]
@@ -1083,6 +1066,75 @@ mod tests {
         assert!(best.cost > 0.0);
         assert!(stats.cell_shift_ns > 0);
         assert!(stats.presort_ns > 0);
+    }
+
+    #[test]
+    fn every_operator_books_time_within_the_call() {
+        // rows 0 and 1 in [0, 20), a two-row cell at [6, 12) and row 1 packed right of it: a
+        // point whose range pushes that cell right is infeasible, the others are feasible
+        let cell = |id, x, y, width, height| LocalCell {
+            id: CellId(id),
+            x,
+            y,
+            width,
+            height,
+            gx: x as f64 + 0.5,
+        };
+        let region = LocalRegion {
+            target: CellId(9),
+            window: Rect::new(0, 0, 20, 2),
+            segments: (0..2)
+                .map(|row| LocalSegment {
+                    row,
+                    span: Interval::new(0, 20),
+                })
+                .collect(),
+            cells: vec![
+                cell(0, 0, 0, 4, 1),
+                cell(1, 0, 1, 2, 1),
+                cell(2, 6, 0, 6, 2),
+                cell(3, 12, 1, 8, 1),
+                cell(4, 14, 0, 4, 1),
+            ],
+            density: 0.9,
+        };
+        let t = TargetSpec {
+            width: 3,
+            height: 1,
+            gx: 6.0,
+            gy: 0.0,
+            parity: None,
+        };
+        let mut stats = FopOpStats::default();
+        let wall = Instant::now();
+        let out = find_optimal_position_with(
+            &region,
+            &t,
+            &MglConfig::default(),
+            &mut stats,
+            &mut FopScratch::new(),
+        );
+        let wall = wall.elapsed().as_nanos() as u64;
+        let w = &out.work;
+        println!(
+            "{} of {} points feasible",
+            w.feasible_points, w.insertion_points
+        );
+        assert!(0 < w.feasible_points && w.feasible_points < w.insertion_points);
+        for (op, ns) in [
+            ("cell shifting", stats.cell_shift_ns),
+            ("curves", stats.curves_ns),
+            ("sort bp", stats.sort_bp_ns),
+            ("fwdtraverse", stats.fwd_traverse_ns),
+            ("bwdtraverse", stats.bwd_traverse_ns),
+        ] {
+            assert!(ns > 0, "{op} booked no time: {stats:?}");
+        }
+        assert!(
+            stats.total_ns() <= wall,
+            "{} ns booked in {wall} ns",
+            stats.total_ns()
+        );
     }
 
     #[test]

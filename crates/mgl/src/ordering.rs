@@ -34,16 +34,26 @@ pub fn natural_order(targets: &[CellId]) -> Vec<CellId> {
 /// `next()` pops the current cell (`C_cur`). Before returning it, the orderer keeps the
 /// following cell (`C_next`) fixed and reorders the rest of the window by localRegion density in
 /// descending order, exactly as described in Sec. 3.1.2.
+///
+/// A cell's density is computed once, on the first reorder that sees it, and kept in a memo
+/// indexed by cell id. This is exact under one precondition: while a cell waits in the queue,
+/// neither its position (which places its window) nor the density map `next` reads changes.
+/// A legalization run keeps it: it builds the map once, before the first pop, and a
+/// placement writes only its target and already-legalized cells, never a queued one (see
+/// [`processing_order`]). Every `next` call of one orderer must therefore pass the same
+/// design state of the queued cells and the same map.
 #[derive(Debug, Clone)]
 pub struct SlidingWindowOrderer {
     queue: std::collections::VecDeque<CellId>,
     window: usize,
     half_sites: i64,
     half_rows: i64,
-    /// How often each cell has been deferred by a density reorder. A cell that has been deferred
-    /// `window` times is promoted to the front of the reordered tail, so the density priority
-    /// can never starve the large cells that lead the size-sorted sequence.
-    deferrals: std::collections::HashMap<CellId, u32>,
+    /// How often each cell (indexed by id) has been deferred by a density reorder. A cell that
+    /// has been deferred `window` times is promoted to the front of the reordered tail, so the
+    /// density priority can never starve the large cells that lead the size-sorted sequence.
+    deferrals: Vec<u32>,
+    /// Each cell's localRegion density (indexed by id), `None` until a reorder first needs it.
+    densities: Vec<Option<f64>>,
 }
 
 impl SlidingWindowOrderer {
@@ -60,49 +70,39 @@ impl SlidingWindowOrderer {
             window: window.max(2),
             half_sites,
             half_rows,
-            deferrals: std::collections::HashMap::new(),
+            deferrals: vec![0; design.cells.len()],
+            densities: vec![None; design.cells.len()],
         }
     }
 
     /// Pop the next cell to process (`C_cur`), keep the new front (`C_next`) fixed, and
     /// re-rank the remaining window cells by localRegion density.
     pub fn next(&mut self, design: &Design, density: &DensityMap) -> Option<CellId> {
-        let (queue, deferrals) = (&mut self.queue, &mut self.deferrals);
-        let (window, half_sites, half_rows) = (self.window, self.half_sites, self.half_rows);
-        let cur = queue.pop_front()?;
+        let cur = self.queue.pop_front()?;
         // C_next (new front) stays fixed; the remaining window cells are reordered by density,
         // except that cells which already spent a full window length being deferred keep their
         // (size-ranked) priority so they cannot starve.
-        if queue.len() > 2 {
-            let end = window.saturating_sub(1).min(queue.len());
-            if end > 2 {
-                let before: Vec<CellId> = queue.iter().skip(1).take(end - 1).copied().collect();
-                let mut tail = before.clone();
-                let cap = window as u32;
-                tail.sort_by(|&a, &b| {
-                    let exhausted_a = deferrals.get(&a).copied().unwrap_or(0) >= cap;
-                    let exhausted_b = deferrals.get(&b).copied().unwrap_or(0) >= cap;
-                    match (exhausted_a, exhausted_b) {
-                        (true, false) => return std::cmp::Ordering::Less,
-                        (false, true) => return std::cmp::Ordering::Greater,
-                        _ => {}
-                    }
-                    // a cell's localRegion density is read over its legalization window
-                    let da = density.density_in(&target_window(design, a, half_sites, half_rows));
-                    let db = density.density_in(&target_window(design, b, half_sites, half_rows));
-                    // total order even for NaN densities (degenerate windows): NaN ranks above
-                    // every real density instead of poisoning the comparator
-                    db.total_cmp(&da).then(a.cmp(&b))
+        let end = self.window.saturating_sub(1).min(self.queue.len());
+        if self.queue.len() > 2 && end > 2 {
+            let cap = self.window as u32;
+            let (half_sites, half_rows) = (self.half_sites, self.half_rows);
+            // one key per tail cell: (not exhausted, density, id, position before the reorder)
+            let mut keys: Vec<(bool, f64, CellId, usize)> = Vec::with_capacity(end - 1);
+            for (old, &id) in self.queue.range(1..end).enumerate() {
+                // a cell's localRegion density is read over its legalization window
+                let d = *self.densities[id.index()].get_or_insert_with(|| {
+                    density.density_in(&target_window(design, id, half_sites, half_rows))
                 });
-                for (new_idx, id) in tail.iter().enumerate() {
-                    let old_idx = before.iter().position(|&x| x == *id).unwrap_or(new_idx);
-                    if new_idx > old_idx {
-                        *deferrals.entry(*id).or_insert(0) += 1;
-                    }
+                keys.push((self.deferrals[id.index()] < cap, d, id, old));
+            }
+            // exhausted cells first, then densest first (a total order even for NaN densities
+            // of degenerate windows: NaN ranks above every real density), then by id
+            keys.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.total_cmp(&a.1)).then(a.2.cmp(&b.2)));
+            for (new, &(_, _, id, old)) in keys.iter().enumerate() {
+                if new > old {
+                    self.deferrals[id.index()] += 1;
                 }
-                for (i, id) in tail.into_iter().enumerate() {
-                    queue[i + 1] = id;
-                }
+                self.queue[new + 1] = id;
             }
         }
         Some(cur)
@@ -117,7 +117,8 @@ impl SlidingWindowOrderer {
 /// built here before any commit, and the positions of queued cells, and a legalization run
 /// never moves a queued cell ([`Design::pre_move`] un-legalizes every movable cell, and a
 /// placement writes only its target and already-legalized localCells). So the order equals
-/// what popping [`SlidingWindowOrderer::next`] between placements yields.
+/// what popping [`SlidingWindowOrderer::next`] between placements yields; the orderer's
+/// density memo rests on the same two facts.
 pub fn processing_order(design: &Design, cfg: &MglConfig) -> Vec<CellId> {
     let targets = design.movable_ids();
     match cfg.ordering {
@@ -241,6 +242,159 @@ mod tests {
             }
         }
         assert_eq!(orderer.queue.len(), 0);
+    }
+
+    /// The orderer before the density memo, kept as the oracle of the memoized one: it
+    /// scores both cells inside the sort comparator on every comparison and keeps the
+    /// deferral counts in a map.
+    struct ComparatorOrderer {
+        queue: std::collections::VecDeque<CellId>,
+        window: usize,
+        half_sites: i64,
+        half_rows: i64,
+        deferrals: std::collections::HashMap<CellId, u32>,
+    }
+
+    impl ComparatorOrderer {
+        fn new(
+            design: &Design,
+            targets: &[CellId],
+            window: usize,
+            half_sites: i64,
+            half_rows: i64,
+        ) -> Self {
+            Self {
+                queue: size_descending_order(design, targets).into(),
+                window: window.max(2),
+                half_sites,
+                half_rows,
+                deferrals: std::collections::HashMap::new(),
+            }
+        }
+
+        fn next(&mut self, design: &Design, density: &DensityMap) -> Option<CellId> {
+            let (queue, deferrals) = (&mut self.queue, &mut self.deferrals);
+            let (window, half_sites, half_rows) = (self.window, self.half_sites, self.half_rows);
+            let cur = queue.pop_front()?;
+            if queue.len() > 2 {
+                let end = window.saturating_sub(1).min(queue.len());
+                if end > 2 {
+                    let before: Vec<CellId> = queue.iter().skip(1).take(end - 1).copied().collect();
+                    let mut tail = before.clone();
+                    let cap = window as u32;
+                    tail.sort_by(|&a, &b| {
+                        let exhausted_a = deferrals.get(&a).copied().unwrap_or(0) >= cap;
+                        let exhausted_b = deferrals.get(&b).copied().unwrap_or(0) >= cap;
+                        match (exhausted_a, exhausted_b) {
+                            (true, false) => return std::cmp::Ordering::Less,
+                            (false, true) => return std::cmp::Ordering::Greater,
+                            _ => {}
+                        }
+                        let da =
+                            density.density_in(&target_window(design, a, half_sites, half_rows));
+                        let db =
+                            density.density_in(&target_window(design, b, half_sites, half_rows));
+                        db.total_cmp(&da).then(a.cmp(&b))
+                    });
+                    for (new_idx, id) in tail.iter().enumerate() {
+                        let old_idx = before.iter().position(|&x| x == *id).unwrap_or(new_idx);
+                        if new_idx > old_idx {
+                            *deferrals.entry(*id).or_insert(0) += 1;
+                        }
+                    }
+                    for (i, id) in tail.into_iter().enumerate() {
+                        queue[i + 1] = id;
+                    }
+                }
+            }
+            Some(cur)
+        }
+    }
+
+    /// Seeded designs for the orderer equivalence: generated ones of several densities and
+    /// height mixes, one of identical cell groups (bitwise-equal densities, so reorders fall
+    /// to the id tie-break) and one with NaN and infinite desired positions.
+    fn ordering_designs() -> Vec<Design> {
+        let mut designs: Vec<Design> = [
+            BenchmarkSpec::tiny("ord-sparse", 41).with_density(0.45),
+            BenchmarkSpec::tiny("ord-mid", 42).with_density(0.65),
+            BenchmarkSpec::tiny("ord-dense", 43).with_density(0.85),
+            BenchmarkSpec {
+                num_cells: 300,
+                ..tall_cell_spec("ord-tall", 0.3, 44)
+            },
+        ]
+        .iter()
+        .map(generate)
+        .collect();
+
+        let mut twins = Design::new("ord-twins", 240, 24);
+        for group in 0..12 {
+            let (gx, gy) = (17.0 * group as f64 % 230.0, (5 * group % 22) as f64);
+            for _ in 0..4 {
+                twins.add_cell(Cell::movable(CellId(0), 3 + group % 3, 1, gx, gy));
+            }
+        }
+        designs.push(twins);
+
+        let mut hostile = Design::new("ord-hostile", 200, 20);
+        for i in 0..60 {
+            let (gx, gy) = match i % 5 {
+                0 => (f64::NAN, 3.0),
+                1 => (40.0, f64::NAN),
+                2 => (f64::INFINITY, f64::NEG_INFINITY),
+                _ => ((i * 7 % 190) as f64, (i % 19) as f64),
+            };
+            hostile.add_cell(Cell::movable(
+                CellId(0),
+                2 + (i % 4) as i64,
+                1 + (i % 2) as i64,
+                gx,
+                gy,
+            ));
+        }
+        designs.push(hostile);
+
+        for d in &mut designs {
+            d.pre_move();
+        }
+        designs
+    }
+
+    #[test]
+    fn memoized_orderer_pops_what_the_comparator_orderer_pops() {
+        let (mut capped, mut tied) = (false, false);
+        for d in ordering_designs() {
+            let targets = d.movable_ids();
+            let density = DensityMap::build(&d, 16, 4);
+            for window in 2..=32 {
+                let mut memo = SlidingWindowOrderer::new(&d, &targets, window, 20, 3);
+                let mut oracle = ComparatorOrderer::new(&d, &targets, window, 20, 3);
+                for pop in 0.. {
+                    let got = memo.next(&d, &density);
+                    assert_eq!(
+                        got,
+                        oracle.next(&d, &density),
+                        "{} window {window} pop {pop}",
+                        d.name
+                    );
+                    if got.is_none() {
+                        break;
+                    }
+                }
+                capped |= memo.deferrals.iter().any(|&n| n >= window as u32);
+                let mut scored: Vec<u64> = memo
+                    .densities
+                    .iter()
+                    .flatten()
+                    .map(|v| v.to_bits())
+                    .collect();
+                scored.sort_unstable();
+                tied |= scored.windows(2).any(|w| w[0] == w[1]);
+            }
+        }
+        assert!(capped, "some cell must reach the deferral cap");
+        assert!(tied, "some reorder must compare equal densities");
     }
 
     #[test]

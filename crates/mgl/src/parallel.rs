@@ -636,22 +636,19 @@ mod tests {
         }
     }
 
-    /// Assert `shadow` equals the live design `live`: every cell, and the obstacle
-    /// candidates its index yields over several row ranges against a rebuilt index.
+    /// Assert `shadow` equals the live design `live`: every cell, and every row bucket of its
+    /// index against a rebuilt index's (as id multisets: a run appends to its buckets in
+    /// placement order, a rebuild fills them in id order).
     fn assert_shadow_matches(shadow: &Shadow, live: &Design, at: &str) {
         assert!(shadow.design.cells == live.cells, "cells diverged {at}");
         let rebuilt = LegalizedIndex::build(live);
-        let rows = live.num_rows;
-        for (lo, hi) in [
-            (0, rows),
-            (0, rows / 2 + 1),
-            (rows / 3, 2 * rows / 3 + 1),
-            (rows - 2, rows + 3),
-        ] {
+        for row in -1..=live.num_rows {
+            let mut bucket = shadow.index.cells_in_row(row).to_vec();
+            bucket.sort_unstable();
             assert_eq!(
-                shadow.index.candidates(lo, hi),
-                rebuilt.candidates(lo, hi),
-                "candidates over rows [{lo}, {hi}) diverged {at}"
+                bucket,
+                rebuilt.cells_in_row(row),
+                "row {row}'s bucket diverged {at}"
             );
         }
     }

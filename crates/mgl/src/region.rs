@@ -143,18 +143,6 @@ impl LegalizedIndex {
         }
     }
 
-    /// Ids of legalized cells occupying any row in `[y_lo, y_hi)`, deduplicated, in design
-    /// order (the order a full scan of the design would visit them).
-    pub fn candidates(&self, y_lo: i64, y_hi: i64) -> Vec<CellId> {
-        let mut ids: Vec<CellId> = Vec::new();
-        for row in y_lo.max(0)..y_hi.min(self.rows.len() as i64) {
-            ids.extend_from_slice(&self.rows[row as usize]);
-        }
-        ids.sort_by_key(|id| id.0);
-        ids.dedup();
-        ids
-    }
-
     /// Audit the census's rows against `design`, which the census was gathered from:
     /// compare each audited bucket with what [`LegalizedIndex::build`] would put there
     /// (id-sorted, one entry per row a legalized movable cell spans) without rebuilding it.
@@ -198,10 +186,12 @@ impl LocalRegion {
     /// [`LegalizedIndex`]: the legalized movable cells other than the target on the window's
     /// rows, in design order.
     ///
-    /// Linear in the obstacle candidates plus the (obstacle, window row) pairs they span:
-    /// segments live in a table indexed by window row, each row's obstacles are bucketed once
-    /// in obstacle order, and the local/blocking split is a mask, so no step searches a list
-    /// per cell or per segment.
+    /// Each window row's bucket is read once and filtered by the window first: a bucket cell
+    /// outside it costs one rectangle test, and only the hits are sorted into design order
+    /// and deduplicated. The rest is linear in the obstacles plus the (obstacle, window row)
+    /// pairs they span: segments live in a table indexed by window row, each row's obstacles
+    /// are bucketed once in obstacle order, and the local/blocking split is a mask, so no
+    /// step searches a list per cell or per segment.
     pub fn extract_indexed(
         design: &Design,
         segments: &SegmentMap,
@@ -226,15 +216,19 @@ impl LocalRegion {
         };
 
         // Obstacle candidates: legalized movable cells overlapping the window widened by one
-        // site. Every segment is clipped to the window, so no other cell can touch one.
+        // site. Every segment is clipped to the window, so no other cell can touch one. Each
+        // row bucket is filtered first; only the hits are sorted into design order and
+        // deduplicated (a multi-row cell is a hit on every window row it spans).
         let probe = window.expanded(1, 0);
-        let obstacles: Vec<&flex_placement::cell::Cell> = index
-            .candidates(window.y_lo, window.y_hi)
-            .into_iter()
-            .filter(|&id| id != target)
-            .map(|id| design.cell(id))
-            .filter(|c| c.rect().overlaps(&probe))
+        let mut hits: Vec<CellId> = (row_lo..row_hi)
+            .flat_map(|row| index.cells_in_row(row))
+            .copied()
+            .filter(|&id| id != target && design.cell(id).rect().overlaps(&probe))
             .collect();
+        hits.sort_unstable_by_key(|id| id.0);
+        hits.dedup();
+        let obstacles: Vec<&flex_placement::cell::Cell> =
+            hits.into_iter().map(|id| design.cell(id)).collect();
         let mut row_obstacles: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
         for (i, c) in obstacles.iter().enumerate() {
             for row in c.y.max(row_lo)..(c.y + c.height).min(row_hi) {
